@@ -1,4 +1,4 @@
-"""Batched dense path: parity, fig18 step speedup, dense/sparse share.
+"""Batched dense path: parity and fig18 step speedup.
 
 PR 7's batched dense execution (:mod:`repro.nn.gemm`) replaces many small
 MLP GEMMs with few large ones, in two composable pieces:
@@ -30,10 +30,6 @@ Two measurements on the fig18 config (RM2.scaled, batch 256):
   the fused bias+ReLU, workspace reuse, and the skipped first-layer
   input-gradient GEMM (~1.0-1.12x, noise-bound).  Recorded with a
   no-regression gate, not a speedup claim.
-
-The dense-time share of each step comes from the new
-``StepOutcome.dense_time_s`` split (measured inside the model's dense
-section, not inferred from FLOP counts) and is recorded alongside.
 """
 
 import os
@@ -95,31 +91,26 @@ def make_sharded_trainer(config, log, *, batched, dense_batching):
 
 
 def timed_epoch(trainer, batches):
-    """One epoch: (per-step wall times, summed dense_time_s)."""
+    """One epoch's per-step wall times."""
     walls = np.empty(len(batches))
-    dense = 0.0
     for i, batch in enumerate(batches):
         start = time.perf_counter()
-        outcome = trainer.run_step(batch)
+        trainer.run_step(batch)
         walls[i] = time.perf_counter() - start
-        dense += outcome.dense_time_s
-    return walls, dense
+    return walls
 
 
 def interleaved_best(trainers, batches, rounds=ROUNDS):
-    """Best-of per-step walls and the best round's dense share, per name."""
+    """Best-of per-step walls, per name."""
     names = list(trainers)
     best = {name: np.full(len(batches), np.inf) for name in names}
-    dense = {name: 0.0 for name in names}
     for round_index in range(rounds):
         ordered = names if round_index % 2 == 0 else list(reversed(names))
         for name in ordered:
-            walls, dense_s = timed_epoch(trainers[name], batches)
+            walls = timed_epoch(trainers[name], batches)
             improved = walls < best[name]
             best[name][improved] = walls[improved]
-            if round_index == 0:
-                dense[name] = dense_s
-    return best, dense
+    return best
 
 
 def assert_sharded_parity(reference, stacked, batch):
@@ -145,9 +136,7 @@ def test_replica_stacked_dense_path_fig18(benchmark):
 
     assert_sharded_parity(sequential, stacked, batches[0])
 
-    best, dense = interleaved_best(
-        {"sequential": sequential, "stacked": stacked}, batches[1:]
-    )
+    best = interleaved_best({"sequential": sequential, "stacked": stacked}, batches[1:])
     benchmark.pedantic(
         lambda: [stacked.run_step(batch) for batch in batches[1:]],
         rounds=1,
@@ -156,14 +145,13 @@ def test_replica_stacked_dense_path_fig18(benchmark):
     seq_s = float(best["sequential"].sum())
     stacked_s = float(best["stacked"].sum())
     speedup = seq_s / stacked_s
-    share = dense["stacked"] / max(stacked_s, 1e-12)
     strict = bool(os.environ.get("BENCH_STRICT"))
     steps = len(batches) - 1
     print(
         f"\nsharded fig18 step (K={NUM_SHARDS} sync, batch {BATCH_SIZE}, "
         f"{steps} steps): sequential {seq_s / steps * 1e3:.2f} ms, "
         f"replica-stacked {stacked_s / steps * 1e3:.2f} ms, speedup "
-        f"{speedup:.3f}x (bit-identical; dense share ~{share:.0%})"
+        f"{speedup:.3f}x (bit-identical)"
     )
     record_bench(
         "dense_path_fig18",
@@ -173,16 +161,6 @@ def test_replica_stacked_dense_path_fig18(benchmark):
         speedup=speedup,
         gate=MIN_STACKED_SPEEDUP,
         enforced=strict,
-    )
-    record_bench(
-        "dense_share_fig18",
-        config=f"RM2.scaled(1200) batch={BATCH_SIZE}, K={NUM_SHARDS} sync "
-        "shards: measured dense (MLP+interaction) share of the "
-        "replica-stacked step, from StepOutcome.dense_time_s",
-        seconds=dense["stacked"] / steps,
-        speedup=None,
-        gate=None,
-        enforced=None,
     )
     if strict:
         assert speedup >= MIN_STACKED_SPEEDUP
@@ -199,20 +177,16 @@ def test_packed_single_trainer_no_regression():
     loss_packed = packed.run_step(batches[0]).loss
     assert loss_packed == loss_seq
 
-    best, dense = interleaved_best(
-        {"sequential": sequential, "packed": packed}, batches[1:]
-    )
+    best = interleaved_best({"sequential": sequential, "packed": packed}, batches[1:])
     seq_s = float(best["sequential"].sum())
     packed_s = float(best["packed"].sum())
     speedup = seq_s / packed_s
-    share = dense["packed"] / max(packed_s, 1e-12)
     strict = bool(os.environ.get("BENCH_STRICT"))
     steps = len(batches) - 1
     print(
         f"\nsingle-trainer fig18 step (batch {BATCH_SIZE}, {steps} steps): "
         f"sequential {seq_s / steps * 1e3:.2f} ms, packed "
-        f"{packed_s / steps * 1e3:.2f} ms, speedup {speedup:.3f}x "
-        f"(dense share ~{share:.0%})"
+        f"{packed_s / steps * 1e3:.2f} ms, speedup {speedup:.3f}x"
     )
     record_bench(
         "packed_dense_single_fig18",

@@ -71,9 +71,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any
 
 import numpy as np
@@ -395,14 +393,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             (``"flat"`` = vectorised flat arrays, ``"reference"`` = the
             dict-based parity reference); forwarded to
             :class:`~repro.core.lookahead.CachedEmbeddingPipeline`.
-        parallel_workers: Size of the shared thread pool the K replicas'
-            forward/backward passes run on (numpy's BLAS kernels release
-            the GIL, so replicas genuinely overlap).  Results are collected
-            **by replica index** and assembled in the same replica-major
-            order the sequential loop produces, so the reducer and sparse
-            exchange see identical ordered partial lists — bit-identical
-            numerics for any worker count (the parity suite sweeps K ×
-            workers).  ``1`` (default) keeps the sequential in-thread loop.
         per_shard_lookahead: Give each replica its own *accounting*
             lookahead cache keyed to its contiguous shard slice of every
             batch (:func:`~repro.core.lookahead.shard_epoch_row_stream`),
@@ -422,9 +412,7 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             pricing and hit/miss/eviction counters only), and LFU
             eviction keeps the resident set within capacity.  Tier
             counters surface through
-            :class:`~repro.core.engine.StepOutcome`.  Note the tier hooks
-            :meth:`~repro.nn.embedding.EmbeddingBag.forward`; models
-            driving a stacked store's fused gather directly bypass it.
+            :class:`~repro.core.engine.StepOutcome`.
     """
 
     def __init__(
@@ -446,7 +434,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         reducer: GradientBucketReducer | None = None,
         fused: bool = True,
         pending_store: str = "flat",
-        parallel_workers: int = 1,
         dense_batching: str = "replica",
         per_shard_lookahead: bool = False,
         tiered_hot_bytes: float | None = None,
@@ -548,14 +535,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         self.last_remote_lookups: int = 0
         #: Merged sparse-gradient rows routed to owners in the last step.
         self.last_routed_rows: int = 0
-        if parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1")
-        #: Thread-pool width for the per-replica forward/backward fan-out.
-        self.parallel_workers = parallel_workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_width = 0
-        #: Per-replica wall time of the most recent step (by replica index).
-        self.last_replica_times: tuple[float, ...] = ()
         if dense_batching not in ("replica", "per-replica"):
             raise ValueError(
                 "dense_batching must be 'replica' or 'per-replica', "
@@ -565,13 +544,8 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         #: one model-0 forward/backward over the *global* batch (replicas
         #: hold bit-identical weights in sync mode, so K small GEMMs per
         #: layer become one); falls back per-replica whenever the
-        #: preconditions don't hold (stale-k, thread pool, unfused).
+        #: preconditions don't hold (stale-k, unfused).
         self.dense_batching = dense_batching
-        #: Measured dense-section wall seconds of the most recent step,
-        #: summed over replicas.
-        self.last_dense_time_s = 0.0
-        #: Interaction/attention share of ``last_dense_time_s``.
-        self.last_interaction_time_s = 0.0
 
     # ------------------------------------------------------------------ #
     # Dense-gradient plumbing
@@ -643,8 +617,7 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         previous run's tier traffic (the counter-lifetime contract the
         DMA regression suite pins for the lookahead path).  One tier is
         shared by every replica's tables: it models one device's HBM
-        front (replicated hot rows are pinned once), and its lock keeps
-        the thread-pooled replica step safe.
+        front (replicated hot rows are pinned once).
         """
         config = self.model.config
         self.tier = TieredEmbeddingStore(
@@ -776,27 +749,14 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         replica: ShardReplica,
         global_batch_size: int,
         mask: np.ndarray | None,
-    ) -> tuple[
-        list[float],
-        list[np.ndarray],
-        list[list[SparseGradient]],
-        int,
-        int,
-        float,
-        float,
-        float,
-    ]:
-        """One replica's forward/backward over its shard, thread-safely.
+    ) -> tuple[list[float], list[np.ndarray], list[list[SparseGradient]], int, int]:
+        """One replica's forward/backward over its shard.
 
-        Touches only per-replica state (the replica's own model and
-        placement) plus read-only shared state, so K calls can run
-        concurrently on the thread pool.  Returns everything the caller
-        needs to assemble the globally-ordered partials:
-        ``(per-segment losses, per-segment flat dense partials, per-table
-        per-segment sparse partials, popular count, remote lookups, wall
-        seconds, dense-section wall seconds, interaction wall seconds)``.
+        Returns everything the caller needs to assemble the
+        globally-ordered partials: ``(per-segment losses, per-segment flat
+        dense partials, per-table per-segment sparse partials, popular
+        count, remote lookups)``.
         """
-        start = perf_counter()
         remote = (
             self.partition.remote_lookup_count(shard_batch.sparse, shard_id)
             if self.partition is not None
@@ -812,12 +772,12 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         dense_partials: list[np.ndarray] = []
         if self.fused:
             # Fused µ-batch execution: one embedding gather + scatter per
-            # table (or per step, with a stacked store) for the replica's
-            # two µ-batches.  The after-segment hook snapshots each
-            # µ-batch's flat dense partial and zeroes the layers, so the
-            # partials come out in segment order — the caller concatenates
-            # them replica-major, the exact order the merged reference
-            # accumulates in.  Losses fold in segment order too.
+            # table for the replica's two µ-batches.  The after-segment
+            # hook snapshots each µ-batch's flat dense partial and zeroes
+            # the layers, so the partials come out in segment order — the
+            # caller concatenates them replica-major, the exact order the
+            # merged reference accumulates in.  Losses fold in segment
+            # order too.
             def after_segment(_s, seg_loss, model=replica.model):
                 losses.append(seg_loss)
                 dense_partials.append(self._flat_dense_gradient(model))
@@ -844,16 +804,7 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
                 dense_partials.append(self._flat_dense_gradient(replica.model))
                 for table, grad in enumerate(sparse_grads):
                     sparse_partials[table].append(grad)
-        return (
-            losses,
-            dense_partials,
-            sparse_partials,
-            micro.popular_count,
-            remote,
-            perf_counter() - start,
-            replica.model.last_dense_time_s if self.fused else 0.0,
-            replica.model.last_interaction_time_s if self.fused else 0.0,
-        )
+        return losses, dense_partials, sparse_partials, micro.popular_count, remote
 
     def _stacked_replica_step(self, work, batch: MiniBatch) -> list[tuple]:
         """All K shards' dense passes as ONE model-0 pass over the batch.
@@ -875,11 +826,8 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
 
         Returns per-shard result tuples shaped exactly like
         :meth:`_replica_step`'s, so the caller's replica-major assembly is
-        shared.  The single measured wall time is attributed to shards
-        proportionally to their row counts (one stacked pass has no
-        per-shard walls to measure).
+        shared.
         """
-        start = perf_counter()
         bounds = [
             (k * batch.size) // self.num_shards for k in range(self.num_shards + 1)
         ]
@@ -919,40 +867,20 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             normalizer=batch.size,
             after_segment=after_segment,
         )
-        wall = perf_counter() - start
-        dense_s = model.last_dense_time_s
-        interaction_s = model.last_interaction_time_s
         results = []
         pos = 0
-        for i, (_sid, shard_batch, _replica, _gbs, _mask) in enumerate(work):
-            count = seg_counts[i]
-            share = shard_batch.size / batch.size if batch.size else 0.0
+        for count, popular, remote in zip(seg_counts, populars, remotes, strict=True):
             results.append(
                 (
                     losses_all[pos : pos + count],
                     dense_all[pos : pos + count],
                     [list(grads[pos : pos + count]) for grads in sparse_all],
-                    populars[i],
-                    remotes[i],
-                    wall * share,
-                    dense_s * share,
-                    interaction_s * share,
+                    popular,
+                    remote,
                 )
             )
             pos += count
         return results
-
-    def _replica_pool(self, width: int) -> ThreadPoolExecutor:
-        """The shared replica-stepping pool, (re)built at ``width`` workers."""
-        if self._pool is not None and self._pool_width != width:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="replica-step"
-            )
-            self._pool_width = width
-        return self._pool
 
     def train_step(self, batch: MiniBatch) -> tuple[float, float]:
         """One data-parallel step across the K replicas of ``batch``.
@@ -963,12 +891,7 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         to the merged reference's in-layer accumulation), the sparse
         exchange merges per-table partials in the same order, and every
         replica applies the identical update — so replicas never drift.
-        With ``parallel_workers > 1`` the K forward/backward passes run
-        concurrently on the shared thread pool; each replica's partials are
-        collected into its own slot and assembled in replica-index order
-        afterwards, so the reducer/exchange inputs — and therefore the
-        numerics — are identical to the sequential loop for any worker
-        count.  In ``stale-k`` mode (k > 0) the reduced dense gradient is
+        In ``stale-k`` mode (k > 0) the reduced dense gradient is
         applied ``k`` steps late through a k-deep deque (the first k steps
         apply none), modelling a pipeline of in-flight reduces at the cost
         of staleness; with a lookahead pipeline attached, merged sparse
@@ -996,23 +919,18 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             self.dense_batching == "replica"
             and self.fused
             and self.reducer.staleness == 0
-            and self.parallel_workers == 1
             and len(work) > 1
         ):
             # Sync-mode replicas are bit-identical, so the K shards' dense
             # passes stack into one global-batch pass on replica 0.
             results = self._stacked_replica_step(work, batch)
-        elif self.parallel_workers > 1 and len(work) > 1:
-            pool = self._replica_pool(min(self.parallel_workers, self.num_shards))
-            futures = [pool.submit(self._replica_step, *args) for args in work]
-            results = [future.result() for future in futures]
         else:
             results = [self._replica_step(*args) for args in work]
 
         # Deterministic replica-major assembly: results are walked in
-        # replica-index order regardless of thread completion order, and
-        # each replica's per-segment losses fold sequentially — the exact
-        # addition sequence of the sequential loop.
+        # replica-index order and each replica's per-segment losses fold
+        # sequentially — the exact addition sequence of the merged
+        # reference.
         total_loss = 0.0
         popular_size = 0
         remote_lookups = 0
@@ -1020,19 +938,7 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         partial_sparse: list[list[SparseGradient]] = [
             [] for _ in range(self.model.config.num_sparse_features)
         ]
-        replica_times = [0.0] * self.num_shards
-        dense_time = 0.0
-        interaction_time = 0.0
-        for (shard_id, _, _, _, _), (
-            losses,
-            replica_dense,
-            replica_sparse,
-            popular,
-            remote,
-            wall_s,
-            dense_s,
-            interaction_s,
-        ) in zip(work, results, strict=True):
+        for losses, replica_dense, replica_sparse, popular, remote in results:
             for loss in losses:
                 total_loss += loss
             dense_partials.extend(replica_dense)
@@ -1040,12 +946,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
                 partial_sparse[table].extend(grads)
             popular_size += popular
             remote_lookups += remote
-            replica_times[shard_id] = wall_s
-            dense_time += dense_s
-            interaction_time += interaction_s
-        self.last_replica_times = tuple(replica_times)
-        self.last_dense_time_s = dense_time
-        self.last_interaction_time_s = interaction_time
         self.last_remote_lookups = remote_lookups
 
         reduced = self.reducer.reduce(dense_partials) if dense_partials else None
@@ -1102,11 +1002,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         numbers of gradients.  Sync-mode runs have nothing in flight and
         return ``None``.
         """
-        # The replica-stepping pool is idle between runs; release its
-        # threads here (it is rebuilt lazily if the trainer steps again).
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         dense_updates = [flat for flat in self._pending_dense if flat is not None]
         self._pending_dense.clear()
         sparse_updates = None
@@ -1277,9 +1172,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             cache_fill_rows=stats.fill_rows if stats is not None else 0,
             stale_rows=stats.stale_rows if stats is not None else 0,
             prefetch_time_s=prefetch,
-            replica_times_s=self.last_replica_times,
-            dense_time_s=self.last_dense_time_s,
-            interaction_time_s=self.last_interaction_time_s,
             pending_bytes=(
                 self.lookahead.peak_pending_bytes if self.lookahead is not None else 0
             ),

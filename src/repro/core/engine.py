@@ -77,18 +77,6 @@ class TrainingResult:
         prefetch_time_s: Total priced lookahead fill/write-back traffic,
             hidden or not (the exposed tail is already folded into
             ``communication_time_s``).
-        replica_time_s: Measured (host) wall-clock seconds each replica
-            spent in its forward/backward work, summed over steps:
-            ``replica_time_s[k]`` is replica ``k``'s total.  Empty for
-            single-replica executors; surfaces the load balance of the
-            thread-pooled multi-replica step.
-        dense_time_s: Measured (host) wall-clock seconds of the fused
-            dense sections across the run (all replicas) — the measured,
-            not inferred, MLP/interaction share of the training walltime.
-        interaction_time_s: The feature-interaction share of
-            ``dense_time_s`` across the run — DLRM's dot-interaction
-            forward+backward, TBSM's attention forward+backward — so the
-            dense breakdown separates interaction cost from MLP GEMMs.
         pending_peak_bytes: High-water mark of the lookahead pipeline's
             deferred write-back store across the run (max over steps).
             The window-bound invariant keeps this proportional to the
@@ -115,9 +103,6 @@ class TrainingResult:
     cache_fill_rows: int = 0
     stale_rows: int = 0
     prefetch_time_s: float = 0.0
-    replica_time_s: list[float] = field(default_factory=list)
-    dense_time_s: float = 0.0
-    interaction_time_s: float = 0.0
     pending_peak_bytes: int = 0
     tier_hits: int = 0
     tier_misses: int = 0
@@ -181,17 +166,6 @@ class StepOutcome:
         stale_rows: Deferred row updates flushed by the staleness bound.
         prefetch_time_s: Priced cache fill/write-back traffic of the step,
             hidden or not.
-        replica_times_s: Measured (host) wall-clock seconds each replica
-            spent in this step's forward/backward work, by replica index
-            (``0.0`` for a replica whose shard was empty).  Empty for
-            single-replica executors.
-        dense_time_s: Measured (host) wall-clock seconds the step's fused
-            dense section (MLPs + interaction/attention + loss) took,
-            summed over replicas — the directly-measured MLP share of the
-            step (``0.0`` for executors without a fused dense pass).
-        interaction_time_s: The feature-interaction share of
-            ``dense_time_s`` (dot-interaction for DLRM, attention for
-            TBSM), summed over replicas — always ≤ ``dense_time_s``.
         pending_bytes: High-water mark of the lookahead pipeline's
             deferred write-back store up to and including this step
             (window-bounded: proportional to the cached row set, never
@@ -214,9 +188,6 @@ class StepOutcome:
     cache_fill_rows: int = 0
     stale_rows: int = 0
     prefetch_time_s: float = 0.0
-    replica_times_s: tuple[float, ...] = ()
-    dense_time_s: float = 0.0
-    interaction_time_s: float = 0.0
     pending_bytes: int = 0
     tier_hits: int = 0
     tier_misses: int = 0
@@ -325,30 +296,11 @@ class TrainingEngine:
             override the loader either way; the trainers' ``train()``
             methods use the default, so wrap the trainer in your own
             ``TrainingEngine`` to control the knob.
-        parallel_workers: Convenience override of the executor's
-            ``parallel_workers`` knob (thread-pooled replica stepping in
-            :class:`~repro.core.distributed.ShardedHotlineTrainer`).
-            ``None`` leaves the executor's own setting; setting it on an
-            executor without the knob raises.
     """
 
-    def __init__(
-        self,
-        executor: StepExecutor,
-        *,
-        prefetch: int | None = None,
-        parallel_workers: int | None = None,
-    ):
+    def __init__(self, executor: StepExecutor, *, prefetch: int | None = None):
         self.executor = executor
         self.prefetch = prefetch
-        if parallel_workers is not None:
-            if not hasattr(executor, "parallel_workers"):
-                raise ValueError(
-                    f"{type(executor).__name__} has no parallel_workers knob"
-                )
-            if parallel_workers < 1:
-                raise ValueError("parallel_workers must be >= 1")
-            executor.parallel_workers = parallel_workers
 
     def _epoch_batches(self, loader: MiniBatchLoader):
         """One epoch's batch iterator, prefetched when the loader supports it.
@@ -411,22 +363,12 @@ class TrainingEngine:
                 result.cache_fill_rows += outcome.cache_fill_rows
                 result.stale_rows += outcome.stale_rows
                 result.prefetch_time_s += outcome.prefetch_time_s
-                result.dense_time_s += outcome.dense_time_s
-                result.interaction_time_s += outcome.interaction_time_s
                 result.pending_peak_bytes = max(
                     result.pending_peak_bytes, outcome.pending_bytes
                 )
                 result.tier_hits += outcome.tier_hits
                 result.tier_misses += outcome.tier_misses
                 result.tier_evictions += outcome.tier_evictions
-                if outcome.replica_times_s:
-                    if len(result.replica_time_s) < len(outcome.replica_times_s):
-                        result.replica_time_s.extend(
-                            [0.0]
-                            * (len(outcome.replica_times_s) - len(result.replica_time_s))
-                        )
-                    for i, replica_time in enumerate(outcome.replica_times_s):
-                        result.replica_time_s[i] += replica_time
                 if outcome.bucket_times_s:
                     if len(result.bucket_comm_s) < len(outcome.bucket_times_s):
                         result.bucket_comm_s.extend(

@@ -257,16 +257,9 @@ class HotlineTrainer(StepExecutor):
     def run_step(self, batch: MiniBatch) -> StepOutcome:
         """One Hotline step reported to the engine."""
         loss, micro = self.train_step(batch)
-        outcome = self.timed_outcome(
+        return self.timed_outcome(
             self.perf_model, batch.size, loss, popular_fraction=micro.popular_fraction
         )
-        if self.fused:
-            # Measured (not inferred) MLP/interaction share of the step.
-            outcome.dense_time_s = getattr(self.model, "last_dense_time_s", 0.0)
-            outcome.interaction_time_s = getattr(
-                self.model, "last_interaction_time_s", 0.0
-            )
-        return outcome
 
     def train(
         self,

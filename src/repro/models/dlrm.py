@@ -13,20 +13,12 @@ computation in different orders — which is exactly the paper's claim that
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from repro.data.batch import MiniBatch
 from repro.models.configs import ModelConfig
 from repro.nn.gemm import PackedMLP, segment_bounds
-from repro.nn.embedding import (
-    EmbeddingBag,
-    SparseGradient,
-    StackedEmbeddingStore,
-    segment_ids_for,
-    stacked_segmented_scatter,
-)
+from repro.nn.embedding import EmbeddingBag, SparseGradient, segment_ids_for
 from repro.nn.interaction import (
     DotInteractionKernel,
     interaction_output_dim,
@@ -42,7 +34,6 @@ class DLRM:
         self,
         config: ModelConfig,
         seed: int = 0,
-        stacked: bool = False,
         batched: bool = True,
     ):
         """Build the model.
@@ -50,12 +41,6 @@ class DLRM:
         Args:
             config: Architecture + dataset description.
             seed: Parameter-init seed.
-            stacked: Adopt every table into one
-                :class:`~repro.nn.embedding.StackedEmbeddingStore`, so the
-                fused µ-batch path pays one gather and one segmented
-                scatter per *step* instead of per table.  Numerics are
-                bit-identical either way (the parity suite proves it);
-                ``False`` keeps the per-table storage as the reference.
             batched: Run the fused µ-batch dense pass (MLPs + interaction)
                 over one segment-packed ``(batch, d)`` block — one GEMM
                 per layer per step instead of per segment — with
@@ -85,9 +70,6 @@ class DLRM:
         top_hidden = [int(tok) for tok in config.top_mlp.split("-")]
         top_input = interaction_output_dim(config.embedding_dim, config.num_sparse_features)
         self.top_mlp = MLP([top_input] + top_hidden, rng)
-        self.stacked: StackedEmbeddingStore | None = (
-            StackedEmbeddingStore(self.tables) if stacked else None
-        )
         self._interaction_cache: dict | None = None
         self.batched = batched
         self._packed_bottom = PackedMLP(self.bottom_mlp)
@@ -95,11 +77,6 @@ class DLRM:
         #: Workspace-pooled interaction kernel — one per model instance
         #: (deepcopied replicas get fresh, unshared buffers).
         self._interaction = DotInteractionKernel()
-        #: Measured wall seconds of the last fused step's dense section
-        #: (MLPs + interaction + loss; pooling/scatter excluded).
-        self.last_dense_time_s = 0.0
-        #: Interaction forward+backward share of ``last_dense_time_s``.
-        self.last_interaction_time_s = 0.0
 
     # ------------------------------------------------------------------ #
     # Forward / backward
@@ -215,19 +192,9 @@ class DLRM:
         if normalizer is not None and normalizer <= 0:
             raise ValueError("normalizer must be positive")
         segment_ids = segment_ids_for(segments, batch.size)
-        stacked_block: np.ndarray | None = None
-        if self.stacked is not None:
-            # Cross-table fusion: ONE gather for every table's lookups.
-            # Per-table strided sums over the gathered block are
-            # bit-identical to per-table forward() pooling.
-            stacked_block = self.stacked.stacked_indices(batch.sparse)
-            gathered = self.stacked.gather(stacked_block)
-            pooled = [gathered[:, t].sum(axis=1) for t in range(num_tables)]
-        else:
-            pooled = [
-                table.forward(batch.sparse[:, t, :]) for t, table in enumerate(self.tables)
-            ]
-        dense_start = perf_counter()
+        pooled = [
+            table.forward(batch.sparse[:, t, :]) for t, table in enumerate(self.tables)
+        ]
         if (
             self.batched
             and self._packed_bottom.supported
@@ -239,61 +206,27 @@ class DLRM:
         else:
             losses = []
             grad_pooled = [[] for _ in range(num_tables)]
-            interaction_s = 0.0
             for s, idx in enumerate(segments):
                 dense_out = self.bottom_mlp.forward(batch.dense[idx])
-                mark = perf_counter()
                 interaction, cache = self._interaction.forward(
                     dense_out, [pooled[t][idx] for t in range(num_tables)]
                 )
-                interaction_s += perf_counter() - mark
                 logits = self.top_mlp.forward(interaction).reshape(-1)
                 labels = batch.labels[idx]
                 loss, grad_logits = fused_bce_epilogue(logits, labels)
                 if normalizer is not None:
                     grad_logits = grad_logits / normalizer
                 grad_interaction = self.top_mlp.backward(grad_logits.reshape(-1, 1))
-                mark = perf_counter()
                 grad_dense, grad_sparse = self._interaction.backward(
                     grad_interaction, cache
                 )
-                interaction_s += perf_counter() - mark
                 self.bottom_mlp.backward(grad_dense)
                 for t in range(num_tables):
                     grad_pooled[t].append(grad_sparse[t])
                 losses.append(loss)
                 if after_segment is not None:
                     after_segment(s, loss)
-            self.last_interaction_time_s = interaction_s
-        self.last_dense_time_s = perf_counter() - dense_start
         pooling = batch.pooling
-        if self.stacked is not None:
-            # Cross-table fusion: ONE segmented scatter for every table's
-            # gradients.  Assemble the per-sample, per-table pooled-output
-            # gradients as one (batch, tables, dim) block; its (batch,
-            # table, pooling) ravel keeps each table's contributions in the
-            # per-table flat order, so the combined scatter is
-            # bit-identical to per-table backward_segments calls.
-            dtype = grad_pooled[0][0].dtype if grad_pooled[0] else np.float64
-            grad_block = np.empty(
-                (batch.size, num_tables, self.config.embedding_dim), dtype=dtype
-            )
-            for s, idx in enumerate(segments):
-                for t in range(num_tables):
-                    grad_block[idx, t] = grad_pooled[t][s]
-            flat_grads = grad_block.reshape(batch.size * num_tables, -1)
-            if pooling != 1:
-                flat_grads = np.repeat(flat_grads, pooling, axis=0)
-            flat_segment_ids = np.repeat(segment_ids, num_tables * pooling)
-            sparse_grads = stacked_segmented_scatter(
-                stacked_block.reshape(-1),
-                flat_grads,
-                flat_segment_ids,
-                len(segments),
-                self.stacked.offsets,
-                self.config.embedding_dim,
-            )
-            return losses, sparse_grads
         # The flat (per-lookup) segment ids are table-independent — build
         # them once and share them across every table's scatter.
         flat_segment_ids = (
@@ -324,11 +257,9 @@ class DLRM:
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         bounds = segment_bounds(segments)
         dense_out = self._packed_bottom.forward(batch.dense[perm], bounds)
-        mark = perf_counter()
         interaction, cache = self._interaction.forward(
             dense_out, [pooled[t][perm] for t in range(num_tables)]
         )
-        interaction_s = perf_counter() - mark
         if self._packed_top.has_logit_epilogue:
             # Deferred-bias epilogue: the final GEMM skips its broadcast
             # bias add and the scalar bias folds into the fused loss pass —
@@ -349,10 +280,7 @@ class DLRM:
             # former per-segment ``seg_grad / normalizer`` slices.
             grad_logits /= normalizer
         grad_interaction = self._packed_top.backward(grad_logits.reshape(-1, 1), bounds)
-        mark = perf_counter()
         grad_dense, grad_sparse = self._interaction.backward(grad_interaction, cache)
-        interaction_s += perf_counter() - mark
-        self.last_interaction_time_s = interaction_s
         # The bottom MLP's input gradient is discarded by every caller —
         # the packed path skips that (dead) first-layer GEMM entirely.
         self._packed_bottom.backward(grad_dense, bounds, need_input_grad=False)

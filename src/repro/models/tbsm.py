@@ -15,8 +15,6 @@ Zipf-skewed item accesses — while remaining trainable in numpy.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from repro.data.batch import MiniBatch
@@ -26,10 +24,8 @@ from repro.nn.gemm import PackedMLP, segment_bounds
 from repro.nn.embedding import (
     EmbeddingBag,
     SparseGradient,
-    StackedEmbeddingStore,
     segment_ids_for,
     segmented_scatter,
-    stacked_segmented_scatter,
 )
 from repro.nn.loss import fused_bce_epilogue, predicted_probabilities
 from repro.nn.mlp import MLP
@@ -42,19 +38,13 @@ class TBSM:
         self,
         config: ModelConfig,
         seed: int = 0,
-        stacked: bool = False,
         batched: bool = True,
     ):
         """Build the model.
 
-        ``stacked`` adopts every table (history included) into one
-        :class:`~repro.nn.embedding.StackedEmbeddingStore`, so the fused
-        µ-batch path pays one gather and one segmented scatter per *step*;
-        bit-identical to per-table storage (see
-        :class:`~repro.models.dlrm.DLRM`).  ``batched`` runs the fused
-        dense pass (MLPs, attention, loss) over one segment-packed block —
-        bit-identical to the retained sequential per-segment loop (the
-        :mod:`repro.nn.gemm` contract).
+        ``batched`` runs the fused dense pass (MLPs, attention, loss) over
+        one segment-packed block — bit-identical to the retained
+        sequential per-segment loop (the :mod:`repro.nn.gemm` contract).
         """
         if not config.uses_attention:
             raise ValueError("TBSM requires a configuration with uses_attention=True")
@@ -76,19 +66,10 @@ class TBSM:
         top_hidden = [int(tok) for tok in config.top_mlp.split("-")]
         top_input = config.embedding_dim * (1 + 1 + (config.num_sparse_features - 1))
         self.top_mlp = MLP([top_input] + top_hidden, rng)
-        self.stacked: StackedEmbeddingStore | None = (
-            StackedEmbeddingStore(self.tables) if stacked else None
-        )
         self._cache: dict | None = None
         self.batched = batched
         self._packed_bottom = PackedMLP(self.bottom_mlp)
         self._packed_top = PackedMLP(self.top_mlp)
-        #: Measured wall seconds of the last fused step's dense section
-        #: (MLPs + attention + loss; gathers/scatter excluded).
-        self.last_dense_time_s = 0.0
-        #: Attention forward+backward share of ``last_dense_time_s`` —
-        #: TBSM's feature-interaction analog of DLRM's dot interaction.
-        self.last_interaction_time_s = 0.0
 
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Compute CTR logits, shape (batch,)."""
@@ -100,7 +81,7 @@ class TBSM:
         history_table = self.tables[0]
         history_indices = batch.sparse[:, 0, :]  # (batch, steps)
         steps = history_indices.shape[1]
-        sequence = history_table.weight[history_indices]  # (batch, steps, dim)
+        sequence = history_table.lookup(history_indices)  # (batch, steps, dim)
         context = self.attention.forward(dense_out, sequence)
 
         other_outputs = [
@@ -205,24 +186,12 @@ class TBSM:
         history_block = batch.sparse[:, 0, :]
         steps = history_block.shape[1]
         segment_ids = segment_ids_for(segments, batch.size)
-        stacked_block: np.ndarray | None = None
-        if self.stacked is not None:
-            # Cross-table fusion: ONE gather covers the history sequence
-            # (raw, unpooled) and every other table's pooled lookups.
-            stacked_block = self.stacked.stacked_indices(batch.sparse)
-            gathered = self.stacked.gather(stacked_block)
-            sequence_all = gathered[:, 0]
-            pooled = {
-                t: gathered[:, t].sum(axis=1) for t in range(1, num_tables)
-            }
-        else:
-            # History sequences: one raw gather over the batch's lookups.
-            sequence_all = self.tables[0].weight[history_block]
-            pooled = {
-                t: self.tables[t].forward(batch.sparse[:, t, :])
-                for t in range(1, num_tables)
-            }
-        dense_start = perf_counter()
+        # History sequences: one unpooled lookup over the batch's block.
+        sequence_all = self.tables[0].lookup(history_block)
+        pooled = {
+            t: self.tables[t].forward(batch.sparse[:, t, :])
+            for t in range(1, num_tables)
+        }
         if (
             self.batched
             and self._packed_bottom.supported
@@ -238,12 +207,9 @@ class TBSM:
             #: end-to-end).
             history_grad_all = None
             grad_pooled = {t: [] for t in range(1, num_tables)}
-            interaction_s = 0.0
             for s, idx in enumerate(segments):
                 dense_out = self.bottom_mlp.forward(batch.dense[idx])
-                mark = perf_counter()
                 context = self.attention.forward(dense_out, sequence_all[idx])
-                interaction_s += perf_counter() - mark
                 other_outputs = [pooled[t][idx] for t in range(1, num_tables)]
                 features = np.concatenate([context, dense_out] + other_outputs, axis=1)
                 logits = self.top_mlp.forward(features).reshape(-1)
@@ -255,9 +221,7 @@ class TBSM:
                 grad_context = grad_features[:, :dim]
                 grad_dense_direct = grad_features[:, dim : 2 * dim]
                 grad_other = grad_features[:, 2 * dim :]
-                mark = perf_counter()
                 grad_query, grad_sequence = self.attention.backward(grad_context)
-                interaction_s += perf_counter() - mark
                 self.bottom_mlp.backward(grad_query + grad_dense_direct)
                 if history_grad_all is None:
                     history_grad_all = np.empty(
@@ -271,30 +235,6 @@ class TBSM:
                 losses.append(loss)
                 if after_segment is not None:
                     after_segment(s, loss)
-            self.last_interaction_time_s = interaction_s
-        self.last_dense_time_s = perf_counter() - dense_start
-        if self.stacked is not None:
-            # Cross-table fusion: ONE segmented scatter for the history
-            # table's per-step gradients and every pooled table's repeated
-            # gradients together.  The (batch, tables, steps, dim) block's
-            # ravel preserves each table's per-table flat (batch, pooling)
-            # contribution order, so the combined scatter is bit-identical
-            # to the per-table scatters below.
-            grad_block = np.empty(
-                (batch.size, num_tables, steps, dim), dtype=history_grad_all.dtype
-            )
-            grad_block[:, 0] = history_grad_all
-            for s, idx in enumerate(segments):
-                for t in range(1, num_tables):
-                    grad_block[idx, t] = grad_pooled[t][s][:, None, :]
-            return losses, stacked_segmented_scatter(
-                stacked_block.reshape(-1),
-                grad_block.reshape(-1, dim),
-                np.repeat(segment_ids, num_tables * steps),
-                len(segments),
-                self.stacked.offsets,
-                dim,
-            )
         # One scatter per table: the history table's per-step gradients go
         # through the segmented scatter directly (no pooling repeat); the
         # flat segment ids are table-independent and shared.
@@ -336,9 +276,7 @@ class TBSM:
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         bounds = segment_bounds(segments)
         dense_out = self._packed_bottom.forward(batch.dense[perm], bounds)
-        mark = perf_counter()
         context = self.attention.forward(dense_out, sequence_all[perm])
-        interaction_s = perf_counter() - mark
         other_outputs = [pooled[t][perm] for t in range(1, num_tables)]
         features = np.concatenate([context, dense_out] + other_outputs, axis=1)
         if self._packed_top.has_logit_epilogue:
@@ -361,10 +299,7 @@ class TBSM:
         grad_context = grad_features[:, :dim]
         grad_dense_direct = grad_features[:, dim : 2 * dim]
         grad_other = grad_features[:, 2 * dim :]
-        mark = perf_counter()
         grad_query, grad_sequence = self.attention.backward(grad_context)
-        interaction_s += perf_counter() - mark
-        self.last_interaction_time_s = interaction_s
         # The bottom MLP's input gradient is discarded — skip its GEMM.
         self._packed_bottom.backward(
             grad_query + grad_dense_direct, bounds, need_input_grad=False

@@ -29,30 +29,6 @@ contributions in exactly the per-segment order the unfused scatter uses,
 and the split results are bit-identical to calling
 :meth:`EmbeddingBag.backward` once per µ-batch.
 
-**Cross-table stacked fusion.**  Every table of a recommendation model
-shares ``embedding_dim``, so the per-table fused path still pays one
-gather + one scatter *per table* per step.  :class:`StackedEmbeddingStore`
-concatenates all of a model's tables into one ``(sum_rows, dim)`` buffer
-with per-table row offsets; shifting a whole ``(batch, tables, pooling)``
-index block by those offsets turns the step's embedding traffic into **one
-gather and one segmented scatter for all tables together**
-(:func:`stacked_segmented_scatter` keys each lookup as ``segment *
-total_rows + offset[table] + row``, so the per-table/per-segment blocks
-come back out of one ``np.unique`` with binary searches).  Bit-parity with
-the per-table path holds because within any (segment, table, row) bucket
-the contributions still arrive in the per-table flat ``(batch, pooling)``
-order, and ``np.add.at`` accumulates element-by-element in flat order.
-
-The stacking is **deepcopy-safe by construction**: adopted
-:class:`EmbeddingBag`\\ s hold a ``(store, slot)`` handle — never the row
-view itself — and compute :attr:`EmbeddingBag.weight` lazily from the
-handle.  ``copy.deepcopy`` of a model therefore copies the store's buffer
-exactly once (deepcopy memoisation: the model and all its tables reference
-the same store object) and every copied table re-derives its view from the
-copied buffer, so mutating one replica's stacked store can never alias
-another replica's weights.  Storing the view as an attribute would break
-this (deepcopy materialises ndarray views into standalone arrays).
-
 **The hot/cold tiering model.**  At Criteo-Terabyte scale the embedding
 weights themselves do not fit device memory — only the frequently-accessed
 rows do (the same observation Hotline's placement and the lookahead window
@@ -60,18 +36,20 @@ exploit).  :class:`TieredEmbeddingStore` models the software-managed cache
 that CacheEmbedding's ``CachedEmbeddingBag`` implements for real: a
 device-resident **hot tier** of bounded byte capacity in front of a host
 **cold tier**, with every lookup resolved through the tier.  Crucially it
-is an *accounting and pricing* layer: the weights stay in the one
-(possibly stacked) buffer they already live in, so training numerics are
-**bit-identical** with the tier attached or not — what changes is the
-simulated cost (cold fetches and dirty evictions priced through
-``hwsim.dma.DMAEngine``) and the hit/miss/eviction counters.  Residency
+is an *accounting and pricing* layer: the weights stay in the table's
+own array, so training numerics are **bit-identical** with the tier
+attached or not — what changes is the simulated cost (cold fetches and
+dirty evictions priced through ``hwsim.dma.DMAEngine``) and the
+hit/miss/eviction counters.  Residency
 is tracked with compact sorted row arrays and aligned access-frequency
 counts (window-bounded bookkeeping — never a table-sized side array), so
 eviction is frequency-aware (LFU) and can be *fed by the classifier's
 access counts* via :meth:`TieredEmbeddingStore.record_counts`; rows the
 hot/cold placement replicates on every device are pinned and never evict.
 :meth:`EmbeddingBag.attach_tier` makes a table resolve lookups through a
-tier transparently — ``forward`` touches the tier, nothing else changes.
+tier transparently — every :meth:`EmbeddingBag.lookup` (which ``forward``
+pools, and which TBSM's history sequence reads unpooled) touches the tier,
+nothing else changes.
 """
 
 from __future__ import annotations
@@ -217,142 +195,12 @@ def segmented_scatter(
     ]
 
 
-def stacked_segmented_scatter(
-    flat_stacked_indices: np.ndarray,
-    flat_grads: np.ndarray,
-    flat_segment_ids: np.ndarray,
-    num_segments: int,
-    offsets: np.ndarray,
-    dim: int,
-) -> list[list[SparseGradient]]:
-    """One scatter producing every (table, segment) sparse gradient.
-
-    The cross-table generalisation of :func:`segmented_scatter`:
-    ``flat_stacked_indices`` are per-lookup row ids already shifted into
-    the stacked row space (``offset[table] + row``), ``flat_grads`` /
-    ``flat_segment_ids`` are aligned gradient rows and µ-batch ids, all in
-    ``(batch, table, pooling)`` ravel order.  Each lookup is keyed as
-    ``segment * total_rows + stacked_row``; one ``np.unique`` +
-    ``np.add.at`` pass accumulates every bucket, and the per-segment,
-    per-table blocks are recovered with one vectorised binary search
-    (views, no copies).
-
-    Bit-parity with per-table :func:`segmented_scatter` calls holds
-    because, for a fixed table, the ravel order restricted to that table's
-    lookups is exactly the per-table flat ``(batch, pooling)`` order — so
-    each bucket's contributions are added in the identical sequence
-    (``np.add.at`` is unbuffered and element-ordered; other tables'
-    additions interleave but never touch the bucket).
-
-    Args:
-        offsets: ``(num_tables + 1,)`` cumulative row offsets of the
-            stacked buffer (:attr:`StackedEmbeddingStore.offsets`).
-
-    Returns:
-        ``grads[table][segment]`` sparse gradients in *table-local* row
-        ids, bit-identical to the per-table scatter's output.
-    """
-    num_tables = len(offsets) - 1
-    total_rows = int(offsets[-1])
-    if flat_stacked_indices.size == 0:
-        return [
-            [
-                SparseGradient(
-                    np.empty(0, dtype=np.int64),
-                    np.empty((0, dim), dtype=flat_grads.dtype),
-                )
-                for _ in range(num_segments)
-            ]
-            for _ in range(num_tables)
-        ]
-    keys = flat_segment_ids * total_rows + flat_stacked_indices
-    unique, inverse = np.unique(keys, return_inverse=True)
-    values = np.zeros((unique.shape[0], dim), dtype=flat_grads.dtype)
-    np.add.at(values, inverse, flat_grads)
-    # (segment, table) block starts in the sorted key space, plus the end
-    # sentinel: bases[s * T + t] = s * total_rows + offsets[t].
-    bases = (
-        np.arange(num_segments, dtype=np.int64)[:, None] * total_rows
-        + np.asarray(offsets[:-1], dtype=np.int64)[None, :]
-    ).reshape(-1)
-    bounds = np.searchsorted(unique, np.append(bases, num_segments * total_rows))
-    out: list[list[SparseGradient]] = [[] for _ in range(num_tables)]
-    for s in range(num_segments):
-        for t in range(num_tables):
-            k = s * num_tables + t
-            lo, hi = bounds[k], bounds[k + 1]
-            out[t].append(
-                SparseGradient(unique[lo:hi] - int(bases[k]), values[lo:hi])
-            )
-    return out
-
-
-class StackedEmbeddingStore:
-    """All of a model's embedding tables stacked into one weight buffer.
-
-    Owns the ``(sum_rows, dim)`` buffer and the per-table row offsets;
-    adopted :class:`EmbeddingBag`\\ s keep only a ``(store, slot)`` handle
-    and expose their rows as views computed on access.  That indirection is
-    what makes the scheme deepcopy-safe (see the module docstring): a
-    deep-copied model gets exactly one copied buffer shared by its copied
-    tables, never an aliased or materialised view.
-
-    Attributes:
-        buffer: The stacked ``(sum_rows, dim)`` weight array.  Table
-            ``t``'s rows live at ``buffer[offsets[t]:offsets[t + 1]]``.
-        offsets: ``(num_tables + 1,)`` int64 cumulative row offsets.
-    """
-
-    def __init__(self, tables: list[EmbeddingBag]):
-        if not tables:
-            raise ValueError("cannot stack zero tables")
-        dims = {table.dim for table in tables}
-        if len(dims) != 1:
-            raise ValueError(f"stacked tables must share one dim, got {sorted(dims)}")
-        self.dim = dims.pop()
-        self.offsets = np.concatenate(
-            [[0], np.cumsum([table.num_rows for table in tables])]
-        ).astype(np.int64)
-        # Concatenation copies each table's rows into the stacked buffer;
-        # the originals are released by _adopt_into below.
-        self.buffer = np.concatenate([table.weight for table in tables], axis=0)
-        self.num_tables = len(tables)
-        for slot, table in enumerate(tables):
-            table._adopt_into(self, slot)
-
-    @property
-    def total_rows(self) -> int:
-        """Row count of the stacked buffer (sum over tables)."""
-        return int(self.offsets[-1])
-
-    def table_view(self, slot: int) -> np.ndarray:
-        """Table ``slot``'s rows as a writable view into the buffer."""
-        return self.buffer[int(self.offsets[slot]) : int(self.offsets[slot + 1])]
-
-    def stacked_indices(self, sparse_block: np.ndarray) -> np.ndarray:
-        """Shift a ``(batch, tables, pooling)`` index block into stacked rows."""
-        return sparse_block + self.offsets[:-1][None, :, None]
-
-    def gather(self, stacked_block: np.ndarray) -> np.ndarray:
-        """One gather of the whole block: ``(batch, tables, pooling, dim)``.
-
-        Per-table ``[:, t].sum(axis=1)`` views of the result are
-        bit-identical to per-table :meth:`EmbeddingBag.forward` pooling —
-        same elements, same reduction axis and length, so numpy's pairwise
-        summation performs the identical addition sequence.
-        """
-        return self.buffer[stacked_block]
-
-
 class EmbeddingBag:
     """One embedding table with sum pooling over multi-hot lookups.
 
-    The table's rows live either in a private ``(num_rows, dim)`` array or
-    — after adoption by a :class:`StackedEmbeddingStore` — as a slice of
-    the model-wide stacked buffer.  :attr:`weight` is computed on access
-    from the ``(store, slot)`` handle, so the two storage modes are
-    indistinguishable to every caller (in-place row updates included) and
-    ``copy.deepcopy`` never materialises a view.
+    Attributes:
+        weight: The table's ``(num_rows, dim)`` weight rows, updated in
+            place by :meth:`apply_sparse_update`.
     """
 
     def __init__(self, num_rows: int, dim: int, rng: np.random.Generator, name: str = ""):
@@ -361,39 +209,19 @@ class EmbeddingBag:
         self.num_rows = num_rows
         self.dim = dim
         self.name = name or f"emb_{num_rows}x{dim}"
-        self._weight: np.ndarray | None = init.embedding_uniform(num_rows, dim, rng)
-        self._store: StackedEmbeddingStore | None = None
-        self._slot: int = -1
+        self.weight = init.embedding_uniform(num_rows, dim, rng)
         self._tier: TieredEmbeddingStore | None = None
         self._tier_table: int = -1
         self._last_indices: np.ndarray | None = None
 
-    @property
-    def weight(self) -> np.ndarray:
-        """The table's ``(num_rows, dim)`` weight rows.
-
-        A private array for standalone tables; a writable view into the
-        owning :class:`StackedEmbeddingStore`'s buffer once adopted.
-        """
-        if self._store is not None:
-            return self._store.table_view(self._slot)
-        return self._weight
-
-    def _adopt_into(self, store: StackedEmbeddingStore, slot: int) -> None:
-        """Re-point this table's rows at slot ``slot`` of ``store``."""
-        if store.table_view(slot).shape != (self.num_rows, self.dim):
-            raise ValueError("store slot shape does not match the table")
-        self._store = store
-        self._slot = slot
-        self._weight = None  # rows now live (only) in the stacked buffer
-
     def attach_tier(self, tier: TieredEmbeddingStore, table: int) -> None:
         """Resolve this table's lookups through a hot/cold tier.
 
-        Every subsequent :meth:`forward` touches ``tier`` as table
-        ``table`` — hits/misses/evictions and DMA pricing accumulate on
-        the tier; the lookup numerics are untouched (the tier is an
-        accounting layer, see :class:`TieredEmbeddingStore`).
+        Every subsequent :meth:`lookup` (and so every :meth:`forward`)
+        touches ``tier`` as table ``table`` — hits/misses/evictions and
+        DMA pricing accumulate on the tier; the lookup numerics are
+        untouched (the tier is an accounting layer, see
+        :class:`TieredEmbeddingStore`).
         """
         if tier.rows_per_table[table] != self.num_rows or tier.dim != self.dim:
             raise ValueError("tier table shape does not match this EmbeddingBag")
@@ -405,16 +233,15 @@ class EmbeddingBag:
         self._tier = None
         self._tier_table = -1
 
-    def forward(self, indices: np.ndarray) -> np.ndarray:
-        """Sum-pool the rows selected by each sample.
+    def lookup(self, indices: np.ndarray) -> np.ndarray:
+        """The unpooled rows selected by each sample, through the tier.
 
         Args:
             indices: Integer block of shape (batch, pooling) — one row of
                 lookups per sample (``MiniBatch.sparse[:, table, :]``).
-                Pooling may be 0, in which case every pooled vector is zero.
 
         Returns:
-            Array of shape (batch, dim) with the pooled embeddings.
+            Array of shape (batch, pooling, dim): ``weight[indices]``.
         """
         try:
             indices = np.asarray(indices, dtype=np.int64)
@@ -425,13 +252,24 @@ class EmbeddingBag:
             ) from exc
         if indices.ndim != 2:
             raise ValueError("indices must be 2-D (batch, pooling)")
-        if indices.size == 0:
-            out = np.zeros((indices.shape[0], self.dim), dtype=self.weight.dtype)
-        else:
-            out = self.weight[indices].sum(axis=1)
-            if self._tier is not None:
-                self._tier.touch(self._tier_table, indices)
-        self._last_indices = indices
+        rows = self.weight[indices]
+        if self._tier is not None:
+            self._tier.touch(self._tier_table, indices)
+        return rows
+
+    def forward(self, indices: np.ndarray) -> np.ndarray:
+        """Sum-pool the rows selected by each sample.
+
+        Args:
+            indices: Integer block of shape (batch, pooling), as for
+                :meth:`lookup`.  Pooling may be 0, in which case every
+                pooled vector is zero.
+
+        Returns:
+            Array of shape (batch, dim) with the pooled embeddings.
+        """
+        out = self.lookup(indices).sum(axis=1)
+        self._last_indices = np.asarray(indices, dtype=np.int64)
         return out
 
     def backward(self, grad_output: np.ndarray) -> SparseGradient:
@@ -540,8 +378,7 @@ class TieredEmbeddingStore:
     frequently-accessed rows of every table, with the long tail in a host
     tier priced through a :class:`~repro.hwsim.dma.DMAEngine` — the
     CacheEmbedding ``CachedEmbeddingBag`` design.  Pure accounting: the
-    weights stay wherever they already live (private arrays or a
-    :class:`StackedEmbeddingStore` slab), so attaching a tier never
+    weights stay in each table's own array, so attaching a tier never
     changes training numerics — only the simulated fetch/eviction cost
     and the hit/miss counters (see the module docstring).
 
@@ -574,8 +411,7 @@ class TieredEmbeddingStore:
 
             dma = DMAEngine()
         # One tier is typically shared by every replica's tables (it models
-        # one device memory), and replicas may step on a thread pool — all
-        # mutation happens under this lock.
+        # one device memory); all mutation happens under this lock.
         self._lock = threading.Lock()
         self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
         self.dim = int(dim)

@@ -43,8 +43,8 @@ Workspace-lifetime rules
 :class:`DotInteractionKernel` pools its buffers keyed on shape, mirroring
 :mod:`repro.nn.gemm`'s workspace reuse, and is **single-threaded by
 design**: each model owns one kernel (a ``deepcopy`` of a model gets a
-fresh, empty kernel), so replica threads never share a buffer — sharing
-one kernel across threads would race on the Gram workspace.
+fresh, empty kernel), so replicas never share a buffer — sharing one
+kernel across threads would race on the Gram workspace.
 
 * The ``(batch, f, dim)`` *stack* buffer is checked out at ``forward``
   (it lives inside the returned cache) and returned to the pool when
@@ -77,7 +77,8 @@ import numpy as np
 #: ``np.tril_indices(f, k=-1)`` per feature count — the pair index arrays
 #: are a function of the feature count alone, so every step reuses them
 #: instead of rebuilding two index arrays per interaction call.  Guarded
-#: by :data:`_CACHE_LOCK`: replica threads race on first use of a shape.
+#: by :data:`_CACHE_LOCK`: the module functions may be called from any
+#: thread, and concurrent callers race on first use of a shape.
 _TRIL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 #: Certification cache: (features, dim, dtype str) -> the batched-GEMM
@@ -346,10 +347,10 @@ class DotInteractionKernel:
     Pools the ``(batch, f, dim)`` stack and ``(batch, f, f)`` Gram buffers
     keyed on shape, so a steady-state training step performs no large
     interaction allocations (the backward's ``grad_stacked`` output stays
-    fresh by contract).  **Not thread-safe** — one kernel per model, one
-    model per replica thread; ``deepcopy`` yields a fresh, empty kernel so
-    replica copies never alias a buffer (see the module docstring for the
-    full workspace-lifetime rules).
+    fresh by contract).  **Not thread-safe** — one kernel per model;
+    ``deepcopy`` yields a fresh, empty kernel so replica copies never
+    alias a buffer (see the module docstring for the full
+    workspace-lifetime rules).
     """
 
     def __init__(self) -> None:

@@ -5,9 +5,9 @@ trainer's replica-stacked sync GEMMs both claim *bit*-identity with the
 retained sequential path.  This grid proves it:
 
 * ``fused_loss_and_gradients`` batched-vs-sequential on DLRM and TBSM,
-  across {stacked, per-table} embedding stores and segment shapes
-  {whole batch, contiguous halves, popular/non-popular-style interleaved
-  partition, segments below the certification threshold} — comparing
+  across segment shapes {whole batch, contiguous halves,
+  popular/non-popular-style interleaved partition, segments below the
+  certification threshold} — comparing
   losses, every dense gradient, every sparse gradient, and the
   ``after_segment`` per-segment partial snapshots the sharded trainer
   depends on.
@@ -98,29 +98,27 @@ def assert_bitwise_equal_pass(model_seq, model_packed, batch, segments):
         )
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["per-table", "stacked"])
 @pytest.mark.parametrize("grid", sorted(SEGMENT_GRIDS), ids=sorted(SEGMENT_GRIDS))
-def test_dlrm_batched_matches_sequential(tiny_model_config, tiny_click_log, stacked, grid):
+def test_dlrm_batched_matches_sequential(tiny_model_config, tiny_click_log, grid):
     batch = tiny_click_log.batch(0, 128)
     segments = SEGMENT_GRIDS[grid](batch.size)
     assert_bitwise_equal_pass(
-        DLRM(tiny_model_config, seed=3, stacked=stacked, batched=False),
-        DLRM(tiny_model_config, seed=3, stacked=stacked, batched=True),
+        DLRM(tiny_model_config, seed=3, batched=False),
+        DLRM(tiny_model_config, seed=3, batched=True),
         batch,
         segments,
     )
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["per-table", "stacked"])
 @pytest.mark.parametrize("grid", sorted(SEGMENT_GRIDS), ids=sorted(SEGMENT_GRIDS))
 def test_tbsm_batched_matches_sequential(
-    tiny_ts_model_config, tiny_ts_click_log, stacked, grid
+    tiny_ts_model_config, tiny_ts_click_log, grid
 ):
     batch = tiny_ts_click_log.batch(0, 128)
     segments = SEGMENT_GRIDS[grid](batch.size)
     assert_bitwise_equal_pass(
-        TBSM(tiny_ts_model_config, seed=3, stacked=stacked, batched=False),
-        TBSM(tiny_ts_model_config, seed=3, stacked=stacked, batched=True),
+        TBSM(tiny_ts_model_config, seed=3, batched=False),
+        TBSM(tiny_ts_model_config, seed=3, batched=True),
         batch,
         segments,
     )
@@ -254,49 +252,6 @@ def test_segment_bounds_partition_in_order():
 def test_packed_mlp_rejects_sigmoid_output(rng):
     assert not PackedMLP(MLP([4, 8, 2], rng, sigmoid_output=True)).supported
     assert PackedMLP(MLP([4, 8, 2], rng)).supported
-
-
-def test_dense_time_split_is_populated(tiny_model_config, tiny_click_log):
-    """StepOutcome/TrainingResult surface the measured dense-time share,
-    with the interaction's share split out of it."""
-    from repro.core.pipeline import HotlineTrainer
-
-    trainer = HotlineTrainer(
-        DLRM(tiny_model_config, seed=9), lr=0.05, sample_fraction=0.25
-    )
-    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    trainer.bind(loader)
-    outcome = trainer.run_step(tiny_click_log.batch(0, 128))
-    assert outcome.dense_time_s > 0.0
-    assert 0.0 < outcome.interaction_time_s <= outcome.dense_time_s
-    result = trainer.train(loader, epochs=1)
-    assert result.dense_time_s > 0.0
-    assert 0.0 < result.interaction_time_s <= result.dense_time_s
-
-
-def test_tbsm_interaction_time_measures_attention(
-    tiny_ts_model_config, tiny_ts_click_log
-):
-    from repro.core.pipeline import HotlineTrainer
-
-    trainer = HotlineTrainer(
-        TBSM(tiny_ts_model_config, seed=9), lr=0.05, sample_fraction=0.25
-    )
-    loader = MiniBatchLoader(tiny_ts_click_log, batch_size=128)
-    trainer.bind(loader)
-    outcome = trainer.run_step(tiny_ts_click_log.batch(0, 128))
-    assert 0.0 < outcome.interaction_time_s <= outcome.dense_time_s
-
-
-def test_sharded_dense_time_split_is_populated(tiny_model_config, tiny_click_log):
-    trainer = ShardedHotlineTrainer(
-        DLRM(tiny_model_config, seed=9), 2, lr=0.05, sample_fraction=0.25
-    )
-    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    trainer.bind(loader)
-    outcome = trainer.run_step(tiny_click_log.batch(0, 128))
-    assert outcome.dense_time_s > 0.0
-    assert 0.0 < outcome.interaction_time_s <= outcome.dense_time_s
 
 
 # --------------------------------------------------------------------- #

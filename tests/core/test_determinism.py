@@ -66,40 +66,15 @@ def test_sharded_trainer_is_seed_deterministic(tiny_model_config, tiny_click_log
     )
 
 
-def test_parallel_workers_seed_deterministic(tiny_model_config, tiny_click_log):
-    """Thread-pooled replica stepping is repeatable run over run for every
-    worker count — and each worker count reproduces the sequential run's
-    bits exactly (the pool changes the schedule, never the arithmetic)."""
-    runs = {}
-    for workers in (1, 2, 4):
-        assert_identical_runs(
-            lambda workers=workers: ShardedHotlineTrainer(
-                DLRM(tiny_model_config, seed=9), 2, lr=0.05, sample_fraction=0.25,
-                parallel_workers=workers,
-            ),
-            tiny_click_log,
-        )
-        runs[workers], _ = _run(
-            lambda workers=workers: ShardedHotlineTrainer(
-                DLRM(tiny_model_config, seed=9), 2, lr=0.05, sample_fraction=0.25,
-                parallel_workers=workers,
-            ),
-            tiny_click_log,
-        )
-    assert runs[1].losses == runs[2].losses == runs[4].losses
-    assert runs[1].final_metrics == runs[2].final_metrics == runs[4].final_metrics
-
-
-def test_parallel_workers_deterministic_with_prefetch_and_shuffle(
+def test_sharded_trainer_deterministic_with_prefetch_and_shuffle(
     tiny_model_config, tiny_click_log
 ):
-    """The full overlap stack at once — thread-pooled replicas, prefetched
-    loader (which also runs the µ-batch pre-classification on its worker
-    thread), shuffled epochs — stays seed-deterministic."""
+    """The full overlap stack at once — prefetched loader (which also runs
+    the µ-batch pre-classification on its worker thread) and shuffled
+    epochs — keeps the sharded trainer seed-deterministic."""
     assert_identical_runs(
         lambda: ShardedHotlineTrainer(
-            DLRM(tiny_model_config, seed=9), 2, lr=0.05, sample_fraction=0.25,
-            parallel_workers=2,
+            DLRM(tiny_model_config, seed=9), 2, lr=0.05, sample_fraction=0.25
         ),
         tiny_click_log,
         shuffle=True,

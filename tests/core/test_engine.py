@@ -204,32 +204,6 @@ def test_default_finalize_is_a_noop(tiny_model_config, tiny_click_log):
     assert result.stale_rows == 0
 
 
-def test_parallel_workers_knob_forwarded_to_executor(tiny_model_config):
-    """The engine's convenience knob writes through to the executor."""
-    from repro.core.distributed import ShardedHotlineTrainer
-
-    trainer = ShardedHotlineTrainer(
-        DLRM(tiny_model_config, seed=0), 2, sample_fraction=0.25
-    )
-    assert trainer.parallel_workers == 1
-    TrainingEngine(trainer, parallel_workers=3)
-    assert trainer.parallel_workers == 3
-
-
-def test_parallel_workers_knob_validated(tiny_model_config):
-    """Executors without the knob, and non-positive values, fail fast."""
-    plain = RecordingExecutor(DLRM(tiny_model_config, seed=0))
-    with pytest.raises(ValueError, match="parallel_workers"):
-        TrainingEngine(plain, parallel_workers=2)
-    from repro.core.distributed import ShardedHotlineTrainer
-
-    trainer = ShardedHotlineTrainer(
-        DLRM(tiny_model_config, seed=0), 2, sample_fraction=0.25
-    )
-    with pytest.raises(ValueError, match=">= 1"):
-        TrainingEngine(trainer, parallel_workers=0)
-
-
 def test_engine_threads_prepare_batch_through_the_loader(
     tiny_model_config, tiny_click_log
 ):
@@ -250,15 +224,3 @@ def test_engine_threads_prepare_batch_through_the_loader(
     TrainingEngine(executor, prefetch=0).train(loader, epochs=1)
     assert executor.prepared == len(loader)
     assert executor.batch_sizes == [512] * len(loader)
-
-
-def test_engine_records_replica_times(tiny_model_config, tiny_click_log):
-    """Per-replica wall times flow from StepOutcome into TrainingResult."""
-    from repro.core.distributed import ShardedHotlineTrainer
-
-    trainer = ShardedHotlineTrainer(
-        DLRM(tiny_model_config, seed=0), 2, sample_fraction=0.25
-    )
-    result = trainer.train(MiniBatchLoader(tiny_click_log, batch_size=128), epochs=1)
-    assert len(result.replica_time_s) == 2
-    assert all(t > 0.0 for t in result.replica_time_s)

@@ -26,6 +26,7 @@ from repro.core.distributed import MergedGradientShardedTrainer, ShardedHotlineT
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
+from repro.nn.embedding import SparseGradient
 
 
 def merged_run(model_cls, config, log, num_shards, *, lr=0.05, epochs=1):
@@ -85,69 +86,6 @@ def test_sync_replicas_bit_identical_to_merged_tbsm(
     assert replica_result.losses == merged_result.losses
     assert_bit_identical(merged_model.state_snapshot(), replica_model.state_snapshot())
     assert trainer.replica_drift() == 0.0
-
-
-@pytest.mark.parametrize("num_shards", [1, 2, pytest.param(4, marks=pytest.mark.slow)])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_workers_bit_identical_dlrm(
-    tiny_model_config, tiny_click_log, num_shards, workers
-):
-    """Thread-pooled replica stepping never moves a bit: for every K x
-    ``parallel_workers`` combination the run matches the merged-gradient
-    reference exactly — partials are collected per replica index and the
-    loss fold / reduce / exchange stay on the caller thread in replica
-    order, so the schedule parallelises but the arithmetic order doesn't."""
-    merged_model, merged_result = merged_run(
-        DLRM, tiny_model_config, tiny_click_log, num_shards
-    )
-    replica_model, replica_result, trainer = replicated_run(
-        DLRM, tiny_model_config, tiny_click_log, num_shards, parallel_workers=workers
-    )
-    assert replica_result.losses == merged_result.losses
-    assert_bit_identical(merged_model.state_snapshot(), replica_model.state_snapshot())
-    assert replica_result.final_metrics == merged_result.final_metrics
-    assert trainer.replica_drift() == 0.0
-    # The per-replica wall times surfaced through the engine cover every
-    # shard of every step.
-    assert len(replica_result.replica_time_s) == num_shards
-    assert all(t > 0.0 for t in replica_result.replica_time_s)
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_workers_bit_identical_tbsm(
-    tiny_ts_model_config, tiny_ts_click_log, workers
-):
-    """The TBSM step (history table + pooled tables) shares the guarantee."""
-    merged_model, merged_result = merged_run(
-        TBSM, tiny_ts_model_config, tiny_ts_click_log, 2
-    )
-    replica_model, replica_result, trainer = replicated_run(
-        TBSM, tiny_ts_model_config, tiny_ts_click_log, 2, parallel_workers=workers
-    )
-    assert replica_result.losses == merged_result.losses
-    assert_bit_identical(merged_model.state_snapshot(), replica_model.state_snapshot())
-    assert trainer.replica_drift() == 0.0
-
-
-def test_parallel_workers_pool_is_released_by_finalize(
-    tiny_model_config, tiny_click_log
-):
-    """finalize() shuts the replica pool down (no thread leak across
-    trainers) and stepping afterwards lazily rebuilds it."""
-    import threading
-
-    _, _, trainer = replicated_run(
-        DLRM, tiny_model_config, tiny_click_log, 2, parallel_workers=2
-    )
-    assert trainer._pool is None  # engine's finalize() already ran
-    alive = [t.name for t in threading.enumerate() if "replica-step" in t.name]
-    assert not alive
-    batch = tiny_click_log.batch(0, 128)
-    loss_after, _ = trainer.train_step(batch)
-    assert trainer._pool is not None  # rebuilt on demand
-    assert loss_after > 0.0
-    trainer.finalize()
-    assert trainer._pool is None
 
 
 def test_parity_survives_bucket_size(tiny_model_config, tiny_click_log):
@@ -305,6 +243,21 @@ def test_replicas_own_distinct_parameter_storage(tiny_model_config, tiny_click_l
         np.testing.assert_array_equal(param_a, param_b)
     for table_a, table_b in zip(model.tables, other.tables, strict=True):
         assert not np.shares_memory(table_a.weight, table_b.weight)
+
+
+def test_mutating_one_replica_never_aliases_another(tiny_model_config):
+    """An in-place sparse update on one replica's table leaves every other
+    replica's weights untouched — ``replica_drift() == 0.0`` alone would
+    also hold if the replicas shared their arrays."""
+    model = DLRM(tiny_model_config, seed=3)
+    trainer = ShardedHotlineTrainer(model, 2, sample_fraction=0.25)
+    replica_a, replica_b = (replica.model for replica in trainer.replicas)
+    before_b = [table.weight.copy() for table in replica_b.tables]
+    grad = SparseGradient(np.array([0, 1]), np.full((2, model.config.embedding_dim), 3.0))
+    replica_a.tables[0].apply_sparse_update(grad, lr=1.0)
+    assert not np.allclose(replica_a.tables[0].weight[:2], before_b[0][:2])
+    for table, before in zip(replica_b.tables, before_b, strict=True):
+        np.testing.assert_array_equal(table.weight, before)
 
 
 @pytest.mark.slow

@@ -23,6 +23,7 @@ import pytest
 from repro.core.distributed import ShardedHotlineTrainer
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
+from repro.models.tbsm import TBSM
 
 
 def run_trainer(config, log, **kwargs):
@@ -155,6 +156,26 @@ def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):
     for replica in trainer.replicas:
         for bag in replica.model.tables:
             assert bag._tier is trainer.tier
+
+
+def test_tbsm_history_lookups_reach_the_tier(
+    tiny_ts_model_config, tiny_ts_click_log
+):
+    """TBSM reads its history table (table 0) unpooled; that lookup must
+    resolve through the tier like every pooled table's.  In sync mode one
+    pass looks up the whole batch, so one step touches exactly the batch's
+    unique rows of every table."""
+    trainer = ShardedHotlineTrainer(
+        TBSM(tiny_ts_model_config, seed=3), 2, sample_fraction=0.25,
+        tiered_hot_bytes=16 * tiny_ts_model_config.embedding_dim * 4,
+    )
+    trainer.bind(MiniBatchLoader(tiny_ts_click_log, batch_size=128))
+    batch = tiny_ts_click_log.batch(0, 128)
+    trainer.train_step(batch)
+    unique_rows = sum(
+        np.unique(batch.sparse[:, table, :]).size for table in range(batch.num_tables)
+    )
+    assert trainer.tier.hits + trainer.tier.misses == unique_rows
 
 
 def test_tiered_hot_bytes_rejects_negative(tiny_model_config):
