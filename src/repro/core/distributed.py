@@ -12,10 +12,17 @@ and no per-shard parameter state.  This module removes it:
   optimizer state (a deep copy of the template model) plus its own
   accelerator/EAL and EAL-derived placement.
 * **Dense gradients** flow through an explicit
-  :class:`~repro.core.reducer.GradientBucketReducer`: each replica's
-  per-µ-batch flat gradient is a partial, the reducer chain-sums the
-  partials bucket by bucket in one fixed rank-major order, and every
-  replica applies the same reduced gradient.  The reducer's ``mode`` knob
+  :class:`~repro.core.reducer.GradientBucketReducer` as a streaming
+  fold: right after each µ-batch's backward, the replica's gradient
+  arrays are added, in ``dense_parameters()`` order, straight into one
+  P-sized accumulator (:class:`~repro.core.reducer.DenseGradientFold`)
+  in one fixed rank-major association order, and the layers are zeroed
+  for the next µ-batch.  No flat per-µ-batch copy is made.  The reduced
+  gradient is scaled by the learning rate once, in place, and its
+  per-parameter slices are subtracted from every replica; its buffer
+  then returns to a free list the next step's fold draws from, so a
+  steady step allocates nothing proportional to P (sync holds one
+  buffer, ``stale-k`` holds k+1).  The reducer's ``mode`` knob
   selects ``sync`` (communication exposed after backward), ``overlap``
   (buckets pipeline behind backward; numerics unchanged), or ``stale-<k>``
   (a k-deep deque of in-flight reduces: each step's reduce may hide under
@@ -52,8 +59,9 @@ here as :class:`MergedGradientShardedTrainer` — the numerical reference the
 ``tests/core/test_replica_parity.py`` harness compares against for
 K ∈ {1, 2, 4} on DLRM and TBSM.  The guarantee holds because every
 floating-point addition happens in the same order: each replica's
-per-µ-batch gradient partials are chain-summed by the reducer in the same
-rank-major sequence the shared model accumulated them in its layers, and
+per-µ-batch gradient partials are chain-summed by the reducer's ring fold
+in the same rank-major sequence the shared model accumulated them in its
+layers, and
 ``merge_sparse_gradients`` sees the identical ordered partial list.  All
 replicas apply identical updates, so they stay bit-identical to each other
 (:meth:`ShardedHotlineTrainer.replica_drift` is exactly zero) — a property
@@ -86,7 +94,11 @@ from repro.core.lookahead import (
     shard_epoch_row_stream,
 )
 from repro.core.placement import EmbeddingPlacement, PartitionedEmbeddingPlacement
-from repro.core.reducer import GradientBucketReducer, SparseGradientExchange
+from repro.core.reducer import (
+    DenseGradientFold,
+    GradientBucketReducer,
+    SparseGradientExchange,
+)
 from repro.core.schedule import CommOp, ComposedSchedule, FlatLinks, StepSchedule
 from repro.data.batch import MiniBatch
 from repro.data.loader import MiniBatchLoader
@@ -524,6 +536,9 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         #: Reduced dense gradients in flight (``stale-k``: a k-deep deque —
         #: the gradient of step t is applied at step t + k).
         self._pending_dense: deque[np.ndarray | None] = deque()
+        #: Free list of P-sized fold buffers: applied gradients return here
+        #: and the next step's fold draws from it.
+        self._dense_spare: list[np.ndarray] = []
         #: Cached per-bucket wire times, keyed on the reducer configuration
         #: and gradient size so a mid-run reconfiguration re-prices.
         self._bucket_times: list[float] | None = None
@@ -550,31 +565,39 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
     # ------------------------------------------------------------------ #
     # Dense-gradient plumbing
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _flat_dense_gradient(model) -> np.ndarray:
-        """The model's accumulated dense gradient as one flat vector."""
-        return np.concatenate(
-            [grad.ravel() for _param, grad in model.dense_parameters()]
-        )
+    def _apply_dense_gradient(self, flat: np.ndarray) -> None:
+        """SGD-update every replica's dense parameters from one reduced
+        flat gradient, then recycle its buffer.
 
-    def _apply_dense_gradient(self, model, flat: np.ndarray) -> None:
-        """SGD-update a replica's dense parameters from a reduced flat gradient.
-
-        Applies ``param -= lr * segment`` per parameter — the same arithmetic
-        as ``model.apply_dense_update`` on in-layer gradients, which is what
-        keeps the replica path bit-identical to the merged reference.
+        The length is checked against every replica before anything
+        changes — the replicas and ``flat`` itself.  Then ``flat`` is
+        scaled by ``lr`` once, in place (``np.multiply(flat, lr,
+        out=flat)`` gives the bits of ``lr * segment``), and each
+        replica's parameters subtract their slices: the same arithmetic
+        as ``model.apply_dense_update`` on in-layer gradients, which is
+        what keeps the replica path bit-identical to the merged
+        reference.
         """
-        pairs = model.dense_parameters()
-        expected = sum(param.size for param, _grad in pairs)
-        if flat.shape[0] != expected:
-            raise ValueError(
-                f"reduced gradient has {flat.shape[0]} elements, model exposes {expected}"
-            )
-        offset = 0
-        for param, _grad in pairs:
-            segment = flat[offset : offset + param.size]
-            param -= self.lr * segment.reshape(param.shape)
-            offset += param.size
+        for replica in self.replicas:
+            expected = replica.model.num_dense_parameters
+            if flat.shape[0] != expected:
+                raise ValueError(
+                    f"reduced gradient has {flat.shape[0]} elements, model exposes {expected}"
+                )
+        np.multiply(flat, self.lr, out=flat)
+        for replica in self.replicas:
+            offset = 0
+            for param, _grad in replica.model.dense_parameters():
+                param -= flat[offset : offset + param.size].reshape(param.shape)
+                offset += param.size
+        self._dense_spare.append(flat)
+
+    @staticmethod
+    def _fold_gradients(fold: DenseGradientFold, model) -> None:
+        """Add the model's accumulated dense gradient to ``fold`` as one
+        partial and zero the layers for the next µ-batch."""
+        fold.add([grad for _param, grad in model.dense_parameters()])
+        model.zero_grad()
 
     # ------------------------------------------------------------------ #
     # Lookahead plumbing
@@ -749,13 +772,15 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         replica: ShardReplica,
         global_batch_size: int,
         mask: np.ndarray | None,
-    ) -> tuple[list[float], list[np.ndarray], list[list[SparseGradient]], int, int]:
+        fold: DenseGradientFold,
+    ) -> tuple[list[float], list[list[SparseGradient]], int, int]:
         """One replica's forward/backward over its shard.
 
-        Returns everything the caller needs to assemble the
-        globally-ordered partials: ``(per-segment losses, per-segment flat
-        dense partials, per-table per-segment sparse partials, popular
-        count, remote lookups)``.
+        Each µ-batch's dense gradient is added to ``fold`` as it is
+        produced, so replicas must run in rank order.  Returns what the
+        caller needs to assemble the rest in global order: ``(per-segment
+        losses, per-table per-segment sparse partials, popular count,
+        remote lookups)``.
         """
         remote = (
             self.partition.remote_lookup_count(shard_batch.sparse, shard_id)
@@ -769,19 +794,17 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             mask=mask,
         )
         losses: list[float] = []
-        dense_partials: list[np.ndarray] = []
         if self.fused:
             # Fused µ-batch execution: one embedding gather + scatter per
             # table for the replica's two µ-batches.  The after-segment
-            # hook snapshots each µ-batch's flat dense partial and zeroes
-            # the layers, so the partials come out in segment order — the
-            # caller concatenates them replica-major, the exact order the
-            # merged reference accumulates in.  Losses fold in segment
+            # hook folds each µ-batch's dense gradient and zeroes the
+            # layers, so partials reach the fold in segment order — with
+            # replicas run in rank order, the exact replica-major order
+            # the merged reference accumulates in.  Losses fold in segment
             # order too.
             def after_segment(_s, seg_loss, model=replica.model):
                 losses.append(seg_loss)
-                dense_partials.append(self._flat_dense_gradient(model))
-                model.zero_grad()
+                self._fold_gradients(fold, model)
 
             replica.model.zero_grad()
             # Global-batch normalisation keeps the reduced K-replica
@@ -801,12 +824,14 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
                     micro_batch, normalizer=global_batch_size
                 )
                 losses.append(loss)
-                dense_partials.append(self._flat_dense_gradient(replica.model))
+                self._fold_gradients(fold, replica.model)
                 for table, grad in enumerate(sparse_grads):
                     sparse_partials[table].append(grad)
-        return losses, dense_partials, sparse_partials, micro.popular_count, remote
+        return losses, sparse_partials, micro.popular_count, remote
 
-    def _stacked_replica_step(self, work, batch: MiniBatch) -> list[tuple]:
+    def _stacked_replica_step(
+        self, work, batch: MiniBatch, fold: DenseGradientFold
+    ) -> list[tuple]:
         """All K shards' dense passes as ONE model-0 pass over the batch.
 
         In sync (stale-0) mode every replica holds bit-identical weights,
@@ -816,8 +841,8 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         and concatenated in shard order.  With the segment-packed dense
         path this turns K·S small GEMMs per layer into one (K·shard, d)
         GEMM.  Everything observable is bit-identical to the per-replica
-        loop: per-(shard, segment) losses, flat dense partials (the
-        ``after_segment`` hook yields them in exactly the replica-major
+        loop: per-(shard, segment) losses, dense partials (the
+        ``after_segment`` hook folds them in exactly the replica-major
         order the reducer consumes), and per-segment sparse partials (the
         segmented scatters accumulate each segment's lookups in the same
         within-segment flat order as the per-shard scatters).
@@ -853,12 +878,10 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             seg_counts.append(len(segments))
             populars.append(micro.popular_count)
         losses_all: list[float] = []
-        dense_all: list[np.ndarray] = []
 
         def after_segment(_s, seg_loss):
             losses_all.append(seg_loss)
-            dense_all.append(self._flat_dense_gradient(model))
-            model.zero_grad()
+            self._fold_gradients(fold, model)
 
         model.zero_grad()
         _losses, sparse_all = model.fused_loss_and_gradients(
@@ -873,7 +896,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             results.append(
                 (
                     losses_all[pos : pos + count],
-                    dense_all[pos : pos + count],
                     [list(grads[pos : pos + count]) for grads in sparse_all],
                     popular,
                     remote,
@@ -886,9 +908,9 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         """One data-parallel step across the K replicas of ``batch``.
 
         Each replica classifies its own shard against its own placement and
-        contributes one flat dense-gradient partial per µ-batch; the bucket
-        reducer chain-sums the partials in rank-major order (bit-identical
-        to the merged reference's in-layer accumulation), the sparse
+        folds one dense-gradient partial per µ-batch into the reducer's
+        streaming fold in rank-major order (bit-identical to the merged
+        reference's in-layer accumulation), the sparse
         exchange merges per-table partials in the same order, and every
         replica applies the identical update — so replicas never drift.
         In ``stale-k`` mode (k > 0) the reduced dense gradient is
@@ -915,6 +937,7 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
                 continue
             mask = precomputed[shard_id] if precomputed is not None else None
             work.append((shard_id, shard_batch, replica, batch.size, mask))
+        fold = self.reducer.fold(self.model.num_dense_parameters, self._dense_spare)
         if (
             self.dense_batching == "replica"
             and self.fused
@@ -923,9 +946,9 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         ):
             # Sync-mode replicas are bit-identical, so the K shards' dense
             # passes stack into one global-batch pass on replica 0.
-            results = self._stacked_replica_step(work, batch)
+            results = self._stacked_replica_step(work, batch, fold)
         else:
-            results = [self._replica_step(*args) for args in work]
+            results = [self._replica_step(*args, fold) for args in work]
 
         # Deterministic replica-major assembly: results are walked in
         # replica-index order and each replica's per-segment losses fold
@@ -934,21 +957,19 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         total_loss = 0.0
         popular_size = 0
         remote_lookups = 0
-        dense_partials: list[np.ndarray] = []
         partial_sparse: list[list[SparseGradient]] = [
             [] for _ in range(self.model.config.num_sparse_features)
         ]
-        for losses, replica_dense, replica_sparse, popular, remote in results:
+        for losses, replica_sparse, popular, remote in results:
             for loss in losses:
                 total_loss += loss
-            dense_partials.extend(replica_dense)
             for table, grads in enumerate(replica_sparse):
                 partial_sparse[table].extend(grads)
             popular_size += popular
             remote_lookups += remote
         self.last_remote_lookups = remote_lookups
 
-        reduced = self.reducer.reduce(dense_partials) if dense_partials else None
+        reduced = fold.result() if fold.count else None
         merged = self.exchange.exchange(partial_sparse)
         if self.partition is not None:
             # The modeled sparse-gradient all-to-all of hybrid parallelism:
@@ -980,9 +1001,9 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             sparse_updates = self.lookahead.defer(merged)
         else:
             sparse_updates = merged
+        for flat in dense_updates:
+            self._apply_dense_gradient(flat)
         for replica in self.replicas:
-            for flat in dense_updates:
-                self._apply_dense_gradient(replica.model, flat)
             replica.model.apply_sparse_updates(sparse_updates, self.lr)
         popular_fraction = popular_size / batch.size if batch.size else 0.0
         return total_loss, popular_fraction
@@ -1015,10 +1036,10 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
                 prefetch = stats.prefetch_time_s
         if not dense_updates and sparse_updates is None:
             return None
-        for replica in self.replicas:
-            for flat in dense_updates:
-                self._apply_dense_gradient(replica.model, flat)
-            if sparse_updates is not None:
+        for flat in dense_updates:
+            self._apply_dense_gradient(flat)
+        if sparse_updates is not None:
+            for replica in self.replicas:
                 replica.model.apply_sparse_updates(sparse_updates, self.lr)
         # The drain's write-back traffic has no step to hide under, so it
         # is exposed communication in full.

@@ -13,14 +13,20 @@ Two kinds of reduction live here:
   (:mod:`repro.core.distributed`):
 
   - :class:`GradientBucketReducer` all-reduces the flattened dense gradient
-    across K replicas in **fixed-size byte buckets**.  The element-wise sum
-    uses one *fixed, deterministic association order* over replica ranks
-    (``ring`` = sequential chain, ``tree`` = pairwise recursive halving), so
-    the reduced value is bit-identical regardless of how elements are
-    packed into buckets — which is what makes sync-mode K-replica training
-    bit-identical to the merged-gradient reference and what the
-    permutation/bucket-size invariance property suite asserts.  Bucketing
-    governs the *communication model*: each bucket is priced with
+    across K replicas.  Numerically it is a **streaming fold**
+    (:class:`DenseGradientFold`, built by :meth:`GradientBucketReducer.fold`):
+    each flat partial is added, as it is produced, into one P-sized
+    accumulator in a *fixed, deterministic association order* over the
+    partials (``ring`` = a running sum whose first add is a copy, ``tree``
+    = pairwise recursive halving kept as a binary-counter stack of at most
+    ⌈log₂S⌉+1 buffers for S partials).  No list of partials is ever held,
+    and the association is fixed per element, so the reduced value is
+    bit-identical however elements are packed into buckets — which is what
+    makes sync-mode K-replica training bit-identical to the merged-gradient
+    reference and what the permutation/bucket-size invariance property
+    suite asserts.  :meth:`GradientBucketReducer.reduce` is the same fold
+    over a list.  Buckets (fixed-size wire-byte ranges) govern the
+    *communication model* only: each bucket is priced with
     :mod:`repro.hwsim.collectives` and the ``mode`` knob decides how much
     of that time is exposed (``sync`` = serial after backward, ``overlap``
     = buckets pipeline behind backward as they become ready, ``stale-k``
@@ -74,7 +80,8 @@ class Reducer:
             raise ValueError("at least one sample is required")
         first = rows_per_sample[0]
         dim = first.shape[1] if first.ndim == 2 else first.shape[0]
-        output = np.zeros((len(rows_per_sample), dim), dtype=np.float64)
+        dtype = np.result_type(*{np.asarray(rows).dtype for rows in rows_per_sample})
+        output = np.zeros((len(rows_per_sample), dim), dtype=dtype)
         for i, rows in enumerate(rows_per_sample):
             output[i] = self.reduce(np.atleast_2d(rows))
         return output
@@ -122,26 +129,123 @@ REDUCE_ALGORITHMS = ("ring", "tree")
 WIRE_BYTES_PER_ELEMENT = 4
 
 
-def _chain_sum(chunks: list[np.ndarray]) -> np.ndarray:
-    """Sequential rank-order sum: ``((g0 + g1) + g2) + ...`` (ring order)."""
-    total = chunks[0].copy()
-    for chunk in chunks[1:]:
-        total += chunk
-    return total
+class DenseGradientFold:
+    """Streaming element-wise sum of flat dense-gradient partials.
+
+    Each :meth:`add` folds one partial into P-sized buffers as soon as it
+    exists, so a reduction over S partials never holds them all.  The
+    association over the partials' positions is fixed by ``algorithm``:
+
+    * ``ring`` — a running sum, ``((g0 + g1) + g2) + ...``, whose first
+      add is a copy: one buffer.
+    * ``tree`` — pairwise recursive halving, ``(g0 + g1) + (g2 + g3)``
+      with an odd partial carried up a level, kept as a binary-counter
+      stack: the k-th partial merges with every stack top of its own
+      level, and :meth:`result` folds what remains from the top down.
+      At most ⌈log₂S⌉+1 buffers are live.
+
+    Buffers come from, and return to, the ``spare`` list when one is given,
+    so a caller that recycles reduced gradients through it allocates
+    nothing proportional to P once warm.
+
+    Args:
+        algorithm: ``"ring"`` or ``"tree"``.
+        num_elements: P, the flat length of every partial.
+        spare: Optional free list of P-sized buffers to draw from and
+            return merged-away buffers to.  Buffers of the wrong size or
+            dtype are discarded.
+    """
+
+    def __init__(
+        self, algorithm: str, num_elements: int, spare: list[np.ndarray] | None = None
+    ):
+        if algorithm not in REDUCE_ALGORITHMS:
+            raise ValueError(
+                f"algorithm must be one of {REDUCE_ALGORITHMS}, got {algorithm!r}"
+            )
+        self.algorithm = algorithm
+        self.num_elements = int(num_elements)
+        #: Dtype of the partials, fixed by the first add.
+        self.dtype: np.dtype | None = None
+        #: Partials folded so far.
+        self.count = 0
+        self._spare = spare if spare is not None else []
+        #: ``(level, buffer)`` pairs; ring keeps one, tree a binary counter.
+        self._stack: list[tuple[int, np.ndarray]] = []
+
+    def add(self, arrays: list[np.ndarray]) -> None:
+        """Fold one partial, given as arrays whose ravelled concatenation
+        is the flat gradient (e.g. a model's gradient arrays in
+        ``dense_parameters()`` order).
+
+        The first add fixes the fold's dtype.  Raises
+        :class:`ValueError`, before any buffer changes, when the arrays do
+        not total P elements or do not share that dtype — mixed dtypes
+        would drift precision silently (the ``merge_sparse_gradients``
+        class of bug).
+        """
+        dtypes = {array.dtype for array in arrays}
+        if self.dtype is not None:
+            dtypes.add(self.dtype)
+        if len(dtypes) > 1:
+            raise ValueError(
+                "all partial gradients must share one dtype; mixed dtypes drift "
+                f"precision silently (got {sorted(map(str, dtypes))})"
+            )
+        size = sum(array.size for array in arrays)
+        if size != self.num_elements:
+            raise ValueError(
+                f"partial gradient has {size} elements, the fold sums {self.num_elements}"
+            )
+        if self.dtype is None:
+            self.dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+        self.count += 1
+        if self.algorithm == "ring" and self._stack:
+            _fold_into(self._stack[0][1], arrays, accumulate=True)
+            return
+        buffer = self._take()
+        _fold_into(buffer, arrays, accumulate=False)
+        level = 0
+        while self._stack and self._stack[-1][0] == level:
+            _, left = self._stack.pop()
+            left += buffer
+            self._spare.append(buffer)
+            buffer = left
+            level += 1
+        self._stack.append((level, buffer))
+
+    def result(self) -> np.ndarray:
+        """The reduced flat gradient; the fold is empty afterwards."""
+        if not self._stack:
+            raise ValueError("at least one partial gradient is required")
+        _, total = self._stack.pop()
+        while self._stack:
+            _, left = self._stack.pop()
+            left += total
+            self._spare.append(total)
+            total = left
+        self.count = 0
+        return total
+
+    def _take(self) -> np.ndarray:
+        while self._spare:
+            buffer = self._spare.pop()
+            if buffer.shape == (self.num_elements,) and buffer.dtype == self.dtype:
+                return buffer
+        return np.empty(self.num_elements, dtype=self.dtype)
 
 
-def _tree_sum(chunks: list[np.ndarray]) -> np.ndarray:
-    """Pairwise recursive-halving sum: ``(g0 + g1) + (g2 + g3)`` and so on."""
-    level = [chunk.copy() for chunk in chunks]
-    while len(level) > 1:
-        merged = []
-        for i in range(0, len(level) - 1, 2):
-            level[i] += level[i + 1]
-            merged.append(level[i])
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    return level[0]
+def _fold_into(buffer: np.ndarray, arrays: list[np.ndarray], *, accumulate: bool) -> None:
+    """Copy or add ``arrays`` into consecutive slices of the flat ``buffer``
+    in place, with no temporaries."""
+    offset = 0
+    for array in arrays:
+        view = buffer[offset : offset + array.size].reshape(array.shape)
+        if accumulate:
+            view += array
+        else:
+            view[...] = array
+        offset += array.size
 
 
 @dataclass(frozen=True)
@@ -271,44 +375,44 @@ class GradientBucketReducer:
     # ------------------------------------------------------------------ #
     # Numeric reduction
     # ------------------------------------------------------------------ #
+    def fold(
+        self, num_elements: int, spare: list[np.ndarray] | None = None
+    ) -> DenseGradientFold:
+        """A streaming fold of P = ``num_elements`` flat partials in this
+        reducer's association order.
+
+        Partials are added in a fixed rank-major order.  Replicas may
+        contribute more than one partial each: the sync-parity trainer adds
+        one partial per *(replica, µ-batch)* pair, so the ring chain
+        reproduces, addition for addition, the in-layer accumulation of the
+        merged-gradient reference — that is what makes sync-mode K-replica
+        training bit-identical to it.  ``num_replicas`` only drives the
+        timing model, never the numeric combination.  ``spare`` is the
+        caller's free list of P-sized buffers (see
+        :class:`DenseGradientFold`).
+        """
+        return DenseGradientFold(self.algorithm, num_elements, spare)
+
     def reduce(self, partials: list[np.ndarray]) -> np.ndarray:
-        """Element-wise sum of flat gradient partials, bucket by bucket.
+        """Element-wise sum of a list of flat gradient partials.
 
-        ``partials`` are the flat dense gradients to combine, in a fixed
-        rank-major order.  Replicas may contribute more than one partial
-        each: the sync-parity trainer passes one partial per *(replica,
-        µ-batch)* pair, so the ring chain reproduces, addition for
-        addition, the in-layer accumulation of the merged-gradient
-        reference — that is what makes sync-mode K-replica training
-        bit-identical to it.  ``num_replicas`` only drives the timing
-        model, never the numeric combination.
-
-        The per-element association order is fixed by ``algorithm`` and the
-        partial's position — never by the bucket layout — so the result is
-        bit-identical for any ``bucket_bytes`` and any permutation of the
-        element packing (the property suite asserts both).  The input dtype
-        is preserved end-to-end; mixed dtypes are rejected rather than
-        silently promoted (the ``merge_sparse_gradients`` dtype-drift class
-        of bug).
+        The same :meth:`fold`, over a list: the per-element association
+        order is fixed by ``algorithm`` and the partial's position — never
+        by the bucket layout — so the result is bit-identical for any
+        ``bucket_bytes`` and any permutation of the element packing (the
+        property suite asserts both).  The input dtype is preserved
+        end-to-end; mixed dtypes are rejected rather than silently
+        promoted.
         """
         if not partials:
             raise ValueError("at least one partial gradient is required")
         arrays = [np.asarray(partial) for partial in partials]
-        first = arrays[0]
-        if any(a.shape != first.shape for a in arrays):
+        if any(a.shape != arrays[0].shape for a in arrays):
             raise ValueError("all partial gradients must share one shape")
-        if any(a.dtype != first.dtype for a in arrays):
-            raise ValueError(
-                "all partial gradients must share one dtype; mixed dtypes drift "
-                f"precision silently (got {sorted({str(a.dtype) for a in arrays})})"
-            )
-        combine = _chain_sum if self.algorithm == "ring" else _tree_sum
-        reduced = np.empty_like(first)
-        for bucket in self.bucket_slices(first.shape[0]):
-            reduced[bucket] = combine([a[bucket] for a in arrays])
-        if reduced.dtype != first.dtype:  # pragma: no cover - defensive
-            raise AssertionError("bucketed reduction must preserve the gradient dtype")
-        return reduced
+        fold = self.fold(arrays[0].size)
+        for array in arrays:
+            fold.add([array])
+        return fold.result().reshape(arrays[0].shape)
 
     # ------------------------------------------------------------------ #
     # Simulated timing

@@ -25,10 +25,13 @@ def test_reduce_rejects_non_2d():
 
 def test_reduce_batch_matches_embeddingbag_pooling():
     reducer = Reducer()
-    per_sample = [np.ones((3, 4)), np.full((1, 4), 2.0)]
-    out = reducer.reduce_batch(per_sample)
-    np.testing.assert_allclose(out[0], 3.0 * np.ones(4))
-    np.testing.assert_allclose(out[1], 2.0 * np.ones(4))
+    for dtype in (np.float64, np.float32):
+        per_sample = [np.ones((3, 4), dtype=dtype), np.full((1, 4), 2.0, dtype=dtype)]
+        out = reducer.reduce_batch(per_sample)
+        # Pooled rows keep their dtype, as Reducer.reduce does (no upcast).
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out[0], 3.0 * np.ones(4))
+        np.testing.assert_allclose(out[1], 2.0 * np.ones(4))
 
 
 def test_reduce_batch_requires_samples():

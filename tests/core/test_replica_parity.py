@@ -287,12 +287,21 @@ def test_fig30r_runs_end_to_end_with_per_bucket_times():
 
 
 def test_wrong_length_reduced_gradient_rejected_before_mutation(tiny_model_config):
-    """A mis-sized reduced gradient must fail fast, not half-apply."""
+    """A mis-sized reduced gradient must fail fast, not half-apply.
+
+    The apply scales the reduced buffer in place and updates every replica,
+    so the length check must come before both: no replica parameter and
+    no element of the buffer may change.
+    """
     model = DLRM(tiny_model_config, seed=0)
     trainer = ShardedHotlineTrainer(model, 2, sample_fraction=0.25)
-    before = model.state_snapshot()
+    before = [replica.model.state_snapshot() for replica in trainer.replicas]
     for bad_size in (7, model.num_dense_parameters + 1):
+        flat = np.full(bad_size, 3.0)
         with pytest.raises(ValueError, match="elements"):
-            trainer._apply_dense_gradient(model, np.zeros(bad_size))
-    for key, value in model.state_snapshot().items():
-        np.testing.assert_array_equal(value, before[key])
+            trainer._apply_dense_gradient(flat)
+        np.testing.assert_array_equal(flat, np.full(bad_size, 3.0))
+    assert trainer._dense_spare == []
+    for replica, snapshot in zip(trainer.replicas, before, strict=True):
+        for key, value in replica.model.state_snapshot().items():
+            np.testing.assert_array_equal(value, snapshot[key])
