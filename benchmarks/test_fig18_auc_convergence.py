@@ -3,6 +3,10 @@
 Paper claim: Hotline's µ-batch schedule follows the baseline's training and
 test accuracy exactly — the AUC curves coincide because the parameter
 updates are identical.
+
+Training runs in float32, the paper's dtype.  The float32 run's final
+held-out AUC and log-loss are gated against the float64 run recorded
+before the switch, so precision drift cannot pass unseen.
 """
 
 import pytest
@@ -14,6 +18,14 @@ from repro.core.pipeline import HotlineTrainer, ReferenceTrainer
 from repro.data import MiniBatchLoader, generate_click_log
 from repro.models import RM2
 from repro.models.dlrm import DLRM
+
+#: Final held-out metrics of ``run_convergence()`` trained in float64 (both
+#: trainers agreed bit for bit), recorded on a 2-vCPU x86-64 host.
+FLOAT64_FINAL_AUC = 0.6496369391174828
+FLOAT64_FINAL_LOGLOSS = 0.6444349501374576
+
+#: Largest allowed drift of the float32 run's final metrics from the float64 run.
+FP32_DRIFT_BOUND = 1e-4
 
 
 def run_convergence():
@@ -58,3 +70,8 @@ def test_fig18_auc_curves_coincide(benchmark):
         assert auc_h == pytest.approx(auc_b, abs=1e-9)
     # And training actually converges to a useful AUC.
     assert hotline_result.final_metrics["auc"] > 0.6
+    # float32 training ends where float64 training did.
+    for result in (hotline_result, reference_result):
+        metrics = result.final_metrics
+        assert metrics["auc"] == pytest.approx(FLOAT64_FINAL_AUC, abs=FP32_DRIFT_BOUND)
+        assert metrics["logloss"] == pytest.approx(FLOAT64_FINAL_LOGLOSS, abs=FP32_DRIFT_BOUND)

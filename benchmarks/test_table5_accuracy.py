@@ -2,6 +2,8 @@
 
 Paper claim: the metrics are *identical* between the baseline and Hotline on
 every dataset, because Hotline only reorders inputs within a mini-batch.
+In float32 the reordered gradient sums round differently, so the metrics
+agree to the cross-order tolerance, and AUC to one swapped pair.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from repro.data import MiniBatchLoader, generate_click_log
 from repro.models import RM1, RM2, RM4
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
+from tests.helpers import CROSS_ORDER_ATOL
 
 SCALED = [
     ("Criteo Kaggle", RM2.scaled(max_rows_per_table=800), DLRM),
@@ -42,7 +45,9 @@ def run_all():
             .train(loader, epochs=2, eval_batch=eval_batch)
             .final_metrics
         )
-        rows.append((label, baseline_metrics, hotline_metrics))
+        positives = int(eval_batch.labels.sum())
+        pairs = positives * (eval_batch.size - positives)
+        rows.append((label, baseline_metrics, hotline_metrics, pairs))
     return rows
 
 
@@ -58,7 +63,7 @@ def test_table5_accuracy_parity(benchmark):
             round(hot["auc"], 4),
             round(hot["logloss"], 4),
         )
-        for label, base, hot in rows
+        for label, base, hot, _pairs in rows
     ]
     print()
     print(
@@ -69,7 +74,11 @@ def test_table5_accuracy_parity(benchmark):
             title="Table V: accuracy metrics, baseline vs Hotline (scaled datasets)",
         )
     )
-    for label, base, hot in rows:
-        assert hot["accuracy"] == pytest.approx(base["accuracy"], abs=1e-9), label
-        assert hot["auc"] == pytest.approx(base["auc"], abs=1e-9), label
-        assert hot["logloss"] == pytest.approx(base["logloss"], abs=1e-9), label
+    for label, base, hot, pairs in rows:
+        assert hot["accuracy"] == pytest.approx(base["accuracy"], abs=CROSS_ORDER_ATOL), label
+        # AUC counts ordered (positive, negative) pairs, so it moves in steps
+        # of 1/pairs.  The two runs sum gradients in different orders, and
+        # float32 rounding can swap one pair whose logits lie within an ulp:
+        # 1.5 steps admit that one swap and reject a second.
+        assert hot["auc"] == pytest.approx(base["auc"], abs=1.5 / pairs), label
+        assert hot["logloss"] == pytest.approx(base["logloss"], abs=CROSS_ORDER_ATOL), label

@@ -98,6 +98,7 @@ from repro.hwsim.collectives import comm_op_time
 from repro.hwsim.dma import DMAEngine
 from repro.hwsim.interconnect import Link
 from repro.nn.embedding import SparseGradient, merge_sparse_gradients
+from repro.nn.init import DTYPE
 
 
 @dataclass
@@ -241,7 +242,7 @@ class ReferencePendingStore:
         births = self._births[table]
         taken = [int(row) for row in rows if int(row) in pending]
         if not taken:
-            return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 0)))
+            return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 0), dtype=DTYPE))
         values = np.stack([pending.pop(row) for row in taken], axis=0)
         for row in taken:
             births.pop(row, None)
@@ -493,7 +494,7 @@ class FlatPendingStore:
             rows = rows[_in_sorted(pending, rows)]
         slab = self._values[table]
         if rows.size == 0 or slab is None:
-            return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 0)))
+            return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 0), dtype=DTYPE))
         positions = np.searchsorted(pending, rows)
         slots = self._slots[table][positions]
         values = slab[slots].copy()

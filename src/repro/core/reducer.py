@@ -55,6 +55,7 @@ from repro.core.schedule import CommOp, StepSchedule, allreduce_ops
 from repro.hwsim.cluster import Cluster
 from repro.hwsim.collectives import comm_op_time
 from repro.nn.embedding import SparseGradient, merge_sparse_gradients
+from repro.nn.init import DTYPE
 
 
 class Reducer:
@@ -124,8 +125,8 @@ def parse_staleness(mode: str) -> int:
 REDUCE_ALGORITHMS = ("ring", "tree")
 
 #: Bytes each gradient element occupies on the simulated wire (fp32, the
-#: convention of ``TrainingCostModel.dense_allreduce_time`` — the functional
-#: arrays may be float64, but real systems synchronise fp32 gradients).
+#: convention of ``TrainingCostModel.dense_allreduce_time``) — the itemsize
+#: of the functional gradient arrays, which are the training dtype.
 WIRE_BYTES_PER_ELEMENT = 4
 
 
@@ -198,7 +199,7 @@ class DenseGradientFold:
                 f"partial gradient has {size} elements, the fold sums {self.num_elements}"
             )
         if self.dtype is None:
-            self.dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+            self.dtype = dtypes.pop() if dtypes else np.dtype(DTYPE)
         self.count += 1
         if self.algorithm == "ring" and self._stack:
             _fold_into(self._stack[0][1], arrays, accumulate=True)

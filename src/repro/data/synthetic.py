@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.data.batch import MiniBatch
 from repro.data.datasets import DatasetSpec
+from repro.nn.init import DTYPE
 
 
 def _zipf_probabilities(num_rows: int, alpha: float) -> np.ndarray:
@@ -88,7 +89,10 @@ def generate_click_log(
             achievable AUC below 1.0 (as with real click data).
 
     Returns:
-        A :class:`SyntheticClickLog`.
+        A :class:`SyntheticClickLog` whose ``dense`` features and
+        ``labels`` are the training dtype; the hidden ground truth is
+        computed in float64 before the cast, so the sparse lookups and the
+        0/1 labels do not depend on that dtype.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -119,13 +123,13 @@ def generate_click_log(
     # Centre the logits so the click rate lands near the target.
     logits = logits - np.quantile(logits, 1.0 - click_rate)
     probabilities = 1.0 / (1.0 + np.exp(-logits))
-    labels = (rng.uniform(size=num_samples) < probabilities).astype(np.float64)
+    labels = (rng.uniform(size=num_samples) < probabilities).astype(DTYPE)
     flip = rng.uniform(size=num_samples) < label_noise
     labels[flip] = 1.0 - labels[flip]
 
     return SyntheticClickLog(
         spec=spec,
-        dense=dense,
+        dense=dense.astype(DTYPE),
         sparse=sparse,
         labels=labels,
         rank_to_row=rank_to_row,

@@ -268,7 +268,10 @@ class TBSM:
         — one GEMM per layer per step, per-segment quantities recovered by
         row slicing, bit-identical to the sequential loop.  The attention
         einsums and softmax are per-row, so they pack without
-        certification.
+        certification — but only because the attention keeps its input
+        dtype: a context promoted to float64 would run the top MLP's GEMMs
+        at float64, while their certification is keyed by the weights'
+        float32.
         """
         num_tables = len(self.tables)
         dim = self.config.embedding_dim

@@ -8,6 +8,8 @@ manual backward pass.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -30,15 +32,17 @@ class DotProductAttention:
         """
         if query.ndim != 2 or sequence.ndim != 3:
             raise ValueError("query must be (batch, dim) and sequence (batch, steps, dim)")
-        dim = query.shape[1]
-        scores = np.einsum("bd,btd->bt", query, sequence) / np.sqrt(dim)
+        # A Python float, not ``np.sqrt``'s float64 scalar, so float32
+        # inputs keep their dtype through forward and backward.
+        root_dim = math.sqrt(query.shape[1])
+        scores = np.einsum("bd,btd->bt", query, sequence) / root_dim
         weights = _softmax(scores, axis=1)
         context = np.einsum("bt,btd->bd", weights, sequence)
         self._cache = {
             "query": query,
             "sequence": sequence,
             "weights": weights,
-            "scale": 1.0 / np.sqrt(dim),
+            "scale": 1.0 / root_dim,
         }
         return context
 

@@ -120,7 +120,7 @@ def merge_sparse_gradients(grads: list[SparseGradient]) -> SparseGradient:
     non_empty = [grad for grad in grads if grad.nnz]
     if not non_empty:
         dim = grads[0].values.shape[1] if grads else 0
-        dtype = grads[0].values.dtype if grads else np.float64
+        dtype = grads[0].values.dtype if grads else init.DTYPE
         return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=dtype))
     all_indices = np.concatenate([grad.indices for grad in non_empty])
     all_values = np.concatenate([grad.values for grad in non_empty], axis=0)
@@ -328,7 +328,7 @@ class EmbeddingBag:
             flat_segment_ids = (
                 segment_ids if pooling == 1 else np.repeat(segment_ids, pooling)
             )
-        dtype = grad_outputs[0].dtype if grad_outputs else np.float64
+        dtype = grad_outputs[0].dtype if grad_outputs else init.DTYPE
         grad_all = np.empty((batch, self.dim), dtype=dtype)
         for idx, grad_output in zip(segments, grad_outputs, strict=True):
             if grad_output.shape[0] != len(idx):

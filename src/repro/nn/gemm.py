@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.init import DTYPE
 from repro.nn.layers import Linear, ReLU
 
 #: Sentinel threshold for shapes whose packed GEMM never matched the
@@ -104,7 +105,7 @@ _PROBE_ROWS = 311
 
 
 def packed_rows_threshold(
-    k: int, n: int, dtype: np.dtype = np.float64, *, transposed: bool = False
+    k: int, n: int, dtype: np.dtype = DTYPE, *, transposed: bool = False
 ) -> int:
     """Smallest segment height from which a ``(M, k) @ (k, n)`` GEMM is
     certified row-stable — i.e. slicing a packed product reproduces the

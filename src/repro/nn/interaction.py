@@ -74,6 +74,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.nn.init import DTYPE
+
 #: ``np.tril_indices(f, k=-1)`` per feature count — the pair index arrays
 #: are a function of the feature count alone, so every step reuses them
 #: instead of rebuilding two index arrays per interaction call.  Guarded
@@ -129,7 +131,7 @@ def _tril_pairs(num_features: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def interaction_certified(
-    num_features: int, dim: int, dtype: np.dtype = np.float64
+    num_features: int, dim: int, dtype: np.dtype = DTYPE
 ) -> bool:
     """Certify the batched-GEMM interaction path for one shape.
 

@@ -11,8 +11,8 @@ Fused epilogue contract — bit-identity
 
 :func:`fused_bce_epilogue` computes the summed loss and the logit gradient
 in **one pass** over the batch: a single ``e = exp(-|z|)`` feeds both the
-``log1p(e)`` loss term and the branch-split stable sigmoid.  For float64
-inputs it is **bit-identical** to the retained two-pass pair
+``log1p(e)`` loss term and the branch-split stable sigmoid.  It is
+**bit-identical** to the retained two-pass pair
 (:func:`reference_epilogue`, i.e. :func:`bce_with_logits` +
 :func:`bce_with_logits_backward`), by construction rather than by runtime
 certification:
@@ -25,13 +25,13 @@ certification:
 * sigmoid, ``z < 0`` branch: ``exp(z) == exp(-|z|)`` exactly, so
   ``e/(1+e)`` matches the reference's ``exp(z)/(1+exp(z))``.
 
-Unlike the reference (which always round-trips through float64), the fused
-kernel computes in the logits' native floating dtype — float32 batches stay
-float32, which is what "avoid the float64 round-trips where the float32
-contract allows" means; the repo's float64 training path is unaffected.
+Both compute in the logits' floating dtype (non-float logits are promoted
+to float64), so float32 training batches stay float32 with no round trip.
 All outputs are fresh allocations (no workspace pooling): the gradient is
 handed to the caller, who scales and accumulates it across µ-batch
-segments, so it must never be recycled.
+segments, so it must never be recycled.  :func:`predicted_probabilities`
+alone computes in float64: it feeds the evaluation metrics, off the step
+path.
 """
 
 from __future__ import annotations
@@ -61,8 +61,17 @@ def force_reference():
         _FORCE_REFERENCE = False
 
 
+def _float_logits(logits: np.ndarray) -> np.ndarray:
+    """``logits`` as a flat float32/float64 array; other dtypes promote to
+    float64."""
+    z = np.asarray(logits)
+    if z.dtype not in (np.float32, np.float64):
+        z = z.astype(np.float64)
+    return z.reshape(-1)
+
+
 def _stable_sigmoid(logits: np.ndarray) -> np.ndarray:
-    out = np.empty_like(logits, dtype=np.float64)
+    out = np.empty_like(logits)
     positive = logits >= 0
     out[positive] = 1.0 / (1.0 + np.exp(-logits[positive]))
     exp_x = np.exp(logits[~positive])
@@ -88,9 +97,10 @@ def bce_with_logits(
 
 
 def bce_with_logits_per_sample(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Unreduced binary cross-entropy: one loss value per sample."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+    """Unreduced binary cross-entropy: one loss value per sample, in the
+    logits' floating dtype."""
+    logits = _float_logits(logits)
+    targets = np.asarray(targets, dtype=logits.dtype).reshape(-1)
     if logits.shape != targets.shape:
         raise ValueError("logits and targets must have the same shape")
     return (
@@ -101,9 +111,10 @@ def bce_with_logits_per_sample(logits: np.ndarray, targets: np.ndarray) -> np.nd
 def bce_with_logits_backward(
     logits: np.ndarray, targets: np.ndarray, reduction: str = "sum"
 ) -> np.ndarray:
-    """Gradient of :func:`bce_with_logits` with respect to the logits."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+    """Gradient of :func:`bce_with_logits` with respect to the logits, in
+    the logits' floating dtype."""
+    logits = _float_logits(logits)
+    targets = np.asarray(targets, dtype=logits.dtype).reshape(-1)
     grad = _stable_sigmoid(logits) - targets
     if reduction == "mean":
         grad = grad / logits.shape[0]
@@ -141,10 +152,7 @@ def fused_bce_epilogue(
     """
     if _FORCE_REFERENCE:
         return reference_epilogue(logits, targets)
-    z = np.asarray(logits)
-    if z.dtype not in (np.float32, np.float64):
-        z = z.astype(np.float64)
-    z = z.reshape(-1)
+    z = _float_logits(logits)
     y = np.asarray(targets, dtype=z.dtype).reshape(-1)
     if z.shape != y.shape:
         raise ValueError("logits and targets must have the same shape")

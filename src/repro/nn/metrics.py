@@ -2,6 +2,10 @@
 
 These are the metrics reported by the paper's Table V and Figure 18 (AUC is
 the MLPerf-recommended metric for Criteo-style CTR tasks).
+
+They compute in float64 whatever the training dtype: evaluation is off the
+step path, and :func:`log_loss`'s ``1 - 1e-12`` clip would round to 1.0 in
+float32.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ class SparseAdagrad:
             return
         key = id(table)
         if key not in self._state:
-            self._state[key] = np.zeros(table.num_rows, dtype=np.float64)
+            self._state[key] = np.zeros(table.num_rows, dtype=table.weight.dtype)
         accum = self._state[key]
         row_sq = (grad.values * grad.values).sum(axis=1)
         accum[grad.indices] += row_sq

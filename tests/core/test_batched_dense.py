@@ -30,6 +30,7 @@ from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.gemm import NEVER_PACKED, PackedMLP, packed_rows_threshold, segment_bounds
 from repro.nn.mlp import MLP
+from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
 
 
 def whole(batch_size):
@@ -283,7 +284,7 @@ def test_interaction_reference_training_stays_close(
     """The batched interaction GEMM is allclose (not bitwise) to the einsum
     reference — certification guarantees *row stability across execution
     paths*, not equality with einsum.  A short training run through each
-    must stay within tight fp tolerance."""
+    must stay within the cross-order tolerance."""
     from repro.nn import interaction as interaction_mod
 
     batches = [tiny_click_log.batch(i * 128, 128) for i in range(4)]
@@ -292,10 +293,12 @@ def test_interaction_reference_training_stays_close(
     model_ref = DLRM(tiny_model_config, seed=23)
     with interaction_mod.force_reference():
         losses_ref = [model_ref.train_step(b, lr=0.1) for b in batches]
-    np.testing.assert_allclose(losses_new, losses_ref, rtol=1e-9)
+    np.testing.assert_allclose(losses_new, losses_ref, rtol=CROSS_ORDER_RTOL)
     state_new = model_new.state_snapshot()
     for key, value in model_ref.state_snapshot().items():
-        np.testing.assert_allclose(state_new[key], value, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(
+            state_new[key], value, rtol=CROSS_ORDER_RTOL, atol=CROSS_ORDER_ATOL
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ from repro.core.pipeline import HotlineTrainer, ReferenceTrainer, evaluate
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
+from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
 
 
 def make_accelerator(dim=8):
@@ -51,7 +52,7 @@ def test_hotline_update_identical_to_baseline_dlrm(tiny_model_config, tiny_click
     baseline_state = baseline_model.state_snapshot()
     for key in baseline_state:
         np.testing.assert_allclose(
-            hotline_state[key], baseline_state[key], rtol=1e-9, atol=1e-12
+            hotline_state[key], baseline_state[key], rtol=CROSS_ORDER_RTOL, atol=CROSS_ORDER_ATOL
         )
 
 
@@ -68,7 +69,7 @@ def test_hotline_update_identical_to_baseline_tbsm(tiny_ts_model_config, tiny_ts
     baseline_state = baseline_model.state_snapshot()
     for key in baseline_state:
         np.testing.assert_allclose(
-            hotline_state[key], baseline_state[key], rtol=1e-9, atol=1e-12
+            hotline_state[key], baseline_state[key], rtol=CROSS_ORDER_RTOL, atol=CROSS_ORDER_ATOL
         )
 
 

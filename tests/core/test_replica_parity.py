@@ -27,6 +27,7 @@ from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.embedding import SparseGradient
+from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
 
 
 def merged_run(model_cls, config, log, num_shards, *, lr=0.05, epochs=1):
@@ -210,7 +211,7 @@ def test_stale_mode_diverges_after_first_step(tiny_model_config, tiny_click_log)
 
 def test_tree_algorithm_is_deterministic_and_close(tiny_model_config, tiny_click_log):
     """Tree reduce re-associates the sum: not bit-parity, but deterministic
-    and within the suite's numerical tolerance of the merged reference."""
+    and within the cross-order tolerance of the merged reference."""
     merged_model, merged_result = merged_run(DLRM, tiny_model_config, tiny_click_log, 4)
     model_a, result_a, _ = replicated_run(
         DLRM, tiny_model_config, tiny_click_log, 4, algorithm="tree"
@@ -221,11 +222,11 @@ def test_tree_algorithm_is_deterministic_and_close(tiny_model_config, tiny_click
     assert result_a.losses == result_b.losses  # deterministic across runs
     assert_bit_identical(model_a.state_snapshot(), model_b.state_snapshot())
     np.testing.assert_allclose(
-        result_a.losses, merged_result.losses, rtol=1e-9, atol=1e-9
+        result_a.losses, merged_result.losses, rtol=CROSS_ORDER_RTOL, atol=CROSS_ORDER_ATOL
     )
     for key, value in merged_model.state_snapshot().items():
         np.testing.assert_allclose(
-            model_a.state_snapshot()[key], value, rtol=1e-9, atol=1e-12
+            model_a.state_snapshot()[key], value, rtol=CROSS_ORDER_RTOL, atol=CROSS_ORDER_ATOL
         )
 
 
@@ -280,9 +281,11 @@ def test_fig30r_runs_end_to_end_with_per_bucket_times():
     # Staleness hides even more and changes the trajectory.
     assert stale["exposed_communication_s"] <= overlap["exposed_communication_s"]
     assert stale["final_loss"] != sync["final_loss"]
-    # Sync losses are scale-invariant (Eq. 5 across replicas) and replicas
-    # never drift.
-    assert data["2 node(s) / sync"]["final_loss"] == sync["final_loss"]
+    # Sync losses are scale-invariant (Eq. 5 across replicas; K=4 and K=8
+    # sum in different orders) and replicas never drift.
+    assert data["2 node(s) / sync"]["final_loss"] == pytest.approx(
+        sync["final_loss"], rel=CROSS_ORDER_RTOL, abs=CROSS_ORDER_ATOL
+    )
     assert all(entry["replica_drift"] == 0.0 for entry in data.values())
 
 

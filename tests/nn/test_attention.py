@@ -68,3 +68,15 @@ def test_backward_sequence_gradient_matches_numeric(rng):
     _, grad_seq = attn.backward(2.0 * out)
     numeric = numerical_gradient(loss_fn, sequence)
     assert_gradients_close(grad_seq, numeric, rtol=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_and_backward_keep_the_input_dtype(rng, dtype):
+    attn = DotProductAttention()
+    query = rng.normal(size=(3, 8)).astype(dtype)
+    sequence = rng.normal(size=(3, 5, 8)).astype(dtype)
+    context = attn.forward(query, sequence)
+    grad_query, grad_sequence = attn.backward(np.ones_like(context))
+    assert context.dtype == dtype
+    assert grad_query.dtype == dtype
+    assert grad_sequence.dtype == dtype

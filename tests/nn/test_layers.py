@@ -21,6 +21,9 @@ def test_linear_forward_matches_manual(rng):
 
 def test_linear_backward_weight_gradient_matches_numeric(rng):
     layer = Linear(4, 3, rng)
+    # The 1e-6 finite-difference step is below float32 resolution.
+    for name in ("weight", "bias", "grad_weight", "grad_bias"):
+        setattr(layer, name, getattr(layer, name).astype(np.float64))
     x = rng.normal(size=(6, 4))
 
     def loss_fn(_w):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.layers import Linear
 from repro.nn.mlp import MLP
 from tests.helpers import assert_gradients_close, numerical_gradient
 
@@ -40,6 +41,11 @@ def test_mlp_backward_matches_numeric_on_inputs(rng):
 
 def test_mlp_backward_matches_numeric_on_weights(rng):
     mlp = MLP([3, 4, 1], rng)
+    # The 1e-6 finite-difference step is below float32 resolution.
+    for layer in mlp.layers:
+        if isinstance(layer, Linear):
+            for name in ("weight", "bias", "grad_weight", "grad_bias"):
+                setattr(layer, name, getattr(layer, name).astype(np.float64))
     x = rng.normal(size=(6, 3))
     target_layer = mlp.layers[0]
 

@@ -53,6 +53,25 @@ def test_sparse_adagrad_accumulates_per_row_state():
     assert second < first
 
 
+def test_sparse_adagrad_runs_in_the_table_dtype():
+    """A float32 table's update is float32 arithmetic throughout: the same
+    bits as the update computed by hand in float32."""
+    rng = np.random.default_rng(3)
+    bag = EmbeddingBag(64, 8, rng)
+    assert bag.weight.dtype == np.float32
+    opt = SparseAdagrad(lr=0.5)
+    rows = np.arange(0, 64, 2)
+    accum = np.zeros(64, dtype=np.float32)
+    expected = bag.weight.copy()
+    for _ in range(3):
+        values = rng.standard_normal((rows.size, 8)).astype(np.float32)
+        opt.step(bag, SparseGradient(rows, values))
+        accum[rows] += (values * values).sum(axis=1)
+        scale = 0.5 / (np.sqrt(accum[rows]) + 1e-10)
+        expected[rows] -= scale[:, None] * values
+    np.testing.assert_array_equal(bag.weight, expected)
+
+
 def test_sparse_adagrad_empty_gradient_is_noop():
     bag = EmbeddingBag(8, 4, np.random.default_rng(0))
     before = bag.weight.copy()
