@@ -1,11 +1,10 @@
 """Figure 30 companion — multi-node scaling from a *functional* sharded run.
 
 The original fig30 rows come from the timing model alone.  Here the
-:class:`~repro.core.distributed.MergedGradientShardedTrainer` (the shared-
-replica K-shard path — the cheapest route to the bit-identical result; the
-true multi-replica trainer has its own sweep in ``fig30r``) actually trains
-a (scaled-down) DLRM at 4 shards per node and the engine reports per-shard
-compute plus the dense all-reduce term from :mod:`repro.hwsim.collectives`.
+sync-mode :class:`~repro.core.distributed.ShardedHotlineTrainer` (its
+reducer-mode sweep is ``fig30r``) actually trains a (scaled-down) DLRM at
+4 shards per node and the engine reports per-shard compute plus the dense
+all-reduce term from :mod:`repro.hwsim.collectives`.
 The paper-shaped claims checked:
 
 * the recorded losses are numerically identical at every node count — the

@@ -1,11 +1,12 @@
 """Fused µ-batch execution on the Figure 18 config: parity + step time.
 
 Hotline's acceleration phase trains every mini-batch as a popular and a
-non-popular µ-batch.  The fused execution path (PR 5, default on) runs the
-two µ-batches through **one** embedding gather and **one** scatter per
-table instead of two of each, with per-µ-batch MLP passes untouched — the
-update is **bit-identical** to the sequential two-pass schedule (asserted
-here end-to-end, and enforced by ``tests/core/test_fused_microbatch.py``).
+non-popular µ-batch.  The fused execution path runs the two µ-batches
+through **one** embedding gather and **one** scatter per table and one
+segment-packed dense pass — the update is **bit-identical** to the
+sequential two-pass schedule of the test oracle's ``SequentialDLRM``
+(asserted here end-to-end, and enforced by
+``tests/core/test_fused_microbatch.py``).
 
 The step-time claim is bounded by Amdahl: on the Figure 18 config the MLP
 and interaction passes dominate (~85 % of a step under cProfile), so
@@ -31,6 +32,7 @@ from repro.core.pipeline import HotlineTrainer
 from repro.data import MiniBatchLoader, generate_click_log
 from repro.models import RM2
 from repro.models.dlrm import DLRM
+from tests.oracle import SequentialDLRM
 
 #: The fused path must not regress the Figure 18 step time beyond noise.
 #: Ratcheted 1.05 -> 1.04 once interleaved timing alternated the A/B order
@@ -44,13 +46,13 @@ from repro.models.dlrm import DLRM
 MAX_SLOWDOWN = 1.02
 
 
-def make_trainer(config, log, fused):
+def make_trainer(config, log, model_cls):
     accelerator = HotlineAccelerator(
         row_bytes=config.embedding_dim * 4,
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )
     trainer = HotlineTrainer(
-        DLRM(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25, fused=fused
+        model_cls(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25
     )
     trainer.learning_phase(MiniBatchLoader(log, batch_size=256))
     return trainer
@@ -61,8 +63,8 @@ def test_fused_step_matches_and_does_not_regress(benchmark):
     log = generate_click_log(config.dataset, 3072, seed=41)
     batches = list(MiniBatchLoader(log, batch_size=256))
 
-    fused = make_trainer(config, log, fused=True)
-    sequential = make_trainer(config, log, fused=False)
+    fused = make_trainer(config, log, DLRM)
+    sequential = make_trainer(config, log, SequentialDLRM)
 
     # Bit-identity first (one full epoch): losses and every parameter.
     fused_losses = [fused.train_step(batch)[0] for batch in batches]

@@ -4,7 +4,7 @@ The vectorised :class:`~repro.nn.embedding.EmbeddingBag` (single gather +
 segment-sum scatter) and the bitmap-based
 :func:`~repro.core.classifier.split_minibatch` replaced per-sample Python
 loops and per-step ``np.isin`` scans.  These benchmarks measure both paths
-against the retained loop references on an RM1-sized (Taobao Alibaba)
+against the test oracle's loop references on an RM1-sized (Taobao Alibaba)
 mini-batch of 2048 inputs and assert the speedup that justifies the
 refactor, recording the vectorised throughput for the bench trajectory.
 """
@@ -18,8 +18,8 @@ from repro.core.classifier import split_minibatch
 from repro.core.hotset import HotSetIndex
 from repro.data import MiniBatch, generate_click_log
 from repro.models import RM1
-from repro.nn.embedding import EmbeddingBag, reference_backward, reference_forward
-from repro.reference import split_minibatch_reference
+from repro.nn.embedding import EmbeddingBag
+from tests.oracle import reference_backward, reference_forward, split_minibatch_reference
 
 #: Paper-scale mini-batch for the functional trainer benchmarks.
 BATCH_SIZE = 2048

@@ -8,8 +8,8 @@ shape and recorded to ``BENCH_sparse_path.json``:
   interaction shape (batch 256, 27 features, dim 16).  Kernel-level and
   deterministic on any hardware, so its >=2x gate is **always enforced**.
 * ``fig18_epilogue_e2e`` — the fig18 single-trainer end-to-end step with
-  the new kernels vs the pre-PR baseline (both retained reference paths
-  forced via the kernels' ``force_reference()`` hooks).  End-to-end
+  the new kernels vs the reference kernels (both forced for the baseline
+  through the test oracle's ``reference_kernels()``).  End-to-end
   wall-clock on shared runners is noisy, so the >=1.05x gate is recorded
   always but **enforced only under ``BENCH_STRICT``** (the nightly job);
   ``check_bench_gates.py`` still fails CI if the recorded speedup falls
@@ -35,14 +35,13 @@ from repro.core.pipeline import HotlineTrainer
 from repro.data import MiniBatchLoader, generate_click_log
 from repro.models import RM2
 from repro.models.dlrm import DLRM
-from repro.nn import interaction as interaction_mod
-from repro.nn import loss as loss_mod
 from repro.nn.interaction import (
     DotInteractionKernel,
     reference_dot_interaction,
     reference_dot_interaction_backward,
 )
 from tests.helpers import CROSS_ORDER_RTOL
+from tests.oracle import reference_kernels
 
 #: The batched-GEMM kernel must beat the einsum reference by at least
 #: this factor at the fig18 shape (measured ~4x on a single core).
@@ -110,9 +109,7 @@ def make_trainer(config, log):
         row_bytes=config.embedding_dim * 4,
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )
-    trainer = HotlineTrainer(
-        DLRM(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25, fused=True
-    )
+    trainer = HotlineTrainer(DLRM(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25)
     trainer.learning_phase(MiniBatchLoader(log, batch_size=256))
     return trainer
 
@@ -127,7 +124,7 @@ def test_fig18_epilogue_e2e_speedup(benchmark):
 
     # Loss-trajectory sanity: allclose, not bitwise (see module docstring).
     losses_new = [new.train_step(batch)[0] for batch in batches]
-    with interaction_mod.force_reference(), loss_mod.force_reference():
+    with reference_kernels():
         losses_old = [old.train_step(batch)[0] for batch in batches]
     np.testing.assert_allclose(losses_new, losses_old, rtol=CROSS_ORDER_RTOL)
 
@@ -143,7 +140,7 @@ def test_fig18_epilogue_e2e_speedup(benchmark):
                 order.reverse()
             for label, trainer, steps in order:
                 if label == "old":
-                    with interaction_mod.force_reference(), loss_mod.force_reference():
+                    with reference_kernels():
                         start = time.perf_counter()
                         trainer.train_step(batch)
                         steps[i] = min(steps[i], time.perf_counter() - start)

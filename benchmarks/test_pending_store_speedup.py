@@ -26,9 +26,10 @@ import time
 import numpy as np
 
 from benchmarks.figutils import record_bench
-from repro.core.lookahead import FlatPendingStore, ReferencePendingStore
+from repro.core.lookahead import FlatPendingStore
 from repro.models import RM1
 from repro.nn.embedding import SparseGradient
+from tests.oracle import ReferencePendingStore
 
 #: Minimum speedup of the flat store over the dict reference (see the
 #: module docstring for why this sits below the typical ~5× measurement).

@@ -34,10 +34,7 @@ This package implements the paper's contribution:
   all-reduce (:class:`~repro.core.reducer.GradientBucketReducer`, with
   ``sync``/``overlap``/``stale-<k>`` modes) and a deterministic sparse
   exchange, optionally with row-partitioned embedding tables
-  (:class:`~repro.core.placement.PartitionedEmbeddingPlacement`).  The
-  PR 2 shared-replica path survives as
-  :class:`~repro.core.distributed.MergedGradientShardedTrainer`, the
-  bit-parity reference of the replica test harness.
+  (:class:`~repro.core.placement.PartitionedEmbeddingPlacement`).
 * :mod:`repro.core.lookahead` — the BagPipe-style bounded-staleness
   embedding pipeline: :class:`~repro.core.lookahead.CachedEmbeddingPipeline`
   walks the loader's eager epoch order a window ahead, prefetches upcoming
@@ -53,11 +50,7 @@ from repro.core.accelerator import (
 )
 from repro.core.classifier import MicroBatches, split_minibatch
 from repro.core.dispatcher import AddressRegisters, DataDispatcher, InputEDRAM
-from repro.core.distributed import (
-    MergedGradientShardedTrainer,
-    ShardedHotlineTrainer,
-    ShardReplica,
-)
+from repro.core.distributed import ShardedHotlineTrainer, ShardReplica
 from repro.core.eal import (
     EALConfig,
     EmbeddingAccessLogger,
@@ -131,7 +124,6 @@ __all__ = [
     "ReferenceTrainer",
     "HotlineTrainer",
     "ShardedHotlineTrainer",
-    "MergedGradientShardedTrainer",
     "ShardReplica",
     "CachedEmbeddingPipeline",
     "LookaheadStats",

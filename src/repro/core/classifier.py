@@ -11,6 +11,8 @@ and accumulating the gradients is numerically identical to training on M
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.core.hotset import HotSetIndex, as_hot_set_index
@@ -20,49 +22,29 @@ from repro.data.batch import MiniBatch
 class MicroBatches:
     """The two µ-batches produced from one mini-batch.
 
-    Built either *eagerly* (both µ-batches materialised up front — the
-    historical behaviour) or *lazily* from the source batch and the mask
-    (``split_minibatch(..., materialize=False)``).  The lazy form is what
-    the fused execution path uses: it trains through the original batch
-    plus :meth:`segment_indices`, so the µ-batch copies (dense, sparse,
-    and label selections, twice per step) are never built unless a caller
-    actually reads :attr:`popular`/:attr:`non_popular` — at which point
-    they materialise on demand, identical to the eager ones.
+    Built lazily from the source batch and the classification mask: the
+    fused execution path trains through the original batch plus
+    :meth:`segment_indices`, so the µ-batch copies (dense, sparse, and
+    label selections) are only built if a caller actually reads
+    :attr:`popular`/:attr:`non_popular`, and then once each.
 
     Attributes:
         popular_mask: Boolean mask over the original mini-batch.
     """
 
-    def __init__(
-        self,
-        popular: MiniBatch | None = None,
-        non_popular: MiniBatch | None = None,
-        popular_mask: np.ndarray | None = None,
-        *,
-        source: MiniBatch | None = None,
-    ):
-        if popular_mask is None:
-            raise ValueError("popular_mask is required")
+    def __init__(self, popular_mask: np.ndarray, source: MiniBatch):
         self.popular_mask = np.asarray(popular_mask, dtype=bool)
-        if source is None and (popular is None or non_popular is None):
-            raise ValueError("provide both µ-batches or a source batch")
-        self._popular = popular
-        self._non_popular = non_popular
         self._source = source
 
-    @property
+    @cached_property
     def popular(self) -> MiniBatch:
         """Inputs touching only frequently-accessed rows."""
-        if self._popular is None:
-            self._popular = self._source.select(np.nonzero(self.popular_mask)[0])
-        return self._popular
+        return self._source.select(np.nonzero(self.popular_mask)[0])
 
-    @property
+    @cached_property
     def non_popular(self) -> MiniBatch:
         """Inputs touching at least one non-frequently-accessed row."""
-        if self._non_popular is None:
-            self._non_popular = self._source.select(np.nonzero(~self.popular_mask)[0])
-        return self._non_popular
+        return self._source.select(np.nonzero(~self.popular_mask)[0])
 
     @property
     def popular_count(self) -> int:
@@ -81,23 +63,16 @@ class MicroBatches:
         popular = self.popular_count
         return popular, int(self.popular_mask.size) - popular
 
-    def segments(self) -> tuple[MiniBatch, ...]:
-        """The non-empty µ-batches in accumulation order (popular first)."""
-        return tuple(
-            micro for micro in (self.popular, self.non_popular) if micro.size
-        )
-
     def segment_indices(self) -> tuple[np.ndarray, ...]:
         """Sample-index arrays of the non-empty µ-batches (popular first).
 
         The ascending index arrays partition the original mini-batch
         (Eq. 3) and are what the fused execution path trains through one
         embedding gather/scatter pass
-        (:meth:`~repro.models.dlrm.DLRM.fused_loss_and_gradients`); their
-        order matches :meth:`segments`, which is what keeps the fused
-        update bit-identical to the sequential loop.
+        (:meth:`~repro.models.dlrm.DLRM.fused_loss_and_gradients`), in
+        the popular-then-non-popular accumulation order.
         """
-        mask = np.asarray(self.popular_mask, dtype=bool)
+        mask = self.popular_mask
         candidates = (np.nonzero(mask)[0], np.nonzero(~mask)[0])
         return tuple(idx for idx in candidates if idx.size)
 
@@ -106,7 +81,6 @@ def split_minibatch(
     batch: MiniBatch,
     hot_sets: list[np.ndarray] | HotSetIndex,
     *,
-    materialize: bool = True,
     mask: np.ndarray | None = None,
 ) -> MicroBatches:
     """Fragment ``batch`` into popular / non-popular µ-batches.
@@ -118,10 +92,6 @@ def split_minibatch(
             :class:`~repro.core.hotset.HotSetIndex` over them.  The hot path
             passes the prebuilt index so each step performs one fancy-index
             per table instead of an ``np.isin`` set scan.
-        materialize: Build the two µ-batch copies eagerly (default).  The
-            fused execution path passes ``False`` — it trains through the
-            original batch and the classification mask, so the copies are
-            only built if something actually reads them.
         mask: Precomputed popular-input mask for ``batch``.  The prefetch
             overlap path classifies batch N+1 on the loader thread while
             batch N's optimizer update runs, then passes the mask here to
@@ -147,7 +117,4 @@ def split_minibatch(
             raise ValueError(
                 f"precomputed mask has shape {mask.shape}, expected ({batch.size},)"
             )
-    if not materialize:
-        return MicroBatches(popular_mask=mask, source=batch)
-    popular, non_popular = batch.split(mask)
-    return MicroBatches(popular=popular, non_popular=non_popular, popular_mask=mask)
+    return MicroBatches(mask, batch)

@@ -53,17 +53,29 @@ and no per-shard parameter state.  This module removes it:
   replica keeps a coherent full copy, so partitioning changes
   *communication accounting*, never numerics.
 
+**One dense pass per step.**  Every replica applies identical dense and
+sparse updates in every mode (sync, overlap, stale-k, with or without the
+lookahead cache or a tier), so replica 0's weights are every replica's
+weights: each step runs the K shards' µ-batches as **one** pass of replica
+0's model over the whole mini-batch (segments offset into global-batch
+coordinates, in shard order), folding per-µ-batch dense partials in the
+replica-major order K separate passes would produce.  With the
+segment-packed dense path that turns K·S small GEMMs per layer into one.
+
 **The parity guarantee.**  In ``sync`` (and ``overlap``) mode the K-replica
-run is **bit-identical** to the PR 2 merged-gradient trainer, which is kept
-here as :class:`MergedGradientShardedTrainer` — the numerical reference the
-``tests/core/test_replica_parity.py`` harness compares against for
-K ∈ {1, 2, 4} on DLRM and TBSM.  The guarantee holds because every
-floating-point addition happens in the same order: each replica's
-per-µ-batch gradient partials are chain-summed by the reducer's ring fold
-in the same rank-major sequence the shared model accumulated them in its
-layers, and
-``merge_sparse_gradients`` sees the identical ordered partial list.  All
-replicas apply identical updates, so they stay bit-identical to each other
+run is **bit-identical** to a merged-gradient trainer that accumulates all
+shards' gradients in one shared model — the numerical reference kept in
+the test oracle (``tests/oracle.py``: ``MergedGradientTrainer``), which
+``tests/core/test_replica_parity.py`` compares against for K ∈ {1, 2, 4}
+on DLRM and TBSM.  The guarantee holds because every floating-point
+addition happens in the same order: per-µ-batch gradient partials are
+chain-summed by the reducer's ring fold in the same rank-major sequence
+the shared model accumulates them in its layers, and
+``merge_sparse_gradients`` sees the identical ordered partial list.  The
+oracle's ``SequentialDLRM``/``SequentialTBSM`` models, passed to this
+trainer, give the per-µ-batch sequential schedule the fused pass must
+reproduce in every mode.  All replicas apply identical updates, so they
+stay bit-identical to each other
 (:meth:`ShardedHotlineTrainer.replica_drift` is exactly zero) — a property
 the test harness also asserts.
 
@@ -94,21 +106,13 @@ from repro.core.lookahead import (
     shard_epoch_row_stream,
 )
 from repro.core.placement import EmbeddingPlacement, PartitionedEmbeddingPlacement
-from repro.core.reducer import (
-    DenseGradientFold,
-    GradientBucketReducer,
-    SparseGradientExchange,
-)
+from repro.core.reducer import GradientBucketReducer, SparseGradientExchange
 from repro.core.schedule import CommOp, ComposedSchedule, FlatLinks, StepSchedule
 from repro.data.batch import MiniBatch
 from repro.data.loader import MiniBatchLoader
 from repro.hwsim.cluster import Cluster, single_node
 from repro.hwsim.collectives import comm_op_time
-from repro.nn.embedding import (
-    SparseGradient,
-    TieredEmbeddingStore,
-    merge_sparse_gradients,
-)
+from repro.nn.embedding import TieredEmbeddingStore
 
 
 @dataclass
@@ -117,24 +121,84 @@ class ShardReplica:
 
     Attributes:
         accelerator: The shard's Hotline accelerator (its own EAL).
+        model: The replica's own model instance (dense parameters and
+            embedding tables).
         placement: The shard's EAL-derived embedding placement, built by the
             learning phase.
-        model: The replica's own model instance (dense parameters, embedding
-            tables, and gradient state).  ``None`` in the merged-gradient
-            reference trainer, where one shared instance stands in for all.
     """
 
     accelerator: HotlineAccelerator
+    model: Any
     placement: EmbeddingPlacement | None = None
-    model: Any = None
 
 
-class _ShardedTrainerBase(StepExecutor):
-    """Shared scaffolding of the K-shard trainers (learning phase, timing).
+class ShardedHotlineTrainer(StepExecutor):
+    """Hotline training over K genuinely separate model replicas.
 
-    Subclasses provide the synchronisation strategy: the merged-gradient
-    reference accumulates into one shared model, the true multi-replica
-    trainer reduces explicit per-replica gradients.
+    Each replica owns its own dense parameters, optimizer state, embedding
+    tables, accelerator, and placement.  Dense gradients synchronise through
+    an explicit :class:`~repro.core.reducer.GradientBucketReducer`; sparse
+    gradients through a :class:`~repro.core.reducer.SparseGradientExchange`;
+    optional row-wise table partitioning adds the model-parallel dimension.
+    The trainer's ``cluster`` is authoritative for pricing: a replaced
+    ``reducer`` or a mid-run ``cluster`` swap is re-pointed at it on the
+    next priced step, so every communication term re-prices consistently.
+
+    Args:
+        model: Template model.  Replica 0 adopts this exact instance (so the
+            caller's reference observes training); replicas 1..K-1 are deep
+            copies, bit-identical at start.
+        num_shards: Number of data-parallel replicas (one per logical GPU).
+        cluster: Hardware topology the shards map onto, one shard per GPU;
+            defaults to a single node with ``num_shards`` GPUs.
+        lr: SGD learning rate.
+        sample_fraction: Learning-phase sampling fraction per shard.
+        hbm_budget_bytes: Per-GPU budget for each shard's hot replica.
+        perf_model: Optional execution model pricing per-shard compute.
+        seed: Base seed; shard k's accelerator is seeded ``seed + k`` so
+            the per-shard EALs track their own access streams.
+        bucket_bytes: Fixed wire-byte bucket size of the dense all-reduce.
+        mode: ``"sync"`` / ``"overlap"`` / ``"stale-<k>"`` — see
+            :class:`~repro.core.reducer.GradientBucketReducer`.  ``sync``,
+            ``overlap``, and ``stale-0`` are bit-identical to a
+            merged-gradient trainer; ``stale-k`` (k > 0) applies the
+            reduced dense gradient k steps late through a k-deep deque of
+            in-flight reduces (deterministic and drift-free, but a
+            different trajectory).
+        algorithm: ``"ring"`` or ``"tree"`` association order.  Only
+            ``"ring"`` carries the bit-parity guarantee (it reproduces the
+            reference's sequential accumulation); ``"tree"`` is a
+            deterministic alternative that changes the association.
+        partition_embeddings: Row-partition every embedding table across the
+            K shards (hybrid data+model parallelism).  Affects memory and
+            communication accounting only — never numerics.
+        lookahead_window: Enable the BagPipe-style
+            :class:`~repro.core.lookahead.CachedEmbeddingPipeline` with a
+            window of this many batches (0 disables it).  The pipeline
+            shares the reducer's staleness bound: sparse write-backs defer
+            until a row leaves the window or is k steps stale, so with
+            ``sync``/``stale-0`` it is pure accounting (numerics
+            untouched).
+        per_shard_lookahead: Give each replica its own *accounting*
+            lookahead cache keyed to its contiguous shard slice of every
+            batch (:func:`~repro.core.lookahead.shard_epoch_row_stream`),
+            so per-GPU cache capacity and fill traffic differentiate by
+            shard — skewed shards fill more.  The per-shard pipelines
+            price the fills (each shard fills its own cache in parallel,
+            so the step charges the slowest shard); the global pipeline
+            keeps owning the deferral *numerics* but stops pricing fills
+            (``price_fills=False``) so no fill is charged twice.
+            Requires ``lookahead_window > 0``.
+        tiered_hot_bytes: Front every replica's embedding tables with one
+            shared :class:`~repro.nn.embedding.TieredEmbeddingStore` of
+            this byte capacity (``None`` disables tiering).  The tier is
+            built at :meth:`bind`: the learning-phase placement's hot rows
+            are pinned resident (they replicate on every device), every
+            lookup resolves through the tier (bit-identical numerics —
+            pricing and hit/miss/eviction counters only), and LFU
+            eviction keeps the resident set within capacity.  Tier
+            counters surface through
+            :class:`~repro.core.engine.StepOutcome`.
     """
 
     def __init__(
@@ -148,6 +212,13 @@ class _ShardedTrainerBase(StepExecutor):
         hbm_budget_bytes: float = 512 * 1024 * 1024,
         perf_model: ExecutionModel | None = None,
         seed: int = 0,
+        bucket_bytes: int = 4 * 1024 * 1024,
+        mode: str = "sync",
+        algorithm: str = "ring",
+        partition_embeddings: bool = False,
+        lookahead_window: int = 0,
+        per_shard_lookahead: bool = False,
+        tiered_hot_bytes: float | None = None,
     ):
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -164,10 +235,97 @@ class _ShardedTrainerBase(StepExecutor):
         self.hbm_budget_bytes = hbm_budget_bytes
         self.perf_model = perf_model
         row_bytes = model.config.embedding_dim * model.config.dtype_bytes
+        # Replica 0 adopts the caller's instance; the rest start as exact
+        # deep copies and stay bit-identical through identical updates.
         self.replicas: list[ShardReplica] = [
-            ShardReplica(accelerator=HotlineAccelerator(row_bytes=row_bytes, seed=seed + k))
+            ShardReplica(
+                accelerator=HotlineAccelerator(row_bytes=row_bytes, seed=seed + k),
+                model=model if k == 0 else copy.deepcopy(model),
+            )
             for k in range(num_shards)
         ]
+        self.reducer = GradientBucketReducer(
+            num_shards,
+            bucket_bytes=bucket_bytes,
+            mode=mode,
+            algorithm=algorithm,
+            cluster=self.cluster,
+        )
+        config = model.config
+        self.partition: PartitionedEmbeddingPlacement | None = None
+        if partition_embeddings:
+            self.partition = PartitionedEmbeddingPlacement(
+                rows_per_table=tuple(config.dataset.rows_per_table),
+                num_shards=num_shards,
+                embedding_dim=config.embedding_dim,
+                dtype_bytes=config.dtype_bytes,
+            )
+        self.exchange = SparseGradientExchange(
+            config.num_sparse_features, partition=self.partition
+        )
+        if lookahead_window < 0:
+            raise ValueError("lookahead_window must be >= 0")
+        if per_shard_lookahead and lookahead_window <= 0:
+            raise ValueError("per_shard_lookahead requires lookahead_window > 0")
+        #: Optional BagPipe-style cached-embedding lookahead pipeline.
+        self.lookahead: CachedEmbeddingPipeline | None = None
+        #: Per-shard accounting pipelines (empty unless per_shard_lookahead).
+        self.shard_lookaheads: list[CachedEmbeddingPipeline] = []
+        if lookahead_window > 0:
+            self.lookahead = CachedEmbeddingPipeline(
+                tuple(config.dataset.rows_per_table),
+                window=lookahead_window,
+                staleness=self.reducer.staleness,
+                row_bytes=row_bytes,
+                # Fills cross the owner all-to-all only when tables are
+                # actually partitioned; with fully-replicated tables every
+                # shard fills straight from its host DRAM (DMA term only),
+                # so a non-partitioned run never pays a remote owner that
+                # does not exist.
+                num_replicas=num_shards if partition_embeddings else 1,
+                link=self._fill_link(),
+                # With per-shard caches the fills are priced per shard
+                # slice below; the global pipeline keeps the deferral
+                # numerics but must not charge the same fill again.
+                price_fills=not per_shard_lookahead,
+            )
+            if per_shard_lookahead:
+                self.shard_lookaheads = [
+                    CachedEmbeddingPipeline(
+                        tuple(config.dataset.rows_per_table),
+                        window=lookahead_window,
+                        staleness=0,  # accounting-only: never defers
+                        row_bytes=row_bytes,
+                        num_replicas=num_shards if partition_embeddings else 1,
+                        link=self._fill_link(),
+                    )
+                    for _ in range(num_shards)
+                ]
+        if tiered_hot_bytes is not None and tiered_hot_bytes < 0:
+            raise ValueError("tiered_hot_bytes must be >= 0 (or None to disable)")
+        #: Byte capacity of the hot embedding tier (None = no tiering).
+        self.tiered_hot_bytes = tiered_hot_bytes
+        #: The shared hot/cold tier, built at bind() from the placements.
+        self.tier: TieredEmbeddingStore | None = None
+        #: Tier counters at the end of the previous step (delta tracking).
+        self._tier_seen = (0, 0, 0)
+        #: Reduced dense gradients in flight (``stale-k``: a k-deep deque —
+        #: the gradient of step t is applied at step t + k).
+        self._pending_dense: deque[np.ndarray | None] = deque()
+        #: Free list of P-sized fold buffers: applied gradients return here
+        #: and the next step's fold draws from it.
+        self._dense_spare: list[np.ndarray] = []
+        #: Cached per-bucket wire times, keyed on the reducer configuration
+        #: and gradient size so a mid-run reconfiguration re-prices.
+        self._bucket_times: list[float] | None = None
+        self._bucket_times_key: tuple | None = None
+        #: Loader bound by the engine (drives the lookahead epoch stream).
+        self._bound_loader: MiniBatchLoader | None = None
+        self._epoch_step = 0
+        #: Remote (non-owned) lookups of the most recent step, all shards.
+        self.last_remote_lookups: int = 0
+        #: Merged sparse-gradient rows routed to owners in the last step.
+        self.last_routed_rows: int = 0
 
     # ------------------------------------------------------------------ #
     # Learning phase (per shard)
@@ -230,11 +388,6 @@ class _ShardedTrainerBase(StepExecutor):
     # ------------------------------------------------------------------ #
     # StepExecutor interface
     # ------------------------------------------------------------------ #
-    def bind(self, loader: MiniBatchLoader) -> None:
-        """Run the per-shard learning phase if any shard lacks a placement."""
-        if any(replica.placement is None for replica in self.replicas):
-            self.learning_phase(loader)
-
     def train(
         self,
         loader: MiniBatchLoader,
@@ -253,315 +406,6 @@ class _ShardedTrainerBase(StepExecutor):
             recalibrations_per_epoch=recalibrations_per_epoch,
         )
 
-
-class MergedGradientShardedTrainer(_ShardedTrainerBase):
-    """The PR 2 shared-replica K-shard trainer, kept as the parity reference.
-
-    One shared model instance stands in for all K replicas: every shard's
-    µ-batch gradients accumulate in the shared layers (the functional
-    equivalent of a dense all-reduce when all updates are identical) and
-    per-table sparse gradients merge once across shards.  Because every
-    µ-batch is normalised by the *global* mini-batch size, the accumulated
-    K-shard update is numerically equivalent to the single-replica update
-    (Eq. 5 extended across shards).
-
-    :class:`ShardedHotlineTrainer` must produce **bit-identical** results to
-    this trainer in ``sync``/``overlap`` mode — the headline guarantee of
-    the replica-parity test harness.  Keep this implementation as-is; it
-    plays the same ground-truth role the loop-based ``reference_forward`` /
-    ``reference_backward`` play for the vectorised embedding hot path.
-    """
-
-    def train_step(self, batch: MiniBatch) -> tuple[float, float]:
-        """One merged-gradient step over the K shards of ``batch``.
-
-        Returns:
-            ``(loss, popular_fraction)`` summed / averaged over the batch.
-        """
-        if any(replica.placement is None for replica in self.replicas):
-            raise RuntimeError("learning_phase must run before training")
-        self.model.zero_grad()
-        total_loss = 0.0
-        popular_size = 0
-        partial_sparse: list[list[SparseGradient]] = [
-            [] for _ in range(self.model.config.num_sparse_features)
-        ]
-        for shard_batch, replica in zip(batch.shards(self.num_shards), self.replicas, strict=True):
-            if shard_batch.size == 0:
-                continue
-            micro = split_minibatch(shard_batch, replica.placement.index)
-            popular_size += micro.popular.size
-            for micro_batch in (micro.popular, micro.non_popular):
-                if micro_batch.size == 0:
-                    continue
-                # Global-batch normalisation keeps the accumulated K-shard
-                # update identical to the single-replica one (Eq. 5).
-                loss, sparse_grads = self.model.loss_and_gradients(
-                    micro_batch, normalizer=batch.size
-                )
-                total_loss += loss
-                for table, grad in enumerate(sparse_grads):
-                    partial_sparse[table].append(grad)
-        merged = [merge_sparse_gradients(grads) for grads in partial_sparse]
-        self.model.apply_dense_update(self.lr)
-        self.model.apply_sparse_updates(merged, self.lr)
-        popular_fraction = popular_size / batch.size if batch.size else 0.0
-        return total_loss, popular_fraction
-
-    #: ``(config key, wire time)`` of the most recent pricing, or ``None``.
-    _dense_sync_time_cache: tuple[tuple, float] | None = None
-
-    def dense_sync_time(self) -> float:
-        """Simulated dense all-reduce, priced as one unbucketed collective.
-
-        The wire time is constant while the gradient size, shard count, and
-        cluster stay fixed, so it is cached — but the cache is *keyed* on
-        that configuration: a trainer reconfigured mid-run (e.g. a swapped
-        cluster) re-prices instead of reporting the stale time.
-        """
-        key = (self.num_shards, self.model.num_dense_parameters, self.cluster)
-        if self._dense_sync_time_cache is None or self._dense_sync_time_cache[0] != key:
-            reducer = GradientBucketReducer(
-                self.num_shards,
-                bucket_bytes=max(4, self.model.num_dense_parameters * 4),
-                cluster=self.cluster,
-            )
-            self._dense_sync_time_cache = (
-                key,
-                reducer.step_schedule(self.model.num_dense_parameters).total_s,
-            )
-        return self._dense_sync_time_cache[1]
-
-    def run_step(self, batch: MiniBatch) -> StepOutcome:
-        """One merged step reported to the engine with its comm term."""
-        loss, popular_fraction = self.train_step(batch)
-        dense_sync = self.dense_sync_time()
-        return StepOutcome(
-            loss=loss,
-            popular_fraction=popular_fraction,
-            compute_time_s=self.shard_compute_time(batch.size),
-            communication_time_s=dense_sync,
-            comm_lanes_s=(("dense-allreduce", dense_sync),),
-        )
-
-
-class ShardedHotlineTrainer(_ShardedTrainerBase):
-    """Hotline training over K genuinely separate model replicas.
-
-    Each replica owns its own dense parameters, optimizer state, embedding
-    tables, accelerator, and placement.  Dense gradients synchronise through
-    an explicit :class:`~repro.core.reducer.GradientBucketReducer`; sparse
-    gradients through a :class:`~repro.core.reducer.SparseGradientExchange`;
-    optional row-wise table partitioning adds the model-parallel dimension.
-
-    Args:
-        model: Template model.  Replica 0 adopts this exact instance (so the
-            caller's reference observes training); replicas 1..K-1 are deep
-            copies, bit-identical at start.
-        num_shards: Number of data-parallel replicas (one per logical GPU).
-        cluster: Hardware topology the shards map onto, one shard per GPU;
-            defaults to a single node with ``num_shards`` GPUs.
-        lr: SGD learning rate.
-        sample_fraction: Learning-phase sampling fraction per shard.
-        hbm_budget_bytes: Per-GPU budget for each shard's hot replica.
-        perf_model: Optional execution model pricing per-shard compute.
-        seed: Base seed; shard k's accelerator is seeded ``seed + k`` so
-            the per-shard EALs track their own access streams.
-        bucket_bytes: Fixed wire-byte bucket size of the dense all-reduce.
-        mode: ``"sync"`` / ``"overlap"`` / ``"stale-<k>"`` — see
-            :class:`~repro.core.reducer.GradientBucketReducer`.  ``sync``,
-            ``overlap``, and ``stale-0`` are bit-identical to the
-            merged-gradient reference; ``stale-k`` (k > 0) applies the
-            reduced dense gradient k steps late through a k-deep deque of
-            in-flight reduces (deterministic and drift-free, but a
-            different trajectory).
-        algorithm: ``"ring"`` or ``"tree"`` association order.  Only
-            ``"ring"`` carries the bit-parity guarantee (it reproduces the
-            reference's sequential accumulation); ``"tree"`` is a
-            deterministic alternative that changes the association.
-        partition_embeddings: Row-partition every embedding table across the
-            K shards (hybrid data+model parallelism).  Affects memory and
-            communication accounting only — never numerics.
-        lookahead_window: Enable the BagPipe-style
-            :class:`~repro.core.lookahead.CachedEmbeddingPipeline` with a
-            window of this many batches (0 disables it).  The pipeline
-            shares the reducer's staleness bound: sparse write-backs defer
-            until a row leaves the window or is k steps stale, so with
-            ``sync``/``stale-0`` it is pure accounting (numerics
-            untouched).
-        reducer: Optional pre-built reducer (overrides ``bucket_bytes`` /
-            ``mode`` / ``algorithm``).  The trainer's cluster is
-            authoritative for pricing: the reducer is re-pointed at it on
-            the first priced step, so a mid-run ``trainer.cluster`` swap
-            re-prices every communication term consistently.
-        fused: Fused µ-batch execution (default on): each replica trains its
-            popular and non-popular µ-batches through one embedding gather
-            and one scatter per table
-            (:meth:`~repro.models.dlrm.DLRM.fused_loss_and_gradients`),
-            while per-µ-batch dense partials and sparse-gradient ordering
-            are preserved — bit-identical to the sequential two-pass path
-            kept under ``fused=False`` for the parity suite.
-        pending_store: Deferred write-back store of the lookahead pipeline
-            (``"flat"`` = vectorised flat arrays, ``"reference"`` = the
-            dict-based parity reference); forwarded to
-            :class:`~repro.core.lookahead.CachedEmbeddingPipeline`.
-        per_shard_lookahead: Give each replica its own *accounting*
-            lookahead cache keyed to its contiguous shard slice of every
-            batch (:func:`~repro.core.lookahead.shard_epoch_row_stream`),
-            so per-GPU cache capacity and fill traffic differentiate by
-            shard — skewed shards fill more.  The per-shard pipelines
-            price the fills (each shard fills its own cache in parallel,
-            so the step charges the slowest shard); the global pipeline
-            keeps owning the deferral *numerics* but stops pricing fills
-            (``price_fills=False``) so no fill is charged twice.
-            Requires ``lookahead_window > 0``.
-        tiered_hot_bytes: Front every replica's embedding tables with one
-            shared :class:`~repro.nn.embedding.TieredEmbeddingStore` of
-            this byte capacity (``None`` disables tiering).  The tier is
-            built at :meth:`bind`: the learning-phase placement's hot rows
-            are pinned resident (they replicate on every device), every
-            lookup resolves through the tier (bit-identical numerics —
-            pricing and hit/miss/eviction counters only), and LFU
-            eviction keeps the resident set within capacity.  Tier
-            counters surface through
-            :class:`~repro.core.engine.StepOutcome`.
-    """
-
-    def __init__(
-        self,
-        model,
-        num_shards: int,
-        *,
-        cluster: Cluster | None = None,
-        lr: float = 0.05,
-        sample_fraction: float = 0.05,
-        hbm_budget_bytes: float = 512 * 1024 * 1024,
-        perf_model: ExecutionModel | None = None,
-        seed: int = 0,
-        bucket_bytes: int = 4 * 1024 * 1024,
-        mode: str = "sync",
-        algorithm: str = "ring",
-        partition_embeddings: bool = False,
-        lookahead_window: int = 0,
-        reducer: GradientBucketReducer | None = None,
-        fused: bool = True,
-        pending_store: str = "flat",
-        dense_batching: str = "replica",
-        per_shard_lookahead: bool = False,
-        tiered_hot_bytes: float | None = None,
-    ):
-        super().__init__(
-            model,
-            num_shards,
-            cluster=cluster,
-            lr=lr,
-            sample_fraction=sample_fraction,
-            hbm_budget_bytes=hbm_budget_bytes,
-            perf_model=perf_model,
-            seed=seed,
-        )
-        # Replica 0 adopts the caller's instance; the rest start as exact
-        # deep copies and stay bit-identical through identical updates.
-        self.replicas[0].model = model
-        for replica in self.replicas[1:]:
-            replica.model = copy.deepcopy(model)
-        self.reducer = reducer or GradientBucketReducer(
-            num_shards,
-            bucket_bytes=bucket_bytes,
-            mode=mode,
-            algorithm=algorithm,
-            cluster=self.cluster,
-        )
-        config = model.config
-        self.partition: PartitionedEmbeddingPlacement | None = None
-        if partition_embeddings:
-            self.partition = PartitionedEmbeddingPlacement(
-                rows_per_table=tuple(config.dataset.rows_per_table),
-                num_shards=num_shards,
-                embedding_dim=config.embedding_dim,
-                dtype_bytes=config.dtype_bytes,
-            )
-        self.exchange = SparseGradientExchange(
-            config.num_sparse_features, partition=self.partition
-        )
-        if lookahead_window < 0:
-            raise ValueError("lookahead_window must be >= 0")
-        if per_shard_lookahead and lookahead_window <= 0:
-            raise ValueError("per_shard_lookahead requires lookahead_window > 0")
-        self.fused = fused
-        #: Optional BagPipe-style cached-embedding lookahead pipeline.
-        self.lookahead: CachedEmbeddingPipeline | None = None
-        #: Per-shard accounting pipelines (empty unless per_shard_lookahead).
-        self.shard_lookaheads: list[CachedEmbeddingPipeline] = []
-        if lookahead_window > 0:
-            self.lookahead = CachedEmbeddingPipeline(
-                tuple(config.dataset.rows_per_table),
-                window=lookahead_window,
-                staleness=self.reducer.staleness,
-                row_bytes=config.embedding_dim * config.dtype_bytes,
-                # Fills cross the owner all-to-all only when tables are
-                # actually partitioned; with fully-replicated tables every
-                # shard fills straight from its host DRAM (DMA term only),
-                # so a non-partitioned run never pays a remote owner that
-                # does not exist.
-                num_replicas=num_shards if partition_embeddings else 1,
-                link=self._fill_link(),
-                pending_store=pending_store,
-                # With per-shard caches the fills are priced per shard
-                # slice below; the global pipeline keeps the deferral
-                # numerics but must not charge the same fill again.
-                price_fills=not per_shard_lookahead,
-            )
-            if per_shard_lookahead:
-                self.shard_lookaheads = [
-                    CachedEmbeddingPipeline(
-                        tuple(config.dataset.rows_per_table),
-                        window=lookahead_window,
-                        staleness=0,  # accounting-only: never defers
-                        row_bytes=config.embedding_dim * config.dtype_bytes,
-                        num_replicas=num_shards if partition_embeddings else 1,
-                        link=self._fill_link(),
-                        pending_store=pending_store,
-                    )
-                    for _ in range(num_shards)
-                ]
-        if tiered_hot_bytes is not None and tiered_hot_bytes < 0:
-            raise ValueError("tiered_hot_bytes must be >= 0 (or None to disable)")
-        #: Byte capacity of the hot embedding tier (None = no tiering).
-        self.tiered_hot_bytes = tiered_hot_bytes
-        #: The shared hot/cold tier, built at bind() from the placements.
-        self.tier: TieredEmbeddingStore | None = None
-        #: Tier counters at the end of the previous step (delta tracking).
-        self._tier_seen = (0, 0, 0)
-        #: Reduced dense gradients in flight (``stale-k``: a k-deep deque —
-        #: the gradient of step t is applied at step t + k).
-        self._pending_dense: deque[np.ndarray | None] = deque()
-        #: Free list of P-sized fold buffers: applied gradients return here
-        #: and the next step's fold draws from it.
-        self._dense_spare: list[np.ndarray] = []
-        #: Cached per-bucket wire times, keyed on the reducer configuration
-        #: and gradient size so a mid-run reconfiguration re-prices.
-        self._bucket_times: list[float] | None = None
-        self._bucket_times_key: tuple | None = None
-        #: Loader bound by the engine (drives the lookahead epoch stream).
-        self._bound_loader: MiniBatchLoader | None = None
-        self._epoch_step = 0
-        #: Remote (non-owned) lookups of the most recent step, all shards.
-        self.last_remote_lookups: int = 0
-        #: Merged sparse-gradient rows routed to owners in the last step.
-        self.last_routed_rows: int = 0
-        if dense_batching not in ("replica", "per-replica"):
-            raise ValueError(
-                "dense_batching must be 'replica' or 'per-replica', "
-                f"got {dense_batching!r}"
-            )
-        #: ``"replica"`` stacks the K sync-mode shards' dense passes into
-        #: one model-0 forward/backward over the *global* batch (replicas
-        #: hold bit-identical weights in sync mode, so K small GEMMs per
-        #: layer become one); falls back per-replica whenever the
-        #: preconditions don't hold (stale-k, unfused).
-        self.dense_batching = dense_batching
-
     # ------------------------------------------------------------------ #
     # Dense-gradient plumbing
     # ------------------------------------------------------------------ #
@@ -575,7 +419,7 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         out=flat)`` gives the bits of ``lr * segment``), and each
         replica's parameters subtract their slices: the same arithmetic
         as ``model.apply_dense_update`` on in-layer gradients, which is
-        what keeps the replica path bit-identical to the merged
+        what keeps the replica path bit-identical to the merged-gradient
         reference.
         """
         for replica in self.replicas:
@@ -591,13 +435,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
                 param -= flat[offset : offset + param.size].reshape(param.shape)
                 offset += param.size
         self._dense_spare.append(flat)
-
-    @staticmethod
-    def _fold_gradients(fold: DenseGradientFold, model) -> None:
-        """Add the model's accumulated dense gradient to ``fold`` as one
-        partial and zero the layers for the next µ-batch."""
-        fold.add([grad for _param, grad in model.dense_parameters()])
-        model.zero_grad()
 
     # ------------------------------------------------------------------ #
     # Lookahead plumbing
@@ -618,9 +455,11 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         reduces of the previous run, and the lookahead still holds its
         deferred write-backs — both belong to the old schedule and are
         dropped here, so run B's first steps never apply run A's
-        gradients.
+        gradients.  Runs the per-shard learning phase if any shard lacks a
+        placement.
         """
-        super().bind(loader)
+        if any(replica.placement is None for replica in self.replicas):
+            self.learning_phase(loader)
         self._bound_loader = loader
         self._epoch_step = 0
         self._pending_dense.clear()
@@ -765,161 +604,29 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             return None
         return masks
 
-    def _replica_step(
-        self,
-        shard_id: int,
-        shard_batch: MiniBatch,
-        replica: ShardReplica,
-        global_batch_size: int,
-        mask: np.ndarray | None,
-        fold: DenseGradientFold,
-    ) -> tuple[list[float], list[list[SparseGradient]], int, int]:
-        """One replica's forward/backward over its shard.
-
-        Each µ-batch's dense gradient is added to ``fold`` as it is
-        produced, so replicas must run in rank order.  Returns what the
-        caller needs to assemble the rest in global order: ``(per-segment
-        losses, per-table per-segment sparse partials, popular count,
-        remote lookups)``.
-        """
-        remote = (
-            self.partition.remote_lookup_count(shard_batch.sparse, shard_id)
-            if self.partition is not None
-            else 0
-        )
-        micro = split_minibatch(
-            shard_batch,
-            replica.placement.index,
-            materialize=not self.fused,
-            mask=mask,
-        )
-        losses: list[float] = []
-        if self.fused:
-            # Fused µ-batch execution: one embedding gather + scatter per
-            # table for the replica's two µ-batches.  The after-segment
-            # hook folds each µ-batch's dense gradient and zeroes the
-            # layers, so partials reach the fold in segment order — with
-            # replicas run in rank order, the exact replica-major order
-            # the merged reference accumulates in.  Losses fold in segment
-            # order too.
-            def after_segment(_s, seg_loss, model=replica.model):
-                losses.append(seg_loss)
-                self._fold_gradients(fold, model)
-
-            replica.model.zero_grad()
-            # Global-batch normalisation keeps the reduced K-replica
-            # update identical to the single-replica one (Eq. 5).
-            _losses, sparse_partials = replica.model.fused_loss_and_gradients(
-                shard_batch,
-                micro.segment_indices(),
-                normalizer=global_batch_size,
-                after_segment=after_segment,
-            )
-            sparse_partials = [list(grads) for grads in sparse_partials]
-        else:
-            sparse_partials = [[] for _ in range(shard_batch.num_tables)]
-            for micro_batch in micro.segments():
-                replica.model.zero_grad()
-                loss, sparse_grads = replica.model.loss_and_gradients(
-                    micro_batch, normalizer=global_batch_size
-                )
-                losses.append(loss)
-                self._fold_gradients(fold, replica.model)
-                for table, grad in enumerate(sparse_grads):
-                    sparse_partials[table].append(grad)
-        return losses, sparse_partials, micro.popular_count, remote
-
-    def _stacked_replica_step(
-        self, work, batch: MiniBatch, fold: DenseGradientFold
-    ) -> list[tuple]:
-        """All K shards' dense passes as ONE model-0 pass over the batch.
-
-        In sync (stale-0) mode every replica holds bit-identical weights,
-        so instead of K per-shard ``fused_loss_and_gradients`` calls the
-        whole mini-batch runs through **replica 0's** model once, with the
-        K shards' µ-batch segments offset into global-batch coordinates
-        and concatenated in shard order.  With the segment-packed dense
-        path this turns K·S small GEMMs per layer into one (K·shard, d)
-        GEMM.  Everything observable is bit-identical to the per-replica
-        loop: per-(shard, segment) losses, dense partials (the
-        ``after_segment`` hook folds them in exactly the replica-major
-        order the reducer consumes), and per-segment sparse partials (the
-        segmented scatters accumulate each segment's lookups in the same
-        within-segment flat order as the per-shard scatters).
-        Classification still runs per shard against each replica's own
-        placement, so the µ-batch split matches the per-replica path.
-
-        Returns per-shard result tuples shaped exactly like
-        :meth:`_replica_step`'s, so the caller's replica-major assembly is
-        shared.
-        """
-        bounds = [
-            (k * batch.size) // self.num_shards for k in range(self.num_shards + 1)
-        ]
-        model = self.replicas[0].model
-        all_segments: list[np.ndarray] = []
-        seg_counts: list[int] = []
-        populars: list[int] = []
-        remotes: list[int] = []
-        for shard_id, shard_batch, replica, _gbs, mask in work:
-            remotes.append(
-                self.partition.remote_lookup_count(shard_batch.sparse, shard_id)
-                if self.partition is not None
-                else 0
-            )
-            micro = split_minibatch(
-                shard_batch,
-                replica.placement.index,
-                materialize=False,
-                mask=mask,
-            )
-            segments = micro.segment_indices()
-            all_segments.extend(seg + bounds[shard_id] for seg in segments)
-            seg_counts.append(len(segments))
-            populars.append(micro.popular_count)
-        losses_all: list[float] = []
-
-        def after_segment(_s, seg_loss):
-            losses_all.append(seg_loss)
-            self._fold_gradients(fold, model)
-
-        model.zero_grad()
-        _losses, sparse_all = model.fused_loss_and_gradients(
-            batch,
-            all_segments,
-            normalizer=batch.size,
-            after_segment=after_segment,
-        )
-        results = []
-        pos = 0
-        for count, popular, remote in zip(seg_counts, populars, remotes, strict=True):
-            results.append(
-                (
-                    losses_all[pos : pos + count],
-                    [list(grads[pos : pos + count]) for grads in sparse_all],
-                    popular,
-                    remote,
-                )
-            )
-            pos += count
-        return results
-
     def train_step(self, batch: MiniBatch) -> tuple[float, float]:
         """One data-parallel step across the K replicas of ``batch``.
 
-        Each replica classifies its own shard against its own placement and
-        folds one dense-gradient partial per µ-batch into the reducer's
-        streaming fold in rank-major order (bit-identical to the merged
-        reference's in-layer accumulation), the sparse
-        exchange merges per-table partials in the same order, and every
-        replica applies the identical update — so replicas never drift.
-        In ``stale-k`` mode (k > 0) the reduced dense gradient is
-        applied ``k`` steps late through a k-deep deque (the first k steps
-        apply none), modelling a pipeline of in-flight reduces at the cost
-        of staleness; with a lookahead pipeline attached, merged sparse
+        Each shard is classified against its own replica's placement; then
+        all K shards' µ-batches run as ONE pass of replica 0's model over
+        the whole mini-batch, with each shard's segments offset into
+        global-batch coordinates and concatenated in shard order.  The
+        ``after_segment`` hook folds every µ-batch's dense gradient into
+        the reducer's streaming fold as it is produced and zeroes the
+        layers, so partials reach the fold — and per-segment sparse
+        partials reach the exchange — in exactly the replica-major order K
+        per-replica passes would produce (bit-identical to the
+        merged-gradient reference in sync mode).  One pass stands for K
+        because every replica applies the identical update, so replica 0's
+        weights are every replica's weights.
+
+        In ``stale-k`` mode (k > 0) the reduced dense gradient is applied
+        ``k`` steps late through a k-deep deque (the first k steps apply
+        none), modelling a pipeline of in-flight reduces at the cost of
+        staleness; with a lookahead pipeline attached, merged sparse
         gradients defer under the same bound (flush on window exit or at
-        age k).  Staleness is uniform across replicas either way, so they
-        still never drift.
+        age k).  Staleness is uniform across replicas, so they still never
+        drift.
 
         Returns:
             ``(loss, popular_fraction)`` summed / averaged over the batch.
@@ -929,45 +636,45 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         if self.lookahead is not None:
             self._advance_lookahead(batch)
         precomputed = self._take_masks(batch)
-        work: list[tuple[int, MiniBatch, ShardReplica, int, np.ndarray | None]] = []
+        segments: list[np.ndarray] = []
+        popular_size = 0
+        remote_lookups = 0
         for shard_id, (shard_batch, replica) in enumerate(
             zip(batch.shards(self.num_shards), self.replicas, strict=True)
         ):
             if shard_batch.size == 0:
                 continue
-            mask = precomputed[shard_id] if precomputed is not None else None
-            work.append((shard_id, shard_batch, replica, batch.size, mask))
-        fold = self.reducer.fold(self.model.num_dense_parameters, self._dense_spare)
-        if (
-            self.dense_batching == "replica"
-            and self.fused
-            and self.reducer.staleness == 0
-            and len(work) > 1
-        ):
-            # Sync-mode replicas are bit-identical, so the K shards' dense
-            # passes stack into one global-batch pass on replica 0.
-            results = self._stacked_replica_step(work, batch, fold)
-        else:
-            results = [self._replica_step(*args, fold) for args in work]
-
-        # Deterministic replica-major assembly: results are walked in
-        # replica-index order and each replica's per-segment losses fold
-        # sequentially — the exact addition sequence of the merged
-        # reference.
-        total_loss = 0.0
-        popular_size = 0
-        remote_lookups = 0
-        partial_sparse: list[list[SparseGradient]] = [
-            [] for _ in range(self.model.config.num_sparse_features)
-        ]
-        for losses, replica_sparse, popular, remote in results:
-            for loss in losses:
-                total_loss += loss
-            for table, grads in enumerate(replica_sparse):
-                partial_sparse[table].extend(grads)
-            popular_size += popular
-            remote_lookups += remote
+            if self.partition is not None:
+                remote_lookups += self.partition.remote_lookup_count(
+                    shard_batch.sparse, shard_id
+                )
+            micro = split_minibatch(
+                shard_batch,
+                replica.placement.index,
+                mask=precomputed[shard_id] if precomputed is not None else None,
+            )
+            start = (shard_id * batch.size) // self.num_shards
+            segments.extend(seg + start for seg in micro.segment_indices())
+            popular_size += micro.popular_count
         self.last_remote_lookups = remote_lookups
+
+        model = self.replicas[0].model
+        fold = self.reducer.fold(model.num_dense_parameters, self._dense_spare)
+
+        def after_segment(_segment, _loss):
+            fold.add([grad for _param, grad in model.dense_parameters()])
+            model.zero_grad()
+
+        model.zero_grad()
+        # Global-batch normalisation keeps the reduced K-replica update
+        # identical to the single-replica one (Eq. 5).
+        losses, partial_sparse = model.fused_loss_and_gradients(
+            batch, segments, normalizer=batch.size, after_segment=after_segment
+        )
+        # Sequential adds in segment order: the merged reference's sum.
+        total_loss = 0.0
+        for loss in losses:
+            total_loss += loss
 
         reduced = fold.result() if fold.count else None
         merged = self.exchange.exchange(partial_sparse)

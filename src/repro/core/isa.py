@@ -125,7 +125,9 @@ class AcceleratorInterpreter:
     ``cpu_tables`` and ``gpu_tables`` map table id -> weight matrix.  The GPU
     store may contain only the popular rows (a replica); reads of rows not
     present there raise, which is exactly the invariant the dispatcher must
-    maintain.
+    maintain.  The embedding vector buffer and every fetched row take the
+    CPU tables' dtype, so a pooled float32 row equals the model's own
+    ``EmbeddingBag`` pooling bit for bit.
     """
 
     def __init__(
@@ -138,13 +140,14 @@ class AcceleratorInterpreter:
         self.gpu_tables = gpu_tables or {}
         first = next(iter(cpu_tables.values()))
         self.dim = first.shape[1]
+        self.dtype = first.dtype
         self.row_bytes = row_bytes or self.dim * first.itemsize
         self.base_registers: dict[int, int] = {}
         self.last_fetched: np.ndarray | None = None
 
     def execute(self, program: list[Instruction], num_buffer_slots: int) -> np.ndarray:
         """Run a program and return the embedding vector buffer contents."""
-        buffer = np.zeros((num_buffer_slots, self.dim), dtype=np.float64)
+        buffer = np.zeros((num_buffer_slots, self.dim), dtype=self.dtype)
         for instruction in program:
             self._execute_one(instruction, buffer)
         return buffer
@@ -156,7 +159,7 @@ class AcceleratorInterpreter:
         elif opcode == Opcode.DMA_READ:
             row = instruction.operand1 // self.row_bytes
             table = instruction.table
-            self.last_fetched = self.cpu_tables[table][row].astype(np.float64)
+            self.last_fetched = self.cpu_tables[table][row].astype(self.dtype)
         elif opcode == Opcode.GPU_READ:
             table = instruction.table
             row = instruction.operand2
@@ -165,7 +168,7 @@ class AcceleratorInterpreter:
                 raise KeyError(
                     f"gpu_rd of table {table} row {row}: row is not replicated on the GPU"
                 )
-            self.last_fetched = gpu_table[row].astype(np.float64)
+            self.last_fetched = gpu_table[row].astype(self.dtype)
         elif opcode == Opcode.VECTOR_ADD:
             if self.last_fetched is None:
                 raise RuntimeError("v_add issued before any row was fetched")

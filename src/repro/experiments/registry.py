@@ -24,7 +24,7 @@ from repro.baselines import (
     XDLParameterServer,
 )
 from repro.core import HotlineScheduler
-from repro.core.distributed import MergedGradientShardedTrainer, ShardedHotlineTrainer
+from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.reducer import GradientBucketReducer
 from repro.core.schedule import CommOp, StepSchedule, allreduce_ops, pipeline_makespan
 from repro.data import MiniBatchLoader, generate_click_log
@@ -218,15 +218,15 @@ def _fig30_functional() -> dict:
     """Multi-node scaling from a *functional* sharded run (fig30 companion).
 
     Unlike ``fig30`` (pure timing model), this trains a real (scaled-down)
-    DLRM with the merged-gradient K-shard trainer
-    (:class:`~repro.core.distributed.MergedGradientShardedTrainer` — one
-    shared numeric replica, the cheapest path to the bit-identical result)
-    at 4 shards per node and reports simulated per-shard compute plus the
-    hierarchical all-reduce term from :mod:`repro.hwsim.collectives`.  The
+    DLRM with :class:`~repro.core.distributed.ShardedHotlineTrainer` in
+    sync mode at 4 shards per node and reports simulated per-shard compute
+    plus the hierarchical all-reduce term from
+    :mod:`repro.hwsim.collectives` (the default 4 MiB bucket holds the
+    whole dense gradient, so the term is one unbucketed collective).  The
     recorded losses are numerically identical across node counts (Eq. 5
     across shards), so the scaling curve is backed by an actual training
-    result rather than a simulation alone.  ``fig30r`` is the true
-    multi-replica counterpart.
+    result rather than a simulation alone.  ``fig30r`` sweeps the
+    reducer modes.
     """
     config = RM2.scaled(max_rows_per_table=600, samples_per_epoch=1024)
     log = generate_click_log(config.dataset, 1024, seed=23)
@@ -235,7 +235,7 @@ def _fig30_functional() -> dict:
     for nodes in (1, 2, 4):
         shards = 4 * nodes
         cluster = single_node(4) if nodes == 1 else multi_node(nodes, 4)
-        trainer = MergedGradientShardedTrainer(
+        trainer = ShardedHotlineTrainer(
             DLRM(config, seed=5),
             shards,
             cluster=cluster,

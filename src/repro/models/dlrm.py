@@ -30,24 +30,12 @@ from repro.nn.mlp import MLP
 class DLRM:
     """Trainable DLRM instance for a given :class:`ModelConfig`."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        seed: int = 0,
-        batched: bool = True,
-    ):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         """Build the model.
 
         Args:
             config: Architecture + dataset description.
             seed: Parameter-init seed.
-            batched: Run the fused µ-batch dense pass (MLPs + interaction)
-                over one segment-packed ``(batch, d)`` block — one GEMM
-                per layer per step instead of per segment — with
-                per-segment losses/partials recovered by slicing.
-                Bit-identical to the retained sequential per-segment loop
-                (the :mod:`repro.nn.gemm` contract); ``False`` keeps that
-                loop as the parity reference.
         """
         self.config = config
         rng = np.random.default_rng(seed)
@@ -71,7 +59,6 @@ class DLRM:
         top_input = interaction_output_dim(config.embedding_dim, config.num_sparse_features)
         self.top_mlp = MLP([top_input] + top_hidden, rng)
         self._interaction_cache: dict | None = None
-        self.batched = batched
         self._packed_bottom = PackedMLP(self.bottom_mlp)
         self._packed_top = PackedMLP(self.top_mlp)
         #: Workspace-pooled interaction kernel — one per model instance
@@ -155,14 +142,14 @@ class DLRM:
         """Train a mini-batch's µ-batches with fused embedding traffic.
 
         Per table, the **whole mini-batch's contiguous index block** is
-        gathered once (no per-µ-batch index copies), each µ-batch's MLP and
-        interaction pass runs on views/selections of the pooled output, and
-        every µ-batch's sparse gradient comes out of **one**
+        gathered once (no per-µ-batch index copies), the MLPs and the
+        interaction run once over the segment-packed rows, and every
+        µ-batch's sparse gradient comes out of **one**
         :meth:`~repro.nn.embedding.EmbeddingBag.backward_segments` scatter.
         Dense gradients accumulate in the layers exactly as sequential
         :meth:`loss_and_gradients` calls over ``batch.select(segments[s])``
-        would — every returned value is bit-identical to the sequential
-        path.
+        would — every returned value is bit-identical to that loop, which
+        the test oracle keeps as ``SequentialDLRM``.
 
         Args:
             batch: The full mini-batch.
@@ -195,37 +182,9 @@ class DLRM:
         pooled = [
             table.forward(batch.sparse[:, t, :]) for t, table in enumerate(self.tables)
         ]
-        if (
-            self.batched
-            and self._packed_bottom.supported
-            and self._packed_top.supported
-        ):
-            losses, grad_pooled = self._packed_dense_pass(
-                batch, segments, normalizer, after_segment, pooled
-            )
-        else:
-            losses = []
-            grad_pooled = [[] for _ in range(num_tables)]
-            for s, idx in enumerate(segments):
-                dense_out = self.bottom_mlp.forward(batch.dense[idx])
-                interaction, cache = self._interaction.forward(
-                    dense_out, [pooled[t][idx] for t in range(num_tables)]
-                )
-                logits = self.top_mlp.forward(interaction).reshape(-1)
-                labels = batch.labels[idx]
-                loss, grad_logits = fused_bce_epilogue(logits, labels)
-                if normalizer is not None:
-                    grad_logits = grad_logits / normalizer
-                grad_interaction = self.top_mlp.backward(grad_logits.reshape(-1, 1))
-                grad_dense, grad_sparse = self._interaction.backward(
-                    grad_interaction, cache
-                )
-                self.bottom_mlp.backward(grad_dense)
-                for t in range(num_tables):
-                    grad_pooled[t].append(grad_sparse[t])
-                losses.append(loss)
-                if after_segment is not None:
-                    after_segment(s, loss)
+        losses, grad_pooled = self._packed_dense_pass(
+            batch, segments, normalizer, after_segment, pooled
+        )
         pooling = batch.pooling
         # The flat (per-lookup) segment ids are table-independent — build
         # them once and share them across every table's scatter.
@@ -249,9 +208,9 @@ class DLRM:
         order), runs both MLPs and the interaction once over it, recovers
         per-segment losses and logit gradients by row slicing, and folds
         per-segment ``grad_weight`` partials in segment order — every
-        value bit-identical to the sequential loop (see
-        :mod:`repro.nn.gemm` for the contract and the per-shape
-        certification that backs it).
+        value bit-identical to per-segment :meth:`loss_and_gradients`
+        calls (see :mod:`repro.nn.gemm` for the contract and the
+        per-shape certification that backs it).
         """
         num_tables = len(self.tables)
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)

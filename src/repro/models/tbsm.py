@@ -34,18 +34,7 @@ from repro.nn.mlp import MLP
 class TBSM:
     """Trainable TBSM instance for a given :class:`ModelConfig`."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        seed: int = 0,
-        batched: bool = True,
-    ):
-        """Build the model.
-
-        ``batched`` runs the fused dense pass (MLPs, attention, loss) over
-        one segment-packed block — bit-identical to the retained
-        sequential per-segment loop (the :mod:`repro.nn.gemm` contract).
-        """
+    def __init__(self, config: ModelConfig, seed: int = 0):
         if not config.uses_attention:
             raise ValueError("TBSM requires a configuration with uses_attention=True")
         self.config = config
@@ -67,7 +56,6 @@ class TBSM:
         top_input = config.embedding_dim * (1 + 1 + (config.num_sparse_features - 1))
         self.top_mlp = MLP([top_input] + top_hidden, rng)
         self._cache: dict | None = None
-        self.batched = batched
         self._packed_bottom = PackedMLP(self.bottom_mlp)
         self._packed_top = PackedMLP(self.top_mlp)
 
@@ -163,13 +151,14 @@ class TBSM:
 
         The history table's sequence gather and every pooled table's lookup
         run **once** over the whole mini-batch's contiguous blocks; the
-        attention/MLP passes run per µ-batch on selections of those
-        outputs, and each table's per-µ-batch sparse gradients come out of
-        one :func:`~repro.nn.embedding.segmented_scatter` — everything
+        attention/MLP passes run once over the segment-packed rows, and
+        each table's per-µ-batch sparse gradients come out of one
+        :func:`~repro.nn.embedding.segmented_scatter` — everything
         returned is bit-identical to sequential :meth:`loss_and_gradients`
-        calls.  See :meth:`repro.models.dlrm.DLRM.fused_loss_and_gradients`
-        for the argument contract (``after_segment`` fires after each
-        segment's backward pass; returns per-segment losses and
+        calls (the test oracle's ``SequentialTBSM``).  See
+        :meth:`repro.models.dlrm.DLRM.fused_loss_and_gradients` for the
+        argument contract (``after_segment`` fires after each segment's
+        backward pass; returns per-segment losses and
         ``sparse_grads[t][s]``).
         """
         num_tables = len(self.tables)
@@ -192,49 +181,9 @@ class TBSM:
             t: self.tables[t].forward(batch.sparse[:, t, :])
             for t in range(1, num_tables)
         }
-        if (
-            self.batched
-            and self._packed_bottom.supported
-            and self._packed_top.supported
-        ):
-            losses, history_grad_all, grad_pooled = self._packed_dense_pass(
-                batch, segments, normalizer, after_segment, sequence_all, pooled
-            )
-        else:
-            losses = []
-            #: Allocated at the first segment's backward so the buffer
-            #: matches the gradient dtype (float32 models stay float32
-            #: end-to-end).
-            history_grad_all = None
-            grad_pooled = {t: [] for t in range(1, num_tables)}
-            for s, idx in enumerate(segments):
-                dense_out = self.bottom_mlp.forward(batch.dense[idx])
-                context = self.attention.forward(dense_out, sequence_all[idx])
-                other_outputs = [pooled[t][idx] for t in range(1, num_tables)]
-                features = np.concatenate([context, dense_out] + other_outputs, axis=1)
-                logits = self.top_mlp.forward(features).reshape(-1)
-                labels = batch.labels[idx]
-                loss, grad_logits = fused_bce_epilogue(logits, labels)
-                if normalizer is not None:
-                    grad_logits = grad_logits / normalizer
-                grad_features = self.top_mlp.backward(grad_logits.reshape(-1, 1))
-                grad_context = grad_features[:, :dim]
-                grad_dense_direct = grad_features[:, dim : 2 * dim]
-                grad_other = grad_features[:, 2 * dim :]
-                grad_query, grad_sequence = self.attention.backward(grad_context)
-                self.bottom_mlp.backward(grad_query + grad_dense_direct)
-                if history_grad_all is None:
-                    history_grad_all = np.empty(
-                        (batch.size, steps, dim), dtype=grad_sequence.dtype
-                    )
-                history_grad_all[idx] = grad_sequence
-                offset = 0
-                for t in range(1, num_tables):
-                    grad_pooled[t].append(grad_other[:, offset : offset + dim])
-                    offset += dim
-                losses.append(loss)
-                if after_segment is not None:
-                    after_segment(s, loss)
+        losses, history_grad_all, grad_pooled = self._packed_dense_pass(
+            batch, segments, normalizer, after_segment, sequence_all, pooled
+        )
         # One scatter per table: the history table's per-step gradients go
         # through the segmented scatter directly (no pooling repeat); the
         # flat segment ids are table-independent and shared.
@@ -266,7 +215,7 @@ class TBSM:
 
         Same contract as :meth:`repro.models.dlrm.DLRM._packed_dense_pass`
         — one GEMM per layer per step, per-segment quantities recovered by
-        row slicing, bit-identical to the sequential loop.  The attention
+        row slicing, bit-identical to per-segment calls.  The attention
         einsums and softmax are per-row, so they pack without
         certification — but only because the attention keeps its input
         dtype: a context promoted to float64 would run the top MLP's GEMMs

@@ -10,9 +10,10 @@ and how Hotline updates rows in place on either the CPU or the GPU copy.
 The forward/backward hot path is fully vectorised: a single gather +
 ``sum(axis=1)`` forward and one flat ``np.add.at`` scatter backward, the
 way HugeCTR and CacheEmbedding flatten multi-hot lookups into one
-gather + segment-sum.  The loop-based originals are retained as
-``reference_forward`` / ``reference_backward`` so the test-suite can assert
-bit-for-bit parity and the benchmarks can measure the speedup.
+gather + segment-sum.  The per-sample-loop originals live in the test
+oracle (``tests/oracle.py``: ``reference_forward`` / ``reference_backward``),
+against which the test-suite asserts bit-for-bit parity and the benchmarks
+measure the speedup.
 
 **Fused µ-batch execution.**  Hotline trains every mini-batch as two
 µ-batches (popular / non-popular), which naively costs two gathers and two
@@ -630,49 +631,3 @@ class TieredEmbeddingStore:
         writeback = self.dma.write_time(evicted * self.row_bytes, scattered=True)
         self.writeback_time_s += writeback
         return writeback
-
-
-# ---------------------------------------------------------------------- #
-# Reference (loop-based) implementations
-# ---------------------------------------------------------------------- #
-# The pre-vectorisation hot path, kept as the ground truth for the parity
-# test-suite and as the baseline the speedup benchmarks measure against.
-
-
-def reference_forward(weight: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Per-sample Python-loop forward: pool each sample's rows in turn."""
-    indices = np.asarray(indices, dtype=np.int64)
-    batch = indices.shape[0]
-    dim = weight.shape[1]
-    out = np.zeros((batch, dim), dtype=weight.dtype)
-    for i in range(batch):
-        idx = indices[i]
-        if len(idx) == 0:
-            continue
-        out[i] = weight[idx].sum(axis=0)
-    return out
-
-
-def reference_backward(
-    indices: np.ndarray, grad_output: np.ndarray, dim: int
-) -> SparseGradient:
-    """Per-sample Python-loop backward: repeat each sample's gradient row."""
-    indices = np.asarray(indices, dtype=np.int64)
-    all_indices: list[np.ndarray] = []
-    all_grads: list[np.ndarray] = []
-    for i in range(indices.shape[0]):
-        idx = indices[i]
-        if len(idx) == 0:
-            continue
-        all_indices.append(idx)
-        all_grads.append(np.repeat(grad_output[i : i + 1], len(idx), axis=0))
-    if not all_indices:
-        return SparseGradient(
-            np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=grad_output.dtype)
-        )
-    flat_indices = np.concatenate(all_indices)
-    flat_grads = np.concatenate(all_grads, axis=0)
-    unique, inverse = np.unique(flat_indices, return_inverse=True)
-    values = np.zeros((unique.shape[0], dim), dtype=grad_output.dtype)
-    np.add.at(values, inverse, flat_grads)
-    return SparseGradient(unique, values)

@@ -1,15 +1,16 @@
 """Segment-packed GEMM execution for the fused µ-batch dense path.
 
 The fused µ-batch schedule (:meth:`repro.models.dlrm.DLRM.
-fused_loss_and_gradients`) historically ran the bottom MLP, interaction,
-and top MLP once *per segment* on small row slices.  Since the segments
-partition the mini-batch, the whole dense pass can instead run over one
-contiguous ``(batch, d)`` block — one GEMM per layer per step instead of
-one per layer per segment — with per-segment quantities (losses, logit
-gradients, ``grad_weight`` partials) recovered by row slicing.  This
-module is that execution layer: :class:`PackedMLP` wraps an existing
-:class:`~repro.nn.mlp.MLP` and runs its forward/backward over a packed
-block without touching the MLP's own (retained, sequential) code path.
+fused_loss_and_gradients`) runs the bottom MLP, interaction, and top MLP
+over one contiguous ``(batch, d)`` block — one GEMM per layer per step
+instead of one per layer per µ-batch segment — with per-segment
+quantities (losses, logit gradients, ``grad_weight`` partials) recovered
+by row slicing.  This module is that execution layer: :class:`PackedMLP`
+wraps an existing :class:`~repro.nn.mlp.MLP` and runs its
+forward/backward over a packed block without touching the MLP's own
+per-call code path.  The per-segment loop it must reproduce lives in the
+test oracle (``tests/oracle.py``: ``SequentialDLRM``/``SequentialTBSM``
+train each segment with its own ``loss_and_gradients`` call).
 
 Batched-execution contract — what is bit-identical, and why
 -----------------------------------------------------------
@@ -265,33 +266,25 @@ class PackedMLP:
     """Packed-block executor over an existing :class:`~repro.nn.mlp.MLP`.
 
     Shares the MLP's ``Linear`` layers (weights, accumulated gradients) —
-    it only replaces the *execution schedule*, so sequential and packed
-    passes are interchangeable mid-run.  ``supported`` is ``False`` for
-    layer stacks the packed path does not understand (e.g. a sigmoid
-    output); callers must then keep the sequential path.
+    it only replaces the *execution schedule*, so the MLP's own forward
+    and the packed pass are interchangeable mid-run.  Only ``Linear``
+    layers, each optionally followed by one ``ReLU``, can be packed; any
+    other stack (e.g. a sigmoid output) raises ``ValueError``.
     """
 
     def __init__(self, mlp):
         self.mlp = mlp
         self.units: list[_PackedUnit] = []
-        self.supported = True
         layers = list(mlp.layers)
-        i = 0
-        while i < len(layers):
-            layer = layers[i]
-            if not isinstance(layer, Linear):
-                self.supported = False
-                return
-            relu = None
-            if i + 1 < len(layers):
-                if isinstance(layers[i + 1], ReLU):
-                    relu = layers[i + 1]
-                    i += 1
-                else:
-                    self.supported = False
-                    return
-            self.units.append(_PackedUnit(layer, relu))
-            i += 1
+        for i in range(0, len(layers), 2):
+            linear = layers[i]
+            relu = layers[i + 1] if i + 1 < len(layers) else None
+            if not isinstance(linear, Linear) or not (relu is None or isinstance(relu, ReLU)):
+                raise ValueError(
+                    "PackedMLP packs Linear layers each followed by one ReLU "
+                    f"(the last may stand alone); got {[type(x).__name__ for x in layers]}"
+                )
+            self.units.append(_PackedUnit(linear, relu))
 
     def forward(self, x: np.ndarray, bounds: list[tuple[int, int]]) -> np.ndarray:
         min_rows = min(hi - lo for lo, hi in bounds)
@@ -308,8 +301,6 @@ class PackedMLP:
         epilogue (:meth:`forward_prelogits`) — a trailing ReLU or a
         multi-column output keeps the standard :meth:`forward`.
         """
-        if not self.supported or not self.units:
-            return False
         last = self.units[-1]
         return last.relu is None and last.linear.out_features == 1
 

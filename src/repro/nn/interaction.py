@@ -14,7 +14,9 @@ Two execution paths produce the interaction:
   :func:`reference_dot_interaction_backward`): the original three-pass
   einsum implementation.  ``np.einsum`` computes every output element by
   an independent per-element reduction loop, so it is row-stable by
-  construction — it is the parity anchor, never removed.
+  construction.  It is the fallback for uncertified shapes and the parity
+  anchor (the test oracle's ``reference_kernels()`` routes whole training
+  runs through it).
 * The **batched-GEMM** path: the forward Gram is one
   ``np.matmul(stacked, stacked.transpose(0, 2, 1))`` (dispatched to BLAS
   batched-GEMM), and the backward writes the pair gradients into *both*
@@ -70,7 +72,6 @@ allocations per call) and are therefore safe to call from any thread.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -96,27 +97,6 @@ _PROBE_ROWS = 64
 #: and the block tail — the segment shapes the fused µ-batch schedule
 #: actually produces.
 _PROBE_SLICES = ((0, 1), (0, 2), (1, 4), (3, 17), (20, 33), (40, 64))
-
-#: When set (via :func:`force_reference`), every kernel dispatch takes the
-#: reference einsum path regardless of certification — the pre-PR
-#: baseline, used by the A/B epilogue benchmark.  Not thread-safe: flip it
-#: only from single-threaded measurement code.
-_FORCE_REFERENCE = False
-
-
-@contextmanager
-def force_reference():
-    """Run every interaction call through the reference einsum path.
-
-    Measurement-only escape hatch (the ``fig18_epilogue_e2e`` benchmark
-    times the pre-PR kernels through it); not thread-safe.
-    """
-    global _FORCE_REFERENCE
-    _FORCE_REFERENCE = True
-    try:
-        yield
-    finally:
-        _FORCE_REFERENCE = False
 
 
 def _tril_pairs(num_features: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +224,7 @@ def _forward_impl(
     features = [dense] + list(sparse)
     num_features = len(features)
     dim = dense.shape[1]
-    if _FORCE_REFERENCE or not interaction_certified(num_features, dim, dense.dtype):
+    if not interaction_certified(num_features, dim, dense.dtype):
         return reference_dot_interaction(dense, sparse)
     stacked = np.stack(features, axis=1, out=stack_buf)  # (batch, f, dim)
     if gram_buf is None:
@@ -389,9 +369,7 @@ class DotInteractionKernel:
         """Pooled :func:`dot_interaction`; the cache owns a stack buffer."""
         num_features = len(sparse) + 1
         batch, dim = dense.shape
-        if _FORCE_REFERENCE or not interaction_certified(
-            num_features, dim, dense.dtype
-        ):
+        if not interaction_certified(num_features, dim, dense.dtype):
             return reference_dot_interaction(dense, sparse)
         stack_buf = self._stack_buf(batch, num_features, dim, dense.dtype)
         gram_buf = self._gram_buf(batch, num_features, dense.dtype)

@@ -36,29 +36,7 @@ path.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-#: When set (via :func:`force_reference`), :func:`fused_bce_epilogue`
-#: dispatches to the retained two-pass reference — the pre-PR baseline for
-#: the A/B epilogue benchmark.  Not thread-safe: flip it only from
-#: single-threaded measurement code.
-_FORCE_REFERENCE = False
-
-
-@contextmanager
-def force_reference():
-    """Route :func:`fused_bce_epilogue` through the two-pass reference.
-
-    Measurement-only escape hatch; not thread-safe.
-    """
-    global _FORCE_REFERENCE
-    _FORCE_REFERENCE = True
-    try:
-        yield
-    finally:
-        _FORCE_REFERENCE = False
 
 
 def _float_logits(logits: np.ndarray) -> np.ndarray:
@@ -150,8 +128,6 @@ def fused_bce_epilogue(
         ``(loss_sum, grad_logits)`` where ``grad_logits = sigmoid(z) - y``
         (the ``reduction="sum"`` gradient), a fresh 1-D array.
     """
-    if _FORCE_REFERENCE:
-        return reference_epilogue(logits, targets)
     z = _float_logits(logits)
     y = np.asarray(targets, dtype=z.dtype).reshape(-1)
     if z.shape != y.shape:

@@ -1,10 +1,12 @@
 """Bit-parity grid for the batched dense path (PR 7).
 
 The segment-packed dense pass (:mod:`repro.nn.gemm`) and the sharded
-trainer's replica-stacked sync GEMMs both claim *bit*-identity with the
-retained sequential path.  This grid proves it:
+trainer's replica-stacked GEMMs both claim *bit*-identity with the
+sequential per-µ-batch schedule of the test oracle
+(``tests/oracle.py``: ``SequentialDLRM``/``SequentialTBSM``).  This grid
+proves it:
 
-* ``fused_loss_and_gradients`` batched-vs-sequential on DLRM and TBSM,
+* ``fused_loss_and_gradients`` packed-vs-oracle on DLRM and TBSM,
   across segment shapes {whole batch, contiguous halves,
   popular/non-popular-style interleaved partition, segments below the
   certification threshold} — comparing
@@ -15,8 +17,9 @@ retained sequential path.  This grid proves it:
   small-matrix kernel actually diverges from the blocked path and the
   per-shape certification (:func:`repro.nn.gemm.packed_rows_threshold`)
   has to route individual layers to their per-segment fallback.
-* Replica-stacked vs per-replica sync training at K ∈ {1, 2, 4}:
-  bitwise-equal losses, final parameters, and zero replica drift.
+* The replica-stacked sharded step vs the same trainer running the oracle
+  model (per-µ-batch passes) at K ∈ {1, 2, 4}: bitwise-equal losses,
+  every replica's final parameters, and zero replica drift.
 """
 
 import numpy as np
@@ -31,6 +34,7 @@ from repro.models.tbsm import TBSM
 from repro.nn.gemm import NEVER_PACKED, PackedMLP, packed_rows_threshold, segment_bounds
 from repro.nn.mlp import MLP
 from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
+from tests.oracle import SequentialDLRM, SequentialTBSM, reference_kernels
 
 
 def whole(batch_size):
@@ -104,8 +108,8 @@ def test_dlrm_batched_matches_sequential(tiny_model_config, tiny_click_log, grid
     batch = tiny_click_log.batch(0, 128)
     segments = SEGMENT_GRIDS[grid](batch.size)
     assert_bitwise_equal_pass(
-        DLRM(tiny_model_config, seed=3, batched=False),
-        DLRM(tiny_model_config, seed=3, batched=True),
+        SequentialDLRM(tiny_model_config, seed=3),
+        DLRM(tiny_model_config, seed=3),
         batch,
         segments,
     )
@@ -118,8 +122,8 @@ def test_tbsm_batched_matches_sequential(
     batch = tiny_ts_click_log.batch(0, 128)
     segments = SEGMENT_GRIDS[grid](batch.size)
     assert_bitwise_equal_pass(
-        TBSM(tiny_ts_model_config, seed=3, batched=False),
-        TBSM(tiny_ts_model_config, seed=3, batched=True),
+        SequentialTBSM(tiny_ts_model_config, seed=3),
+        TBSM(tiny_ts_model_config, seed=3),
         batch,
         segments,
     )
@@ -134,8 +138,8 @@ def test_rm2_width_dlrm_batched_matches_sequential(grid):
     batch = log.batch(0, 256)
     segments = SEGMENT_GRIDS[grid](batch.size)
     assert_bitwise_equal_pass(
-        DLRM(config, seed=5, batched=False),
-        DLRM(config, seed=5, batched=True),
+        SequentialDLRM(config, seed=5),
+        DLRM(config, seed=5),
         batch,
         segments,
     )
@@ -145,7 +149,7 @@ def test_packed_pass_is_deterministic_across_block_heights(tiny_model_config, ti
     """The same segment trained alone or packed with others yields the
     same bits — the certification's two-heights guarantee, end to end."""
     batch = tiny_click_log.batch(0, 128)
-    model = DLRM(tiny_model_config, seed=3, batched=True)
+    model = DLRM(tiny_model_config, seed=3)
     losses_whole, _, dense_whole, _ = run_dense_pass(model, batch, whole(batch.size))
     losses_again, _, dense_again, _ = run_dense_pass(model, batch, whole(batch.size))
     assert losses_whole == losses_again
@@ -156,14 +160,8 @@ def test_packed_pass_is_deterministic_across_block_heights(tiny_model_config, ti
 # --------------------------------------------------------------------- #
 # Replica-stacked sync GEMMs
 # --------------------------------------------------------------------- #
-def run_sharded(config, log, num_shards, *, batched, dense_batching, steps=6):
-    trainer = ShardedHotlineTrainer(
-        DLRM(config, seed=9, batched=batched),
-        num_shards,
-        lr=0.1,
-        sample_fraction=0.25,
-        dense_batching=dense_batching,
-    )
+def run_sharded(model, log, num_shards, steps=6):
+    trainer = ShardedHotlineTrainer(model, num_shards, lr=0.1, sample_fraction=0.25)
     loader = MiniBatchLoader(log, batch_size=128)
     trainer.bind(loader)
     losses = [trainer.run_step(batch).loss for batch in list(loader)[:steps]]
@@ -174,14 +172,13 @@ def run_sharded(config, log, num_shards, *, batched, dense_batching, steps=6):
 def test_replica_stacked_matches_per_replica(
     tiny_model_config, tiny_click_log, num_shards
 ):
-    """Stacking K sync replicas into one GEMM changes no observable bit."""
+    """Stacking K sync replicas into one packed pass changes no bit
+    against per-µ-batch passes of the oracle model."""
     baseline, losses_ref = run_sharded(
-        tiny_model_config, tiny_click_log, num_shards,
-        batched=False, dense_batching="per-replica",
+        SequentialDLRM(tiny_model_config, seed=9), tiny_click_log, num_shards
     )
     stacked, losses_stacked = run_sharded(
-        tiny_model_config, tiny_click_log, num_shards,
-        batched=True, dense_batching="replica",
+        DLRM(tiny_model_config, seed=9), tiny_click_log, num_shards
     )
     assert losses_stacked == losses_ref
     assert stacked.replica_drift() == 0.0
@@ -192,44 +189,6 @@ def test_replica_stacked_matches_per_replica(
         state_stacked = replica_stacked.model.state_snapshot()
         for key, value in state_ref.items():
             np.testing.assert_array_equal(state_stacked[key], value, err_msg=key)
-
-
-def test_replica_stacking_requires_sync_mode(tiny_model_config):
-    with pytest.raises(ValueError, match="dense_batching"):
-        ShardedHotlineTrainer(
-            DLRM(tiny_model_config, seed=9), 2, dense_batching="global"
-        )
-
-
-def test_stale_mode_falls_back_per_replica(tiny_model_config, tiny_click_log):
-    """stale-k weights diverge, so the stacked dispatch must not engage —
-    the run must match the per-replica dense path bit for bit."""
-    stale_default, losses_default = run_sharded_stale(
-        tiny_model_config, tiny_click_log, dense_batching="replica"
-    )
-    stale_off, losses_off = run_sharded_stale(
-        tiny_model_config, tiny_click_log, dense_batching="per-replica"
-    )
-    assert losses_default == losses_off
-    state_a = stale_default.replicas[0].model.state_snapshot()
-    state_b = stale_off.replicas[0].model.state_snapshot()
-    for key, value in state_a.items():
-        np.testing.assert_array_equal(state_b[key], value, err_msg=key)
-
-
-def run_sharded_stale(config, log, *, dense_batching, steps=6):
-    trainer = ShardedHotlineTrainer(
-        DLRM(config, seed=9, batched=True),
-        2,
-        lr=0.1,
-        sample_fraction=0.25,
-        mode="stale-1",
-        dense_batching=dense_batching,
-    )
-    loader = MiniBatchLoader(log, batch_size=128)
-    trainer.bind(loader)
-    losses = [trainer.run_step(batch).loss for batch in list(loader)[:steps]]
-    return trainer, losses
 
 
 # --------------------------------------------------------------------- #
@@ -251,12 +210,13 @@ def test_segment_bounds_partition_in_order():
 
 
 def test_packed_mlp_rejects_sigmoid_output(rng):
-    assert not PackedMLP(MLP([4, 8, 2], rng, sigmoid_output=True)).supported
-    assert PackedMLP(MLP([4, 8, 2], rng)).supported
+    with pytest.raises(ValueError, match="ReLU"):
+        PackedMLP(MLP([4, 8, 2], rng, sigmoid_output=True))
+    assert len(PackedMLP(MLP([4, 8, 2], rng)).units) == 2
 
 
 # --------------------------------------------------------------------- #
-# New-kernel vs retained-reference parity (PR 10)
+# New-kernel vs reference-kernel parity
 # --------------------------------------------------------------------- #
 def test_epilogue_reference_training_is_bit_identical(
     tiny_model_config, tiny_click_log
@@ -264,13 +224,11 @@ def test_epilogue_reference_training_is_bit_identical(
     """The fused loss epilogue claims *bit*-identity with the retained
     two-pass pair — so a whole training run forced through the reference
     epilogue must reproduce the fused run's losses and parameters exactly."""
-    from repro.nn import loss as loss_mod
-
     batches = [tiny_click_log.batch(i * 128, 128) for i in range(4)]
     model_fused = DLRM(tiny_model_config, seed=21)
     losses_fused = [model_fused.train_step(b, lr=0.1) for b in batches]
     model_ref = DLRM(tiny_model_config, seed=21)
-    with loss_mod.force_reference():
+    with reference_kernels(interaction=False):
         losses_ref = [model_ref.train_step(b, lr=0.1) for b in batches]
     assert losses_fused == losses_ref
     state_fused = model_fused.state_snapshot()
@@ -285,13 +243,11 @@ def test_interaction_reference_training_stays_close(
     reference — certification guarantees *row stability across execution
     paths*, not equality with einsum.  A short training run through each
     must stay within the cross-order tolerance."""
-    from repro.nn import interaction as interaction_mod
-
     batches = [tiny_click_log.batch(i * 128, 128) for i in range(4)]
     model_new = DLRM(tiny_model_config, seed=23)
     losses_new = [model_new.train_step(b, lr=0.1) for b in batches]
     model_ref = DLRM(tiny_model_config, seed=23)
-    with interaction_mod.force_reference():
+    with reference_kernels(loss=False):
         losses_ref = [model_ref.train_step(b, lr=0.1) for b in batches]
     np.testing.assert_allclose(losses_new, losses_ref, rtol=CROSS_ORDER_RTOL)
     state_new = model_new.state_snapshot()

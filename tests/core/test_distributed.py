@@ -307,28 +307,6 @@ def test_bucket_time_cache_invalidates_on_reducer_reconfiguration(tiny_model_con
     assert hierarchical_time != pytest.approx(flat_time)
 
 
-def test_merged_trainer_sync_time_cache_keyed_on_configuration(tiny_model_config):
-    """The merged reference's cached collective re-prices when the cluster
-    (or shard count) changes instead of reporting the old constant."""
-    from repro.core.distributed import MergedGradientShardedTrainer
-
-    trainer = MergedGradientShardedTrainer(DLRM(tiny_model_config, seed=0), 4)
-    single_node_time = trainer.dense_sync_time()
-    assert trainer.dense_sync_time() == single_node_time  # cache hit
-    trainer.cluster = multi_node(2, 2)
-    multi_node_time = trainer.dense_sync_time()
-    assert multi_node_time != pytest.approx(single_node_time)
-    assert multi_node_time == pytest.approx(
-        hierarchical_allreduce_time(
-            trainer.model.num_dense_parameters * 4.0,
-            2,
-            2,
-            trainer.cluster.node.gpu_link,
-            trainer.cluster.inter_link,
-        )
-    )
-
-
 def test_lowering_staleness_mid_run_drains_the_dense_backlog(
     tiny_model_config, tiny_click_log
 ):

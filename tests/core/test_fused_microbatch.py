@@ -9,7 +9,9 @@ exact per-segment order).  This suite proves the path is bit-transparent
 at every layer — the raw kernels, the model-level
 ``fused_loss_and_gradients`` on DLRM and TBSM, the single-replica
 :class:`HotlineTrainer`, and the multi-replica
-:class:`ShardedHotlineTrainer` including the stale-0 + lookahead fast path.
+:class:`ShardedHotlineTrainer` in sync, stale-k, lookahead and tier runs.
+The trainer-level references are the production trainers running the test
+oracle's sequential models (``tests/oracle.py``).
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.embedding import EmbeddingBag, segment_ids_for, segmented_scatter
+from tests.oracle import SequentialDLRM, SequentialTBSM
 
 
 def assert_bit_identical(state_a, state_b):
@@ -174,14 +177,19 @@ def test_fused_rejects_bad_segments(tiny_model_config, tiny_click_log):
 # --------------------------------------------------------------------- #
 # Trainer level
 # --------------------------------------------------------------------- #
-def hotline_run(model_cls, config, log, *, fused):
-    trainer = HotlineTrainer(
-        model_cls(config, seed=31), lr=0.1, sample_fraction=0.25, fused=fused
-    )
+def hotline_run(model_cls, config, log):
+    trainer = HotlineTrainer(model_cls(config, seed=31), lr=0.1, sample_fraction=0.25)
     result = trainer.train(
         MiniBatchLoader(log, batch_size=128), epochs=2, eval_batch=log.batch(0, 256)
     )
     return trainer, result
+
+
+#: Production model -> (its sequential oracle, config fixture, log fixture).
+MODELS = {
+    DLRM: (SequentialDLRM, "tiny_model_config", "tiny_click_log"),
+    TBSM: (SequentialTBSM, "tiny_ts_model_config", "tiny_ts_click_log"),
+}
 
 
 @pytest.mark.parametrize(
@@ -196,8 +204,8 @@ def test_hotline_trainer_fused_bit_parity(
 ):
     config = request.getfixturevalue(config_fixture)
     log = request.getfixturevalue(log_fixture)
-    trainer_f, result_f = hotline_run(model_cls, config, log, fused=True)
-    trainer_s, result_s = hotline_run(model_cls, config, log, fused=False)
+    trainer_f, result_f = hotline_run(model_cls, config, log)
+    trainer_s, result_s = hotline_run(MODELS[model_cls][0], config, log)
     assert result_f.losses == result_s.losses
     assert result_f.final_metrics == result_s.final_metrics
     assert_bit_identical(
@@ -223,10 +231,11 @@ def test_hotline_fused_handles_single_segment_steps(tiny_model_config, tiny_clic
     assert np.isfinite(loss)
 
 
-def sharded_run(config, log, *, fused, num_shards=2, **knobs):
-    model = DLRM(config, seed=17)
+def sharded_run(model_cls, config, log, *, num_shards=2, tier_share=None, **knobs):
+    if tier_share is not None:
+        knobs["tiered_hot_bytes"] = tier_share * config.embedding_bytes
     trainer = ShardedHotlineTrainer(
-        model, num_shards, lr=0.05, sample_fraction=0.25, fused=fused, **knobs
+        model_cls(config, seed=17), num_shards, lr=0.05, sample_fraction=0.25, **knobs
     )
     result = trainer.train(
         MiniBatchLoader(log, batch_size=128), epochs=1, eval_batch=log.batch(0, 256)
@@ -250,15 +259,30 @@ def sharded_run(config, log, *, fused, num_shards=2, **knobs):
         # single-pass interaction + fused-epilogue kernels.
         {"num_shards": 1},
         {"num_shards": 4},
+        # Stale-k runs take the one stacked pass too: TBSM with a
+        # deferring lookahead, and the step benchmark's K=4 stale-2 shape
+        # (W=8 lookahead, a hot tier of 25% of the table bytes).
+        {"model": TBSM, "mode": "stale-2", "lookahead_window": 3},
+        {
+            "num_shards": 4, "mode": "stale-2", "lookahead_window": 8,
+            "tier_share": 0.25,
+        },
     ],
 )
-def test_sharded_trainer_fused_bit_parity(tiny_model_config, tiny_click_log, knobs):
-    trainer_f, result_f = sharded_run(tiny_model_config, tiny_click_log, fused=True, **knobs)
-    trainer_s, result_s = sharded_run(tiny_model_config, tiny_click_log, fused=False, **knobs)
+def test_sharded_trainer_fused_bit_parity(knobs, request):
+    knobs = dict(knobs)
+    model_cls = knobs.pop("model", DLRM)
+    oracle_cls, config_fixture, log_fixture = MODELS[model_cls]
+    config = request.getfixturevalue(config_fixture)
+    log = request.getfixturevalue(log_fixture)
+    trainer_f, result_f = sharded_run(model_cls, config, log, **knobs)
+    trainer_s, result_s = sharded_run(oracle_cls, config, log, **knobs)
     assert result_f.losses == result_s.losses
+    assert result_f.final_metrics == result_s.final_metrics
     assert result_f.cache_hits == result_s.cache_hits
     assert result_f.stale_rows == result_s.stale_rows
-    assert_bit_identical(
-        trainer_f.model.state_snapshot(), trainer_s.model.state_snapshot()
-    )
+    for replica_f, replica_s in zip(trainer_f.replicas, trainer_s.replicas, strict=True):
+        assert_bit_identical(
+            replica_f.model.state_snapshot(), replica_s.model.state_snapshot()
+        )
     assert trainer_f.replica_drift() == 0.0

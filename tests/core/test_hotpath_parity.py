@@ -15,7 +15,7 @@ from repro.core.classifier import split_minibatch
 from repro.core.hotset import HotSetIndex
 from repro.data.batch import MiniBatch
 from repro.nn.embedding import EmbeddingBag
-from repro.reference import (
+from tests.oracle import (
     reference_backward,
     reference_forward,
     split_minibatch_reference,

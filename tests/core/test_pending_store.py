@@ -3,7 +3,7 @@
 The :class:`~repro.core.lookahead.FlatPendingStore` replaces the original
 dict-of-rows deferred write-back store with dense buffers, bitmaps, and a
 birth-step array.  Everything observable must be **bit-identical** to the
-retained :class:`~repro.core.lookahead.ReferencePendingStore`: flushed
+test oracle's ``ReferencePendingStore`` (``tests/oracle.py``): flushed
 gradients (row order and accumulated values), birth steps, pending counts,
 eviction/age flush order through a full :class:`CachedEmbeddingPipeline`,
 epoch carries, and conservation of every deferred unit of gradient.  The
@@ -16,13 +16,9 @@ PR 4 ``bind()`` fix).
 import numpy as np
 import pytest
 
-from repro.core.lookahead import (
-    CachedEmbeddingPipeline,
-    FlatPendingStore,
-    ReferencePendingStore,
-    make_pending_store,
-)
+from repro.core.lookahead import CachedEmbeddingPipeline, FlatPendingStore
 from repro.nn.embedding import SparseGradient
+from tests.oracle import ReferencePendingStore
 
 ROWS_PER_TABLE = (48, 17)
 
@@ -37,15 +33,6 @@ def random_grad(rng, rows, dim=3, nnz_max=12):
 def assert_same_gradient(flat: SparseGradient, ref: SparseGradient):
     np.testing.assert_array_equal(flat.indices, ref.indices)
     np.testing.assert_array_equal(flat.values, ref.values)
-
-
-def test_make_pending_store_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_pending_store("hash", ROWS_PER_TABLE)
-    assert isinstance(make_pending_store("flat", ROWS_PER_TABLE), FlatPendingStore)
-    assert isinstance(
-        make_pending_store("reference", ROWS_PER_TABLE), ReferencePendingStore
-    )
 
 
 def test_stores_agree_on_a_random_defer_take_schedule():
@@ -147,9 +134,7 @@ def test_footprint_is_window_bounded_at_terabyte_scale():
     covers every path a training run exercises."""
     rows_per_table = (10_000_000,)
     dim, window, staleness = 8, 4, 2
-    pipe = CachedEmbeddingPipeline(
-        rows_per_table, window=window, staleness=staleness, pending_store="flat"
-    )
+    pipe = CachedEmbeddingPipeline(rows_per_table, window=window, staleness=staleness)
     rng = np.random.default_rng(17)
     # Rows recur across nearby batches (a hot pool) so deferral genuinely
     # accumulates instead of every row flushing as its batch retires.
@@ -219,10 +204,13 @@ def test_fuzz_duplicate_and_unsorted_indices_match_reference():
 
 
 def run_pipeline(pending_store, batches, grads, *, window, staleness):
-    """Drive one pipeline over a fixed stream; collect every flush."""
-    pipe = CachedEmbeddingPipeline(
-        (64,), window=window, staleness=staleness, pending_store=pending_store
-    )
+    """Drive one pipeline over a fixed stream; collect every flush.
+
+    ``pending_store`` is ``"flat"`` (the pipeline's own store) or
+    ``"reference"`` (the oracle's dict store swapped in)."""
+    pipe = CachedEmbeddingPipeline((64,), window=window, staleness=staleness)
+    if pending_store == "reference":
+        pipe.pending = ReferencePendingStore(pipe.rows_per_table)
     pipe.begin_epoch(iter([[np.asarray(rows, dtype=np.int64)] for rows in batches]))
     flushes, stats = [], []
     for rows, grad in zip(batches, grads, strict=True):

@@ -1,12 +1,12 @@
-"""The replica bit-parity harness: K true replicas == merged-gradient PR 2.
+"""The replica bit-parity harness: K true replicas == one merged model.
 
 The headline guarantee of the multi-replica trainer: in ``sync`` mode,
 training K genuinely separate model replicas synchronised through the
 bucketed :class:`~repro.core.reducer.GradientBucketReducer` and the
 deterministic sparse exchange is **bit-identical** — losses and every
-parameter — to the PR 2 merged-gradient trainer
-(:class:`~repro.core.distributed.MergedGradientShardedTrainer`), which
-accumulated all shards' gradients in one shared model.  Verified for
+parameter — to the test oracle's merged-gradient trainer
+(``tests/oracle.py``: ``MergedGradientTrainer``), which accumulates all
+shards' gradients in one shared model.  Verified for
 K ∈ {1, 2, 4} on DLRM and TBSM, with and without row-partitioned embedding
 tables, and the replicas themselves are asserted to never drift.
 
@@ -22,17 +22,18 @@ drift-free for k ∈ {1, 2, 4}.
 import numpy as np
 import pytest
 
-from repro.core.distributed import MergedGradientShardedTrainer, ShardedHotlineTrainer
+from repro.core.distributed import ShardedHotlineTrainer
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.embedding import SparseGradient
 from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
+from tests.oracle import MergedGradientTrainer
 
 
 def merged_run(model_cls, config, log, num_shards, *, lr=0.05, epochs=1):
     model = model_cls(config, seed=42)
-    trainer = MergedGradientShardedTrainer(model, num_shards, lr=lr, sample_fraction=0.25)
+    trainer = MergedGradientTrainer(model, num_shards, lr=lr, sample_fraction=0.25)
     result = trainer.train(
         MiniBatchLoader(log, batch_size=128), epochs=epochs, eval_batch=log.batch(0, 256)
     )
@@ -60,7 +61,7 @@ def assert_bit_identical(state_a, state_b):
 def test_sync_replicas_bit_identical_to_merged_dlrm(
     tiny_model_config, tiny_click_log, num_shards
 ):
-    """Sync-mode K-replica DLRM training is bit-identical to PR 2's trainer."""
+    """Sync-mode K-replica DLRM training is bit-identical to the merged oracle."""
     merged_model, merged_result = merged_run(
         DLRM, tiny_model_config, tiny_click_log, num_shards
     )
@@ -77,7 +78,7 @@ def test_sync_replicas_bit_identical_to_merged_dlrm(
 def test_sync_replicas_bit_identical_to_merged_tbsm(
     tiny_ts_model_config, tiny_ts_click_log, num_shards
 ):
-    """Sync-mode K-replica TBSM training is bit-identical to PR 2's trainer."""
+    """Sync-mode K-replica TBSM training is bit-identical to the merged oracle."""
     merged_model, merged_result = merged_run(
         TBSM, tiny_ts_model_config, tiny_ts_click_log, num_shards
     )

@@ -158,24 +158,42 @@ def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):
             assert bag._tier is trainer.tier
 
 
-def test_tbsm_history_lookups_reach_the_tier(
-    tiny_ts_model_config, tiny_ts_click_log
-):
-    """TBSM reads its history table (table 0) unpooled; that lookup must
-    resolve through the tier like every pooled table's.  In sync mode one
-    pass looks up the whole batch, so one step touches exactly the batch's
-    unique rows of every table."""
+def assert_one_touch_per_unique_row(model, log, mode):
+    """One step touches the tier exactly once per unique row of every table.
+
+    Every mode runs one pass over the whole batch, so a row shared by
+    several shards or µ-batches is looked up once per step.
+    """
     trainer = ShardedHotlineTrainer(
-        TBSM(tiny_ts_model_config, seed=3), 2, sample_fraction=0.25,
-        tiered_hot_bytes=16 * tiny_ts_model_config.embedding_dim * 4,
+        model, 2, sample_fraction=0.25, mode=mode,
+        tiered_hot_bytes=16 * model.config.embedding_dim * 4,
     )
-    trainer.bind(MiniBatchLoader(tiny_ts_click_log, batch_size=128))
-    batch = tiny_ts_click_log.batch(0, 128)
+    trainer.bind(MiniBatchLoader(log, batch_size=128))
+    batch = log.batch(0, 128)
     trainer.train_step(batch)
     unique_rows = sum(
         np.unique(batch.sparse[:, table, :]).size for table in range(batch.num_tables)
     )
-    assert trainer.tier.hits + trainer.tier.misses == unique_rows
+    assert trainer.tier.hits + trainer.tier.misses == unique_rows, mode
+
+
+def test_tbsm_history_lookups_reach_the_tier(
+    tiny_ts_model_config, tiny_ts_click_log
+):
+    """TBSM reads its history table (table 0) unpooled; that lookup must
+    resolve through the tier like every pooled table's, in sync and stale
+    modes alike."""
+    for mode in ("sync", "stale-2"):
+        assert_one_touch_per_unique_row(
+            TBSM(tiny_ts_model_config, seed=3), tiny_ts_click_log, mode
+        )
+
+
+def test_dlrm_lookups_reach_the_tier_once_per_step(tiny_model_config, tiny_click_log):
+    for mode in ("sync", "stale-2"):
+        assert_one_touch_per_unique_row(
+            DLRM(tiny_model_config, seed=3), tiny_click_log, mode
+        )
 
 
 def test_tiered_hot_bytes_rejects_negative(tiny_model_config):

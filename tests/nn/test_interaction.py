@@ -4,12 +4,12 @@ import threading
 
 import numpy as np
 
+from repro.nn import interaction as interaction_mod
 from repro.nn.interaction import (
     DotInteractionKernel,
     _tril_pairs,
     dot_interaction,
     dot_interaction_backward,
-    force_reference,
     interaction_certified,
     interaction_output_dim,
     reference_dot_interaction,
@@ -119,13 +119,16 @@ def test_row_stability_of_batched_path(rng):
             assert np.array_equal(a[lo:hi], b)
 
 
-def test_force_reference_dispatches_to_einsum_path(rng):
+def test_uncertified_shape_dispatches_to_einsum_path(rng, monkeypatch):
+    """A shape the certification probe rejects takes the einsum reference,
+    through the module function and the pooled kernel alike."""
+    monkeypatch.setattr(interaction_mod, "interaction_certified", lambda *_: False)
     dense, sparse = _random_problem(rng)
-    with force_reference():
-        out, cache = dot_interaction(dense, sparse)
-    assert cache["batched"] is False
     out_ref, _ = reference_dot_interaction(dense, sparse)
-    assert np.array_equal(out, out_ref)
+    for forward in (dot_interaction, DotInteractionKernel().forward):
+        out, cache = forward(dense, sparse)
+        assert cache["batched"] is False
+        assert np.array_equal(out, out_ref)
 
 
 def test_kernel_matches_free_function_bitwise(rng):

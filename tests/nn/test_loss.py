@@ -7,7 +7,6 @@ from repro.nn.loss import (
     bce_with_logits,
     bce_with_logits_backward,
     bce_with_logits_per_sample,
-    force_reference,
     fused_bce_epilogue,
     predicted_probabilities,
     reference_epilogue,
@@ -133,12 +132,3 @@ def test_fused_epilogue_keeps_float32_native(rng):
 def test_fused_epilogue_shape_mismatch_raises():
     with pytest.raises(ValueError):
         fused_bce_epilogue(np.zeros(3), np.zeros(4))
-
-
-def test_force_reference_routes_to_two_pass_pair(rng):
-    logits = rng.normal(size=8)
-    targets = (rng.uniform(size=8) < 0.5).astype(float)
-    with force_reference():
-        loss, grad = fused_bce_epilogue(logits, targets)
-    loss_ref, grad_ref = reference_epilogue(logits, targets)
-    assert loss == loss_ref and np.array_equal(grad, grad_ref)

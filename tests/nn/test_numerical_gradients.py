@@ -10,13 +10,10 @@ the *math* is verified, not just the agreement.
 import numpy as np
 
 from repro.nn.attention import DotProductAttention
-from repro.nn.interaction import (
-    dot_interaction,
-    dot_interaction_backward,
-    force_reference,
-)
+from repro.nn.interaction import dot_interaction, dot_interaction_backward
 from repro.nn.loss import bce_with_logits, fused_bce_epilogue
 from tests.helpers import assert_gradients_close, numerical_gradient
+from tests.oracle import reference_kernels
 
 
 def _interaction_loss(dense, sparse):
@@ -52,7 +49,7 @@ def test_reference_interaction_backward_matches_finite_differences(rng):
     """The retained einsum backward is FD-checked independently."""
     dense = rng.normal(size=(3, 5))
     sparse = [rng.normal(size=(3, 5)) for _ in range(2)]
-    with force_reference():
+    with reference_kernels(loss=False):
         grad_dense, grad_sparse = _interaction_grads(dense, sparse)
         numeric_dense = numerical_gradient(
             lambda d: _interaction_loss(d, sparse), dense
