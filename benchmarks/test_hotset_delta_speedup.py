@@ -6,13 +6,16 @@ re-fault the whole bitmap).  The delta path
 (:meth:`~repro.core.hotset.HotSetIndex.replace_table`) computes the drifted
 rows in O(hot-set) work and flips only those bits, so its cost is
 independent of the table size.  This benchmark pins the hot-set size and
-grows the table 10x: the rebuild path's cost scales with the table, the
-delta path's stays flat, and at Criteo-Terabyte-order tables the delta
-path wins outright — which is what keeps the paper's twice-per-epoch
-recalibration cadence cheap.
+grows the table 10x.  Work is compared by deterministic counts: the
+rebuild's traced allocation peak grows with the table, the delta path's
+stays flat, and the delta path flips exactly the drifted rows' bits.  One
+host-time check remains: at Criteo-Terabyte-order tables the delta path
+wins outright (medians of interleaved rounds), which is what keeps the
+paper's twice-per-epoch recalibration cadence cheap.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -32,7 +35,8 @@ LARGE_TABLE = 40_000_000
 #: first-use page-fault cost of the bitmap they produce.
 PROBE_LOOKUPS = 50_000
 
-ROUNDS = 5
+#: Interleaved timing rounds per path; the timing check compares medians.
+ROUNDS = 11
 
 
 def drifted_hot_sets(rows_per_table):
@@ -43,45 +47,96 @@ def drifted_hot_sets(rows_per_table):
     return old_hot, np.union1d(old_hot[keep], fresh)
 
 
-def time_paths(rows_per_table):
-    """(rebuild seconds, delta seconds) per recalibration at one table size."""
+def probe_rows(rows_per_table):
+    return np.random.default_rng(3).integers(0, rows_per_table, size=PROBE_LOOKUPS)
+
+
+def rebuild(rows_per_table, new_hot, probe):
+    """The from-scratch path: a fresh index over the new hot set."""
+    rebuilt = HotSetIndex([new_hot], rows_per_table=(rows_per_table,))
+    rebuilt.contains(0, probe)
+
+
+def warm_index(rows_per_table, old_hot, probe):
+    index = HotSetIndex([old_hot], rows_per_table=(rows_per_table,))
+    index.contains(0, probe)  # warm, as a live placement's bitmap would be
+    return index
+
+
+def delta(index, new_hot, probe):
+    """The delta path on a live index; returns ``(added, removed)``."""
+    added, removed = index.replace_table(0, new_hot)
+    index.contains(0, probe)
+    return added, removed
+
+
+def traced_peak(fn):
+    """Peak traced bytes allocated while ``fn()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def work_counts(rows_per_table):
+    """(rebuild peak bytes, delta peak bytes, bits flipped, rows drifted)."""
     old_hot, new_hot = drifted_hot_sets(rows_per_table)
-    probe = np.random.default_rng(3).integers(0, rows_per_table, size=PROBE_LOOKUPS)
-    rebuild = delta = 0.0
+    probe = probe_rows(rows_per_table)
+    rebuild_peak, _ = traced_peak(lambda: rebuild(rows_per_table, new_hot, probe))
+    index = warm_index(rows_per_table, old_hot, probe)
+    before = index.bitmap(0).copy()
+    delta_peak, (added, removed) = traced_peak(lambda: delta(index, new_hot, probe))
+    flipped = int(np.count_nonzero(before != index.bitmap(0)))
+    return rebuild_peak, delta_peak, flipped, added.size + removed.size
+
+
+def median_times(rows_per_table):
+    """Median (rebuild, delta) seconds per recalibration at one table size."""
+    old_hot, new_hot = drifted_hot_sets(rows_per_table)
+    probe = probe_rows(rows_per_table)
+    rebuild_s, delta_s = [], []
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        rebuilt = HotSetIndex([new_hot], rows_per_table=(rows_per_table,))
-        rebuilt.contains(0, probe)
-        rebuild += time.perf_counter() - start
+        rebuild(rows_per_table, new_hot, probe)
+        rebuild_s.append(time.perf_counter() - start)
 
-        index = HotSetIndex([old_hot], rows_per_table=(rows_per_table,))
-        index.contains(0, probe)  # warm, as a live placement's bitmap would be
+        index = warm_index(rows_per_table, old_hot, probe)
         start = time.perf_counter()
-        index.replace_table(0, new_hot)
-        index.contains(0, probe)
-        delta += time.perf_counter() - start
-    return rebuild / ROUNDS, delta / ROUNDS
+        delta(index, new_hot, probe)
+        delta_s.append(time.perf_counter() - start)
+    return float(np.median(rebuild_s)), float(np.median(delta_s))
 
 
 def test_delta_update_is_table_size_independent(benchmark):
-    small = time_paths(SMALL_TABLE)
-    (rebuild_large, delta_large) = benchmark.pedantic(
-        lambda: time_paths(LARGE_TABLE), rounds=1, iterations=1
+    small = work_counts(SMALL_TABLE)
+    large = work_counts(LARGE_TABLE)
+    rebuild_large, delta_large = benchmark.pedantic(
+        lambda: median_times(LARGE_TABLE), rounds=1, iterations=1
     )
-    rebuild_small, delta_small = small
     print()
-    for label, (rebuild_s, delta_s) in (
+    for label, (rebuild_peak, delta_peak, flipped, _) in (
         (f"{SMALL_TABLE:,} rows", small),
-        (f"{LARGE_TABLE:,} rows", (rebuild_large, delta_large)),
+        (f"{LARGE_TABLE:,} rows", large),
     ):
         print(
-            f"  {label}: rebuild {rebuild_s * 1e3:.2f} ms, "
-            f"delta {delta_s * 1e3:.2f} ms ({rebuild_s / delta_s:.1f}x)"
+            f"  {label}: rebuild peak {rebuild_peak / 1e6:.2f} MB, "
+            f"delta peak {delta_peak / 1e6:.2f} MB, {flipped:,} bits flipped"
         )
-    # Rebuild cost tracks the table size (10x more rows here)...
-    assert rebuild_large / rebuild_small > 3.0
-    # ...while the delta path's O(hot-set) cost stays essentially flat...
-    assert delta_large / delta_small < 3.0
+    print(
+        f"  {LARGE_TABLE:,} rows, median of {ROUNDS}: rebuild {rebuild_large * 1e3:.2f} ms, "
+        f"delta {delta_large * 1e3:.2f} ms ({rebuild_large / delta_large:.1f}x)"
+    )
+    # Rebuild work tracks the table size (10x more rows here)...
+    assert large[0] / small[0] > 3.0
+    # ...while the delta path's O(hot-set) work stays essentially flat...
+    assert large[1] / small[1] < 3.0
+    # ...flipping exactly the drifted rows' bits at either size...
+    for _, _, flipped, drifted in (small, large):
+        assert flipped == drifted
     # ...so at Criteo-Terabyte order the delta path wins outright.
     assert rebuild_large / delta_large > 2.0
 

@@ -28,12 +28,14 @@ This package implements the paper's contribution:
   :class:`~repro.core.pipeline.ReferenceTrainer` and the Hotline
   :class:`~repro.core.pipeline.HotlineTrainer` (learning phase +
   acceleration phase).
-* :mod:`repro.core.distributed` — true multi-replica data/model-parallel
-  training: :class:`~repro.core.distributed.ShardedHotlineTrainer` trains
-  K genuinely separate replicas synchronised through a bucketed dense
+* :mod:`repro.core.distributed` — K-shard data/model-parallel training:
+  :class:`~repro.core.distributed.ShardedHotlineTrainer` trains one model
+  over K shards, each with its own accelerator and placement; the dense
+  gradient's ring sum accumulates in the model's layers and a bucketed
   all-reduce (:class:`~repro.core.reducer.GradientBucketReducer`, with
-  ``sync``/``overlap``/``stale-<k>`` modes) and a deterministic sparse
-  exchange, optionally with row-partitioned embedding tables
+  ``sync``/``overlap``/``stale-<k>`` modes) prices it, beside a
+  deterministic sparse exchange, optionally with row-partitioned
+  embedding tables
   (:class:`~repro.core.placement.PartitionedEmbeddingPlacement`).
 * :mod:`repro.core.lookahead` — the BagPipe-style bounded-staleness
   embedding pipeline: :class:`~repro.core.lookahead.CachedEmbeddingPipeline`
@@ -50,7 +52,7 @@ from repro.core.accelerator import (
 )
 from repro.core.classifier import MicroBatches, split_minibatch
 from repro.core.dispatcher import AddressRegisters, DataDispatcher, InputEDRAM
-from repro.core.distributed import ShardedHotlineTrainer, ShardReplica
+from repro.core.distributed import Shard, ShardedHotlineTrainer
 from repro.core.eal import (
     EALConfig,
     EmbeddingAccessLogger,
@@ -124,7 +126,7 @@ __all__ = [
     "ReferenceTrainer",
     "HotlineTrainer",
     "ShardedHotlineTrainer",
-    "ShardReplica",
+    "Shard",
     "CachedEmbeddingPipeline",
     "LookaheadStats",
     "epoch_row_stream",

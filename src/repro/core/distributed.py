@@ -1,40 +1,35 @@
-"""True multi-replica data/model-parallel Hotline training.
+"""K-shard data/model-parallel Hotline training on one model.
 
-PR 2 made Figure 30 *functional* with a shortcut: one shared numeric
-replica stood in for all K data-parallel shards (every shard's update is
-identical, so training one model and accumulating gradients in its layers
-is numerically the same).  That shortcut cannot express staleness, overlap,
-or hybrid data+model parallelism, because there is nothing to desynchronise
-and no per-shard parameter state.  This module removes it:
+:class:`ShardedHotlineTrainer` splits every mini-batch into K contiguous
+shards, one per logical GPU.  Data-parallel replicas hold identical weights
+and apply identical updates, so the trainer keeps **one** model and, per
+shard, only what differs between shards: the accelerator with its EAL and
+the EAL-derived placement (:class:`Shard`).  The GPU-only objection the
+paper raises, a full copy of the tables on every device, is a cost the
+simulated cluster pays, not one this host pays K times.
 
-* :class:`ShardedHotlineTrainer` now trains **K genuinely separate model
-  replicas** — each :class:`ShardReplica` owns its own dense parameters and
-  optimizer state (a deep copy of the template model) plus its own
-  accelerator/EAL and EAL-derived placement.
-* **Dense gradients** flow through an explicit
-  :class:`~repro.core.reducer.GradientBucketReducer` as a streaming
-  fold: right after each µ-batch's backward, the replica's gradient
-  arrays are added, in ``dense_parameters()`` order, straight into one
-  P-sized accumulator (:class:`~repro.core.reducer.DenseGradientFold`)
-  in one fixed rank-major association order, and the layers are zeroed
-  for the next µ-batch.  No flat per-µ-batch copy is made.  The reduced
-  gradient is scaled by the learning rate once, in place, and its
-  per-parameter slices are subtracted from every replica; its buffer
-  then returns to a free list the next step's fold draws from, so a
-  steady step allocates nothing proportional to P (sync holds one
-  buffer, ``stale-k`` holds k+1).  The reducer's ``mode`` knob
-  selects ``sync`` (communication exposed after backward), ``overlap``
-  (buckets pipeline behind backward; numerics unchanged), or ``stale-<k>``
-  (a k-deep deque of in-flight reduces: each step's reduce may hide under
-  the next k compute windows and the reduced dense gradient lands k steps
-  late — ``stale-0`` is exactly ``sync`` and keeps the bit-parity
-  guarantee; any ``k > 0`` changes numerics but stays deterministic and
-  drift-free).
+* **One dense pass per step.**  Each shard is classified against its own
+  placement; then all K shards' µ-batches run as one pass of the model
+  over the whole mini-batch, with segments offset into global-batch
+  coordinates in shard order.  With the segment-packed dense path that
+  turns K·S small GEMMs per layer into one.
+* **Dense gradients** accumulate in the model's layers, segment after
+  segment in shard order.  That is the association a ring all-reduce of
+  the per-µ-batch partials produces, and the one the merged-gradient
+  oracle accumulates in.  The
+  :class:`~repro.core.reducer.GradientBucketReducer` prices the
+  all-reduce per bucket; its ``mode`` selects ``sync`` (communication
+  exposed after backward), ``overlap`` (buckets pipeline behind backward;
+  numerics unchanged) or ``stale-<k>``.  Under ``stale-k`` the layers'
+  sum is copied into a recycled flat buffer that waits in a k-deep deque
+  and lands k steps late (``stale-0`` is exactly ``sync``; any ``k > 0``
+  changes numerics but stays deterministic).  At most k+1 such buffers
+  are live.
 * **Bounded-staleness embedding pipeline** — with ``lookahead_window=W``
   a :class:`~repro.core.lookahead.CachedEmbeddingPipeline` walks the
   loader's eagerly-drawn epoch order W batches ahead of training
   (BagPipe-style), prefetches the rows upcoming batches touch into a
-  coherent per-replica cache (priced via
+  coherent cache (priced via
   :func:`~repro.hwsim.collectives.cache_fill_time`), and defers merged
   sparse-gradient write-backs until a row leaves the window or the
   reducer's staleness bound ``k`` is hit.  With ``k = 0`` the pipeline is
@@ -42,46 +37,31 @@ and no per-shard parameter state.  This module removes it:
   surface through :class:`~repro.core.engine.StepOutcome`.
 * **Sparse gradients** go through
   :class:`~repro.core.reducer.SparseGradientExchange` — per-table merge in
-  deterministic ``(replica, µ-batch)`` order, exactly the accumulation a
+  deterministic ``(shard, µ-batch)`` order, exactly the accumulation a
   parameter-less embedding all-reduce performs.
 * With ``partition_embeddings=True`` a
   :class:`~repro.core.placement.PartitionedEmbeddingPlacement` splits every
   table row-wise across the shards (model parallelism).  Ownership drives
   per-shard memory accounting, the priced all-to-all of remotely-owned
   lookups (:func:`~repro.hwsim.collectives.embedding_alltoall_time`), and
-  the routing of merged sparse gradients back to their owner shards; each
-  replica keeps a coherent full copy, so partitioning changes
-  *communication accounting*, never numerics.
+  the routing of merged sparse gradients back to their owner shards; the
+  one model keeps the full tables, so partitioning changes *communication
+  accounting*, never numerics.
 
-**One dense pass per step.**  Every replica applies identical dense and
-sparse updates in every mode (sync, overlap, stale-k, with or without the
-lookahead cache or a tier), so replica 0's weights are every replica's
-weights: each step runs the K shards' µ-batches as **one** pass of replica
-0's model over the whole mini-batch (segments offset into global-batch
-coordinates, in shard order), folding per-µ-batch dense partials in the
-replica-major order K separate passes would produce.  With the
-segment-packed dense path that turns K·S small GEMMs per layer into one.
-
-**The parity guarantee.**  In ``sync`` (and ``overlap``) mode the K-replica
-run is **bit-identical** to a merged-gradient trainer that accumulates all
-shards' gradients in one shared model — the numerical reference kept in
-the test oracle (``tests/oracle.py``: ``MergedGradientTrainer``), which
+**The parity guarantee.**  In ``sync``, ``overlap`` and ``stale-0`` mode
+the K-shard run is **bit-identical** to the test oracle's merged-gradient
+trainer (``tests/oracle.py``: ``MergedGradientTrainer``), which
 ``tests/core/test_replica_parity.py`` compares against for K ∈ {1, 2, 4}
-on DLRM and TBSM.  The guarantee holds because every floating-point
-addition happens in the same order: per-µ-batch gradient partials are
-chain-summed by the reducer's ring fold in the same rank-major sequence
-the shared model accumulates them in its layers, and
-``merge_sparse_gradients`` sees the identical ordered partial list.  The
-oracle's ``SequentialDLRM``/``SequentialTBSM`` models, passed to this
-trainer, give the per-µ-batch sequential schedule the fused pass must
-reproduce in every mode.  All replicas apply identical updates, so they
-stay bit-identical to each other
-(:meth:`ShardedHotlineTrainer.replica_drift` is exactly zero) — a property
-the test harness also asserts.
+on DLRM and TBSM.  Both accumulate the same per-µ-batch partials in the
+same layers in the same order, and ``merge_sparse_gradients`` sees the
+identical ordered partial list.  The oracle's
+``SequentialDLRM``/``SequentialTBSM`` models, passed to this trainer, give
+the per-µ-batch sequential schedule the fused pass must reproduce in every
+mode.
 
 Simulated time: per-shard compute comes from the perf model; the dense
-synchronisation term is the reducer's per-bucket schedule (ring or tree,
-hierarchical across nodes), reported per bucket in
+synchronisation term is the reducer's per-bucket ring schedule
+(hierarchical across nodes), reported per bucket in
 :class:`~repro.core.engine.TrainingResult.bucket_comm_s`; partitioned runs
 add the embedding all-to-all term Figure 1b attributes to model-parallel
 lookups.
@@ -89,10 +69,8 @@ lookups.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -116,39 +94,37 @@ from repro.nn.embedding import TieredEmbeddingStore
 
 
 @dataclass
-class ShardReplica:
-    """One logical data-parallel replica.
+class Shard:
+    """What one data-parallel shard holds beyond the shared model.
 
     Attributes:
         accelerator: The shard's Hotline accelerator (its own EAL).
-        model: The replica's own model instance (dense parameters and
-            embedding tables).
         placement: The shard's EAL-derived embedding placement, built by the
             learning phase.
     """
 
     accelerator: HotlineAccelerator
-    model: Any
     placement: EmbeddingPlacement | None = None
 
 
 class ShardedHotlineTrainer(StepExecutor):
-    """Hotline training over K genuinely separate model replicas.
+    """Hotline training of one model over K data-parallel shards.
 
-    Each replica owns its own dense parameters, optimizer state, embedding
-    tables, accelerator, and placement.  Dense gradients synchronise through
-    an explicit :class:`~repro.core.reducer.GradientBucketReducer`; sparse
-    gradients through a :class:`~repro.core.reducer.SparseGradientExchange`;
-    optional row-wise table partitioning adds the model-parallel dimension.
-    The trainer's ``cluster`` is authoritative for pricing: a replaced
-    ``reducer`` or a mid-run ``cluster`` swap is re-pointed at it on the
-    next priced step, so every communication term re-prices consistently.
+    Every shard has its own accelerator and placement; the dense
+    parameters, optimizer state and embedding tables are the one model's.
+    Dense gradients accumulate in the model's layers and are priced by an
+    explicit :class:`~repro.core.reducer.GradientBucketReducer`; sparse
+    gradients merge through a
+    :class:`~repro.core.reducer.SparseGradientExchange`; optional row-wise
+    table partitioning adds the model-parallel dimension.  The trainer's
+    ``cluster`` is authoritative for pricing: a replaced ``reducer`` or a
+    mid-run ``cluster`` swap is re-pointed at it on the next priced step,
+    so every communication term re-prices consistently.
 
     Args:
-        model: Template model.  Replica 0 adopts this exact instance (so the
-            caller's reference observes training); replicas 1..K-1 are deep
-            copies, bit-identical at start.
-        num_shards: Number of data-parallel replicas (one per logical GPU).
+        model: The model every shard trains; the caller's instance is
+            updated in place.
+        num_shards: Number of data-parallel shards (one per logical GPU).
         cluster: Hardware topology the shards map onto, one shard per GPU;
             defaults to a single node with ``num_shards`` GPUs.
         lr: SGD learning rate.
@@ -163,12 +139,7 @@ class ShardedHotlineTrainer(StepExecutor):
             ``overlap``, and ``stale-0`` are bit-identical to a
             merged-gradient trainer; ``stale-k`` (k > 0) applies the
             reduced dense gradient k steps late through a k-deep deque of
-            in-flight reduces (deterministic and drift-free, but a
-            different trajectory).
-        algorithm: ``"ring"`` or ``"tree"`` association order.  Only
-            ``"ring"`` carries the bit-parity guarantee (it reproduces the
-            reference's sequential accumulation); ``"tree"`` is a
-            deterministic alternative that changes the association.
+            in-flight reduces (deterministic, but a different trajectory).
         partition_embeddings: Row-partition every embedding table across the
             K shards (hybrid data+model parallelism).  Affects memory and
             communication accounting only — never numerics.
@@ -179,7 +150,7 @@ class ShardedHotlineTrainer(StepExecutor):
             until a row leaves the window or is k steps stale, so with
             ``sync``/``stale-0`` it is pure accounting (numerics
             untouched).
-        per_shard_lookahead: Give each replica its own *accounting*
+        per_shard_lookahead: Give each shard its own *accounting*
             lookahead cache keyed to its contiguous shard slice of every
             batch (:func:`~repro.core.lookahead.shard_epoch_row_stream`),
             so per-GPU cache capacity and fill traffic differentiate by
@@ -189,8 +160,8 @@ class ShardedHotlineTrainer(StepExecutor):
             keeps owning the deferral *numerics* but stops pricing fills
             (``price_fills=False``) so no fill is charged twice.
             Requires ``lookahead_window > 0``.
-        tiered_hot_bytes: Front every replica's embedding tables with one
-            shared :class:`~repro.nn.embedding.TieredEmbeddingStore` of
+        tiered_hot_bytes: Front the model's embedding tables with a
+            :class:`~repro.nn.embedding.TieredEmbeddingStore` of
             this byte capacity (``None`` disables tiering).  The tier is
             built at :meth:`bind`: the learning-phase placement's hot rows
             are pinned resident (they replicate on every device), every
@@ -214,7 +185,6 @@ class ShardedHotlineTrainer(StepExecutor):
         seed: int = 0,
         bucket_bytes: int = 4 * 1024 * 1024,
         mode: str = "sync",
-        algorithm: str = "ring",
         partition_embeddings: bool = False,
         lookahead_window: int = 0,
         per_shard_lookahead: bool = False,
@@ -235,21 +205,12 @@ class ShardedHotlineTrainer(StepExecutor):
         self.hbm_budget_bytes = hbm_budget_bytes
         self.perf_model = perf_model
         row_bytes = model.config.embedding_dim * model.config.dtype_bytes
-        # Replica 0 adopts the caller's instance; the rest start as exact
-        # deep copies and stay bit-identical through identical updates.
-        self.replicas: list[ShardReplica] = [
-            ShardReplica(
-                accelerator=HotlineAccelerator(row_bytes=row_bytes, seed=seed + k),
-                model=model if k == 0 else copy.deepcopy(model),
-            )
+        self.shards: list[Shard] = [
+            Shard(HotlineAccelerator(row_bytes=row_bytes, seed=seed + k))
             for k in range(num_shards)
         ]
         self.reducer = GradientBucketReducer(
-            num_shards,
-            bucket_bytes=bucket_bytes,
-            mode=mode,
-            algorithm=algorithm,
-            cluster=self.cluster,
+            num_shards, bucket_bytes=bucket_bytes, mode=mode, cluster=self.cluster
         )
         config = model.config
         self.partition: PartitionedEmbeddingPlacement | None = None
@@ -312,8 +273,8 @@ class ShardedHotlineTrainer(StepExecutor):
         #: Reduced dense gradients in flight (``stale-k``: a k-deep deque —
         #: the gradient of step t is applied at step t + k).
         self._pending_dense: deque[np.ndarray | None] = deque()
-        #: Free list of P-sized fold buffers: applied gradients return here
-        #: and the next step's fold draws from it.
+        #: Free list of P-sized flat buffers: applied gradients return here
+        #: and the next deque entry is copied into one of them.
         self._dense_spare: list[np.ndarray] = []
         #: Cached per-bucket wire times, keyed on the reducer configuration
         #: and gradient size so a mid-run reconfiguration re-prices.
@@ -340,15 +301,15 @@ class ShardedHotlineTrainer(StepExecutor):
         sampled = loader.sample_batches(self.sample_fraction, seed=seed)
         for batch in sampled:
             shards = batch.shards(self.num_shards)
-            for shard_batch, replica in zip(shards, self.replicas, strict=True):
+            for shard_batch, shard in zip(shards, self.shards, strict=True):
                 if shard_batch.size:
-                    replica.accelerator.learn_from_batch(shard_batch.sparse)
+                    shard.accelerator.learn_from_batch(shard_batch.sparse)
         config = self.model.config
         num_tables = config.num_sparse_features
-        for replica in self.replicas:
-            hot_sets = replica.accelerator.hot_sets(num_tables)
-            if replica.placement is None:
-                replica.placement = EmbeddingPlacement(
+        for shard in self.shards:
+            hot_sets = shard.accelerator.hot_sets(num_tables)
+            if shard.placement is None:
+                shard.placement = EmbeddingPlacement(
                     hot_sets=hot_sets,
                     rows_per_table=config.dataset.rows_per_table,
                     embedding_dim=config.embedding_dim,
@@ -356,13 +317,13 @@ class ShardedHotlineTrainer(StepExecutor):
                     hbm_budget_bytes=self.hbm_budget_bytes,
                 )
             else:
-                replica.placement.update_hot_sets(hot_sets)
-        return [replica.placement for replica in self.replicas]
+                shard.placement.update_hot_sets(hot_sets)
+        return [shard.placement for shard in self.shards]
 
     def recalibrate(self, loader: MiniBatchLoader, seed: int = 0) -> None:
         """Re-enter the learning phase on every shard's EAL."""
-        for replica in self.replicas:
-            replica.accelerator.recalibrate()
+        for shard in self.shards:
+            shard.accelerator.recalibrate()
         self.learning_phase(loader, seed=seed)
 
     # ------------------------------------------------------------------ #
@@ -409,31 +370,38 @@ class ShardedHotlineTrainer(StepExecutor):
     # ------------------------------------------------------------------ #
     # Dense-gradient plumbing
     # ------------------------------------------------------------------ #
-    def _apply_dense_gradient(self, flat: np.ndarray) -> None:
-        """SGD-update every replica's dense parameters from one reduced
-        flat gradient, then recycle its buffer.
+    def _copy_dense_gradient(self) -> np.ndarray:
+        """The layers' accumulated dense gradient as one flat array, copied
+        into a recycled buffer (``stale-k`` keeps it in flight)."""
+        grads = [grad.ravel() for _param, grad in self.model.dense_parameters()]
+        size = sum(grad.size for grad in grads)
+        flat = self._dense_spare.pop() if self._dense_spare else None
+        if flat is None or flat.shape != (size,) or flat.dtype != grads[0].dtype:
+            flat = np.empty(size, dtype=grads[0].dtype)
+        return np.concatenate(grads, out=flat)
 
-        The length is checked against every replica before anything
-        changes — the replicas and ``flat`` itself.  Then ``flat`` is
-        scaled by ``lr`` once, in place (``np.multiply(flat, lr,
-        out=flat)`` gives the bits of ``lr * segment``), and each
-        replica's parameters subtract their slices: the same arithmetic
-        as ``model.apply_dense_update`` on in-layer gradients, which is
-        what keeps the replica path bit-identical to the merged-gradient
-        reference.
+    def _apply_dense_gradient(self, flat: np.ndarray) -> None:
+        """SGD-update the dense parameters from one flat gradient, then
+        recycle its buffer.
+
+        The length is checked before anything changes — the parameters
+        and ``flat`` itself.  Then ``flat`` is scaled by ``lr`` once, in
+        place (``np.multiply(flat, lr, out=flat)`` gives the bits of
+        ``lr * segment``), and the parameters subtract their slices: the
+        same arithmetic as ``model.apply_dense_update`` on in-layer
+        gradients, so a gradient that waited in the ``stale-k`` deque
+        lands with the bits it would have had in sync mode.
         """
-        for replica in self.replicas:
-            expected = replica.model.num_dense_parameters
-            if flat.shape[0] != expected:
-                raise ValueError(
-                    f"reduced gradient has {flat.shape[0]} elements, model exposes {expected}"
-                )
+        expected = self.model.num_dense_parameters
+        if flat.shape[0] != expected:
+            raise ValueError(
+                f"reduced gradient has {flat.shape[0]} elements, model exposes {expected}"
+            )
         np.multiply(flat, self.lr, out=flat)
-        for replica in self.replicas:
-            offset = 0
-            for param, _grad in replica.model.dense_parameters():
-                param -= flat[offset : offset + param.size].reshape(param.shape)
-                offset += param.size
+        offset = 0
+        for param, _grad in self.model.dense_parameters():
+            param -= flat[offset : offset + param.size].reshape(param.shape)
+            offset += param.size
         self._dense_spare.append(flat)
 
     # ------------------------------------------------------------------ #
@@ -458,7 +426,7 @@ class ShardedHotlineTrainer(StepExecutor):
         gradients.  Runs the per-shard learning phase if any shard lacks a
         placement.
         """
-        if any(replica.placement is None for replica in self.replicas):
+        if any(shard.placement is None for shard in self.shards):
             self.learning_phase(loader)
         self._bound_loader = loader
         self._epoch_step = 0
@@ -471,15 +439,15 @@ class ShardedHotlineTrainer(StepExecutor):
             self._build_tier()
 
     def _build_tier(self) -> None:
-        """(Re)build the shared hot/cold tier from the current placements.
+        """(Re)build the hot/cold tier from the current placements.
 
         Called at :meth:`bind` so the tier pins the hot rows the learning
         phase just placed; rebinding rebuilds from scratch — fresh
         counters, fresh residency — so a reused trainer never reports a
         previous run's tier traffic (the counter-lifetime contract the
-        DMA regression suite pins for the lookahead path).  One tier is
-        shared by every replica's tables: it models one device's HBM
-        front (replicated hot rows are pinned once).
+        DMA regression suite pins for the lookahead path).  The tier
+        fronts the model's tables: it models one device's HBM front
+        (replicated hot rows are pinned once).
         """
         config = self.model.config
         self.tier = TieredEmbeddingStore(
@@ -488,13 +456,12 @@ class ShardedHotlineTrainer(StepExecutor):
             hot_bytes=float(self.tiered_hot_bytes),
             dtype_bytes=config.dtype_bytes,
         )
-        placement = self.replicas[0].placement
+        placement = self.shards[0].placement
         if placement is not None:
             for table, hot in enumerate(placement.hot_sets):
                 self.tier.pin_rows(table, hot)
-        for replica in self.replicas:
-            for table, bag in enumerate(replica.model.tables):
-                bag.attach_tier(self.tier, table)
+        for table, bag in enumerate(self.model.tables):
+            bag.attach_tier(self.tier, table)
         self._tier_seen = (0, 0, 0)
 
     def _advance_lookahead(self, batch: MiniBatch) -> None:
@@ -524,8 +491,7 @@ class ShardedHotlineTrainer(StepExecutor):
             )
             carry = self.lookahead.begin_epoch(stream)
             if carry is not None:
-                for replica in self.replicas:
-                    replica.model.apply_sparse_updates(carry, self.lr)
+                self.model.apply_sparse_updates(carry, self.lr)
             for shard, pipe in enumerate(self.shard_lookaheads):
                 # Accounting-only pipelines (staleness 0, nothing ever
                 # deferred): the epoch carry is always None.
@@ -552,7 +518,7 @@ class ShardedHotlineTrainer(StepExecutor):
     # Acceleration phase
     # ------------------------------------------------------------------ #
     def _placement_token(self) -> tuple:
-        """Identity + version fingerprint of every replica's hot-set index.
+        """Identity + version fingerprint of every shard's hot-set index.
 
         A classification mask computed ahead of time is only valid while
         the bitmaps it was computed against are unchanged; comparing this
@@ -560,8 +526,8 @@ class ShardedHotlineTrainer(StepExecutor):
         (the version counter) and wholesale index replacement (the id).
         """
         return tuple(
-            (id(replica.placement.index), replica.placement.index.version)
-            for replica in self.replicas
+            (id(shard.placement.index), shard.placement.index.version)
+            for shard in self.shards
         )
 
     def prepare_batch(self, batch: MiniBatch) -> MiniBatch:
@@ -580,15 +546,15 @@ class ShardedHotlineTrainer(StepExecutor):
         precomputed mask is bit-identical to the inline pass — prefetch
         depth can never change numerics.
         """
-        if any(replica.placement is None for replica in self.replicas):
+        if any(shard.placement is None for shard in self.shards):
             return batch
         token = self._placement_token()
         masks = tuple(
-            replica.placement.index.classify(shard_batch.sparse)
+            shard.placement.index.classify(shard_batch.sparse)
             if shard_batch.size
             else None
-            for shard_batch, replica in zip(
-                batch.shards(self.num_shards), self.replicas, strict=True
+            for shard_batch, shard in zip(
+                batch.shards(self.num_shards), self.shards, strict=True
             )
         )
         batch._hotline_masks = (token, masks)
@@ -605,33 +571,27 @@ class ShardedHotlineTrainer(StepExecutor):
         return masks
 
     def train_step(self, batch: MiniBatch) -> tuple[float, float]:
-        """One data-parallel step across the K replicas of ``batch``.
+        """One data-parallel step across the K shards of ``batch``.
 
-        Each shard is classified against its own replica's placement; then
-        all K shards' µ-batches run as ONE pass of replica 0's model over
-        the whole mini-batch, with each shard's segments offset into
-        global-batch coordinates and concatenated in shard order.  The
-        ``after_segment`` hook folds every µ-batch's dense gradient into
-        the reducer's streaming fold as it is produced and zeroes the
-        layers, so partials reach the fold — and per-segment sparse
-        partials reach the exchange — in exactly the replica-major order K
-        per-replica passes would produce (bit-identical to the
-        merged-gradient reference in sync mode).  One pass stands for K
-        because every replica applies the identical update, so replica 0's
-        weights are every replica's weights.
+        Each shard is classified against its own placement; then all K
+        shards' µ-batches run as ONE pass of the model over the whole
+        mini-batch, with each shard's segments offset into global-batch
+        coordinates and concatenated in shard order.  Dense partials
+        accumulate in the layers and sparse partials reach the exchange in
+        that shard-major order: the ring sum of K per-shard passes, and
+        bit-identical to the merged-gradient reference in sync mode.
 
-        In ``stale-k`` mode (k > 0) the reduced dense gradient is applied
-        ``k`` steps late through a k-deep deque (the first k steps apply
-        none), modelling a pipeline of in-flight reduces at the cost of
-        staleness; with a lookahead pipeline attached, merged sparse
-        gradients defer under the same bound (flush on window exit or at
-        age k).  Staleness is uniform across replicas, so they still never
-        drift.
+        In ``stale-k`` mode (k > 0) the layers' dense gradient is copied
+        into a k-deep deque and applied ``k`` steps late (the first k
+        steps apply none), modelling a pipeline of in-flight reduces at the
+        cost of staleness; with a lookahead pipeline attached, merged
+        sparse gradients defer under the same bound (flush on window exit
+        or at age k).
 
         Returns:
             ``(loss, popular_fraction)`` summed / averaged over the batch.
         """
-        if any(replica.placement is None for replica in self.replicas):
+        if any(shard.placement is None for shard in self.shards):
             raise RuntimeError("learning_phase must run before training")
         if self.lookahead is not None:
             self._advance_lookahead(batch)
@@ -639,8 +599,8 @@ class ShardedHotlineTrainer(StepExecutor):
         segments: list[np.ndarray] = []
         popular_size = 0
         remote_lookups = 0
-        for shard_id, (shard_batch, replica) in enumerate(
-            zip(batch.shards(self.num_shards), self.replicas, strict=True)
+        for shard_id, (shard_batch, shard) in enumerate(
+            zip(batch.shards(self.num_shards), self.shards, strict=True)
         ):
             if shard_batch.size == 0:
                 continue
@@ -650,7 +610,7 @@ class ShardedHotlineTrainer(StepExecutor):
                 )
             micro = split_minibatch(
                 shard_batch,
-                replica.placement.index,
+                shard.placement.index,
                 mask=precomputed[shard_id] if precomputed is not None else None,
             )
             start = (shard_id * batch.size) // self.num_shards
@@ -658,25 +618,18 @@ class ShardedHotlineTrainer(StepExecutor):
             popular_size += micro.popular_count
         self.last_remote_lookups = remote_lookups
 
-        model = self.replicas[0].model
-        fold = self.reducer.fold(model.num_dense_parameters, self._dense_spare)
-
-        def after_segment(_segment, _loss):
-            fold.add([grad for _param, grad in model.dense_parameters()])
-            model.zero_grad()
-
+        model = self.model
         model.zero_grad()
-        # Global-batch normalisation keeps the reduced K-replica update
-        # identical to the single-replica one (Eq. 5).
+        # Global-batch normalisation keeps the K-shard update identical to
+        # the single-replica one (Eq. 5).
         losses, partial_sparse = model.fused_loss_and_gradients(
-            batch, segments, normalizer=batch.size, after_segment=after_segment
+            batch, segments, normalizer=batch.size
         )
         # Sequential adds in segment order: the merged reference's sum.
         total_loss = 0.0
         for loss in losses:
             total_loss += loss
 
-        reduced = fold.result() if fold.count else None
         merged = self.exchange.exchange(partial_sparse)
         if self.partition is not None:
             # The modeled sparse-gradient all-to-all of hybrid parallelism:
@@ -690,28 +643,30 @@ class ShardedHotlineTrainer(StepExecutor):
                 for piece in self.exchange.route(table, grad)
             )
 
-        # The k-deep staleness pipeline: this step's reduce joins the queue
-        # and everything deeper than the *current* bound drains out.  One
-        # pop per step in steady state; if the bound shrank mid-run (a
-        # reconfigured reducer), the whole backlog drains this step rather
-        # than being stranded in the deque — no gradient is ever dropped.
+        # Sync applies the layers' sum in place.  Otherwise this step's
+        # gradient joins the k-deep staleness queue as a flat copy and
+        # everything deeper than the *current* bound drains out: one pop
+        # per step in steady state.  If the bound shrank mid-run (a
+        # reconfigured reducer), the whole backlog drains this step, in
+        # flight order and ahead of this step's gradient, rather than
+        # being stranded in the deque — no gradient is ever dropped.
         staleness = self.reducer.staleness
-        self._pending_dense.append(reduced)
-        dense_updates: list[np.ndarray] = []
-        while len(self._pending_dense) > staleness:
-            popped = self._pending_dense.popleft()
-            if popped is not None:
-                dense_updates.append(popped)
+        if staleness == 0 and not self._pending_dense:
+            if segments:
+                model.apply_dense_update(self.lr)
+        else:
+            self._pending_dense.append(self._copy_dense_gradient() if segments else None)
+            while len(self._pending_dense) > staleness:
+                flat = self._pending_dense.popleft()
+                if flat is not None:
+                    self._apply_dense_gradient(flat)
         if self.lookahead is not None:
             # Staleness was synced from the reducer in _advance_lookahead;
             # defer flushes any over-aged backlog on its own.
             sparse_updates = self.lookahead.defer(merged)
         else:
             sparse_updates = merged
-        for flat in dense_updates:
-            self._apply_dense_gradient(flat)
-        for replica in self.replicas:
-            replica.model.apply_sparse_updates(sparse_updates, self.lr)
+        model.apply_sparse_updates(sparse_updates, self.lr)
         popular_fraction = popular_size / batch.size if batch.size else 0.0
         return total_loss, popular_fraction
 
@@ -724,7 +679,7 @@ class ShardedHotlineTrainer(StepExecutor):
         Drains the stale-k deque of reduced dense gradients (in flight
         order) and the lookahead pipeline's still-deferred sparse
         write-backs (:meth:`~repro.core.lookahead.CachedEmbeddingPipeline.
-        drain`), applying both to every replica.  Without this, the last k
+        drain`), applying both to the model.  Without this, the last k
         dense reduces and the deferred rows died with the run — so a
         stale-k sweep's final metrics compared models trained on different
         numbers of gradients.  Sync-mode runs have nothing in flight and
@@ -746,8 +701,7 @@ class ShardedHotlineTrainer(StepExecutor):
         for flat in dense_updates:
             self._apply_dense_gradient(flat)
         if sparse_updates is not None:
-            for replica in self.replicas:
-                replica.model.apply_sparse_updates(sparse_updates, self.lr)
+            self.model.apply_sparse_updates(sparse_updates, self.lr)
         # The drain's write-back traffic has no step to hide under, so it
         # is exposed communication in full.
         return StepOutcome(
@@ -760,31 +714,6 @@ class ShardedHotlineTrainer(StepExecutor):
                 self.lookahead.peak_pending_bytes if self.lookahead is not None else 0
             ),
         )
-
-    # ------------------------------------------------------------------ #
-    # Replica invariants
-    # ------------------------------------------------------------------ #
-    def replica_drift(self) -> float:
-        """Maximum absolute parameter deviation of any replica from replica 0.
-
-        Identical updates keep replicas bit-identical, so this is exactly
-        ``0.0`` in every mode (even ``stale-1`` — staleness is uniform);
-        the test harness asserts it.
-        """
-        reference = self.replicas[0].model
-        drift = 0.0
-        for replica in self.replicas[1:]:
-            for (param, _), (other, _) in zip(
-                reference.dense_parameters(), replica.model.dense_parameters(), strict=True
-            ):
-                drift = max(drift, float(np.max(np.abs(param - other), initial=0.0)))
-            for table, other_table in zip(
-                reference.tables, replica.model.tables, strict=True
-            ):
-                drift = max(
-                    drift, float(np.max(np.abs(table.weight - other_table.weight), initial=0.0))
-                )
-        return drift
 
     # ------------------------------------------------------------------ #
     # Simulated timing
@@ -834,7 +763,7 @@ class ShardedHotlineTrainer(StepExecutor):
     # StepExecutor interface
     # ------------------------------------------------------------------ #
     def run_step(self, batch: MiniBatch) -> StepOutcome:
-        """One replicated step with its per-bucket communication schedule.
+        """One data-parallel step with its per-bucket communication schedule.
 
         The exposed communication term combines the reducer's bucket
         schedule, the partitioned-lookup all-to-all, and the lookahead

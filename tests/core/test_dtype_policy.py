@@ -89,13 +89,12 @@ def dtype_log(monkeypatch):
 
 def step_arrays(trainer):
     """``(kind, array)`` for every array a step leaves behind."""
-    models = [replica.model for replica in getattr(trainer, "replicas", [])]
-    for model in models or [trainer.model]:
-        for param, grad in model.dense_parameters():
-            yield "dense parameter", param
-            yield "dense gradient", grad
-        for table in model.tables:
-            yield "table weight", table.weight
+    model = trainer.model
+    for param, grad in model.dense_parameters():
+        yield "dense parameter", param
+        yield "dense gradient", grad
+    for table in model.tables:
+        yield "table weight", table.weight
     for buffer in getattr(trainer, "_dense_spare", []):
         yield "dense spare buffer", buffer
     for flat in getattr(trainer, "_pending_dense", []):
@@ -113,13 +112,14 @@ ALWAYS_SEEN = {
     "sparse gradient values", "logits", "logit gradient",
     "dense parameter", "dense gradient", "table weight",
 }
+#: Sync steps update from the layers; only stale-k holds flat buffers.
 EXTRA_SEEN = {
     "single": set(),
-    "k2-sync": {"dense spare buffer"},
+    "k2-sync": set(),
     "k2-stale2-w4-tier": {
         "dense spare buffer", "in-flight dense gradient", "pending value slab",
     },
-    "k8-batch6": {"dense spare buffer"},
+    "k8-batch6": set(),
 }
 
 

@@ -8,7 +8,7 @@ segment's private id space, so per-row contributions accumulate in the
 exact per-segment order).  This suite proves the path is bit-transparent
 at every layer — the raw kernels, the model-level
 ``fused_loss_and_gradients`` on DLRM and TBSM, the single-replica
-:class:`HotlineTrainer`, and the multi-replica
+:class:`HotlineTrainer`, and the K-shard
 :class:`ShardedHotlineTrainer` in sync, stale-k, lookahead and tier runs.
 The trainer-level references are the production trainers running the test
 oracle's sequential models (``tests/oracle.py``).
@@ -281,8 +281,4 @@ def test_sharded_trainer_fused_bit_parity(knobs, request):
     assert result_f.final_metrics == result_s.final_metrics
     assert result_f.cache_hits == result_s.cache_hits
     assert result_f.stale_rows == result_s.stale_rows
-    for replica_f, replica_s in zip(trainer_f.replicas, trainer_s.replicas, strict=True):
-        assert_bit_identical(
-            replica_f.model.state_snapshot(), replica_s.model.state_snapshot()
-        )
-    assert trainer_f.replica_drift() == 0.0
+    assert_bit_identical(trainer_f.model.state_snapshot(), trainer_s.model.state_snapshot())

@@ -262,7 +262,6 @@ def test_fig30s_convergence_vs_exposure_acceptance():
         assert all(later > earlier for earlier, later in pairs), losses
         pairs = zip(exposed, exposed[1:], strict=False)
         assert all(later < earlier for earlier, later in pairs), exposed
-        assert all(entry["replica_drift"] == 0.0 for entry in column)
         assert column[0]["stale_rows"] == 0  # k=0 defers nothing
         assert all(entry["stale_rows"] > 0 for entry in column[1:])
     for k in (0, 1, 2, 4):

@@ -62,18 +62,13 @@ def test_invalid_configuration():
 
 from repro.core.placement import PartitionedEmbeddingPlacement
 from repro.core.reducer import (
-    REDUCE_ALGORITHMS,
     WIRE_BYTES_PER_ELEMENT,
     GradientBucketReducer,
     SparseGradientExchange,
     parse_staleness,
 )
 from repro.hwsim.cluster import multi_node, single_node
-from repro.hwsim.collectives import (
-    allreduce_time,
-    hierarchical_allreduce_time,
-    tree_allreduce_time,
-)
+from repro.hwsim.collectives import allreduce_time, hierarchical_allreduce_time
 from repro.nn.embedding import SparseGradient
 
 
@@ -94,13 +89,6 @@ def test_ring_reduce_is_rank_major_chain_sum():
     )
 
 
-def test_tree_reduce_pairwise_halving():
-    reducer = GradientBucketReducer(4, algorithm="tree")
-    partials = [np.full(3, float(i)) for i in range(5)]
-    expected = ((partials[0] + partials[1]) + (partials[2] + partials[3])) + partials[4]
-    np.testing.assert_array_equal(reducer.reduce(partials), expected)
-
-
 def test_reduce_accepts_more_partials_than_replicas():
     """Per-(replica, µ-batch) partials: the count exceeds num_replicas."""
     reducer = GradientBucketReducer(2)
@@ -110,13 +98,9 @@ def test_reduce_accepts_more_partials_than_replicas():
 
 def test_reduce_preserves_float32_end_to_end():
     """Regression: the bucket path must not drift float32 up to float64."""
-    for algorithm in REDUCE_ALGORITHMS:
-        reducer = GradientBucketReducer(
-            2, bucket_bytes=4 * WIRE_BYTES_PER_ELEMENT, algorithm=algorithm
-        )
-        partials = [np.linspace(0, 1, 11, dtype=np.float32) for _ in range(3)]
-        reduced = reducer.reduce(partials)
-        assert reduced.dtype == np.float32, algorithm
+    reducer = GradientBucketReducer(2, bucket_bytes=4 * WIRE_BYTES_PER_ELEMENT)
+    partials = [np.linspace(0, 1, 11, dtype=np.float32) for _ in range(3)]
+    assert reducer.reduce(partials).dtype == np.float32
 
 
 def test_reduce_rejects_mixed_dtypes():
@@ -140,8 +124,6 @@ def test_reducer_validates_configuration():
         GradientBucketReducer(2, bucket_bytes=0)
     with pytest.raises(ValueError):
         GradientBucketReducer(2, mode="async")
-    with pytest.raises(ValueError):
-        GradientBucketReducer(2, algorithm="butterfly")
     # The accepted mode family: the two named modes plus any stale-<k>.
     for mode in ("sync", "overlap", "stale-0", "stale-1", "stale-9"):
         assert GradientBucketReducer(2, mode=mode).mode == mode
@@ -239,16 +221,11 @@ def test_bucket_times_match_hwsim_collectives():
     assert times[1] == pytest.approx(
         allreduce_time(36 * 4.0, 4, cluster.node.gpu_link)
     )
-    # Multi-node ring goes hierarchical; tree composes intra + inter stages.
+    # Multi-node ring goes hierarchical.
     wide = multi_node(2, 4)
     ring = GradientBucketReducer(8, cluster=wide)
     assert ring.bucket_times(10)[0] == pytest.approx(
         hierarchical_allreduce_time(40.0, 4, 2, wide.node.gpu_link, wide.inter_link)
-    )
-    tree = GradientBucketReducer(8, cluster=wide, algorithm="tree")
-    assert tree.bucket_times(10)[0] == pytest.approx(
-        tree_allreduce_time(40.0, 4, wide.node.gpu_link)
-        + tree_allreduce_time(40.0, 2, wide.inter_link)
     )
     # No cluster, or a single replica: the wire is free.
     assert GradientBucketReducer(1, cluster=cluster).bucket_times(10) == [0.0]

@@ -5,8 +5,8 @@ touch numerics:
 
 * ``per_shard_lookahead`` — K per-shard fill-accounting pipelines next to
   the global deferral pipeline (which stops pricing fills itself);
-* ``tiered_hot_bytes`` — one shared hot/cold embedding tier fronting every
-  replica's tables, pinning the placement's hot rows;
+* ``tiered_hot_bytes`` — a hot/cold embedding tier fronting the model's
+  tables, pinning the placement's hot rows;
 * the ``pending_bytes`` / tier-counter plumbing through
   :class:`~repro.core.engine.StepOutcome` into
   :class:`~repro.core.engine.TrainingResult`.
@@ -142,7 +142,7 @@ def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):
     )
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     trainer.bind(loader)
-    placement = trainer.replicas[0].placement
+    placement = trainer.shards[0].placement
     assert placement is not None and placement.hot_rows_total > 0
     for table, hot in enumerate(placement.hot_sets):
         assert np.all(trainer.tier.is_resident(table, hot))
@@ -152,10 +152,9 @@ def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):
         trainer.train_step(batch)
     for table, hot in enumerate(placement.hot_sets):
         assert np.all(trainer.tier.is_resident(table, hot))
-    # Every replica's bags resolve through the one shared tier.
-    for replica in trainer.replicas:
-        for bag in replica.model.tables:
-            assert bag._tier is trainer.tier
+    # The model's bags resolve through the tier.
+    for bag in trainer.model.tables:
+        assert bag._tier is trainer.tier
 
 
 def assert_one_touch_per_unique_row(model, log, mode):
@@ -238,9 +237,8 @@ def test_rebind_starts_with_fresh_dma_and_tier_counters(
     assert trainer.tier.hits == 0 and trainer.tier.misses == 0
     assert trainer.tier.evictions == 0
     assert trainer._tier_seen == (0, 0, 0)
-    for replica in trainer.replicas:
-        for bag in replica.model.tables:
-            assert bag._tier is trainer.tier
+    for bag in trainer.model.tables:
+        assert bag._tier is trainer.tier
 
 
 # --------------------------------------------------------------------- #

@@ -104,11 +104,12 @@ class SequentialTBSM(_SequentialSegments, TBSM):
 # Merged-gradient K-shard trainer
 # ---------------------------------------------------------------------- #
 class MergedGradientTrainer(ShardedHotlineTrainer):
-    """One shared model stands in for all K replicas.
+    """The K-shard step written out µ-batch by µ-batch.
 
-    Every shard's µ-batch gradients accumulate in the shared layers (the
-    functional equivalent of a dense all-reduce when all updates are
-    identical) and per-table sparse gradients merge once across shards.
+    Every shard's µ-batches run through their own ``loss_and_gradients``
+    call; the dense gradients accumulate in the shared layers (the
+    functional equivalent of a ring all-reduce) and per-table sparse
+    gradients merge once across shards.
     Because every µ-batch is normalised by the *global* mini-batch size,
     the accumulated K-shard update equals the single-replica update
     (Eq. 5 extended across shards).  Sync-mode
@@ -122,7 +123,7 @@ class MergedGradientTrainer(ShardedHotlineTrainer):
         Returns:
             ``(loss, popular_fraction)`` summed / averaged over the batch.
         """
-        if any(replica.placement is None for replica in self.replicas):
+        if any(shard.placement is None for shard in self.shards):
             raise RuntimeError("learning_phase must run before training")
         self.model.zero_grad()
         total_loss = 0.0
@@ -130,10 +131,10 @@ class MergedGradientTrainer(ShardedHotlineTrainer):
         partial_sparse: list[list[SparseGradient]] = [
             [] for _ in range(self.model.config.num_sparse_features)
         ]
-        for shard_batch, replica in zip(batch.shards(self.num_shards), self.replicas, strict=True):
+        for shard_batch, shard in zip(batch.shards(self.num_shards), self.shards, strict=True):
             if shard_batch.size == 0:
                 continue
-            micro = split_minibatch(shard_batch, replica.placement.index)
+            micro = split_minibatch(shard_batch, shard.placement.index)
             popular_size += micro.popular.size
             for micro_batch in (micro.popular, micro.non_popular):
                 if micro_batch.size == 0:

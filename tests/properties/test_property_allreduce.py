@@ -1,23 +1,17 @@
 """Property-based tests of the bucketed all-reduce and the sparse routing.
 
-The bit-parity guarantee of the multi-replica trainer rests on structural
+The bit-parity guarantee of the K-shard trainer rests on structural
 invariants of :class:`~repro.core.reducer.GradientBucketReducer`: the
-per-element association order is fixed by the algorithm and the partial's
-rank — never by how elements are packed into buckets.  Hypothesis explores
-random partial sets, bucket sizes, and packings to assert:
+per-element ring association is fixed by the partial's rank — never by how
+elements are packed into buckets.  Hypothesis explores random partial
+sets, bucket sizes, and packings to assert:
 
 * **bucket-size invariance** — any ``bucket_bytes`` produces bit-identical
-  reductions (ring and tree);
+  reductions;
 * **packing-permutation invariance** — permuting the element layout before
   reduction and un-permuting after is a no-op, bit for bit;
 * **dtype preservation** — float32 partials reduce to float32 (no silent
   upcast), the ``merge_sparse_gradients`` drift class of bug;
-* **streaming fold = list reduction** — the trainer's
-  :class:`~repro.core.reducer.DenseGradientFold` (partials added one at a
-  time, each as parameter-shaped pieces) equals, bit for bit, the retired
-  list-based ring chain and tree halving re-implemented below, and its
-  tree stack reproduces their association exactly (checked on symbolic
-  partials); a bad add raises and leaves the fold as it was;
 * **mode ordering** — exposed communication obeys
   ``stale-(k+1) <= stale-k <= ... <= stale-1 <= overlap <= sync (total)``,
   with ``stale-k`` exposing exactly ``max(0, total - k * compute)`` and
@@ -28,7 +22,6 @@ random partial sets, bucket sizes, and packings to assert:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -36,7 +29,6 @@ from hypothesis.extra.numpy import arrays
 from repro.core.placement import PartitionedEmbeddingPlacement
 from repro.core.reducer import (
     WIRE_BYTES_PER_ELEMENT,
-    DenseGradientFold,
     GradientBucketReducer,
     SparseGradientExchange,
 )
@@ -59,27 +51,19 @@ def partial_sets(draw):
 
 @st.composite
 def bucket_reducers(draw):
-    algorithm = draw(st.sampled_from(["ring", "tree"]))
     bucket_elements = draw(st.integers(min_value=1, max_value=300))
-    return GradientBucketReducer(
-        4,
-        bucket_bytes=bucket_elements * WIRE_BYTES_PER_ELEMENT,
-        algorithm=algorithm,
-    )
+    return GradientBucketReducer(4, bucket_bytes=bucket_elements * WIRE_BYTES_PER_ELEMENT)
 
 
 @given(partials=partial_sets(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_bucket_size_invariance(partials, data):
     """Any two bucket sizes produce bit-identical reductions."""
-    algorithm = data.draw(st.sampled_from(["ring", "tree"]))
     sizes = data.draw(
         st.lists(st.integers(1, 300), min_size=2, max_size=2, unique=True)
     )
     reduced = [
-        GradientBucketReducer(
-            4, bucket_bytes=size * WIRE_BYTES_PER_ELEMENT, algorithm=algorithm
-        ).reduce(partials)
+        GradientBucketReducer(4, bucket_bytes=size * WIRE_BYTES_PER_ELEMENT).reduce(partials)
         for size in sizes
     ]
     np.testing.assert_array_equal(reduced[0], reduced[1])
@@ -115,134 +99,6 @@ def test_float32_partials_reduce_to_float32(partials, reducer):
     down = [partial.astype(np.float32) for partial in partials]
     reduced = reducer.reduce(down)
     assert reduced.dtype == np.float32
-
-
-def chain_sum(chunks):
-    """Reference ring order: ``((g0 + g1) + g2) + ...`` over a list."""
-    total = chunks[0].copy()
-    for chunk in chunks[1:]:
-        total += chunk
-    return total
-
-
-def tree_sum(chunks):
-    """Reference tree order: pairwise halving, an odd tail carried up."""
-    level = [chunk.copy() for chunk in chunks]
-    while len(level) > 1:
-        merged = []
-        for i in range(0, len(level) - 1, 2):
-            level[i] += level[i + 1]
-            merged.append(level[i])
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    return level[0]
-
-
-REFERENCE_SUMS = {"ring": chain_sum, "tree": tree_sum}
-
-
-def pieces(partial, cuts):
-    """Split a flat partial into parameter-like pieces (2-D where it can)."""
-    bounds = [0, *sorted(cuts), partial.size]
-    out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:], strict=True):
-        piece = partial[lo:hi]
-        out.append(piece.reshape(2, -1) if piece.size % 2 == 0 and piece.size else piece)
-    return out
-
-
-@st.composite
-def fold_cases(draw):
-    """1..16 equal-length partials of one dtype, a bucket size, and cuts."""
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    num_elements = draw(st.integers(min_value=1, max_value=257))
-    count = draw(st.integers(min_value=1, max_value=16))
-    partials = [
-        draw(arrays(dtype, num_elements, elements=finite)) for _ in range(count)
-    ]
-    cuts = draw(st.lists(st.integers(0, num_elements), max_size=4))
-    bucket_elements = draw(st.integers(min_value=1, max_value=300))
-    return partials, cuts, bucket_elements
-
-
-@given(case=fold_cases(), algorithm=st.sampled_from(["ring", "tree"]))
-@settings(max_examples=80, deadline=None)
-def test_fold_matches_list_reduction_bit_for_bit(case, algorithm):
-    """Streaming adds of piecewise partials equal the list-based sums."""
-    partials, cuts, bucket_elements = case
-    reducer = GradientBucketReducer(
-        4, bucket_bytes=bucket_elements * WIRE_BYTES_PER_ELEMENT, algorithm=algorithm
-    )
-    fold = reducer.fold(partials[0].size)
-    for partial in partials:
-        fold.add(pieces(partial, cuts))
-    assert fold.count == len(partials)
-    folded = fold.result()
-    expected = REFERENCE_SUMS[algorithm](partials)
-    assert folded.dtype == expected.dtype == partials[0].dtype
-    np.testing.assert_array_equal(folded, expected)
-    np.testing.assert_array_equal(reducer.reduce(partials), expected)
-
-
-class Term:
-    """A symbolic partial: ``+`` records the association instead of adding."""
-
-    def __init__(self, expr):
-        self.expr = expr
-
-    def __add__(self, other):
-        return Term((self.expr, other.expr))
-
-
-def test_fold_association_matches_reference_for_1_to_64_partials():
-    """Exact association, not just equal floats: every S from 1 to 64."""
-    for algorithm, reference in REFERENCE_SUMS.items():
-        for count in range(1, 65):
-            partials = [np.array([Term(i)], dtype=object) for i in range(count)]
-            spare: list[np.ndarray] = []
-            fold = DenseGradientFold(algorithm, 1, spare)
-            for partial in partials:
-                fold.add([partial])
-            assert fold.result()[0].expr == reference(partials)[0].expr, (algorithm, count)
-            # After result() every buffer but the returned one is spare, so
-            # this counts every buffer the fold ever allocated: one for ring,
-            # at most ceil(log2 S) + 1 for the tree's binary counter.
-            allocated = 1 + len(spare)
-            if algorithm == "tree":
-                assert allocated <= (count - 1).bit_length() + 1, count
-            else:
-                assert allocated == 1
-
-
-@given(case=fold_cases(), algorithm=st.sampled_from(["ring", "tree"]), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_bad_add_raises_and_leaves_fold_unchanged(case, algorithm, data):
-    """A mixed-dtype or mis-sized add fails before touching any buffer."""
-    partials, cuts, _ = case
-    size, dtype = partials[0].size, partials[0].dtype
-    other = np.float64 if dtype == np.float32 else np.float32
-    at = data.draw(st.integers(0, len(partials)))
-    candidates = [
-        [np.ones(size - 1, dtype=dtype), np.ones(1, dtype=other)],
-        [np.ones(size + 1, dtype=dtype)],
-        [np.ones(size - 1, dtype=dtype)],
-    ]
-    if at > 0:
-        # The first add fixes the fold's dtype; after it, another is mixed.
-        candidates.append([np.ones(size, dtype=other)])
-    bad = data.draw(st.sampled_from(candidates))
-    fold = GradientBucketReducer(4, algorithm=algorithm).fold(size)
-    for position, partial in enumerate(partials):
-        if position == at:
-            with pytest.raises(ValueError):
-                fold.add(bad)
-            assert fold.count == position
-        fold.add(pieces(partial, cuts))
-    if at == len(partials):
-        with pytest.raises(ValueError):
-            fold.add(bad)
-    np.testing.assert_array_equal(fold.result(), REFERENCE_SUMS[algorithm](partials))
 
 
 @given(
