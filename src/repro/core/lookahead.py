@@ -98,7 +98,12 @@ from repro.core.schedule import CommOp, FlatLinks
 from repro.hwsim.collectives import comm_op_time
 from repro.hwsim.dma import DMAEngine
 from repro.hwsim.interconnect import Link
-from repro.nn.embedding import SparseGradient, merge_sparse_gradients
+from repro.nn.embedding import (
+    SparseGradient,
+    _in_sorted,
+    merge_sparse_gradients,
+    scatter_add_rows,
+)
 from repro.nn.init import DTYPE
 
 
@@ -147,16 +152,6 @@ class _WindowEntry:
         self.fresh = fresh  # per-table subset filled by this entry
 
 
-def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Vectorised membership of ``needles`` in a sorted unique ``haystack``."""
-    if haystack.size == 0 or needles.size == 0:
-        return np.zeros(needles.shape, dtype=bool)
-    slots = np.searchsorted(haystack, needles)
-    mask = slots < haystack.size
-    mask[mask] = haystack[slots[mask]] == needles[mask]
-    return mask
-
-
 class FlatPendingStore:
     """Window-bounded flat-array deferred write-back store.
 
@@ -183,7 +178,7 @@ class FlatPendingStore:
 
     The ``SparseGradient`` sorted-unique-indices contract is checked once
     at the ``defer`` boundary: gradients that violate it (hand-built
-    duplicates) are routed through a duplicate-safe ``np.add.at`` scatter
+    duplicates) are routed through the duplicate-safe ``scatter_add_rows``,
     whose element order matches the dict reference's per-occurrence
     accumulation, so results stay bit-identical to the test oracle's
     ``ReferencePendingStore`` either way (rows flush in sorted order;
@@ -314,7 +309,7 @@ class FlatPendingStore:
         slots_all = self._slots[table][np.searchsorted(rows, indices)]
         if sorted_unique:
             # Sorted unique indices hit every slot exactly once — the
-            # fancy-index add equals the np.add.at scatter at a fraction
+            # fancy-index add equals the scatter-add below at a fraction
             # of its cost.  Freed/fresh slots read zero, so accumulating
             # into them matches the reference's arrival-order sums.
             self._values[table][slots_all] += grad.values
@@ -322,7 +317,7 @@ class FlatPendingStore:
             # Duplicate (or unsorted) row ids: the duplicate-safe scatter
             # accumulates per-occurrence contributions exactly as the dict
             # reference accumulates them.
-            np.add.at(self._values[table], slots_all, grad.values)
+            scatter_add_rows(self._values[table], slots_all, grad.values)
         live = self.pending_bytes
         if live > self._peak_bytes:
             self._peak_bytes = live

@@ -172,20 +172,21 @@ class PartitionedEmbeddingPlacement:
     num_shards: int
     embedding_dim: int
     dtype_bytes: int = 4
-    _bounds: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
         if any(rows <= 0 for rows in self.rows_per_table):
             raise ValueError("every table must have at least one row")
-        self._bounds = [
-            np.array(
-                [(k * rows) // self.num_shards for k in range(self.num_shards + 1)],
-                dtype=np.int64,
-            )
-            for rows in self.rows_per_table
-        ]
+        #: ``(num_tables, num_shards + 1)`` row boundaries, one row per table.
+        self._bounds = np.array(
+            [
+                [(k * rows) // self.num_shards for k in range(self.num_shards + 1)]
+                for rows in self.rows_per_table
+            ],
+            dtype=np.int64,
+        )
 
     @property
     def num_tables(self) -> int:
@@ -215,9 +216,7 @@ class PartitionedEmbeddingPlacement:
 
     def owned_row_count(self, shard: int) -> int:
         """Total rows (across tables) stored on ``shard``."""
-        return int(
-            sum(bounds[shard + 1] - bounds[shard] for bounds in self._bounds)
-        )
+        return int((self._bounds[:, shard + 1] - self._bounds[:, shard]).sum())
 
     def shard_bytes(self, shard: int) -> float:
         """Embedding-table footprint of one shard's owned rows."""
@@ -233,14 +232,9 @@ class PartitionedEmbeddingPlacement:
         sparse = np.asarray(sparse)
         if sparse.ndim != 3 or sparse.shape[1] != self.num_tables:
             raise ValueError("sparse must be 3-D (batch, num_tables, pooling)")
-        if sparse.shape[0] == 0 or sparse.shape[2] == 0:
-            return 0
-        remote = 0
-        for table in range(self.num_tables):
-            lo, hi = self.owned_range(table, shard)
-            rows = sparse[:, table, :]
-            remote += int(((rows < lo) | (rows >= hi)).sum())
-        return remote
+        lo = self._bounds[:, shard, None]
+        hi = self._bounds[:, shard + 1, None]
+        return int(np.count_nonzero((sparse < lo) | (sparse >= hi)))
 
     def route_gradient(self, table: int, grad: SparseGradient) -> list[SparseGradient]:
         """Split one table's merged gradient by owner shard.

@@ -24,6 +24,7 @@ from repro.nn.gemm import PackedMLP, segment_bounds
 from repro.nn.embedding import (
     EmbeddingBag,
     SparseGradient,
+    scatter_add_rows,
     segment_ids_for,
     segmented_scatter,
 )
@@ -106,7 +107,7 @@ class TBSM:
         flat_grads = grad_sequence.reshape(-1, dim)
         unique, inverse = np.unique(flat_indices, return_inverse=True)
         values = np.zeros((unique.shape[0], dim), dtype=flat_grads.dtype)
-        np.add.at(values, inverse, flat_grads)
+        scatter_add_rows(values, inverse, flat_grads)
         sparse_grads: list[SparseGradient] = [SparseGradient(unique, values)]
 
         offset = 0

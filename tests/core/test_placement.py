@@ -155,6 +155,20 @@ def test_partition_remote_lookup_count():
     with pytest.raises(ValueError):
         partition.remote_lookup_count(np.zeros((2, 3)), 0)
     assert partition.remote_lookup_count(np.empty((0, 1, 2), dtype=np.int64), 0) == 0
+    # A random block over tables of mixed sizes, one smaller than the
+    # shard count, against a brute-force count through ``owner_of``.
+    rows = (97, 3, 40, 1_000)
+    partition = make_partition(rows=rows, shards=4)
+    rng = np.random.default_rng(5)
+    sparse = np.stack(
+        [rng.integers(0, table_rows, size=(64, 3)) for table_rows in rows], axis=1
+    )
+    for shard in range(4):
+        expected = sum(
+            int(np.count_nonzero(partition.owner_of(table, sparse[:, table, :]) != shard))
+            for table in range(len(rows))
+        )
+        assert partition.remote_lookup_count(sparse, shard) == expected
 
 
 def test_partition_routes_merged_gradient_by_owner():

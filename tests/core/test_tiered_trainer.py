@@ -128,9 +128,7 @@ def test_tiered_run_is_bit_identical_and_counts_traffic(
     tier = tier_trainer.tier
     assert tier is not None
     assert tier.hits + tier.misses == tier_result.tier_hits + tier_result.tier_misses
-    assert tier.resident_bytes <= hot_bytes + sum(
-        pinned.size for pinned in tier._pinned
-    ) * tier.row_bytes
+    assert tier.resident_bytes <= hot_bytes + tier.pinned_rows * tier.row_bytes
 
 
 def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):

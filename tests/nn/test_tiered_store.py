@@ -4,15 +4,18 @@ The tier is an accounting layer, so the suite pins three things: the
 bit-parity contract (attaching a tier changes no numerics), the pricing/
 counter model (misses fetch, capacity evicts LFU, pinned rows never
 evict), and the window-bound bookkeeping (resident-set-sized arrays,
-never table-sized).
+never table-sized).  The flat-keyed tier must also reproduce the test
+oracle's per-table ``ReferenceTieredStore`` counter for counter.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.hwsim.dma import DMAEngine
 from repro.nn.embedding import EmbeddingBag, TieredEmbeddingStore
+from tests.oracle import ReferenceTieredStore
 
 
 def make_tier(rows=(64, 32), dim=4, hot_rows=16, **kwargs):
@@ -59,16 +62,6 @@ def test_pinned_rows_never_evict():
     tier.touch(1, np.array([[1, 2, 3]]))  # 3 cold rows, capacity 4
     assert tier.evictions == 2
     assert tier.is_resident(0, np.array([10, 11, 12])).all()
-
-
-def test_record_counts_feeds_eviction_priority():
-    tier = make_tier(hot_rows=4)
-    tier.touch(0, np.array([[1, 2, 3, 4]]))  # all frequency 1
-    # The classifier says row 3 is popular: seed its count.
-    tier.record_counts(0, np.array([3, 60]), np.array([50, 9]))  # 60 not resident
-    tier.touch(1, np.array([[7, 8, 9]]))
-    assert tier.evictions == 3
-    assert tier.is_resident(0, np.array([3])).all()  # survived on seeded count
 
 
 def test_bookkeeping_is_resident_set_sized():
@@ -128,3 +121,62 @@ def test_reset_counters_keeps_residency():
     assert tier.resident_rows == 3  # warmed tier survives the reset
     tier.touch(0, np.array([[1]]))
     assert (tier.hits, tier.misses) == (1, 0)
+
+
+def assert_tiers_equal(flat, reference):
+    """Counters, priced times and residency of every row, compared with ==."""
+    assert (flat.hits, flat.misses, flat.evictions) == (
+        reference.hits, reference.misses, reference.evictions
+    )
+    assert flat.fetch_time_s == reference.fetch_time_s
+    assert flat.writeback_time_s == reference.writeback_time_s
+    assert flat.resident_rows == reference.resident_rows
+    assert flat.pinned_rows == sum(pinned.size for pinned in reference._pinned)
+    for table, rows in enumerate(flat.rows_per_table):
+        everything = np.arange(rows)
+        assert np.array_equal(
+            flat.is_resident(table, everything), reference.is_resident(table, everything)
+        )
+
+
+@pytest.mark.parametrize("capacity_rows", [0, 2, 9, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flat_tier_reproduces_the_per_table_tier(capacity_rows, seed):
+    """One seeded stream of touches and pins drives the flat-keyed tier and
+    the oracle's per-table tier: after every call their counters, priced
+    seconds and residency are equal.  The stream opens with a block that
+    repeats rows, a block whose rows all tie at count 1, and a pin of rows
+    already cached; with capacity 0 or 2 the pinned rows exceed capacity."""
+    rows_per_table = (50, 7, 30, 1)
+    dim = 4
+    hot_bytes = capacity_rows * dim * 4
+    flat = TieredEmbeddingStore(rows_per_table, dim, hot_bytes=hot_bytes, dma=DMAEngine())
+    reference = ReferenceTieredStore(
+        rows_per_table, dim, hot_bytes=hot_bytes, dma=DMAEngine()
+    )
+    rng = np.random.default_rng(seed)
+    calls = [
+        ("touch", 0, np.array([[1, 1, 2], [2, 3, 1]])),
+        ("touch", 2, np.array([[4, 5], [6, 7]])),
+        ("pin", 0, np.array([1, 2, 44])),
+    ]
+    for _ in range(120):
+        table = int(rng.integers(len(rows_per_table)))
+        rows = rows_per_table[table]
+        # A narrow row range per call keeps counts small, so LFU ties abound.
+        lo = int(rng.integers(rows))
+        hi = min(rows, lo + int(rng.integers(1, 12)))
+        if rng.random() < 0.1:
+            calls.append(("pin", table, rng.integers(lo, hi, size=int(rng.integers(1, 4)))))
+        else:
+            shape = (int(rng.integers(0, 5)), int(rng.integers(1, 4)))
+            calls.append(("touch", table, rng.integers(lo, hi, size=shape)))
+    for kind, table, rows in calls:
+        if kind == "pin":
+            flat.pin_rows(table, rows)
+            reference.pin_rows(table, rows)
+        else:
+            assert flat.touch(table, rows) == reference.touch(table, rows)
+        assert_tiers_equal(flat, reference)
+    assert reference.evictions > 0
+    assert flat.pinned_rows > capacity_rows or capacity_rows == 40

@@ -18,6 +18,9 @@ the speedup benchmarks build their baselines from it:
 * :class:`ReferencePendingStore` — the dict-of-rows deferred write-back
   store; swap it into a pipeline with
   ``pipe.pending = ReferencePendingStore(pipe.rows_per_table)``.
+* :class:`ReferenceTieredStore` — the per-table hot/cold tier whose
+  counters and priced times the flat-keyed
+  :class:`~repro.nn.embedding.TieredEmbeddingStore` must reproduce.
 * :func:`reference_forward` / :func:`reference_backward` — per-sample-loop
   embedding pooling and scatter.
 * :func:`split_minibatch_reference` — the ``np.isin`` µ-batch
@@ -50,6 +53,7 @@ from repro.nn.loss import reference_epilogue
 __all__ = [
     "MergedGradientTrainer",
     "ReferencePendingStore",
+    "ReferenceTieredStore",
     "SequentialDLRM",
     "SequentialTBSM",
     "reference_backward",
@@ -263,6 +267,140 @@ class ReferencePendingStore:
         for pending, births in zip(self._pending, self._births, strict=True):
             pending.clear()
             births.clear()
+
+
+# ---------------------------------------------------------------------- #
+# Per-table hot/cold tier
+# ---------------------------------------------------------------------- #
+def _in_sorted(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Boolean membership of ``rows`` in an ascending unique ``sorted_rows``."""
+    if sorted_rows.size == 0 or rows.size == 0:
+        return np.zeros(rows.shape[0], dtype=bool)
+    pos = np.searchsorted(sorted_rows, rows)
+    present = pos < sorted_rows.size
+    present[present] = sorted_rows[pos[present]] == rows[present]
+    return present
+
+
+class ReferenceTieredStore:
+    """Per-table LFU hot tier — the reference for the flat-keyed tier.
+
+    One sorted resident-row array per table, with aligned access counts,
+    and one sorted pinned-row array per table; pinned rows are also
+    resident (and keep counts nobody reads).  Eviction concatenates every
+    table's unpinned resident rows, table-major and row-ascending, and
+    evicts the ``argpartition`` of their counts.  The flat-keyed
+    :class:`~repro.nn.embedding.TieredEmbeddingStore` must reproduce its
+    counters, priced times and residency exactly.
+    """
+
+    def __init__(self, rows_per_table, dim: int, *, hot_bytes: float, dma, dtype_bytes: int = 4):
+        self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
+        self.row_bytes = int(dim) * int(dtype_bytes)
+        self.capacity_rows = int(float(hot_bytes) // self.row_bytes)
+        self.dma = dma
+        num_tables = len(self.rows_per_table)
+        self._rows = [np.empty(0, dtype=np.int64) for _ in range(num_tables)]
+        self._counts = [np.empty(0, dtype=np.int64) for _ in range(num_tables)]
+        self._pinned = [np.empty(0, dtype=np.int64) for _ in range(num_tables)]
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.fetch_time_s = 0.0
+        self.writeback_time_s = 0.0
+
+    @property
+    def resident_rows(self) -> int:
+        """Rows currently resident in the hot tier, across tables."""
+        return int(sum(rows.size for rows in self._rows))
+
+    def is_resident(self, table: int, rows: np.ndarray) -> np.ndarray:
+        """Boolean residency of ``rows``."""
+        return _in_sorted(self._rows[table], np.asarray(rows, dtype=np.int64))
+
+    def pin_rows(self, table: int, rows: np.ndarray) -> None:
+        """Make ``rows`` resident and un-evictable; price fresh rows contiguously."""
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        if rows.size == 0:
+            return
+        if rows[0] < 0 or rows[-1] >= self.rows_per_table[table]:
+            raise ValueError(f"pinned row out of range for table {table}")
+        self._pinned[table] = np.union1d(self._pinned[table], rows)
+        fresh = rows[~_in_sorted(self._rows[table], rows)]
+        if fresh.size:
+            self._insert(table, fresh, np.zeros(fresh.size, dtype=np.int64))
+            self.fetch_time_s += self.dma.read_time(fresh.size * self.row_bytes, scattered=False)
+        self._evict_to_capacity()
+
+    def touch(self, table: int, indices: np.ndarray) -> float:
+        """Resolve one lookup block through the tier; return priced seconds."""
+        rows, occurrences = np.unique(
+            np.asarray(indices, dtype=np.int64).reshape(-1), return_counts=True
+        )
+        if rows.size == 0:
+            return 0.0
+        if rows[0] < 0 or rows[-1] >= self.rows_per_table[table]:
+            raise ValueError(f"lookup row out of range for table {table}")
+        resident = self._rows[table]
+        present = _in_sorted(resident, rows)
+        hit_count = int(np.count_nonzero(present))
+        self.hits += hit_count
+        self.misses += rows.size - hit_count
+        step_time = 0.0
+        if hit_count:
+            positions = np.searchsorted(resident, rows[present])
+            self._counts[table][positions] += occurrences[present]
+        cold = rows[~present]
+        if cold.size:
+            fetch = self.dma.read_time(cold.size * self.row_bytes, scattered=True)
+            self.fetch_time_s += fetch
+            step_time += fetch
+            self._insert(table, cold, occurrences[~present])
+            step_time += self._evict_to_capacity()
+        return step_time
+
+    def _insert(self, table: int, rows: np.ndarray, counts: np.ndarray) -> None:
+        positions = np.searchsorted(self._rows[table], rows)
+        self._rows[table] = np.insert(self._rows[table], positions, rows)
+        self._counts[table] = np.insert(self._counts[table], positions, counts)
+
+    def _evict_to_capacity(self) -> float:
+        excess = self.resident_rows - self.capacity_rows
+        if excess <= 0:
+            return 0.0
+        candidate_counts, candidate_tables, candidate_positions = [], [], []
+        for table in range(len(self.rows_per_table)):
+            positions = np.flatnonzero(~_in_sorted(self._pinned[table], self._rows[table]))
+            if positions.size == 0:
+                continue
+            candidate_counts.append(self._counts[table][positions])
+            candidate_tables.append(np.full(positions.size, table, dtype=np.int64))
+            candidate_positions.append(positions)
+        if not candidate_counts:
+            return 0.0
+        counts = np.concatenate(candidate_counts)
+        tables = np.concatenate(candidate_tables)
+        positions = np.concatenate(candidate_positions)
+        take = min(excess, counts.size)
+        order = (
+            np.argpartition(counts, take - 1)[:take]
+            if take < counts.size
+            else np.arange(counts.size)
+        )
+        evicted = 0
+        for table in range(len(self.rows_per_table)):
+            victim_positions = positions[order][tables[order] == table]
+            if victim_positions.size == 0:
+                continue
+            keep = np.ones(self._rows[table].size, dtype=bool)
+            keep[victim_positions] = False
+            self._rows[table] = self._rows[table][keep]
+            self._counts[table] = self._counts[table][keep]
+            evicted += victim_positions.size
+        self.evictions += evicted
+        writeback = self.dma.write_time(evicted * self.row_bytes, scattered=True)
+        self.writeback_time_s += writeback
+        return writeback
 
 
 # ---------------------------------------------------------------------- #
