@@ -3,11 +3,13 @@
 Two accounting series for ``BENCH_sparse_path.json``:
 
 * ``pending_store_peak_bytes`` — the window-bound invariant as a CI gate:
-  driving the lookahead pipeline against a 10M-row (Criteo-Terabyte-class)
-  table, the pending store's peak footprint must stay under the
-  window-derived bound (cached rows x per-row slab bytes) — never the
-  ~10 GB a table-sized buffer would take.  Recorded as a gated speedup
-  (``bound / peak``, gate 1.0) so ``check_bench_gates.py`` audits it.
+  driving the lookahead pipeline over RM2's 26 table shapes scaled so the
+  largest holds 10M rows (Criteo-Terabyte class), the pending store's
+  peak footprint — one slab over every table's flat keys — must stay
+  under the window-derived bound (cached rows x per-row slab bytes),
+  never the ~10 GB a table-sized buffer would take.  Recorded as a gated
+  speedup (``bound / peak``, gate 1.0) so ``check_bench_gates.py`` audits
+  it.
 * ``tiered_store_traffic`` — hit/miss/eviction counts and the hit rate of
   :class:`~repro.nn.embedding.TieredEmbeddingStore` under Zipf-skewed
   lookups with the head pinned, tracking the tier's effectiveness across
@@ -21,43 +23,52 @@ import numpy as np
 
 from benchmarks.figutils import record_bench
 from repro.core.lookahead import CachedEmbeddingPipeline
-from repro.nn.embedding import SparseGradient, TieredEmbeddingStore
+from repro.models import RM2
+from repro.nn.embedding import SparseGradient, TieredEmbeddingStore, key_offsets
 
 TABLE_ROWS = 10_000_000
 DIM = 8
+#: RM2's 26 table shapes, scaled so the largest table holds TABLE_ROWS.
+RM2_ROWS = RM2.scaled(TABLE_ROWS).dataset.rows_per_table
 
 
 def test_pending_store_peak_bytes_window_bound(benchmark):
-    """Peak pending bytes <= window bound at 10M-row scale, and the gate
-    lands in the artifact with the measured headroom."""
-    window, staleness, steps = 4, 2, 24
+    """Peak pending bytes <= window bound over 26 tables of up to 10M rows,
+    and the gate lands in the artifact with the measured headroom."""
+    window, staleness, steps, batch = 4, 2, 24, 64
     rng = np.random.default_rng(17)
-    # A hot pool makes rows recur within the window so deferral genuinely
-    # accumulates (disjoint batches would flush every row as it retires).
-    pool = rng.choice(TABLE_ROWS, size=2_000, replace=False)
-    batches = [
-        np.unique(
-            np.concatenate(
-                [
-                    rng.choice(pool, size=48, replace=False),
-                    rng.choice(TABLE_ROWS, size=16, replace=False),
-                ]
-            )
-        ).astype(np.int64)
+    # Per table, a hot pool makes rows recur within the window so deferral
+    # genuinely accumulates (disjoint batches would flush every row as it
+    # retires); a quarter of the lookups go anywhere in the table.
+    pools = [rng.choice(rows, size=min(rows, 80), replace=False) for rows in RM2_ROWS]
+    blocks = [
+        np.stack(
+            [
+                np.where(
+                    rng.random(batch) < 0.75,
+                    rng.choice(pool, size=batch),
+                    rng.integers(0, rows, size=batch),
+                )
+                for pool, rows in zip(pools, RM2_ROWS, strict=True)
+            ],
+            axis=1,
+        )[:, :, None]
         for _ in range(steps + window)
     ]
+    offsets = key_offsets(RM2_ROWS)[:, None]
+    batches = [np.unique(block + offsets) for block in blocks]
     grads = [
-        SparseGradient(rows, rng.normal(size=(rows.size, DIM))) for rows in batches
+        SparseGradient(keys, rng.normal(size=(keys.size, DIM))) for keys in batches
     ]
 
     def drive():
-        pipe = CachedEmbeddingPipeline((TABLE_ROWS,), window=window, staleness=staleness)
-        pipe.begin_epoch(iter([[rows] for rows in batches]))
+        pipe = CachedEmbeddingPipeline(RM2_ROWS, window=window, staleness=staleness)
+        pipe.begin_epoch(iter(batches))
         window_rows = 0
-        for rows, grad in zip(batches[:steps], grads[:steps], strict=False):
-            pipe.observe(rows.reshape(-1, 1, 1))
-            window_rows = max(window_rows, pipe.cached_rows_total + rows.size)
-            pipe.defer([grad])
+        for block, keys, grad in zip(blocks[:steps], batches, grads, strict=False):
+            pipe.observe(block)
+            window_rows = max(window_rows, pipe.cached_rows_total + keys.size)
+            pipe.defer(grad)
         pipe.begin_epoch(None)
         return pipe, window_rows
 
@@ -71,14 +82,14 @@ def test_pending_store_peak_bytes_window_bound(benchmark):
     peak = pipe.peak_pending_bytes
     headroom = bound_bytes / peak
     print(
-        f"\npending store @ {TABLE_ROWS} rows, window {window}: peak {peak} B, "
-        f"window bound {bound_bytes} B (headroom {headroom:.2f}x)"
+        f"\npending store @ RM2 tables up to {TABLE_ROWS} rows, window {window}: "
+        f"peak {peak} B, window bound {bound_bytes} B (headroom {headroom:.2f}x)"
     )
     record_bench(
         "pending_store_peak_bytes",
-        config=f"rows={TABLE_ROWS}, dim={DIM}, window={window}, "
-        f"staleness={staleness}, steps={steps}, peak_bytes={peak}, "
-        f"bound_bytes={bound_bytes}",
+        config=f"RM2 tables={len(RM2_ROWS)}, max_rows={TABLE_ROWS}, dim={DIM}, "
+        f"batch={batch}, window={window}, staleness={staleness}, steps={steps}, "
+        f"peak_bytes={peak}, bound_bytes={bound_bytes}",
         seconds=elapsed / steps,
         speedup=headroom,
         gate=1.0,
@@ -112,14 +123,14 @@ def test_refcount_footprint_window_bound(benchmark):
 
     def drive():
         pipe = CachedEmbeddingPipeline((TABLE_ROWS,), window=window)
-        pipe.begin_epoch(iter([[rows] for rows in batches]))
+        pipe.begin_epoch(iter(batches))
         peak_refcount = 0
         for rows, grad in zip(batches[:steps], grads[:steps], strict=False):
             pipe.observe(rows.reshape(-1, 1, 1))
             peak_refcount = max(peak_refcount, pipe.refcount_bytes)
             # The layout is exactly 12 bytes per *currently cached* row.
             assert pipe.refcount_bytes == pipe.cached_rows_total * 12
-            pipe.defer([grad])
+            pipe.defer(grad)
         return pipe, peak_refcount
 
     start = time.perf_counter()

@@ -1,15 +1,17 @@
 """Pending-store microbenchmark: flat arrays vs the dict reference.
 
-The lookahead cache's deferred write-back store moved from per-table
+The lookahead cache's deferred write-back store moved from
 ``dict[int, np.ndarray]`` churn (O(nnz) Python per step) to
-:class:`~repro.core.lookahead.FlatPendingStore` — a dense gradient
-accumulation buffer + pending bitmap + birth-step array with a birth-bucket
-age index, all driven by vectorised scatters and boolean masks.  This
-benchmark drives both stores through the same defer → age-flush → take
-cycle the :class:`~repro.core.lookahead.CachedEmbeddingPipeline` performs
-each training step, at RM1-scale nnz (a 2048-sample Taobao batch touches
-tens of thousands of unique rows per step across the 21-lookup history
-table), and asserts the multiple-x speedup that justifies the flat layout.
+:class:`~repro.core.lookahead.FlatPendingStore` — one sorted key array,
+slot indirection into a gradient slab, a birth-step slab and a
+birth-bucket age index over every table's flat keys, all driven by
+vectorised scatters and boolean masks.  This benchmark drives both stores
+through the same defer → age-flush → take cycle the
+:class:`~repro.core.lookahead.CachedEmbeddingPipeline` performs each
+training step (one flat-keyed gradient per step), at RM1-scale nnz (a
+2048-sample Taobao batch touches tens of thousands of unique rows per
+step across the 21-lookup history table), and asserts the multiple-x
+speedup that justifies the flat layout.
 Bit-parity first: a fast-but-wrong store must not pass.
 
 The gate is 3.5×, not the ~5× the store typically measures: the
@@ -28,7 +30,7 @@ import numpy as np
 from benchmarks.figutils import record_bench
 from repro.core.lookahead import FlatPendingStore
 from repro.models import RM1
-from repro.nn.embedding import SparseGradient
+from repro.nn.embedding import SparseGradient, join_tables
 from tests.oracle import ReferencePendingStore
 
 #: Minimum speedup of the flat store over the dict reference (see the
@@ -50,6 +52,7 @@ STALENESS = 2
 
 
 def make_steps(rows_per_table, dim, seed=5):
+    """One flat-keyed gradient per step, drawn table by table."""
     rng = np.random.default_rng(seed)
     steps = []
     for _ in range(STEPS):
@@ -60,20 +63,17 @@ def make_steps(rows_per_table, dim, seed=5):
             grads.append(
                 SparseGradient(unique.astype(np.int64), rng.normal(size=(nnz, dim)))
             )
-        steps.append(grads)
+        steps.append(join_tables(grads, rows_per_table))
     return steps
 
 
 def drive(store, steps):
     """One pipeline-shaped cycle: defer, age-scan, flush, final drain."""
     flushed = []
-    for step, grads in enumerate(steps):
-        for table, grad in enumerate(grads):
-            store.defer(table, grad, step)
-            aged = store.aged_rows(table, step, STALENESS)
-            flushed.append(store.take(table, aged))
-    for table in range(len(steps[0])):
-        flushed.append(store.take_all(table))
+    for step, grad in enumerate(steps):
+        store.defer(grad, step)
+        flushed.append(store.take(store.aged_rows(step, STALENESS)))
+    flushed.append(store.take_all())
     return flushed
 
 
@@ -90,8 +90,8 @@ def test_pending_store_speedup(benchmark):
     rows_per_table = CONFIG.dataset.rows_per_table
     steps = make_steps(rows_per_table, CONFIG.embedding_dim)
 
-    flat = FlatPendingStore(rows_per_table)
-    reference = ReferencePendingStore(rows_per_table)
+    flat = FlatPendingStore()
+    reference = ReferencePendingStore()
 
     # Parity first: every flushed gradient must match bit for bit.
     for flat_grad, ref_grad in zip(drive(flat, steps), drive(reference, steps), strict=True):
@@ -141,10 +141,10 @@ def test_pending_store_speedup_skewed_traffic(benchmark):
                     rng.normal(size=(unique.size, CONFIG.embedding_dim)),
                 )
             )
-        steps.append(grads)
+        steps.append(join_tables(grads, rows_per_table))
 
-    flat = FlatPendingStore(rows_per_table)
-    reference = ReferencePendingStore(rows_per_table)
+    flat = FlatPendingStore()
+    reference = ReferencePendingStore()
     drive(flat, steps)  # warm (buffer allocation + page faults)
     drive(reference, steps)
     flat_time = best_of(lambda: drive(flat, steps))

@@ -40,9 +40,9 @@ This package implements the paper's contribution:
 * :mod:`repro.core.lookahead` — the BagPipe-style bounded-staleness
   embedding pipeline: :class:`~repro.core.lookahead.CachedEmbeddingPipeline`
   walks the loader's eager epoch order a window ahead, prefetches upcoming
-  rows into a coherent per-replica cache (HotSetIndex bitmaps), and defers
-  sparse write-backs until a row leaves the window or hits the staleness
-  bound.
+  rows into a coherent per-replica cache (window refcounts over flat
+  keys), and defers sparse write-backs until a row leaves the window or
+  hits the staleness bound.
 """
 
 from repro.core.accelerator import (

@@ -25,27 +25,32 @@ simulated cluster pays, not one this host pays K times.
   and lands k steps late (``stale-0`` is exactly ``sync``; any ``k > 0``
   changes numerics but stays deterministic).  At most k+1 such buffers
   are live.
+* **Sparse gradients** stay in one flat key space over every table (row
+  ``r`` of table ``t`` is key ``offsets[t] + r``, see
+  :mod:`repro.nn.embedding`) from the scatter to the update, so each
+  sparse stage runs once per step.  The one pass over the whole batch
+  yields one flat-keyed partial per µ-batch, in shard order;
+  :class:`~repro.core.reducer.SparseGradientExchange` merges them with
+  one merge in deterministic ``(shard, µ-batch)`` order, exactly the
+  accumulation a parameter-less embedding all-reduce performs; the model
+  splits the result by table offsets at the update.
 * **Bounded-staleness embedding pipeline** — with ``lookahead_window=W``
-  a :class:`~repro.core.lookahead.CachedEmbeddingPipeline` walks the
+  one :class:`~repro.core.lookahead.CachedEmbeddingPipeline` walks the
   loader's eagerly-drawn epoch order W batches ahead of training
   (BagPipe-style), prefetches the rows upcoming batches touch into a
   coherent cache (priced via
-  :func:`~repro.hwsim.collectives.cache_fill_time`), and defers merged
-  sparse-gradient write-backs until a row leaves the window or the
+  :func:`~repro.hwsim.collectives.cache_fill_time`), and defers the
+  merged gradient's write-backs until a row leaves the window or the
   reducer's staleness bound ``k`` is hit.  With ``k = 0`` the pipeline is
   pure accounting (bit-identical numerics); cache hit/staleness counters
   surface through :class:`~repro.core.engine.StepOutcome`.
-* **Sparse gradients** go through
-  :class:`~repro.core.reducer.SparseGradientExchange` — per-table merge in
-  deterministic ``(shard, µ-batch)`` order, exactly the accumulation a
-  parameter-less embedding all-reduce performs.
 * With ``partition_embeddings=True`` a
   :class:`~repro.core.placement.PartitionedEmbeddingPlacement` splits every
   table row-wise across the shards (model parallelism).  Ownership drives
   per-shard memory accounting, the priced all-to-all of remotely-owned
   lookups (:func:`~repro.hwsim.collectives.embedding_alltoall_time`), and
-  the routing of merged sparse gradients back to their owner shards; the
-  one model keeps the full tables, so partitioning changes *communication
+  the routing of the merged sparse gradient's keys back to their owner
+  shards; the one model keeps the full tables, so partitioning changes *communication
   accounting*, never numerics.
 
 **The parity guarantee.**  In ``sync``, ``overlap`` and ``stale-0`` mode
@@ -78,11 +83,7 @@ from repro.baselines.base import ExecutionModel
 from repro.core.accelerator import HotlineAccelerator
 from repro.core.classifier import split_minibatch
 from repro.core.engine import StepExecutor, StepOutcome, TrainingEngine, TrainingResult
-from repro.core.lookahead import (
-    CachedEmbeddingPipeline,
-    epoch_row_stream,
-    shard_epoch_row_stream,
-)
+from repro.core.lookahead import CachedEmbeddingPipeline, epoch_row_stream
 from repro.core.placement import EmbeddingPlacement, PartitionedEmbeddingPlacement
 from repro.core.reducer import GradientBucketReducer, SparseGradientExchange
 from repro.core.schedule import CommOp, ComposedSchedule, FlatLinks, StepSchedule
@@ -150,16 +151,6 @@ class ShardedHotlineTrainer(StepExecutor):
             until a row leaves the window or is k steps stale, so with
             ``sync``/``stale-0`` it is pure accounting (numerics
             untouched).
-        per_shard_lookahead: Give each shard its own *accounting*
-            lookahead cache keyed to its contiguous shard slice of every
-            batch (:func:`~repro.core.lookahead.shard_epoch_row_stream`),
-            so per-GPU cache capacity and fill traffic differentiate by
-            shard — skewed shards fill more.  The per-shard pipelines
-            price the fills (each shard fills its own cache in parallel,
-            so the step charges the slowest shard); the global pipeline
-            keeps owning the deferral *numerics* but stops pricing fills
-            (``price_fills=False``) so no fill is charged twice.
-            Requires ``lookahead_window > 0``.
         tiered_hot_bytes: Front the model's embedding tables with a
             :class:`~repro.nn.embedding.TieredEmbeddingStore` of
             this byte capacity (``None`` disables tiering).  The tier is
@@ -187,7 +178,6 @@ class ShardedHotlineTrainer(StepExecutor):
         mode: str = "sync",
         partition_embeddings: bool = False,
         lookahead_window: int = 0,
-        per_shard_lookahead: bool = False,
         tiered_hot_bytes: float | None = None,
     ):
         if num_shards <= 0:
@@ -221,17 +211,11 @@ class ShardedHotlineTrainer(StepExecutor):
                 embedding_dim=config.embedding_dim,
                 dtype_bytes=config.dtype_bytes,
             )
-        self.exchange = SparseGradientExchange(
-            config.num_sparse_features, partition=self.partition
-        )
+        self.exchange = SparseGradientExchange(partition=self.partition)
         if lookahead_window < 0:
             raise ValueError("lookahead_window must be >= 0")
-        if per_shard_lookahead and lookahead_window <= 0:
-            raise ValueError("per_shard_lookahead requires lookahead_window > 0")
         #: Optional BagPipe-style cached-embedding lookahead pipeline.
         self.lookahead: CachedEmbeddingPipeline | None = None
-        #: Per-shard accounting pipelines (empty unless per_shard_lookahead).
-        self.shard_lookaheads: list[CachedEmbeddingPipeline] = []
         if lookahead_window > 0:
             self.lookahead = CachedEmbeddingPipeline(
                 tuple(config.dataset.rows_per_table),
@@ -245,23 +229,7 @@ class ShardedHotlineTrainer(StepExecutor):
                 # does not exist.
                 num_replicas=num_shards if partition_embeddings else 1,
                 link=self._fill_link(),
-                # With per-shard caches the fills are priced per shard
-                # slice below; the global pipeline keeps the deferral
-                # numerics but must not charge the same fill again.
-                price_fills=not per_shard_lookahead,
             )
-            if per_shard_lookahead:
-                self.shard_lookaheads = [
-                    CachedEmbeddingPipeline(
-                        tuple(config.dataset.rows_per_table),
-                        window=lookahead_window,
-                        staleness=0,  # accounting-only: never defers
-                        row_bytes=row_bytes,
-                        num_replicas=num_shards if partition_embeddings else 1,
-                        link=self._fill_link(),
-                    )
-                    for _ in range(num_shards)
-                ]
         if tiered_hot_bytes is not None and tiered_hot_bytes < 0:
             raise ValueError("tiered_hot_bytes must be >= 0 (or None to disable)")
         #: Byte capacity of the hot embedding tier (None = no tiering).
@@ -433,8 +401,6 @@ class ShardedHotlineTrainer(StepExecutor):
         self._pending_dense.clear()
         if self.lookahead is not None:
             self.lookahead.reset()
-        for pipe in self.shard_lookaheads:
-            pipe.reset()
         if self.tiered_hot_bytes is not None:
             self._build_tier()
 
@@ -485,34 +451,16 @@ class ShardedHotlineTrainer(StepExecutor):
         epoch_len = len(self._bound_loader) if self._bound_loader is not None else 0
         if self._epoch_step == 0 or (epoch_len and self._epoch_step >= epoch_len):
             stream = (
-                epoch_row_stream(self._bound_loader)
+                epoch_row_stream(self._bound_loader, self.lookahead.rows_per_table)
                 if self._bound_loader is not None
                 else None
             )
             carry = self.lookahead.begin_epoch(stream)
             if carry is not None:
                 self.model.apply_sparse_updates(carry, self.lr)
-            for shard, pipe in enumerate(self.shard_lookaheads):
-                # Accounting-only pipelines (staleness 0, nothing ever
-                # deferred): the epoch carry is always None.
-                pipe.begin_epoch(
-                    shard_epoch_row_stream(self._bound_loader, shard, self.num_shards)
-                    if self._bound_loader is not None
-                    else None
-                )
             self._epoch_step = 0
         self._epoch_step += 1
         self.lookahead.observe(batch.sparse)
-        if self.shard_lookaheads:
-            # Each shard's cache windows its own contiguous slice — the
-            # same bounds arithmetic as MiniBatch.shards — so fill traffic
-            # and capacity differentiate by shard.  Empty slices still
-            # observe: every pipeline must advance its window every step.
-            size = batch.size
-            for shard, pipe in enumerate(self.shard_lookaheads):
-                lo = (shard * size) // self.num_shards
-                hi = ((shard + 1) * size) // self.num_shards
-                pipe.observe(batch.sparse[lo:hi])
 
     # ------------------------------------------------------------------ #
     # Acceleration phase
@@ -577,9 +525,10 @@ class ShardedHotlineTrainer(StepExecutor):
         shards' µ-batches run as ONE pass of the model over the whole
         mini-batch, with each shard's segments offset into global-batch
         coordinates and concatenated in shard order.  Dense partials
-        accumulate in the layers and sparse partials reach the exchange in
-        that shard-major order: the ring sum of K per-shard passes, and
-        bit-identical to the merged-gradient reference in sync mode.
+        accumulate in the layers and the flat-keyed sparse partials reach
+        the exchange in that shard-major order: the ring sum of K
+        per-shard passes, and bit-identical to the merged-gradient
+        reference in sync mode.
 
         In ``stale-k`` mode (k > 0) the layers' dense gradient is copied
         into a k-deep deque and applied ``k`` steps late (the first k
@@ -622,7 +571,7 @@ class ShardedHotlineTrainer(StepExecutor):
         model.zero_grad()
         # Global-batch normalisation keeps the K-shard update identical to
         # the single-replica one (Eq. 5).
-        losses, partial_sparse = model.fused_loss_and_gradients(
+        losses, partials = model.fused_loss_and_gradients(
             batch, segments, normalizer=batch.size
         )
         # Sequential adds in segment order: the merged reference's sum.
@@ -630,17 +579,15 @@ class ShardedHotlineTrainer(StepExecutor):
         for loss in losses:
             total_loss += loss
 
-        merged = self.exchange.exchange(partial_sparse)
+        merged = self.exchange.exchange(partials)
         if self.partition is not None:
             # The modeled sparse-gradient all-to-all of hybrid parallelism:
-            # actually route every table's merged rows to their owner shards
-            # and count what arrived, so the reported stat reflects the
-            # routing that ran (a partition of the merged rows — the
-            # property suite proves the pieces reassemble exactly).
+            # actually route the merged keys to their owner shards and
+            # count what arrived, so the reported stat reflects the routing
+            # that ran (a partition of the merged rows — the property suite
+            # proves the pieces reassemble exactly).
             self.last_routed_rows = sum(
-                piece.nnz
-                for table, grad in enumerate(merged)
-                for piece in self.exchange.route(table, grad)
+                piece.nnz for piece in self.exchange.route(merged)
             )
 
         # Sync applies the layers' sum in place.  Otherwise this step's
@@ -784,13 +731,6 @@ class ShardedHotlineTrainer(StepExecutor):
         dense = self.reducer.comm_schedule(bucket_times)
         stats = self.lookahead.last_stats if self.lookahead is not None else None
         prefetch = stats.prefetch_time_s if stats is not None else 0.0
-        if self.shard_lookaheads:
-            # K shards fill their caches in parallel: the step waits for
-            # the slowest shard's fills, on top of the global pipeline's
-            # (fill-unpriced) write-back traffic.
-            prefetch += max(
-                pipe.last_stats.prefetch_time_s for pipe in self.shard_lookaheads
-            )
         lookup_alltoall = (
             0.0 if self.lookahead is not None
             else self.alltoall_time(self.last_remote_lookups)

@@ -111,23 +111,11 @@ class HotSetIndex:
         """One table's boolean membership bitmap (treat as read-only).
 
         Exposed for vectorised callers that combine membership with their
-        own per-row arrays in one boolean-mask pass — e.g. the lookahead
-        cache's flat pending store ANDs this bitmap with its birth-step
-        comparison to find age-expired rows without materialising id lists.
-        Mutate through :meth:`set_rows`/:meth:`clear_rows` only, so the
-        lazily-rebuilt ``hot_sets`` arrays stay in sync.
+        own per-row arrays in one boolean-mask pass.  Mutate through
+        :meth:`set_rows`/:meth:`clear_rows` only, so the lazily-rebuilt
+        ``hot_sets`` arrays stay in sync.
         """
         return self._bitmaps[table]
-
-    def hot_count(self, table: int) -> int:
-        """Number of set bits in one table's bitmap.
-
-        A popcount straight off the bitmap: unlike ``hot_sets[table].size``
-        it never rebuilds the lazily-invalidated id arrays, so callers that
-        only need occupancy (the lookahead cache's accounting) stay
-        O(table)/vectorised with no allocation of the id list.
-        """
-        return int(np.count_nonzero(self._bitmaps[table]))
 
     def contains(self, table: int, rows: np.ndarray) -> np.ndarray:
         """Vectorised membership test: True where ``rows`` is hot.

@@ -20,11 +20,11 @@ single-replica *step executors*:
   phase and delta-update the placement's hot-set bitmaps in place.
 
 **Fused µ-batch execution.**  The acceleration phase trains the two
-µ-batches through one embedding gather and one scatter per table per
+µ-batches through one embedding gather per table and one scatter per
 step: the forward pools the mini-batch's *original contiguous* index
 block once (per-µ-batch views of the pooled output feed the packed dense
-pass), and the backward produces both µ-batches' sparse gradients with a
-single :func:`~repro.nn.embedding.segmented_scatter`.  Because the
+pass), and the backward produces both µ-batches' flat-keyed sparse
+gradients with a single :func:`~repro.nn.embedding.segmented_scatter`.  Because the
 µ-batch index arrays are ascending and partition the batch, per-row
 gradient contributions accumulate in exactly the per-µ-batch order of a
 sequential two-pass schedule, and dense gradients accumulate per segment
@@ -163,8 +163,9 @@ class HotlineTrainer(StepExecutor):
         The mini-batch is fragmented into its µ-batches; both are trained
         with gradient accumulation and a single parameter update, which
         keeps the update identical to the baseline's (Eq. 5).  The
-        µ-batches share one embedding gather and one scatter per table
-        (:meth:`~repro.models.dlrm.DLRM.fused_loss_and_gradients`).
+        µ-batches share one embedding gather per table and one scatter
+        (:meth:`~repro.models.dlrm.DLRM.fused_loss_and_gradients`), and
+        their flat-keyed gradients merge with one merge.
         """
         if self.placement is None:
             raise RuntimeError("learning_phase must run before training")
@@ -179,12 +180,11 @@ class HotlineTrainer(StepExecutor):
         self.model.zero_grad()
         # Normalising by the *full* mini-batch size keeps the accumulated
         # update identical to the baseline's single-step update (Eq. 5).
-        losses, table_grads = self.model.fused_loss_and_gradients(
+        losses, partials = self.model.fused_loss_and_gradients(
             batch, micro.segment_indices(), normalizer=batch.size
         )
-        merged = [merge_sparse_gradients(grads) for grads in table_grads]
         self.model.apply_dense_update(self.lr)
-        self.model.apply_sparse_updates(merged, self.lr)
+        self.model.apply_sparse_updates(merge_sparse_gradients(partials), self.lr)
         return sum(losses, 0.0), micro
 
     # ------------------------------------------------------------------ #

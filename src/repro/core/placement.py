@@ -15,14 +15,6 @@ K-replica data-parallel run can also split the embedding capacity K ways
 owns no weights — it is the authority on which shard *owns* each row, which
 drives per-shard memory accounting, the all-to-all cost of remotely-owned
 lookups, and the routing of merged sparse gradients back to their owners.
-
-:class:`HybridEmbeddingLayout` intersects the two: **hot rows replicate on
-every shard, cold rows stay partitioned**.  A popular lookup is always
-local (the replica serves it), so only cold, remotely-owned lookups pay
-all-to-all; per-shard capacity is the full hot replica plus the shard's
-owned slice of the cold tail, and :meth:`HybridEmbeddingLayout.shard_bytes`
-drives the budget check.  Like the partition, the hybrid layout owns no
-weights — it prices and routes, never changes numerics.
 """
 
 from __future__ import annotations
@@ -32,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.hotset import HotSetIndex
-from repro.nn.embedding import SparseGradient
+from repro.nn.embedding import SparseGradient, key_offsets
 
 
 @dataclass
@@ -173,6 +165,7 @@ class PartitionedEmbeddingPlacement:
     embedding_dim: int
     dtype_bytes: int = 4
     _bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    _key_starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -187,6 +180,11 @@ class PartitionedEmbeddingPlacement:
             ],
             dtype=np.int64,
         )
+        #: First flat key of every (table, shard) range, table-major: the
+        #: owner of key ``x`` is the shard of the last start ``<= x``.
+        self._key_starts = (
+            key_offsets(self.rows_per_table)[:, None] + self._bounds[:, :-1]
+        ).ravel()
 
     @property
     def num_tables(self) -> int:
@@ -236,137 +234,21 @@ class PartitionedEmbeddingPlacement:
         hi = self._bounds[:, shard + 1, None]
         return int(np.count_nonzero((sparse < lo) | (sparse >= hi)))
 
-    def route_gradient(self, table: int, grad: SparseGradient) -> list[SparseGradient]:
-        """Split one table's merged gradient by owner shard.
+    def route_gradient(self, grad: SparseGradient) -> list[SparseGradient]:
+        """Split a merged flat-keyed gradient by owner shard.
 
-        Returns one :class:`~repro.nn.embedding.SparseGradient` per shard
-        (empty where the shard owns none of the touched rows); values are
-        array views, preserving dtype.  Relies on merged gradients carrying
-        sorted unique indices, so each owner's rows form one contiguous run.
+        One owner lookup of every key against the ``offsets[t] +
+        bounds[t, k]`` range starts.  Returns one
+        :class:`~repro.nn.embedding.SparseGradient` per shard (empty where
+        the shard owns none of the touched rows), keys still sorted within
+        each piece and values in the input's dtype; the pieces partition
+        the input.
         """
-        cuts = np.searchsorted(grad.indices, self._bounds[table])
+        owner = np.searchsorted(self._key_starts, grad.indices, side="right") - 1
+        owner %= self.num_shards
+        order = np.argsort(owner, kind="stable")
+        cuts = np.searchsorted(owner[order], np.arange(self.num_shards + 1))
         return [
-            SparseGradient(grad.indices[cuts[k] : cuts[k + 1]], grad.values[cuts[k] : cuts[k + 1]])
-            for k in range(self.num_shards)
+            SparseGradient(grad.indices[order[lo:hi]], grad.values[order[lo:hi]])
+            for lo, hi in zip(cuts[:-1], cuts[1:], strict=True)
         ]
-
-
-@dataclass
-class HybridEmbeddingLayout:
-    """Hot rows replicated on every shard, cold rows partitioned by owner.
-
-    The intersection of :class:`EmbeddingPlacement` (popularity decides
-    device residence) and :class:`PartitionedEmbeddingPlacement` (contiguous
-    row ranges decide ownership): every shard carries the full hot replica,
-    so popular lookups never leave the device, while the cold tail is dealt
-    across shards exactly as the partition dictates.  Per-shard capacity is
-    therefore ``hot replica + owned cold slice`` — :meth:`shard_bytes` —
-    and the all-to-all volume shrinks to the **cold, remotely-owned**
-    lookups only (:meth:`remote_cold_lookup_count`).
-
-    Attributes:
-        placement: The hot/cold split (its ``hbm_budget_bytes`` gates
-            :meth:`fits_budget`).
-        partition: The row-range ownership of the cold tail.
-    """
-
-    placement: EmbeddingPlacement
-    partition: PartitionedEmbeddingPlacement
-
-    def __post_init__(self) -> None:
-        if self.placement.rows_per_table != self.partition.rows_per_table:
-            raise ValueError("placement and partition must describe the same tables")
-        if (
-            self.placement.embedding_dim != self.partition.embedding_dim
-            or self.placement.dtype_bytes != self.partition.dtype_bytes
-        ):
-            raise ValueError("placement and partition must agree on the row format")
-
-    @property
-    def num_tables(self) -> int:
-        """Number of embedding tables."""
-        return self.placement.num_tables
-
-    @property
-    def num_shards(self) -> int:
-        """Number of owning shards."""
-        return self.partition.num_shards
-
-    @property
-    def row_bytes(self) -> int:
-        """Bytes per embedding row."""
-        return self.placement.row_bytes
-
-    def owned_cold_row_count(self, shard: int) -> int:
-        """Cold rows (across tables) whose owned range lands on ``shard``.
-
-        A shard's owned range also contains hot rows; those are served by
-        the replica (and counted once in the replicated bytes), so they
-        are subtracted here — one binary search per table against the
-        sorted hot set, never a table-sized scan.
-        """
-        total = 0
-        for table, hot in enumerate(self.placement.hot_sets):
-            lo, hi = self.partition.owned_range(table, shard)
-            owned = hi - lo
-            hot = np.asarray(hot)
-            if hot.size > 1 and np.any(np.diff(hot) < 0):
-                hot = np.sort(hot)  # construction-time hot sets may be unsorted
-            hot_within = int(
-                np.searchsorted(hot, hi) - np.searchsorted(hot, lo)
-            )
-            total += owned - hot_within
-        return total
-
-    def shard_bytes(self, shard: int) -> float:
-        """Device footprint of one shard: full hot replica + owned cold rows."""
-        return self.placement.gpu_bytes + float(
-            self.owned_cold_row_count(shard) * self.row_bytes
-        )
-
-    def fits_budget(self) -> bool:
-        """Whether every shard's footprint respects the per-GPU HBM budget."""
-        return all(
-            self.shard_bytes(shard) <= self.placement.hbm_budget_bytes
-            for shard in range(self.num_shards)
-        )
-
-    def remote_cold_lookup_count(self, sparse: np.ndarray, shard: int) -> int:
-        """Cold lookups in a ``(batch, tables, pooling)`` block owned elsewhere.
-
-        The hybrid layout's all-to-all volume: hot lookups are always
-        local (replicated), so only the cold rows outside ``shard``'s
-        owned range travel — by construction no larger than
-        :meth:`PartitionedEmbeddingPlacement.remote_lookup_count` on the
-        same block.
-        """
-        sparse = np.asarray(sparse)
-        if sparse.ndim != 3 or sparse.shape[1] != self.num_tables:
-            raise ValueError("sparse must be 3-D (batch, num_tables, pooling)")
-        if sparse.shape[0] == 0 or sparse.shape[2] == 0:
-            return 0
-        remote = 0
-        for table in range(self.num_tables):
-            lo, hi = self.partition.owned_range(table, shard)
-            rows = sparse[:, table, :].reshape(-1)
-            hot = self.placement.index.contains(table, rows)
-            cold_rows = rows[~hot]
-            remote += int(((cold_rows < lo) | (cold_rows >= hi)).sum())
-        return remote
-
-    def route_gradient(
-        self, table: int, grad: SparseGradient
-    ) -> tuple[SparseGradient, list[SparseGradient]]:
-        """Split one table's merged gradient into (replicated, per-owner).
-
-        The hot subset applies to every shard's replica (the coherent-
-        update path data parallelism already provides); the cold subset is
-        routed to owner shards exactly like
-        :meth:`PartitionedEmbeddingPlacement.route_gradient`.  Sorted
-        unique indices are preserved on both sides, so downstream
-        consumers keep their contiguous-run invariants.
-        """
-        hot_mask = self.placement.index.contains(table, grad.indices)
-        hot_grad = SparseGradient(grad.indices[hot_mask], grad.values[hot_mask])
-        cold_grad = SparseGradient(grad.indices[~hot_mask], grad.values[~hot_mask])
-        return hot_grad, self.partition.route_gradient(table, cold_grad)

@@ -31,11 +31,12 @@ Two kinds of reduction live here:
     ``sync``, ``stale-1`` is the PR 3 one-step-late mode).
 
   - :class:`SparseGradientExchange` merges the per-µ-batch sparse-gradient
-    partials of every shard in a single deterministic ``(shard,
-    µ-batch)`` order — the accumulation a parameter-less embedding
-    all-reduce performs — and, when a
+    partials of every shard — each one flat-keyed gradient over every
+    table (see :mod:`repro.nn.embedding`) — with one merge in a single
+    deterministic ``(shard, µ-batch)`` order, the accumulation a
+    parameter-less embedding all-reduce performs, and, when a
     :class:`~repro.core.placement.PartitionedEmbeddingPlacement` is
-    attached, routes each table's merged rows to their owner shards.
+    attached, routes the merged keys to their owner shards.
 
   Both collectives preserve the gradient dtype end-to-end (float32 stays
   float32); mixed-dtype partials are rejected rather than silently upcast.
@@ -360,61 +361,43 @@ class SparseGradientExchange:
 
     Embedding tables have no dense all-reduce: every shard contributes the
     per-µ-batch :class:`~repro.nn.embedding.SparseGradient` partials of its
-    slice, and the exchange concatenates them in one fixed ``(shard,
-    µ-batch)`` order before a single
-    :func:`~repro.nn.embedding.merge_sparse_gradients` per table — exactly
-    the accumulation the merged-gradient reference performs, which keeps the
-    K-shard sparse update bit-identical to it.
+    slice, each flat-keyed over every table, and the exchange merges them
+    in one fixed ``(shard, µ-batch)`` order with a single
+    :func:`~repro.nn.embedding.merge_sparse_gradients` — exactly the
+    accumulation the merged-gradient reference performs (restricted to one
+    key, the same adds in the same order as a per-table merge), which keeps
+    the K-shard sparse update bit-identical to it.
 
     With a :class:`~repro.core.placement.PartitionedEmbeddingPlacement`
-    attached, each table's merged gradient is additionally routed row-wise
-    to its owner shards (:meth:`route`), modelling the sparse-gradient
-    all-to-all of hybrid data+model parallelism.
+    attached, the merged gradient is additionally routed key-wise to its
+    owner shards (:meth:`route`), modelling the sparse-gradient all-to-all
+    of hybrid data+model parallelism.
 
     Args:
-        num_tables: Number of embedding tables.
         partition: Optional row-wise table partition for routing.
     """
 
-    def __init__(self, num_tables: int, partition=None):
-        if num_tables <= 0:
-            raise ValueError("num_tables must be positive")
-        self.num_tables = num_tables
+    def __init__(self, partition=None):
         self.partition = partition
-        #: Total merged gradient rows of the most recent exchange.
+        #: Merged gradient rows of the most recent exchange.
         self.last_exchanged_rows: int = 0
 
-    def exchange(self, per_table_partials: list[list[SparseGradient]]) -> list[SparseGradient]:
-        """Merge each table's partials (already in deterministic order).
+    def exchange(self, partials: list[SparseGradient]) -> SparseGradient:
+        """Merge the step's flat-keyed partials (already in deterministic
+        order) into one gradient.
 
         The merge preserves the partials' value dtype (float32 gradients
-        stay float32); a table whose partials disagree on dtype is rejected.
+        stay float32); partials that disagree on dtype are rejected.
         """
-        if len(per_table_partials) != self.num_tables:
-            raise ValueError(
-                f"expected partial lists for {self.num_tables} tables, "
-                f"got {len(per_table_partials)}"
-            )
-        merged: list[SparseGradient] = []
-        rows = 0
-        for table, partials in enumerate(per_table_partials):
-            dtypes = {partial.values.dtype for partial in partials}
-            if len(dtypes) > 1:
-                raise ValueError(
-                    f"table {table} sparse partials mix dtypes {sorted(map(str, dtypes))}"
-                )
-            combined = merge_sparse_gradients(partials)
-            if partials and combined.values.dtype != partials[0].values.dtype:
-                raise AssertionError(
-                    "sparse-gradient merge must preserve the partials' dtype"
-                )
-            merged.append(combined)
-            rows += combined.nnz
-        self.last_exchanged_rows = rows
+        dtypes = {partial.values.dtype for partial in partials}
+        if len(dtypes) > 1:
+            raise ValueError(f"sparse partials mix dtypes {sorted(map(str, dtypes))}")
+        merged = merge_sparse_gradients(partials)
+        self.last_exchanged_rows = merged.nnz
         return merged
 
-    def route(self, table: int, grad: SparseGradient) -> list[SparseGradient]:
-        """Split one table's merged gradient by owner shard (partitioned runs)."""
+    def route(self, grad: SparseGradient) -> list[SparseGradient]:
+        """Split the merged gradient by owner shard (partitioned runs)."""
         if self.partition is None:
             raise RuntimeError("routing requires a PartitionedEmbeddingPlacement")
-        return self.partition.route_gradient(table, grad)
+        return self.partition.route_gradient(grad)

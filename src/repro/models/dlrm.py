@@ -18,7 +18,15 @@ import numpy as np
 from repro.data.batch import MiniBatch
 from repro.models.configs import ModelConfig
 from repro.nn.gemm import PackedMLP, segment_bounds
-from repro.nn.embedding import EmbeddingBag, SparseGradient, segment_ids_for
+from repro.nn.embedding import (
+    EmbeddingBag,
+    SparseGradient,
+    join_tables,
+    key_offsets,
+    segment_ids_for,
+    segmented_scatter,
+    split_by_table,
+)
 from repro.nn.interaction import (
     DotInteractionKernel,
     interaction_output_dim,
@@ -55,6 +63,8 @@ class DLRM:
             EmbeddingBag(rows, config.embedding_dim, rng, name=f"table_{i}")
             for i, rows in enumerate(config.dataset.rows_per_table)
         ]
+        #: Start of each table in the flat key space of the sparse gradients.
+        self._offsets = key_offsets(config.dataset.rows_per_table)
         top_hidden = [int(tok) for tok in config.top_mlp.split("-")]
         top_input = interaction_output_dim(config.embedding_dim, config.num_sparse_features)
         self.top_mlp = MLP([top_input] + top_hidden, rng)
@@ -83,8 +93,9 @@ class DLRM:
         logits = self.top_mlp.forward(interaction)
         return logits.reshape(-1)
 
-    def backward(self, grad_logits: np.ndarray) -> list[SparseGradient]:
-        """Backpropagate logit gradients; returns per-table sparse gradients.
+    def backward(self, grad_logits: np.ndarray) -> SparseGradient:
+        """Backpropagate logit gradients; returns the flat-keyed sparse
+        gradient (each table's :meth:`EmbeddingBag.backward`, relabelled).
 
         Dense-parameter gradients accumulate inside the MLP layers (so that
         gradients from several µ-batches sum, as in the baseline).
@@ -96,7 +107,10 @@ class DLRM:
             grad_interaction, self._interaction_cache
         )
         self.bottom_mlp.backward(grad_dense)
-        return [table.backward(grad_sparse[t]) for t, table in enumerate(self.tables)]
+        return join_tables(
+            [table.backward(grad_sparse[t]) for t, table in enumerate(self.tables)],
+            self.config.dataset.rows_per_table,
+        )
 
     def zero_grad(self) -> None:
         """Reset accumulated dense gradients."""
@@ -108,7 +122,7 @@ class DLRM:
     # ------------------------------------------------------------------ #
     def loss_and_gradients(
         self, batch: MiniBatch, normalizer: float | None = None
-    ) -> tuple[float, list[SparseGradient]]:
+    ) -> tuple[float, SparseGradient]:
         """Forward + backward with a sum-reduced BCE loss (Eq. 2).
 
         Dense gradients are accumulated in the layers; the caller applies
@@ -138,18 +152,19 @@ class DLRM:
         segments: list[np.ndarray],
         normalizer: float | None = None,
         after_segment=None,
-    ) -> tuple[list[float], list[list[SparseGradient]]]:
+    ) -> tuple[list[float], list[SparseGradient]]:
         """Train a mini-batch's µ-batches with fused embedding traffic.
 
         Per table, the **whole mini-batch's contiguous index block** is
         gathered once (no per-µ-batch index copies), the MLPs and the
         interaction run once over the segment-packed rows, and every
-        µ-batch's sparse gradient comes out of **one**
-        :meth:`~repro.nn.embedding.EmbeddingBag.backward_segments` scatter.
-        Dense gradients accumulate in the layers exactly as sequential
-        :meth:`loss_and_gradients` calls over ``batch.select(segments[s])``
-        would — every returned value is bit-identical to that loop, which
-        the test oracle keeps as ``SequentialDLRM``.
+        µ-batch's flat-keyed sparse gradient comes out of **one**
+        :func:`~repro.nn.embedding.segmented_scatter` over the whole
+        ``(batch, tables, pooling)`` block.  Dense gradients accumulate in
+        the layers exactly as sequential :meth:`loss_and_gradients` calls
+        over ``batch.select(segments[s])`` would — every returned value is
+        bit-identical to that loop, which the test oracle keeps as
+        ``SequentialDLRM``.
 
         Args:
             batch: The full mini-batch.
@@ -160,48 +175,51 @@ class DLRM:
                 mini-batch size; see :meth:`loss_and_gradients`).
             after_segment: Optional ``callback(segment_index, loss)`` fired
                 right after each segment's backward pass — the point where a
-                caller needing *per-segment* dense gradients (the sharded
-                trainer's per-µ-batch partials) can snapshot the layers and
-                ``zero_grad`` before the next segment runs.
+                caller needing *per-segment* dense gradients can snapshot
+                the layers and ``zero_grad`` before the next segment runs.
 
         Returns:
-            ``(losses, sparse_grads)`` — per-segment losses and per-table
-            lists of per-segment sparse gradients (``sparse_grads[t][s]``).
+            ``(losses, partials)`` — per-segment losses and per-segment
+            flat-keyed sparse gradients.
         """
-        num_tables = len(self.tables)
-        if batch.num_tables != num_tables:
+        if batch.num_tables != len(self.tables):
             raise ValueError("batch sparse-feature count does not match the model")
         segments = [np.asarray(idx, dtype=np.int64) for idx in segments]
         if not segments:
-            return [], [[] for _ in range(num_tables)]
+            return [], []
         if any(idx.size == 0 for idx in segments):
             raise ValueError("fused segments must be non-empty")
         if normalizer is not None and normalizer <= 0:
             raise ValueError("normalizer must be positive")
-        segment_ids = segment_ids_for(segments, batch.size)
+        segment_ids_for(segments, batch.size)  # the segments must partition the batch
         pooled = [
             table.forward(batch.sparse[:, t, :]) for t, table in enumerate(self.tables)
         ]
-        losses, grad_pooled = self._packed_dense_pass(
-            batch, segments, normalizer, after_segment, pooled
+        perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
+        losses, grad_block = self._packed_dense_pass(
+            batch, segments, perm, normalizer, after_segment, pooled
         )
+        # One scatter over every lookup, in segment-packed (row, table,
+        # pooling) order: each segment's rows stay in ascending batch
+        # order, so every key sums its contributions as the per-table,
+        # per-µ-batch scatter does.
         pooling = batch.pooling
-        # The flat (per-lookup) segment ids are table-independent — build
-        # them once and share them across every table's scatter.
-        flat_segment_ids = (
-            segment_ids if pooling == 1 else np.repeat(segment_ids, pooling)
+        grads = grad_block if pooling == 1 else np.repeat(grad_block, pooling, axis=1)
+        keys = batch.sparse[perm] + self._offsets[:, None]
+        lookups = keys.shape[1] * keys.shape[2]
+        partials = segmented_scatter(
+            keys.reshape(-1),
+            grads.reshape(-1, grads.shape[-1]),
+            np.repeat(np.arange(len(segments)), [idx.size * lookups for idx in segments]),
+            len(segments),
+            self.config.dataset.total_rows,
+            self.config.embedding_dim,
         )
-        sparse_grads = [
-            table.backward_segments(
-                grad_pooled[t], segments, segment_ids, flat_segment_ids
-            )
-            for t, table in enumerate(self.tables)
-        ]
-        return losses, sparse_grads
+        return losses, partials
 
     def _packed_dense_pass(
-        self, batch, segments, normalizer, after_segment, pooled
-    ) -> tuple[list[float], list[list[np.ndarray]]]:
+        self, batch, segments, perm, normalizer, after_segment, pooled
+    ) -> tuple[list[float], np.ndarray]:
         """Segment-packed dense pass — one GEMM per layer per *step*.
 
         Packs the segments into one contiguous block (rows in segment
@@ -210,14 +228,14 @@ class DLRM:
         per-segment ``grad_weight`` partials in segment order — every
         value bit-identical to per-segment :meth:`loss_and_gradients`
         calls (see :mod:`repro.nn.gemm` for the contract and the
-        per-shape certification that backs it).
+        per-shape certification that backs it).  Returns the losses and
+        the pooled-embedding gradients as one ``(rows, tables, dim)``
+        block in packed row order.
         """
-        num_tables = len(self.tables)
-        perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         bounds = segment_bounds(segments)
         dense_out = self._packed_bottom.forward(batch.dense[perm], bounds)
         interaction, cache = self._interaction.forward(
-            dense_out, [pooled[t][perm] for t in range(num_tables)]
+            dense_out, [table_out[perm] for table_out in pooled]
         )
         if self._packed_top.has_logit_epilogue:
             # Deferred-bias epilogue: the final GEMM skips its broadcast
@@ -243,15 +261,14 @@ class DLRM:
         # The bottom MLP's input gradient is discarded by every caller —
         # the packed path skips that (dead) first-layer GEMM entirely.
         self._packed_bottom.backward(grad_dense, bounds, need_input_grad=False)
-        grad_pooled: list[list[np.ndarray]] = [[] for _ in range(num_tables)]
         for s, (lo, hi) in enumerate(bounds):
             self._packed_top.accumulate_segment(lo, hi)
             self._packed_bottom.accumulate_segment(lo, hi)
-            for t in range(num_tables):
-                grad_pooled[t].append(grad_sparse[t][lo:hi])
             if after_segment is not None:
                 after_segment(s, losses[s])
-        return losses, grad_pooled
+        # The per-table gradients are views into one interaction buffer;
+        # stacking them is the one contiguous copy the scatter reads anyway.
+        return losses, np.stack(grad_sparse, axis=1)
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Predicted click probabilities for a batch."""
@@ -266,12 +283,14 @@ class DLRM:
         for param, grad in self.dense_parameters():
             param -= lr * grad
 
-    def apply_sparse_updates(self, grads: list[SparseGradient], lr: float) -> None:
-        """SGD update of every embedding table from its sparse gradient."""
-        if len(grads) != len(self.tables):
-            raise ValueError("one sparse gradient per table is required")
-        for table, grad in zip(self.tables, grads, strict=True):
-            table.apply_sparse_update(grad, lr)
+    def apply_sparse_updates(self, grad: SparseGradient, lr: float) -> None:
+        """SGD update of every embedding table from one flat-keyed gradient.
+
+        Raises :class:`ValueError` on a key outside the model's key space.
+        """
+        parts = split_by_table(grad, self.config.dataset.rows_per_table)
+        for table, part in zip(self.tables, parts, strict=True):
+            table.apply_sparse_update(part, lr)
 
     def train_step(self, batch: MiniBatch, lr: float = 0.01) -> float:
         """One baseline training step: forward, backward, update, in order.

@@ -24,9 +24,12 @@ from repro.nn.gemm import PackedMLP, segment_bounds
 from repro.nn.embedding import (
     EmbeddingBag,
     SparseGradient,
+    join_tables,
+    key_offsets,
     scatter_add_rows,
     segment_ids_for,
     segmented_scatter,
+    split_by_table,
 )
 from repro.nn.loss import fused_bce_epilogue, predicted_probabilities
 from repro.nn.mlp import MLP
@@ -50,6 +53,8 @@ class TBSM:
             EmbeddingBag(rows, config.embedding_dim, rng, name=f"table_{i}")
             for i, rows in enumerate(config.dataset.rows_per_table)
         ]
+        #: Start of each table in the flat key space of the sparse gradients.
+        self._offsets = key_offsets(config.dataset.rows_per_table)
         self.attention = DotProductAttention()
         # Top MLP input: attention context + bottom output + pooled embeddings
         # of the non-history tables.
@@ -87,8 +92,9 @@ class TBSM:
         }
         return logits.reshape(-1)
 
-    def backward(self, grad_logits: np.ndarray) -> list[SparseGradient]:
-        """Backpropagate logit gradients; returns per-table sparse gradients."""
+    def backward(self, grad_logits: np.ndarray) -> SparseGradient:
+        """Backpropagate logit gradients; returns the flat-keyed sparse
+        gradient (the per-table gradients, relabelled)."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         dim = self.config.embedding_dim
@@ -117,7 +123,7 @@ class TBSM:
             grad_slice = grad_other[:, offset : offset + dim]
             sparse_grads.append(table.backward(grad_slice))
             offset += dim
-        return sparse_grads
+        return join_tables(sparse_grads, self.config.dataset.rows_per_table)
 
     def zero_grad(self) -> None:
         """Reset accumulated dense gradients."""
@@ -126,7 +132,7 @@ class TBSM:
 
     def loss_and_gradients(
         self, batch: MiniBatch, normalizer: float | None = None
-    ) -> tuple[float, list[SparseGradient]]:
+    ) -> tuple[float, SparseGradient]:
         """Forward + backward with a sum-reduced BCE loss.
 
         ``normalizer`` divides the gradients (typically the full mini-batch
@@ -147,71 +153,67 @@ class TBSM:
         segments: list[np.ndarray],
         normalizer: float | None = None,
         after_segment=None,
-    ) -> tuple[list[float], list[list[SparseGradient]]]:
+    ) -> tuple[list[float], list[SparseGradient]]:
         """Train a mini-batch's µ-batches with fused embedding traffic.
 
         The history table's sequence gather and every pooled table's lookup
         run **once** over the whole mini-batch's contiguous blocks; the
         attention/MLP passes run once over the segment-packed rows, and
-        each table's per-µ-batch sparse gradients come out of one
-        :func:`~repro.nn.embedding.segmented_scatter` — everything
-        returned is bit-identical to sequential :meth:`loss_and_gradients`
-        calls (the test oracle's ``SequentialTBSM``).  See
+        every µ-batch's flat-keyed sparse gradient comes out of one
+        :func:`~repro.nn.embedding.segmented_scatter` over the whole
+        ``(batch, tables, pooling)`` block — everything returned is
+        bit-identical to sequential :meth:`loss_and_gradients` calls (the
+        test oracle's ``SequentialTBSM``).  See
         :meth:`repro.models.dlrm.DLRM.fused_loss_and_gradients` for the
         argument contract (``after_segment`` fires after each segment's
-        backward pass; returns per-segment losses and
-        ``sparse_grads[t][s]``).
+        backward pass; returns per-segment losses and per-segment
+        flat-keyed gradients).
         """
         num_tables = len(self.tables)
         if batch.num_tables != num_tables:
             raise ValueError("batch sparse-feature count does not match the model")
         segments = [np.asarray(idx, dtype=np.int64) for idx in segments]
         if not segments:
-            return [], [[] for _ in range(num_tables)]
+            return [], []
         if any(idx.size == 0 for idx in segments):
             raise ValueError("fused segments must be non-empty")
         if normalizer is not None and normalizer <= 0:
             raise ValueError("normalizer must be positive")
         dim = self.config.embedding_dim
-        history_block = batch.sparse[:, 0, :]
-        steps = history_block.shape[1]
-        segment_ids = segment_ids_for(segments, batch.size)
+        segment_ids_for(segments, batch.size)  # the segments must partition the batch
         # History sequences: one unpooled lookup over the batch's block.
-        sequence_all = self.tables[0].lookup(history_block)
+        sequence_all = self.tables[0].lookup(batch.sparse[:, 0, :])
         pooled = {
             t: self.tables[t].forward(batch.sparse[:, t, :])
             for t in range(1, num_tables)
         }
-        losses, history_grad_all, grad_pooled = self._packed_dense_pass(
-            batch, segments, normalizer, after_segment, sequence_all, pooled
+        perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
+        losses, grad_sequence, grad_other = self._packed_dense_pass(
+            batch, segments, perm, normalizer, after_segment, sequence_all, pooled
         )
-        # One scatter per table: the history table's per-step gradients go
-        # through the segmented scatter directly (no pooling repeat); the
-        # flat segment ids are table-independent and shared.
-        flat_segment_ids = (
-            segment_ids if steps == 1 else np.repeat(segment_ids, steps)
+        # Every lookup's gradient in segment-packed (row, table, step)
+        # order: the history table's per-step gradients beside the pooled
+        # tables' gradients repeated over the pooling width.  One scatter
+        # then sums each key as the per-table, per-µ-batch scatter does.
+        rows, steps = grad_sequence.shape[:2]
+        grads = np.empty((rows, num_tables, steps, dim), dtype=grad_sequence.dtype)
+        grads[:, 0] = grad_sequence
+        grads[:, 1:] = grad_other.reshape(rows, num_tables - 1, 1, dim)
+        keys = batch.sparse[perm] + self._offsets[:, None]
+        lookups = num_tables * steps
+        partials = segmented_scatter(
+            keys.reshape(-1),
+            grads.reshape(-1, dim),
+            np.repeat(np.arange(len(segments)), [idx.size * lookups for idx in segments]),
+            len(segments),
+            self.config.dataset.total_rows,
+            dim,
         )
-        sparse_grads: list[list[SparseGradient]] = [
-            segmented_scatter(
-                history_block.reshape(-1),
-                history_grad_all.reshape(-1, dim),
-                flat_segment_ids,
-                len(segments),
-                self.tables[0].num_rows,
-                dim,
-            )
-        ]
-        for t in range(1, num_tables):
-            sparse_grads.append(
-                self.tables[t].backward_segments(
-                    grad_pooled[t], segments, segment_ids, flat_segment_ids
-                )
-            )
-        return losses, sparse_grads
+        return losses, partials
 
     def _packed_dense_pass(
-        self, batch, segments, normalizer, after_segment, sequence_all, pooled
-    ) -> tuple[list[float], np.ndarray, dict[int, list[np.ndarray]]]:
+        self, batch, segments, perm, normalizer, after_segment, sequence_all, pooled
+    ) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Segment-packed dense pass (MLPs, attention, loss) for TBSM.
 
         Same contract as :meth:`repro.models.dlrm.DLRM._packed_dense_pass`
@@ -221,12 +223,12 @@ class TBSM:
         certification — but only because the attention keeps its input
         dtype: a context promoted to float64 would run the top MLP's GEMMs
         at float64, while their certification is keyed by the weights'
-        float32.
+        float32.  Returns the losses, the history sequence's gradient
+        ``(rows, steps, dim)`` and the pooled tables' gradients
+        ``(rows, (tables - 1) * dim)``, in packed row order.
         """
         num_tables = len(self.tables)
         dim = self.config.embedding_dim
-        steps = batch.sparse.shape[2]
-        perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         bounds = segment_bounds(segments)
         dense_out = self._packed_bottom.forward(batch.dense[perm], bounds)
         context = self.attention.forward(dense_out, sequence_all[perm])
@@ -251,27 +253,17 @@ class TBSM:
         grad_features = self._packed_top.backward(grad_logits.reshape(-1, 1), bounds)
         grad_context = grad_features[:, :dim]
         grad_dense_direct = grad_features[:, dim : 2 * dim]
-        grad_other = grad_features[:, 2 * dim :]
         grad_query, grad_sequence = self.attention.backward(grad_context)
         # The bottom MLP's input gradient is discarded — skip its GEMM.
         self._packed_bottom.backward(
             grad_query + grad_dense_direct, bounds, need_input_grad=False
         )
-        history_grad_all = np.empty(
-            (batch.size, steps, dim), dtype=grad_sequence.dtype
-        )
-        history_grad_all[perm] = grad_sequence
-        grad_pooled: dict[int, list[np.ndarray]] = {t: [] for t in range(1, num_tables)}
         for s, (lo, hi) in enumerate(bounds):
             self._packed_top.accumulate_segment(lo, hi)
             self._packed_bottom.accumulate_segment(lo, hi)
-            offset = 0
-            for t in range(1, num_tables):
-                grad_pooled[t].append(grad_other[lo:hi, offset : offset + dim])
-                offset += dim
             if after_segment is not None:
                 after_segment(s, losses[s])
-        return losses, history_grad_all, grad_pooled
+        return losses, grad_sequence, grad_features[:, 2 * dim :]
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Predicted click probabilities for a batch."""
@@ -286,12 +278,14 @@ class TBSM:
         for param, grad in self.dense_parameters():
             param -= lr * grad
 
-    def apply_sparse_updates(self, grads: list[SparseGradient], lr: float) -> None:
-        """SGD update of every embedding table from its sparse gradient."""
-        if len(grads) != len(self.tables):
-            raise ValueError("one sparse gradient per table is required")
-        for table, grad in zip(self.tables, grads, strict=True):
-            table.apply_sparse_update(grad, lr)
+    def apply_sparse_updates(self, grad: SparseGradient, lr: float) -> None:
+        """SGD update of every embedding table from one flat-keyed gradient.
+
+        Raises :class:`ValueError` on a key outside the model's key space.
+        """
+        parts = split_by_table(grad, self.config.dataset.rows_per_table)
+        for table, part in zip(self.tables, parts, strict=True):
+            table.apply_sparse_update(part, lr)
 
     def train_step(self, batch: MiniBatch, lr: float = 0.01) -> float:
         """One baseline training step with mini-batch-mean gradients."""

@@ -15,6 +15,21 @@ oracle (``tests/oracle.py``: ``reference_forward`` / ``reference_backward``),
 against which the test-suite asserts bit-for-bit parity and the benchmarks
 measure the speedup.
 
+**One flat key space.**  A model's sparse gradient is one
+:class:`SparseGradient` over every table: row ``r`` of table ``t`` is key
+``offsets[t] + r``, where ``offsets`` (:func:`key_offsets`) is the
+exclusive cumulative sum of the table sizes.  Keys are sorted and unique,
+so they are table-major and row-ascending, and restricted to one table
+they are that table's own sorted row ids shifted by its offset.  That one
+format runs from the backward scatter to the table update: the models'
+fused pass makes one scatter over the whole ``(batch, tables, pooling)``
+block, the cross-shard exchange makes one merge, the lookahead keeps its
+window, refcounts and deferred write-backs in the same keys, the hot tier
+tracks residency in them, and :func:`split_by_table` hands each table its
+rows back as views at the update.  Every per-key sum adds the same
+contributions in the same order as a per-table pass would, so the two
+formats are bit-identical.
+
 **One scatter-add kernel.**  Every row scatter-add of the sparse path (the
 backward, the fused segmented scatter, the cross-µ-batch and cross-shard
 merge, TBSM's history scatter, the lookahead's duplicate-row defer) goes
@@ -31,14 +46,14 @@ scatters per table per step — each over a fancy-indexed *copy* of the
 batch's index block.  The fused path never materialises those copies: the
 forward gathers the **original contiguous block once** (each sample's
 pooled vector is independent, so per-µ-batch views of the output are
-bit-identical to per-µ-batch gathers), and
-:meth:`EmbeddingBag.backward_segments` / :func:`segmented_scatter` produce
-every µ-batch's sparse gradient with **one** scatter: each lookup's row id
-is keyed into its segment's private id space (``segment * num_rows +
-row``), so the combined ``np.unique`` + scatter-add accumulates per-row
-contributions in exactly the per-segment order the unfused scatter uses,
-and the split results are bit-identical to calling
-:meth:`EmbeddingBag.backward` once per µ-batch.
+bit-identical to per-µ-batch gathers), and :func:`segmented_scatter`
+produces every µ-batch's sparse gradient with **one** scatter: each
+lookup's key is moved into its segment's private id space (``segment *
+num_keys + key``), so the combined ``np.unique`` + scatter-add accumulates
+per-key contributions in exactly the per-segment order the unfused
+scatter uses, and the split results are bit-identical to one
+:meth:`EmbeddingBag.backward` per µ-batch and table.
+:meth:`EmbeddingBag.backward_segments` is the same scatter for one table.
 
 **The hot/cold tiering model.**  At Criteo-Terabyte scale the embedding
 weights themselves do not fit device memory — only the frequently-accessed
@@ -51,10 +66,9 @@ is an *accounting and pricing* layer: the weights stay in the table's
 own array, so training numerics are **bit-identical** with the tier
 attached or not — what changes is the simulated cost (cold fetches and
 dirty evictions priced through ``hwsim.dma.DMAEngine``) and the
-hit/miss/eviction counters.  Residency is tracked in **one flat key
-space** over every table (row ``r`` of table ``t`` is key ``offsets[t]
-+ r``), so a lookup block costs one search whatever the table count: the
-cached rows are one sorted key array with aligned access-frequency counts
+hit/miss/eviction counters.  Residency is tracked in the flat key space,
+so a lookup block costs one search whatever the table count: the cached
+rows are one sorted key array with aligned access-frequency counts
 (window-bounded — never a table-sized side array), and eviction is LFU
 over it.  Rows the hot/cold placement replicates on every device are
 pinned: their keys live in a separate sorted array, without counts, and
@@ -80,10 +94,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 @dataclass
 class SparseGradient:
-    """Sparse gradient for one embedding table.
+    """Sparse gradient of one embedding table, or of a model in flat keys.
 
     Attributes:
-        indices: Unique row indices that received gradient, shape (k,).
+        indices: Sorted unique row ids (or flat keys, see
+            :func:`key_offsets`) that received gradient, shape (k,).
         values: Gradient rows aligned with ``indices``, shape (k, dim).
     """
 
@@ -122,6 +137,39 @@ class SparseGradient:
         return SparseGradient(self.indices[mask], self.values[mask])
 
 
+def key_offsets(rows_per_table) -> np.ndarray:
+    """Where each table starts in the flat key space: row ``r`` of table
+    ``t`` is key ``offsets[t] + r``.  The int64 exclusive cumulative sum
+    of ``rows_per_table``."""
+    return np.cumsum((0, *rows_per_table), dtype=np.int64)[:-1]
+
+
+def join_tables(grads: list[SparseGradient], rows_per_table) -> SparseGradient:
+    """One flat-keyed gradient from per-table gradients: table ``t``'s rows
+    become keys ``offsets[t] + row`` (a concatenation, no arithmetic)."""
+    offsets = key_offsets(rows_per_table)
+    return SparseGradient(
+        np.concatenate([grad.indices + offsets[t] for t, grad in enumerate(grads)]),
+        np.concatenate([grad.values for grad in grads], axis=0),
+    )
+
+
+def split_by_table(grad: SparseGradient, rows_per_table) -> list[SparseGradient]:
+    """Per-table views of a flat-keyed gradient, the inverse of
+    :func:`join_tables`: table ``t`` gets its keys back as row ids and its
+    value rows as a view.  Keys must be sorted (the :class:`SparseGradient`
+    contract); a key outside the key space raises :class:`ValueError`."""
+    keys = grad.indices
+    if keys.size and (keys.min() < 0 or keys.max() >= sum(rows_per_table)):
+        raise ValueError(f"sparse gradient key outside [0, {sum(rows_per_table)})")
+    offsets = key_offsets(rows_per_table)
+    cuts = [*np.searchsorted(keys, offsets).tolist(), keys.size]
+    return [
+        SparseGradient(keys[lo:hi] - offset, grad.values[lo:hi])
+        for offset, lo, hi in zip(offsets, cuts[:-1], cuts[1:], strict=True)
+    ]
+
+
 def scatter_add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """``np.add.at(out, rows, values)`` for a 2-D ``out``, byte for byte.
 
@@ -142,11 +190,12 @@ def scatter_add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> N
 
 
 def merge_sparse_gradients(grads: list[SparseGradient]) -> SparseGradient:
-    """Sum several sparse gradients for the same table into one.
+    """Sum several sparse gradients of one key space into one.
 
-    Rows appearing in more than one gradient have their values added, which
-    is exactly what happens when a mini-batch's gradient is accumulated from
-    the gradients of its µ-batches (Eq. 5 of the paper).
+    Rows appearing in more than one gradient have their values added, in
+    list order, which is exactly what happens when a mini-batch's gradient
+    is accumulated from the gradients of its µ-batches (Eq. 5 of the
+    paper).
     """
     non_empty = [grad for grad in grads if grad.nnz]
     if not non_empty:
@@ -187,23 +236,27 @@ def segmented_scatter(
     num_rows: int,
     dim: int,
 ) -> list[SparseGradient]:
-    """One scatter producing every segment's sparse gradient of one table.
+    """One scatter producing every segment's sparse gradient.
 
-    ``flat_indices``/``flat_grads``/``flat_segment_ids`` are the table's
-    per-lookup row ids, gradient rows, and µ-batch (segment) ids, all in
-    the **original batch order** — no per-segment copies are ever built.
-    Each lookup is keyed into its segment's private id space (``segment *
-    num_rows + row``) so a single ``np.unique`` + :func:`scatter_add_rows` pass
-    accumulates every (segment, row) bucket separately; within a bucket,
-    contributions arrive in batch order restricted to that segment's
-    samples — exactly the order the unfused per-µ-batch scatter uses
-    (segment index arrays are ascending), so the split results are
+    ``flat_indices``/``flat_grads``/``flat_segment_ids`` are per-lookup
+    ids in ``[0, num_rows)`` (one table's row ids, or a model's flat keys
+    with ``num_rows`` the total row count), gradient rows, and µ-batch
+    (segment) ids.  Any order works in which each segment's lookups come
+    in ascending sample order — the original batch order, or the
+    segment-packed order of the models' dense pass — so no per-segment
+    copies are ever built.  Each lookup is keyed into its segment's
+    private id space (``segment * num_rows + id``) so a single
+    ``np.unique`` + :func:`scatter_add_rows` pass accumulates every
+    (segment, id) bucket separately; within a bucket, contributions arrive
+    in sample order restricted to that segment's samples — exactly the
+    order the unfused per-µ-batch scatter uses, so the split results are
     **bit-identical** to running :meth:`EmbeddingBag.backward` once per
-    µ-batch.  The private id spaces are disjoint and sorted, so each
-    segment's block is recovered with one binary search (views, no copy).
+    µ-batch (and table).  The private id spaces are disjoint and sorted,
+    so each segment's block is recovered with one binary search (views,
+    no copy).
 
     Returns:
-        One :class:`SparseGradient` per segment (sorted unique row ids).
+        One :class:`SparseGradient` per segment (sorted unique ids).
     """
     if flat_indices.size == 0:
         return [
@@ -273,6 +326,9 @@ class EmbeddingBag:
 
         Returns:
             Array of shape (batch, pooling, dim): ``weight[indices]``.
+
+        Raises:
+            ValueError: if an id lies outside ``[0, num_rows)``.
         """
         try:
             indices = np.asarray(indices, dtype=np.int64)
@@ -283,6 +339,10 @@ class EmbeddingBag:
             ) from exc
         if indices.ndim != 2:
             raise ValueError("indices must be 2-D (batch, pooling)")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.num_rows):
+            # Numpy would wrap a negative id to a row from the table's end;
+            # in the flat key space it would name another table's row.
+            raise ValueError(f"{self.name}: row id out of range [0, {self.num_rows})")
         rows = self.weight[indices]
         if self._tier is not None:
             self._tier.touch(self._tier_table, indices)
@@ -327,49 +387,34 @@ class EmbeddingBag:
         return SparseGradient(unique, values)
 
     def backward_segments(
-        self,
-        grad_outputs: list[np.ndarray],
-        segments: list[np.ndarray],
-        segment_ids: np.ndarray | None = None,
-        flat_segment_ids: np.ndarray | None = None,
+        self, grad_outputs: list[np.ndarray], segments: list[np.ndarray]
     ) -> list[SparseGradient]:
         """Per-µ-batch sparse gradients of the last *full-batch* forward.
 
-        The fused execution path runs :meth:`forward` once on the whole
-        mini-batch's contiguous index block and trains the µ-batches on
-        views of the pooled output; this is the matching backward:
-        ``grad_outputs[s]`` holds the pooled-output gradient of the samples
-        ``segments[s]`` (ascending index arrays partitioning the forward's
-        batch), and one :func:`segmented_scatter` produces each µ-batch's
-        gradient bit-identically to a per-µ-batch :meth:`backward` — so
-        callers keep merging per-µ-batch partials in their established
-        order.  ``segment_ids`` (per-sample segment) and
-        ``flat_segment_ids`` (repeated over the pooling width) can be
-        passed when precomputed once for many tables, keeping the per-table
-        work to one assembly, one scatter, and one split.
+        The one-table form of the models' fused backward (which scatters
+        every table at once, in flat keys): after one :meth:`forward` over
+        the whole mini-batch's contiguous index block, ``grad_outputs[s]``
+        holds the pooled-output gradient of the samples ``segments[s]``
+        (ascending index arrays partitioning the forward's batch), and one
+        :func:`segmented_scatter` produces each µ-batch's gradient
+        bit-identically to a per-µ-batch :meth:`backward`.
         """
         if self._last_indices is None:
             raise RuntimeError("backward called before forward")
         batch, pooling = self._last_indices.shape
         if len(grad_outputs) != len(segments):
             raise ValueError("one gradient block per segment is required")
-        if segment_ids is None:
-            segment_ids = segment_ids_for(segments, batch)
-        if flat_segment_ids is None:
-            flat_segment_ids = (
-                segment_ids if pooling == 1 else np.repeat(segment_ids, pooling)
-            )
+        segment_ids = segment_ids_for(segments, batch)
         dtype = grad_outputs[0].dtype if grad_outputs else init.DTYPE
         grad_all = np.empty((batch, self.dim), dtype=dtype)
         for idx, grad_output in zip(segments, grad_outputs, strict=True):
             if grad_output.shape[0] != len(idx):
                 raise ValueError("gradient block does not match its segment")
             grad_all[idx] = grad_output
-        flat_grads = grad_all if pooling == 1 else np.repeat(grad_all, pooling, axis=0)
         return segmented_scatter(
             self._last_indices.reshape(-1),
-            flat_grads,
-            flat_segment_ids,
+            np.repeat(grad_all, pooling, axis=0),
+            np.repeat(segment_ids, pooling),
             len(segments),
             self.num_rows,
             self.dim,
@@ -413,8 +458,8 @@ class TieredEmbeddingStore:
     changes training numerics — only the simulated fetch/eviction cost
     and the hit/miss counters (see the module docstring).
 
-    Every row of every table has one int64 key, ``offsets[table] + row``,
-    where ``offsets`` is the cumulative sum of ``rows_per_table``.  The
+    Every row of every table has one int64 key, ``offsets[table] + row``
+    (:func:`key_offsets`).  The
     state is three sorted, resident-set-sized arrays: ``_pinned`` holds
     the keys :meth:`pin_rows` made un-evictable (the placement's
     replicated hot rows; membership only, since they never evict), and
@@ -454,7 +499,7 @@ class TieredEmbeddingStore:
         self.hot_bytes = float(hot_bytes)
         self.capacity_rows = int(self.hot_bytes // self.row_bytes)
         self.dma = dma
-        self._offsets = np.cumsum((0, *self.rows_per_table), dtype=np.int64)[:-1]
+        self._offsets = key_offsets(self.rows_per_table)
         self._pinned = np.empty(0, dtype=np.int64)
         self._keys = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)

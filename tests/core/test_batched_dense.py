@@ -31,6 +31,7 @@ from repro.data.loader import MiniBatchLoader
 from repro.models import RM2
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
+from repro.nn.embedding import split_by_table
 from repro.nn.gemm import NEVER_PACKED, PackedMLP, packed_rows_threshold, segment_bounds
 from repro.nn.mlp import MLP
 from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
@@ -75,9 +76,12 @@ def run_dense_pass(model, batch, segments):
             np.concatenate([g.ravel().copy() for _p, g in model.dense_parameters()])
         )
 
-    losses, table_grads = model.fused_loss_and_gradients(
+    losses, sparse = model.fused_loss_and_gradients(
         batch, segments, normalizer=batch.size, after_segment=snapshot
     )
+    rows = model.config.dataset.rows_per_table
+    # Per-table views of each segment's flat-keyed gradient, table-major.
+    table_grads = list(zip(*(split_by_table(grad, rows) for grad in sparse), strict=True))
     dense = [g.copy() for _p, g in model.dense_parameters()]
     return losses, table_grads, dense, partials
 

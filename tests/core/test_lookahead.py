@@ -15,7 +15,7 @@ from repro.core.lookahead import CachedEmbeddingPipeline, epoch_row_stream
 from repro.data.loader import MiniBatchLoader
 from repro.data.synthetic import generate_click_log
 from repro.hwsim.cluster import single_node
-from repro.nn.embedding import SparseGradient
+from repro.nn.embedding import SparseGradient, key_offsets
 from tests.conftest import TINY_DATASET
 
 
@@ -31,8 +31,8 @@ def grad(*rows, dim=2, value=1.0):
 
 
 def stream(*batches):
-    """A lookahead stream of single-table batches."""
-    return iter([[np.asarray(batch, dtype=np.int64)] for batch in batches])
+    """A lookahead stream of single-table batches (key == row)."""
+    return iter([np.asarray(batch, dtype=np.int64) for batch in batches])
 
 
 def test_pipeline_validates_configuration():
@@ -46,7 +46,7 @@ def test_pipeline_validates_configuration():
     with pytest.raises(ValueError):
         pipe.observe(np.zeros((2, 2), dtype=np.int64))  # not 3-D
     with pytest.raises(ValueError):
-        pipe.defer([])  # wrong table count
+        pipe.defer(grad(10))  # key outside the 10-row key space
 
 
 def test_window_mechanics_hand_computed():
@@ -59,38 +59,38 @@ def test_window_mechanics_hand_computed():
     stats = pipe.observe(block(0, 1))
     assert (stats.fill_rows, stats.cache_hits, stats.cache_misses) == (3, 0, 2)
     assert pipe.cached_rows_total == 3
-    pipe.defer([grad(0, 1)])
+    pipe.defer(grad(0, 1))
     assert pipe.last_stats.evicted_rows == 1  # row 0: only b0 used it
 
     # Step 1: b2 enters (row 3 fresh); row 1 was cached before b1 entered.
     stats = pipe.observe(block(1, 2))
     assert (stats.fill_rows, stats.cache_hits, stats.cache_misses) == (1, 1, 1)
-    pipe.defer([grad(1, 2)])
+    pipe.defer(grad(1, 2))
     assert pipe.last_stats.evicted_rows == 2  # rows 1 and 2 leave the window
 
     # Step 2: b3 enters (row 0 refilled, row 3 already cached by b2).
     stats = pipe.observe(block(3))
     assert (stats.fill_rows, stats.cache_hits, stats.cache_misses) == (1, 0, 1)
-    pipe.defer([grad(3)])
+    pipe.defer(grad(3))
     assert pipe.last_stats.evicted_rows == 0  # b3 still needs row 3
 
     # Step 3: stream dry; row 3 is a hit (cached since b2), row 0 a miss.
     stats = pipe.observe(block(0, 3))
     assert (stats.fill_rows, stats.cache_hits, stats.cache_misses) == (0, 1, 1)
-    pipe.defer([grad(0, 3)])
+    pipe.defer(grad(0, 3))
     assert pipe.last_stats.evicted_rows == 2
     assert pipe.cached_rows_total == 0
 
 
 def test_staleness_zero_defer_is_identity():
-    """k = 0: defer returns the very gradients it was given — the parity
+    """k = 0: defer returns the very gradient it was given — the parity
     fast path that keeps cached runs bit-identical."""
     pipe = CachedEmbeddingPipeline((10,), window=2)
     pipe.begin_epoch(stream([0, 1], [1]))
     pipe.observe(block(0, 1))
-    merged = [grad(0, 1)]
+    merged = grad(0, 1)
     applied = pipe.defer(merged)
-    assert applied[0] is merged[0]
+    assert applied is merged
     assert pipe.pending_rows_total == 0
 
 
@@ -108,17 +108,16 @@ def test_bounded_staleness_invariant_and_conservation():
         pipe.observe(block(*rows))
         merged = grad(*rows, dim=1)
         total_in[merged.indices] += merged.values[:, 0]
-        for flushed in pipe.defer([merged]):
-            if flushed.nnz:
-                total_out[flushed.indices] += flushed.values[:, 0]
+        flushed = pipe.defer(merged)
+        if flushed.nnz:
+            total_out[flushed.indices] += flushed.values[:, 0]
         # The staleness bound: every still-pending contribution was born
         # within the last k defers.
-        for table in range(pipe.num_tables):
-            births = pipe.pending.birth_steps(table)
-            assert all(step - birth < staleness for birth in births.values())
+        births = pipe.pending.birth_steps()
+        assert all(step - birth < staleness for birth in births.values())
     carry = pipe.begin_epoch(None)
     if carry is not None:
-        total_out[carry[0].indices] += carry[0].values[:, 0]
+        total_out[carry.indices] += carry.values[:, 0]
     np.testing.assert_allclose(total_out, total_in)
 
 
@@ -136,7 +135,7 @@ def test_hit_rate_is_monotone_in_window_size():
             stats = pipe.observe(batch)
             hits += stats.cache_hits
             misses += stats.cache_misses
-            pipe.defer([grad(*np.unique(batch).tolist())])
+            pipe.defer(grad(*np.unique(batch).tolist()))
         rates.append(hits / (hits + misses))
     assert all(later >= earlier for earlier, later in zip(rates, rates[1:], strict=False))
     assert rates[-1] > rates[0]
@@ -149,12 +148,12 @@ def test_begin_epoch_carries_pending_and_resets_cache():
     # epoch ends — begin_epoch must hand it back, never drop it.
     pipe.begin_epoch(stream([0, 1], [0, 1], [0, 1]))
     pipe.observe(block(0, 1))
-    pipe.defer([grad(0, 1, value=2.5)])
+    pipe.defer(grad(0, 1, value=2.5))
     assert pipe.pending_rows_total == 2
     carry = pipe.begin_epoch(stream([5]))
     assert carry is not None
-    np.testing.assert_array_equal(carry[0].indices, [0, 1])
-    np.testing.assert_allclose(carry[0].values, 2.5)
+    np.testing.assert_array_equal(carry.indices, [0, 1])
+    np.testing.assert_allclose(carry.values, 2.5)
     assert pipe.pending_rows_total == 0
     assert pipe.cached_rows_total == 0
 
@@ -180,24 +179,30 @@ def test_self_feed_without_stream_still_accounts():
     pipe.begin_epoch(None)
     stats = pipe.observe(block(1, 2))
     assert stats.cache_misses == 2
-    flushed = pipe.defer([grad(1, 2)])
+    flushed = pipe.defer(grad(1, 2))
     # Retiring the only window batch evicts both rows — flushed right away.
-    np.testing.assert_array_equal(flushed[0].indices, [1, 2])
+    np.testing.assert_array_equal(flushed.indices, [1, 2])
+
+
+def table_keys(batch):
+    """The sorted unique flat keys of a batch, built one table at a time."""
+    offsets = key_offsets(TINY_DATASET.rows_per_table)
+    return np.concatenate(
+        [np.unique(batch.sparse[:, t, :]) + offsets[t] for t in range(batch.num_tables)]
+    )
 
 
 def test_epoch_row_stream_mirrors_loader_epochs():
+    """Each batch's keys are its per-table unique rows, shifted by the
+    table offsets and laid out table-major."""
     log = generate_click_log(TINY_DATASET, 512, seed=1)
     for shuffle in (False, True):
         loader = MiniBatchLoader(log, batch_size=128, shuffle=shuffle, seed=4)
         batches = list(loader.epoch())  # draws (and records) the order
-        mirrored = list(epoch_row_stream(loader))
+        mirrored = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
         assert len(mirrored) == len(batches)
-        for batch, rows in zip(batches, mirrored, strict=True):
-            assert len(rows) == batch.num_tables
-            for table, table_rows in enumerate(rows):
-                np.testing.assert_array_equal(
-                    table_rows, np.unique(batch.sparse[:, table, :])
-                )
+        for batch, keys in zip(batches, mirrored, strict=True):
+            np.testing.assert_array_equal(keys, table_keys(batch))
 
 
 def test_epoch_row_stream_cache_hit_is_identical():
@@ -207,15 +212,19 @@ def test_epoch_row_stream_cache_hit_is_identical():
     log = generate_click_log(TINY_DATASET, 512, seed=2)
     loader = MiniBatchLoader(log, batch_size=128)
     list(loader.epoch())
-    first = list(epoch_row_stream(loader))
+    first = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
     assert getattr(loader, "_row_stream_cache", None) is not None
     list(loader.epoch())  # unshuffled: same order (None) every epoch
-    second = list(epoch_row_stream(loader))
+    second = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
     assert len(second) == len(first)
-    for rows_a, rows_b in zip(first, second, strict=True):
-        for table_a, table_b in zip(rows_a, rows_b, strict=True):
-            assert table_b is table_a  # served from cache, not recomputed
-            np.testing.assert_array_equal(table_a, table_b)
+    for keys_a, keys_b in zip(first, second, strict=True):
+        assert keys_b is keys_a  # served from cache, not recomputed
+        np.testing.assert_array_equal(keys_a, keys_b)
+    # Another key space over the same order is recomputed, not served.
+    wider = tuple(2 * rows for rows in TINY_DATASET.rows_per_table)
+    offsets = key_offsets(wider)[:, None]
+    for batch, keys in zip(loader.epoch(), epoch_row_stream(loader, wider), strict=True):
+        np.testing.assert_array_equal(keys, np.unique(batch.sparse + offsets))
 
 
 def test_epoch_row_stream_cache_invalidated_by_new_order():
@@ -225,12 +234,9 @@ def test_epoch_row_stream_cache_invalidated_by_new_order():
     loader = MiniBatchLoader(log, batch_size=128, shuffle=True, seed=9)
     for _ in range(2):
         batches = list(loader.epoch())
-        mirrored = list(epoch_row_stream(loader))
-        for batch, rows in zip(batches, mirrored, strict=True):
-            for table, table_rows in enumerate(rows):
-                np.testing.assert_array_equal(
-                    table_rows, np.unique(batch.sparse[:, table, :])
-                )
+        mirrored = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
+        for batch, keys in zip(batches, mirrored, strict=True):
+            np.testing.assert_array_equal(keys, table_keys(batch))
 
 
 def test_epoch_row_stream_partial_walk_never_caches():
@@ -239,11 +245,11 @@ def test_epoch_row_stream_partial_walk_never_caches():
     log = generate_click_log(TINY_DATASET, 512, seed=5)
     loader = MiniBatchLoader(log, batch_size=128)
     list(loader.epoch())
-    partial = epoch_row_stream(loader)
+    partial = epoch_row_stream(loader, TINY_DATASET.rows_per_table)
     next(partial)
     partial.close()
     assert getattr(loader, "_row_stream_cache", None) is None
-    full = list(epoch_row_stream(loader))
+    full = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
     assert len(full) == len(loader)
 
 

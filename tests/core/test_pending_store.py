@@ -1,10 +1,12 @@
 """Bit-parity suite: flat-array pending store vs the dict reference.
 
 The :class:`~repro.core.lookahead.FlatPendingStore` replaces the original
-dict-of-rows deferred write-back store with dense buffers, bitmaps, and a
-birth-step array.  Everything observable must be **bit-identical** to the
-test oracle's ``ReferencePendingStore`` (``tests/oracle.py``): flushed
-gradients (row order and accumulated values), birth steps, pending counts,
+dict-of-rows deferred write-back store with one sorted key array, one value
+slab and one birth slab over every table's flat keys (row ``r`` of table
+``t`` is key ``offsets[t] + r``).  Everything observable must be
+**bit-identical** to the test oracle's ``ReferencePendingStore``
+(``tests/oracle.py``): flushed gradients (key order and accumulated
+values), birth steps, pending counts,
 eviction/age flush order through a full :class:`CachedEmbeddingPipeline`,
 epoch carries, and conservation of every deferred unit of gradient.  The
 reset paths are pinned too: clearing the store must reset the gradient
@@ -21,6 +23,8 @@ from repro.nn.embedding import SparseGradient
 from tests.oracle import ReferencePendingStore
 
 ROWS_PER_TABLE = (48, 17)
+#: Flat keys of both tables: table 1's rows are keys 48-64.
+NUM_KEYS = sum(ROWS_PER_TABLE)
 
 
 def random_grad(rng, rows, dim=3, nnz_max=12):
@@ -37,70 +41,68 @@ def assert_same_gradient(flat: SparseGradient, ref: SparseGradient):
 
 def test_stores_agree_on_a_random_defer_take_schedule():
     """Fuzz both stores through an identical schedule of defers, age scans,
-    and partial takes; every observable must match bit for bit."""
+    and partial takes over both tables' keys; every observable must match
+    bit for bit."""
     rng = np.random.default_rng(11)
-    flat = FlatPendingStore(ROWS_PER_TABLE)
-    ref = ReferencePendingStore(ROWS_PER_TABLE)
+    flat = FlatPendingStore()
+    ref = ReferencePendingStore()
     for step in range(40):
-        for table, rows in enumerate(ROWS_PER_TABLE):
-            grad = random_grad(rng, rows)
-            flat.defer(table, grad, step)
-            ref.defer(table, grad, step)
-            assert flat.pending_count(table) == ref.pending_count(table)
-            assert flat.birth_steps(table) == ref.birth_steps(table)
+        for _ in ROWS_PER_TABLE:
+            grad = random_grad(rng, NUM_KEYS)
+            flat.defer(grad, step)
+            ref.defer(grad, step)
+            assert flat.total_pending == ref.total_pending
+            assert flat.birth_steps() == ref.birth_steps()
             staleness = int(rng.integers(1, 4))
-            aged_flat = flat.aged_rows(table, step, staleness)
-            aged_ref = ref.aged_rows(table, step, staleness)
+            aged_flat = flat.aged_rows(step, staleness)
+            aged_ref = ref.aged_rows(step, staleness)
             np.testing.assert_array_equal(aged_flat, aged_ref)
-            # Take a random sorted subset (some rows pending, some not).
-            probe = np.sort(rng.choice(rows, size=min(8, rows), replace=False))
-            np.testing.assert_array_equal(
-                flat.pending_mask(table, probe), ref.pending_mask(table, probe)
-            )
-            assert_same_gradient(flat.take(table, probe), ref.take(table, probe))
+            # Take a random sorted subset (some keys pending, some not).
+            probe = np.sort(rng.choice(NUM_KEYS, size=8, replace=False))
+            np.testing.assert_array_equal(flat.pending_mask(probe), ref.pending_mask(probe))
+            assert_same_gradient(flat.take(probe), ref.take(probe))
         assert flat.total_pending == ref.total_pending
     # Drain everything left; both must produce the identical gradient.
-    for table in range(len(ROWS_PER_TABLE)):
-        assert_same_gradient(flat.take_all(table), ref.take_all(table))
+    assert_same_gradient(flat.take_all(), ref.take_all())
     assert flat.total_pending == ref.total_pending == 0
 
 
 def test_take_of_nothing_matches_reference_shape():
-    flat = FlatPendingStore(ROWS_PER_TABLE)
-    ref = ReferencePendingStore(ROWS_PER_TABLE)
-    empty_rows = np.empty(0, dtype=np.int64)
-    assert_same_gradient(flat.take(0, empty_rows), ref.take(0, empty_rows))
-    assert flat.take(0, np.asarray([3, 5])).nnz == 0
-    assert flat.take_all(1).nnz == 0
+    flat = FlatPendingStore()
+    ref = ReferencePendingStore()
+    empty_keys = np.empty(0, dtype=np.int64)
+    assert_same_gradient(flat.take(empty_keys), ref.take(empty_keys))
+    assert flat.take(np.asarray([3, 5])).nnz == 0
+    assert flat.take_all().nnz == 0
 
 
 def test_accumulation_order_matches_dict_reference():
-    """A row deferred several times accumulates its contributions in
+    """A key deferred several times accumulates its contributions in
     arrival order in both stores — bit-identical float sums."""
-    flat = FlatPendingStore((4,))
-    ref = ReferencePendingStore((4,))
+    flat = FlatPendingStore()
+    ref = ReferencePendingStore()
     rng = np.random.default_rng(3)
     for step in range(7):
         values = rng.normal(size=(2, 5)) * 10.0 ** rng.integers(-3, 3)
         grad = SparseGradient(np.asarray([1, 3], dtype=np.int64), values)
-        flat.defer(0, grad, step)
-        ref.defer(0, grad, step)
-        assert flat.birth_steps(0) == {1: 0, 3: 0}
-    assert_same_gradient(flat.take_all(0), ref.take_all(0))
+        flat.defer(grad, step)
+        ref.defer(grad, step)
+        assert flat.birth_steps() == {1: 0, 3: 0}
+    assert_same_gradient(flat.take_all(), ref.take_all())
 
 
 def test_duplicate_indices_accumulate_like_the_reference():
     """Merged gradients carry unique indices by contract, but a directly
-    built gradient with a repeated row must still accumulate both
+    built gradient with a repeated key must still accumulate both
     contributions (the flat store falls back to the duplicate-safe
     scatter instead of silently keeping only the last write)."""
-    flat = FlatPendingStore((8,))
-    ref = ReferencePendingStore((8,))
+    flat = FlatPendingStore()
+    ref = ReferencePendingStore()
     dup = SparseGradient(np.asarray([5, 5, 2], dtype=np.int64), np.full((3, 2), 1.5))
-    flat.defer(0, dup, 0)
-    ref.defer(0, dup, 0)
-    assert flat.pending_count(0) == ref.pending_count(0) == 2
-    taken_flat, taken_ref = flat.take_all(0), ref.take_all(0)
+    flat.defer(dup, 0)
+    ref.defer(dup, 0)
+    assert flat.total_pending == ref.total_pending == 2
+    taken_flat, taken_ref = flat.take_all(), ref.take_all()
     np.testing.assert_array_equal(taken_flat.indices, taken_ref.indices)
     np.testing.assert_array_equal(taken_flat.values, taken_ref.values)
     np.testing.assert_array_equal(taken_flat.values[1], [3.0, 3.0])  # both hits
@@ -111,17 +113,18 @@ def test_buffers_allocate_lazily_and_window_bounded():
     allocates proportionally to the *deferred* row set — never a
     table-sized float buffer or birth array (the window-bound invariant
     the Criteo-Terabyte deferral path depends on)."""
-    store = FlatPendingStore((1 << 20, 64))
-    assert store._values == [None, None]
-    assert store._births == [None, None]
+    store = FlatPendingStore()
+    assert store._values is None and store._births is None
     assert store.pending_bytes == 0
-    store.defer(1, SparseGradient(np.asarray([3], dtype=np.int64), np.ones((1, 2))), 0)
-    assert store._values[0] is None and store._births[0] is None
-    # The value slab tracks the single deferred row, not the 64-row table.
-    assert store._values[1].shape == (1, 2)
-    store.clear()  # must tolerate the un-allocated table
+    # Key 1 << 20 is row 0 of a second table behind a 1M-row first table.
+    store.defer(SparseGradient(np.asarray([1 << 20], dtype=np.int64), np.ones((1, 2))), 0)
+    # The value slab tracks the single deferred row, not the tables.
+    assert store._values.shape == (1, 2)
+    assert store._births.shape == (1,)
+    store.clear()
     assert store.total_pending == 0
     # clear() frees (not zeroes): no capacity survives the reset.
+    assert store._values is None
     assert store.pending_bytes == 0
     assert store.peak_pending_bytes == 0
 
@@ -150,7 +153,7 @@ def test_footprint_is_window_bounded_at_terabyte_scale():
         )
         for _ in range(28)
     ]
-    pipe.begin_epoch(iter([[rows.astype(np.int64)] for rows in batches]))
+    pipe.begin_epoch(iter([rows.astype(np.int64) for rows in batches]))
     window_rows = 0
     # Stop four batches short of the stream so the window is still full at
     # the epoch boundary and the carry path has real pending rows to flush.
@@ -160,11 +163,11 @@ def test_footprint_is_window_bounded_at_terabyte_scale():
         # the retiring batch's rows — the window bound of the invariant.
         window_rows = max(window_rows, pipe.cached_rows_total + rows.size)
         grad = SparseGradient(rows.astype(np.int64), rng.normal(size=(rows.size, dim)))
-        pipe.defer([grad])
+        pipe.defer(grad)
     carry = pipe.begin_epoch(None)
     assert carry is not None  # the deferral path genuinely ran
     # Bytes per pending row: (dim + 1) slab float64/int64 on <2x-capacity
-    # slabs, plus row id + slot + recycled free-slot entries.
+    # slabs, plus key + slot + recycled free-slot entries.
     per_row_bound = 2 * (dim * 8 + 8) + 16 + 2 * 8
     assert pipe.peak_pending_bytes <= window_rows * per_row_bound
     # And nowhere near the ~10 GB table-sized buffer this regression pins.
@@ -175,32 +178,29 @@ def test_footprint_is_window_bounded_at_terabyte_scale():
 
 def test_fuzz_duplicate_and_unsorted_indices_match_reference():
     """Boundary-contract fuzz: gradients violating the SparseGradient
-    sorted-unique contract (duplicates, shuffled order, repeats of rows
+    sorted-unique contract (duplicates, shuffled order, repeats of keys
     already pending) must accumulate bit-identically to the dict
     reference through defers, age scans, and takes."""
     rng = np.random.default_rng(23)
-    flat = FlatPendingStore(ROWS_PER_TABLE)
-    ref = ReferencePendingStore(ROWS_PER_TABLE)
+    flat = FlatPendingStore()
+    ref = ReferencePendingStore()
     for step in range(30):
-        for table, rows in enumerate(ROWS_PER_TABLE):
+        for _ in ROWS_PER_TABLE:
             nnz = int(rng.integers(2, 10))
             # Sampling with replacement yields duplicates; the shuffle
             # breaks sortedness.
-            indices = rng.choice(rows, size=nnz, replace=True)
+            indices = rng.choice(NUM_KEYS, size=nnz, replace=True)
             rng.shuffle(indices)
-            grad = SparseGradient(
-                indices.astype(np.int64), rng.normal(size=(nnz, 3))
-            )
-            flat.defer(table, grad, step)
-            ref.defer(table, grad, step)
-            assert flat.pending_count(table) == ref.pending_count(table)
-            assert flat.birth_steps(table) == ref.birth_steps(table)
-            aged_flat = flat.aged_rows(table, step, 2)
-            aged_ref = ref.aged_rows(table, step, 2)
+            grad = SparseGradient(indices.astype(np.int64), rng.normal(size=(nnz, 3)))
+            flat.defer(grad, step)
+            ref.defer(grad, step)
+            assert flat.total_pending == ref.total_pending
+            assert flat.birth_steps() == ref.birth_steps()
+            aged_flat = flat.aged_rows(step, 2)
+            aged_ref = ref.aged_rows(step, 2)
             np.testing.assert_array_equal(aged_flat, aged_ref)
-            assert_same_gradient(flat.take(table, aged_flat), ref.take(table, aged_ref))
-    for table in range(len(ROWS_PER_TABLE)):
-        assert_same_gradient(flat.take_all(table), ref.take_all(table))
+            assert_same_gradient(flat.take(aged_flat), ref.take(aged_ref))
+    assert_same_gradient(flat.take_all(), ref.take_all())
 
 
 def run_pipeline(pending_store, batches, grads, *, window, staleness):
@@ -210,12 +210,12 @@ def run_pipeline(pending_store, batches, grads, *, window, staleness):
     ``"reference"`` (the oracle's dict store swapped in)."""
     pipe = CachedEmbeddingPipeline((64,), window=window, staleness=staleness)
     if pending_store == "reference":
-        pipe.pending = ReferencePendingStore(pipe.rows_per_table)
-    pipe.begin_epoch(iter([[np.asarray(rows, dtype=np.int64)] for rows in batches]))
+        pipe.pending = ReferencePendingStore()
+    pipe.begin_epoch(iter([np.asarray(rows, dtype=np.int64) for rows in batches]))
     flushes, stats = [], []
     for rows, grad in zip(batches, grads, strict=True):
         pipe.observe(np.asarray(rows, dtype=np.int64).reshape(-1, 1, 1))
-        flushes.append(pipe.defer([grad]))
+        flushes.append(pipe.defer(grad))
         stats.append(
             (pipe.last_stats.stale_rows, pipe.last_stats.evicted_rows,
              pipe.pending_rows_total)
@@ -247,13 +247,11 @@ def test_pipeline_parity_flat_vs_reference(window, staleness):
         "reference", batches, grads, window=window, staleness=staleness
     )
     assert stats_f == stats_r
-    for step_f, step_r in zip(flushes_f, flushes_r, strict=True):
-        for grad_f, grad_r in zip(step_f, step_r, strict=True):
-            assert_same_gradient(grad_f, grad_r)
+    for grad_f, grad_r in zip(flushes_f, flushes_r, strict=True):
+        assert_same_gradient(grad_f, grad_r)
     assert (carry_f is None) == (carry_r is None)
     if carry_f is not None:
-        for grad_f, grad_r in zip(carry_f, carry_r, strict=True):
-            assert_same_gradient(grad_f, grad_r)
+        assert_same_gradient(carry_f, carry_r)
 
 
 @pytest.mark.parametrize("pending_store", ["flat", "reference"])
@@ -267,12 +265,11 @@ def test_conservation_under_both_stores(pending_store):
         pending_store, batches, grads, window=3, staleness=2
     )
     total_out = np.zeros((64, 2))
-    for step in flushes:
-        for grad in step:
-            if grad.nnz:
-                total_out[grad.indices] += grad.values
+    for grad in flushes:
+        if grad.nnz:
+            total_out[grad.indices] += grad.values
     if carry is not None:
-        total_out[carry[0].indices] += carry[0].values
+        total_out[carry.indices] += carry.values
     np.testing.assert_allclose(total_out, total_in)
 
 
@@ -281,21 +278,21 @@ def test_clear_resets_buffer_bitmap_and_births_atomically():
     indistinguishable from a fresh one — a surviving birth step or a
     non-zeroed buffer row would poison the next run's flush timing or
     values."""
-    store = FlatPendingStore((16,))
+    store = FlatPendingStore()
     rng = np.random.default_rng(5)
     for step in range(4):
-        store.defer(0, random_grad(rng, 16, dim=2), step)
+        store.defer(random_grad(rng, 16, dim=2), step)
     assert store.total_pending > 0
     store.clear()
     assert store.total_pending == 0
-    assert store.birth_steps(0) == {}
-    assert store.aged_rows(0, step=100, staleness=0).size == 0
+    assert store.birth_steps() == {}
+    assert store.aged_rows(step=100, staleness=0).size == 0
     # The buffer rows really are zero: a fresh defer must flush exactly its
     # own value, with the fresh birth step.
     grad = SparseGradient(np.asarray([3], dtype=np.int64), np.full((1, 2), 7.5))
-    store.defer(0, grad, 0)
-    assert store.birth_steps(0) == {3: 0}
-    assert_same_gradient(store.take_all(0), grad)
+    store.defer(grad, 0)
+    assert store.birth_steps() == {3: 0}
+    assert_same_gradient(store.take_all(), grad)
 
 
 def test_pipeline_reset_is_equivalent_to_a_fresh_pipeline():
@@ -304,21 +301,20 @@ def test_pipeline_reset_is_equivalent_to_a_fresh_pipeline():
     buffers, birth arrays, and bitmaps all restart together)."""
     batches, grads = make_stream(seed=21, steps=12)
     used = CachedEmbeddingPipeline((64,), window=2, staleness=2)
-    used.begin_epoch(iter([[np.asarray(rows, dtype=np.int64)] for rows in batches]))
+    used.begin_epoch(iter([np.asarray(rows, dtype=np.int64) for rows in batches]))
     for rows, grad in zip(batches[:7], grads[:7], strict=False):
         used.observe(np.asarray(rows, dtype=np.int64).reshape(-1, 1, 1))
-        used.defer([grad])
+        used.defer(grad)
     assert used.pending_rows_total > 0  # there is state to leak
     used.reset()
 
     fresh = CachedEmbeddingPipeline((64,), window=2, staleness=2)
     replay_f, replay_u = [], []
     for pipe, sink in ((used, replay_u), (fresh, replay_f)):
-        pipe.begin_epoch(iter([[np.asarray(rows, dtype=np.int64)] for rows in batches]))
+        pipe.begin_epoch(iter([np.asarray(rows, dtype=np.int64) for rows in batches]))
         for rows, grad in zip(batches, grads, strict=True):
             pipe.observe(np.asarray(rows, dtype=np.int64).reshape(-1, 1, 1))
-            sink.append(pipe.defer([grad]))
-    for step_u, step_f in zip(replay_u, replay_f, strict=True):
-        for grad_u, grad_f in zip(step_u, step_f, strict=True):
-            assert_same_gradient(grad_u, grad_f)
+            sink.append(pipe.defer(grad))
+    for grad_u, grad_f in zip(replay_u, replay_f, strict=True):
+        assert_same_gradient(grad_u, grad_f)
     assert used.pending_rows_total == fresh.pending_rows_total

@@ -174,12 +174,20 @@ def test_partition_remote_lookup_count():
 def test_partition_routes_merged_gradient_by_owner():
     partition = make_partition(rows=(10,), shards=2)
     grad = SparseGradient(np.array([0, 3, 5, 9]), np.arange(16.0).reshape(4, 4))
-    routed = partition.route_gradient(0, grad)
+    routed = partition.route_gradient(grad)
     assert routed[0].indices.tolist() == [0, 3]
     assert routed[1].indices.tolist() == [5, 9]
     np.testing.assert_array_equal(routed[1].values, grad.values[2:])
-    # Routed values are views — dtype (and storage) preserved.
     assert routed[0].values.dtype == grad.values.dtype
+    # Flat keys over two tables (10 and 3 rows; keys 10-12 are table 1's
+    # rows 0-2): each shard gets its range of every table, keys sorted.
+    partition = make_partition(rows=(10, 3), shards=2)
+    grad = SparseGradient(np.array([4, 5, 9, 10, 11, 12]), np.arange(24.0).reshape(6, 4))
+    routed = partition.route_gradient(grad)
+    assert routed[0].indices.tolist() == [4, 10]
+    assert routed[1].indices.tolist() == [5, 9, 11, 12]
+    np.testing.assert_array_equal(routed[0].values, grad.values[[0, 3]])
+    np.testing.assert_array_equal(routed[1].values, grad.values[[1, 2, 4, 5]])
 
 
 def test_partition_validates_configuration():
@@ -187,92 +195,3 @@ def test_partition_validates_configuration():
         PartitionedEmbeddingPlacement(rows_per_table=(10,), num_shards=0, embedding_dim=4)
     with pytest.raises(ValueError):
         PartitionedEmbeddingPlacement(rows_per_table=(0,), num_shards=2, embedding_dim=4)
-
-
-# --------------------------------------------------------------------- #
-# HybridEmbeddingLayout (hot replicated x cold partitioned)
-# --------------------------------------------------------------------- #
-
-from repro.core.placement import HybridEmbeddingLayout
-
-
-def make_hybrid(hot0=(0, 1, 2), hot1=(4,), shards=2, budget=1 << 20):
-    placement = EmbeddingPlacement(
-        hot_sets=[np.array(hot0, dtype=np.int64), np.array(hot1, dtype=np.int64)],
-        rows_per_table=(100, 50),
-        embedding_dim=8,
-        dtype_bytes=4,
-        hbm_budget_bytes=budget,
-    )
-    partition = PartitionedEmbeddingPlacement(
-        rows_per_table=(100, 50), num_shards=shards, embedding_dim=8
-    )
-    return HybridEmbeddingLayout(placement=placement, partition=partition)
-
-
-def test_hybrid_shard_bytes_replicates_hot_and_partitions_cold():
-    hybrid = make_hybrid()
-    # Shard 0 owns rows [0, 50) of table 0 (3 hot inside) and [0, 25) of
-    # table 1 (row 4 hot inside): 50 - 3 + 25 - 1 = 71 cold rows.
-    assert hybrid.owned_cold_row_count(0) == 71
-    # Shard 1's owned ranges contain no hot rows: 50 + 25 cold rows.
-    assert hybrid.owned_cold_row_count(1) == 75
-    row_bytes = hybrid.row_bytes
-    assert hybrid.shard_bytes(0) == 4 * row_bytes + 71 * row_bytes
-    assert hybrid.shard_bytes(1) == 4 * row_bytes + 75 * row_bytes
-    # Every row has exactly one cold home or is replicated: totals add up.
-    total_cold = sum(hybrid.owned_cold_row_count(k) for k in range(2))
-    assert total_cold == 150 - 4
-
-
-def test_hybrid_unsorted_hot_sets_count_correctly():
-    hybrid = make_hybrid(hot0=(2, 0, 1))  # construction order is the user's
-    assert hybrid.owned_cold_row_count(0) == 71
-
-
-def test_hybrid_fits_budget_uses_max_shard():
-    row_bytes = 8 * 4
-    assert make_hybrid(budget=(4 + 75) * row_bytes).fits_budget()
-    assert not make_hybrid(budget=(4 + 74) * row_bytes).fits_budget()
-
-
-def test_hybrid_remote_lookups_are_cold_only():
-    hybrid = make_hybrid()
-    # Table 0: shard 0 owns [0, 50).  Row 1 is hot (never remote), row 60
-    # is cold+remote to shard 0, row 10 is cold+local to shard 0.
-    sparse = np.array([[[1, 60], [4, 4]], [[10, 99], [30, 30]]])
-    assert hybrid.remote_cold_lookup_count(sparse, 0) == 4  # 60, 99, 30, 30
-    # The plain partition charges the hot lookups too.
-    assert hybrid.partition.remote_lookup_count(sparse, 0) >= 4
-    with pytest.raises(ValueError):
-        hybrid.remote_cold_lookup_count(np.zeros((2, 3)), 0)
-    assert hybrid.remote_cold_lookup_count(np.empty((0, 2, 1), dtype=np.int64), 0) == 0
-
-
-def test_hybrid_route_gradient_splits_replicated_from_owned():
-    hybrid = make_hybrid()
-    grad = SparseGradient(np.array([0, 2, 10, 60]), np.arange(16.0).reshape(4, 4))
-    hot_grad, per_owner = hybrid.route_gradient(0, grad)
-    assert hot_grad.indices.tolist() == [0, 2]
-    assert per_owner[0].indices.tolist() == [10]
-    assert per_owner[1].indices.tolist() == [60]
-    np.testing.assert_array_equal(hot_grad.values, grad.values[[0, 1]])
-    np.testing.assert_array_equal(per_owner[1].values, grad.values[3:])
-
-
-def test_hybrid_validates_matching_layouts():
-    placement = EmbeddingPlacement(
-        hot_sets=[np.array([0], dtype=np.int64)],
-        rows_per_table=(10,),
-        embedding_dim=8,
-    )
-    partition = PartitionedEmbeddingPlacement(
-        rows_per_table=(20,), num_shards=2, embedding_dim=8
-    )
-    with pytest.raises(ValueError):
-        HybridEmbeddingLayout(placement=placement, partition=partition)
-    partition = PartitionedEmbeddingPlacement(
-        rows_per_table=(10,), num_shards=2, embedding_dim=4
-    )
-    with pytest.raises(ValueError):
-        HybridEmbeddingLayout(placement=placement, partition=partition)

@@ -249,7 +249,7 @@ def test_exposed_time_modes():
 
 
 def test_exchange_preserves_dtype_and_order():
-    exchange = SparseGradientExchange(1)
+    exchange = SparseGradientExchange()
     partials = [
         SparseGradient(
             np.array([0, 2]), np.ones((2, 4), dtype=np.float32)
@@ -258,7 +258,7 @@ def test_exchange_preserves_dtype_and_order():
             np.array([2, 5]), np.full((2, 4), 2.0, dtype=np.float32)
         ),
     ]
-    merged = exchange.exchange([partials])[0]
+    merged = exchange.exchange(partials)
     assert merged.values.dtype == np.float32
     np.testing.assert_array_equal(merged.indices, [0, 2, 5])
     np.testing.assert_allclose(merged.values[1], np.full(4, 3.0))
@@ -266,25 +266,29 @@ def test_exchange_preserves_dtype_and_order():
 
 
 def test_exchange_rejects_mixed_dtype_partials():
-    exchange = SparseGradientExchange(1)
+    exchange = SparseGradientExchange()
     partials = [
         SparseGradient(np.array([0]), np.ones((1, 4), dtype=np.float32)),
         SparseGradient(np.array([1]), np.ones((1, 4), dtype=np.float64)),
     ]
     with pytest.raises(ValueError, match="dtype"):
-        exchange.exchange([partials])
+        exchange.exchange(partials)
 
 
 def test_exchange_validates_table_count_and_routing():
-    exchange = SparseGradientExchange(2)
-    with pytest.raises(ValueError):
-        exchange.exchange([[]])
+    """One flat-keyed gradient covers every table, so the exchange has no
+    table count left to check: an empty step merges to nothing.  Routing
+    needs a partition and splits flat keys by owner."""
+    exchange = SparseGradientExchange()
+    assert exchange.exchange([]).nnz == 0
+    assert exchange.last_exchanged_rows == 0
     with pytest.raises(RuntimeError):
-        exchange.route(0, SparseGradient(np.array([0]), np.ones((1, 4))))
+        exchange.route(SparseGradient(np.array([0]), np.ones((1, 4))))
     partition = PartitionedEmbeddingPlacement(
         rows_per_table=(10, 10), num_shards=2, embedding_dim=4
     )
-    routed = SparseGradientExchange(2, partition=partition).route(
-        0, SparseGradient(np.array([1, 7]), np.ones((2, 4)))
+    # Keys 1 and 7 are table 0's rows; 13 and 17 are table 1's rows 3 and 7.
+    routed = SparseGradientExchange(partition=partition).route(
+        SparseGradient(np.array([1, 7, 13, 17]), np.ones((4, 4)))
     )
-    assert [piece.indices.tolist() for piece in routed] == [[1], [7]]
+    assert [piece.indices.tolist() for piece in routed] == [[1, 13], [7, 17]]

@@ -321,35 +321,36 @@ def test_pipeline_makespan_fill_drain():
 # WindowRefcounts (compact per-window reference counts)
 # --------------------------------------------------------------------- #
 def test_window_refcounts_enter_release_roundtrip():
-    refs = WindowRefcounts((100, 50))
+    refs = WindowRefcounts()
     a = np.array([3, 7, 9], dtype=np.int64)
     b = np.array([7, 42], dtype=np.int64)
-    refs.enter(0, a)
-    refs.enter(0, b)
-    assert refs.tracked_rows(0) == 4  # {3, 7, 9, 42}
-    # Releasing the first batch evicts only rows no other batch holds.
-    gone = refs.release(0, a)
+    np.testing.assert_array_equal(refs.enter(a), a)  # every key fills
+    np.testing.assert_array_equal(refs.enter(b), [42])  # key 7 is cached
+    assert refs.tracked_keys == 4  # {3, 7, 9, 42}
+    # Releasing the first batch evicts only keys no other batch holds.
+    gone = refs.release(a)
     np.testing.assert_array_equal(gone, np.array([3, 9], dtype=np.int64))
-    assert refs.tracked_rows(0) == 2  # {7, 42}
-    gone = refs.release(0, b)
+    assert refs.tracked_keys == 2  # {7, 42}
+    gone = refs.release(b)
     np.testing.assert_array_equal(gone, b)
-    assert refs.tracked_rows(0) == 0
+    assert refs.tracked_keys == 0
     assert refs.nbytes == 0
 
 
 def test_window_refcounts_footprint_tracks_window_not_table():
-    refs = WindowRefcounts((10_000_000,))
-    rows = np.arange(0, 1000, dtype=np.int64)
-    refs.enter(0, rows)
-    # int64 row + int32 count per *referenced* row — not 40 MB per table.
-    assert refs.nbytes == rows.size * (8 + 4)
+    refs = WindowRefcounts()
+    # Keys of a 10M-row table's first rows and a second table behind it.
+    keys = np.concatenate([np.arange(0, 500), 10_000_000 + np.arange(0, 500)])
+    refs.enter(keys.astype(np.int64))
+    # int64 key + int32 count per *referenced* row — not 40 MB per table.
+    assert refs.nbytes == keys.size * (8 + 4)
     refs.clear()
     assert refs.nbytes == 0
 
 
 def test_window_refcounts_empty_arrays_are_noops():
-    refs = WindowRefcounts((10,))
+    refs = WindowRefcounts()
     empty = np.empty(0, dtype=np.int64)
-    refs.enter(0, empty)
-    assert refs.release(0, empty).size == 0
+    assert refs.enter(empty).size == 0
+    assert refs.release(empty).size == 0
     assert refs.nbytes == 0

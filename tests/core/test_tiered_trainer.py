@@ -1,10 +1,8 @@
 """Trainer integration for the window-bound / tiering PR.
 
-Three accounting-only features ride on the sharded trainer and must never
+Two accounting-only features ride on the sharded trainer and must never
 touch numerics:
 
-* ``per_shard_lookahead`` — K per-shard fill-accounting pipelines next to
-  the global deferral pipeline (which stops pricing fills itself);
 * ``tiered_hot_bytes`` — a hot/cold embedding tier fronting the model's
   tables, pinning the placement's hot rows;
 * the ``pending_bytes`` / tier-counter plumbing through
@@ -40,67 +38,6 @@ def assert_states_equal(model_a, model_b):
     assert state_a.keys() == state_b.keys()
     for key, value in state_a.items():
         np.testing.assert_array_equal(state_b[key], value, err_msg=key)
-
-
-# --------------------------------------------------------------------- #
-# Per-shard lookahead accounting
-# --------------------------------------------------------------------- #
-def test_per_shard_lookahead_is_bit_identical_to_global(
-    tiny_model_config, tiny_click_log
-):
-    """The per-shard pipelines are accounting-only (staleness 0, never
-    defer) and the global pipeline keeps the deferral numerics, so the
-    trained model must be bit-identical with the knob on or off."""
-    base_trainer, base_result = run_trainer(
-        tiny_model_config, tiny_click_log, lookahead_window=4
-    )
-    shard_trainer, shard_result = run_trainer(
-        tiny_model_config, tiny_click_log,
-        lookahead_window=4, per_shard_lookahead=True,
-    )
-    assert shard_result.losses == base_result.losses
-    assert_states_equal(base_trainer.model, shard_trainer.model)
-    # ...but the accounting differentiates: each shard windowed its own
-    # slice and priced its own fills, while the global pipeline stopped
-    # pricing fills (its DMA now carries write-back traffic only).
-    assert len(shard_trainer.shard_lookaheads) == 2
-    assert not shard_trainer.lookahead.price_fills
-    for pipe in shard_trainer.shard_lookaheads:
-        assert pipe.cached_rows_total > 0
-        assert pipe.dma.bytes_read > 0
-        assert pipe.pending_rows_total == 0  # accounting-only: never defers
-
-
-def test_per_shard_lookahead_charges_slowest_shard(
-    tiny_model_config, tiny_click_log
-):
-    """One raw step: the step's prefetch is the global write-back plus the
-    *max* over the shard fills (shards fill in parallel), and every shard
-    pipeline advanced its window."""
-    trainer = ShardedHotlineTrainer(
-        DLRM(tiny_model_config, seed=7), 2, sample_fraction=0.25,
-        lookahead_window=4, per_shard_lookahead=True,
-    )
-    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    trainer.bind(loader)
-    outcome = trainer.run_step(next(iter(loader)))
-    shard_fill = max(
-        pipe.last_stats.prefetch_time_s for pipe in trainer.shard_lookaheads
-    )
-    assert shard_fill > 0.0
-    assert outcome.prefetch_time_s >= shard_fill
-    # The global pipeline observed the full batch, shards their slices.
-    full = trainer.lookahead.cached_rows_total
-    assert all(
-        0 < pipe.cached_rows_total <= full for pipe in trainer.shard_lookaheads
-    )
-
-
-def test_per_shard_lookahead_requires_a_window(tiny_model_config):
-    with pytest.raises(ValueError, match="per_shard_lookahead"):
-        ShardedHotlineTrainer(
-            DLRM(tiny_model_config, seed=0), 2, per_shard_lookahead=True
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -207,20 +144,19 @@ def test_rebind_starts_with_fresh_dma_and_tier_counters(
     tiny_model_config, tiny_click_log
 ):
     """Regression: a reused trainer must not report run A's DMA traffic or
-    tier counters as run B's.  bind() resets the lookahead pipelines'
-    engines and rebuilds the tier from scratch."""
+    tier counters as run B's.  bind() resets the lookahead pipeline's
+    engine and rebuilds the tier from scratch."""
     hot_bytes = 48 * tiny_model_config.embedding_dim * 4
     trainer = ShardedHotlineTrainer(
         DLRM(tiny_model_config, seed=5), 2, sample_fraction=0.25,
-        mode="stale-2", lookahead_window=4, per_shard_lookahead=True,
-        tiered_hot_bytes=hot_bytes,
+        mode="stale-2", lookahead_window=4, tiered_hot_bytes=hot_bytes,
     )
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     trainer.bind(loader)
     for batch in list(loader)[:4]:
         trainer.train_step(batch)
+    assert trainer.lookahead.dma.bytes_read > 0  # fills priced
     assert trainer.lookahead.dma.bytes_written > 0  # write-backs priced
-    assert all(p.dma.bytes_read > 0 for p in trainer.shard_lookaheads)
     assert trainer.tier.hits + trainer.tier.misses > 0
     run_a_tier = trainer.tier
     # Re-binding (what a second train() does first) starts clean...
@@ -228,8 +164,6 @@ def test_rebind_starts_with_fresh_dma_and_tier_counters(
     assert trainer.lookahead.dma.bytes_read == 0
     assert trainer.lookahead.dma.bytes_written == 0
     assert trainer.lookahead.dma.requests == 0
-    for pipe in trainer.shard_lookaheads:
-        assert pipe.dma.bytes_read == 0 and pipe.dma.requests == 0
     # ...with a rebuilt tier: fresh counters, fresh residency, re-attached.
     assert trainer.tier is not run_a_tier
     assert trainer.tier.hits == 0 and trainer.tier.misses == 0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
+from repro.nn.embedding import SparseGradient, split_by_table
 from repro.nn.metrics import roc_auc
 
 
@@ -46,10 +47,15 @@ def test_bottom_mlp_must_end_at_embedding_dim(tiny_model_config):
 
 
 def test_loss_and_gradients_returns_one_grad_per_table(tiny_dlrm, tiny_click_log):
+    """One flat-keyed gradient that splits into one gradient per table,
+    each exactly that table's own backward."""
     batch = tiny_click_log.batch(0, 32)
-    loss, grads = tiny_dlrm.loss_and_gradients(batch)
+    loss, grad = tiny_dlrm.loss_and_gradients(batch)
     assert loss > 0
-    assert len(grads) == len(tiny_dlrm.tables)
+    per_table = split_by_table(grad, tiny_dlrm.config.dataset.rows_per_table)
+    assert len(per_table) == len(tiny_dlrm.tables)
+    for t, table_grad in enumerate(per_table):
+        np.testing.assert_array_equal(table_grad.indices, np.unique(batch.sparse[:, t, :]))
 
 
 def test_normalizer_scales_gradients(tiny_dlrm, tiny_click_log):
@@ -61,7 +67,7 @@ def test_normalizer_scales_gradients(tiny_dlrm, tiny_click_log):
     _, grads_mean = tiny_dlrm.loss_and_gradients(batch, normalizer=32)
     for (_, grad), summed in zip(tiny_dlrm.dense_parameters(), summed_dense, strict=True):
         np.testing.assert_allclose(grad * 32, summed, rtol=1e-10)
-    np.testing.assert_allclose(grads_mean[0].values * 32, grads_sum[0].values, rtol=1e-10)
+    np.testing.assert_allclose(grads_mean.values * 32, grads_sum.values, rtol=1e-10)
 
 
 def test_invalid_normalizer_raises(tiny_dlrm, tiny_click_log):
@@ -107,5 +113,15 @@ def test_state_snapshot_is_a_copy(tiny_dlrm, tiny_click_log):
 
 
 def test_apply_sparse_updates_requires_one_grad_per_table(tiny_dlrm):
-    with pytest.raises(ValueError):
-        tiny_dlrm.apply_sparse_updates([], lr=0.1)
+    """The flat-keyed gradient must stay inside the model's key space: a
+    key below 0 or past the last table's last row raises, and nothing is
+    updated."""
+    total = tiny_dlrm.config.dataset.total_rows
+    before = tiny_dlrm.state_snapshot()
+    for key in (-1, total):
+        values = np.ones((2, tiny_dlrm.config.embedding_dim), dtype=np.float32)
+        grad = SparseGradient(np.array([0, key], dtype=np.int64), values)
+        with pytest.raises(ValueError, match="outside"):
+            tiny_dlrm.apply_sparse_updates(grad, lr=0.1)
+    after = tiny_dlrm.state_snapshot()
+    assert all(np.array_equal(before[k], after[k]) for k in before)

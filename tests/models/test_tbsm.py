@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.loader import MiniBatchLoader
 from repro.models.tbsm import TBSM
+from repro.nn.embedding import split_by_table
 from repro.nn.metrics import roc_auc
 
 
@@ -29,8 +30,9 @@ def test_backward_before_forward_raises(tiny_tbsm):
 
 
 def test_loss_and_gradients_per_table(tiny_tbsm, tiny_ts_click_log):
-    loss, grads = tiny_tbsm.loss_and_gradients(tiny_ts_click_log.batch(0, 32))
+    loss, grad = tiny_tbsm.loss_and_gradients(tiny_ts_click_log.batch(0, 32))
     assert loss > 0
+    grads = split_by_table(grad, tiny_tbsm.config.dataset.rows_per_table)
     assert len(grads) == len(tiny_tbsm.tables)
     # The history table (table 0) receives gradient for each step's lookup.
     assert grads[0].nnz > 0

@@ -9,15 +9,16 @@ the speedup benchmarks build their baselines from it:
 * :class:`SequentialDLRM` / :class:`SequentialTBSM` — the models with
   ``fused_loss_and_gradients`` replaced by a loop of per-µ-batch
   ``loss_and_gradients`` calls (separate gathers, scatters and unpacked
-  MLP passes per segment).  Passed to a production trainer, they give the
-  sequential schedule every fused, packed and replica-stacked pass must
-  reproduce.
+  MLP passes per segment), each segment's per-table gradients relabelled
+  into one flat-keyed gradient.  Passed to a production trainer, they give
+  the sequential schedule every fused, packed and replica-stacked pass
+  must reproduce.
 * :class:`MergedGradientTrainer` — the shared-model K-shard trainer: all
   shards' µ-batch gradients accumulate in one model's layers.  Sync-mode
   :class:`~repro.core.distributed.ShardedHotlineTrainer` must match it.
 * :class:`ReferencePendingStore` — the dict-of-rows deferred write-back
-  store; swap it into a pipeline with
-  ``pipe.pending = ReferencePendingStore(pipe.rows_per_table)``.
+  store, keyed by flat key; swap it into a pipeline with
+  ``pipe.pending = ReferencePendingStore()``.
 * :class:`ReferenceTieredStore` — the per-table hot/cold tier whose
   counters and priced times the flat-keyed
   :class:`~repro.nn.embedding.TieredEmbeddingStore` must reproduce.
@@ -75,25 +76,25 @@ class _SequentialSegments:
         segments: list[np.ndarray],
         normalizer: float | None = None,
         after_segment=None,
-    ) -> tuple[list[float], list[list[SparseGradient]]]:
+    ) -> tuple[list[float], list[SparseGradient]]:
         """The per-segment loop the fused pass must reproduce bit for bit.
 
         Same contract as :meth:`repro.models.dlrm.DLRM.
         fused_loss_and_gradients`: dense gradients accumulate in the
         layers segment by segment, ``after_segment(s, loss)`` fires after
         each segment's backward, and the result is per-segment losses plus
-        ``sparse_grads[t][s]``.
+        per-segment flat-keyed gradients (the per-table results,
+        relabelled by ``loss_and_gradients``).
         """
         losses: list[float] = []
-        sparse_grads: list[list[SparseGradient]] = [[] for _ in self.tables]
+        partials: list[SparseGradient] = []
         for s, idx in enumerate(segments):
-            loss, grads = self.loss_and_gradients(batch.select(idx), normalizer)
+            loss, grad = self.loss_and_gradients(batch.select(idx), normalizer)
             losses.append(loss)
-            for table, grad in enumerate(grads):
-                sparse_grads[table].append(grad)
+            partials.append(grad)
             if after_segment is not None:
                 after_segment(s, loss)
-        return losses, sparse_grads
+        return losses, partials
 
 
 class SequentialDLRM(_SequentialSegments, DLRM):
@@ -112,7 +113,7 @@ class MergedGradientTrainer(ShardedHotlineTrainer):
 
     Every shard's µ-batches run through their own ``loss_and_gradients``
     call; the dense gradients accumulate in the shared layers (the
-    functional equivalent of a ring all-reduce) and per-table sparse
+    functional equivalent of a ring all-reduce) and the flat-keyed sparse
     gradients merge once across shards.
     Because every µ-batch is normalised by the *global* mini-batch size,
     the accumulated K-shard update equals the single-replica update
@@ -132,9 +133,7 @@ class MergedGradientTrainer(ShardedHotlineTrainer):
         self.model.zero_grad()
         total_loss = 0.0
         popular_size = 0
-        partial_sparse: list[list[SparseGradient]] = [
-            [] for _ in range(self.model.config.num_sparse_features)
-        ]
+        partials: list[SparseGradient] = []
         for shard_batch, shard in zip(batch.shards(self.num_shards), self.shards, strict=True):
             if shard_batch.size == 0:
                 continue
@@ -145,15 +144,13 @@ class MergedGradientTrainer(ShardedHotlineTrainer):
                     continue
                 # Global-batch normalisation keeps the accumulated K-shard
                 # update identical to the single-replica one (Eq. 5).
-                loss, sparse_grads = self.model.loss_and_gradients(
+                loss, grad = self.model.loss_and_gradients(
                     micro_batch, normalizer=batch.size
                 )
                 total_loss += loss
-                for table, grad in enumerate(sparse_grads):
-                    partial_sparse[table].append(grad)
-        merged = [merge_sparse_gradients(grads) for grads in partial_sparse]
+                partials.append(grad)
         self.model.apply_dense_update(self.lr)
-        self.model.apply_sparse_updates(merged, self.lr)
+        self.model.apply_sparse_updates(merge_sparse_gradients(partials), self.lr)
         popular_fraction = popular_size / batch.size if batch.size else 0.0
         return total_loss, popular_fraction
 
@@ -171,102 +168,82 @@ class ReferencePendingStore:
 
     The original (pre-flat-store) implementation: one ``dict[int,
     np.ndarray]`` of accumulated gradient rows plus one ``dict[int, int]``
-    of birth steps per table.  Every ``defer``/``take`` walks the step's
-    rows in the Python interpreter — O(nnz) dict churn per training step —
-    which is exactly the overhead
+    of birth steps, both keyed by flat key.  Every ``defer``/``take`` walks
+    the step's keys in the Python interpreter — O(nnz) dict churn per
+    training step — which is exactly the overhead
     :class:`~repro.core.lookahead.FlatPendingStore` removes.  It is the
     ground truth the parity suite and the pending-store benchmark compare
     against; swap it into a pipeline with ``pipe.pending =
-    ReferencePendingStore(pipe.rows_per_table)``.
+    ReferencePendingStore()``.
     """
 
-    def __init__(self, rows_per_table: tuple[int, ...]):
-        self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
-        self._pending: list[dict[int, np.ndarray]] = [{} for _ in self.rows_per_table]
-        self._births: list[dict[int, int]] = [{} for _ in self.rows_per_table]
-
-    @property
-    def num_tables(self) -> int:
-        """Number of tables the store covers."""
-        return len(self.rows_per_table)
+    def __init__(self):
+        self._pending: dict[int, np.ndarray] = {}
+        self._births: dict[int, int] = {}
 
     @property
     def total_pending(self) -> int:
-        """Deferred (not yet written back) rows across tables."""
-        return sum(len(pending) for pending in self._pending)
-
-    def pending_count(self, table: int) -> int:
-        """Deferred rows of one table."""
-        return len(self._pending[table])
+        """Deferred (not yet written back) rows."""
+        return len(self._pending)
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes held by the dict store (value rows + per-row id/birth ints).
+        """Bytes held by the dict store (value rows + per-key id/birth ints).
 
         API symmetry with
         :attr:`~repro.core.lookahead.FlatPendingStore.pending_bytes`; the
         dict store is inherently window-bounded (it only ever holds
         deferred rows), it just pays the interpreter for it.
         """
-        total = 0
-        for pending in self._pending:
-            for value in pending.values():
-                total += value.nbytes + 16
-        return total
+        return sum(value.nbytes + 16 for value in self._pending.values())
 
-    def defer(self, table: int, grad: SparseGradient, step: int) -> None:
-        """Accumulate one merged gradient; new rows are born at ``step``."""
-        pending = self._pending[table]
-        births = self._births[table]
-        for row, value in zip(grad.indices.tolist(), grad.values, strict=True):
-            if row in pending:
-                pending[row] = pending[row] + value
+    def defer(self, grad: SparseGradient, step: int) -> None:
+        """Accumulate one merged gradient; new keys are born at ``step``."""
+        pending = self._pending
+        for key, value in zip(grad.indices.tolist(), grad.values, strict=True):
+            if key in pending:
+                pending[key] = pending[key] + value
             else:
-                pending[row] = value.copy()
-                births[row] = step
+                pending[key] = value.copy()
+                self._births[key] = step
 
-    def pending_mask(self, table: int, rows: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``rows``: True where the row is deferred."""
-        pending = self._pending[table]
+    def pending_mask(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``keys``: True where the key is deferred."""
         return np.fromiter(
-            (int(row) in pending for row in rows), dtype=bool, count=rows.size
+            (int(key) in self._pending for key in keys), dtype=bool, count=keys.size
         )
 
-    def aged_rows(self, table: int, step: int, staleness: int) -> np.ndarray:
-        """Sorted rows whose oldest contribution is ``staleness`` steps old."""
-        births = self._births[table]
-        aged = sorted(row for row, birth in births.items() if step - birth >= staleness)
+    def aged_rows(self, step: int, staleness: int) -> np.ndarray:
+        """Sorted keys whose oldest contribution is ``staleness`` steps old."""
+        aged = sorted(key for key, birth in self._births.items() if step - birth >= staleness)
         return np.asarray(aged, dtype=np.int64)
 
-    def birth_steps(self, table: int) -> dict[int, int]:
-        """``{row: birth step}`` of one table's deferred rows (tests)."""
-        return dict(self._births[table])
+    def birth_steps(self) -> dict[int, int]:
+        """``{key: birth step}`` of the deferred keys (tests)."""
+        return dict(self._births)
 
-    def take(self, table: int, rows: np.ndarray) -> SparseGradient:
-        """Remove the deferred subset of ``rows`` as one sparse gradient.
+    def take(self, keys: np.ndarray) -> SparseGradient:
+        """Remove the deferred subset of ``keys`` as one sparse gradient.
 
-        ``rows`` must be sorted; rows with nothing pending are skipped, so
+        ``keys`` must be sorted; keys with nothing pending are skipped, so
         the result's indices are the sorted deferred subset.
         """
-        pending = self._pending[table]
-        births = self._births[table]
-        taken = [int(row) for row in rows if int(row) in pending]
+        taken = [int(key) for key in keys if int(key) in self._pending]
         if not taken:
             return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 0), dtype=DTYPE))
-        values = np.stack([pending.pop(row) for row in taken], axis=0)
-        for row in taken:
-            births.pop(row, None)
+        values = np.stack([self._pending.pop(key) for key in taken], axis=0)
+        for key in taken:
+            self._births.pop(key, None)
         return SparseGradient(np.asarray(taken, dtype=np.int64), values)
 
-    def take_all(self, table: int) -> SparseGradient:
-        """Remove and return everything deferred for one table."""
-        return self.take(table, np.asarray(sorted(self._pending[table]), dtype=np.int64))
+    def take_all(self) -> SparseGradient:
+        """Remove and return everything deferred."""
+        return self.take(np.asarray(sorted(self._pending), dtype=np.int64))
 
     def clear(self) -> None:
         """Drop all deferred gradients and their birth steps."""
-        for pending, births in zip(self._pending, self._births, strict=True):
-            pending.clear()
-            births.clear()
+        self._pending.clear()
+        self._births.clear()
 
 
 # ---------------------------------------------------------------------- #

@@ -175,7 +175,7 @@ def test_partition_routing_is_a_partition(merged, num_shards):
     partition = PartitionedEmbeddingPlacement(
         rows_per_table=(rows,), num_shards=num_shards, embedding_dim=4
     )
-    routed = partition.route_gradient(0, grad)
+    routed = partition.route_gradient(grad)
     assert len(routed) == num_shards
     np.testing.assert_array_equal(
         np.concatenate([piece.indices for piece in routed]), grad.indices
@@ -199,9 +199,9 @@ def test_exchange_round_trip_preserves_merge(merged, num_shards):
     partition = PartitionedEmbeddingPlacement(
         rows_per_table=(rows,), num_shards=num_shards, embedding_dim=4
     )
-    pieces = partition.route_gradient(0, grad)
-    exchange = SparseGradientExchange(1, partition=partition)
-    merged_back = exchange.exchange([pieces])[0]
+    pieces = partition.route_gradient(grad)
+    exchange = SparseGradientExchange(partition=partition)
+    merged_back = exchange.exchange(pieces)
     reference = merge_sparse_gradients(pieces)
     np.testing.assert_array_equal(merged_back.indices, reference.indices)
     np.testing.assert_array_equal(merged_back.values, reference.values)
