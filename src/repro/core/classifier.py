@@ -90,8 +90,8 @@ def split_minibatch(
         hot_sets: Per-table arrays of frequently-accessed row ids (from the
             EAL or an offline profiler), or a prebuilt
             :class:`~repro.core.hotset.HotSetIndex` over them.  The hot path
-            passes the prebuilt index so each step performs one fancy-index
-            per table instead of an ``np.isin`` set scan.
+            passes the prebuilt index so each step performs one bitmap
+            gather over the whole block instead of an ``np.isin`` set scan.
         mask: Precomputed popular-input mask for ``batch``.  The prefetch
             overlap path classifies batch N+1 on the loader thread while
             batch N's optimizer update runs, then passes the mask here to

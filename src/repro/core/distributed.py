@@ -469,7 +469,7 @@ class ShardedHotlineTrainer(StepExecutor):
         """Identity + version fingerprint of every shard's hot-set index.
 
         A classification mask computed ahead of time is only valid while
-        the bitmaps it was computed against are unchanged; comparing this
+        the bitmap it was computed against is unchanged; comparing this
         token at consume time catches both in-place recalibration deltas
         (the version counter) and wholesale index replacement (the id).
         """

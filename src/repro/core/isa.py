@@ -105,7 +105,7 @@ class InstructionDriver:
         GPU if popular, from CPU DRAM otherwise) and accumulates it into the
         sample's slot of the embedding vector buffer.
         """
-        index = HotSetIndex.from_hot_sets([hot_rows])
+        index = HotSetIndex([hot_rows])
         program: list[Instruction] = []
         for slot, rows in enumerate(sample_indices):
             hot_mask = index.contains(0, np.asarray(rows, dtype=np.int64))

@@ -17,7 +17,7 @@ single-replica *step executors*:
   the parameter update is applied once per mini-batch — numerically
   equivalent to the baseline update on the whole mini-batch (Eq. 5;
   verified by the test-suite).  Recalibration points re-enter the learning
-  phase and delta-update the placement's hot-set bitmaps in place.
+  phase and delta-update the placement's hot-set bitmap in place.
 
 **Fused µ-batch execution.**  The acceleration phase trains the two
 µ-batches through one embedding gather per table and one scatter per
@@ -171,9 +171,9 @@ class HotlineTrainer(StepExecutor):
             raise RuntimeError("learning_phase must run before training")
         # The placement's HotSetIndex was built once when the learning phase
         # (or a recalibration) ran, so each step's classification is one
-        # fancy-index per table rather than an np.isin set scan.  A mask
-        # pre-classified on the loader thread (prepare_batch) is used as-is
-        # while its placement fingerprint still matches.
+        # bitmap gather over the whole block rather than an np.isin set
+        # scan.  A mask pre-classified on the loader thread (prepare_batch)
+        # is used as-is while its placement fingerprint still matches.
         micro = split_minibatch(
             batch, self.placement.index, mask=self._take_mask(batch)
         )

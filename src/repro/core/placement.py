@@ -49,8 +49,8 @@ class EmbeddingPlacement:
     def __post_init__(self) -> None:
         if len(self.hot_sets) != len(self.rows_per_table):
             raise ValueError("hot_sets must have one entry per table")
-        # Builds the per-table membership bitmaps once (and validates row
-        # ranges); every later popularity test is a fancy-index against it.
+        # Builds the flat membership bitmap once (and validates row ranges);
+        # every later popularity test is one gather against it.
         self.index = HotSetIndex(self.hot_sets, self.rows_per_table)
 
     @property
@@ -100,8 +100,8 @@ class EmbeddingPlacement:
 
         Only the rows that drifted in or out of each table's hot set are
         touched (:meth:`~repro.core.hotset.HotSetIndex.replace_table`), so
-        frequent recalibration avoids rebuilding the per-table bitmaps from
-        scratch.  Returns ``self`` for chaining.
+        frequent recalibration avoids rebuilding the bitmap from scratch.
+        Returns ``self`` for chaining.
         """
         if len(new_hot_sets) != self.num_tables:
             raise ValueError("new_hot_sets must have one entry per table")

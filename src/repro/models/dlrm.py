@@ -151,7 +151,6 @@ class DLRM:
         batch: MiniBatch,
         segments: list[np.ndarray],
         normalizer: float | None = None,
-        after_segment=None,
     ) -> tuple[list[float], list[SparseGradient]]:
         """Train a mini-batch's µ-batches with fused embedding traffic.
 
@@ -173,10 +172,6 @@ class DLRM:
                 then the non-popular sample indices).
             normalizer: Divisor applied to the gradients (typically the full
                 mini-batch size; see :meth:`loss_and_gradients`).
-            after_segment: Optional ``callback(segment_index, loss)`` fired
-                right after each segment's backward pass — the point where a
-                caller needing *per-segment* dense gradients can snapshot
-                the layers and ``zero_grad`` before the next segment runs.
 
         Returns:
             ``(losses, partials)`` — per-segment losses and per-segment
@@ -196,9 +191,7 @@ class DLRM:
             table.forward(batch.sparse[:, t, :]) for t, table in enumerate(self.tables)
         ]
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        losses, grad_block = self._packed_dense_pass(
-            batch, segments, perm, normalizer, after_segment, pooled
-        )
+        losses, grad_block = self._packed_dense_pass(batch, segments, perm, normalizer, pooled)
         # One scatter over every lookup, in segment-packed (row, table,
         # pooling) order: each segment's rows stay in ascending batch
         # order, so every key sums its contributions as the per-table,
@@ -218,7 +211,7 @@ class DLRM:
         return losses, partials
 
     def _packed_dense_pass(
-        self, batch, segments, perm, normalizer, after_segment, pooled
+        self, batch, segments, perm, normalizer, pooled
     ) -> tuple[list[float], np.ndarray]:
         """Segment-packed dense pass — one GEMM per layer per *step*.
 
@@ -261,11 +254,9 @@ class DLRM:
         # The bottom MLP's input gradient is discarded by every caller —
         # the packed path skips that (dead) first-layer GEMM entirely.
         self._packed_bottom.backward(grad_dense, bounds, need_input_grad=False)
-        for s, (lo, hi) in enumerate(bounds):
+        for lo, hi in bounds:
             self._packed_top.accumulate_segment(lo, hi)
             self._packed_bottom.accumulate_segment(lo, hi)
-            if after_segment is not None:
-                after_segment(s, losses[s])
         # The per-table gradients are views into one interaction buffer;
         # stacking them is the one contiguous copy the scatter reads anyway.
         return losses, np.stack(grad_sparse, axis=1)

@@ -152,7 +152,6 @@ class TBSM:
         batch: MiniBatch,
         segments: list[np.ndarray],
         normalizer: float | None = None,
-        after_segment=None,
     ) -> tuple[list[float], list[SparseGradient]]:
         """Train a mini-batch's µ-batches with fused embedding traffic.
 
@@ -165,8 +164,7 @@ class TBSM:
         bit-identical to sequential :meth:`loss_and_gradients` calls (the
         test oracle's ``SequentialTBSM``).  See
         :meth:`repro.models.dlrm.DLRM.fused_loss_and_gradients` for the
-        argument contract (``after_segment`` fires after each segment's
-        backward pass; returns per-segment losses and per-segment
+        argument contract (returns per-segment losses and per-segment
         flat-keyed gradients).
         """
         num_tables = len(self.tables)
@@ -189,7 +187,7 @@ class TBSM:
         }
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         losses, grad_sequence, grad_other = self._packed_dense_pass(
-            batch, segments, perm, normalizer, after_segment, sequence_all, pooled
+            batch, segments, perm, normalizer, sequence_all, pooled
         )
         # Every lookup's gradient in segment-packed (row, table, step)
         # order: the history table's per-step gradients beside the pooled
@@ -212,7 +210,7 @@ class TBSM:
         return losses, partials
 
     def _packed_dense_pass(
-        self, batch, segments, perm, normalizer, after_segment, sequence_all, pooled
+        self, batch, segments, perm, normalizer, sequence_all, pooled
     ) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Segment-packed dense pass (MLPs, attention, loss) for TBSM.
 
@@ -258,11 +256,9 @@ class TBSM:
         self._packed_bottom.backward(
             grad_query + grad_dense_direct, bounds, need_input_grad=False
         )
-        for s, (lo, hi) in enumerate(bounds):
+        for lo, hi in bounds:
             self._packed_top.accumulate_segment(lo, hi)
             self._packed_bottom.accumulate_segment(lo, hi)
-            if after_segment is not None:
-                after_segment(s, losses[s])
         return losses, grad_sequence, grad_features[:, 2 * dim :]
 
     def predict(self, batch: MiniBatch) -> np.ndarray:

@@ -82,14 +82,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.nn import init
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.hotset import HotSetIndex
 
 
 @dataclass
@@ -113,28 +109,6 @@ class SparseGradient:
     def nnz(self) -> int:
         """Number of rows carrying gradient."""
         return int(self.indices.shape[0])
-
-    def restricted_to(
-        self, allowed: np.ndarray | HotSetIndex, table: int = 0
-    ) -> SparseGradient:
-        """Gradient restricted to rows contained in ``allowed``.
-
-        ``allowed`` may be a plain array of row ids or a prebuilt
-        :class:`~repro.core.hotset.HotSetIndex` (with ``table`` selecting the
-        bitmap), which turns the membership test into one fancy-index
-        instead of an ``np.isin`` scan.
-        """
-        from repro.core.hotset import HotSetIndex
-
-        if isinstance(allowed, HotSetIndex):
-            mask = allowed.contains(table, self.indices)
-        else:
-            allowed = np.asarray(allowed)
-            if allowed.size == 0 or self.nnz == 0:
-                mask = np.zeros(self.indices.shape[0], dtype=bool)
-            else:
-                mask = HotSetIndex.from_hot_sets([allowed]).contains(0, self.indices)
-        return SparseGradient(self.indices[mask], self.values[mask])
 
 
 def key_offsets(rows_per_table) -> np.ndarray:

@@ -51,8 +51,8 @@ same values as their allocating counterparts.
 Per-segment ``grad_weight`` / ``grad_bias`` partials are computed as
 ``X[lo:hi].T @ G[lo:hi]`` / ``G[lo:hi].sum(axis=0)`` and accumulated in
 segment order — the exact addition sequence of the sequential loop, which
-is what keeps the sharded trainer's ``after_segment`` per-µ-batch partial
-snapshots bit-for-bit.
+is what keeps the accumulated dense gradients bit-for-bit those of
+per-µ-batch passes.
 
 The only *perf*-motivated divergence from the sequential schedule is that
 the first layer's input gradient GEMM is **skipped** when the caller does
@@ -252,7 +252,7 @@ class _PackedUnit:
         ``X[lo:hi].T @ G[lo:hi]`` on contiguous row slices is bitwise the
         sequential per-segment ``grad_weight`` contribution; adding the
         partials in segment order preserves the sequential accumulation
-        sequence (and the ``after_segment`` snapshot semantics).
+        sequence.
         """
         lin = self.linear
         # ``matmul(..., out=)`` produces the same bits as the allocating

@@ -10,9 +10,7 @@ proves it:
   across segment shapes {whole batch, contiguous halves,
   popular/non-popular-style interleaved partition, segments below the
   certification threshold} — comparing
-  losses, every dense gradient, every sparse gradient, and the
-  ``after_segment`` per-segment partial snapshots the sharded trainer
-  depends on.
+  losses, every dense gradient and every sparse gradient.
 * A real RM2-width DLRM (K=512 hidden layers), where the OpenBLAS
   small-matrix kernel actually diverges from the blocked path and the
   per-shape certification (:func:`repro.nn.gemm.packed_rows_threshold`)
@@ -67,23 +65,14 @@ SEGMENT_GRIDS = {
 
 
 def run_dense_pass(model, batch, segments):
-    """Losses, sparse grads, dense grads, and per-segment partials."""
+    """Losses, sparse grads and dense grads of one fused pass."""
     model.zero_grad()
-    partials = []
-
-    def snapshot(_segment, _loss):
-        partials.append(
-            np.concatenate([g.ravel().copy() for _p, g in model.dense_parameters()])
-        )
-
-    losses, sparse = model.fused_loss_and_gradients(
-        batch, segments, normalizer=batch.size, after_segment=snapshot
-    )
+    losses, sparse = model.fused_loss_and_gradients(batch, segments, normalizer=batch.size)
     rows = model.config.dataset.rows_per_table
     # Per-table views of each segment's flat-keyed gradient, table-major.
     table_grads = list(zip(*(split_by_table(grad, rows) for grad in sparse), strict=True))
     dense = [g.copy() for _p, g in model.dense_parameters()]
-    return losses, table_grads, dense, partials
+    return losses, table_grads, dense
 
 
 def assert_bitwise_equal_pass(model_seq, model_packed, batch, segments):
@@ -100,11 +89,6 @@ def assert_bitwise_equal_pass(model_seq, model_packed, batch, segments):
             )
     for i, (gs, gp) in enumerate(zip(seq[2], packed[2], strict=True)):
         np.testing.assert_array_equal(gp, gs, err_msg=f"dense grad {i}")
-    assert len(packed[3]) == len(seq[3]) == len(segments)
-    for seg, (ps, pp) in enumerate(zip(seq[3], packed[3])):
-        np.testing.assert_array_equal(
-            pp, ps, err_msg=f"after_segment partial {seg}"
-        )
 
 
 @pytest.mark.parametrize("grid", sorted(SEGMENT_GRIDS), ids=sorted(SEGMENT_GRIDS))
@@ -154,8 +138,8 @@ def test_packed_pass_is_deterministic_across_block_heights(tiny_model_config, ti
     same bits — the certification's two-heights guarantee, end to end."""
     batch = tiny_click_log.batch(0, 128)
     model = DLRM(tiny_model_config, seed=3)
-    losses_whole, _, dense_whole, _ = run_dense_pass(model, batch, whole(batch.size))
-    losses_again, _, dense_again, _ = run_dense_pass(model, batch, whole(batch.size))
+    losses_whole, _, dense_whole = run_dense_pass(model, batch, whole(batch.size))
+    losses_again, _, dense_again = run_dense_pass(model, batch, whole(batch.size))
     assert losses_whole == losses_again
     for a, b in zip(dense_whole, dense_again, strict=True):
         np.testing.assert_array_equal(a, b)

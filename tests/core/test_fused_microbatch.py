@@ -154,23 +154,6 @@ def test_fused_loss_and_gradients_parity_tbsm(tiny_ts_model_config, tiny_ts_clic
     model_level_parity(TBSM, tiny_ts_model_config, tiny_ts_click_log, seed=5)
 
 
-def test_fused_after_segment_hook_sees_per_segment_state(
-    tiny_model_config, tiny_click_log
-):
-    """The hook fires after each segment's backward with that segment's
-    loss — the point the sharded trainer snapshots per-µ-batch partials."""
-    model = DLRM(tiny_model_config, seed=0)
-    batch = tiny_click_log.batch(0, 32)
-    segments = [np.arange(16), np.arange(16, 32)]
-    seen = []
-    model.zero_grad()
-    losses, _ = model.fused_loss_and_gradients(
-        batch, segments, normalizer=batch.size,
-        after_segment=lambda s, loss: seen.append((s, loss)),
-    )
-    assert seen == [(0, losses[0]), (1, losses[1])]
-
-
 def test_fused_rejects_bad_segments(tiny_model_config, tiny_click_log):
     model = DLRM(tiny_model_config, seed=0)
     batch = tiny_click_log.batch(0, 8)

@@ -1,4 +1,4 @@
-"""Unit tests for the HotSetIndex membership bitmaps."""
+"""Unit tests for the HotSetIndex membership bitmap."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ def test_contains_preserves_input_shape():
 
 
 def test_contains_out_of_range_rows_are_cold():
-    index = HotSetIndex.from_hot_sets([np.array([0, 2])])
+    index = HotSetIndex([np.array([0, 2])])
     rows = np.array([2, 3, 100])
     np.testing.assert_array_equal(index.contains(0, rows), [True, False, False])
 
@@ -83,7 +83,7 @@ def test_out_of_range_hot_rows_rejected_with_table_sizes():
 def test_negative_hot_rows_rejected_without_table_sizes():
     """Regression: -2 must not wrap around and mark bitmap[size-2] hot."""
     with pytest.raises(ValueError):
-        HotSetIndex.from_hot_sets([np.array([-2, 5])])
+        HotSetIndex([np.array([-2, 5])])
 
 
 def test_rows_per_table_length_mismatch_rejected():
@@ -102,42 +102,28 @@ def test_as_hot_set_index_passthrough_and_coercion():
 # ---------------------------------------------------------------------- #
 # Incremental (delta) updates
 # ---------------------------------------------------------------------- #
-def test_set_rows_marks_hot_and_syncs_hot_sets():
-    index = HotSetIndex([np.array([1, 5])], rows_per_table=(16,))
-    index.set_rows(0, np.array([3, 7]))
-    np.testing.assert_array_equal(index.hot_sets[0], [1, 3, 5, 7])
-    np.testing.assert_array_equal(
-        index.contains(0, np.arange(16)),
-        np.isin(np.arange(16), [1, 3, 5, 7]),
-    )
-    assert index.hot_rows_total == 4
-
-
-def test_clear_rows_marks_cold_and_syncs_hot_sets():
-    index = HotSetIndex([np.array([1, 3, 5, 7])], rows_per_table=(16,))
-    index.clear_rows(0, np.array([3, 7, 12]))  # 12 was never hot: no-op
-    np.testing.assert_array_equal(index.hot_sets[0], [1, 5])
-    assert not index.is_hot(0, 3)
-    assert index.is_hot(0, 5)
-
-
 def test_delta_validation_matches_constructor_rules():
     index = HotSetIndex([np.array([1])], rows_per_table=(8,))
-    with pytest.raises(ValueError):
-        index.set_rows(0, np.array([8]))
-    with pytest.raises(ValueError):
-        index.set_rows(0, np.array([-1]))
-    with pytest.raises(ValueError):
-        index.clear_rows(0, np.array([-1]))
+    with pytest.raises(ValueError, match="out-of-range"):
+        index.replace_table(0, np.array([8]))
+    with pytest.raises(ValueError, match="negative"):
+        index.replace_table(0, np.array([-1, 2]))
+    # A rejected delta leaves the index untouched.
+    np.testing.assert_array_equal(index.hot_sets[0], [1])
+    assert index.version == 0
 
 
-def test_set_rows_grows_dynamic_bitmap():
-    index = HotSetIndex.from_hot_sets([np.array([2])])
-    assert index.table_size(0) == 3
-    index.set_rows(0, np.array([10]))
-    assert index.is_hot(0, 10)
-    assert index.table_size(0) == 11
-    np.testing.assert_array_equal(index.hot_sets[0], [2, 10])
+def test_replace_table_rejects_rows_outside_a_sizeless_table():
+    """An index built without sizes spans each hot set's max + 1 rows and
+    does not grow: a later row beyond that raises, as with given sizes."""
+    index = HotSetIndex([np.array([2]), np.array([0, 4])])
+    assert [index.bitmap(t).size for t in range(2)] == [3, 5]
+    with pytest.raises(ValueError, match="out-of-range"):
+        index.replace_table(0, np.array([10]))
+    added, removed = index.replace_table(0, np.array([0, 1]))
+    assert added.tolist() == [0, 1] and removed.tolist() == [2]
+    np.testing.assert_array_equal(index.bitmap(0), [True, True, False])
+    np.testing.assert_array_equal(index.bitmap(1), [True, False, False, False, True])
 
 
 def test_replace_table_equals_rebuild():
@@ -156,26 +142,64 @@ def test_replace_table_equals_rebuild():
 
 
 def test_empty_deltas_are_noops():
+    """Replacing a table with its own hot set is an empty delta."""
     index = HotSetIndex([np.array([1, 2])], rows_per_table=(8,))
-    index.set_rows(0, np.empty(0, dtype=np.int64))
-    index.clear_rows(0, np.empty(0, dtype=np.int64))
+    before = index.bitmap(0).copy()
+    added, removed = index.replace_table(0, np.array([1, 2]))
+    assert added.size == removed.size == 0
+    np.testing.assert_array_equal(index.bitmap(0), before)
     np.testing.assert_array_equal(index.hot_sets[0], [1, 2])
 
 
 def test_version_bumps_after_every_mutation():
     """The version counter increments once per delta — and only after the
-    bitmaps are updated, so observing a version implies its mutations are
+    bitmap is updated, so observing a version implies its bit flips are
     visible (the precomputed-mask validity token relies on this)."""
-    index = HotSetIndex([np.array([1, 2])], rows_per_table=(8,))
+    index = HotSetIndex([np.array([1, 2]), np.array([0])], rows_per_table=(8, 2))
     start = index.version
-    index.set_rows(0, np.array([4]))
+    index.replace_table(0, np.array([0, 5]))
     assert index.version == start + 1
-    index.clear_rows(0, np.array([1]))
+    index.replace_table(1, np.empty(0, dtype=np.int64))
     assert index.version == start + 2
+    assert not index.is_hot(1, 0)
     index.replace_table(0, np.array([0, 5]))
     assert index.version == start + 3
-    # Empty deltas are no-ops: the bitmaps are untouched, so a mask
-    # computed before one remains valid and the version must not move.
-    index.set_rows(0, np.empty(0, dtype=np.int64))
-    index.clear_rows(0, np.empty(0, dtype=np.int64))
-    assert index.version == start + 3
+
+
+# ---------------------------------------------------------------------- #
+# One flat bitmap
+# ---------------------------------------------------------------------- #
+def test_ids_outside_their_table_never_read_a_neighbours_bit():
+    """Row 3 of table 0 and row 0 of table 1 are adjacent bits: id 4 of
+    table 0 and id -1 of table 1 would land on them, but read cold."""
+    index = HotSetIndex([np.array([3]), np.array([0])], rows_per_table=(4, 4))
+    sparse = np.array(
+        [
+            [[3], [0]],  # popular
+            [[4], [0]],  # table 0's id 4 is table 1's row 0
+            [[3], [-1]],  # table 1's id -1 is table 0's row 3
+            [[3], [99]],  # beyond every table
+        ]
+    )
+    np.testing.assert_array_equal(index.classify(sparse), [True, False, False, False])
+    np.testing.assert_array_equal(index.contains(0, np.array([3, 4, -1])), [True, False, False])
+    np.testing.assert_array_equal(index.contains(1, np.array([0, -1, 4])), [True, False, False])
+    assert not index.is_hot(0, 4) and not index.is_hot(1, -1)
+
+
+def test_bitmap_is_a_view_of_the_tables_slice():
+    index = HotSetIndex([np.array([1]), np.array([0, 2])], rows_per_table=(2, 3))
+    np.testing.assert_array_equal(index.bitmap(0), [False, True])
+    np.testing.assert_array_equal(index.bitmap(1), [True, False, True])
+    view = index.bitmap(1)
+    index.replace_table(1, np.array([1]))
+    np.testing.assert_array_equal(view, [False, True, False])
+
+
+def test_unsorted_and_duplicate_hot_rows_are_sorted_once():
+    index = HotSetIndex([np.array([5, 1, 5, 3])], rows_per_table=(8,))
+    np.testing.assert_array_equal(index.hot_sets[0], [1, 3, 5])
+    assert index.hot_rows_total == 3
+    np.testing.assert_array_equal(
+        index.contains(0, np.arange(8)), np.isin(np.arange(8), [1, 3, 5])
+    )

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.hotset import HotSetIndex
 from repro.nn.embedding import EmbeddingBag, SparseGradient, merge_sparse_gradients
 
 
@@ -90,27 +89,6 @@ def test_apply_sparse_update_only_touches_selected_rows():
 def test_sparse_gradient_validates_shapes():
     with pytest.raises(ValueError):
         SparseGradient(np.array([1, 2]), np.ones((1, 4)))
-
-
-def test_sparse_gradient_restricted_to():
-    grad = SparseGradient(np.array([1, 2, 3]), np.arange(12, dtype=float).reshape(3, 4))
-    restricted = grad.restricted_to(np.array([2, 3]))
-    assert restricted.indices.tolist() == [2, 3]
-
-
-def test_sparse_gradient_restricted_to_empty_allowed():
-    grad = SparseGradient(np.array([1, 2, 3]), np.ones((3, 4), dtype=np.float32))
-    restricted = grad.restricted_to(np.empty(0, dtype=np.int64))
-    assert restricted.nnz == 0
-    assert restricted.values.dtype == np.float32
-
-
-def test_sparse_gradient_restricted_to_hot_set_index():
-    grad = SparseGradient(np.array([1, 2, 3]), np.arange(12, dtype=float).reshape(3, 4))
-    index = HotSetIndex([np.array([9]), np.array([2, 3])])
-    restricted = grad.restricted_to(index, table=1)
-    assert restricted.indices.tolist() == [2, 3]
-    np.testing.assert_array_equal(restricted.values, grad.values[1:])
 
 
 def test_merge_sparse_gradients_adds_overlapping_rows():

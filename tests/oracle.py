@@ -75,25 +75,21 @@ class _SequentialSegments:
         batch: MiniBatch,
         segments: list[np.ndarray],
         normalizer: float | None = None,
-        after_segment=None,
     ) -> tuple[list[float], list[SparseGradient]]:
         """The per-segment loop the fused pass must reproduce bit for bit.
 
         Same contract as :meth:`repro.models.dlrm.DLRM.
         fused_loss_and_gradients`: dense gradients accumulate in the
-        layers segment by segment, ``after_segment(s, loss)`` fires after
-        each segment's backward, and the result is per-segment losses plus
-        per-segment flat-keyed gradients (the per-table results,
+        layers segment by segment, and the result is per-segment losses
+        plus per-segment flat-keyed gradients (the per-table results,
         relabelled by ``loss_and_gradients``).
         """
         losses: list[float] = []
         partials: list[SparseGradient] = []
-        for s, idx in enumerate(segments):
+        for idx in segments:
             loss, grad = self.loss_and_gradients(batch.select(idx), normalizer)
             losses.append(loss)
             partials.append(grad)
-            if after_segment is not None:
-                after_segment(s, loss)
         return losses, partials
 
 
