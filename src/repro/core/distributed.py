@@ -91,7 +91,7 @@ from repro.data.batch import MiniBatch
 from repro.data.loader import MiniBatchLoader
 from repro.hwsim.cluster import Cluster, single_node
 from repro.hwsim.collectives import comm_op_time
-from repro.nn.embedding import TieredEmbeddingStore
+from repro.nn.embedding import TieredEmbeddingStore, key_offsets
 
 
 @dataclass
@@ -289,10 +289,21 @@ class ShardedHotlineTrainer(StepExecutor):
         return [shard.placement for shard in self.shards]
 
     def recalibrate(self, loader: MiniBatchLoader, seed: int = 0) -> None:
-        """Re-enter the learning phase on every shard's EAL."""
+        """Re-enter the learning phase on every shard's EAL.
+
+        A bound tier then re-pins shard 0's new hot set
+        (:meth:`~repro.nn.embedding.TieredEmbeddingStore.repin`: only the
+        rows that drifted move); the next step's tier counters include any
+        eviction the move caused.
+        """
         for shard in self.shards:
             shard.accelerator.recalibrate()
         self.learning_phase(loader, seed=seed)
+        if self.tier is not None:
+            placement = self.shards[0].placement
+            offsets = key_offsets(placement.rows_per_table)
+            hot = zip(offsets, placement.hot_sets, strict=True)
+            self.tier.repin(np.concatenate([rows + offset for offset, rows in hot]))
 
     # ------------------------------------------------------------------ #
     # Simulated timing
@@ -408,12 +419,12 @@ class ShardedHotlineTrainer(StepExecutor):
         """(Re)build the hot/cold tier from the current placements.
 
         Called at :meth:`bind` so the tier pins the hot rows the learning
-        phase just placed; rebinding rebuilds from scratch — fresh
-        counters, fresh residency — so a reused trainer never reports a
-        previous run's tier traffic (the counter-lifetime contract the
-        DMA regression suite pins for the lookahead path).  The tier
-        fronts the model's tables: it models one device's HBM front
-        (replicated hot rows are pinned once).
+        phase just placed (:meth:`recalibrate` re-pins); rebinding
+        rebuilds from scratch — fresh counters, fresh residency — so a
+        reused trainer never reports a previous run's tier traffic (the
+        counter-lifetime contract the DMA regression suite pins for the
+        lookahead path).  The tier fronts the model's tables: it models
+        one device's HBM front (replicated hot rows are pinned once).
         """
         config = self.model.config
         self.tier = TieredEmbeddingStore(

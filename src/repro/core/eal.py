@@ -66,8 +66,22 @@ class EALConfig:
         return max(1, self.num_entries // self.ways)
 
 
+#: Low bits of a packed EAL key that hold the row id; the table id sits
+#: above them, so ``(table << ROW_BITS) | row`` is one 64-bit key.
+ROW_BITS = 40
+_ROW_MASK = (1 << ROW_BITS) - 1
+
+
 class EmbeddingAccessLogger:
-    """SRRIP-based tracker of frequently-accessed embedding indices."""
+    """SRRIP-based tracker of frequently-accessed embedding indices.
+
+    The state is three ``(sets, ways)`` arrays: valid bits, packed keys
+    and RRPVs.  A block of lookups runs vectorised across sets
+    (:meth:`_access`): sets never interact, so each set replays its own
+    accesses in the block's order, table-major as the lookup engines feed
+    them, and the result equals accessing one lookup at a time
+    (``tests/oracle.py``'s ``ReferenceEAL`` is that per-access loop).
+    """
 
     def __init__(self, config: EALConfig | None = None, seed: int = 0):
         self.config = config or EALConfig()
@@ -85,108 +99,139 @@ class EmbeddingAccessLogger:
     # ------------------------------------------------------------------ #
     # Key handling
     # ------------------------------------------------------------------ #
-    def _key(self, table: int, index: int) -> int:
-        """Pack (table, index) into one 64-bit key."""
-        return (int(table) << 40) | int(index)
+    @staticmethod
+    def _pack(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Packed keys of a ``(tables, n)`` id block, flattened table-major.
 
-    def _set_for(self, key: int) -> int:
-        """Set index chosen by the Feistel randomizer (avoids thrashing).
+        ``tables`` names the table of each row of ``rows``.  Every id is
+        checked before anything is packed: one outside ``[0, 2**40)``
+        would be stored as a key of another table, or not at all.
+        """
+        if rows.size and (rows.min() < 0 or rows.max() > _ROW_MASK):
+            bad = ((rows < 0) | (rows > _ROW_MASK)).any(axis=1)
+            table = int(tables[np.flatnonzero(bad)[0]])
+            raise ValueError(f"EAL id out of range [0, 2**{ROW_BITS}) for table {table}")
+        if tables.size and tables.min() < 0:
+            raise ValueError("EAL table ids must be non-negative")
+        keys = rows.astype(np.uint64) | (tables.astype(np.uint64)[:, None] << ROW_BITS)
+        return keys.reshape(-1)
+
+    def _sets_of(self, keys: np.ndarray) -> np.ndarray:
+        """Set of each packed key, chosen by the Feistel randomizer.
 
         The 64-bit key is folded to 32 bits *including* the table field
         before hashing, so the same row id in different tables lands in
         different sets — otherwise the hot rows of every table would contend
-        for the same few sets.
+        for the same few sets.  ``uint64`` products wrap modulo 2**64,
+        which keeps the low 32 bits the fold uses.
         """
-        table = key >> 40
-        index = key & ((1 << 40) - 1)
-        folded = ((table + 1) * 0x9E3779B1 + index * 0x85EBCA77) & 0xFFFFFFFF
-        return self._randomizer.hash(folded) % self.config.num_sets
+        tables = keys >> ROW_BITS
+        rows = keys & 0xFFFFFFFF
+        folded = ((tables + 1) * 0x9E3779B1 + rows * 0x85EBCA77) & 0xFFFFFFFF
+        return (self._randomizer.hash(folded) % self.config.num_sets).astype(np.intp)
 
     # ------------------------------------------------------------------ #
     # Learning-phase access path
     # ------------------------------------------------------------------ #
     def access(self, table: int, index: int) -> bool:
         """Record one access; returns True on a hit (already tracked)."""
-        key = self._key(table, index)
-        set_idx = self._set_for(key)
-        ways = self.config.ways
-        valid = self._valid[set_idx]
-        keys = self._keys[set_idx]
-
-        for way in range(ways):
-            if valid[way] and keys[way] == key:
-                self._rrpv[set_idx, way] = 0
-                self.hits += 1
-                return True
-
-        self.misses += 1
-        self._insert(set_idx, key)
-        return False
+        return self._access(self._pack(np.array([table]), np.array([[index]]))) == 1
 
     def access_batch(self, sparse: np.ndarray) -> int:
         """Record every lookup of a (batch, tables, pooling) index array.
 
-        Returns the number of hits.
+        The lookups are taken table-major (all of table 0's, then table
+        1's, ...).  Raises ``ValueError`` naming the table, before any state
+        changes, if an id lies outside ``[0, 2**40)``.  Returns the number
+        of hits.
         """
-        hits = 0
+        sparse = np.asarray(sparse)
         batch, num_tables, pooling = sparse.shape
-        for table in range(num_tables):
-            for value in sparse[:, table, :].reshape(-1):
-                if self.access(table, int(value)):
-                    hits += 1
+        rows = sparse.transpose(1, 0, 2).reshape(num_tables, batch * pooling)
+        return self._access(self._pack(np.arange(num_tables), rows))
+
+    def _access(self, keys: np.ndarray) -> int:
+        """SRRIP over packed ``keys`` in access order; returns the hits.
+
+        The keys are stably sorted by set, so each set's subsequence keeps
+        its order.  A run of one key inside a subsequence collapses to its
+        first access: the repeats are hits and leave the entry at RRPV 0.
+        Then round ``r`` serves the ``r``-th remaining access of every set
+        that has one, all sets at once.
+        """
+        total = keys.size
+        sets = self._sets_of(keys)
+        order = np.argsort(sets, kind="stable")
+        sets, keys = sets[order], keys[order]
+        new_run = np.ones(total, dtype=bool)
+        new_run[1:] = (sets[1:] != sets[:-1]) | (keys[1:] != keys[:-1])
+        starts = np.flatnonzero(new_run)
+        repeated = np.diff(starts, append=total) > 1
+        sets, keys = sets[starts], keys[starts]
+        hits = total - starts.size
+        self.hits += hits
+        rank = np.arange(sets.size) - np.searchsorted(sets, sets)
+        by_rank = np.argsort(rank, kind="stable")
+        begin = 0
+        for end in np.cumsum(np.bincount(rank)):
+            take = by_rank[begin:end]
+            hits += self._round(sets[take], keys[take], repeated[take])
+            begin = end
         return hits
 
-    def _insert(self, set_idx: int, key: int) -> None:
-        """SRRIP insertion with victim selection at max RRPV."""
-        ways = self.config.ways
-        valid = self._valid[set_idx]
-        rrpv = self._rrpv[set_idx]
+    def _round(self, sets: np.ndarray, keys: np.ndarray, repeated: np.ndarray) -> int:
+        """One access to each of the distinct ``sets``; returns the hits.
 
-        for way in range(ways):
-            if not valid[way]:
-                self._fill(set_idx, way, key)
-                return
-
-        # Age entries until at least one reaches max RRPV, then evict it.
-        while True:
-            candidates = np.nonzero(rrpv >= self.config.max_rrpv)[0]
-            if candidates.size:
-                victim = int(candidates[0])
-                break
-            rrpv += 1
-        self.evictions += 1
-        self._fill(set_idx, victim, key)
-
-    def _fill(self, set_idx: int, way: int, key: int) -> None:
-        self._valid[set_idx, way] = True
-        self._keys[set_idx, way] = key
-        self._rrpv[set_idx, way] = self.config.insertion_rrpv
-        self.insertions += 1
+        A hit resets its RRPV to 0.  A miss fills the set's first invalid
+        way or, in a full set, ages every entry by ``max_rrpv - max(RRPV)``
+        and evicts the first way at ``max_rrpv``; the fill inserts at
+        ``insertion_rrpv`` (at 0 when the key repeats right after).
+        """
+        max_rrpv = self.config.max_rrpv
+        valid = self._valid[sets]
+        match = valid & (self._keys[sets] == keys[:, None])
+        hit = match.any(axis=1)
+        way = match.argmax(axis=1)
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            free = ~valid[miss]
+            way[miss] = free.argmax(axis=1)
+            full = miss[~free.any(axis=1)]
+            if full.size:
+                rrpv = self._rrpv[sets[full]]
+                rrpv += np.maximum(max_rrpv - rrpv.max(axis=1), 0)[:, None]
+                self._rrpv[sets[full]] = rrpv
+                way[full] = (rrpv >= max_rrpv).argmax(axis=1)
+                self.evictions += full.size
+            self._valid[sets[miss], way[miss]] = True
+            self._keys[sets[miss], way[miss]] = keys[miss]
+            self.misses += miss.size
+            self.insertions += miss.size
+        self._rrpv[sets, way] = np.where(hit | repeated, 0, self.config.insertion_rrpv)
+        hits = sets.size - miss.size
+        self.hits += hits
+        return hits
 
     # ------------------------------------------------------------------ #
     # Acceleration-phase query path
     # ------------------------------------------------------------------ #
     def contains(self, table: int, index: int) -> bool:
-        """Whether (table, index) is currently tracked as frequently accessed."""
-        key = self._key(table, index)
-        set_idx = self._set_for(key)
-        valid = self._valid[set_idx]
-        keys = self._keys[set_idx]
-        for way in range(self.config.ways):
-            if valid[way] and keys[way] == key:
-                return True
-        return False
+        """Whether (table, index) is currently tracked as frequently accessed.
+
+        An id outside ``[0, 2**40)`` is never tracked.
+        """
+        if table < 0 or not 0 <= index <= _ROW_MASK:
+            return False
+        key = self._pack(np.array([table]), np.array([[index]]))
+        set_idx = self._sets_of(key)[0]
+        return bool(np.any(self._valid[set_idx] & (self._keys[set_idx] == key[0])))
 
     def hot_indices(self, num_tables: int) -> list[np.ndarray]:
         """Currently tracked indices, grouped per table and sorted."""
-        result: list[list[int]] = [[] for _ in range(num_tables)]
-        flat_keys = self._keys[self._valid]
-        for key in flat_keys:
-            table = int(key) >> 40
-            index = int(key) & ((1 << 40) - 1)
-            if table < num_tables:
-                result[table].append(index)
-        return [np.array(sorted(rows), dtype=np.int64) for rows in result]
+        keys = np.sort(self._keys[self._valid])
+        bounds = np.searchsorted(keys, np.arange(num_tables + 1, dtype=np.uint64) << ROW_BITS)
+        rows = (keys & _ROW_MASK).astype(np.int64)
+        return [rows[start:stop] for start, stop in zip(bounds[:-1], bounds[1:], strict=True)]
 
     @property
     def occupancy(self) -> float:
@@ -300,6 +345,5 @@ def simulate_parallel_requests(
     issued_total = 0
     for _ in range(trials):
         keys = rng.integers(0, 2**32, size=queue_size, dtype=np.uint64)
-        banks = np.array([randomizer.hash(int(k)) % num_banks for k in keys])
-        issued_total += len(np.unique(banks))
+        issued_total += len(np.unique(randomizer.hash(keys) % num_banks))
     return issued_total / trials

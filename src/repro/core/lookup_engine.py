@@ -37,24 +37,38 @@ class FeistelRandomizer:
         self._round_keys = [int(k) for k in rng.integers(0, 2**16, size=rounds)]
 
     @staticmethod
-    def _round_function(value: int, key: int) -> int:
+    def _round_function(value, key: int):
         mixed = (value * 0x9E37 + key) & 0xFFFF
         mixed ^= mixed >> 7
         mixed = (mixed * 0x85EB) & 0xFFFF
         return mixed ^ (mixed >> 9)
 
-    def hash(self, value: int) -> int:
-        """Permute a value (used modulo the bank/set count by callers)."""
-        value = int(value) & 0xFFFFFFFF
+    @staticmethod
+    def _word(value):
+        """The low 32 bits of an int, or of every element of an array
+        (as ``uint64``; a negative element wraps as a negative int does)."""
+        if isinstance(value, np.ndarray):
+            return value.astype(np.uint64) & 0xFFFFFFFF
+        return int(value) & 0xFFFFFFFF
+
+    def hash(self, value):
+        """Permute a value, or every element of an integer array.
+
+        Callers take the result modulo the bank/set count.  Ints and
+        ``uint64`` arrays go through the same arithmetic, and no
+        intermediate reaches 2**32, so an array's elements hash exactly as
+        they would one at a time.
+        """
+        value = self._word(value)
         left = (value >> 16) & 0xFFFF
         right = value & 0xFFFF
         for key in self._round_keys:
             left, right = right, left ^ self._round_function(right, key)
         return (left << 16) | right
 
-    def inverse(self, value: int) -> int:
+    def inverse(self, value):
         """Invert the permutation (Feistel networks are bijective)."""
-        value = int(value) & 0xFFFFFFFF
+        value = self._word(value)
         left = (value >> 16) & 0xFFFF
         right = value & 0xFFFF
         for key in reversed(self._round_keys):

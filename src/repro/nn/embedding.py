@@ -435,7 +435,7 @@ class TieredEmbeddingStore:
     Every row of every table has one int64 key, ``offsets[table] + row``
     (:func:`key_offsets`).  The
     state is three sorted, resident-set-sized arrays: ``_pinned`` holds
-    the keys :meth:`pin_rows` made un-evictable (the placement's
+    the keys :meth:`pin_rows` and :meth:`repin` made un-evictable (the placement's
     replicated hot rows; membership only, since they never evict), and
     ``_keys`` with aligned ``_counts`` is the LFU pool of cached rows and
     their access frequencies.  So a :meth:`touch` is one search into each
@@ -572,18 +572,36 @@ class TieredEmbeddingStore:
         if keys.size == 0:
             return
         with self._lock:
-            cached = _in_sorted(self._keys, keys)
-            if cached.any():
-                keep = ~_in_sorted(keys, self._keys)
-                self._keys = self._keys[keep]
-                self._counts = self._counts[keep]
-            fresh = int(np.count_nonzero(~cached & ~_in_sorted(self._pinned, keys)))
-            self._pinned = np.union1d(self._pinned, keys)
-            if fresh:
-                self.fetch_time_s += self.dma.read_time(
-                    fresh * self.row_bytes, scattered=False
-                )
-            self._evict_to_capacity()
+            self._move_pins(np.union1d(self._pinned, keys))
+
+    def repin(self, keys: np.ndarray) -> None:
+        """Move the pinned set to the flat ``keys`` (a recalibrated hot set).
+
+        Only the symmetric difference moves.  Keys leaving the pinned set
+        stay resident as ordinary cached rows with count 0, the first LFU
+        victims; keys joining it are pinned as by :meth:`pin_rows`.
+        """
+        keys = np.unique(np.asarray(keys, dtype=np.int64))
+        if keys.size and (keys[0] < 0 or keys[-1] >= sum(self.rows_per_table)):
+            raise ValueError("pinned key out of range")
+        with self._lock:
+            self._move_pins(keys)
+
+    def _move_pins(self, keys: np.ndarray) -> None:
+        """Pin exactly the sorted unique ``keys``, then evict to capacity
+        (the caller holds the lock)."""
+        leaving = np.setdiff1d(self._pinned, keys, assume_unique=True)
+        joining = np.setdiff1d(keys, self._pinned, assume_unique=True)
+        cached = _in_sorted(self._keys, joining)
+        keep = ~_in_sorted(joining[cached], self._keys)
+        slots = np.searchsorted(self._keys[keep], leaving)
+        self._keys = np.insert(self._keys[keep], slots, leaving)
+        self._counts = np.insert(self._counts[keep], slots, 0)
+        self._pinned = keys
+        fresh = int(np.count_nonzero(~cached))
+        if fresh:
+            self.fetch_time_s += self.dma.read_time(fresh * self.row_bytes, scattered=False)
+        self._evict_to_capacity()
 
     def touch(self, table: int, indices: np.ndarray) -> float:
         """Resolve one lookup block through the tier; return priced seconds.

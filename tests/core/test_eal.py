@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.eal import (
     EALConfig,
     EmbeddingAccessLogger,
@@ -10,6 +11,10 @@ from repro.core.eal import (
     expected_parallel_requests,
     simulate_parallel_requests,
 )
+from repro.core.pipeline import HotlineTrainer
+from repro.data.loader import MiniBatchLoader
+from repro.models.dlrm import DLRM
+from tests.oracle import ReferenceEAL
 
 
 def small_eal(entries=256, ways=8, seed=0):
@@ -154,3 +159,74 @@ def test_parallel_requests_invalid_arguments():
         expected_parallel_requests(0, 64)
     with pytest.raises(ValueError):
         simulate_parallel_requests(8, 8, trials=0)
+
+
+def test_negative_id_is_rejected_before_any_state_changes():
+    """A -1 in table 1 raises naming the table, and table 0's lookups of the
+    same block are not recorded: no phantom entry, no counter moved."""
+    eal = small_eal()
+    block = np.array([[[3], [-1]], [[4], [5]]])
+    with pytest.raises(ValueError, match="table 1"):
+        eal.access_batch(block)
+    assert eal.occupancy == 0.0
+    assert [hot.tolist() for hot in eal.hot_indices(2)] == [[], []]
+    assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="table 0"):
+        eal.access(0, -1)
+    assert eal.occupancy == 0.0
+
+
+def test_id_past_the_row_field_is_rejected_not_aliased():
+    """Row 2**40 + 5 of table 0 would pack to table 1's row 5."""
+    eal = small_eal()
+    with pytest.raises(ValueError, match="table 0"):
+        eal.access_batch(np.array([[[2**40 + 5], [7]]]))
+    with pytest.raises(ValueError, match="table 0"):
+        eal.access(0, 2**40 + 5)
+    assert [hot.tolist() for hot in eal.hot_indices(2)] == [[], []]
+    assert not eal.contains(1, 5)
+    assert not eal.contains(0, 2**40 + 5)
+    eal.access(0, 2**40 - 1)
+    assert [hot.tolist() for hot in eal.hot_indices(2)] == [[2**40 - 1], []]
+
+
+@pytest.mark.parametrize("num_shards", [1, 4])
+@pytest.mark.parametrize(
+    "eal_config",
+    [EALConfig(size_bytes=256, ways=4), EALConfig(size_bytes=1 << 16, ways=8)],
+    ids=["evicting", "roomy"],
+)
+def test_learning_phase_places_as_the_per_access_loop(
+    tiny_model_config, tiny_click_log, num_shards, eal_config
+):
+    """Each shard's EAL ends the learning phase in the per-access loop's
+    state, so every shard's placement is the same."""
+
+    def learn(eal_cls):
+        model = DLRM(tiny_model_config, seed=1)
+        if num_shards == 1:
+            trainer = HotlineTrainer(model, sample_fraction=0.25)
+            accelerators = [trainer.accelerator]
+        else:
+            trainer = ShardedHotlineTrainer(model, num_shards, sample_fraction=0.25)
+            accelerators = [shard.accelerator for shard in trainer.shards]
+        for k, accelerator in enumerate(accelerators):
+            accelerator.eal = eal_cls(eal_config, seed=k)
+        placed = trainer.learning_phase(MiniBatchLoader(tiny_click_log, batch_size=128))
+        placements = placed if isinstance(placed, list) else [placed]
+        return placements, [accelerator.eal for accelerator in accelerators]
+
+    placements, eals = learn(EmbeddingAccessLogger)
+    ref_placements, ref_eals = learn(ReferenceEAL)
+    for placement, ref_placement in zip(placements, ref_placements, strict=True):
+        for hot, ref_hot in zip(placement.hot_sets, ref_placement.hot_sets, strict=True):
+            assert hot.tolist() == ref_hot.tolist()
+    for eal, ref in zip(eals, ref_eals, strict=True):
+        assert np.array_equal(eal._valid, ref._valid)
+        assert np.array_equal(eal._keys, ref._keys)
+        assert np.array_equal(eal._rrpv, ref._rrpv)
+        assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (
+            ref.hits, ref.misses, ref.insertions, ref.evictions
+        )
+    if eal_config.num_entries < 1000:
+        assert all(eal.evictions > 0 for eal in eals)

@@ -92,6 +92,48 @@ def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):
         assert bag._tier is trainer.tier
 
 
+def flat_hot_keys(placement):
+    offsets = np.cumsum((0, *placement.rows_per_table))
+    return np.concatenate(
+        [hot + offsets[table] for table, hot in enumerate(placement.hot_sets)]
+    )
+
+
+def test_recalibrate_repins_the_tier(tiny_model_config, tiny_click_log):
+    """A recalibration moves the tier's pinned set to shard 0's new hot
+    set, and a tiered run that recalibrates still trains the untiered
+    run's model."""
+    hot_bytes = 96 * tiny_model_config.embedding_dim * 4
+    trainer = ShardedHotlineTrainer(
+        DLRM(tiny_model_config, seed=3), 2, sample_fraction=0.25,
+        tiered_hot_bytes=hot_bytes,
+    )
+    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
+    trainer.bind(loader)
+    bound = trainer.tier._pinned.copy()
+    assert bound.tolist() == flat_hot_keys(trainer.shards[0].placement).tolist()
+    trainer.recalibrate(loader, seed=5)
+    hot = flat_hot_keys(trainer.shards[0].placement)
+    assert np.setxor1d(bound, hot).size > 0  # the hot set drifted
+    assert trainer.tier._pinned.tolist() == hot.tolist()
+
+    def train(**kwargs):
+        run = ShardedHotlineTrainer(
+            DLRM(tiny_model_config, seed=42), 2, sample_fraction=0.25, **kwargs
+        )
+        result = run.train(
+            MiniBatchLoader(tiny_click_log, batch_size=128), recalibrations_per_epoch=2
+        )
+        return run, result
+
+    base, base_result = train()
+    tiered, tiered_result = train(tiered_hot_bytes=hot_bytes)
+    assert tiered_result.losses == base_result.losses
+    assert_states_equal(base.model, tiered.model)
+    pinned = flat_hot_keys(tiered.shards[0].placement)
+    assert tiered.tier._pinned.tolist() == pinned.tolist()
+
+
 def assert_one_touch_per_unique_row(model, log, mode):
     """One step touches the tier exactly once per unique row of every table.
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.hwsim.dma import DMAEngine
+from repro.hwsim.interconnect import Link
 from repro.nn.embedding import EmbeddingBag, TieredEmbeddingStore
 from tests.oracle import ReferenceTieredStore
 
@@ -180,3 +181,57 @@ def test_flat_tier_reproduces_the_per_table_tier(capacity_rows, seed):
         assert_tiers_equal(flat, reference)
     assert reference.evictions > 0
     assert flat.pinned_rows > capacity_rows or capacity_rows == 40
+
+
+def test_repin_moves_only_the_symmetric_difference():
+    """Unpinned keys stay resident at count 0 and evict first; a newly
+    pinned key leaves the LFU pool, or loads in one contiguous read."""
+    # An ideal link leaves host DRAM as the bottleneck, so a contiguous
+    # read prices below a scattered one.
+    dma = DMAEngine(link=Link("ideal", bandwidth=1e18, latency_s=0.0))
+    tier = TieredEmbeddingStore((32, 64), 4, hot_bytes=6 * 4 * 4, dma=dma)
+    tier.pin_rows(0, np.array([1, 2]))
+    tier.touch(1, np.array([[3, 3, 4]]))  # keys 35 (count 2) and 36 (count 1)
+    fetched, requests = tier.fetch_time_s, dma.requests
+    tier.repin(np.array([2, 35, 40]))  # 1 leaves; 35 leaves the pool; 40 loads
+    assert tier._pinned.tolist() == [2, 35, 40]
+    assert tier._keys.tolist() == [1, 36] and tier._counts.tolist() == [0, 1]
+    assert dma.requests == requests + 1
+    contiguous = dma.read_time(tier.row_bytes, scattered=False)
+    assert contiguous < dma.read_time(tier.row_bytes, scattered=True)
+    assert tier.fetch_time_s - fetched == contiguous
+    tier.touch(0, np.array([[7]]))  # 6 resident: at capacity
+    tier.touch(0, np.array([[9]]))
+    assert tier.evictions == 1
+    assert tier.is_resident(0, np.array([1, 7, 9])).tolist() == [False, True, True]
+    with pytest.raises(ValueError):
+        tier.repin(np.array([96]))
+
+
+@pytest.mark.parametrize("capacity_rows", [0, 2, 9, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_repin_reproduces_the_per_table_tier(capacity_rows, seed):
+    """Touches and whole-set repins drive both tiers; after every call their
+    counters, priced seconds and residency are equal."""
+    rows_per_table = (50, 7, 30, 1)
+    dim = 4
+    hot_bytes = capacity_rows * dim * 4
+    flat = TieredEmbeddingStore(rows_per_table, dim, hot_bytes=hot_bytes, dma=DMAEngine())
+    reference = ReferenceTieredStore(
+        rows_per_table, dim, hot_bytes=hot_bytes, dma=DMAEngine()
+    )
+    rng = np.random.default_rng(seed)
+    total = sum(rows_per_table)
+    for step in range(150):
+        if step % 15 == 0:
+            keys = rng.choice(total, size=int(rng.integers(0, 20)), replace=False)
+            flat.repin(keys)
+            reference.repin(keys)
+        else:
+            table = int(rng.integers(len(rows_per_table)))
+            lo = int(rng.integers(rows_per_table[table]))
+            hi = min(rows_per_table[table], lo + int(rng.integers(1, 12)))
+            rows = rng.integers(lo, hi, size=(int(rng.integers(0, 5)), 2))
+            assert flat.touch(table, rows) == reference.touch(table, rows)
+        assert_tiers_equal(flat, reference)
+    assert reference.evictions > 0

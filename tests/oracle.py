@@ -22,6 +22,10 @@ the speedup benchmarks build their baselines from it:
 * :class:`ReferenceTieredStore` — the per-table hot/cold tier whose
   counters and priced times the flat-keyed
   :class:`~repro.nn.embedding.TieredEmbeddingStore` must reproduce.
+* :class:`ReferenceEAL` — the per-access SRRIP loop whose arrays, counters
+  and hit counts the set-vectorised
+  :class:`~repro.core.eal.EmbeddingAccessLogger` must reproduce; assign
+  one to ``accelerator.eal`` to run a learning phase through it.
 * :func:`reference_forward` / :func:`reference_backward` — per-sample-loop
   embedding pooling and scatter.
 * :func:`split_minibatch_reference` — the ``np.isin`` µ-batch
@@ -43,6 +47,7 @@ import repro.models.tbsm
 import repro.nn.interaction
 from repro.core.classifier import MicroBatches, split_minibatch
 from repro.core.distributed import ShardedHotlineTrainer
+from repro.core.eal import EmbeddingAccessLogger
 from repro.core.engine import StepOutcome
 from repro.data.batch import MiniBatch
 from repro.models.dlrm import DLRM
@@ -53,6 +58,7 @@ from repro.nn.loss import reference_epilogue
 
 __all__ = [
     "MergedGradientTrainer",
+    "ReferenceEAL",
     "ReferencePendingStore",
     "ReferenceTieredStore",
     "SequentialDLRM",
@@ -305,6 +311,24 @@ class ReferenceTieredStore:
             self.fetch_time_s += self.dma.read_time(fresh.size * self.row_bytes, scattered=False)
         self._evict_to_capacity()
 
+    def repin(self, keys: np.ndarray) -> None:
+        """Pin exactly the flat ``keys``: unpinned rows keep residency at
+        count 0; rows not resident load in one priced contiguous read."""
+        keys = np.unique(np.asarray(keys, dtype=np.int64))
+        bounds = np.cumsum((0, *self.rows_per_table))
+        fresh = 0
+        for table in range(len(self.rows_per_table)):
+            rows = keys[(keys >= bounds[table]) & (keys < bounds[table + 1])] - bounds[table]
+            leaving = self._pinned[table][~_in_sorted(rows, self._pinned[table])]
+            self._counts[table][np.searchsorted(self._rows[table], leaving)] = 0
+            new = rows[~_in_sorted(self._rows[table], rows)]
+            self._insert(table, new, np.zeros(new.size, dtype=np.int64))
+            self._pinned[table] = rows
+            fresh += new.size
+        if fresh:
+            self.fetch_time_s += self.dma.read_time(fresh * self.row_bytes, scattered=False)
+        self._evict_to_capacity()
+
     def touch(self, table: int, indices: np.ndarray) -> float:
         """Resolve one lookup block through the tier; return priced seconds."""
         rows, occurrences = np.unique(
@@ -374,6 +398,91 @@ class ReferenceTieredStore:
         writeback = self.dma.write_time(evicted * self.row_bytes, scattered=True)
         self.writeback_time_s += writeback
         return writeback
+
+
+# ---------------------------------------------------------------------- #
+# Per-access Embedding Access Logger
+# ---------------------------------------------------------------------- #
+class ReferenceEAL(EmbeddingAccessLogger):
+    """The EAL one lookup at a time — the reference for the vectorised EAL.
+
+    Same state arrays and counters as
+    :class:`~repro.core.eal.EmbeddingAccessLogger`; every lookup hashes its
+    key with scalar Python arithmetic, scans its set's ways, and on a miss
+    fills the first invalid way or ages the set one step at a time until a
+    victim reaches ``max_rrpv``.  Queries scan the ways too, and
+    ``hot_indices`` groups the valid keys one at a time.  Ids are not
+    range-checked: feed it ids in ``[0, 2**40)``.
+    """
+
+    def _key(self, table: int, index: int) -> int:
+        return (int(table) << 40) | int(index)
+
+    def _set_for(self, key: int) -> int:
+        table = key >> 40
+        index = key & ((1 << 40) - 1)
+        folded = ((table + 1) * 0x9E3779B1 + index * 0x85EBCA77) & 0xFFFFFFFF
+        return self._randomizer.hash(folded) % self.config.num_sets
+
+    def access(self, table: int, index: int) -> bool:
+        key = self._key(table, index)
+        set_idx = self._set_for(key)
+        valid = self._valid[set_idx]
+        keys = self._keys[set_idx]
+        for way in range(self.config.ways):
+            if valid[way] and keys[way] == key:
+                self._rrpv[set_idx, way] = 0
+                self.hits += 1
+                return True
+        self.misses += 1
+        self._insert(set_idx, key)
+        return False
+
+    def access_batch(self, sparse: np.ndarray) -> int:
+        hits = 0
+        _batch, num_tables, _pooling = sparse.shape
+        for table in range(num_tables):
+            for value in sparse[:, table, :].reshape(-1):
+                if self.access(table, int(value)):
+                    hits += 1
+        return hits
+
+    def _insert(self, set_idx: int, key: int) -> None:
+        valid = self._valid[set_idx]
+        rrpv = self._rrpv[set_idx]
+        for way in range(self.config.ways):
+            if not valid[way]:
+                self._fill(set_idx, way, key)
+                return
+        while True:
+            candidates = np.nonzero(rrpv >= self.config.max_rrpv)[0]
+            if candidates.size:
+                victim = int(candidates[0])
+                break
+            rrpv += 1
+        self.evictions += 1
+        self._fill(set_idx, victim, key)
+
+    def _fill(self, set_idx: int, way: int, key: int) -> None:
+        self._valid[set_idx, way] = True
+        self._keys[set_idx, way] = key
+        self._rrpv[set_idx, way] = self.config.insertion_rrpv
+        self.insertions += 1
+
+    def contains(self, table: int, index: int) -> bool:
+        key = self._key(table, index)
+        set_idx = self._set_for(key)
+        valid = self._valid[set_idx]
+        keys = self._keys[set_idx]
+        return any(valid[way] and keys[way] == key for way in range(self.config.ways))
+
+    def hot_indices(self, num_tables: int) -> list[np.ndarray]:
+        result: list[list[int]] = [[] for _ in range(num_tables)]
+        for key in self._keys[self._valid]:
+            table = int(key) >> 40
+            if table < num_tables:
+                result[table].append(int(key) & ((1 << 40) - 1))
+        return [np.array(sorted(rows), dtype=np.int64) for rows in result]
 
 
 # ---------------------------------------------------------------------- #

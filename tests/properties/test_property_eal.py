@@ -1,10 +1,12 @@
 """Property-based tests of the Embedding Access Logger and Feistel randomizer."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.eal import EALConfig, EmbeddingAccessLogger, expected_parallel_requests
 from repro.core.lookup_engine import FeistelRandomizer
+from tests.oracle import ReferenceEAL
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**10))
@@ -12,6 +14,77 @@ from repro.core.lookup_engine import FeistelRandomizer
 def test_feistel_round_trip(value, seed):
     randomizer = FeistelRandomizer(seed=seed)
     assert randomizer.inverse(randomizer.hash(value)) == value
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=64), st.integers(0, 2**10))
+@settings(max_examples=100, deadline=None)
+def test_feistel_hashes_an_array_as_its_elements(values, seed):
+    randomizer = FeistelRandomizer(seed=seed)
+    hashed = randomizer.hash(np.array(values, dtype=np.uint64))
+    assert hashed.tolist() == [randomizer.hash(value) for value in values]
+    assert randomizer.inverse(hashed).tolist() == [value & 0xFFFFFFFF for value in values]
+
+
+#: Row ids drawn for the oracle comparison: a small pool (so keys repeat
+#: inside and across blocks, and one id recurs in several tables) plus ids
+#: at the edges of the fold's 32-bit and the key's 40-bit row fields.
+ROW_IDS = st.one_of(st.integers(0, 11), st.sampled_from([2**32 - 1, 2**32, 2**40 - 1]))
+
+
+def assert_same_state(eal, ref, num_tables):
+    assert np.array_equal(eal._valid, ref._valid)
+    assert np.array_equal(eal._keys, ref._keys)
+    assert np.array_equal(eal._rrpv, ref._rrpv)
+    assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (
+        ref.hits, ref.misses, ref.insertions, ref.evictions
+    )
+    for hot, ref_hot in zip(
+        eal.hot_indices(num_tables), ref.hot_indices(num_tables), strict=True
+    ):
+        assert hot.dtype == ref_hot.dtype
+        assert hot.tolist() == ref_hot.tolist()
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_vectorised_eal_matches_the_per_access_loop(data):
+    """Blocks, single accesses and clears, in any order, leave the
+    set-vectorised EAL in the per-access loop's state after every call."""
+    ways = data.draw(st.integers(1, 16), label="ways")
+    sets = data.draw(st.integers(1, 64), label="sets")
+    max_rrpv = data.draw(st.integers(1, 3), label="max_rrpv")
+    config = EALConfig(
+        size_bytes=2 * ways * sets,
+        ways=ways,
+        max_rrpv=max_rrpv,
+        insertion_rrpv=data.draw(st.integers(0, max_rrpv), label="insertion_rrpv"),
+    )
+    seed = data.draw(st.integers(0, 2**10), label="seed")
+    num_tables = data.draw(st.integers(1, 4), label="tables")
+    pooling = data.draw(st.integers(1, 3), label="pooling")
+    eal = EmbeddingAccessLogger(config, seed=seed)
+    ref = ReferenceEAL(config, seed=seed)
+    assert eal.config.num_sets == sets
+    for _ in range(data.draw(st.integers(1, 12), label="calls")):
+        kind = data.draw(st.sampled_from(["block", "block", "block", "access", "clear"]))
+        if kind == "block":
+            batch = data.draw(st.integers(0, 12), label="batch")
+            rows = data.draw(
+                st.lists(ROW_IDS, min_size=batch * num_tables * pooling,
+                         max_size=batch * num_tables * pooling),
+                label="rows",
+            )
+            block = np.array(rows, dtype=np.int64).reshape(batch, num_tables, pooling)
+            assert eal.access_batch(block) == ref.access_batch(block)
+        elif kind == "access":
+            table = data.draw(st.integers(0, num_tables - 1), label="table")
+            row = data.draw(ROW_IDS, label="row")
+            assert eal.access(table, row) is ref.access(table, row)
+            assert eal.contains(table, row) and ref.contains(table, row)
+        else:
+            eal.clear()
+            ref.clear()
+        assert_same_state(eal, ref, num_tables)
 
 
 @given(
