@@ -5,11 +5,11 @@ Two accounting series for ``BENCH_sparse_path.json``:
 * ``pending_store_peak_bytes`` — the window-bound invariant as a CI gate:
   driving the lookahead pipeline over RM2's 26 table shapes scaled so the
   largest holds 10M rows (Criteo-Terabyte class), the pending store's
-  peak footprint — one slab over every table's flat keys — must stay
-  under the window-derived bound (cached rows x per-row slab bytes),
-  never the ~10 GB a table-sized buffer would take.  Recorded as a gated
-  speedup (``bound / peak``, gate 1.0) so ``check_bench_gates.py`` audits
-  it.
+  peak footprint — three arrays over every table's flat keys, one key,
+  one value row and one birth step per pending row — must stay under the
+  window-derived bound (cached rows x per-row bytes), never the ~10 GB a
+  table-sized buffer would take.  Recorded as a gated speedup
+  (``bound / peak``, gate 1.0) so ``check_bench_gates.py`` audits it.
 * ``tiered_store_traffic`` — hit/miss/eviction counts and the hit rate of
   :class:`~repro.nn.embedding.TieredEmbeddingStore` under Zipf-skewed
   lookups with the head pinned, tracking the tier's effectiveness across

@@ -2,11 +2,11 @@
 
 The lookahead cache's deferred write-back store moved from
 ``dict[int, np.ndarray]`` churn (O(nnz) Python per step) to
-:class:`~repro.core.lookahead.FlatPendingStore` — one sorted key array,
-slot indirection into a gradient slab, a birth-step slab and a
-birth-bucket age index over every table's flat keys, all driven by
-vectorised scatters and boolean masks.  This benchmark drives both stores
-through the same defer → age-flush → take cycle the
+:class:`~repro.core.lookahead.FlatPendingStore` — a sorted key array with
+aligned gradient-row and birth-step arrays over every table's flat keys,
+driven by one binary search, one insert, one scatter and boolean masks.
+This benchmark drives both stores through the same defer → age-flush →
+take cycle the
 :class:`~repro.core.lookahead.CachedEmbeddingPipeline` performs each
 training step (one flat-keyed gradient per step), at RM1-scale nnz (a
 2048-sample Taobao batch touches tens of thousands of unique rows per
@@ -14,13 +14,13 @@ step across the 21-lookup history table), and asserts the multiple-x
 speedup that justifies the flat layout.
 Bit-parity first: a fast-but-wrong store must not pass.
 
-The gate is 3.5×, not the ~5× the store typically measures: the
-window-bounded compact layout (sorted rows + slot indirection instead of
-table-sized dense scatter buffers) deliberately trades a slice of this
-benchmark's throughput for O(cached-rows) memory — the table-sized
-buffers were ~10 GB per Criteo-Terabyte table — and the measured speedup
-straddles 5× under load.  The artifact still records the exact measured
-value, so drift below ~5× is visible even while the assertion holds.
+The gate is 3.5×, below the 5-8× the store measures: the window-bounded
+layout (arrays sized to the pending rows, not table-sized dense scatter
+buffers, which were ~10 GB per Criteo-Terabyte table) pays an insert and
+a compaction over the pending rows on every step, and the measured
+speedup moves with host load.  The artifact still records the
+exact measured value, so drift toward the gate is visible even while the
+assertion holds.
 """
 
 import time
@@ -34,7 +34,7 @@ from repro.nn.embedding import SparseGradient, join_tables
 from tests.oracle import ReferencePendingStore
 
 #: Minimum speedup of the flat store over the dict reference (see the
-#: module docstring for why this sits below the typical ~5× measurement).
+#: module docstring for why this sits below the typical measurement).
 MIN_SPEEDUP = 3.5
 
 #: Tables scaled like the hot-path benchmarks (full RM1 weights are not

@@ -155,12 +155,12 @@ class ShardedHotlineTrainer(StepExecutor):
             :class:`~repro.nn.embedding.TieredEmbeddingStore` of
             this byte capacity (``None`` disables tiering).  The tier is
             built at :meth:`bind`: the learning-phase placement's hot rows
-            are pinned resident (they replicate on every device), every
-            lookup resolves through the tier (bit-identical numerics —
-            pricing and hit/miss/eviction counters only), and LFU
-            eviction keeps the resident set within capacity.  Tier
-            counters surface through
-            :class:`~repro.core.engine.StepOutcome`.
+            are pinned resident (they replicate on every device, budgeted
+            by ``hbm_budget_bytes``), every lookup resolves through the
+            tier (bit-identical numerics — pricing and hit/miss/eviction
+            counters only), and LFU eviction keeps the cached rows beside
+            the pinned ones within this capacity.  Tier counters surface
+            through :class:`~repro.core.engine.StepOutcome`.
     """
 
     def __init__(

@@ -274,6 +274,29 @@ class StepExecutor(abc.ABC):
         )
 
 
+def _accumulate(result: TrainingResult, outcome: StepOutcome) -> None:
+    """Add one step's (or the end-of-run drain's) observations to ``result``;
+    the per-iteration loss and popular fraction are the caller's."""
+    result.compute_time_s += outcome.compute_time_s
+    result.communication_time_s += outcome.communication_time_s
+    for label, lane_s in outcome.comm_lanes_s:
+        result.comm_lane_s[label] = result.comm_lane_s.get(label, 0.0) + lane_s
+    result.simulated_time_s += outcome.step_time_s
+    result.cache_hits += outcome.cache_hits
+    result.cache_misses += outcome.cache_misses
+    result.cache_fill_rows += outcome.cache_fill_rows
+    result.stale_rows += outcome.stale_rows
+    result.prefetch_time_s += outcome.prefetch_time_s
+    result.pending_peak_bytes = max(result.pending_peak_bytes, outcome.pending_bytes)
+    result.tier_hits += outcome.tier_hits
+    result.tier_misses += outcome.tier_misses
+    result.tier_evictions += outcome.tier_evictions
+    missing = len(outcome.bucket_times_s) - len(result.bucket_comm_s)
+    result.bucket_comm_s.extend([0.0] * missing)
+    for i, bucket_time in enumerate(outcome.bucket_times_s):
+        result.bucket_comm_s[i] += bucket_time
+
+
 def recalibration_points(steps_per_epoch: int, recalibrations_per_epoch: int) -> set[int]:
     """Evenly spaced in-epoch steps at which to re-enter the learning phase."""
     if recalibrations_per_epoch <= 0 or steps_per_epoch <= recalibrations_per_epoch:
@@ -353,29 +376,7 @@ class TrainingEngine:
                 result.losses.append(outcome.loss)
                 if outcome.popular_fraction is not None:
                     result.popular_fractions.append(outcome.popular_fraction)
-                result.compute_time_s += outcome.compute_time_s
-                result.communication_time_s += outcome.communication_time_s
-                for label, lane_s in outcome.comm_lanes_s:
-                    result.comm_lane_s[label] = result.comm_lane_s.get(label, 0.0) + lane_s
-                result.simulated_time_s += outcome.step_time_s
-                result.cache_hits += outcome.cache_hits
-                result.cache_misses += outcome.cache_misses
-                result.cache_fill_rows += outcome.cache_fill_rows
-                result.stale_rows += outcome.stale_rows
-                result.prefetch_time_s += outcome.prefetch_time_s
-                result.pending_peak_bytes = max(
-                    result.pending_peak_bytes, outcome.pending_bytes
-                )
-                result.tier_hits += outcome.tier_hits
-                result.tier_misses += outcome.tier_misses
-                result.tier_evictions += outcome.tier_evictions
-                if outcome.bucket_times_s:
-                    if len(result.bucket_comm_s) < len(outcome.bucket_times_s):
-                        result.bucket_comm_s.extend(
-                            [0.0] * (len(outcome.bucket_times_s) - len(result.bucket_comm_s))
-                        )
-                    for i, bucket_time in enumerate(outcome.bucket_times_s):
-                        result.bucket_comm_s[i] += bucket_time
+                _accumulate(result, outcome)
                 iteration += 1
                 if eval_batch is not None and eval_every and iteration % eval_every == 0:
                     result.auc_history.append(
@@ -386,22 +387,7 @@ class TrainingEngine:
         # compare fully-applied models rather than dropped tails.
         drained = self.executor.finalize()
         if drained is not None:
-            result.compute_time_s += drained.compute_time_s
-            result.communication_time_s += drained.communication_time_s
-            for label, lane_s in drained.comm_lanes_s:
-                result.comm_lane_s[label] = result.comm_lane_s.get(label, 0.0) + lane_s
-            result.simulated_time_s += drained.step_time_s
-            result.cache_hits += drained.cache_hits
-            result.cache_misses += drained.cache_misses
-            result.cache_fill_rows += drained.cache_fill_rows
-            result.stale_rows += drained.stale_rows
-            result.prefetch_time_s += drained.prefetch_time_s
-            result.pending_peak_bytes = max(
-                result.pending_peak_bytes, drained.pending_bytes
-            )
-            result.tier_hits += drained.tier_hits
-            result.tier_misses += drained.tier_misses
-            result.tier_evictions += drained.tier_evictions
+            _accumulate(result, drained)
         if eval_batch is not None:
             result.final_metrics = evaluate(self.executor.model, eval_batch)
             result.auc_history.append((iteration, result.final_metrics["auc"]))

@@ -46,42 +46,38 @@ functional trainers:
 format the models' sparse gradients already carry.  The epoch stream
 yields one sorted key array per batch, the :class:`WindowRefcounts` are
 one sorted key array with aligned int32 counts, and the deferred
-write-backs live in one :class:`FlatPendingStore`: a sorted array of the
-pending keys, a parallel slot array indirecting into a geometrically-grown
-``(capacity, dim)`` gradient slab, a matching birth-step slab, a free-slot
-list and a birth-bucket deque.  So ``observe`` and ``defer`` each make one
-pass per step whatever the table count: ``defer`` is two binary searches
-plus one scatter, the age/eviction flush is boolean-mask arithmetic over
-birth buckets, and ``take`` is one gather + zero-fill.  Sorted keys are
-table-major and row-ascending, so every flush, birth and counter equals a
-per-table layout's.  The original dict-of-rows implementation lives in the
-test oracle (``tests/oracle.py``: ``ReferencePendingStore``, swapped in as
-``pipeline.pending``), the ground truth of the bit-parity suite and the
-speedup benchmark.
+write-backs live in one :class:`FlatPendingStore` of the same shape: a
+sorted int64 array of the pending keys with an aligned ``(n, dim)``
+gradient array and an aligned int64 birth-step array.  So ``observe`` and
+``defer`` each make one pass per step whatever the table count: ``defer``
+is one binary search, one insert of the fresh keys and one scatter, the
+age flush is one mask over the birth steps, and ``take`` is one gather
+plus one compaction.  Sorted keys are table-major and row-ascending, so
+every flush, birth and counter equals a per-table layout's.  The original
+dict-of-rows implementation lives in the test oracle (``tests/oracle.py``:
+``ReferencePendingStore``, swapped in as ``pipeline.pending``), the ground
+truth of the bit-parity suite and the speedup benchmark.
 
 **The window-bound invariant.**  Only rows inside the ``W``-batch
 lookahead window can ever be pending: a row defers while it is cached and
 flushes no later than its eviction, so the pending set is a subset of the
-cached row set (plus, transiently, the retiring batch's rows).  The store
-exploits that: every structure it allocates — keys, slot indirection,
-value slab, birth slab — is sized to the *deferred* row set and grown
-geometrically, never to the tables; a store over a 10M-row
-Criteo-Terabyte table with a 4-batch window allocates a few thousand rows,
-not 10 GB.  Slab capacity stays under 2x the peak pending row count
-(capacity only doubles when exceeded), :attr:`FlatPendingStore.pending_bytes`
-/ :attr:`FlatPendingStore.peak_pending_bytes` expose the live and
-high-water footprint, and ``clear()`` / an emptying ``take_all()``
-**free** the slabs rather than zeroing them, so reset and epoch-carry
-paths release the memory they no longer need.
+cached row set (plus, transiently, the retiring batch's rows).  The
+store's three arrays hold exactly the pending rows, nothing sized to the
+tables and no spare capacity: a store over a 10M-row Criteo-Terabyte
+table with a 4-batch window holds a few thousand rows, not 10 GB.
+:attr:`FlatPendingStore.pending_bytes` (``16 + dim * itemsize`` bytes per
+pending row) and :attr:`FlatPendingStore.peak_pending_bytes` count exactly
+those arrays, and ``clear()`` / an emptying ``take_all()`` **free** them,
+so reset and epoch-carry paths release the memory they no longer need.
 
 **Invariants** (asserted by the parity/regression suites):
 
 1. Flushed gradients are bit-identical between the two stores: keys flush
    in sorted order and each key's value accumulates in arrival order.
 2. A key's birth step is set exactly when it first defers and cleared
-   exactly when it flushes; key array, slot array, value slab, and birth
-   slab always move together (``reset``/``clear`` included), so no state
-   survives a flush or a trainer re-bind.
+   exactly when it flushes; the key, value and birth arrays always move
+   together (``reset``/``clear`` included), so no state survives a flush
+   or a trainer re-bind.
 3. Every deferred unit of gradient is applied exactly once — on eviction,
    at the staleness bound, at an epoch-boundary carry, or through the
    end-of-run :meth:`CachedEmbeddingPipeline.drain`.
@@ -140,12 +136,6 @@ class LookaheadStats:
     stale_rows: int = 0
     prefetch_time_s: float = 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of the step's lookups served without a fresh fill."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
 
 class _WindowEntry:
     """One in-flight batch of the lookahead window."""
@@ -158,29 +148,21 @@ class _WindowEntry:
 
 
 class FlatPendingStore:
-    """Window-bounded flat-array deferred write-back store.
+    """Window-bounded deferred write-back store: three aligned arrays.
 
-    Layout — one of each, over every table's keys, everything sized to the
-    *deferred* row set (the window-bound invariant of the module
-    docstring):
+    A sorted int64 array of the pending keys (every table's flat keys), an
+    aligned ``(n, dim)`` array of their accumulated gradients and an
+    aligned int64 array of their birth steps: the layout of
+    :class:`WindowRefcounts` and the hot tier, sized to the *deferred* row
+    set (the window-bound invariant of the module docstring).  The value
+    and birth arrays are allocated at the first ``defer`` (matching its
+    dtype and width) and freed, with the keys, by ``clear()`` and by a
+    ``take_all()`` that empties the store.
 
-    * a **sorted key array** of the pending keys (membership is one binary
-      search — no table-sized bitmap),
-    * a parallel **slot array** mapping each pending key to its slot in
-    * a ``(capacity, dim)`` **gradient value slab** plus a matching
-      **birth-step slab**, grown geometrically (capacity < 2x the peak
-      pending row count) with a free-slot list recycling flushed slots.
-
-    ``defer`` is two binary searches, one ``np.insert`` of the fresh keys,
-    and one scatter through the slot indirection; ``take`` is one gather +
-    zero-fill of the freed slots.  The age-based flush never scans
-    anything: each ``defer`` appends its freshly-born keys to a
-    **birth-bucket deque** (buckets are in birth order because steps are),
-    and ``aged_rows`` walks only the buckets past the staleness cutoff,
-    validating their keys with one membership + birth-step mask pass (a
-    key evicted or re-deferred since simply fails the check).  Fully
-    invalidated aged buckets are pruned as they are seen, so the amortised
-    cost is O(rows flushed), independent of the table sizes.
+    ``defer`` is one binary search, one ``np.insert`` per array for the
+    fresh keys (zero value rows, born at the step) and one scatter-add;
+    ``aged_rows`` is one mask over the birth steps; ``take`` is one gather
+    and one keep-mask compaction.
 
     The ``SparseGradient`` sorted-unique-indices contract is checked once
     at the ``defer`` boundary: gradients that violate it (hand-built
@@ -189,27 +171,16 @@ class FlatPendingStore:
     accumulation, so results stay bit-identical to the test oracle's
     ``ReferencePendingStore`` either way (keys flush in sorted order;
     per-key values accumulate in arrival order), which the parity suite
-    asserts.  ``clear()`` and an emptying ``take_all()`` **free** the
-    slabs (reset / epoch-carry paths release memory, not just zero it),
-    and :attr:`pending_bytes` / :attr:`peak_pending_bytes` expose the
-    footprint the regression suite and benchmark artifact pin.
+    asserts.  :attr:`pending_bytes` / :attr:`peak_pending_bytes` count the
+    three arrays exactly.
     """
 
     def __init__(self) -> None:
-        #: Sorted pending keys (compact, window-bounded).
         self._keys = np.empty(0, dtype=np.int64)
-        #: Slab slot of each pending key, aligned with ``_keys``.
-        self._slots = np.empty(0, dtype=np.int64)
-        # Value/birth slabs are allocated lazily at the first deferred
-        # gradient (matching its dtype/width) and grown geometrically, so
-        # a store that never defers (the stale-0 fast path) costs nothing
-        # and one that does stays proportional to its pending set.
+        # Allocated at the first deferred gradient, so a store that never
+        # defers (the stale-0 fast path) holds nothing.
         self._values: np.ndarray | None = None
         self._births: np.ndarray | None = None
-        #: Recycled slab slots (flushed keys' slots, already zeroed).
-        self._free = np.empty(0, dtype=np.int64)
-        #: ``(birth step, keys born then)`` buckets, in birth order.
-        self._buckets: deque[tuple[int, np.ndarray]] = deque()
         self._peak_bytes = 0
 
     @property
@@ -219,47 +190,16 @@ class FlatPendingStore:
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes currently allocated by the store.
-
-        Counts the compact key/slot/free arrays and the value/birth slabs
-        — by construction proportional to the pending row set (the
-        window-bound invariant), never to the tables.
-        """
-        total = self._keys.nbytes + self._slots.nbytes + self._free.nbytes
-        if self._values is not None:
-            total += self._values.nbytes + self._births.nbytes
-        return total
+        """Bytes held by the key, value and birth arrays: ``16 + dim *
+        itemsize`` per pending row, never anything sized to the tables."""
+        if self._values is None:
+            return 0
+        return self._keys.nbytes + self._values.nbytes + self._births.nbytes
 
     @property
     def peak_pending_bytes(self) -> int:
         """High-water mark of :attr:`pending_bytes` (reset by ``clear``)."""
         return self._peak_bytes
-
-    def _allocate_slots(self, count: int, dim: int, dtype) -> np.ndarray:
-        """Hand out ``count`` zeroed slab slots, growing the slabs if needed."""
-        free = self._free
-        if free.size >= count:
-            self._free = free[count:]
-            return free[:count]
-        values = self._values
-        capacity = 0 if values is None else values.shape[0]
-        need = count - free.size
-        # Doubling keeps amortised growth O(1) and caps the slab at <2x
-        # the peak pending row count — the bound the footprint test and
-        # the bench-gate artifact assert against.
-        new_capacity = max(2 * capacity, capacity + need)
-        grown_values = np.zeros((new_capacity, dim), dtype=dtype)
-        grown_births = np.zeros(new_capacity, dtype=np.int64)
-        if values is not None:
-            grown_values[:capacity] = values
-            grown_births[:capacity] = self._births
-        self._values = grown_values
-        self._births = grown_births
-        taken = np.concatenate(
-            [free, np.arange(capacity, capacity + need, dtype=np.int64)]
-        )
-        self._free = np.arange(capacity + need, new_capacity, dtype=np.int64)
-        return taken
 
     def defer(self, grad: SparseGradient, step: int) -> None:
         """Accumulate one merged gradient; new keys are born at ``step``."""
@@ -270,34 +210,35 @@ class FlatPendingStore:
         # once here, at the boundary; violating gradients take the
         # duplicate-safe scatter below instead of silently corrupting the
         # fast path's one-write-per-key assumption.
-        sorted_unique = indices.size <= 1 or not np.any(np.diff(indices) <= 0)
-        unique_indices = indices if sorted_unique else np.unique(indices)
+        inverse = None
+        if indices.size > 1 and np.any(np.diff(indices) <= 0):
+            indices, inverse = np.unique(indices, return_inverse=True)
+        if self._values is None:
+            self._values = np.empty((0, grad.values.shape[1]), dtype=grad.values.dtype)
+            self._births = np.empty(0, dtype=np.int64)
         keys = self._keys
-        pos = np.searchsorted(keys, unique_indices)
-        present = pos < keys.size
-        present[present] = keys[pos[present]] == unique_indices[present]
-        fresh = unique_indices[~present]
-        if fresh.size:
-            slots_new = self._allocate_slots(
-                fresh.size, grad.values.shape[1], grad.values.dtype
-            )
-            self._births[slots_new] = step
-            insert_at = pos[~present]
-            self._keys = keys = np.insert(keys, insert_at, fresh)
-            self._slots = np.insert(self._slots, insert_at, slots_new)
-            self._buckets.append((step, fresh))
-        slots_all = self._slots[np.searchsorted(keys, indices)]
-        if sorted_unique:
-            # Sorted unique keys hit every slot exactly once — the
+        pos = np.searchsorted(keys, indices)
+        fresh = np.ones(indices.size, dtype=bool)
+        inside = pos < keys.size
+        fresh[inside] = keys[pos[inside]] != indices[inside]
+        if fresh.any():
+            at = pos[fresh]
+            self._keys = np.insert(keys, at, indices[fresh])
+            self._values = np.insert(self._values, at, 0, axis=0)
+            self._births = np.insert(self._births, at, step)
+            # Every fresh key inserted before an index shifts it by one.
+            pos += np.cumsum(fresh) - fresh
+        if inverse is None:
+            # Sorted unique keys hit every row exactly once — the
             # fancy-index add equals the scatter-add below at a fraction
-            # of its cost.  Freed/fresh slots read zero, so accumulating
-            # into them matches the reference's arrival-order sums.
-            self._values[slots_all] += grad.values
+            # of its cost.  Fresh rows read zero, so accumulating into
+            # them matches the reference's arrival-order sums.
+            self._values[pos] += grad.values
         else:
             # Duplicate (or unsorted) keys: the duplicate-safe scatter
             # accumulates per-occurrence contributions exactly as the dict
             # reference accumulates them.
-            scatter_add_rows(self._values, slots_all, grad.values)
+            scatter_add_rows(self._values, pos[inverse], grad.values)
         self._peak_bytes = max(self._peak_bytes, self.pending_bytes)
 
     def pending_mask(self, keys: np.ndarray) -> np.ndarray:
@@ -305,109 +246,78 @@ class FlatPendingStore:
         return _in_sorted(self._keys, np.asarray(keys, dtype=np.int64))
 
     def aged_rows(self, step: int, staleness: int) -> np.ndarray:
-        """Sorted keys whose oldest contribution is ``staleness`` steps old.
-
-        Walks only the birth buckets past the cutoff: a bucket key is
-        still aged-and-pending iff it is in the pending key array with its
-        original birth step (eviction flushes and re-deferrals invalidate
-        it).  Buckets that turn out fully invalid are dropped; partially
-        valid ones are compacted and kept until their keys flush, so
-        repeated queries stay cheap and nothing ever rescans the tables.
-        """
-        buckets = self._buckets
-        keys = self._keys
-        if keys.size == 0 or not buckets:
+        """Sorted keys whose oldest contribution is ``staleness`` steps old."""
+        if self._births is None:
             return np.empty(0, dtype=np.int64)
-        cutoff = step - staleness
-        collected: list[np.ndarray] = []
-        still_valid: list[tuple[int, np.ndarray]] = []
-        while buckets and buckets[0][0] <= cutoff:
-            birth, bucket_keys = buckets.popleft()
-            candidates = bucket_keys[_in_sorted(keys, bucket_keys)]
-            if candidates.size:
-                positions = np.searchsorted(keys, candidates)
-                valid = candidates[self._births[self._slots[positions]] == birth]
-            else:
-                valid = candidates
-            if valid.size:
-                collected.append(valid)
-                still_valid.append((birth, valid))
-        # Aged-but-unflushed keys stay queued (compacted) in birth order.
-        for bucket in reversed(still_valid):
-            buckets.appendleft(bucket)
-        if not collected:
-            return np.empty(0, dtype=np.int64)
-        # Unique, not just sorted: two defers at one step (possible through
-        # the store's API, never in the pipeline) can leave a key taken and
-        # re-born in two buckets of the same birth step.
-        return np.unique(np.concatenate(collected))
+        return self._keys[self._births <= step - staleness]
 
     def birth_steps(self) -> dict[int, int]:
         """``{key: birth step}`` of the deferred keys (tests)."""
-        if self._keys.size == 0:
+        if self._births is None:
             return {}
-        births = self._births[self._slots]
-        return dict(zip(self._keys.tolist(), births.tolist(), strict=True))
+        return dict(zip(self._keys.tolist(), self._births.tolist(), strict=True))
 
     def take(self, keys: np.ndarray) -> SparseGradient:
         """Remove the deferred subset of ``keys`` as one sparse gradient.
 
-        ``keys`` must be sorted.  One membership pass selects the deferred
-        subset, one slab gather copies it out, and the freed slots are
-        zeroed and recycled — key array, slot array, value slab, and birth
-        slab always move together (a reused trainer can never observe a
-        key whose gradient was cleared but whose birth survived, or vice
-        versa).
+        ``keys`` must be sorted.  One binary search selects the deferred
+        subset, one gather copies its values out, and one keep-mask
+        compacts the key, value and birth arrays together (a reused
+        trainer can never observe a key whose gradient was taken but whose
+        birth survived, or vice versa).
         """
         keys = np.asarray(keys, dtype=np.int64)
         pending = self._keys
-        if keys.size:
-            keys = keys[_in_sorted(pending, keys)]
-        slab = self._values
-        if keys.size == 0 or slab is None:
-            return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 0), dtype=DTYPE))
-        positions = np.searchsorted(pending, keys)
-        slots = self._slots[positions]
-        values = slab[slots].copy()
-        slab[slots] = 0.0  # recycled slots must read zero for the next +=
+        pos = np.searchsorted(pending, keys)
+        found = pos < pending.size
+        found[found] = pending[pos[found]] == keys[found]
+        if not found.any():
+            return SparseGradient(keys[found], np.empty((0, 0), dtype=DTYPE))
+        pos = pos[found]
+        taken = SparseGradient(keys[found], self._values[pos])
         keep = np.ones(pending.size, dtype=bool)
-        keep[positions] = False
+        keep[pos] = False
         self._keys = pending[keep]
-        self._slots = self._slots[keep]
-        self._free = np.concatenate([self._free, slots])
-        return SparseGradient(keys, values)
-
-    def take_all(self) -> SparseGradient:
-        """Remove and return everything deferred.
-
-        Emptying the store releases its slabs entirely: the full-flush
-        paths (epoch carry, end-of-run drain, stale-0 backlog) free the
-        memory instead of keeping zeroed capacity alive across epochs.
-        """
-        taken = self.take(self._keys)
-        self._release()
+        self._values = self._values[keep]
+        self._births = self._births[keep]
         return taken
 
-    def _release(self) -> None:
-        """Free the slabs and bookkeeping (drops, never zeroes)."""
+    def take_all(self) -> SparseGradient:
+        """Remove and return everything deferred, freeing the arrays.
+
+        The full-flush paths (epoch carry, end-of-run drain, stale-0
+        backlog) release the memory instead of keeping it across epochs.
+        """
+        keys, values = self._keys, self._values
         self._keys = np.empty(0, dtype=np.int64)
-        self._slots = np.empty(0, dtype=np.int64)
-        self._values = None
-        self._births = None
-        self._free = np.empty(0, dtype=np.int64)
-        self._buckets.clear()
+        self._values = self._births = None
+        if keys.size == 0:
+            return SparseGradient(keys, np.empty((0, 0), dtype=DTYPE))
+        return SparseGradient(keys, values)
 
     def clear(self) -> None:
         """Free all deferred gradients and their birth steps, atomically.
 
-        Key array, slot array, value slab, and birth slab are released
-        together (freed, not zeroed — a reset store holds no window's
-        worth of capacity), and the footprint high-water mark restarts:
-        the regression suite pins that a reused trainer starts from a
-        state indistinguishable from a fresh store.
+        The three arrays are released together and the footprint
+        high-water mark restarts: the regression suite pins that a reused
+        trainer starts from a state indistinguishable from a fresh store.
         """
-        self._release()
+        self.take_all()
         self._peak_bytes = 0
+
+
+def _check_ids(block: np.ndarray, rows_per_table: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first table of a ``(batch, tables,
+    pooling)`` block with an id outside ``[0, rows)``: such an id would
+    alias a neighbouring table's key (or form a negative one)."""
+    if block.size == 0:
+        return
+    bad = (block.min(axis=(0, 2)) < 0) | (block.max(axis=(0, 2)) >= rows_per_table)
+    if bad.any():
+        table = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"lookahead id out of range [0, {rows_per_table[table]}) for table {table}"
+        )
 
 
 def epoch_row_stream(loader, rows_per_table) -> Iterator[np.ndarray]:
@@ -419,46 +329,18 @@ def epoch_row_stream(loader, rows_per_table) -> Iterator[np.ndarray]:
     touched, so walking ahead here cannot perturb the training stream.
     Row ``r`` of table ``t`` is key ``offsets[t] + r`` over
     ``rows_per_table`` (the consuming pipeline's key space), so each batch
-    costs one ``np.unique`` whatever the table count.
-
-    The per-epoch ``np.unique`` passes are memoised on the loader, keyed on
-    the *identity* of ``loader.last_epoch_order`` (plus the log's sparse
-    block, the batch bounds and the table sizes): replayed epochs — every
-    epoch of an unshuffled loader, and any second walk over the same drawn
-    order — yield the cached arrays and pay nothing.  A shuffled loader
-    draws a fresh order array each epoch, so its identity changes and the
-    stream is recomputed.  The cache holds references to its key objects,
-    so ``id`` reuse after garbage collection can never cause a false hit,
-    and it is only installed once a walk completes (a partial walk never
-    poisons it).  Treat the yielded arrays as read-only — they are shared
-    across walks.
+    costs one ``np.unique`` whatever the table count.  A batch with an id
+    outside its table raises ``ValueError`` naming the table as it enters
+    the window, ``W`` steps before it trains.
     """
     order = getattr(loader, "last_epoch_order", None)
-    log = loader.log
-    bounds = list(loader.batch_bounds())
-    rows_per_table = tuple(rows_per_table)
-    cached = getattr(loader, "_row_stream_cache", None)
-    if (
-        cached is not None
-        and cached[0] is order
-        and cached[1] is log.sparse
-        and cached[2] == (bounds, rows_per_table)
-    ):
-        yield from cached[3]
-        return
+    sparse = loader.log.sparse
+    rows_per_table = np.asarray(rows_per_table, dtype=np.int64)
     offsets = key_offsets(rows_per_table)[:, None]
-    keys_per_batch: list[np.ndarray] = []
-    for start, stop in bounds:
-        block = log.sparse[start:stop] if order is None else log.sparse[order[start:stop]]
-        keys = np.unique(block + offsets)
-        keys_per_batch.append(keys)
-        yield keys
-    # Reached only when the walk completed (generators abandoned mid-epoch
-    # never install a partial stream).
-    try:
-        loader._row_stream_cache = (order, log.sparse, (bounds, rows_per_table), keys_per_batch)
-    except AttributeError:  # loaders that forbid ad-hoc attributes
-        pass
+    for start, stop in loader.batch_bounds():
+        block = sparse[start:stop] if order is None else sparse[order[start:stop]]
+        _check_ids(block, rows_per_table)
+        yield np.unique(block + offsets)
 
 
 class WindowRefcounts:
@@ -602,6 +484,7 @@ class CachedEmbeddingPipeline:
         self.num_replicas = int(num_replicas)
         self.link = link
         self.dma = dma or DMAEngine()
+        self._rows = np.asarray(self.rows_per_table, dtype=np.int64)
         #: ``(tables, 1)`` key offsets, broadcast over an index block.
         self._offsets = key_offsets(self.rows_per_table)[:, None]
         self._num_keys = sum(self.rows_per_table)
@@ -708,7 +591,7 @@ class CachedEmbeddingPipeline:
         belong to the previous run's schedule and are *dropped*, not
         carried (mirroring the dense stale-k deque, whose in-flight reduces
         die with their run) — applying them would contaminate the new run
-        with the old run's data.  The store clears its gradient buffers and
+        with the old run's data.  The store frees its key, gradient and
         birth arrays in one atomic pass, so a reused trainer cannot inherit
         a stale birth step for a fresh deferral.  The DMA engine's traffic
         counters reset too: a reused trainer's reported fill/write-back
@@ -735,8 +618,8 @@ class CachedEmbeddingPipeline:
         carry, end-of-run drain, and the stale-0 backlog), so a change to
         the write-back cost model cannot make their accounting diverge.
         ``take_all`` runs even when nothing is pending: it is what frees
-        the store's slabs, so an epoch boundary or drain leaves no
-        capacity behind.
+        the store's arrays, so an epoch boundary or drain leaves nothing
+        behind.
 
         Returns:
             ``(flushed gradient or None, priced seconds)``.
@@ -780,10 +663,15 @@ class CachedEmbeddingPipeline:
         Returns:
             The step's :class:`LookaheadStats` (also kept as
             :attr:`last_stats`; :meth:`defer` adds the flush counters).
+
+        Raises:
+            ValueError: naming the table, before the window moves, if an
+                id lies outside ``[0, rows)`` of its table.
         """
         sparse = np.asarray(sparse)
         if sparse.ndim != 3 or sparse.shape[1] != self.num_tables:
             raise ValueError("sparse must be 3-D (batch, num_tables, pooling)")
+        _check_ids(sparse, self._rows)
         stats = LookaheadStats()
         lookups = sparse + self._offsets
         # Pull window entries until the batch `window` steps ahead of the

@@ -72,10 +72,11 @@ rows are one sorted key array with aligned access-frequency counts
 (window-bounded — never a table-sized side array), and eviction is LFU
 over it.  Rows the hot/cold placement replicates on every device are
 pinned: their keys live in a separate sorted array, without counts, and
-never evict.  :meth:`EmbeddingBag.attach_tier` makes a table resolve
-lookups through a tier transparently — every :meth:`EmbeddingBag.lookup`
-(which ``forward`` pools, and which TBSM's history sequence reads
-unpooled) touches the tier, nothing else changes.
+never evict; the byte capacity bounds the cached rows beside them.
+:meth:`EmbeddingBag.attach_tier` makes a table resolve lookups through a
+tier transparently — every :meth:`EmbeddingBag.lookup` (which ``forward``
+pools, and which TBSM's history sequence reads unpooled) touches the
+tier, nothing else changes.
 """
 
 from __future__ import annotations
@@ -433,18 +434,19 @@ class TieredEmbeddingStore:
     and the hit/miss counters (see the module docstring).
 
     Every row of every table has one int64 key, ``offsets[table] + row``
-    (:func:`key_offsets`).  The
-    state is three sorted, resident-set-sized arrays: ``_pinned`` holds
-    the keys :meth:`pin_rows` and :meth:`repin` made un-evictable (the placement's
-    replicated hot rows; membership only, since they never evict), and
-    ``_keys`` with aligned ``_counts`` is the LFU pool of cached rows and
-    their access frequencies.  So a :meth:`touch` is one search into each
-    array and at most one insert, whatever the table count.  Eviction is
-    LFU over the pool (globally, since ``hot_bytes`` models one device
-    memory); key order is table-major and row-ascending, which fixes the
-    order of frequency ties.  Evicted rows are dirty (training updates
-    rows in place), so each eviction prices a scattered write-back in
-    addition to the miss's scattered fetch.
+    (:func:`key_offsets`).  The state is three sorted, resident-set-sized
+    arrays: ``_pinned`` holds the keys :meth:`pin_rows` and :meth:`repin`
+    made un-evictable (the placement's replicated hot rows; membership
+    only, since they never evict), and ``_keys`` with aligned ``_counts``
+    is the LFU pool of cached rows and their access frequencies.  So a
+    :meth:`touch` is one search into each array and at most one insert,
+    whatever the table count.  Eviction is LFU over the pool (globally,
+    since ``hot_bytes`` models one device memory), and ``capacity_rows``
+    bounds the pool alone: pinned rows are budgeted by the placement and
+    sit beside it.  Key order is table-major and row-ascending, which
+    fixes the order of frequency ties.  Evicted rows are dirty (training
+    updates rows in place), so each eviction prices a scattered write-back
+    in addition to the miss's scattered fetch.
     """
 
     def __init__(
@@ -528,11 +530,6 @@ class TieredEmbeddingStore:
         """Fraction of touched rows resolved from the hot tier."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @property
-    def tier_time_s(self) -> float:
-        """Total simulated seconds spent on cold fetches and evictions."""
-        return self.fetch_time_s + self.writeback_time_s
 
     def reset_counters(self) -> None:
         """Zero the hit/miss/eviction counters and priced times.
@@ -638,30 +635,20 @@ class TieredEmbeddingStore:
             return fetch + self._evict_to_capacity()
 
     def _evict_to_capacity(self) -> float:
-        """Evict lowest-frequency cached rows until capacity holds.
+        """Evict lowest-frequency cached rows until the LFU pool holds at
+        most ``capacity_rows``; return the priced write-back seconds.
 
-        Returns the priced write-back seconds.  Pinned rows count against
-        ``capacity_rows`` but never evict, so when they alone exceed it the
-        whole pool goes and the tier stays over budget.  Nothing sizes
-        pinning against ``hot_bytes``: ``ShardedHotlineTrainer._build_tier``
-        pins the placement's whole hot set, which is sized against the HBM
-        budget, and on both tiered step-benchmark workloads it overflows
-        the tier alone (see ROADMAP.md, "Make the hot tier honour its
-        capacity").
+        Pinned rows never evict and do not count: they are the placement's
+        replicated hot rows, budgeted by the placement against the HBM
+        budget, and ``capacity_rows`` bounds the cached rows beside them.
         """
-        excess = self.resident_rows - self.capacity_rows
-        if excess <= 0 or self._keys.size == 0:
+        excess = self._keys.size - self.capacity_rows
+        if excess <= 0:
             return 0.0
-        if excess >= self._keys.size:
-            evicted = self._keys.size
-            self._keys = self._keys[:0]
-            self._counts = self._counts[:0]
-        else:
-            victims = np.argpartition(self._counts, excess - 1)[:excess]
-            evicted = excess
-            self._keys = np.delete(self._keys, victims)
-            self._counts = np.delete(self._counts, victims)
-        self.evictions += evicted
-        writeback = self.dma.write_time(evicted * self.row_bytes, scattered=True)
+        victims = np.argpartition(self._counts, excess - 1)[:excess]
+        self._keys = np.delete(self._keys, victims)
+        self._counts = np.delete(self._counts, victims)
+        self.evictions += excess
+        writeback = self.dma.write_time(excess * self.row_bytes, scattered=True)
         self.writeback_time_s += writeback
         return writeback

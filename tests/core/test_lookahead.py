@@ -194,42 +194,27 @@ def table_keys(batch):
 
 def test_epoch_row_stream_mirrors_loader_epochs():
     """Each batch's keys are its per-table unique rows, shifted by the
-    table offsets and laid out table-major."""
+    table offsets and laid out table-major — in the loader's own key space
+    and in a wider one over the same drawn order."""
     log = generate_click_log(TINY_DATASET, 512, seed=1)
+    wider = tuple(2 * rows for rows in TINY_DATASET.rows_per_table)
     for shuffle in (False, True):
         loader = MiniBatchLoader(log, batch_size=128, shuffle=shuffle, seed=4)
         batches = list(loader.epoch())  # draws (and records) the order
+        attributes = set(vars(loader))
         mirrored = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
         assert len(mirrored) == len(batches)
         for batch, keys in zip(batches, mirrored, strict=True):
             np.testing.assert_array_equal(keys, table_keys(batch))
-
-
-def test_epoch_row_stream_cache_hit_is_identical():
-    """A replayed epoch serves the memoised row sets — same values, and
-    provably the cached objects (no recompute) — without changing the
-    stream a consumer sees."""
-    log = generate_click_log(TINY_DATASET, 512, seed=2)
-    loader = MiniBatchLoader(log, batch_size=128)
-    list(loader.epoch())
-    first = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
-    assert getattr(loader, "_row_stream_cache", None) is not None
-    list(loader.epoch())  # unshuffled: same order (None) every epoch
-    second = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
-    assert len(second) == len(first)
-    for keys_a, keys_b in zip(first, second, strict=True):
-        assert keys_b is keys_a  # served from cache, not recomputed
-        np.testing.assert_array_equal(keys_a, keys_b)
-    # Another key space over the same order is recomputed, not served.
-    wider = tuple(2 * rows for rows in TINY_DATASET.rows_per_table)
-    offsets = key_offsets(wider)[:, None]
-    for batch, keys in zip(loader.epoch(), epoch_row_stream(loader, wider), strict=True):
-        np.testing.assert_array_equal(keys, np.unique(batch.sparse + offsets))
+        offsets = key_offsets(wider)[:, None]
+        for batch, keys in zip(batches, epoch_row_stream(loader, wider), strict=True):
+            np.testing.assert_array_equal(keys, np.unique(batch.sparse + offsets))
+        assert set(vars(loader)) == attributes  # the stream stores nothing
 
 
 def test_epoch_row_stream_cache_invalidated_by_new_order():
-    """A shuffled loader draws a fresh order each epoch, so the cache never
-    serves a stale epoch's rows — each walk mirrors its own epoch exactly."""
+    """A shuffled loader draws a fresh order each epoch, and each walk
+    mirrors its own epoch exactly, never a previous epoch's rows."""
     log = generate_click_log(TINY_DATASET, 512, seed=3)
     loader = MiniBatchLoader(log, batch_size=128, shuffle=True, seed=9)
     for _ in range(2):
@@ -239,18 +224,30 @@ def test_epoch_row_stream_cache_invalidated_by_new_order():
             np.testing.assert_array_equal(keys, table_keys(batch))
 
 
-def test_epoch_row_stream_partial_walk_never_caches():
-    """Abandoning the stream mid-epoch must not install a truncated cache
-    that a later full walk would silently serve."""
-    log = generate_click_log(TINY_DATASET, 512, seed=5)
+@pytest.mark.parametrize("bad_id, table", [(4, 0), (-1, 0), (5, 1)])
+def test_out_of_range_ids_raise_before_the_window_moves(bad_id, table):
+    """An id outside its table must not form another table's key: in
+    ``(4, 4)`` tables, table 0's id 4 would be table 1's row 0, and -1 a
+    negative key.  ``observe`` raises naming the table, with no window
+    state changed, and so does the epoch stream as the batch enters."""
+    pipe = CachedEmbeddingPipeline((4, 4), window=1)
+    good = np.zeros((1, 2, 1), dtype=np.int64)
+    bad = good.copy()
+    bad[0, table, 0] = bad_id
+    with pytest.raises(ValueError, match=f"table {table}"):
+        pipe.observe(bad)
+    assert pipe.cached_rows_total == 0
+    pipe.observe(good)  # the window still works
+    assert pipe.cached_rows_total == 2
+
+    log = generate_click_log(TINY_DATASET, 256, seed=6)
+    log.sparse[130, table, 0] = -1 if bad_id < 0 else TINY_DATASET.rows_per_table[table]
     loader = MiniBatchLoader(log, batch_size=128)
     list(loader.epoch())
-    partial = epoch_row_stream(loader, TINY_DATASET.rows_per_table)
-    next(partial)
-    partial.close()
-    assert getattr(loader, "_row_stream_cache", None) is None
-    full = list(epoch_row_stream(loader, TINY_DATASET.rows_per_table))
-    assert len(full) == len(loader)
+    walk = epoch_row_stream(loader, TINY_DATASET.rows_per_table)
+    next(walk)  # the first batch is in range
+    with pytest.raises(ValueError, match=f"table {table}"):
+        next(walk)
 
 
 @pytest.mark.slow

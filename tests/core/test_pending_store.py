@@ -1,18 +1,18 @@
 """Bit-parity suite: flat-array pending store vs the dict reference.
 
 The :class:`~repro.core.lookahead.FlatPendingStore` replaces the original
-dict-of-rows deferred write-back store with one sorted key array, one value
-slab and one birth slab over every table's flat keys (row ``r`` of table
-``t`` is key ``offsets[t] + r``).  Everything observable must be
-**bit-identical** to the test oracle's ``ReferencePendingStore``
-(``tests/oracle.py``): flushed gradients (key order and accumulated
-values), birth steps, pending counts,
+dict-of-rows deferred write-back store with three aligned arrays over every
+table's flat keys (row ``r`` of table ``t`` is key ``offsets[t] + r``):
+the sorted pending keys, their gradient rows and their birth steps.
+Everything observable must be **bit-identical** to the test oracle's
+``ReferencePendingStore`` (``tests/oracle.py``): flushed gradients (key
+order and accumulated values), birth steps, pending counts,
 eviction/age flush order through a full :class:`CachedEmbeddingPipeline`,
 epoch carries, and conservation of every deferred unit of gradient.  The
-reset paths are pinned too: clearing the store must reset the gradient
-buffer, bitmap, and birth array atomically so a reused trainer starts from
-a state indistinguishable from a fresh one (the PR 5 counterpart of the
-PR 4 ``bind()`` fix).
+reset paths are pinned too: clearing the store must release the key,
+value and birth arrays atomically so a reused trainer starts from a state
+indistinguishable from a fresh one (the PR 5 counterpart of the PR 4
+``bind()`` fix).
 """
 
 import numpy as np
@@ -118,7 +118,7 @@ def test_buffers_allocate_lazily_and_window_bounded():
     assert store.pending_bytes == 0
     # Key 1 << 20 is row 0 of a second table behind a 1M-row first table.
     store.defer(SparseGradient(np.asarray([1 << 20], dtype=np.int64), np.ones((1, 2))), 0)
-    # The value slab tracks the single deferred row, not the tables.
+    # The value array holds the single deferred row, not the tables.
     assert store._values.shape == (1, 2)
     assert store._births.shape == (1,)
     store.clear()
@@ -166,13 +166,13 @@ def test_footprint_is_window_bounded_at_terabyte_scale():
         pipe.defer(grad)
     carry = pipe.begin_epoch(None)
     assert carry is not None  # the deferral path genuinely ran
-    # Bytes per pending row: (dim + 1) slab float64/int64 on <2x-capacity
-    # slabs, plus key + slot + recycled free-slot entries.
+    # A pending row holds an int64 key, a float64 value row and an int64
+    # birth step: dim * 8 + 16 bytes, inside this per-row bound.
     per_row_bound = 2 * (dim * 8 + 8) + 16 + 2 * 8
     assert pipe.peak_pending_bytes <= window_rows * per_row_bound
     # And nowhere near the ~10 GB table-sized buffer this regression pins.
     assert pipe.peak_pending_bytes < 1_000_000
-    # The epoch carry freed the slabs entirely (satellite of the same fix).
+    # The epoch carry freed the arrays entirely.
     assert pipe.pending_bytes == 0
 
 

@@ -225,8 +225,8 @@ def test_pending_peak_bytes_surfaces_and_stays_window_bounded(
     the flat and the tiered store alike, and stays proportional to the
     cached row set rather than the table sizes."""
     dim = tiny_model_config.embedding_dim
-    # Per pending row: values + births slabs (< 2x peak each), row id +
-    # slot + free-list entry — the bound test_pending_store derives.
+    # Per pending row: a value row, a birth step and a key (dim * 8 + 16
+    # bytes), inside the bound test_pending_store derives.
     per_row_bound = 2 * (dim * 8 + 8) + 16 + 2 * 8
     for tiered in (None, 96 * dim * 4):
         trainer, result = run_trainer(

@@ -61,8 +61,37 @@ def test_pinned_rows_never_evict():
     # Pinned prefill is a contiguous (non-scattered) read.
     assert tier.fetch_time_s > 0.0 and tier.dma.requests == 1
     tier.touch(1, np.array([[1, 2, 3]]))  # 3 cold rows, capacity 4
+    assert tier.evictions == 0  # pinned rows do not count against capacity
+    tier.touch(1, np.array([[4, 5, 6]]))  # the pool overflows by 2
     assert tier.evictions == 2
     assert tier.is_resident(0, np.array([10, 11, 12])).all()
+
+
+@pytest.mark.parametrize("capacity_rows", [0, 3, 12])
+def test_capacity_bounds_the_unpinned_pool_alone(capacity_rows):
+    """Pinned rows are budgeted by the placement, beside the tier's
+    capacity: after every touch, pin and repin the unpinned resident rows
+    fit ``capacity_rows``, and an eviction stops exactly at it rather than
+    making room for the pinned rows too."""
+    rows_per_table = (50, 7, 30)
+    tier = TieredEmbeddingStore(
+        rows_per_table, 4, hot_bytes=capacity_rows * 4 * 4, dma=DMAEngine()
+    )
+    rng = np.random.default_rng(capacity_rows)
+    for step in range(120):
+        evictions = tier.evictions
+        if step % 20 == 0:
+            tier.repin(rng.choice(sum(rows_per_table), size=8, replace=False))
+        elif step % 20 == 10:
+            tier.pin_rows(1, rng.integers(0, 7, size=2))
+        else:
+            table = int(rng.integers(len(rows_per_table)))
+            tier.touch(table, rng.integers(0, rows_per_table[table], size=(3, 2)))
+        pool = tier.resident_rows - tier.pinned_rows
+        assert pool <= tier.capacity_rows
+        if tier.evictions > evictions:
+            assert pool == tier.capacity_rows
+    assert tier.evictions > 0 and tier.pinned_rows > 0
 
 
 def test_bookkeeping_is_resident_set_sized():
@@ -200,8 +229,11 @@ def test_repin_moves_only_the_symmetric_difference():
     contiguous = dma.read_time(tier.row_bytes, scattered=False)
     assert contiguous < dma.read_time(tier.row_bytes, scattered=True)
     assert tier.fetch_time_s - fetched == contiguous
-    tier.touch(0, np.array([[7]]))  # 6 resident: at capacity
-    tier.touch(0, np.array([[9]]))
+    tier.touch(0, np.array([[7]]))
+    tier.touch(0, np.array([[9]]))  # 4 unpinned resident, capacity 6
+    assert tier.evictions == 0
+    assert tier.is_resident(0, np.array([1, 7, 9])).tolist() == [True, True, True]
+    tier.touch(0, np.array([[11, 13, 15]]))  # 7 unpinned: one over capacity
     assert tier.evictions == 1
     assert tier.is_resident(0, np.array([1, 7, 9])).tolist() == [False, True, True]
     with pytest.raises(ValueError):

@@ -168,15 +168,16 @@ class MergedGradientTrainer(ShardedHotlineTrainer):
 class ReferencePendingStore:
     """Dict-of-rows deferred write-back store — the bit-parity reference.
 
-    The original (pre-flat-store) implementation: one ``dict[int,
-    np.ndarray]`` of accumulated gradient rows plus one ``dict[int, int]``
-    of birth steps, both keyed by flat key.  Every ``defer``/``take`` walks
-    the step's keys in the Python interpreter — O(nnz) dict churn per
-    training step — which is exactly the overhead
-    :class:`~repro.core.lookahead.FlatPendingStore` removes.  It is the
-    ground truth the parity suite and the pending-store benchmark compare
-    against; swap it into a pipeline with ``pipe.pending =
-    ReferencePendingStore()``.
+    The original implementation: one ``dict[int, np.ndarray]`` of
+    accumulated gradient rows plus one ``dict[int, int]`` of birth steps,
+    both keyed by flat key.  Every ``defer``/``take`` walks the step's keys
+    in the Python interpreter — O(nnz) dict churn per training step.
+    :class:`~repro.core.lookahead.FlatPendingStore` holds the same rows as
+    three aligned arrays (sorted keys, gradient rows, birth steps) and must
+    reproduce this store's flushed keys, values and birth steps bit for
+    bit.  It is the ground truth the parity suite and the pending-store
+    benchmark compare against; swap it into a pipeline with
+    ``pipe.pending = ReferencePendingStore()``.
     """
 
     def __init__(self):
@@ -190,12 +191,12 @@ class ReferencePendingStore:
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes held by the dict store (value rows + per-key id/birth ints).
+        """Bytes of the value rows plus 16 per key (its id and birth step).
 
-        API symmetry with
-        :attr:`~repro.core.lookahead.FlatPendingStore.pending_bytes`; the
-        dict store is inherently window-bounded (it only ever holds
-        deferred rows), it just pays the interpreter for it.
+        The count :attr:`~repro.core.lookahead.FlatPendingStore.pending_bytes`
+        makes of its three arrays; the dict store is inherently
+        window-bounded (it only ever holds deferred rows), it just pays the
+        interpreter for it.
         """
         return sum(value.nbytes + 16 for value in self._pending.values())
 
@@ -266,11 +267,12 @@ class ReferenceTieredStore:
 
     One sorted resident-row array per table, with aligned access counts,
     and one sorted pinned-row array per table; pinned rows are also
-    resident (and keep counts nobody reads).  Eviction concatenates every
-    table's unpinned resident rows, table-major and row-ascending, and
-    evicts the ``argpartition`` of their counts.  The flat-keyed
-    :class:`~repro.nn.embedding.TieredEmbeddingStore` must reproduce its
-    counters, priced times and residency exactly.
+    resident (and keep counts nobody reads).  Eviction keeps the unpinned
+    resident rows within ``capacity_rows`` (pinned rows do not count): it
+    concatenates every table's unpinned resident rows, table-major and
+    row-ascending, and evicts the ``argpartition`` of their counts.  The
+    flat-keyed :class:`~repro.nn.embedding.TieredEmbeddingStore` must
+    reproduce its counters, priced times and residency exactly.
     """
 
     def __init__(self, rows_per_table, dim: int, *, hot_bytes: float, dma, dtype_bytes: int = 4):
@@ -362,7 +364,8 @@ class ReferenceTieredStore:
         self._counts[table] = np.insert(self._counts[table], positions, counts)
 
     def _evict_to_capacity(self) -> float:
-        excess = self.resident_rows - self.capacity_rows
+        pinned = sum(rows.size for rows in self._pinned)
+        excess = self.resident_rows - pinned - self.capacity_rows
         if excess <= 0:
             return 0.0
         candidate_counts, candidate_tables, candidate_positions = [], [], []

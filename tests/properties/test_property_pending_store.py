@@ -7,7 +7,7 @@ flushes and takes — with duplicate and unsorted keys, which take the
 store's duplicate-safe path, two defers at one step, and staleness bounds
 0-4 — must leave it indistinguishable from the test oracle's
 ``ReferencePendingStore``: the same flushed keys, bytes and birth steps
-after every call.
+after every call.  Its byte count must equal the arrays it holds.
 """
 
 import numpy as np
@@ -65,5 +65,8 @@ def test_flat_store_matches_the_dict_reference(ops, seed):
             assert_same(flat.take_all(), ref.take_all())
         assert flat.total_pending == ref.total_pending
         assert flat.birth_steps() == ref.birth_steps()
+        # The bytes counted are the arrays held: an int64 key, an int64
+        # birth step and a float64 value row per pending key, 0 when empty.
+        assert flat.pending_bytes == flat.total_pending * (16 + DIM * 8)
     assert_same(flat.take_all(), ref.take_all())
     assert flat.pending_bytes == 0
