@@ -15,16 +15,31 @@ Two accounting series for ``BENCH_sparse_path.json``:
   lookups with the head pinned, tracking the tier's effectiveness across
   commits (informational: the hit rate follows the skew, not a code
   property worth gating).
+* ``k4_bind_peak_bytes`` and ``evaluate_retained_bytes`` — the host
+  footprint of a K=4 trainer at the step benchmark's RM2 scale, traced
+  with :mod:`tracemalloc` (deterministic): constructing and binding it
+  peaks below two EALs' arrays (the learning phase holds one EAL's at a
+  time), and evaluating a 4,096-sample held-out batch retains under
+  64 KiB (the inference forward stores nothing on the model).  Both are
+  recorded as gated headroom (``bound / measured``, gate 1.0).
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
 from benchmarks.figutils import record_bench
+from repro.core import HotlineScheduler
+from repro.core.distributed import ShardedHotlineTrainer
+from repro.core.engine import evaluate
 from repro.core.lookahead import CachedEmbeddingPipeline
+from repro.data import MiniBatchLoader, SyntheticClickLog, generate_click_log
+from repro.hwsim import single_node
 from repro.models import RM2
+from repro.models.dlrm import DLRM
 from repro.nn.embedding import SparseGradient, TieredEmbeddingStore, key_offsets
+from repro.perf import TrainingCostModel
 
 TABLE_ROWS = 10_000_000
 DIM = 8
@@ -200,3 +215,66 @@ def test_tiered_store_traffic(benchmark):
     assert tier.hits > tier.misses  # the pinned head absorbs the skew
     assert tier.evictions > 0  # the tail actually churned
     assert tier.resident_rows <= tier.capacity_rows + 256
+
+
+def test_k4_trainer_footprint_at_benchmark_scale():
+    """A K=4 trainer over RM2 scaled to 1,200-row tables (the step
+    benchmark's ``k4-sync`` set-up, default 4 MB EAL): constructing and
+    binding it peaks below two EALs' arrays, and evaluating a 4,096-sample
+    batch retains under 64 KiB."""
+    config = RM2.scaled(1200)
+    train, held = 32768, 4096
+    full = generate_click_log(config.dataset, train + held, 0)
+    log = SyntheticClickLog(
+        config.dataset, full.dense[:train], full.sparse[:train], full.labels[:train]
+    )
+    loader = MiniBatchLoader(log, batch_size=256, shuffle=True, seed=1)
+    held_out = full.batch(train, held)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        base = tracemalloc.get_traced_memory()[0]
+        trainer = ShardedHotlineTrainer(
+            DLRM(config, seed=1), 4, lr=0.3, sample_fraction=0.25,
+            perf_model=HotlineScheduler(TrainingCostModel(RM2, cluster=single_node(4))),
+        )
+        trainer.bind(loader)
+        bind_peak = tracemalloc.get_traced_memory()[1] - base
+        bind_s = time.perf_counter() - start
+        start = time.perf_counter()
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(trainer.model, held_out)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        eval_s = time.perf_counter() - start
+    finally:
+        tracemalloc.stop()
+
+    eal = trainer.shards[0].accelerator.eal
+    eal_bytes = eal.config.num_sets * eal.config.ways * (1 + 8 + 1)
+    bind_bound = 2 * eal_bytes
+    retained_bound = 64 * 1024
+    print(
+        f"\nK=4 RM2 @ 1200 rows: construct + bind peak {bind_peak} B "
+        f"(bound {bind_bound} B = two EALs), evaluate({held}) retained "
+        f"{retained} B (bound {retained_bound} B)"
+    )
+    record_bench(
+        "k4_bind_peak_bytes",
+        config=f"RM2 max_rows=1200, K=4, sample_fraction=0.25, eal_bytes={eal_bytes}, "
+        f"peak_bytes={bind_peak}, bound_bytes={bind_bound}",
+        seconds=bind_s,
+        speedup=bind_bound / bind_peak,
+        gate=1.0,
+        enforced=True,
+    )
+    record_bench(
+        "evaluate_retained_bytes",
+        config=f"RM2 max_rows=1200, K=4, held_out={held}, retained_bytes={retained}, "
+        f"bound_bytes={retained_bound}",
+        seconds=eval_s,
+        speedup=retained_bound / max(retained, 1),
+        gate=1.0,
+        enforced=True,
+    )
+    assert bind_peak < bind_bound
+    assert retained < retained_bound

@@ -265,17 +265,24 @@ class ShardedHotlineTrainer(StepExecutor):
         Every shard sees only its own contiguous slice of each sampled
         mini-batch — the same data it will train on — so its placement
         tracks the skew of *its* partition, exactly as a per-node EAL would.
+        The shards learn one after the other: shard k reads its slice of
+        every sampled batch, its hot sets are taken and its EAL's arrays
+        released (counters kept) before shard k + 1 starts, so at most one
+        EAL's arrays are live.  Each EAL sees exactly its own accesses in
+        batch order, as when the shards interleave.
         """
-        sampled = loader.sample_batches(self.sample_fraction, seed=seed)
-        for batch in sampled:
-            shards = batch.shards(self.num_shards)
-            for shard_batch, shard in zip(shards, self.shards, strict=True):
-                if shard_batch.size:
-                    shard.accelerator.learn_from_batch(shard_batch.sparse)
+        sampled = [
+            batch.shards(self.num_shards)
+            for batch in loader.sample_batches(self.sample_fraction, seed=seed)
+        ]
         config = self.model.config
         num_tables = config.num_sparse_features
-        for shard in self.shards:
+        for k, shard in enumerate(self.shards):
+            for shards in sampled:
+                if shards[k].size:
+                    shard.accelerator.learn_from_batch(shards[k].sparse)
             hot_sets = shard.accelerator.hot_sets(num_tables)
+            shard.accelerator.eal.release()
             if shard.placement is None:
                 shard.placement = EmbeddingPlacement(
                     hot_sets=hot_sets,

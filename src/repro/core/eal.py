@@ -81,16 +81,23 @@ class EmbeddingAccessLogger:
     accesses in the block's order, table-major as the lookup engines feed
     them, and the result equals accessing one lookup at a time
     (``tests/oracle.py``'s ``ReferenceEAL`` is that per-access loop).
+
+    The arrays exist only while the EAL learns, as the SRAM's tracked set
+    matters only until it becomes the placement.  They are allocated at
+    the first access after construction or :meth:`clear`;
+    :meth:`release` drops them and keeps the hit, miss, insertion and
+    eviction counters, and :meth:`clear` drops them and zeroes the
+    counters.  The trainers release each EAL as soon as its hot sets are
+    taken.  Without arrays the EAL tracks nothing: :meth:`contains` is
+    false, :meth:`hot_indices` empty and :attr:`occupancy` 0.
     """
 
     def __init__(self, config: EALConfig | None = None, seed: int = 0):
         self.config = config or EALConfig()
         self._randomizer = FeistelRandomizer(seed=seed)
-        sets = self.config.num_sets
-        ways = self.config.ways
-        self._valid = np.zeros((sets, ways), dtype=bool)
-        self._rrpv = np.full((sets, ways), self.config.max_rrpv, dtype=np.int8)
-        self._keys = np.zeros((sets, ways), dtype=np.uint64)
+        self._valid: np.ndarray | None = None
+        self._rrpv: np.ndarray | None = None
+        self._keys: np.ndarray | None = None
         self.hits = 0
         self.misses = 0
         self.insertions = 0
@@ -115,6 +122,14 @@ class EmbeddingAccessLogger:
             raise ValueError("EAL table ids must be non-negative")
         keys = rows.astype(np.uint64) | (tables.astype(np.uint64)[:, None] << ROW_BITS)
         return keys.reshape(-1)
+
+    def _allocate(self) -> None:
+        """Allocate the empty ``(sets, ways)`` arrays if none are held."""
+        if self._valid is None:
+            shape = (self.config.num_sets, self.config.ways)
+            self._valid = np.zeros(shape, dtype=bool)
+            self._rrpv = np.full(shape, self.config.max_rrpv, dtype=np.int8)
+            self._keys = np.zeros(shape, dtype=np.uint64)
 
     def _sets_of(self, keys: np.ndarray) -> np.ndarray:
         """Set of each packed key, chosen by the Feistel randomizer.
@@ -160,6 +175,8 @@ class EmbeddingAccessLogger:
         that has one, all sets at once.
         """
         total = keys.size
+        if total:
+            self._allocate()
         sets = self._sets_of(keys)
         order = np.argsort(sets, kind="stable")
         sets, keys = sets[order], keys[order]
@@ -220,7 +237,7 @@ class EmbeddingAccessLogger:
 
         An id outside ``[0, 2**40)`` is never tracked.
         """
-        if table < 0 or not 0 <= index <= _ROW_MASK:
+        if self._valid is None or table < 0 or not 0 <= index <= _ROW_MASK:
             return False
         key = self._pack(np.array([table]), np.array([[index]]))
         set_idx = self._sets_of(key)[0]
@@ -228,6 +245,8 @@ class EmbeddingAccessLogger:
 
     def hot_indices(self, num_tables: int) -> list[np.ndarray]:
         """Currently tracked indices, grouped per table and sorted."""
+        if self._valid is None:
+            return [np.empty(0, dtype=np.int64) for _ in range(num_tables)]
         keys = np.sort(self._keys[self._valid])
         bounds = np.searchsorted(keys, np.arange(num_tables + 1, dtype=np.uint64) << ROW_BITS)
         rows = (keys & _ROW_MASK).astype(np.int64)
@@ -236,7 +255,7 @@ class EmbeddingAccessLogger:
     @property
     def occupancy(self) -> float:
         """Fraction of entries currently valid."""
-        return float(self._valid.mean())
+        return 0.0 if self._valid is None else float(self._valid.mean())
 
     @property
     def hit_rate(self) -> float:
@@ -251,11 +270,17 @@ class EmbeddingAccessLogger:
         self.insertions = 0
         self.evictions = 0
 
+    def release(self) -> None:
+        """Drop the tracked set's arrays; the counters stay.
+
+        Called once the learning phase has taken the hot sets: the next
+        access starts from an empty EAL.
+        """
+        self._valid = self._rrpv = self._keys = None
+
     def clear(self) -> None:
         """Forget everything — used when re-entering the learning phase."""
-        self._valid[:] = False
-        self._rrpv[:] = self.config.max_rrpv
-        self._keys[:] = 0
+        self.release()
         self.reset_statistics()
 
 

@@ -128,8 +128,10 @@ class HotlineTrainer(StepExecutor):
     def learning_phase(self, loader: MiniBatchLoader, seed: int = 0) -> EmbeddingPlacement:
         """Sample mini-batches, populate the EAL, and build the placement.
 
-        When a placement already exists (recalibration), the freshly tracked
-        hot sets are applied as in-place bitmap deltas instead of rebuilding
+        Once the hot sets are taken the EAL's arrays are released (its
+        counters stay): the tracked set lives on as the placement.  When a
+        placement already exists (recalibration), the freshly tracked hot
+        sets are applied as in-place bitmap deltas instead of rebuilding
         the :class:`~repro.core.hotset.HotSetIndex` from scratch.
         """
         sampled = loader.sample_batches(self.sample_fraction, seed=seed)
@@ -137,6 +139,7 @@ class HotlineTrainer(StepExecutor):
             self.accelerator.learn_from_batch(batch.sparse)
         num_tables = self.model.config.num_sparse_features
         hot_sets = self.accelerator.hot_sets(num_tables)
+        self.accelerator.eal.release()
         if self.placement is None:
             self.placement = EmbeddingPlacement(
                 hot_sets=hot_sets,

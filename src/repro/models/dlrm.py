@@ -29,6 +29,7 @@ from repro.nn.embedding import (
 )
 from repro.nn.interaction import (
     DotInteractionKernel,
+    dot_interaction,
     interaction_output_dim,
 )
 from repro.nn.loss import fused_bce_epilogue, predicted_probabilities
@@ -262,8 +263,32 @@ class DLRM:
         return losses, np.stack(grad_sparse, axis=1)
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
-        """Predicted click probabilities for a batch."""
-        return predicted_probabilities(self.forward(batch))
+        """Predicted click probabilities for a batch: the inference forward.
+
+        The arithmetic of :meth:`forward`, bit for bit, but nothing is
+        stored on the model: the layers keep no activations, the
+        interaction runs unpooled
+        (:func:`~repro.nn.interaction.dot_interaction`) and no table
+        remembers its indices.  So a ``predict`` between a forward and its
+        backward leaves the gradients as they were, and an evaluation
+        retains no memory.  Rows are read with
+        :meth:`~repro.nn.embedding.EmbeddingBag.gather`, which does not
+        touch an attached tier.
+        """
+        if batch.num_tables != len(self.tables):
+            raise ValueError(
+                f"batch has {batch.num_tables} sparse features, model expects {len(self.tables)}"
+            )
+        # The pooled rows and the interaction cache die here, before the
+        # top MLP's activations are allocated.
+        interaction = dot_interaction(
+            self.bottom_mlp.infer(batch.dense),
+            [
+                table.gather(batch.sparse[:, t, :]).sum(axis=1)
+                for t, table in enumerate(self.tables)
+            ],
+        )[0]
+        return predicted_probabilities(self.top_mlp.infer(interaction).reshape(-1))
 
     def dense_parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(parameter, gradient) pairs of both MLPs."""

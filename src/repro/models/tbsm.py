@@ -262,8 +262,27 @@ class TBSM:
         return losses, grad_sequence, grad_features[:, 2 * dim :]
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
-        """Predicted click probabilities for a batch."""
-        return predicted_probabilities(self.forward(batch))
+        """Predicted click probabilities for a batch: the inference forward.
+
+        The arithmetic of :meth:`forward`, bit for bit, but nothing is
+        stored on the model (no layer or attention caches, no history
+        indices, no table's last indices), so a ``predict`` between a
+        forward and its backward leaves the gradients as they were.  Rows
+        are read with :meth:`~repro.nn.embedding.EmbeddingBag.gather`,
+        which does not touch an attached tier.
+        """
+        if batch.num_tables != len(self.tables):
+            raise ValueError("batch sparse-feature count does not match the model")
+        dense_out = self.bottom_mlp.infer(batch.dense)
+        sequence = self.tables[0].gather(batch.sparse[:, 0, :])
+        context = self.attention.infer(dense_out, sequence)
+        other_outputs = [
+            table.gather(batch.sparse[:, t, :]).sum(axis=1)
+            for t, table in enumerate(self.tables)
+            if t != 0
+        ]
+        features = np.concatenate([context, dense_out] + other_outputs, axis=1)
+        return predicted_probabilities(self.top_mlp.infer(features).reshape(-1))
 
     def dense_parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(parameter, gradient) pairs of both MLPs."""

@@ -30,6 +30,22 @@ class DotProductAttention:
 
         Returns the context vector of shape (batch, dim).
         """
+        context, weights, root_dim = self._attend(query, sequence)
+        self._cache = {
+            "query": query,
+            "sequence": sequence,
+            "weights": weights,
+            "scale": 1.0 / root_dim,
+        }
+        return context
+
+    def infer(self, query: np.ndarray, sequence: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s context, caching nothing for a backward."""
+        return self._attend(query, sequence)[0]
+
+    @staticmethod
+    def _attend(query: np.ndarray, sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The context, the attention weights and ``sqrt(dim)``."""
         if query.ndim != 2 or sequence.ndim != 3:
             raise ValueError("query must be (batch, dim) and sequence (batch, steps, dim)")
         # A Python float, not ``np.sqrt``'s float64 scalar, so float32
@@ -38,13 +54,7 @@ class DotProductAttention:
         scores = np.einsum("bd,btd->bt", query, sequence) / root_dim
         weights = _softmax(scores, axis=1)
         context = np.einsum("bt,btd->bd", weights, sequence)
-        self._cache = {
-            "query": query,
-            "sequence": sequence,
-            "weights": weights,
-            "scale": 1.0 / root_dim,
-        }
-        return context
+        return context, weights, root_dim
 
     def backward(self, grad_context: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate through the attention.

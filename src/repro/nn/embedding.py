@@ -76,7 +76,9 @@ never evict; the byte capacity bounds the cached rows beside them.
 :meth:`EmbeddingBag.attach_tier` makes a table resolve lookups through a
 tier transparently — every :meth:`EmbeddingBag.lookup` (which ``forward``
 pools, and which TBSM's history sequence reads unpooled) touches the
-tier, nothing else changes.
+tier, nothing else changes.  The models' ``predict`` reads rows through
+:meth:`EmbeddingBag.gather`, which never touches the tier: an evaluation
+is not training traffic.
 """
 
 from __future__ import annotations
@@ -295,6 +297,20 @@ class EmbeddingBag:
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         """The unpooled rows selected by each sample, through the tier.
 
+        :meth:`gather`, then a touch of the attached tier.
+        """
+        indices = self._checked(indices)
+        rows = self.weight[indices]
+        if self._tier is not None:
+            self._tier.touch(self._tier_table, indices)
+        return rows
+
+    def gather(self, indices: np.ndarray) -> np.ndarray:
+        """The unpooled rows selected by each sample, read from the weights.
+
+        The inference read: an attached tier is not touched, so an
+        evaluation never counts as training traffic.
+
         Args:
             indices: Integer block of shape (batch, pooling) — one row of
                 lookups per sample (``MiniBatch.sparse[:, table, :]``).
@@ -305,6 +321,10 @@ class EmbeddingBag:
         Raises:
             ValueError: if an id lies outside ``[0, num_rows)``.
         """
+        return self.weight[self._checked(indices)]
+
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
+        """``indices`` as an int64 (batch, pooling) block of in-range ids."""
         try:
             indices = np.asarray(indices, dtype=np.int64)
         except ValueError as exc:
@@ -318,17 +338,14 @@ class EmbeddingBag:
             # Numpy would wrap a negative id to a row from the table's end;
             # in the flat key space it would name another table's row.
             raise ValueError(f"{self.name}: row id out of range [0, {self.num_rows})")
-        rows = self.weight[indices]
-        if self._tier is not None:
-            self._tier.touch(self._tier_table, indices)
-        return rows
+        return indices
 
     def forward(self, indices: np.ndarray) -> np.ndarray:
         """Sum-pool the rows selected by each sample.
 
         Args:
             indices: Integer block of shape (batch, pooling), as for
-                :meth:`lookup`.  Pooling may be 0, in which case every
+                :meth:`gather`.  Pooling may be 0, in which case every
                 pooled vector is zero.
 
         Returns:

@@ -52,13 +52,18 @@ kernel across threads would race on the Gram workspace.
   (it lives inside the returned cache) and returned to the pool when
   ``backward`` consumes the cache.  A cache is therefore **single-use**:
   after its backward, a later forward of the same shape may recycle the
-  buffer.  Forwards that never reach a backward (evaluation) simply drop
-  the buffer to the garbage collector.
+  buffer.  A cache that never reaches a backward keeps its buffer out of
+  the pool for as long as the caller holds the cache.
 * The ``(batch, f, f)`` *Gram* buffer is transient within one call: the
   forward extracts the pair columns immediately and the backward's
   symmetric fill overwrites every off-diagonal element it reads (the
   diagonal is zeroed on every backward), so one pooled buffer per shape
-  serves both directions.
+  serves both directions.  The pool keeps one per batch shape it has
+  served, for the kernel's lifetime.
+* **Inference never reaches the kernel.**  The models' ``predict`` calls
+  the unpooled :func:`dot_interaction` and drops its cache, so an
+  evaluation batch leaves no Gram in the pool and no stack buffer on the
+  model: the pools hold training shapes only.
 * The backward's ``grad_stacked`` output is a **fresh** allocation every
   call — the per-feature gradients the caller receives are views into
   it, and callers accumulate them across µ-batch segments, so that array
@@ -233,6 +238,7 @@ def _forward_impl(
         gram = np.matmul(stacked, stacked.transpose(0, 2, 1), out=gram_buf)
     rows, cols = _tril_pairs(num_features)
     interactions = gram[:, rows, cols]  # (batch, n_pairs) — a fresh copy
+    del gram  # an unpooled Gram is freed before the output is allocated
     output = np.concatenate([dense, interactions], axis=1)
     cache = {
         "stacked": stacked,
@@ -292,8 +298,10 @@ def dot_interaction(dense: np.ndarray, sparse: list[np.ndarray]) -> tuple[np.nda
     """Pairwise dot-product interaction.
 
     Runs the certified batched-GEMM kernel with fresh (unpooled) buffers —
-    thread-safe; models use :class:`DotInteractionKernel` for the pooled,
-    allocation-free steady state.
+    thread-safe, and bit-identical to :class:`DotInteractionKernel`'s
+    forward.  Models train through the kernel's pooled, allocation-free
+    steady state and predict through this function, which retains
+    nothing once its result and cache are dropped.
 
     Args:
         dense: Bottom-MLP output of shape (batch, dim).

@@ -3,6 +3,10 @@
 Each layer exposes ``forward`` and ``backward``.  ``backward`` receives the
 gradient with respect to the layer output and returns the gradient with
 respect to its input, accumulating parameter gradients in ``grads``.
+``infer`` returns ``forward``'s output from the same arithmetic, bit for
+bit, but keeps nothing for a backward: evaluation runs through it, so it
+never holds an activation and never overwrites the one a pending backward
+reads.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ class Layer(Protocol):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute the layer output for input ``x``."""
+        ...
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """``forward``'s output, caching nothing."""
         ...
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -41,6 +49,10 @@ class Linear:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Affine transform of a (batch, in_features) input."""
         self._input = x
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The affine transform without keeping the input."""
         return x @ self.weight + self.bias
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -77,6 +89,10 @@ class ReLU:
         self._mask = x > 0
         return x * self._mask
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Element-wise max(x, 0) without keeping the mask."""
+        return x * (x > 0)
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Pass gradient through where the input was positive."""
         if self._mask is None:
@@ -103,6 +119,11 @@ class Sigmoid:
         self._output: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """The sigmoid, kept for the backward."""
+        self._output = self.infer(x)
+        return self._output
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         """Numerically-stable sigmoid.
 
         One shared ``e = exp(-|x|)`` pass feeds both branches: for
@@ -116,7 +137,6 @@ class Sigmoid:
         out[positive] = 1.0 / (1.0 + e[positive])
         negative = ~positive
         out[negative] = e[negative] / (1.0 + e[negative])
-        self._output = out
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

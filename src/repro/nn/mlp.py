@@ -52,6 +52,13 @@ class MLP:
             out = layer.forward(out)
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s output without caching any activation."""
+        out = x
+        for layer in self.layers:
+            out = layer.infer(out)
+        return out
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate through the stack, returning the input gradient."""
         grad = grad_output

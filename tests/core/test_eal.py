@@ -200,7 +200,11 @@ def test_learning_phase_places_as_the_per_access_loop(
     tiny_model_config, tiny_click_log, num_shards, eal_config
 ):
     """Each shard's EAL ends the learning phase in the per-access loop's
-    state, so every shard's placement is the same."""
+    state, so every shard's placement is the same.
+
+    The learning phase releases each EAL's arrays once its hot sets are
+    taken, so the arrays compared are the ones each EAL held at its
+    release, and each must track something."""
 
     def learn(eal_cls):
         model = DLRM(tiny_model_config, seed=1)
@@ -210,23 +214,67 @@ def test_learning_phase_places_as_the_per_access_loop(
         else:
             trainer = ShardedHotlineTrainer(model, num_shards, sample_fraction=0.25)
             accelerators = [shard.accelerator for shard in trainer.shards]
+        released = []
         for k, accelerator in enumerate(accelerators):
-            accelerator.eal = eal_cls(eal_config, seed=k)
+            eal = accelerator.eal = eal_cls(eal_config, seed=k)
+            eal.release = record_release(eal, released)
         placed = trainer.learning_phase(MiniBatchLoader(tiny_click_log, batch_size=128))
         placements = placed if isinstance(placed, list) else [placed]
-        return placements, [accelerator.eal for accelerator in accelerators]
+        eals = [accelerator.eal for accelerator in accelerators]
+        assert [eal for eal, _arrays in released] == eals  # one release each, in shard order
+        return placements, eals, [arrays for _eal, arrays in released]
 
-    placements, eals = learn(EmbeddingAccessLogger)
-    ref_placements, ref_eals = learn(ReferenceEAL)
+    placements, eals, held = learn(EmbeddingAccessLogger)
+    ref_placements, ref_eals, ref_held = learn(ReferenceEAL)
     for placement, ref_placement in zip(placements, ref_placements, strict=True):
         for hot, ref_hot in zip(placement.hot_sets, ref_placement.hot_sets, strict=True):
             assert hot.tolist() == ref_hot.tolist()
+    for placement, (valid, keys, rrpv), (ref_valid, ref_keys, ref_rrpv) in zip(
+        placements, held, ref_held, strict=True
+    ):
+        assert valid.any()
+        # The placement is the tracked set the EAL held at its release.
+        assert sum(hot.size for hot in placement.hot_sets) == valid.sum()
+        assert np.array_equal(valid, ref_valid)
+        assert np.array_equal(keys, ref_keys)
+        assert np.array_equal(rrpv, ref_rrpv)
     for eal, ref in zip(eals, ref_eals, strict=True):
-        assert np.array_equal(eal._valid, ref._valid)
-        assert np.array_equal(eal._keys, ref._keys)
-        assert np.array_equal(eal._rrpv, ref._rrpv)
         assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (
             ref.hits, ref.misses, ref.insertions, ref.evictions
         )
     if eal_config.num_entries < 1000:
         assert all(eal.evictions > 0 for eal in eals)
+
+
+def record_release(eal, released):
+    """``eal.release``, first appending ``(eal, its arrays)`` to ``released``."""
+    release = eal.release
+
+    def recorded():
+        released.append((eal, (eal._valid, eal._keys, eal._rrpv)))
+        release()
+
+    return recorded
+
+
+def test_release_drops_the_arrays_and_keeps_the_counters():
+    """The arrays exist from the first access to a release or clear; a
+    released EAL tracks nothing, counts on, and re-allocates empty arrays
+    at its next access."""
+    eal = small_eal()
+    assert (eal._valid, eal._keys, eal._rrpv) == (None, None, None)
+    assert eal.access_batch(np.empty((0, 2, 1), dtype=np.int64)) == 0
+    assert eal._valid is None  # an empty block is no access
+    eal.access(0, 5)
+    eal.access(0, 5)
+    assert eal._valid.sum() == 1
+    eal.release()
+    assert (eal._valid, eal._keys, eal._rrpv) == (None, None, None)
+    assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (1, 1, 1, 0)
+    assert not eal.contains(0, 5)
+    assert [hot.tolist() for hot in eal.hot_indices(2)] == [[], []]
+    assert eal.occupancy == 0.0
+    assert eal.access(0, 5) is False
+    assert eal._valid.sum() == 1 and eal.misses == 2
+    eal.clear()
+    assert eal._valid is None and eal.misses == 0

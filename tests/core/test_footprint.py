@@ -1,0 +1,104 @@
+"""What evaluation and the learning phase leave in memory.
+
+Traced with :mod:`tracemalloc`, to which numpy reports its buffers, so the
+counts repeat exactly from run to run:
+
+* ``evaluate`` runs the models' inference forward, which stores nothing
+  on the model: no layer activations, no interaction cache or pooled
+  Gram, no lookup indices.
+* An EAL holds its three ``(sets, ways)`` arrays only while it learns.
+  The learning phase releases each EAL once its hot sets are taken, and
+  the sharded trainer learns one shard at a time, so at most one EAL's
+  arrays are ever live.
+"""
+
+import tracemalloc
+
+import pytest
+
+from repro.core.distributed import ShardedHotlineTrainer
+from repro.core.engine import evaluate
+from repro.core.pipeline import HotlineTrainer
+from repro.data.loader import MiniBatchLoader
+from repro.models.dlrm import DLRM
+from repro.models.tbsm import TBSM
+
+#: What an evaluation may leave behind: module-level index caches, not
+#: a batch's activations.
+RETAINED_BOUND = 64 * 1024
+
+
+def eal_bytes(eal) -> int:
+    """Bytes of one EAL's valid, key and RRPV arrays once allocated."""
+    entries = eal.config.num_sets * eal.config.ways
+    return entries * (1 + 8 + 1)
+
+
+def held_arrays(eal) -> list:
+    return [array for array in (eal._valid, eal._keys, eal._rrpv) if array is not None]
+
+
+@pytest.mark.parametrize("model_cls", [DLRM, TBSM])
+def test_evaluate_retains_no_batch_state(
+    model_cls, tiny_model_config, tiny_ts_model_config, tiny_click_log, tiny_ts_click_log
+):
+    """Two evaluations of a 1,024-sample batch on a trained model retain
+    less than 64 KiB between them (the batch's activations alone are
+    several times that)."""
+    config, log = (
+        (tiny_model_config, tiny_click_log)
+        if model_cls is DLRM
+        else (tiny_ts_model_config, tiny_ts_click_log)
+    )
+    model = model_cls(config, seed=0)
+    model.train_step(log.batch(0, 64), lr=0.1)
+    batch = log.batch(0, 1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = evaluate(model, batch)
+        second = evaluate(model, batch)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert first == second
+    assert retained < RETAINED_BOUND
+
+
+@pytest.mark.parametrize("num_shards", [1, 4])
+def test_bound_trainer_holds_no_eal_arrays(
+    tiny_model_config, tiny_click_log, num_shards
+):
+    """After bind every EAL has released its arrays and kept its counters."""
+    model = DLRM(tiny_model_config, seed=1)
+    if num_shards == 1:
+        trainer = HotlineTrainer(model, sample_fraction=0.25)
+        eals = [trainer.accelerator.eal]
+    else:
+        trainer = ShardedHotlineTrainer(model, num_shards, sample_fraction=0.25)
+        eals = [shard.accelerator.eal for shard in trainer.shards]
+    trainer.bind(MiniBatchLoader(tiny_click_log, batch_size=128))
+    for eal in eals:
+        assert held_arrays(eal) == []
+        assert eal.insertions > 0 and eal.hits + eal.misses > 0
+
+
+def test_sharded_learning_phase_peaks_with_one_eal_live(tiny_model_config, tiny_click_log):
+    """Constructing a K=4 trainer and running its learning phase allocates
+    one default (4 MB SRAM) EAL's arrays at a time: the traced peak is
+    above one EAL's bytes and below two, where EALs that each hold their
+    arrays from construction peak above four."""
+    model = DLRM(tiny_model_config, seed=1)
+    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trainer = ShardedHotlineTrainer(model, 4, sample_fraction=0.25)
+        trainer.learning_phase(loader)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    one_eal = eal_bytes(trainer.shards[0].accelerator.eal)
+    assert one_eal == 20 * 2**20
+    assert one_eal <= peak < 2 * one_eal
+    assert all(held_arrays(shard.accelerator.eal) == [] for shard in trainer.shards)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributed import ShardedHotlineTrainer
+from repro.core.engine import evaluate
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
@@ -170,6 +171,33 @@ def test_dlrm_lookups_reach_the_tier_once_per_step(tiny_model_config, tiny_click
         assert_one_touch_per_unique_row(
             DLRM(tiny_model_config, seed=3), tiny_click_log, mode
         )
+
+
+def test_evaluation_is_not_counted_as_tier_traffic(tiny_model_config, tiny_click_log):
+    """``predict`` reads the weights without touching the tier, so the
+    step after an ``evaluate`` reports the tier counters of the same run
+    without it, per step and summed into the engine's result."""
+    held_out = tiny_click_log.batch(1536, 512)
+
+    def run(evaluate_after=None, eval_every=0):
+        trainer = ShardedHotlineTrainer(
+            DLRM(tiny_model_config, seed=5), 4, sample_fraction=0.25,
+            tiered_hot_bytes=48 * tiny_model_config.embedding_dim * 4,
+        )
+        loader = MiniBatchLoader(tiny_click_log, batch_size=128)
+        trainer.bind(loader)
+        counters = []
+        for step, batch in enumerate(list(loader)[:4]):
+            outcome = trainer.run_step(batch)
+            counters.append((outcome.tier_hits, outcome.tier_misses, outcome.tier_evictions))
+            if step == evaluate_after:
+                evaluate(trainer.model, held_out)
+        result = trainer.train(loader, eval_batch=held_out, eval_every=eval_every)
+        return counters, (result.tier_hits, result.tier_misses, result.tier_evictions)
+
+    counters, totals = run()
+    assert all(misses > 0 for _hits, misses, _evictions in counters)
+    assert run(evaluate_after=1, eval_every=3) == (counters, totals)
 
 
 def test_tiered_hot_bytes_rejects_negative(tiny_model_config):

@@ -39,3 +39,20 @@ def assert_gradients_close(
 ) -> None:
     """Assert analytic and numeric gradients agree."""
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def backward_gradients(model, batch, between=None) -> list[bytes]:
+    """Bytes of every gradient of ``forward(batch)`` → ``backward``.
+
+    With ``between``, ``model.predict(between)`` runs after the forward
+    and before the backward.  Returns the dense gradients in
+    ``dense_parameters`` order, then the flat sparse gradient's keys and
+    values.
+    """
+    model.zero_grad()
+    logits = model.forward(batch)
+    if between is not None:
+        model.predict(between)
+    sparse = model.backward(np.ones_like(logits) / batch.size)
+    dense = [grad.tobytes() for _param, grad in model.dense_parameters()]
+    return dense + [sparse.indices.tobytes(), sparse.values.tobytes()]

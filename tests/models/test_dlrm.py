@@ -7,6 +7,7 @@ from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.nn.embedding import SparseGradient, split_by_table
 from repro.nn.metrics import roc_auc
+from tests.helpers import backward_gradients
 
 
 def test_forward_shape(tiny_dlrm, tiny_click_log):
@@ -125,3 +126,17 @@ def test_apply_sparse_updates_requires_one_grad_per_table(tiny_dlrm):
             tiny_dlrm.apply_sparse_updates(grad, lr=0.1)
     after = tiny_dlrm.state_snapshot()
     assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+@pytest.mark.parametrize("between_size", [64, 48], ids=["same-size", "other-size"])
+def test_predict_between_forward_and_backward_leaves_the_gradients(
+    tiny_model_config, tiny_click_log, between_size
+):
+    """``predict`` stores nothing on the model, so a forward → predict
+    (another batch) → backward gives the gradients of forward → backward,
+    bit for bit, whether or not the predicted batch has the same size."""
+    batch = tiny_click_log.batch(0, 64)
+    between = tiny_click_log.batch(256, between_size)
+    expected = backward_gradients(DLRM(tiny_model_config, seed=2), batch)
+    got = backward_gradients(DLRM(tiny_model_config, seed=2), batch, between=between)
+    assert got == expected

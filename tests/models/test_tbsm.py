@@ -7,6 +7,7 @@ from repro.data.loader import MiniBatchLoader
 from repro.models.tbsm import TBSM
 from repro.nn.embedding import split_by_table
 from repro.nn.metrics import roc_auc
+from tests.helpers import backward_gradients
 
 
 def test_requires_attention_config(tiny_model_config):
@@ -68,3 +69,17 @@ def test_state_snapshot_keys(tiny_tbsm):
     snapshot = tiny_tbsm.state_snapshot()
     assert any(key.startswith("table_") for key in snapshot)
     assert any(key.startswith("dense_") for key in snapshot)
+
+
+@pytest.mark.parametrize("between_size", [64, 48], ids=["same-size", "other-size"])
+def test_predict_between_forward_and_backward_leaves_the_gradients(
+    tiny_ts_model_config, tiny_ts_click_log, between_size
+):
+    """``predict`` stores nothing on the model, so a forward → predict
+    (another batch) → backward gives the gradients of forward → backward,
+    bit for bit, whether or not the predicted batch has the same size."""
+    batch = tiny_ts_click_log.batch(0, 64)
+    between = tiny_ts_click_log.batch(256, between_size)
+    expected = backward_gradients(TBSM(tiny_ts_model_config, seed=2), batch)
+    got = backward_gradients(TBSM(tiny_ts_model_config, seed=2), batch, between=between)
+    assert got == expected

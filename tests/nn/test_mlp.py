@@ -84,3 +84,18 @@ def test_mlp_zero_grad_resets_all_layers(rng):
     mlp.zero_grad()
     for param, grad in mlp.parameters():
         assert np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize("sigmoid_output", [False, True])
+def test_mlp_infer_is_forward_without_caches(rng, sigmoid_output):
+    """``infer`` returns ``forward``'s bits and leaves every layer's cache
+    as the last ``forward`` left it (here: unset)."""
+    mlp = MLP([4, 8, 3], rng, sigmoid_output=sigmoid_output)
+    x = rng.normal(size=(6, 4)).astype(np.float32)
+    inferred = mlp.infer(x)
+    assert all(
+        getattr(layer, name, None) is None
+        for layer in mlp.layers
+        for name in ("_input", "_mask", "_output")
+    )
+    assert inferred.tobytes() == mlp.forward(x).tobytes()

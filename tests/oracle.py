@@ -415,7 +415,9 @@ class ReferenceEAL(EmbeddingAccessLogger):
     fills the first invalid way or ages the set one step at a time until a
     victim reaches ``max_rrpv``.  Queries scan the ways too, and
     ``hot_indices`` groups the valid keys one at a time.  Ids are not
-    range-checked: feed it ids in ``[0, 2**40)``.
+    range-checked: feed it ids in ``[0, 2**40)``.  The arrays have the
+    production lifetime: allocated by the first access, dropped by
+    ``release`` and ``clear``.
     """
 
     def _key(self, table: int, index: int) -> int:
@@ -428,6 +430,7 @@ class ReferenceEAL(EmbeddingAccessLogger):
         return self._randomizer.hash(folded) % self.config.num_sets
 
     def access(self, table: int, index: int) -> bool:
+        self._allocate()
         key = self._key(table, index)
         set_idx = self._set_for(key)
         valid = self._valid[set_idx]
@@ -473,6 +476,8 @@ class ReferenceEAL(EmbeddingAccessLogger):
         self.insertions += 1
 
     def contains(self, table: int, index: int) -> bool:
+        if self._valid is None:
+            return False
         key = self._key(table, index)
         set_idx = self._set_for(key)
         valid = self._valid[set_idx]
@@ -481,7 +486,7 @@ class ReferenceEAL(EmbeddingAccessLogger):
 
     def hot_indices(self, num_tables: int) -> list[np.ndarray]:
         result: list[list[int]] = [[] for _ in range(num_tables)]
-        for key in self._keys[self._valid]:
+        for key in [] if self._valid is None else self._keys[self._valid]:
             table = int(key) >> 40
             if table < num_tables:
                 result[table].append(int(key) & ((1 << 40) - 1))
