@@ -67,7 +67,7 @@ def _best_of(fn, rounds=30):
 def test_interaction_kernel_speedup(benchmark):
     rng = np.random.default_rng(97)
     dense = rng.standard_normal((BATCH, DIM))
-    sparse = [rng.standard_normal((BATCH, DIM)) for _ in range(FEATURES - 1)]
+    sparse = np.stack([rng.standard_normal((BATCH, DIM)) for _ in range(FEATURES - 1)], axis=1)
     kernel = DotInteractionKernel()
 
     out_new, cache_probe = kernel.forward(dense, sparse)

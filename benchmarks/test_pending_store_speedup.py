@@ -30,7 +30,7 @@ import numpy as np
 from benchmarks.figutils import record_bench
 from repro.core.lookahead import FlatPendingStore
 from repro.models import RM1
-from repro.nn.embedding import SparseGradient, join_tables
+from repro.nn.embedding import SparseGradient, key_offsets
 from tests.oracle import ReferencePendingStore
 
 #: Minimum speedup of the flat store over the dict reference (see the
@@ -51,20 +51,28 @@ STEPS = 24
 STALENESS = 2
 
 
+def flat_gradient(rows_per_table, draw) -> SparseGradient:
+    """One flat-keyed gradient from ``draw(rows) -> (sorted unique rows,
+    values)`` called table by table: table ``t``'s rows become keys
+    ``offsets[t] + row``."""
+    keys, values = [], []
+    for offset, rows in zip(key_offsets(rows_per_table), rows_per_table, strict=True):
+        unique, rows_values = draw(rows)
+        keys.append(unique.astype(np.int64) + offset)
+        values.append(rows_values)
+    return SparseGradient(np.concatenate(keys), np.concatenate(values))
+
+
 def make_steps(rows_per_table, dim, seed=5):
     """One flat-keyed gradient per step, drawn table by table."""
     rng = np.random.default_rng(seed)
-    steps = []
-    for _ in range(STEPS):
-        grads = []
-        for rows in rows_per_table:
-            nnz = min(NNZ_PER_STEP, rows // 2)
-            unique = np.sort(rng.choice(rows, size=nnz, replace=False))
-            grads.append(
-                SparseGradient(unique.astype(np.int64), rng.normal(size=(nnz, dim)))
-            )
-        steps.append(join_tables(grads, rows_per_table))
-    return steps
+
+    def draw(rows):
+        nnz = min(NNZ_PER_STEP, rows // 2)
+        unique = np.sort(rng.choice(rows, size=nnz, replace=False))
+        return unique, rng.normal(size=(nnz, dim))
+
+    return [flat_gradient(rows_per_table, draw) for _ in range(STEPS)]
 
 
 def drive(store, steps):
@@ -129,19 +137,12 @@ def test_pending_store_speedup_skewed_traffic(benchmark):
     must still win clearly."""
     rows_per_table = CONFIG.dataset.rows_per_table
     rng = np.random.default_rng(11)
-    steps = []
-    for _ in range(STEPS):
-        grads = []
-        for rows in rows_per_table:
-            draw = rng.zipf(1.3, size=2048 * 21) % rows
-            unique = np.unique(draw)
-            grads.append(
-                SparseGradient(
-                    unique.astype(np.int64),
-                    rng.normal(size=(unique.size, CONFIG.embedding_dim)),
-                )
-            )
-        steps.append(join_tables(grads, rows_per_table))
+
+    def draw(rows):
+        unique = np.unique(rng.zipf(1.3, size=2048 * 21) % rows)
+        return unique, rng.normal(size=(unique.size, CONFIG.embedding_dim))
+
+    steps = [flat_gradient(rows_per_table, draw) for _ in range(STEPS)]
 
     flat = FlatPendingStore()
     reference = ReferencePendingStore()

@@ -444,8 +444,7 @@ class ShardedHotlineTrainer(StepExecutor):
         if placement is not None:
             for table, hot in enumerate(placement.hot_sets):
                 self.tier.pin_rows(table, hot)
-        for table, bag in enumerate(self.model.tables):
-            bag.attach_tier(self.tier, table)
+        self.model.embedding.attach_tier(self.tier)
         self._tier_seen = (0, 0, 0)
 
     def _advance_lookahead(self, batch: MiniBatch) -> None:

@@ -101,6 +101,7 @@ from repro.hwsim.interconnect import Link
 from repro.nn.embedding import (
     SparseGradient,
     _in_sorted,
+    check_ids,
     key_offsets,
     merge_sparse_gradients,
     scatter_add_rows,
@@ -306,20 +307,6 @@ class FlatPendingStore:
         self._peak_bytes = 0
 
 
-def _check_ids(block: np.ndarray, rows_per_table: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first table of a ``(batch, tables,
-    pooling)`` block with an id outside ``[0, rows)``: such an id would
-    alias a neighbouring table's key (or form a negative one)."""
-    if block.size == 0:
-        return
-    bad = (block.min(axis=(0, 2)) < 0) | (block.max(axis=(0, 2)) >= rows_per_table)
-    if bad.any():
-        table = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"lookahead id out of range [0, {rows_per_table[table]}) for table {table}"
-        )
-
-
 def epoch_row_stream(loader, rows_per_table) -> Iterator[np.ndarray]:
     """Per-batch sorted unique flat keys of the loader's current epoch.
 
@@ -335,12 +322,10 @@ def epoch_row_stream(loader, rows_per_table) -> Iterator[np.ndarray]:
     """
     order = getattr(loader, "last_epoch_order", None)
     sparse = loader.log.sparse
-    rows_per_table = np.asarray(rows_per_table, dtype=np.int64)
     offsets = key_offsets(rows_per_table)[:, None]
     for start, stop in loader.batch_bounds():
         block = sparse[start:stop] if order is None else sparse[order[start:stop]]
-        _check_ids(block, rows_per_table)
-        yield np.unique(block + offsets)
+        yield np.unique(check_ids(block, rows_per_table) + offsets)
 
 
 class WindowRefcounts:
@@ -484,7 +469,6 @@ class CachedEmbeddingPipeline:
         self.num_replicas = int(num_replicas)
         self.link = link
         self.dma = dma or DMAEngine()
-        self._rows = np.asarray(self.rows_per_table, dtype=np.int64)
         #: ``(tables, 1)`` key offsets, broadcast over an index block.
         self._offsets = key_offsets(self.rows_per_table)[:, None]
         self._num_keys = sum(self.rows_per_table)
@@ -668,10 +652,7 @@ class CachedEmbeddingPipeline:
             ValueError: naming the table, before the window moves, if an
                 id lies outside ``[0, rows)`` of its table.
         """
-        sparse = np.asarray(sparse)
-        if sparse.ndim != 3 or sparse.shape[1] != self.num_tables:
-            raise ValueError("sparse must be 3-D (batch, num_tables, pooling)")
-        _check_ids(sparse, self._rows)
+        sparse = check_ids(sparse, self.rows_per_table)
         stats = LookaheadStats()
         lookups = sparse + self._offsets
         # Pull window entries until the batch `window` steps ahead of the

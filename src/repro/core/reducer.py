@@ -342,11 +342,6 @@ class GradientBucketReducer:
             )
         return StepSchedule.sequential(bucket_times, label="dense-allreduce")
 
-    def step_schedule(self, num_elements: int) -> StepSchedule:
-        """The priced :class:`~repro.core.schedule.StepSchedule` of one
-        step's dense all-reduce over a flat gradient."""
-        return self.comm_schedule(self.bucket_times(num_elements))
-
     def schedule(self, num_elements: int, compute_window_s: float) -> BucketSchedule:
         """The full communication schedule of one step's dense all-reduce."""
         per_bucket = self.bucket_times(num_elements)

@@ -65,10 +65,6 @@ class MiniBatch:
         false_idx = np.nonzero(~mask)[0]
         return self.select(true_idx), self.select(false_idx)
 
-    def table_block(self, table: int) -> np.ndarray:
-        """The (batch, pooling) lookup block of one table (EmbeddingBag input)."""
-        return self.sparse[:, table, :]
-
     def shards(self, num_shards: int) -> list["MiniBatch"]:
         """Deal the batch into ``num_shards`` contiguous slices.
 

@@ -1,8 +1,10 @@
 """Deep Learning Recommendation Model (DLRM) in numpy.
 
 Follows the reference architecture (Figure 2 of the paper): a bottom MLP
-over the dense features, one EmbeddingBag per sparse feature, a pairwise
-dot-product feature interaction, and a top MLP producing the CTR logit.
+over the dense features, an embedding table per sparse feature (all of
+them in one table-batched :class:`~repro.nn.embedding.EmbeddingBag`), a
+pairwise dot-product feature interaction, and a top MLP producing the CTR
+logit.
 
 The model exposes a two-phase API (``forward`` / ``backward`` +
 ``apply_updates``) rather than a single fused ``train_step`` so that the
@@ -18,15 +20,7 @@ import numpy as np
 from repro.data.batch import MiniBatch
 from repro.models.configs import ModelConfig
 from repro.nn.gemm import PackedMLP, segment_bounds
-from repro.nn.embedding import (
-    EmbeddingBag,
-    SparseGradient,
-    join_tables,
-    key_offsets,
-    segment_ids_for,
-    segmented_scatter,
-    split_by_table,
-)
+from repro.nn.embedding import EmbeddingBag, SparseGradient, segment_ids_for
 from repro.nn.interaction import (
     DotInteractionKernel,
     dot_interaction,
@@ -60,12 +54,8 @@ class DLRM:
                 f"({bottom_sizes[-1]} != {config.embedding_dim})"
             )
         self.bottom_mlp = MLP(bottom_sizes, rng)
-        self.tables: list[EmbeddingBag] = [
-            EmbeddingBag(rows, config.embedding_dim, rng, name=f"table_{i}")
-            for i, rows in enumerate(config.dataset.rows_per_table)
-        ]
-        #: Start of each table in the flat key space of the sparse gradients.
-        self._offsets = key_offsets(config.dataset.rows_per_table)
+        #: Every sparse feature's table, in one table-batched bag.
+        self.embedding = EmbeddingBag(config.dataset.rows_per_table, config.embedding_dim, rng)
         top_hidden = [int(tok) for tok in config.top_mlp.split("-")]
         top_input = interaction_output_dim(config.embedding_dim, config.num_sparse_features)
         self.top_mlp = MLP([top_input] + top_hidden, rng)
@@ -81,22 +71,17 @@ class DLRM:
     # ------------------------------------------------------------------ #
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Compute CTR logits for a mini-batch, shape (batch,)."""
-        if batch.num_tables != len(self.tables):
-            raise ValueError(
-                f"batch has {batch.num_tables} sparse features, model expects {len(self.tables)}"
-            )
+        # The bag's id check runs before any layer caches this batch.
+        pooled = self.embedding.forward(batch.sparse)
         dense_out = self.bottom_mlp.forward(batch.dense)
-        sparse_out = [
-            table.forward(batch.sparse[:, t, :]) for t, table in enumerate(self.tables)
-        ]
-        interaction, cache = self._interaction.forward(dense_out, sparse_out)
+        interaction, cache = self._interaction.forward(dense_out, pooled)
         self._interaction_cache = cache
         logits = self.top_mlp.forward(interaction)
         return logits.reshape(-1)
 
     def backward(self, grad_logits: np.ndarray) -> SparseGradient:
         """Backpropagate logit gradients; returns the flat-keyed sparse
-        gradient (each table's :meth:`EmbeddingBag.backward`, relabelled).
+        gradient (:meth:`EmbeddingBag.backward`).
 
         Dense-parameter gradients accumulate inside the MLP layers (so that
         gradients from several µ-batches sum, as in the baseline).
@@ -108,10 +93,7 @@ class DLRM:
             grad_interaction, self._interaction_cache
         )
         self.bottom_mlp.backward(grad_dense)
-        return join_tables(
-            [table.backward(grad_sparse[t]) for t, table in enumerate(self.tables)],
-            self.config.dataset.rows_per_table,
-        )
+        return self.embedding.backward(grad_sparse)
 
     def zero_grad(self) -> None:
         """Reset accumulated dense gradients."""
@@ -155,16 +137,16 @@ class DLRM:
     ) -> tuple[list[float], list[SparseGradient]]:
         """Train a mini-batch's µ-batches with fused embedding traffic.
 
-        Per table, the **whole mini-batch's contiguous index block** is
-        gathered once (no per-µ-batch index copies), the MLPs and the
-        interaction run once over the segment-packed rows, and every
-        µ-batch's flat-keyed sparse gradient comes out of **one**
-        :func:`~repro.nn.embedding.segmented_scatter` over the whole
-        ``(batch, tables, pooling)`` block.  Dense gradients accumulate in
-        the layers exactly as sequential :meth:`loss_and_gradients` calls
-        over ``batch.select(segments[s])`` would — every returned value is
-        bit-identical to that loop, which the test oracle keeps as
-        ``SequentialDLRM``.
+        The **whole mini-batch's contiguous index block** is gathered once
+        (no per-µ-batch index copies), the MLPs and the interaction run once
+        over the segment-packed rows, and every µ-batch's flat-keyed sparse
+        gradient comes out of **one**
+        :meth:`~repro.nn.embedding.EmbeddingBag.backward_segments` scatter
+        over the whole ``(batch, tables, pooling)`` block.  Dense gradients
+        accumulate in the layers exactly as sequential
+        :meth:`loss_and_gradients` calls over ``batch.select(segments[s])``
+        would — every returned value is bit-identical to that loop, which
+        the test oracle keeps as ``SequentialDLRM``.
 
         Args:
             batch: The full mini-batch.
@@ -178,8 +160,6 @@ class DLRM:
             ``(losses, partials)`` — per-segment losses and per-segment
             flat-keyed sparse gradients.
         """
-        if batch.num_tables != len(self.tables):
-            raise ValueError("batch sparse-feature count does not match the model")
         segments = [np.asarray(idx, dtype=np.int64) for idx in segments]
         if not segments:
             return [], []
@@ -188,28 +168,10 @@ class DLRM:
         if normalizer is not None and normalizer <= 0:
             raise ValueError("normalizer must be positive")
         segment_ids_for(segments, batch.size)  # the segments must partition the batch
-        pooled = [
-            table.forward(batch.sparse[:, t, :]) for t, table in enumerate(self.tables)
-        ]
+        pooled = self.embedding.forward(batch.sparse)
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         losses, grad_block = self._packed_dense_pass(batch, segments, perm, normalizer, pooled)
-        # One scatter over every lookup, in segment-packed (row, table,
-        # pooling) order: each segment's rows stay in ascending batch
-        # order, so every key sums its contributions as the per-table,
-        # per-µ-batch scatter does.
-        pooling = batch.pooling
-        grads = grad_block if pooling == 1 else np.repeat(grad_block, pooling, axis=1)
-        keys = batch.sparse[perm] + self._offsets[:, None]
-        lookups = keys.shape[1] * keys.shape[2]
-        partials = segmented_scatter(
-            keys.reshape(-1),
-            grads.reshape(-1, grads.shape[-1]),
-            np.repeat(np.arange(len(segments)), [idx.size * lookups for idx in segments]),
-            len(segments),
-            self.config.dataset.total_rows,
-            self.config.embedding_dim,
-        )
-        return losses, partials
+        return losses, self.embedding.backward_segments(grad_block, segments)
 
     def _packed_dense_pass(
         self, batch, segments, perm, normalizer, pooled
@@ -228,9 +190,7 @@ class DLRM:
         """
         bounds = segment_bounds(segments)
         dense_out = self._packed_bottom.forward(batch.dense[perm], bounds)
-        interaction, cache = self._interaction.forward(
-            dense_out, [table_out[perm] for table_out in pooled]
-        )
+        interaction, cache = self._interaction.forward(dense_out, pooled[perm])
         if self._packed_top.has_logit_epilogue:
             # Deferred-bias epilogue: the final GEMM skips its broadcast
             # bias add and the scalar bias folds into the fused loss pass —
@@ -258,9 +218,7 @@ class DLRM:
         for lo, hi in bounds:
             self._packed_top.accumulate_segment(lo, hi)
             self._packed_bottom.accumulate_segment(lo, hi)
-        # The per-table gradients are views into one interaction buffer;
-        # stacking them is the one contiguous copy the scatter reads anyway.
-        return losses, np.stack(grad_sparse, axis=1)
+        return losses, grad_sparse
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Predicted click probabilities for a batch: the inference forward.
@@ -268,25 +226,17 @@ class DLRM:
         The arithmetic of :meth:`forward`, bit for bit, but nothing is
         stored on the model: the layers keep no activations, the
         interaction runs unpooled
-        (:func:`~repro.nn.interaction.dot_interaction`) and no table
-        remembers its indices.  So a ``predict`` between a forward and its
+        (:func:`~repro.nn.interaction.dot_interaction`) and the bag does not
+        remember the indices.  So a ``predict`` between a forward and its
         backward leaves the gradients as they were, and an evaluation
         retains no memory.  Rows are read with
         :meth:`~repro.nn.embedding.EmbeddingBag.gather`, which does not
         touch an attached tier.
         """
-        if batch.num_tables != len(self.tables):
-            raise ValueError(
-                f"batch has {batch.num_tables} sparse features, model expects {len(self.tables)}"
-            )
         # The pooled rows and the interaction cache die here, before the
         # top MLP's activations are allocated.
         interaction = dot_interaction(
-            self.bottom_mlp.infer(batch.dense),
-            [
-                table.gather(batch.sparse[:, t, :]).sum(axis=1)
-                for t, table in enumerate(self.tables)
-            ],
+            self.bottom_mlp.infer(batch.dense), self.embedding.gather(batch.sparse).sum(axis=2)
         )[0]
         return predicted_probabilities(self.top_mlp.infer(interaction).reshape(-1))
 
@@ -304,9 +254,7 @@ class DLRM:
 
         Raises :class:`ValueError` on a key outside the model's key space.
         """
-        parts = split_by_table(grad, self.config.dataset.rows_per_table)
-        for table, part in zip(self.tables, parts, strict=True):
-            table.apply_sparse_update(part, lr)
+        self.embedding.apply_sparse_update(grad, lr)
 
     def train_step(self, batch: MiniBatch, lr: float = 0.01) -> float:
         """One baseline training step: forward, backward, update, in order.
@@ -331,13 +279,13 @@ class DLRM:
     @property
     def num_sparse_parameters(self) -> int:
         """Scalar parameter count of the embedding tables."""
-        return sum(table.num_parameters for table in self.tables)
+        return self.embedding.num_parameters
 
     def state_snapshot(self) -> dict[str, np.ndarray]:
         """Deep copy of every parameter (used by equivalence tests)."""
         state: dict[str, np.ndarray] = {}
         for i, (param, _grad) in enumerate(self.dense_parameters()):
             state[f"dense_{i}"] = param.copy()
-        for i, table in enumerate(self.tables):
-            state[f"table_{i}"] = table.weight.copy()
+        for i in range(self.embedding.num_tables):
+            state[f"table_{i}"] = self.embedding.table(i).copy()
         return state

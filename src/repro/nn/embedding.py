@@ -1,59 +1,60 @@
 """Embedding tables with bag (sum-pooling) lookups and sparse gradients.
 
-Each sparse categorical feature of a recommendation model has one
-EmbeddingBag.  A lookup takes the whole mini-batch's ``(batch, pooling)``
-block of row indices and returns the pooled (summed) embedding vector per
-sample.  The backward pass produces a *sparse* gradient — one row of
-gradient per unique accessed index — mirroring how DLRM updates embeddings
-and how Hotline updates rows in place on either the CPU or the GPU copy.
-
-The forward/backward hot path is fully vectorised: a single gather +
-``sum(axis=1)`` forward and one ``np.unique`` + scatter-add backward, the
-way HugeCTR and CacheEmbedding flatten multi-hot lookups into one
-gather + segment-sum.  The per-sample-loop originals live in the test
-oracle (``tests/oracle.py``: ``reference_forward`` / ``reference_backward``),
-against which the test-suite asserts bit-for-bit parity and the benchmarks
-measure the speedup.
+**One table-batched bag per model.**  :class:`EmbeddingBag` holds every
+sparse feature's table in one ``(total_rows, dim)`` weight array: table
+``t`` is rows ``offsets[t]`` to ``offsets[t] + rows_per_table[t]``
+(:meth:`EmbeddingBag.table` is that view), where ``offsets``
+(:func:`key_offsets`) is the exclusive cumulative sum of the table sizes.
+That is how Hotline's accelerator addresses the tables too: one CPU
+memory, each table read at ``base + row * row_bytes``.  A lookup takes the
+mini-batch's whole ``(batch, tables, pooling)`` id block and makes one
+range check and one gather, ``weight[offsets[t] + id]``; the forward sums
+each sample's rows per table.  The backward produces a *sparse* gradient,
+one row per unique accessed key, mirroring how DLRM updates embeddings
+and how Hotline updates rows in place on either the CPU or the GPU copy,
+and the update is one ``weight[keys] -= lr * values``.  The per-sample-loop
+originals live in the test oracle (``tests/oracle.py``:
+``reference_forward`` / ``reference_backward``), against which the
+test-suite asserts bit-for-bit parity table by table.
 
 **One flat key space.**  A model's sparse gradient is one
 :class:`SparseGradient` over every table: row ``r`` of table ``t`` is key
-``offsets[t] + r``, where ``offsets`` (:func:`key_offsets`) is the
-exclusive cumulative sum of the table sizes.  Keys are sorted and unique,
-so they are table-major and row-ascending, and restricted to one table
-they are that table's own sorted row ids shifted by its offset.  That one
-format runs from the backward scatter to the table update: the models'
-fused pass makes one scatter over the whole ``(batch, tables, pooling)``
-block, the cross-shard exchange makes one merge, the lookahead keeps its
-window, refcounts and deferred write-backs in the same keys, the hot tier
-tracks residency in them, and :func:`split_by_table` hands each table its
-rows back as views at the update.  Every per-key sum adds the same
-contributions in the same order as a per-table pass would, so the two
-formats are bit-identical.
+``offsets[t] + r``, its row in the bag's weight.  Keys are sorted and
+unique, so they are table-major and row-ascending, and restricted to one
+table they are that table's own sorted row ids shifted by its offset.
+That one format runs from the backward scatter to the table update: the
+bag makes one scatter over the whole ``(batch, tables, pooling)`` block,
+the cross-shard exchange makes one merge, the lookahead keeps its window,
+refcounts and deferred write-backs in the same keys, the hot tier and the
+hot-set bitmap track rows in them, and the update indexes the weight with
+them directly.  Every per-key sum adds the same contributions in the same
+order as a per-table pass would, so the two formats are bit-identical.
+Every id block is range-checked by :func:`check_ids` before anything
+uses it: an id outside its table would name a neighbouring table's key.
 
 **One scatter-add kernel.**  Every row scatter-add of the sparse path (the
-backward, the fused segmented scatter, the cross-µ-batch and cross-shard
-merge, TBSM's history scatter, the lookahead's duplicate-row defer) goes
-through :func:`scatter_add_rows`.  It expands each row index into its
-``dim`` element indices and runs one 1-D ``np.add.at``, which takes
-numpy's fast ``ufunc.at`` path; element ``(r, j)`` still receives its
-contributions in input order, so the result is byte-identical to the
-row-indexed ``np.add.at(out, rows, values)`` (a NaN's payload aside), and
-3–4× faster at these shapes.
+segmented scatter, the cross-µ-batch and cross-shard merge, the
+lookahead's duplicate-row defer) goes through :func:`scatter_add_rows`.
+It expands each row index into its ``dim`` element indices and runs one
+1-D ``np.add.at``, which takes numpy's fast ``ufunc.at`` path; element
+``(r, j)`` still receives its contributions in input order, so the result
+is byte-identical to the row-indexed ``np.add.at(out, rows, values)`` (a
+NaN's payload aside), and 3–4× faster at these shapes.
 
 **Fused µ-batch execution.**  Hotline trains every mini-batch as two
 µ-batches (popular / non-popular), which naively costs two gathers and two
-scatters per table per step — each over a fancy-indexed *copy* of the
-batch's index block.  The fused path never materialises those copies: the
-forward gathers the **original contiguous block once** (each sample's
-pooled vector is independent, so per-µ-batch views of the output are
-bit-identical to per-µ-batch gathers), and :func:`segmented_scatter`
-produces every µ-batch's sparse gradient with **one** scatter: each
-lookup's key is moved into its segment's private id space (``segment *
-num_keys + key``), so the combined ``np.unique`` + scatter-add accumulates
-per-key contributions in exactly the per-segment order the unfused
-scatter uses, and the split results are bit-identical to one
-:meth:`EmbeddingBag.backward` per µ-batch and table.
-:meth:`EmbeddingBag.backward_segments` is the same scatter for one table.
+scatters per step, each over a fancy-indexed *copy* of the batch's index
+block.  The fused path never materialises those copies: the forward
+gathers the **original contiguous block once** (each sample's pooled
+vector is independent, so per-µ-batch views of the output are
+bit-identical to per-µ-batch gathers), and
+:meth:`EmbeddingBag.backward_segments` produces every µ-batch's sparse
+gradient with **one** :func:`segmented_scatter`: each lookup's key is
+moved into its segment's private id space (``segment * num_keys + key``),
+so the combined ``np.unique`` + scatter-add accumulates per-key
+contributions in exactly the per-segment order the unfused scatter uses,
+and the split results are bit-identical to one
+:meth:`EmbeddingBag.backward` per µ-batch.
 
 **The hot/cold tiering model.**  At Criteo-Terabyte scale the embedding
 weights themselves do not fit device memory — only the frequently-accessed
@@ -62,10 +63,10 @@ exploit).  :class:`TieredEmbeddingStore` models the software-managed cache
 that CacheEmbedding's ``CachedEmbeddingBag`` implements for real: a
 device-resident **hot tier** of bounded byte capacity in front of a host
 **cold tier**, with every lookup resolved through the tier.  Crucially it
-is an *accounting and pricing* layer: the weights stay in the table's
-own array, so training numerics are **bit-identical** with the tier
-attached or not — what changes is the simulated cost (cold fetches and
-dirty evictions priced through ``hwsim.dma.DMAEngine``) and the
+is an *accounting and pricing* layer: the weights stay in the bag's own
+array, so training numerics are **bit-identical** with the tier attached
+or not — what changes is the simulated cost (cold fetches and dirty
+evictions priced through ``hwsim.dma.DMAEngine``) and the
 hit/miss/eviction counters.  Residency is tracked in the flat key space,
 so a lookup block costs one search whatever the table count: the cached
 rows are one sorted key array with aligned access-frequency counts
@@ -73,12 +74,13 @@ rows are one sorted key array with aligned access-frequency counts
 over it.  Rows the hot/cold placement replicates on every device are
 pinned: their keys live in a separate sorted array, without counts, and
 never evict; the byte capacity bounds the cached rows beside them.
-:meth:`EmbeddingBag.attach_tier` makes a table resolve lookups through a
+:meth:`EmbeddingBag.attach_tier` makes the bag resolve lookups through a
 tier transparently — every :meth:`EmbeddingBag.lookup` (which ``forward``
-pools, and which TBSM's history sequence reads unpooled) touches the
-tier, nothing else changes.  The models' ``predict`` reads rows through
-:meth:`EmbeddingBag.gather`, which never touches the tier: an evaluation
-is not training traffic.
+pools, and whose unpooled rows TBSM's history sequence reads) touches the
+tier table by table, in table order, after the whole block has passed its
+range check; nothing else changes.  The models' ``predict`` reads rows
+through :meth:`EmbeddingBag.gather`, which never touches the tier: an
+evaluation is not training traffic.
 """
 
 from __future__ import annotations
@@ -121,30 +123,30 @@ def key_offsets(rows_per_table) -> np.ndarray:
     return np.cumsum((0, *rows_per_table), dtype=np.int64)[:-1]
 
 
-def join_tables(grads: list[SparseGradient], rows_per_table) -> SparseGradient:
-    """One flat-keyed gradient from per-table gradients: table ``t``'s rows
-    become keys ``offsets[t] + row`` (a concatenation, no arithmetic)."""
-    offsets = key_offsets(rows_per_table)
-    return SparseGradient(
-        np.concatenate([grad.indices + offsets[t] for t, grad in enumerate(grads)]),
-        np.concatenate([grad.values for grad in grads], axis=0),
-    )
+def check_ids(block, rows_per_table) -> np.ndarray:
+    """``block`` as an int64 ``(batch, tables, pooling)`` id block whose ids
+    all lie inside their tables.
 
-
-def split_by_table(grad: SparseGradient, rows_per_table) -> list[SparseGradient]:
-    """Per-table views of a flat-keyed gradient, the inverse of
-    :func:`join_tables`: table ``t`` gets its keys back as row ids and its
-    value rows as a view.  Keys must be sorted (the :class:`SparseGradient`
-    contract); a key outside the key space raises :class:`ValueError`."""
-    keys = grad.indices
-    if keys.size and (keys.min() < 0 or keys.max() >= sum(rows_per_table)):
-        raise ValueError(f"sparse gradient key outside [0, {sum(rows_per_table)})")
-    offsets = key_offsets(rows_per_table)
-    cuts = [*np.searchsorted(keys, offsets).tolist(), keys.size]
-    return [
-        SparseGradient(keys[lo:hi] - offset, grad.values[lo:hi])
-        for offset, lo, hi in zip(offsets, cuts[:-1], cuts[1:], strict=True)
-    ]
+    An id outside ``[0, rows_per_table[t])`` would name a neighbouring
+    table's flat key (a negative one would also wrap to a row from the
+    end), so this raises :class:`ValueError` naming the first such table.
+    Every consumer of an id block calls it before it changes any state.
+    """
+    try:
+        block = np.asarray(block, dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError(
+            "ids must be a rectangular (batch, tables, pooling) integer block"
+        ) from exc
+    rows = np.asarray(rows_per_table, dtype=np.int64)
+    if block.ndim != 3 or block.shape[1] != rows.size:
+        raise ValueError(f"ids must be a (batch, {rows.size}, pooling) block, not {block.shape}")
+    if block.size:
+        bad = (block.min(axis=(0, 2)) < 0) | (block.max(axis=(0, 2)) >= rows)
+        if bad.any():
+            table = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"id out of range [0, {rows[table]}) for table {table}")
+    return block
 
 
 def scatter_add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -216,21 +218,19 @@ def segmented_scatter(
     """One scatter producing every segment's sparse gradient.
 
     ``flat_indices``/``flat_grads``/``flat_segment_ids`` are per-lookup
-    ids in ``[0, num_rows)`` (one table's row ids, or a model's flat keys
-    with ``num_rows`` the total row count), gradient rows, and µ-batch
-    (segment) ids.  Any order works in which each segment's lookups come
-    in ascending sample order — the original batch order, or the
-    segment-packed order of the models' dense pass — so no per-segment
-    copies are ever built.  Each lookup is keyed into its segment's
-    private id space (``segment * num_rows + id``) so a single
-    ``np.unique`` + :func:`scatter_add_rows` pass accumulates every
+    ids in ``[0, num_rows)`` (a model's flat keys, ``num_rows`` the total
+    row count), gradient rows, and µ-batch (segment) ids.  Any order works
+    in which each segment's lookups come in ascending sample order — the
+    original batch order, or the segment-packed order of the models' dense
+    pass — so no per-segment copies are ever built.  Each lookup is keyed
+    into its segment's private id space (``segment * num_rows + id``) so a
+    single ``np.unique`` + :func:`scatter_add_rows` pass accumulates every
     (segment, id) bucket separately; within a bucket, contributions arrive
     in sample order restricted to that segment's samples — exactly the
     order the unfused per-µ-batch scatter uses, so the split results are
     **bit-identical** to running :meth:`EmbeddingBag.backward` once per
-    µ-batch (and table).  The private id spaces are disjoint and sorted,
-    so each segment's block is recovered with one binary search (views,
-    no copy).
+    µ-batch.  The private id spaces are disjoint and sorted, so each
+    segment's block is recovered with one binary search (views, no copy).
 
     Returns:
         One :class:`SparseGradient` per segment (sorted unique ids).
@@ -257,176 +257,166 @@ def segmented_scatter(
 
 
 class EmbeddingBag:
-    """One embedding table with sum pooling over multi-hot lookups.
+    """Every embedding table of a model in one weight array, sum-pooled.
+
+    Table ``t`` is rows ``offsets[t]`` to ``offsets[t] + rows_per_table[t]``
+    of :attr:`weight`, so row ``r`` of table ``t`` is weight row (and
+    sparse-gradient key) ``offsets[t] + r``.  Lookups take a mini-batch's
+    whole ``(batch, tables, pooling)`` id block.
 
     Attributes:
-        weight: The table's ``(num_rows, dim)`` weight rows, updated in
-            place by :meth:`apply_sparse_update`.
+        rows_per_table: Rows of each table.
+        offsets: Start of each table in :attr:`weight` (:func:`key_offsets`).
+        num_rows: Rows of every table together.
+        weight: The ``(num_rows, dim)`` weight rows, updated in place by
+            :meth:`apply_sparse_update`.
     """
 
-    def __init__(self, num_rows: int, dim: int, rng: np.random.Generator, name: str = ""):
-        if num_rows <= 0 or dim <= 0:
-            raise ValueError("embedding table must have positive rows and dim")
-        self.num_rows = num_rows
+    def __init__(self, rows_per_table, dim: int, rng: np.random.Generator):
+        self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
+        if not self.rows_per_table or min(self.rows_per_table) <= 0 or dim <= 0:
+            raise ValueError("embedding tables must have positive rows and dim")
         self.dim = dim
-        self.name = name or f"emb_{num_rows}x{dim}"
-        self.weight = init.embedding_uniform(num_rows, dim, rng)
+        self.offsets = key_offsets(self.rows_per_table)
+        self.num_rows = sum(self.rows_per_table)
+        self.weight = np.empty((self.num_rows, dim), dtype=init.DTYPE)
+        for t in range(self.num_tables):
+            # Table by table, in table order: the draws of one bag per table.
+            init.embedding_uniform(self.table(t), rng)
         self._tier: TieredEmbeddingStore | None = None
-        self._tier_table: int = -1
         self._last_indices: np.ndarray | None = None
 
-    def attach_tier(self, tier: TieredEmbeddingStore, table: int) -> None:
-        """Resolve this table's lookups through a hot/cold tier.
+    @property
+    def num_tables(self) -> int:
+        """Number of tables in the bag."""
+        return len(self.rows_per_table)
 
-        Every subsequent :meth:`lookup` (and so every :meth:`forward`)
-        touches ``tier`` as table ``table`` — hits/misses/evictions and
-        DMA pricing accumulate on the tier; the lookup numerics are
-        untouched (the tier is an accounting layer, see
-        :class:`TieredEmbeddingStore`).
+    def table(self, t: int) -> np.ndarray:
+        """Table ``t``'s ``(rows, dim)`` weight rows, a view of :attr:`weight`."""
+        start = self.offsets[t]
+        return self.weight[start : start + self.rows_per_table[t]]
+
+    def attach_tier(self, tier: TieredEmbeddingStore) -> None:
+        """Resolve every subsequent :meth:`lookup` through a hot/cold tier.
+
+        Hits/misses/evictions and DMA pricing accumulate on ``tier``; the
+        lookup numerics are untouched (the tier is an accounting layer,
+        see :class:`TieredEmbeddingStore`).
         """
-        if tier.rows_per_table[table] != self.num_rows or tier.dim != self.dim:
-            raise ValueError("tier table shape does not match this EmbeddingBag")
+        if tier.rows_per_table != self.rows_per_table or tier.dim != self.dim:
+            raise ValueError("tier table shapes do not match this EmbeddingBag")
         self._tier = tier
-        self._tier_table = table
-
-    def detach_tier(self) -> None:
-        """Stop resolving lookups through the attached tier (if any)."""
-        self._tier = None
-        self._tier_table = -1
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
-        """The unpooled rows selected by each sample, through the tier.
+        """The unpooled rows of every lookup, through the tier.
 
-        :meth:`gather`, then a touch of the attached tier.
+        :meth:`gather`, then a touch of the attached tier table by table,
+        in table order.  The block is kept for the backward.
         """
-        indices = self._checked(indices)
-        rows = self.weight[indices]
+        indices = check_ids(indices, self.rows_per_table)
+        rows = self.weight[indices + self.offsets[:, None]]
         if self._tier is not None:
-            self._tier.touch(self._tier_table, indices)
+            for t in range(self.num_tables):
+                self._tier.touch(t, indices[:, t])
+        self._last_indices = indices
         return rows
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
-        """The unpooled rows selected by each sample, read from the weights.
+        """The unpooled rows of every lookup, read from the weights.
 
         The inference read: an attached tier is not touched, so an
         evaluation never counts as training traffic.
 
         Args:
-            indices: Integer block of shape (batch, pooling) — one row of
-                lookups per sample (``MiniBatch.sparse[:, table, :]``).
+            indices: Integer block of shape (batch, tables, pooling)
+                (``MiniBatch.sparse``).
 
         Returns:
-            Array of shape (batch, pooling, dim): ``weight[indices]``.
+            Array of shape (batch, tables, pooling, dim).
 
         Raises:
-            ValueError: if an id lies outside ``[0, num_rows)``.
+            ValueError: naming the table, if an id lies outside its table
+                (:func:`check_ids`).
         """
-        return self.weight[self._checked(indices)]
-
-    def _checked(self, indices: np.ndarray) -> np.ndarray:
-        """``indices`` as an int64 (batch, pooling) block of in-range ids."""
-        try:
-            indices = np.asarray(indices, dtype=np.int64)
-        except ValueError as exc:
-            raise ValueError(
-                "indices must be a rectangular (batch, pooling) integer block; "
-                "ragged per-sample lookups are no longer supported"
-            ) from exc
-        if indices.ndim != 2:
-            raise ValueError("indices must be 2-D (batch, pooling)")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_rows):
-            # Numpy would wrap a negative id to a row from the table's end;
-            # in the flat key space it would name another table's row.
-            raise ValueError(f"{self.name}: row id out of range [0, {self.num_rows})")
-        return indices
+        return self.weight[check_ids(indices, self.rows_per_table) + self.offsets[:, None]]
 
     def forward(self, indices: np.ndarray) -> np.ndarray:
-        """Sum-pool the rows selected by each sample.
+        """Sum-pool each sample's rows per table.
 
         Args:
-            indices: Integer block of shape (batch, pooling), as for
+            indices: Integer block of shape (batch, tables, pooling), as for
                 :meth:`gather`.  Pooling may be 0, in which case every
                 pooled vector is zero.
 
         Returns:
-            Array of shape (batch, dim) with the pooled embeddings.
+            Array of shape (batch, tables, dim) with the pooled embeddings.
         """
-        out = self.lookup(indices).sum(axis=1)
-        self._last_indices = np.asarray(indices, dtype=np.int64)
-        return out
+        return self.lookup(indices).sum(axis=2)
 
-    def backward(self, grad_output: np.ndarray) -> SparseGradient:
-        """Compute the sparse gradient for the last forward pass.
+    def backward(self, grad: np.ndarray) -> SparseGradient:
+        """The flat-keyed sparse gradient of the last lookup.
 
-        With sum pooling, every row accessed by sample ``i`` receives
-        ``grad_output[i]``; gradients of rows accessed by several samples
-        accumulate via one flat scatter-add.
+        :meth:`backward_segments` with the whole batch as its one segment:
+        with sum pooling, every row accessed by sample ``i`` in table ``t``
+        receives ``grad[i, t]``, and rows accessed several times accumulate
+        in sample order.
         """
         if self._last_indices is None:
             raise RuntimeError("backward called before forward")
-        if grad_output.shape[0] != self._last_indices.shape[0]:
-            raise ValueError("grad_output batch size does not match the last forward batch")
-        pooling = self._last_indices.shape[1]
-        flat_indices = self._last_indices.reshape(-1)
-        if flat_indices.size == 0:
-            return SparseGradient(
-                np.empty(0, dtype=np.int64), np.empty((0, self.dim), dtype=grad_output.dtype)
-            )
-        flat_grads = np.repeat(grad_output, pooling, axis=0)
-        unique, inverse = np.unique(flat_indices, return_inverse=True)
-        values = np.zeros((unique.shape[0], self.dim), dtype=grad_output.dtype)
-        scatter_add_rows(values, inverse, flat_grads)
-        return SparseGradient(unique, values)
+        return self.backward_segments(grad, [np.arange(self._last_indices.shape[0])])[0]
 
     def backward_segments(
-        self, grad_outputs: list[np.ndarray], segments: list[np.ndarray]
+        self, grad: np.ndarray, segments: list[np.ndarray]
     ) -> list[SparseGradient]:
-        """Per-µ-batch sparse gradients of the last *full-batch* forward.
+        """Per-µ-batch flat-keyed sparse gradients of the last lookup.
 
-        The one-table form of the models' fused backward (which scatters
-        every table at once, in flat keys): after one :meth:`forward` over
-        the whole mini-batch's contiguous index block, ``grad_outputs[s]``
-        holds the pooled-output gradient of the samples ``segments[s]``
-        (ascending index arrays partitioning the forward's batch), and one
-        :func:`segmented_scatter` produces each µ-batch's gradient
-        bit-identically to a per-µ-batch :meth:`backward`.
+        ``segments`` are ascending index arrays partitioning the lookup's
+        batch, and ``grad`` is the gradient of the samples
+        ``concatenate(segments)``, in that segment-packed order: per pooled
+        output, ``(rows, tables, dim)``, which every lookup of the sample's
+        table receives, or per lookup, ``(rows, tables, pooling, dim)``
+        (TBSM's history sequence).  One :func:`segmented_scatter` over the
+        whole block produces each µ-batch's gradient bit-identically to a
+        per-µ-batch :meth:`backward`.
         """
         if self._last_indices is None:
             raise RuntimeError("backward called before forward")
-        batch, pooling = self._last_indices.shape
-        if len(grad_outputs) != len(segments):
-            raise ValueError("one gradient block per segment is required")
-        segment_ids = segment_ids_for(segments, batch)
-        dtype = grad_outputs[0].dtype if grad_outputs else init.DTYPE
-        grad_all = np.empty((batch, self.dim), dtype=dtype)
-        for idx, grad_output in zip(segments, grad_outputs, strict=True):
-            if grad_output.shape[0] != len(idx):
-                raise ValueError("gradient block does not match its segment")
-            grad_all[idx] = grad_output
+        batch, tables, pooling = self._last_indices.shape
+        segments = [np.asarray(idx, dtype=np.int64) for idx in segments]
+        segment_ids_for(segments, batch)  # the segments must partition the batch
+        if grad.ndim == 3:  # each lookup of a table receives its pooled gradient
+            grad = grad[:, :, None]
+            if pooling != 1:
+                grad = np.repeat(grad, pooling, axis=2)
+        if grad.shape != (batch, tables, pooling, self.dim):
+            raise ValueError("gradient block does not match the last lookup")
+        perm = np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
+        keys = self._last_indices[perm] + self.offsets[:, None]
+        lookups = tables * pooling
         return segmented_scatter(
-            self._last_indices.reshape(-1),
-            np.repeat(grad_all, pooling, axis=0),
-            np.repeat(segment_ids, pooling),
+            keys.reshape(-1),
+            grad.reshape(-1, self.dim),
+            np.repeat(np.arange(len(segments)), [idx.size * lookups for idx in segments]),
             len(segments),
             self.num_rows,
             self.dim,
         )
 
     def apply_sparse_update(self, grad: SparseGradient, lr: float) -> None:
-        """SGD update of only the rows present in ``grad``."""
+        """SGD update of only the rows keyed in the flat-keyed ``grad``.
+
+        Raises :class:`ValueError` on a key outside ``[0, num_rows)``.
+        """
         if grad.nnz == 0:
             return
+        if grad.indices.min() < 0 or grad.indices.max() >= self.num_rows:
+            raise ValueError(f"sparse gradient key outside [0, {self.num_rows})")
         self.weight[grad.indices] -= lr * grad.values
-
-    def rows_bytes(self, num_rows: int | None = None, dtype_bytes: int = 4) -> float:
-        """Memory footprint of ``num_rows`` rows (default: the whole table)."""
-        rows = self.num_rows if num_rows is None else num_rows
-        return float(rows) * self.dim * dtype_bytes
 
     @property
     def num_parameters(self) -> int:
-        """Number of scalar parameters in the table."""
-        return self.num_rows * self.dim
+        """Number of scalar parameters in every table."""
+        return self.weight.size
 
 
 def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
@@ -446,7 +436,7 @@ class TieredEmbeddingStore:
     frequently-accessed rows of every table, with the long tail in a host
     tier priced through a :class:`~repro.hwsim.dma.DMAEngine` — the
     CacheEmbedding ``CachedEmbeddingBag`` design.  Pure accounting: the
-    weights stay in each table's own array, so attaching a tier never
+    weights stay in the bag's own array, so attaching a tier never
     changes training numerics — only the simulated fetch/eviction cost
     and the hit/miss counters (see the module docstring).
 

@@ -26,12 +26,20 @@ def xavier_uniform(
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(DTYPE)
 
 
-def embedding_uniform(
-    num_rows: int, dim: int, rng: np.random.Generator
-) -> np.ndarray:
-    """DLRM-style uniform embedding initialisation in +-1/sqrt(num_rows)."""
-    limit = 1.0 / np.sqrt(num_rows)
-    return rng.uniform(-limit, limit, size=(num_rows, dim)).astype(DTYPE)
+#: Rows per float64 draw when filling a table: the draws are sequential,
+#: so blocks give the whole-table draw's values while the float64
+#: temporary stays a few hundred KB instead of twice the table.
+FILL_ROWS = 4096
+
+
+def embedding_uniform(table: np.ndarray, rng: np.random.Generator) -> None:
+    """DLRM-style uniform initialisation in +-1/sqrt(rows) of one table's
+    ``(rows, dim)`` weight rows, in place, :data:`FILL_ROWS` rows at a
+    time."""
+    limit = 1.0 / np.sqrt(table.shape[0])
+    for start in range(0, table.shape[0], FILL_ROWS):
+        block = table[start : start + FILL_ROWS]
+        block[...] = rng.uniform(-limit, limit, size=block.shape)
 
 
 def zeros(*shape: int) -> np.ndarray:

@@ -65,9 +65,9 @@ kernel across threads would race on the Gram workspace.
   evaluation batch leaves no Gram in the pool and no stack buffer on the
   model: the pools hold training shapes only.
 * The backward's ``grad_stacked`` output is a **fresh** allocation every
-  call — the per-feature gradients the caller receives are views into
-  it, and callers accumulate them across µ-batch segments, so that array
-  must never be recycled by the kernel.
+  call — the sparse-feature gradient block the caller receives is a view
+  into it, and callers accumulate it across µ-batch segments, so that
+  array must never be recycled by the kernel.
 
 The module-level :func:`dot_interaction` / :func:`dot_interaction_backward`
 functions run the same certified kernels without any pooling (fresh
@@ -166,12 +166,9 @@ def interaction_certified(
 # ---------------------------------------------------------------------- #
 # Reference implementation (the original three-pass einsum path)
 # ---------------------------------------------------------------------- #
-def reference_dot_interaction(
-    dense: np.ndarray, sparse: list[np.ndarray]
-) -> tuple[np.ndarray, dict]:
+def reference_dot_interaction(dense: np.ndarray, sparse: np.ndarray) -> tuple[np.ndarray, dict]:
     """The original einsum forward — retained as the bit-parity anchor."""
-    features = [dense] + list(sparse)
-    stacked = np.stack(features, axis=1)  # (batch, f, dim)
+    stacked = np.concatenate([dense[:, None], sparse], axis=1)  # (batch, f, dim)
     gram = np.einsum("bfd,bgd->bfg", stacked, stacked)  # (batch, f, f)
     num_features = stacked.shape[1]
     rows, cols = _tril_pairs(num_features)
@@ -189,7 +186,7 @@ def reference_dot_interaction(
 
 def reference_dot_interaction_backward(
     grad_output: np.ndarray, cache: dict
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The original three-pass backward — retained as the parity anchor.
 
     Materializes a zeroed ``(batch, f, f)`` gradient, symmetrizes it with
@@ -212,8 +209,7 @@ def reference_dot_interaction_backward(
     grad_stacked = np.einsum("bfg,bgd->bfd", grad_gram, stacked)
 
     grad_dense = grad_dense_direct + grad_stacked[:, 0, :]
-    grad_sparse = [grad_stacked[:, i, :] for i in range(1, num_features)]
-    return grad_dense, grad_sparse
+    return grad_dense, grad_stacked[:, 1:]
 
 
 # ---------------------------------------------------------------------- #
@@ -221,17 +217,20 @@ def reference_dot_interaction_backward(
 # ---------------------------------------------------------------------- #
 def _forward_impl(
     dense: np.ndarray,
-    sparse: list[np.ndarray],
+    sparse: np.ndarray,
     stack_buf: np.ndarray | None = None,
     gram_buf: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Single-pass forward: one batched GEMM for the full pairwise Gram."""
-    features = [dense] + list(sparse)
-    num_features = len(features)
-    dim = dense.shape[1]
+    batch, dim = dense.shape
+    num_features = sparse.shape[1] + 1
     if not interaction_certified(num_features, dim, dense.dtype):
         return reference_dot_interaction(dense, sparse)
-    stacked = np.stack(features, axis=1, out=stack_buf)  # (batch, f, dim)
+    stacked = stack_buf
+    if stacked is None:
+        stacked = np.empty((batch, num_features, dim), dtype=np.result_type(dense, sparse))
+    stacked[:, 0] = dense
+    stacked[:, 1:] = sparse
     if gram_buf is None:
         gram = np.matmul(stacked, stacked.transpose(0, 2, 1))
     else:
@@ -254,7 +253,7 @@ def _backward_impl(
     grad_output: np.ndarray,
     cache: dict,
     sym_buf: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Single-GEMM backward through the symmetric Gram structure.
 
     The pair gradients land directly in **both** strict triangles of a
@@ -285,16 +284,15 @@ def _backward_impl(
         sym[:, diag, diag] = 0.0
     sym[:, rows, cols] = grad_pairs
     sym[:, cols, rows] = grad_pairs
-    # Fresh output on every call: the caller receives views into it and
-    # accumulates them across µ-batch segments (see workspace rules).
+    # Fresh output on every call: the caller receives a view into it and
+    # accumulates it across µ-batch segments (see workspace rules).
     grad_stacked = np.matmul(sym, stacked)
 
     grad_dense = grad_dense_direct + grad_stacked[:, 0, :]
-    grad_sparse = [grad_stacked[:, i, :] for i in range(1, num_features)]
-    return grad_dense, grad_sparse
+    return grad_dense, grad_stacked[:, 1:]
 
 
-def dot_interaction(dense: np.ndarray, sparse: list[np.ndarray]) -> tuple[np.ndarray, dict]:
+def dot_interaction(dense: np.ndarray, sparse: np.ndarray) -> tuple[np.ndarray, dict]:
     """Pairwise dot-product interaction.
 
     Runs the certified batched-GEMM kernel with fresh (unpooled) buffers —
@@ -305,7 +303,8 @@ def dot_interaction(dense: np.ndarray, sparse: list[np.ndarray]) -> tuple[np.nda
 
     Args:
         dense: Bottom-MLP output of shape (batch, dim).
-        sparse: List of pooled embedding outputs, each (batch, dim).
+        sparse: Pooled embeddings of every sparse feature, one
+            ``(batch, num_sparse, dim)`` block (``EmbeddingBag.forward``).
 
     Returns:
         A tuple of the interaction output of shape
@@ -316,7 +315,7 @@ def dot_interaction(dense: np.ndarray, sparse: list[np.ndarray]) -> tuple[np.nda
 
 def dot_interaction_backward(
     grad_output: np.ndarray, cache: dict
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backward pass of :func:`dot_interaction`.
 
     Args:
@@ -325,8 +324,9 @@ def dot_interaction_backward(
         cache: Cache returned by the forward pass.
 
     Returns:
-        Gradient w.r.t. the dense input and a list of gradients w.r.t. each
-        sparse input (views into one ``(batch, f, dim)`` array).
+        Gradient w.r.t. the dense input and the ``(batch, num_sparse,
+        dim)`` gradient w.r.t. the sparse block (a view into one
+        ``(batch, f, dim)`` array).
     """
     return _backward_impl(grad_output, cache)
 
@@ -371,11 +371,9 @@ class DotInteractionKernel:
             self._gram_pool[key] = buf
         return buf
 
-    def forward(
-        self, dense: np.ndarray, sparse: list[np.ndarray]
-    ) -> tuple[np.ndarray, dict]:
+    def forward(self, dense: np.ndarray, sparse: np.ndarray) -> tuple[np.ndarray, dict]:
         """Pooled :func:`dot_interaction`; the cache owns a stack buffer."""
-        num_features = len(sparse) + 1
+        num_features = sparse.shape[1] + 1
         batch, dim = dense.shape
         if not interaction_certified(num_features, dim, dense.dtype):
             return reference_dot_interaction(dense, sparse)
@@ -383,9 +381,7 @@ class DotInteractionKernel:
         gram_buf = self._gram_buf(batch, num_features, dense.dtype)
         return _forward_impl(dense, sparse, stack_buf=stack_buf, gram_buf=gram_buf)
 
-    def backward(
-        self, grad_output: np.ndarray, cache: dict
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    def backward(self, grad_output: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
         """Pooled backward; consumes the cache and recycles its stack buffer."""
         if not cache.get("batched", False):
             return reference_dot_interaction_backward(grad_output, cache)

@@ -52,20 +52,21 @@ class Adagrad:
 
 
 class SparseSGD:
-    """Row-wise SGD for embedding tables."""
+    """Row-wise SGD for a table-batched :class:`EmbeddingBag`."""
 
     def __init__(self, lr: float = 0.01):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
 
-    def step(self, table: EmbeddingBag, grad: SparseGradient) -> None:
-        """Update only the rows present in ``grad``."""
-        table.apply_sparse_update(grad, self.lr)
+    def step(self, bag: EmbeddingBag, grad: SparseGradient) -> None:
+        """Update only the rows keyed in the flat-keyed ``grad``."""
+        bag.apply_sparse_update(grad, self.lr)
 
 
 class SparseAdagrad:
-    """Row-wise Adagrad for embedding tables (DLRM's default sparse optimiser)."""
+    """Row-wise Adagrad for a table-batched :class:`EmbeddingBag` (DLRM's
+    default sparse optimiser): one squared-gradient sum per weight row."""
 
     def __init__(self, lr: float = 0.01, eps: float = 1e-10):
         if lr <= 0:
@@ -74,15 +75,15 @@ class SparseAdagrad:
         self.eps = eps
         self._state: dict[int, np.ndarray] = {}
 
-    def step(self, table: EmbeddingBag, grad: SparseGradient) -> None:
-        """Adagrad update of only the rows present in ``grad``."""
+    def step(self, bag: EmbeddingBag, grad: SparseGradient) -> None:
+        """Adagrad update of only the rows keyed in the flat-keyed ``grad``."""
         if grad.nnz == 0:
             return
-        key = id(table)
+        key = id(bag)
         if key not in self._state:
-            self._state[key] = np.zeros(table.num_rows, dtype=table.weight.dtype)
+            self._state[key] = np.zeros(bag.num_rows, dtype=bag.weight.dtype)
         accum = self._state[key]
         row_sq = (grad.values * grad.values).sum(axis=1)
         accum[grad.indices] += row_sq
         scale = self.lr / (np.sqrt(accum[grad.indices]) + self.eps)
-        table.weight[grad.indices] -= scale[:, None] * grad.values
+        bag.weight[grad.indices] -= scale[:, None] * grad.values

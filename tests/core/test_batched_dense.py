@@ -29,7 +29,6 @@ from repro.data.loader import MiniBatchLoader
 from repro.models import RM2
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
-from repro.nn.embedding import split_by_table
 from repro.nn.gemm import NEVER_PACKED, PackedMLP, packed_rows_threshold, segment_bounds
 from repro.nn.mlp import MLP
 from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
@@ -68,25 +67,17 @@ def run_dense_pass(model, batch, segments):
     """Losses, sparse grads and dense grads of one fused pass."""
     model.zero_grad()
     losses, sparse = model.fused_loss_and_gradients(batch, segments, normalizer=batch.size)
-    rows = model.config.dataset.rows_per_table
-    # Per-table views of each segment's flat-keyed gradient, table-major.
-    table_grads = list(zip(*(split_by_table(grad, rows) for grad in sparse), strict=True))
     dense = [g.copy() for _p, g in model.dense_parameters()]
-    return losses, table_grads, dense
+    return losses, sparse, dense
 
 
 def assert_bitwise_equal_pass(model_seq, model_packed, batch, segments):
     seq = run_dense_pass(model_seq, batch, segments)
     packed = run_dense_pass(model_packed, batch, segments)
     assert packed[0] == seq[0], "per-segment losses diverged"
-    for table, (grads_seq, grads_packed) in enumerate(zip(seq[1], packed[1])):
-        for seg, (gs, gp) in enumerate(zip(grads_seq, grads_packed, strict=True)):
-            np.testing.assert_array_equal(
-                gp.indices, gs.indices, err_msg=f"table {table} segment {seg} indices"
-            )
-            np.testing.assert_array_equal(
-                gp.values, gs.values, err_msg=f"table {table} segment {seg} values"
-            )
+    for seg, (gs, gp) in enumerate(zip(seq[1], packed[1], strict=True)):
+        np.testing.assert_array_equal(gp.indices, gs.indices, err_msg=f"segment {seg} keys")
+        np.testing.assert_array_equal(gp.values, gs.values, err_msg=f"segment {seg} values")
     for i, (gs, gp) in enumerate(zip(seq[2], packed[2], strict=True)):
         np.testing.assert_array_equal(gp, gs, err_msg=f"dense grad {i}")
 

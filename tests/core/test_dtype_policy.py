@@ -93,8 +93,7 @@ def step_arrays(trainer):
     for param, grad in model.dense_parameters():
         yield "dense parameter", param
         yield "dense gradient", grad
-    for table in model.tables:
-        yield "table weight", table.weight
+    yield "table weight", model.embedding.weight
     for buffer in getattr(trainer, "_dense_spare", []):
         yield "dense spare buffer", buffer
     for flat in getattr(trainer, "_pending_dense", []):
@@ -153,10 +152,9 @@ def test_every_training_array_is_float32_and_priced(
     assert log.dense.dtype == log.labels.dtype == np.float32
     assert {kind for kind, _ in dtype_log} == ALWAYS_SEEN | EXTRA_SEEN[trainer_name]
     # Bytes held are bytes priced.
-    assert sum(table.weight.nbytes for table in model.tables) == config.embedding_bytes
+    assert model.embedding.weight.nbytes == config.embedding_bytes
     for param, grad in model.dense_parameters():
         assert param.itemsize == grad.itemsize == config.dtype_bytes
-    for table in model.tables:
-        assert table.weight.itemsize == config.dtype_bytes
+    assert model.embedding.weight.itemsize == config.dtype_bytes
     if trainer_name == "k2-stale2-w4-tier":
-        assert trainer.tier.row_bytes == model.tables[0].weight[0].nbytes
+        assert trainer.tier.row_bytes == model.embedding.weight[0].nbytes

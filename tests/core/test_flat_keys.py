@@ -5,7 +5,8 @@ A model's sparse gradient is one ``SparseGradient`` whose keys are
 row of table ``t`` is the key right before row 0 of table ``t + 1``),
 1-row tables, tables a gradient does not touch, and ids outside a table:
 with flat keys a wrapped id would name a neighbouring table's row.  These
-tests pin each one against the per-table results of the test oracle.
+tests pin each one against the test oracle's sequential µ-batch models and
+each table's own lookups.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.data.synthetic import generate_click_log
 from repro.models.configs import ModelConfig
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
-from repro.nn.embedding import SparseGradient, join_tables, key_offsets, split_by_table
+from repro.nn.embedding import key_offsets
 from tests.oracle import SequentialDLRM, SequentialTBSM
 
 #: Small tables, one of a single row, so keys of different tables sit
@@ -75,8 +76,9 @@ def random_segments(size: int, parts: int, rng) -> list[np.ndarray]:
 def test_fused_flat_gradients_match_the_oracle_per_table(
     model_cls, oracle_cls, pooling, num_segments
 ):
-    """Split by table, each segment's flat gradient from the one fused
-    scatter is byte-equal to the oracle's per-table gradient."""
+    """Each segment's flat gradient from the one fused scatter is
+    byte-equal to the oracle's per-µ-batch gradient, and table by table
+    its keys are exactly the segment's lookups of that table."""
     config = make_config(model_cls, pooling)
     batch = boundary_batch(pooling)
     segments = random_segments(batch.size, num_segments, np.random.default_rng(num_segments))
@@ -94,39 +96,16 @@ def test_fused_flat_gradients_match_the_oracle_per_table(
         keys = grad.indices
         assert np.all(keys[1:] > keys[:-1])  # sorted, unique
         assert keys[0] >= 0 and keys[-1] < sum(ROWS)
-        per_table = split_by_table(grad, ROWS)
-        for t, (part, ref_part) in enumerate(
-            zip(per_table, split_by_table(ref, ROWS), strict=True)
-        ):
-            assert part.indices.tobytes() == ref_part.indices.tobytes(), t
-            assert part.values.tobytes() == ref_part.values.tobytes(), t
-            # Every table's rows are exactly the segment's lookups of it.
-            np.testing.assert_array_equal(part.indices, np.unique(batch.sparse[idx, t, :]))
+        assert keys.tobytes() == ref.indices.tobytes()
+        assert grad.values.tobytes() == ref.values.tobytes()
+        for t, rows in enumerate(ROWS):
+            # Every table's keys are exactly the segment's lookups of it.
+            in_table = keys[(keys >= offsets[t]) & (keys < offsets[t] + rows)]
+            np.testing.assert_array_equal(
+                in_table - offsets[t], np.unique(batch.sparse[idx, t, :])
+            )
         # The 1-row table's only row is the key between its neighbours.
         assert offsets[1] in keys
-
-
-def test_join_and_split_round_trip_at_table_boundaries():
-    """Keys at ``offsets[t + 1] - 1`` and ``offsets[t + 1]`` land in the
-    right tables, a table with no keys splits to an empty view, and split
-    inverts join."""
-    dim = 2
-    per_table = [
-        SparseGradient(np.array([0, 6]), np.full((2, dim), 1.0)),  # first/last row
-        SparseGradient(np.array([0]), np.full((1, dim), 2.0)),  # the 1-row table
-        SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, dim))),  # untouched
-        SparseGradient(np.array([0, 2]), np.full((2, dim), 3.0)),
-    ]
-    flat = join_tables(per_table, ROWS)
-    np.testing.assert_array_equal(flat.indices, [0, 6, 7, 13, 15])
-    back = split_by_table(flat, ROWS)
-    assert [part.nnz for part in back] == [2, 1, 0, 2]
-    for part, original in zip(back, per_table, strict=True):
-        assert part.indices.tobytes() == original.indices.astype(np.int64).tobytes()
-        assert part.values.tobytes() == original.values.tobytes()
-    for key in (-1, sum(ROWS)):
-        with pytest.raises(ValueError, match="outside"):
-            split_by_table(SparseGradient(np.array([key]), np.ones((1, dim))), ROWS)
 
 
 def model_and_batch(model_cls, table: int, bad: int):
@@ -145,7 +124,7 @@ def test_out_of_range_sparse_ids_raise_and_update_nothing(model_cls, table, bad_
     bad = -1 if bad_row == "negative" else ROWS[table]
     model, batch = model_and_batch(model_cls, table, bad)
     before = model.state_snapshot()
-    with pytest.raises(ValueError, match=f"table_{table}"):
+    with pytest.raises(ValueError, match=f"for table {table}$"):
         model.train_step(batch, lr=0.5)
     after = model.state_snapshot()
     assert all(np.array_equal(before[key], after[key]) for key in before)
@@ -155,7 +134,7 @@ def test_out_of_range_sparse_ids_raise_and_update_nothing(model_cls, table, bad_
     trainer = HotlineTrainer(model, sample_fraction=0.5)
     trainer.bind(MiniBatchLoader(generate_click_log(config.dataset, 64, seed=2), batch_size=16))
     before = model.state_snapshot()
-    with pytest.raises(ValueError, match=f"table_{table}"):
+    with pytest.raises(ValueError, match=f"for table {table}$"):
         trainer.train_step(batch)
     after = model.state_snapshot()
     assert all(np.array_equal(before[key], after[key]) for key in before)

@@ -1,8 +1,8 @@
 """Fused-vs-sequential µ-batch parity: one gather/scatter, same bits.
 
-The fused execution path gathers each table's **whole mini-batch block
-once**, trains the µ-batches on selections of the pooled output, and
-produces every µ-batch's sparse gradient with **one**
+The fused execution path gathers the **whole mini-batch block once**,
+trains the µ-batches on selections of the pooled output, and produces
+every µ-batch's sparse gradient with **one**
 :func:`~repro.nn.embedding.segmented_scatter` (each lookup keyed into its
 segment's private id space, so per-row contributions accumulate in the
 exact per-segment order).  This suite proves the path is bit-transparent
@@ -23,12 +23,7 @@ from repro.core.pipeline import HotlineTrainer
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
-from repro.nn.embedding import (
-    EmbeddingBag,
-    segment_ids_for,
-    segmented_scatter,
-    split_by_table,
-)
+from repro.nn.embedding import EmbeddingBag, segment_ids_for, segmented_scatter
 from tests.oracle import SequentialDLRM, SequentialTBSM
 
 
@@ -49,12 +44,12 @@ def partition(batch_size, rng, parts=2):
 # Kernel level
 # --------------------------------------------------------------------- #
 def test_backward_segments_matches_per_segment_backward(rng):
-    bag = EmbeddingBag(40, 4, np.random.default_rng(1))
-    block = rng.integers(0, 40, size=(9, 2))
+    bag = EmbeddingBag((40, 7), 4, np.random.default_rng(1))
+    block = np.stack([rng.integers(0, 40, size=(9, 2)), rng.integers(0, 7, size=(9, 2))], 1)
     segments = partition(9, rng)
-    grads = [rng.normal(size=(len(idx), 4)) for idx in segments]
+    grads = [rng.normal(size=(len(idx), 2, 4)) for idx in segments]
     bag.forward(block)
-    fused = bag.backward_segments(grads, segments)
+    fused = bag.backward_segments(np.concatenate(grads), segments)
     for idx, grad_out, grad_fused in zip(segments, grads, fused, strict=True):
         bag.forward(block[idx])
         reference = bag.backward(grad_out)
@@ -86,16 +81,16 @@ def test_segmented_scatter_empty():
 
 
 def test_segment_ids_and_backward_guards():
-    bag = EmbeddingBag(10, 2, np.random.default_rng(2))
+    bag = EmbeddingBag((10,), 2, np.random.default_rng(2))
     with pytest.raises(RuntimeError):
-        bag.backward_segments([np.zeros((1, 2))], [np.arange(1)])
-    bag.forward(np.zeros((3, 1), dtype=np.int64))
-    with pytest.raises(ValueError):  # one gradient block per segment
-        bag.backward_segments([np.zeros((3, 2))], [np.arange(2), np.arange(2, 3)])
+        bag.backward_segments(np.zeros((1, 1, 2)), [np.arange(1)])
+    bag.forward(np.zeros((3, 1, 1), dtype=np.int64))
+    with pytest.raises(ValueError):  # the segments must cover the batch
+        bag.backward_segments(np.zeros((3, 1, 2)), [np.arange(2)])
     with pytest.raises(ValueError):  # gradient block / segment size mismatch
-        bag.backward_segments(
-            [np.zeros((1, 2)), np.zeros((1, 2))], [np.arange(2), np.arange(2, 3)]
-        )
+        bag.backward_segments(np.zeros((2, 1, 2)), [np.arange(2), np.arange(2, 3)])
+    with pytest.raises(ValueError):  # gradient block / table count mismatch
+        bag.backward_segments(np.zeros((3, 2, 2)), [np.arange(3)])
     with pytest.raises(ValueError):  # not a partition: a sample is missing
         segment_ids_for([np.arange(2)], 3)
     with pytest.raises(ValueError):  # not a partition: overlap
@@ -130,16 +125,11 @@ def model_level_parity(model_cls, config, log, seed):
     )
 
     assert fused_losses == seq_losses
-    rows = config.dataset.rows_per_table
-    for segment in range(2):
-        # The sequential gradients are per-table results relabelled; the
-        # fused ones come out of one flat scatter.  Split by table, every
-        # array matches byte for byte.
-        references = split_by_table(seq_grads[segment], rows)
-        candidates = split_by_table(fused_grads[segment], rows)
-        for reference, candidate in zip(references, candidates, strict=True):
-            assert candidate.indices.tobytes() == reference.indices.tobytes()
-            assert candidate.values.tobytes() == reference.values.tobytes()
+    for reference, candidate in zip(seq_grads, fused_grads, strict=True):
+        # The sequential gradients come out of one scatter per µ-batch, the
+        # fused ones out of one scatter for both: byte for byte the same.
+        assert candidate.indices.tobytes() == reference.indices.tobytes()
+        assert candidate.values.tobytes() == reference.values.tobytes()
     for (_, grad_seq), (_, grad_fused) in zip(
         sequential.dense_parameters(), fused.dense_parameters(), strict=True
     ):

@@ -15,20 +15,30 @@ from repro.core.classifier import split_minibatch
 from repro.core.hotset import HotSetIndex
 from repro.data.batch import MiniBatch
 from repro.nn.embedding import EmbeddingBag
-from tests.oracle import (
-    reference_backward,
-    reference_forward,
-    split_minibatch_reference,
-)
+from tests.oracle import reference_bag, split_minibatch_reference
+
+#: Tables of the bag under test: a 1-row table between two others.
+ROWS = (64, 1, 33)
 
 
-def make_bag(rows=64, dim=8, seed=3):
+def make_bag(rows=ROWS, dim=8, seed=3):
     return EmbeddingBag(rows, dim, np.random.default_rng(seed))
 
 
-def random_indices(batch, pooling, rows=64, seed=0):
+def random_indices(batch, pooling, rows=ROWS, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.integers(0, rows, size=(batch, pooling), dtype=np.int64)
+    return np.stack(
+        [rng.integers(0, r, size=(batch, pooling), dtype=np.int64) for r in rows], axis=1
+    )
+
+
+def assert_matches_reference(bag, indices, grad_output):
+    out = bag.forward(indices)
+    grad = bag.backward(grad_output)
+    ref_out, ref_grad = reference_bag(bag, indices, grad_output)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(grad.indices, ref_grad.indices)
+    np.testing.assert_array_equal(grad.values, ref_grad.values)
 
 
 @pytest.mark.parametrize(
@@ -38,32 +48,15 @@ def random_indices(batch, pooling, rows=64, seed=0):
 )
 def test_embedding_forward_backward_parity(batch, pooling):
     bag = make_bag()
-    indices = random_indices(batch, pooling)
-    grad_output = np.random.default_rng(1).normal(size=(batch, bag.dim))
-
-    out = bag.forward(indices)
-    ref_out = reference_forward(bag.weight, indices)
-    np.testing.assert_array_equal(out, ref_out)
-
-    grad = bag.backward(grad_output)
-    ref_grad = reference_backward(indices, grad_output, bag.dim)
-    np.testing.assert_array_equal(grad.indices, ref_grad.indices)
-    np.testing.assert_array_equal(grad.values, ref_grad.values)
+    grad_output = np.random.default_rng(1).normal(size=(batch, len(ROWS), bag.dim))
+    assert_matches_reference(bag, random_indices(batch, pooling), grad_output)
 
 
 def test_embedding_parity_with_heavy_index_collisions():
     """Shared rows across samples must accumulate in the same order."""
-    bag = make_bag(rows=4)
-    indices = random_indices(256, 8, rows=4, seed=9)
-    grad_output = np.random.default_rng(2).normal(size=(256, bag.dim))
-
-    np.testing.assert_array_equal(
-        bag.forward(indices), reference_forward(bag.weight, indices)
-    )
-    grad = bag.backward(grad_output)
-    ref_grad = reference_backward(indices, grad_output, bag.dim)
-    np.testing.assert_array_equal(grad.indices, ref_grad.indices)
-    np.testing.assert_array_equal(grad.values, ref_grad.values)
+    bag = make_bag(rows=(4, 3))
+    grad_output = np.random.default_rng(2).normal(size=(256, 2, bag.dim))
+    assert_matches_reference(bag, random_indices(256, 8, rows=(4, 3), seed=9), grad_output)
 
 
 def make_minibatch(batch=64, tables=3, pooling=2, rows=32, seed=11):

@@ -97,7 +97,7 @@ def test_interpreter_computes_in_the_table_dtype():
     """A float32 table pools in float32: with pooling 6 the interpreter's
     buffer equals ``EmbeddingBag.forward`` bit for bit, whether a row is
     read from the GPU replica or DMA'd from the CPU table."""
-    bag = EmbeddingBag(64, 8, np.random.default_rng(5))
+    bag = EmbeddingBag((64,), 8, np.random.default_rng(5))
     assert bag.weight.dtype == np.float32
     indices = np.random.default_rng(6).integers(0, 64, size=(16, 6))
     driver = InstructionDriver(row_bytes=bag.dim * bag.weight.itemsize)
@@ -105,4 +105,4 @@ def test_interpreter_computes_in_the_table_dtype():
     program = driver.pooled_gather_program(list(indices), table=0, hot_rows=np.arange(32))
     pooled = interpreter.execute(program, num_buffer_slots=indices.shape[0])
     assert pooled.dtype == np.float32
-    np.testing.assert_array_equal(pooled, bag.forward(indices))
+    np.testing.assert_array_equal(pooled, bag.forward(indices[:, None])[:, 0])

@@ -117,7 +117,7 @@ def test_exposed_time_bit_matches_retired_arithmetic(replicas, cluster, bucket_b
             expected = legacy_exposed_time(mode, reducer.staleness, times, compute)
             assert reducer.exposed_time(times, compute) == expected
             assert reducer.comm_schedule(times).exposed_time(compute) == expected
-        assert reducer.step_schedule(num_elements).total_s == total
+        assert reducer.comm_schedule(reducer.bucket_times(num_elements)).total_s == total
 
 
 def test_trainer_lane_composition_matches_retired_sum():

@@ -20,7 +20,10 @@ import pytest
 
 from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.engine import evaluate
+from repro.data import generate_click_log
+from repro.data.batch import MiniBatch
 from repro.data.loader import MiniBatchLoader
+from repro.models import RM2
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 
@@ -88,9 +91,8 @@ def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):
         trainer.train_step(batch)
     for table, hot in enumerate(placement.hot_sets):
         assert np.all(trainer.tier.is_resident(table, hot))
-    # The model's bags resolve through the tier.
-    for bag in trainer.model.tables:
-        assert bag._tier is trainer.tier
+    # The model's bag resolves through the tier.
+    assert trainer.model.embedding._tier is trainer.tier
 
 
 def flat_hot_keys(placement):
@@ -200,6 +202,41 @@ def test_evaluation_is_not_counted_as_tier_traffic(tiny_model_config, tiny_click
     assert run(evaluate_after=1, eval_every=3) == (counters, totals)
 
 
+def test_a_rejected_batch_leaves_no_tier_traffic():
+    """An id out of range in table 3 raises before any table touches the
+    tier: the tier's counters and residency stay as they were, and the
+    next step reports the tier traffic of a run that never saw the batch."""
+    config = RM2.scaled(200)
+    log = generate_click_log(config.dataset, 192, seed=7)
+
+    def trainer_after_one_step():
+        trainer = ShardedHotlineTrainer(
+            DLRM(config, seed=2), 2, sample_fraction=0.25,
+            tiered_hot_bytes=0.05 * config.embedding_bytes,
+        )
+        trainer.bind(MiniBatchLoader(log, batch_size=64))
+        trainer.run_step(log.batch(0, 64))
+        return trainer
+
+    clean, rejected = trainer_after_one_step(), trainer_after_one_step()
+    good = log.batch(64, 64)
+    sparse = good.sparse.copy()
+    sparse[40, 3, 0] = config.dataset.rows_per_table[3]
+    tier = rejected.tier
+    state = ("hits", "misses", "evictions", "fetch_time_s", "writeback_time_s", "resident_rows")
+    before = [getattr(tier, name) for name in state]
+    with pytest.raises(ValueError, match="for table 3$"):
+        rejected.run_step(MiniBatch(good.dense, sparse, good.labels))
+    assert [getattr(tier, name) for name in state] == before
+
+    outcomes = [trainer.run_step(good) for trainer in (clean, rejected)]
+    counters = ("loss", "tier_hits", "tier_misses", "tier_evictions")
+    assert [getattr(outcomes[1], name) for name in counters] == [
+        getattr(outcomes[0], name) for name in counters
+    ]
+    assert outcomes[1].tier_hits + outcomes[1].tier_misses > 0
+
+
 def test_tiered_hot_bytes_rejects_negative(tiny_model_config):
     with pytest.raises(ValueError, match="tiered_hot_bytes"):
         ShardedHotlineTrainer(
@@ -239,8 +276,7 @@ def test_rebind_starts_with_fresh_dma_and_tier_counters(
     assert trainer.tier.hits == 0 and trainer.tier.misses == 0
     assert trainer.tier.evictions == 0
     assert trainer._tier_seen == (0, 0, 0)
-    for bag in trainer.model.tables:
-        assert bag._tier is trainer.tier
+    assert trainer.model.embedding._tier is trainer.tier
 
 
 # --------------------------------------------------------------------- #

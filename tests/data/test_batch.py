@@ -53,10 +53,3 @@ def test_split_wrong_mask_length_raises():
     batch = make_batch(n=4)
     with pytest.raises(ValueError):
         batch.split(np.array([True, False]))
-
-
-def test_table_block_format():
-    batch = make_batch(n=3, tables=2, pooling=2)
-    block = batch.table_block(1)
-    assert block.shape == (3, 2)
-    np.testing.assert_array_equal(block, batch.sparse[:, 1, :])

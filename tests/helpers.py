@@ -7,6 +7,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.data.batch import MiniBatch
+
 #: Tolerance pair for comparing float32 training runs whose sums associate
 #: differently (shard or node counts, tree vs ring reduction, Hotline vs
 #: baseline, einsum vs GEMM kernels): 64 float32 ulps, more than 10x the
@@ -44,15 +46,36 @@ def assert_gradients_close(
 def backward_gradients(model, batch, between=None) -> list[bytes]:
     """Bytes of every gradient of ``forward(batch)`` → ``backward``.
 
-    With ``between``, ``model.predict(between)`` runs after the forward
-    and before the backward.  Returns the dense gradients in
-    ``dense_parameters`` order, then the flat sparse gradient's keys and
-    values.
+    With ``between``, ``between(model)`` runs after the forward and before
+    the backward.  Returns the dense gradients in ``dense_parameters``
+    order, then the flat sparse gradient's keys and values.
     """
     model.zero_grad()
     logits = model.forward(batch)
     if between is not None:
-        model.predict(between)
+        between(model)
     sparse = model.backward(np.ones_like(logits) / batch.size)
     dense = [grad.tobytes() for _param, grad in model.dense_parameters()]
     return dense + [sparse.indices.tobytes(), sparse.values.tobytes()]
+
+
+def rejected_forward(batch, rows_per_table, fault: str) -> Callable:
+    """A ``between`` for :func:`backward_gradients`: a ``forward`` that
+    must raise ``ValueError``, of ``batch`` with one id just past the last
+    table's rows (``fault="id"``) or without its last table
+    (``fault="tables"``)."""
+    sparse = batch.sparse.copy()
+    if fault == "id":
+        sparse[-1, -1, -1] = rows_per_table[-1]
+    else:
+        sparse = sparse[:, :-1]
+    rejected = MiniBatch(batch.dense, sparse, batch.labels)
+
+    def between(model) -> None:
+        try:
+            model.forward(rejected)
+        except ValueError:
+            return
+        raise AssertionError("the rejected batch's forward did not raise")
+
+    return between

@@ -5,9 +5,9 @@ import pytest
 
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
-from repro.nn.embedding import SparseGradient, split_by_table
+from repro.nn.embedding import SparseGradient, key_offsets
 from repro.nn.metrics import roc_auc
-from tests.helpers import backward_gradients
+from tests.helpers import backward_gradients, rejected_forward
 
 
 def test_forward_shape(tiny_dlrm, tiny_click_log):
@@ -48,15 +48,13 @@ def test_bottom_mlp_must_end_at_embedding_dim(tiny_model_config):
 
 
 def test_loss_and_gradients_returns_one_grad_per_table(tiny_dlrm, tiny_click_log):
-    """One flat-keyed gradient that splits into one gradient per table,
-    each exactly that table's own backward."""
+    """One flat-keyed gradient whose keys are exactly the batch's lookups,
+    row ``r`` of table ``t`` as ``offsets[t] + r``."""
     batch = tiny_click_log.batch(0, 32)
     loss, grad = tiny_dlrm.loss_and_gradients(batch)
     assert loss > 0
-    per_table = split_by_table(grad, tiny_dlrm.config.dataset.rows_per_table)
-    assert len(per_table) == len(tiny_dlrm.tables)
-    for t, table_grad in enumerate(per_table):
-        np.testing.assert_array_equal(table_grad.indices, np.unique(batch.sparse[:, t, :]))
+    offsets = key_offsets(tiny_dlrm.config.dataset.rows_per_table)
+    np.testing.assert_array_equal(grad.indices, np.unique(batch.sparse + offsets[:, None]))
 
 
 def test_normalizer_scales_gradients(tiny_dlrm, tiny_click_log):
@@ -136,7 +134,25 @@ def test_predict_between_forward_and_backward_leaves_the_gradients(
     (another batch) → backward gives the gradients of forward → backward,
     bit for bit, whether or not the predicted batch has the same size."""
     batch = tiny_click_log.batch(0, 64)
-    between = tiny_click_log.batch(256, between_size)
+    other = tiny_click_log.batch(256, between_size)
+    expected = backward_gradients(DLRM(tiny_model_config, seed=2), batch)
+    got = backward_gradients(
+        DLRM(tiny_model_config, seed=2), batch, between=lambda model: model.predict(other)
+    )
+    assert got == expected
+
+
+@pytest.mark.parametrize("fault", ["id", "tables"])
+def test_rejected_forward_between_forward_and_backward_leaves_the_gradients(
+    tiny_model_config, tiny_click_log, fault
+):
+    """The bag checks the id block before any layer caches the batch, so a
+    forward rejected for an out-of-range id or a missing table leaves the
+    earlier forward's gradients as they were, bit for bit."""
+    batch = tiny_click_log.batch(0, 64)
+    between = rejected_forward(
+        tiny_click_log.batch(256, 64), tiny_model_config.dataset.rows_per_table, fault
+    )
     expected = backward_gradients(DLRM(tiny_model_config, seed=2), batch)
     got = backward_gradients(DLRM(tiny_model_config, seed=2), batch, between=between)
     assert got == expected

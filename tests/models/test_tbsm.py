@@ -5,9 +5,8 @@ import pytest
 
 from repro.data.loader import MiniBatchLoader
 from repro.models.tbsm import TBSM
-from repro.nn.embedding import split_by_table
 from repro.nn.metrics import roc_auc
-from tests.helpers import backward_gradients
+from tests.helpers import backward_gradients, rejected_forward
 
 
 def test_requires_attention_config(tiny_model_config):
@@ -31,12 +30,13 @@ def test_backward_before_forward_raises(tiny_tbsm):
 
 
 def test_loss_and_gradients_per_table(tiny_tbsm, tiny_ts_click_log):
-    loss, grad = tiny_tbsm.loss_and_gradients(tiny_ts_click_log.batch(0, 32))
+    batch = tiny_ts_click_log.batch(0, 32)
+    loss, grad = tiny_tbsm.loss_and_gradients(batch)
     assert loss > 0
-    grads = split_by_table(grad, tiny_tbsm.config.dataset.rows_per_table)
-    assert len(grads) == len(tiny_tbsm.tables)
-    # The history table (table 0) receives gradient for each step's lookup.
-    assert grads[0].nnz > 0
+    # The history table (table 0, keys below its row count) receives
+    # gradient for each step's lookup.
+    history = grad.indices[grad.indices < tiny_tbsm.config.dataset.rows_per_table[0]]
+    np.testing.assert_array_equal(history, np.unique(batch.sparse[:, 0, :]))
 
 
 def test_train_step_reduces_loss(tiny_ts_model_config, tiny_ts_click_log):
@@ -79,7 +79,25 @@ def test_predict_between_forward_and_backward_leaves_the_gradients(
     (another batch) → backward gives the gradients of forward → backward,
     bit for bit, whether or not the predicted batch has the same size."""
     batch = tiny_ts_click_log.batch(0, 64)
-    between = tiny_ts_click_log.batch(256, between_size)
+    other = tiny_ts_click_log.batch(256, between_size)
+    expected = backward_gradients(TBSM(tiny_ts_model_config, seed=2), batch)
+    got = backward_gradients(
+        TBSM(tiny_ts_model_config, seed=2), batch, between=lambda model: model.predict(other)
+    )
+    assert got == expected
+
+
+@pytest.mark.parametrize("fault", ["id", "tables"])
+def test_rejected_forward_between_forward_and_backward_leaves_the_gradients(
+    tiny_ts_model_config, tiny_ts_click_log, fault
+):
+    """The bag checks the id block before any layer caches the batch, so a
+    forward rejected for an out-of-range id or a missing table leaves the
+    earlier forward's gradients as they were, bit for bit."""
+    batch = tiny_ts_click_log.batch(0, 64)
+    between = rejected_forward(
+        tiny_ts_click_log.batch(256, 64), tiny_ts_model_config.dataset.rows_per_table, fault
+    )
     expected = backward_gradients(TBSM(tiny_ts_model_config, seed=2), batch)
     got = backward_gradients(TBSM(tiny_ts_model_config, seed=2), batch, between=between)
     assert got == expected

@@ -26,23 +26,23 @@ def test_output_dim_formula():
 
 def test_forward_shape(rng):
     dense = rng.normal(size=(5, 8))
-    sparse = [rng.normal(size=(5, 8)) for _ in range(3)]
+    sparse = rng.normal(size=(5, 3, 8))
     out, _ = dot_interaction(dense, sparse)
     assert out.shape == (5, interaction_output_dim(8, 3))
 
 
 def test_forward_contains_pairwise_dots(rng):
     dense = rng.normal(size=(2, 4))
-    sparse = [rng.normal(size=(2, 4))]
+    sparse = rng.normal(size=(2, 1, 4))
     out, _ = dot_interaction(dense, sparse)
-    expected_dot = (dense * sparse[0]).sum(axis=1)
+    expected_dot = (dense * sparse[:, 0]).sum(axis=1)
     np.testing.assert_allclose(out[:, 4], expected_dot)
     np.testing.assert_allclose(out[:, :4], dense)
 
 
 def test_backward_dense_gradient_matches_numeric(rng):
     dense = rng.normal(size=(3, 4))
-    sparse = [rng.normal(size=(3, 4)) for _ in range(2)]
+    sparse = rng.normal(size=(3, 2, 4))
 
     def loss_fn(d):
         out, _ = dot_interaction(d, sparse)
@@ -56,31 +56,29 @@ def test_backward_dense_gradient_matches_numeric(rng):
 
 def test_backward_sparse_gradient_matches_numeric(rng):
     dense = rng.normal(size=(3, 4))
-    sparse = [rng.normal(size=(3, 4)) for _ in range(2)]
+    sparse = rng.normal(size=(3, 2, 4))
 
-    def loss_fn(s0):
-        out, _ = dot_interaction(dense, [s0, sparse[1]])
+    def loss_fn(s):
+        out, _ = dot_interaction(dense, s)
         return float((out ** 2).sum())
 
     out, cache = dot_interaction(dense, sparse)
     _, grad_sparse = dot_interaction_backward(2.0 * out, cache)
-    numeric = numerical_gradient(loss_fn, sparse[0])
-    assert_gradients_close(grad_sparse[0], numeric, rtol=1e-4)
+    numeric = numerical_gradient(loss_fn, sparse)
+    assert_gradients_close(grad_sparse, numeric, rtol=1e-4)
 
 
 def test_backward_returns_one_gradient_per_sparse_feature(rng):
     dense = rng.normal(size=(2, 4))
-    sparse = [rng.normal(size=(2, 4)) for _ in range(5)]
+    sparse = rng.normal(size=(2, 5, 4))
     out, cache = dot_interaction(dense, sparse)
     _, grad_sparse = dot_interaction_backward(np.ones_like(out), cache)
-    assert len(grad_sparse) == 5
-    for grad in grad_sparse:
-        assert grad.shape == (2, 4)
+    assert grad_sparse.shape == (2, 5, 4)
 
 
 def _random_problem(rng, batch=7, features=5, dim=8):
     dense = rng.normal(size=(batch, dim))
-    sparse = [rng.normal(size=(batch, dim)) for _ in range(features - 1)]
+    sparse = rng.normal(size=(batch, features - 1, dim))
     return dense, sparse
 
 
@@ -94,29 +92,27 @@ def test_batched_matches_reference_allclose(rng):
     gd_new, gs_new = dot_interaction_backward(grad_out, cache_new)
     gd_ref, gs_ref = reference_dot_interaction_backward(grad_out, cache_ref)
     np.testing.assert_allclose(gd_new, gd_ref, rtol=1e-12, atol=1e-12)
-    for a, b in zip(gs_new, gs_ref, strict=True):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gs_new, gs_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_row_stability_of_batched_path(rng):
     """What certification promises: full-block slices == fresh-subset calls."""
     dense, sparse = _random_problem(rng, batch=33)
-    if not interaction_certified(len(sparse) + 1, dense.shape[1], dense.dtype):
+    if not interaction_certified(sparse.shape[1] + 1, dense.shape[1], dense.dtype):
         return  # the fallback path is bitwise-stable by construction
     out_full, cache_full = dot_interaction(dense, sparse)
     grad_out = rng.normal(size=out_full.shape)
     gd_full, gs_full = dot_interaction_backward(grad_out, cache_full)
     for lo, hi in ((0, 1), (0, 5), (3, 17), (20, 33)):
         sub_dense = np.ascontiguousarray(dense[lo:hi])
-        sub_sparse = [np.ascontiguousarray(s[lo:hi]) for s in sparse]
+        sub_sparse = np.ascontiguousarray(sparse[lo:hi])
         out_sub, cache_sub = dot_interaction(sub_dense, sub_sparse)
         assert np.array_equal(out_full[lo:hi], out_sub)
         gd_sub, gs_sub = dot_interaction_backward(
             np.ascontiguousarray(grad_out[lo:hi]), cache_sub
         )
         assert np.array_equal(gd_full[lo:hi], gd_sub)
-        for a, b in zip(gs_full, gs_sub, strict=True):
-            assert np.array_equal(a[lo:hi], b)
+        assert np.array_equal(gs_full[lo:hi], gs_sub)
 
 
 def test_uncertified_shape_dispatches_to_einsum_path(rng, monkeypatch):
@@ -143,13 +139,12 @@ def test_kernel_matches_free_function_bitwise(rng):
         gd_k, gs_k = kernel.backward(grad_out, cache_k)
         gd_f, gs_f = dot_interaction_backward(grad_out, cache_f)
         assert np.array_equal(gd_k, gd_f)
-        for a, b in zip(gs_k, gs_f, strict=True):
-            assert np.array_equal(a, b)
+        assert np.array_equal(gs_k, gs_f)
 
 
 def test_kernel_recycles_stack_buffer_after_backward(rng):
     dense, sparse = _random_problem(rng)
-    if not interaction_certified(len(sparse) + 1, dense.shape[1], dense.dtype):
+    if not interaction_certified(sparse.shape[1] + 1, dense.shape[1], dense.dtype):
         return  # pooling only engages on the certified path
     kernel = DotInteractionKernel()
     _, cache1 = kernel.forward(dense, sparse)
@@ -166,11 +161,10 @@ def test_kernel_backward_output_is_fresh_per_call(rng):
     kernel = DotInteractionKernel()
     out1, cache1 = kernel.forward(dense, sparse)
     gd1, gs1 = kernel.backward(np.ones_like(out1), cache1)
-    snapshot = [g.copy() for g in gs1]
-    out2, cache2 = kernel.forward(dense, [2.0 * s for s in sparse])
+    snapshot = gs1.copy()
+    out2, cache2 = kernel.forward(dense, 2.0 * sparse)
     kernel.backward(np.full_like(out2, 3.0), cache2)
-    for live, saved in zip(gs1, snapshot, strict=True):
-        assert np.array_equal(live, saved)
+    assert np.array_equal(gs1, snapshot)
 
 
 def test_kernel_deepcopy_has_unshared_workspaces(rng):

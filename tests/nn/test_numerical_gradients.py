@@ -31,34 +31,28 @@ def _interaction_grads(dense, sparse):
 
 def test_interaction_backward_matches_finite_differences(rng):
     dense = rng.normal(size=(4, 6))
-    sparse = [rng.normal(size=(4, 6)) for _ in range(3)]
+    sparse = rng.normal(size=(4, 3, 6))
     grad_dense, grad_sparse = _interaction_grads(dense, sparse)
     numeric_dense = numerical_gradient(lambda d: _interaction_loss(d, sparse), dense)
     assert_gradients_close(grad_dense, numeric_dense, rtol=1e-4)
-    for t in range(len(sparse)):
-        def loss_t(s, t=t):
-            replaced = list(sparse)
-            replaced[t] = s
-            return _interaction_loss(dense, replaced)
-
-        numeric = numerical_gradient(loss_t, sparse[t])
-        assert_gradients_close(grad_sparse[t], numeric, rtol=1e-4)
+    numeric_sparse = numerical_gradient(lambda s: _interaction_loss(dense, s), sparse)
+    assert_gradients_close(grad_sparse, numeric_sparse, rtol=1e-4)
 
 
 def test_reference_interaction_backward_matches_finite_differences(rng):
     """The retained einsum backward is FD-checked independently."""
     dense = rng.normal(size=(3, 5))
-    sparse = [rng.normal(size=(3, 5)) for _ in range(2)]
+    sparse = rng.normal(size=(3, 2, 5))
     with reference_kernels(loss=False):
         grad_dense, grad_sparse = _interaction_grads(dense, sparse)
         numeric_dense = numerical_gradient(
             lambda d: _interaction_loss(d, sparse), dense
         )
         numeric_sparse = numerical_gradient(
-            lambda s: _interaction_loss(dense, [s, sparse[1]]), sparse[0]
+            lambda s: _interaction_loss(dense, s), sparse
         )
     assert_gradients_close(grad_dense, numeric_dense, rtol=1e-4)
-    assert_gradients_close(grad_sparse[0], numeric_sparse, rtol=1e-4)
+    assert_gradients_close(grad_sparse, numeric_sparse, rtol=1e-4)
 
 
 def _attention_loss(attention, query, sequence):

@@ -32,7 +32,7 @@ def test_adagrad_shrinks_effective_lr_over_time():
 
 
 def test_sparse_sgd_updates_only_selected_rows():
-    bag = EmbeddingBag(8, 4, np.random.default_rng(0))
+    bag = EmbeddingBag((8,), 4, np.random.default_rng(0))
     before = bag.weight.copy()
     grad = SparseGradient(np.array([2]), np.ones((1, 4)))
     SparseSGD(lr=0.5).step(bag, grad)
@@ -41,7 +41,7 @@ def test_sparse_sgd_updates_only_selected_rows():
 
 
 def test_sparse_adagrad_accumulates_per_row_state():
-    bag = EmbeddingBag(8, 4, np.random.default_rng(0))
+    bag = EmbeddingBag((8,), 4, np.random.default_rng(0))
     opt = SparseAdagrad(lr=1.0)
     grad = SparseGradient(np.array([1]), np.ones((1, 4)))
     before = bag.weight[1].copy()
@@ -57,7 +57,7 @@ def test_sparse_adagrad_runs_in_the_table_dtype():
     """A float32 table's update is float32 arithmetic throughout: the same
     bits as the update computed by hand in float32."""
     rng = np.random.default_rng(3)
-    bag = EmbeddingBag(64, 8, rng)
+    bag = EmbeddingBag((40, 24), 8, rng)
     assert bag.weight.dtype == np.float32
     opt = SparseAdagrad(lr=0.5)
     rows = np.arange(0, 64, 2)
@@ -73,7 +73,7 @@ def test_sparse_adagrad_runs_in_the_table_dtype():
 
 
 def test_sparse_adagrad_empty_gradient_is_noop():
-    bag = EmbeddingBag(8, 4, np.random.default_rng(0))
+    bag = EmbeddingBag((8,), 4, np.random.default_rng(0))
     before = bag.weight.copy()
     SparseAdagrad(lr=1.0).step(
         bag, SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 4)))

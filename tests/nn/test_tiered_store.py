@@ -108,38 +108,41 @@ def test_bookkeeping_is_resident_set_sized():
 
 def test_embedding_bag_resolves_through_tier_transparently():
     rng = np.random.default_rng(11)
-    bag = EmbeddingBag(64, 4, rng)
+    bag = EmbeddingBag((64, 32), 4, rng)
     baseline_weight = bag.weight.copy()
-    block = rng.integers(0, 64, size=(8, 3))
+    block = np.stack([rng.integers(0, 64, size=(8, 3)), rng.integers(0, 32, size=(8, 3))], 1)
     expected = bag.forward(block)
-    expected_grad = bag.backward(np.ones((8, 4)))
+    expected_grad = bag.backward(np.ones((8, 2, 4)))
 
-    tier = make_tier(rows=(64,), hot_rows=16)
-    bag.attach_tier(tier, 0)
+    tier = make_tier(rows=(64, 32), hot_rows=16)
+    reference = make_tier(rows=(64, 32), hot_rows=16)
+    bag.attach_tier(tier)
     out = bag.forward(block)
-    grad = bag.backward(np.ones((8, 4)))
+    grad = bag.backward(np.ones((8, 2, 4)))
     # Bit-identical numerics: only pricing/counters change.
     np.testing.assert_array_equal(out, expected)
     np.testing.assert_array_equal(grad.indices, expected_grad.indices)
     np.testing.assert_array_equal(grad.values, expected_grad.values)
     np.testing.assert_array_equal(bag.weight, baseline_weight)
-    assert tier.hits + tier.misses == np.unique(block).size
-    bag.detach_tier()
-    bag.forward(block)
-    assert tier.hits + tier.misses == np.unique(block).size  # detached: untouched
+    # The block is touched table by table, in table order.
+    for table in range(2):
+        reference.touch(table, block[:, table])
+    counters = ("hits", "misses", "evictions", "fetch_time_s", "writeback_time_s")
+    assert [getattr(tier, c) for c in counters] == [getattr(reference, c) for c in counters]
+    assert tier.hits + tier.misses == sum(np.unique(block[:, t]).size for t in range(2))
+    # An evaluation read is not training traffic.
+    bag.gather(block)
+    assert tier.hits + tier.misses == sum(np.unique(block[:, t]).size for t in range(2))
 
 
 def test_attach_tier_validates_shape():
     rng = np.random.default_rng(0)
-    bag = EmbeddingBag(64, 4, rng)
-    tier = make_tier(rows=(32, 64))
-    try:
-        bag.attach_tier(tier, 0)  # table 0 has 32 rows, bag has 64
-    except ValueError:
-        pass
-    else:  # pragma: no cover - guards the test itself
-        raise AssertionError("shape mismatch must raise")
-    bag.attach_tier(tier, 1)
+    bag = EmbeddingBag((64, 32), 4, rng)
+    with pytest.raises(ValueError):
+        bag.attach_tier(make_tier(rows=(32, 64)))  # tables in the wrong order
+    with pytest.raises(ValueError):
+        bag.attach_tier(make_tier(rows=(64,)))  # a table missing
+    bag.attach_tier(make_tier(rows=(64, 32)))
 
 
 def test_reset_counters_keeps_residency():

@@ -9,10 +9,9 @@ the speedup benchmarks build their baselines from it:
 * :class:`SequentialDLRM` / :class:`SequentialTBSM` — the models with
   ``fused_loss_and_gradients`` replaced by a loop of per-µ-batch
   ``loss_and_gradients`` calls (separate gathers, scatters and unpacked
-  MLP passes per segment), each segment's per-table gradients relabelled
-  into one flat-keyed gradient.  Passed to a production trainer, they give
-  the sequential schedule every fused, packed and replica-stacked pass
-  must reproduce.
+  MLP passes per segment), one flat-keyed gradient per segment.  Passed
+  to a production trainer, they give the sequential schedule every fused,
+  packed and replica-stacked pass must reproduce.
 * :class:`MergedGradientTrainer` — the shared-model K-shard trainer: all
   shards' µ-batch gradients accumulate in one model's layers.  Sync-mode
   :class:`~repro.core.distributed.ShardedHotlineTrainer` must match it.
@@ -27,7 +26,9 @@ the speedup benchmarks build their baselines from it:
   :class:`~repro.core.eal.EmbeddingAccessLogger` must reproduce; assign
   one to ``accelerator.eal`` to run a learning phase through it.
 * :func:`reference_forward` / :func:`reference_backward` — per-sample-loop
-  embedding pooling and scatter.
+  embedding pooling and scatter of one table; :func:`reference_bag` runs
+  them table by table on a table-batched bag's views and relabels the
+  gradients into flat keys.
 * :func:`split_minibatch_reference` — the ``np.isin`` µ-batch
   classification.
 * :func:`reference_kernels` — routes the dot interaction through its
@@ -64,6 +65,7 @@ __all__ = [
     "SequentialDLRM",
     "SequentialTBSM",
     "reference_backward",
+    "reference_bag",
     "reference_forward",
     "reference_kernels",
     "split_minibatch_reference",
@@ -87,8 +89,7 @@ class _SequentialSegments:
         Same contract as :meth:`repro.models.dlrm.DLRM.
         fused_loss_and_gradients`: dense gradients accumulate in the
         layers segment by segment, and the result is per-segment losses
-        plus per-segment flat-keyed gradients (the per-table results,
-        relabelled by ``loss_and_gradients``).
+        plus per-segment flat-keyed gradients.
         """
         losses: list[float] = []
         partials: list[SparseGradient] = []
@@ -533,6 +534,26 @@ def reference_backward(
     values = np.zeros((unique.shape[0], dim), dtype=grad_output.dtype)
     np.add.at(values, inverse, flat_grads)
     return SparseGradient(unique, values)
+
+
+def reference_bag(
+    bag, indices: np.ndarray, grad_output: np.ndarray
+) -> tuple[np.ndarray, SparseGradient]:
+    """A table-batched bag's forward and backward, one table at a time.
+
+    Runs :func:`reference_forward` and :func:`reference_backward` on each
+    table's ``bag.table(t)`` view with its ``(batch, pooling)`` block and
+    ``(batch, dim)`` output gradient.  Returns the pooled ``(batch,
+    tables, dim)`` outputs and one gradient, table ``t``'s rows relabelled
+    as the flat keys ``bag.offsets[t] + row``.
+    """
+    tables = range(bag.num_tables)
+    pooled = np.stack([reference_forward(bag.table(t), indices[:, t]) for t in tables], axis=1)
+    grads = [reference_backward(indices[:, t], grad_output[:, t], bag.dim) for t in tables]
+    return pooled, SparseGradient(
+        np.concatenate([grad.indices + bag.offsets[t] for t, grad in enumerate(grads)]),
+        np.concatenate([grad.values for grad in grads]),
+    )
 
 
 def split_minibatch_reference(

@@ -5,24 +5,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.embedding import EmbeddingBag, scatter_add_rows
+from repro.nn.embedding import EmbeddingBag, TieredEmbeddingStore, scatter_add_rows
 from repro.nn.metrics import roc_auc
 from repro.nn.mlp import MLP
+from tests.oracle import reference_backward, reference_bag
 
 
-@given(st.integers(1, 32), st.integers(1, 16), st.integers(0, 1000))
-@settings(max_examples=40, deadline=None)
-def test_embedding_forward_backward_shapes(batch, pooling, seed):
+@given(
+    rows=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    batch=st.integers(0, 6),
+    pooling=st.integers(0, 3),
+    parts=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_embedding_forward_backward_shapes(rows, batch, pooling, parts, seed):
+    """The table-batched bag against the oracle's per-table loops run on
+    its ``table(t)`` views: the forward, ``backward_segments`` over a
+    random ascending partition and the update are bit for bit the
+    per-table results (gradients relabelled by ``offsets[t]``), and an
+    out-of-range id raises naming its table before anything changes."""
     rng = np.random.default_rng(seed)
-    bag = EmbeddingBag(64, 8, rng)
-    indices = [rng.integers(0, 64, size=pooling) for _ in range(batch)]
+    bag = EmbeddingBag(rows, 8, rng)
+    tier = TieredEmbeddingStore(rows, 8, hot_bytes=4 * 8 * 4)
+    bag.attach_tier(tier)
+    tables = len(rows)
+    indices = np.stack([rng.integers(0, r, size=(batch, pooling)) for r in rows], axis=1)
+    if indices.size:  # every table's row 0 and last row
+        indices[0, :, 0] = 0
+        indices[-1, :, -1] = np.asarray(rows) - 1
+
     out = bag.forward(indices)
-    assert out.shape == (batch, 8)
-    grad = bag.backward(np.ones((batch, 8)))
-    assert grad.values.shape[1] == 8
-    assert grad.nnz <= batch * pooling
-    # Total gradient mass equals batch * pooling (each lookup contributes 1s).
-    assert grad.values.sum() == float(batch * pooling * 8)
+    assert out.shape == (batch, tables, 8)
+    grad_output = rng.standard_normal((batch, tables, 8)).astype(np.float32)
+    ref_out, ref_grad = reference_bag(bag, indices, grad_output)
+    assert out.tobytes() == ref_out.tobytes()
+    grad = bag.backward(grad_output)
+    assert grad.indices.tobytes() == ref_grad.indices.tobytes()
+    assert grad.values.tobytes() == ref_grad.values.tobytes()
+
+    assignment = rng.integers(0, parts, size=batch)
+    segments = [np.flatnonzero(assignment == s) for s in range(parts)]
+    packed = grad_output[np.concatenate(segments)]
+    for idx, got in zip(segments, bag.backward_segments(packed, segments), strict=True):
+        _, ref = reference_bag(bag, indices[idx], grad_output[idx])
+        assert got.indices.tobytes() == ref.indices.tobytes()
+        assert got.values.tobytes() == ref.values.tobytes()
+
+    expected = [bag.table(t).copy() for t in range(tables)]
+    for t, table in enumerate(expected):
+        part = reference_backward(indices[:, t], grad_output[:, t], 8)
+        table[part.indices] -= 0.25 * part.values
+    bag.apply_sparse_update(grad, 0.25)
+    for t, table in enumerate(expected):
+        assert bag.table(t).tobytes() == table.tobytes()
+
+    if indices.size:
+        t = int(rng.integers(0, tables))
+        bad = indices.copy()
+        bad[int(rng.integers(0, batch)), t, int(rng.integers(0, pooling))] = rng.choice(
+            [-1, rows[t]]
+        )
+        weight, counters = bag.weight.copy(), (tier.hits, tier.misses, tier.resident_rows)
+        for read in (bag.forward, bag.gather):
+            with pytest.raises(ValueError, match=f"for table {t}$"):
+                read(bad)
+        assert bag.weight.tobytes() == weight.tobytes()
+        assert (tier.hits, tier.misses, tier.resident_rows) == counters
+        assert bag.backward(grad_output).values.tobytes() == grad.values.tobytes()
 
 
 SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
