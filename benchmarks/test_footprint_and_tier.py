@@ -189,9 +189,9 @@ def test_tiered_store_traffic(benchmark):
         tier = TieredEmbeddingStore(
             (TABLE_ROWS,), DIM, hot_bytes=1_024 * DIM * 4
         )
-        tier.pin_rows(0, np.arange(256))  # the placement's hot head
+        tier.repin(np.arange(256))  # the placement's hot head
         for rows in batches:
-            tier.touch(0, rows)
+            tier.touch(rows)
         return tier
 
     start = time.perf_counter()

@@ -1,12 +1,15 @@
-"""The step trace sees the embedding layer: one gather and one scatter a step.
+"""The step trace sees the embedding layer: one gather, one scatter and, on
+the tiered workloads, one tier touch a step.
 
 Every step-benchmark workload trains a model whose tables sit in one
 table-batched :class:`~repro.nn.embedding.EmbeddingBag`, so each steady
 step makes exactly one ``nn.embedding.gather`` call over the whole
 ``(batch, tables, pooling)`` block and one ``nn.embedding.scatter`` call
-producing every µ-batch's flat-keyed gradient.  This drives the tracer of
-``benchmarks/step`` on its ``TINY`` plan and counts what it recorded per
-steady step.
+producing every µ-batch's flat-keyed gradient.  With a hot tier attached
+the gather resolves the block's flat keys through it in one
+``nn.embedding.tier`` call; without one there is none.  This drives the
+tracer of ``benchmarks/step`` on its ``TINY`` plan and counts what it
+recorded per steady step.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from benchmarks.step.workloads import TINY, WORKLOADS, make_inputs, train_once
 
 GATHER = "nn.embedding.gather"
 SCATTER = "nn.embedding.scatter"
+TIER = "nn.embedding.tier"
 
 
 def steady_step_counts(workload: str) -> list[dict[str, float]]:
-    """Per steady step: the gather and scatter spans on the step's thread,
-    the traced gather rows and scatter nnz, and the rows of the step's
-    whole id block."""
+    """Per steady step: the gather, scatter and tier spans on the step's
+    thread, the traced gather rows and scatter nnz, and the rows of the
+    step's whole id block."""
     spec = WORKLOADS[workload]
     inputs = make_inputs(spec, 3, TINY)
     tracer = Tracer()
@@ -42,6 +46,7 @@ def steady_step_counts(workload: str) -> list[dict[str, float]]:
             {
                 "gather_spans": names.count(GATHER),
                 "scatter_spans": names.count(SCATTER),
+                "tier_spans": names.count(TIER),
                 "gather_rows": counters[f"{GATHER}_rows"],
                 "block_rows": run.samples[step] * dataset.num_sparse * dataset.pooling,
                 "scatter_nnz": counters[f"{SCATTER}_nnz"],
@@ -67,3 +72,13 @@ def test_one_gather_and_one_scatter_per_steady_step(counts, workload):
         assert step["gather_spans"] == 1 and step["scatter_spans"] == 1, step
         assert step["gather_rows"] == step["block_rows"], step
         assert step["scatter_nnz"] > 0, step
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_one_tier_touch_per_steady_step_on_tiered_workloads(counts, workload):
+    tiered = WORKLOADS[workload].tier_share is not None
+    assert tiered == workload.endswith("-tier")
+    steps = counts[workload]
+    assert len(steps) >= TINY.min_steady
+    for step in steps:
+        assert step["tier_spans"] == int(tiered), step

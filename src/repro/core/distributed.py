@@ -91,7 +91,7 @@ from repro.data.batch import MiniBatch
 from repro.data.loader import MiniBatchLoader
 from repro.hwsim.cluster import Cluster, single_node
 from repro.hwsim.collectives import comm_op_time
-from repro.nn.embedding import TieredEmbeddingStore, key_offsets
+from repro.nn.embedding import TieredEmbeddingStore
 
 
 @dataclass
@@ -154,13 +154,14 @@ class ShardedHotlineTrainer(StepExecutor):
         tiered_hot_bytes: Front the model's embedding tables with a
             :class:`~repro.nn.embedding.TieredEmbeddingStore` of
             this byte capacity (``None`` disables tiering).  The tier is
-            built at :meth:`bind`: the learning-phase placement's hot rows
-            are pinned resident (they replicate on every device, budgeted
-            by ``hbm_budget_bytes``), every lookup resolves through the
-            tier (bit-identical numerics — pricing and hit/miss/eviction
-            counters only), and LFU eviction keeps the cached rows beside
-            the pinned ones within this capacity.  Tier counters surface
-            through :class:`~repro.core.engine.StepOutcome`.
+            built at :meth:`bind`: shard 0's learning-phase hot rows are
+            pinned resident in one call (they replicate on every device,
+            budgeted by ``hbm_budget_bytes``), each step's whole lookup
+            block resolves through the tier in one touch (bit-identical
+            numerics — pricing and hit/miss/eviction counters only), and
+            LFU eviction keeps the cached rows beside the pinned ones
+            within this capacity.  Tier counters surface through
+            :class:`~repro.core.engine.StepOutcome`.
     """
 
     def __init__(
@@ -307,10 +308,7 @@ class ShardedHotlineTrainer(StepExecutor):
             shard.accelerator.recalibrate()
         self.learning_phase(loader, seed=seed)
         if self.tier is not None:
-            placement = self.shards[0].placement
-            offsets = key_offsets(placement.rows_per_table)
-            hot = zip(offsets, placement.hot_sets, strict=True)
-            self.tier.repin(np.concatenate([rows + offset for offset, rows in hot]))
+            self.tier.repin(self.shards[0].placement.index.hot_keys)
 
     # ------------------------------------------------------------------ #
     # Simulated timing
@@ -426,11 +424,13 @@ class ShardedHotlineTrainer(StepExecutor):
         """(Re)build the hot/cold tier from the current placements.
 
         Called at :meth:`bind` so the tier pins the hot rows the learning
-        phase just placed (:meth:`recalibrate` re-pins); rebinding
-        rebuilds from scratch — fresh counters, fresh residency — so a
-        reused trainer never reports a previous run's tier traffic (the
-        counter-lifetime contract the DMA regression suite pins for the
-        lookahead path).  The tier fronts the model's tables: it models
+        phase just placed, every table's in one
+        :meth:`~repro.nn.embedding.TieredEmbeddingStore.repin` of shard 0's
+        flat hot keys (:meth:`recalibrate` re-pins the same way);
+        rebinding rebuilds from scratch — fresh counters, fresh residency —
+        so a reused trainer never reports a previous run's tier traffic
+        (the counter-lifetime contract the DMA regression suite pins for
+        the lookahead path).  The tier fronts the model's tables: it models
         one device's HBM front (replicated hot rows are pinned once).
         """
         config = self.model.config
@@ -440,10 +440,7 @@ class ShardedHotlineTrainer(StepExecutor):
             hot_bytes=float(self.tiered_hot_bytes),
             dtype_bytes=config.dtype_bytes,
         )
-        placement = self.shards[0].placement
-        if placement is not None:
-            for table, hot in enumerate(placement.hot_sets):
-                self.tier.pin_rows(table, hot)
+        self.tier.repin(self.shards[0].placement.index.hot_keys)
         self.model.embedding.attach_tier(self.tier)
         self._tier_seen = (0, 0, 0)
 

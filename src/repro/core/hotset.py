@@ -76,6 +76,13 @@ class HotSetIndex:
         return self._hot_sets
 
     @property
+    def hot_keys(self) -> np.ndarray:
+        """Every hot row as a flat key, ``offsets[t] + row``: sorted,
+        since the hot sets are and the tables come in key order."""
+        keys = [offset + hot for offset, hot in zip(self._offsets, self._hot_sets, strict=True)]
+        return np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+
+    @property
     def num_tables(self) -> int:
         """Number of indexed tables."""
         return len(self._hot_sets)

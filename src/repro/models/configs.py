@@ -59,6 +59,17 @@ class ModelConfig:
         """Number of continuous input features."""
         return self.dataset.num_dense
 
+    def check_dense(self, dense) -> None:
+        """Raise :class:`ValueError` naming both widths unless the
+        ``(batch, features)`` block ``dense`` has ``num_dense_features``
+        columns.  The models call it before their gather, so a rejected
+        batch touches neither the hot tier nor a layer."""
+        if dense.shape[1] != self.num_dense_features:
+            raise ValueError(
+                f"dense block has {dense.shape[1]} features, the model takes "
+                f"{self.num_dense_features}"
+            )
+
     @property
     def num_sparse_features(self) -> int:
         """Number of categorical features (embedding tables)."""

@@ -71,7 +71,9 @@ class DLRM:
     # ------------------------------------------------------------------ #
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Compute CTR logits for a mini-batch, shape (batch,)."""
-        # The bag's id check runs before any layer caches this batch.
+        # Both input checks run before the gather touches the tier and
+        # before any layer caches this batch.
+        self.config.check_dense(batch.dense)
         pooled = self.embedding.forward(batch.sparse)
         dense_out = self.bottom_mlp.forward(batch.dense)
         interaction, cache = self._interaction.forward(dense_out, pooled)
@@ -168,6 +170,7 @@ class DLRM:
         if normalizer is not None and normalizer <= 0:
             raise ValueError("normalizer must be positive")
         segment_ids_for(segments, batch.size)  # the segments must partition the batch
+        self.config.check_dense(batch.dense)
         pooled = self.embedding.forward(batch.sparse)
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         losses, grad_block = self._packed_dense_pass(batch, segments, perm, normalizer, pooled)

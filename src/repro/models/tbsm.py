@@ -53,7 +53,9 @@ class TBSM:
 
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Compute CTR logits, shape (batch,)."""
-        # The bag's id check runs before any layer caches this batch.
+        # Both input checks run before the gather touches the tier and
+        # before any layer caches this batch.
+        self.config.check_dense(batch.dense)
         sequence, pooled = _split_lookup(self.embedding.lookup(batch.sparse))
         dense_out = self.bottom_mlp.forward(batch.dense)
         context = self.attention.forward(dense_out, sequence)
@@ -121,6 +123,7 @@ class TBSM:
         if normalizer is not None and normalizer <= 0:
             raise ValueError("normalizer must be positive")
         segment_ids_for(segments, batch.size)  # the segments must partition the batch
+        self.config.check_dense(batch.dense)
         sequence, pooled = _split_lookup(self.embedding.lookup(batch.sparse))
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         losses, grad_sequence, grad_other = self._packed_dense_pass(

@@ -77,10 +77,14 @@ never evict; the byte capacity bounds the cached rows beside them.
 :meth:`EmbeddingBag.attach_tier` makes the bag resolve lookups through a
 tier transparently — every :meth:`EmbeddingBag.lookup` (which ``forward``
 pools, and whose unpooled rows TBSM's history sequence reads) touches the
-tier table by table, in table order, after the whole block has passed its
-range check; nothing else changes.  The models' ``predict`` reads rows
-through :meth:`EmbeddingBag.gather`, which never touches the tier: an
-evaluation is not training traffic.
+tier once, with the flat keys of the whole block it gathers, after the
+block has passed its range check; nothing else changes.  So the tier sees
+a step's rows at once, as Hotline's lookup engines check all of an input's
+tables together (Section V): one fetch request for the step's misses, and
+one eviction after every lookup, so no row is evicted before the step has
+read it.  The models' ``predict`` reads rows through
+:meth:`EmbeddingBag.gather`, which never touches the tier: an evaluation
+is not training traffic.
 """
 
 from __future__ import annotations
@@ -299,9 +303,9 @@ class EmbeddingBag:
     def attach_tier(self, tier: TieredEmbeddingStore) -> None:
         """Resolve every subsequent :meth:`lookup` through a hot/cold tier.
 
-        Hits/misses/evictions and DMA pricing accumulate on ``tier``; the
-        lookup numerics are untouched (the tier is an accounting layer,
-        see :class:`TieredEmbeddingStore`).
+        Hits/misses/evictions and DMA pricing accumulate on ``tier``, which
+        keys rows as this bag does; the lookup numerics are untouched (the
+        tier is an accounting layer, see :class:`TieredEmbeddingStore`).
         """
         if tier.rows_per_table != self.rows_per_table or tier.dim != self.dim:
             raise ValueError("tier table shapes do not match this EmbeddingBag")
@@ -310,14 +314,15 @@ class EmbeddingBag:
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         """The unpooled rows of every lookup, through the tier.
 
-        :meth:`gather`, then a touch of the attached tier table by table,
-        in table order.  The block is kept for the backward.
+        :meth:`gather`, then one :meth:`TieredEmbeddingStore.touch` of the
+        attached tier with the block's flat keys.  The block is kept for
+        the backward.
         """
         indices = check_ids(indices, self.rows_per_table)
-        rows = self.weight[indices + self.offsets[:, None]]
+        keys = indices + self.offsets[:, None]
+        rows = self.weight[keys]
         if self._tier is not None:
-            for t in range(self.num_tables):
-                self._tier.touch(t, indices[:, t])
+            self._tier.touch(keys)
         self._last_indices = indices
         return rows
 
@@ -441,12 +446,13 @@ class TieredEmbeddingStore:
     and the hit/miss counters (see the module docstring).
 
     Every row of every table has one int64 key, ``offsets[table] + row``
-    (:func:`key_offsets`).  The state is three sorted, resident-set-sized
-    arrays: ``_pinned`` holds the keys :meth:`pin_rows` and :meth:`repin`
-    made un-evictable (the placement's replicated hot rows; membership
-    only, since they never evict), and ``_keys`` with aligned ``_counts``
-    is the LFU pool of cached rows and their access frequencies.  So a
-    :meth:`touch` is one search into each array and at most one insert,
+    (:func:`key_offsets`), and every method takes flat keys.  The state is
+    three sorted, resident-set-sized arrays: ``_pinned`` holds the keys
+    :meth:`repin` made un-evictable (the placement's replicated hot rows;
+    membership only, since they never evict), and ``_keys`` with aligned
+    ``_counts`` is the LFU pool of cached rows and their access
+    frequencies.  A :meth:`touch` resolves a whole step's block at once:
+    one search into each array, at most one insert and one eviction,
     whatever the table count.  Eviction is LFU over the pool (globally,
     since ``hot_bytes`` models one device memory), and ``capacity_rows``
     bounds the pool alone: pinned rows are budgeted by the placement and
@@ -482,7 +488,6 @@ class TieredEmbeddingStore:
         self.hot_bytes = float(hot_bytes)
         self.capacity_rows = int(self.hot_bytes // self.row_bytes)
         self.dma = dma
-        self._offsets = key_offsets(self.rows_per_table)
         self._pinned = np.empty(0, dtype=np.int64)
         self._keys = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)
@@ -501,11 +506,6 @@ class TieredEmbeddingStore:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-
-    @property
-    def num_tables(self) -> int:
-        """Number of tables fronted by the tier."""
-        return len(self.rows_per_table)
 
     @property
     def row_bytes(self) -> int:
@@ -538,56 +538,28 @@ class TieredEmbeddingStore:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset_counters(self) -> None:
-        """Zero the hit/miss/eviction counters and priced times.
+    def is_resident(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean residency of flat ``keys`` (sorted-array probes, no bitmap)."""
+        keys = np.asarray(keys, dtype=np.int64)
+        return _in_sorted(self._keys, keys) | _in_sorted(self._pinned, keys)
 
-        Residency (and pinning) survives: a rebind reuses the warmed tier
-        but must report only its own run's traffic — the same counter-
-        lifetime contract as ``DMAEngine.reset_counters``.
-        """
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.fetch_time_s = 0.0
-        self.writeback_time_s = 0.0
-
-    def _table_keys(self, table: int, rows: np.ndarray, what: str) -> np.ndarray:
-        """Flat keys of ``table``'s sorted unique ``rows``, range-checked."""
-        if rows.size and (rows[0] < 0 or rows[-1] >= self.rows_per_table[table]):
-            raise ValueError(f"{what} row out of range for table {table}")
-        return rows + self._offsets[table]
-
-    def is_resident(self, table: int, rows: np.ndarray) -> np.ndarray:
-        """Boolean residency of ``rows`` (sorted-array probes, no bitmap)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        keys = rows + self._offsets[table]
-        in_table = (rows >= 0) & (rows < self.rows_per_table[table])
-        return in_table & (_in_sorted(self._keys, keys) | _in_sorted(self._pinned, keys))
-
-    def pin_rows(self, table: int, rows: np.ndarray) -> None:
-        """Make ``rows`` resident and un-evictable (the placement's hot set).
-
-        Pinned rows model the replicated hot rows of an
-        ``EmbeddingPlacement``: rows not yet resident are pre-loaded in one
-        priced **contiguous** transfer, rows already cached leave the LFU
-        pool, and none is ever considered for eviction again.
-        """
-        keys = self._table_keys(table, np.unique(np.asarray(rows, dtype=np.int64)), "pinned")
-        if keys.size == 0:
-            return
-        with self._lock:
-            self._move_pins(np.union1d(self._pinned, keys))
+    def _check_range(self, keys: np.ndarray, what: str) -> None:
+        """Raise unless the sorted ``keys`` lie in the tier's key space."""
+        if keys.size and (keys[0] < 0 or keys[-1] >= sum(self.rows_per_table)):
+            raise ValueError(f"{what} key out of range")
 
     def repin(self, keys: np.ndarray) -> None:
-        """Move the pinned set to the flat ``keys`` (a recalibrated hot set).
+        """Pin exactly the flat ``keys`` (the placement's hot set).
 
-        Only the symmetric difference moves.  Keys leaving the pinned set
-        stay resident as ordinary cached rows with count 0, the first LFU
-        victims; keys joining it are pinned as by :meth:`pin_rows`.
+        Pinned rows model the replicated hot rows of an
+        ``EmbeddingPlacement`` and never evict.  Only the symmetric
+        difference with the current pinned set moves: keys leaving it stay
+        resident as ordinary cached rows with count 0, the first LFU
+        victims; keys joining it leave the LFU pool if cached, and the rest
+        are pre-loaded in one priced **contiguous** transfer.
         """
         keys = np.unique(np.asarray(keys, dtype=np.int64))
-        if keys.size and (keys[0] < 0 or keys[-1] >= sum(self.rows_per_table)):
-            raise ValueError("pinned key out of range")
+        self._check_range(keys, "pinned")
         with self._lock:
             self._move_pins(keys)
 
@@ -607,20 +579,19 @@ class TieredEmbeddingStore:
             self.fetch_time_s += self.dma.read_time(fresh * self.row_bytes, scattered=False)
         self._evict_to_capacity()
 
-    def touch(self, table: int, indices: np.ndarray) -> float:
-        """Resolve one lookup block through the tier; return priced seconds.
+    def touch(self, keys: np.ndarray) -> float:
+        """Resolve one step's lookups through the tier; return priced seconds.
 
-        ``indices`` is the table's ``(batch, pooling)`` block (any shape —
-        it is flattened).  Resident rows count as hits, and cached ones
-        bump their frequency by their occurrence count; the rest are cold
-        misses, fetched with one scattered DMA read and made resident,
-        after which the tier evicts back down to capacity (LFU over
-        unpinned rows, dirty write-back priced per eviction).
+        ``keys`` is the flat keys of the step's whole ``(batch, tables,
+        pooling)`` block (any shape — it is flattened).  Resident rows
+        count as hits, and cached ones bump their frequency by their
+        occurrence count; the rest are cold misses, fetched together with
+        one scattered DMA read and made resident, after which the tier
+        evicts back down to capacity once (LFU over unpinned rows, dirty
+        write-back priced per eviction).
         """
-        rows, occurrences = np.unique(
-            np.asarray(indices, dtype=np.int64).reshape(-1), return_counts=True
-        )
-        keys = self._table_keys(table, rows, "lookup")
+        keys, occurrences = np.unique(np.asarray(keys, dtype=np.int64), return_counts=True)
+        self._check_range(keys, "lookup")
         if keys.size == 0:
             return 0.0
         with self._lock:

@@ -83,23 +83,15 @@ def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):
     trainer.bind(loader)
     placement = trainer.shards[0].placement
     assert placement is not None and placement.hot_rows_total > 0
-    for table, hot in enumerate(placement.hot_sets):
-        assert np.all(trainer.tier.is_resident(table, hot))
+    hot = placement.index.hot_keys
+    assert np.all(trainer.tier.is_resident(hot))
     # A full epoch of churn (capacity far below the hot-set size) cannot
     # evict a pinned row.
     for batch in loader:
         trainer.train_step(batch)
-    for table, hot in enumerate(placement.hot_sets):
-        assert np.all(trainer.tier.is_resident(table, hot))
+    assert np.all(trainer.tier.is_resident(hot))
     # The model's bag resolves through the tier.
     assert trainer.model.embedding._tier is trainer.tier
-
-
-def flat_hot_keys(placement):
-    offsets = np.cumsum((0, *placement.rows_per_table))
-    return np.concatenate(
-        [hot + offsets[table] for table, hot in enumerate(placement.hot_sets)]
-    )
 
 
 def test_recalibrate_repins_the_tier(tiny_model_config, tiny_click_log):
@@ -114,9 +106,9 @@ def test_recalibrate_repins_the_tier(tiny_model_config, tiny_click_log):
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     trainer.bind(loader)
     bound = trainer.tier._pinned.copy()
-    assert bound.tolist() == flat_hot_keys(trainer.shards[0].placement).tolist()
+    assert bound.tolist() == trainer.shards[0].placement.index.hot_keys.tolist()
     trainer.recalibrate(loader, seed=5)
-    hot = flat_hot_keys(trainer.shards[0].placement)
+    hot = trainer.shards[0].placement.index.hot_keys
     assert np.setxor1d(bound, hot).size > 0  # the hot set drifted
     assert trainer.tier._pinned.tolist() == hot.tolist()
 
@@ -133,7 +125,7 @@ def test_recalibrate_repins_the_tier(tiny_model_config, tiny_click_log):
     tiered, tiered_result = train(tiered_hot_bytes=hot_bytes)
     assert tiered_result.losses == base_result.losses
     assert_states_equal(base.model, tiered.model)
-    pinned = flat_hot_keys(tiered.shards[0].placement)
+    pinned = tiered.shards[0].placement.index.hot_keys
     assert tiered.tier._pinned.tolist() == pinned.tolist()
 
 
@@ -202,10 +194,12 @@ def test_evaluation_is_not_counted_as_tier_traffic(tiny_model_config, tiny_click
     assert run(evaluate_after=1, eval_every=3) == (counters, totals)
 
 
-def test_a_rejected_batch_leaves_no_tier_traffic():
-    """An id out of range in table 3 raises before any table touches the
-    tier: the tier's counters and residency stay as they were, and the
-    next step reports the tier traffic of a run that never saw the batch."""
+@pytest.mark.parametrize("fault", ["id", "dense"])
+def test_a_rejected_batch_leaves_no_tier_traffic(fault):
+    """An id out of range in table 3, or a dense block one column short,
+    raises before the bag touches the tier: the tier's counters and
+    residency stay as they were, and the next step reports the tier
+    traffic of a run that never saw the batch."""
     config = RM2.scaled(200)
     log = generate_click_log(config.dataset, 192, seed=7)
 
@@ -220,14 +214,20 @@ def test_a_rejected_batch_leaves_no_tier_traffic():
 
     clean, rejected = trainer_after_one_step(), trainer_after_one_step()
     good = log.batch(64, 64)
-    sparse = good.sparse.copy()
-    sparse[40, 3, 0] = config.dataset.rows_per_table[3]
+    dense, sparse = good.dense, good.sparse.copy()
+    if fault == "id":
+        sparse[40, 3, 0] = config.dataset.rows_per_table[3]
+        match = "for table 3$"
+    else:
+        dense = dense[:, :-1]
+        match = "has 12 features, the model takes 13$"
     tier = rejected.tier
     state = ("hits", "misses", "evictions", "fetch_time_s", "writeback_time_s", "resident_rows")
     before = [getattr(tier, name) for name in state]
-    with pytest.raises(ValueError, match="for table 3$"):
-        rejected.run_step(MiniBatch(good.dense, sparse, good.labels))
+    with pytest.raises(ValueError) as raised:
+        rejected.run_step(MiniBatch(dense, sparse, good.labels))
     assert [getattr(tier, name) for name in state] == before
+    raised.match(match)
 
     outcomes = [trainer.run_step(good) for trainer in (clean, rejected)]
     counters = ("loss", "tier_hits", "tier_misses", "tier_evictions")

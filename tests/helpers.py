@@ -62,14 +62,17 @@ def backward_gradients(model, batch, between=None) -> list[bytes]:
 def rejected_forward(batch, rows_per_table, fault: str) -> Callable:
     """A ``between`` for :func:`backward_gradients`: a ``forward`` that
     must raise ``ValueError``, of ``batch`` with one id just past the last
-    table's rows (``fault="id"``) or without its last table
-    (``fault="tables"``)."""
-    sparse = batch.sparse.copy()
+    table's rows (``fault="id"``), without its last table
+    (``fault="tables"``) or without its last dense column
+    (``fault="dense"``)."""
+    dense, sparse = batch.dense, batch.sparse.copy()
     if fault == "id":
         sparse[-1, -1, -1] = rows_per_table[-1]
-    else:
+    elif fault == "tables":
         sparse = sparse[:, :-1]
-    rejected = MiniBatch(batch.dense, sparse, batch.labels)
+    else:
+        dense = dense[:, :-1]
+    rejected = MiniBatch(dense, sparse, batch.labels)
 
     def between(model) -> None:
         try:

@@ -142,13 +142,14 @@ def test_predict_between_forward_and_backward_leaves_the_gradients(
     assert got == expected
 
 
-@pytest.mark.parametrize("fault", ["id", "tables"])
+@pytest.mark.parametrize("fault", ["id", "tables", "dense"])
 def test_rejected_forward_between_forward_and_backward_leaves_the_gradients(
     tiny_model_config, tiny_click_log, fault
 ):
-    """The bag checks the id block before any layer caches the batch, so a
-    forward rejected for an out-of-range id or a missing table leaves the
-    earlier forward's gradients as they were, bit for bit."""
+    """The model checks the dense width and the bag the id block before
+    any layer caches the batch, so a forward rejected for an out-of-range
+    id, a missing table or a missing dense column leaves the earlier
+    forward's gradients as they were, bit for bit."""
     batch = tiny_click_log.batch(0, 64)
     between = rejected_forward(
         tiny_click_log.batch(256, 64), tiny_model_config.dataset.rows_per_table, fault

@@ -18,8 +18,9 @@ the speedup benchmarks build their baselines from it:
 * :class:`ReferencePendingStore` — the dict-of-rows deferred write-back
   store, keyed by flat key; swap it into a pipeline with
   ``pipe.pending = ReferencePendingStore()``.
-* :class:`ReferenceTieredStore` — the per-table hot/cold tier whose
-  counters and priced times the flat-keyed
+* :class:`ReferenceTieredStore` — the per-table hot/cold tier, touched a
+  step's whole flat-keyed block at a time, whose counters and priced
+  times the flat-keyed
   :class:`~repro.nn.embedding.TieredEmbeddingStore` must reproduce.
 * :class:`ReferenceEAL` — the per-access SRRIP loop whose arrays, counters
   and hit counts the set-vectorised
@@ -268,12 +269,16 @@ class ReferenceTieredStore:
 
     One sorted resident-row array per table, with aligned access counts,
     and one sorted pinned-row array per table; pinned rows are also
-    resident (and keep counts nobody reads).  Eviction keeps the unpinned
-    resident rows within ``capacity_rows`` (pinned rows do not count): it
-    concatenates every table's unpinned resident rows, table-major and
-    row-ascending, and evicts the ``argpartition`` of their counts.  The
-    flat-keyed :class:`~repro.nn.embedding.TieredEmbeddingStore` must
-    reproduce its counters, priced times and residency exactly.
+    resident (and keep counts nobody reads).  Its methods take flat keys,
+    as the flat tier's do, and split them by table.  A :meth:`touch` of a
+    step's block decides every table's hits first, then prices one
+    scattered fetch of all the misses and runs one eviction.  Eviction
+    keeps the unpinned resident rows within ``capacity_rows`` (pinned rows
+    do not count): it concatenates every table's unpinned resident rows,
+    table-major and row-ascending, and evicts the ``argpartition`` of
+    their counts.  The flat-keyed
+    :class:`~repro.nn.embedding.TieredEmbeddingStore` must reproduce its
+    counters, priced times and residency exactly.
     """
 
     def __init__(self, rows_per_table, dim: int, *, hot_bytes: float, dma, dtype_bytes: int = 4):
@@ -281,6 +286,7 @@ class ReferenceTieredStore:
         self.row_bytes = int(dim) * int(dtype_bytes)
         self.capacity_rows = int(float(hot_bytes) // self.row_bytes)
         self.dma = dma
+        self._bounds = np.cumsum((0, *self.rows_per_table))
         num_tables = len(self.rows_per_table)
         self._rows = [np.empty(0, dtype=np.int64) for _ in range(num_tables)]
         self._counts = [np.empty(0, dtype=np.int64) for _ in range(num_tables)]
@@ -296,32 +302,27 @@ class ReferenceTieredStore:
         """Rows currently resident in the hot tier, across tables."""
         return int(sum(rows.size for rows in self._rows))
 
-    def is_resident(self, table: int, rows: np.ndarray) -> np.ndarray:
-        """Boolean residency of ``rows``."""
-        return _in_sorted(self._rows[table], np.asarray(rows, dtype=np.int64))
+    def _in_table(self, keys: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Per table: ``(table, mask of its keys, their row ids)``."""
+        for table in range(len(self.rows_per_table)):
+            lo, hi = self._bounds[table], self._bounds[table + 1]
+            mask = (keys >= lo) & (keys < hi)
+            yield table, mask, keys[mask] - lo
 
-    def pin_rows(self, table: int, rows: np.ndarray) -> None:
-        """Make ``rows`` resident and un-evictable; price fresh rows contiguously."""
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
-        if rows.size == 0:
-            return
-        if rows[0] < 0 or rows[-1] >= self.rows_per_table[table]:
-            raise ValueError(f"pinned row out of range for table {table}")
-        self._pinned[table] = np.union1d(self._pinned[table], rows)
-        fresh = rows[~_in_sorted(self._rows[table], rows)]
-        if fresh.size:
-            self._insert(table, fresh, np.zeros(fresh.size, dtype=np.int64))
-            self.fetch_time_s += self.dma.read_time(fresh.size * self.row_bytes, scattered=False)
-        self._evict_to_capacity()
+    def is_resident(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean residency of the flat ``keys`` (1-D)."""
+        keys = np.asarray(keys, dtype=np.int64)
+        resident = np.zeros(keys.shape, dtype=bool)
+        for table, mask, rows in self._in_table(keys):
+            resident[mask] = _in_sorted(self._rows[table], rows)
+        return resident
 
     def repin(self, keys: np.ndarray) -> None:
         """Pin exactly the flat ``keys``: unpinned rows keep residency at
         count 0; rows not resident load in one priced contiguous read."""
         keys = np.unique(np.asarray(keys, dtype=np.int64))
-        bounds = np.cumsum((0, *self.rows_per_table))
         fresh = 0
-        for table in range(len(self.rows_per_table)):
-            rows = keys[(keys >= bounds[table]) & (keys < bounds[table + 1])] - bounds[table]
+        for table, _mask, rows in self._in_table(keys):
             leaving = self._pinned[table][~_in_sorted(rows, self._pinned[table])]
             self._counts[table][np.searchsorted(self._rows[table], leaving)] = 0
             new = rows[~_in_sorted(self._rows[table], rows)]
@@ -332,32 +333,28 @@ class ReferenceTieredStore:
             self.fetch_time_s += self.dma.read_time(fresh * self.row_bytes, scattered=False)
         self._evict_to_capacity()
 
-    def touch(self, table: int, indices: np.ndarray) -> float:
-        """Resolve one lookup block through the tier; return priced seconds."""
-        rows, occurrences = np.unique(
-            np.asarray(indices, dtype=np.int64).reshape(-1), return_counts=True
-        )
-        if rows.size == 0:
-            return 0.0
-        if rows[0] < 0 or rows[-1] >= self.rows_per_table[table]:
-            raise ValueError(f"lookup row out of range for table {table}")
-        resident = self._rows[table]
-        present = _in_sorted(resident, rows)
-        hit_count = int(np.count_nonzero(present))
-        self.hits += hit_count
-        self.misses += rows.size - hit_count
-        step_time = 0.0
-        if hit_count:
-            positions = np.searchsorted(resident, rows[present])
+    def touch(self, keys: np.ndarray) -> float:
+        """Resolve one step's flat-keyed lookup block; return priced seconds."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        if keys.size and (keys.min() < 0 or keys.max() >= self._bounds[-1]):
+            raise ValueError("lookup key out of range")
+        cold_rows = []
+        for table, _mask, table_rows in self._in_table(keys):
+            rows, occurrences = np.unique(table_rows, return_counts=True)
+            present = _in_sorted(self._rows[table], rows)
+            self.hits += int(np.count_nonzero(present))
+            positions = np.searchsorted(self._rows[table], rows[present])
             self._counts[table][positions] += occurrences[present]
-        cold = rows[~present]
-        if cold.size:
-            fetch = self.dma.read_time(cold.size * self.row_bytes, scattered=True)
-            self.fetch_time_s += fetch
-            step_time += fetch
-            self._insert(table, cold, occurrences[~present])
-            step_time += self._evict_to_capacity()
-        return step_time
+            cold_rows.append((table, rows[~present], occurrences[~present]))
+        misses = sum(rows.size for _table, rows, _counts in cold_rows)
+        self.misses += misses
+        if not misses:
+            return 0.0
+        for table, rows, counts in cold_rows:
+            self._insert(table, rows, counts)
+        fetch = self.dma.read_time(misses * self.row_bytes, scattered=True)
+        self.fetch_time_s += fetch
+        return fetch + self._evict_to_capacity()
 
     def _insert(self, table: int, rows: np.ndarray, counts: np.ndarray) -> None:
         positions = np.searchsorted(self._rows[table], rows)

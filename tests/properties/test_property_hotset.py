@@ -7,8 +7,10 @@ sets (empty ones included), sized and sizeless builds and pooling 1-3,
 with ids at ``-1``, ``0``, ``rows[t] - 1``, ``rows[t]`` and past every
 table boundary, ``classify`` and ``contains`` must equal a per-table
 ``np.isin`` reference: an id is hot only if it is a hot row of its own
-table, never by landing on a neighbouring table's bit.  After random
-``replace_table`` deltas the index must equal a fresh build.
+table, never by landing on a neighbouring table's bit, and ``hot_keys``
+must be every hot row shifted by its table's span offset.  After random
+``replace_table`` deltas the index must equal a fresh build, and
+``hot_keys`` the set bits of its bitmap.
 """
 
 import numpy as np
@@ -88,6 +90,9 @@ def test_classify_and_contains_match_per_table_isin(data, drawn):
         assert [index.is_hot(table, row) for row in probe] == np.isin(probe, hot).tolist()
         np.testing.assert_array_equal(index.hot_sets[table], hot)
     assert index.hot_rows_total == sum(hot.size for hot in hot_sets)
+    offsets = np.cumsum([0, *spans(rows, hot_sets, sized)])
+    expected = [int(offsets[table] + row) for table, hot in enumerate(hot_sets) for row in hot]
+    assert index.hot_keys.dtype == np.int64 and index.hot_keys.tolist() == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,6 +125,8 @@ def test_replace_table_deltas_equal_a_fresh_build(data, drawn):
         np.testing.assert_array_equal(index.hot_sets[table], fresh.hot_sets[table])
         np.testing.assert_array_equal(index.bitmap(table), fresh.bitmap(table))
     assert index.hot_rows_total == fresh.hot_rows_total
+    bits = np.concatenate([index.bitmap(table) for table in range(len(rows))])
+    np.testing.assert_array_equal(index.hot_keys, np.flatnonzero(bits))
     sparse = draw_sparse(data, rows, current)
     np.testing.assert_array_equal(index.classify(sparse), fresh.classify(sparse))
     np.testing.assert_array_equal(index.classify(sparse), popular_reference(sparse, current))
