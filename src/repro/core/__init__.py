@@ -24,10 +24,11 @@ This package implements the paper's contribution:
 * :mod:`repro.core.engine` — the pluggable training engine: one train loop
   (epochs, eval cadence, recalibration schedule, prefetching, result
   recording) shared by every functional trainer via step executors.
-* :mod:`repro.core.pipeline` — the single-replica executors: the baseline
-  :class:`~repro.core.pipeline.ReferenceTrainer` and the Hotline
-  :class:`~repro.core.pipeline.HotlineTrainer` (learning phase +
-  acceleration phase).
+* :mod:`repro.core.pipeline` — the single-replica trainers: the baseline
+  :class:`~repro.core.pipeline.ReferenceTrainer` and
+  :class:`~repro.core.pipeline.HotlineTrainer`, the one-shard
+  :class:`~repro.core.distributed.ShardedHotlineTrainer` (learning phase +
+  acceleration phase), priced as the baseline is.
 * :mod:`repro.core.distributed` — K-shard data/model-parallel training:
   :class:`~repro.core.distributed.ShardedHotlineTrainer` trains one model
   over K shards, each with its own accelerator and placement; the dense
@@ -78,12 +79,7 @@ from repro.core.lookahead import (
 from repro.core.lookup_engine import FeistelRandomizer, LookupEngine, LookupEngineArray
 from repro.core.pipeline import HotlineTrainer, ReferenceTrainer
 from repro.core.placement import EmbeddingPlacement, PartitionedEmbeddingPlacement
-from repro.core.reducer import (
-    BucketSchedule,
-    GradientBucketReducer,
-    Reducer,
-    SparseGradientExchange,
-)
+from repro.core.reducer import GradientBucketReducer, Reducer, SparseGradientExchange
 from repro.core.scheduler import HotlineScheduler, HotlineStepPlan
 
 __all__ = [
@@ -109,7 +105,6 @@ __all__ = [
     "split_minibatch",
     "EmbeddingPlacement",
     "PartitionedEmbeddingPlacement",
-    "BucketSchedule",
     "GradientBucketReducer",
     "SparseGradientExchange",
     "AcceleratorSpec",

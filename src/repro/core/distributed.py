@@ -69,7 +69,10 @@ synchronisation term is the reducer's per-bucket ring schedule
 (hierarchical across nodes), reported per bucket in
 :class:`~repro.core.engine.TrainingResult.bucket_comm_s`; partitioned runs
 add the embedding all-to-all term Figure 1b attributes to model-parallel
-lookups.
+lookups, and a bound hot tier adds the DMA traffic it priced in the step.
+
+With ``num_shards=1`` this is the single-GPU Hotline schedule;
+:class:`~repro.core.pipeline.HotlineTrainer` is that one-shard trainer.
 """
 
 from __future__ import annotations
@@ -161,7 +164,10 @@ class ShardedHotlineTrainer(StepExecutor):
             numerics — pricing and hit/miss/eviction counters only), and
             LFU eviction keeps the cached rows beside the pinned ones
             within this capacity.  Tier counters surface through
-            :class:`~repro.core.engine.StepOutcome`.
+            :class:`~repro.core.engine.StepOutcome`, and the tier's priced
+            DMA seconds join the step's communication schedule as the
+            ``tier-fetch`` and ``tier-writeback`` lanes (see
+            :meth:`run_step`).
     """
 
     def __init__(
@@ -237,8 +243,9 @@ class ShardedHotlineTrainer(StepExecutor):
         self.tiered_hot_bytes = tiered_hot_bytes
         #: The shared hot/cold tier, built at bind() from the placements.
         self.tier: TieredEmbeddingStore | None = None
-        #: Tier counters at the end of the previous step (delta tracking).
-        self._tier_seen = (0, 0, 0)
+        #: Tier counters and priced fetch/write-back seconds at the end of
+        #: the previous step (delta tracking; see _tier_totals).
+        self._tier_seen = (0, 0, 0, 0.0, 0.0)
         #: Reduced dense gradients in flight (``stale-k``: a k-deep deque —
         #: the gradient of step t is applied at step t + k).
         self._pending_dense: deque[np.ndarray | None] = deque()
@@ -301,8 +308,8 @@ class ShardedHotlineTrainer(StepExecutor):
 
         A bound tier then re-pins shard 0's new hot set
         (:meth:`~repro.nn.embedding.TieredEmbeddingStore.repin`: only the
-        rows that drifted move); the next step's tier counters include any
-        eviction the move caused.
+        rows that drifted move); the next step's tier counters and priced
+        seconds include the move's preload and any eviction it caused.
         """
         for shard in self.shards:
             shard.accelerator.recalibrate()
@@ -442,7 +449,19 @@ class ShardedHotlineTrainer(StepExecutor):
         )
         self.tier.repin(self.shards[0].placement.index.hot_keys)
         self.model.embedding.attach_tier(self.tier)
-        self._tier_seen = (0, 0, 0)
+        # The preload of the pinned rows is set-up, not a step's traffic.
+        self._tier_seen = self._tier_totals()
+
+    def _tier_totals(self) -> tuple:
+        """The bound tier's running counters and priced seconds."""
+        tier = self.tier
+        return (
+            tier.hits,
+            tier.misses,
+            tier.evictions,
+            tier.fetch_time_s,
+            tier.writeback_time_s,
+        )
 
     def _advance_lookahead(self, batch: MiniBatch) -> None:
         """Drive the cached pipeline's epoch window for one step.
@@ -699,13 +718,9 @@ class ShardedHotlineTrainer(StepExecutor):
             self._bucket_times_key = key
         return self._bucket_times
 
-    def dense_schedule(self) -> StepSchedule:
-        """One step's dense all-reduce as a mode-composed schedule object."""
-        return self.reducer.comm_schedule(self._step_bucket_times())
-
     def dense_sync_time(self) -> float:
         """Total wire time of one step's bucketed dense all-reduce."""
-        return self.dense_schedule().total_s
+        return self.reducer.comm_schedule(self._step_bucket_times()).total_s
 
     def alltoall_time(self, remote_lookups: int) -> float:
         """Priced all-to-all of remotely-owned lookups (partitioned runs)."""
@@ -731,6 +746,12 @@ class ShardedHotlineTrainer(StepExecutor):
         prefetch tail (fill traffic runs W steps ahead, so only the part
         that outlives one compute window is exposed); the cache and
         staleness counters come straight from the pipeline's step stats.
+        A bound tier adds what it priced since the previous step: its
+        demand fetches in full (a missing row blocks the gather) and the
+        tail of its dirty write-backs that outlives one compute window
+        (they run off the critical path, as the scheduler's cold-row
+        write-back does).  A recalibration's re-pin is priced in the step
+        after it; the preload at :meth:`bind` is set-up.
 
         With the lookahead attached, the per-lookup all-to-all of
         partitioned runs is *not* charged: every looked-up row sits in the
@@ -749,28 +770,28 @@ class ShardedHotlineTrainer(StepExecutor):
             0.0 if self.lookahead is not None
             else self.alltoall_time(self.last_remote_lookups)
         )
-        # Three independent lanes expose against the same compute window:
-        # the mode-composed dense all-reduce, the (fully exposed) lookup
+        # Independent lanes expose against the same compute window: the
+        # mode-composed dense all-reduce, the (fully exposed) lookup
         # all-to-all, and the prefetch traffic that runs one step ahead —
         # a staged(1) schedule, so only the tail outliving one compute
         # window is paid.
-        comm = ComposedSchedule(
-            (
-                dense,
-                StepSchedule.sequential((lookup_alltoall,), label="lookup-alltoall"),
-                StepSchedule.staged((prefetch,), 1, label="prefetch"),
-            )
+        lanes = (
+            dense,
+            StepSchedule.sequential((lookup_alltoall,), label="lookup-alltoall"),
+            StepSchedule.staged((prefetch,), 1, label="prefetch"),
         )
         tier_hits = tier_misses = tier_evictions = 0
         if self.tier is not None:
-            seen = self._tier_seen
-            now = (self.tier.hits, self.tier.misses, self.tier.evictions)
-            tier_hits, tier_misses, tier_evictions = (
-                now[0] - seen[0],
-                now[1] - seen[1],
-                now[2] - seen[2],
+            now = self._tier_totals()
+            tier_hits, tier_misses, tier_evictions, fetch, writeback = (
+                total - seen for total, seen in zip(now, self._tier_seen, strict=True)
             )
             self._tier_seen = now
+            lanes += (
+                StepSchedule.sequential((fetch,), label="tier-fetch"),
+                StepSchedule.staged((writeback,), 1, label="tier-writeback"),
+            )
+        comm = ComposedSchedule(lanes)
         return StepOutcome(
             loss=loss,
             popular_fraction=popular_fraction,

@@ -19,12 +19,12 @@ This module factors that split explicitly:
   batch assembly overlaps the training step), and
   :class:`TrainingResult` recording.
 
-:class:`~repro.core.pipeline.ReferenceTrainer`,
-:class:`~repro.core.pipeline.HotlineTrainer`, and
-:class:`~repro.core.distributed.ShardedHotlineTrainer` are all thin
-executors over this one loop, so their recorded results are directly
-comparable — which is what makes the Eq. 5 equivalence suite (baseline vs
-Hotline vs K-shard Hotline) meaningful.
+Two executors run over this one loop: the baseline
+:class:`~repro.core.pipeline.ReferenceTrainer` and the K-shard
+:class:`~repro.core.distributed.ShardedHotlineTrainer`, whose one-shard
+form is :class:`~repro.core.pipeline.HotlineTrainer`.  Their recorded
+results are directly comparable — which is what makes the Eq. 5
+equivalence suite (baseline vs Hotline vs K-shard Hotline) meaningful.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class TrainingResult:
             steps: the per-label split of ``communication_time_s`` for
             executors that compose their step from named
             :class:`~repro.core.schedule.StepSchedule` lanes (e.g.
-            ``dense-allreduce`` / ``lookup-alltoall`` / ``prefetch``).
+            ``dense-allreduce`` / ``lookup-alltoall`` / ``prefetch``, and
+            ``tier-fetch`` / ``tier-writeback`` with a hot tier bound).
             Empty for executors without a composed schedule.
         bucket_comm_s: Per-bucket dense all-reduce wire time, summed over
             steps: ``bucket_comm_s[i]`` is the total wire time bucket ``i``

@@ -44,8 +44,6 @@ Two kinds of reduction live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.schedule import CommOp, StepSchedule, allreduce_ops
@@ -121,25 +119,6 @@ def parse_staleness(mode: str) -> int:
 #: convention of ``TrainingCostModel.dense_allreduce_time``) — the itemsize
 #: of the functional gradient arrays, which are the training dtype.
 WIRE_BYTES_PER_ELEMENT = 4
-
-
-@dataclass(frozen=True)
-class BucketSchedule:
-    """Simulated communication schedule of one bucketed all-reduce.
-
-    Attributes:
-        per_bucket_s: Wire time of each bucket's all-reduce, in bucket order.
-        exposed_s: The portion of that time that extends the training step
-            (not hidden under backward compute) given the reducer's mode.
-    """
-
-    per_bucket_s: tuple[float, ...]
-    exposed_s: float
-
-    @property
-    def total_s(self) -> float:
-        """Total wire time across buckets, hidden or not."""
-        return float(sum(self.per_bucket_s))
 
 
 class GradientBucketReducer:
@@ -225,10 +204,6 @@ class GradientBucketReducer:
             for start in range(0, num_elements, step)
         ]
 
-    def num_buckets(self, num_elements: int) -> int:
-        """Number of buckets a flat gradient of ``num_elements`` fills."""
-        return len(self.bucket_slices(num_elements))
-
     # ------------------------------------------------------------------ #
     # Numeric reduction
     # ------------------------------------------------------------------ #
@@ -294,45 +269,15 @@ class GradientBucketReducer:
             for chunk in self.bucket_slices(num_elements)
         ]
 
-    def exposed_time(self, bucket_times: list[float], compute_window_s: float) -> float:
-        """Communication time the step *pays* for, given a compute window.
-
-        * ``sync`` — every bucket is exposed (reduce starts after compute).
-        * ``overlap`` — bucket ``i`` becomes ready a fraction ``(i+1)/B``
-          into ``compute_window_s`` (gradients materialise as the window
-          proceeds) and the link serialises buckets; only the tail that
-          outlives the window is exposed.  ``compute_window_s`` is the span
-          during which gradients materialise: the trainer passes its whole
-          per-step compute time, an *optimistic* simplification (buckets
-          cannot really be reduced before backward begins).  Callers with a
-          backward-time split should pass that narrower window instead.
-        * ``stale-k`` — the reduce of step *t* pipelines behind the next
-          ``k`` steps, so it has ``k`` full compute windows to hide in and
-          only the remainder, ``max(0, total - k * compute_window_s)``, is
-          exposed.  ``stale-0`` degenerates to ``sync`` (nothing to hide
-          behind), and ``stale-1`` with a compute window at least as long
-          as the wire time reproduces the fully-hidden PR 3 behaviour.
-
-        Edge cases are well-defined zeros rather than schedule surprises:
-        an empty ``bucket_times`` (zero-element gradient) exposes ``0.0``
-        in every mode, and ``compute_window_s == 0`` exposes the full wire
-        time in every mode (there is no window to hide in).  A negative
-        compute window is rejected — these paths go live under ``stale-k``.
-
-        The arithmetic itself lives in
-        :meth:`~repro.core.schedule.StepSchedule.exposed_time`; this
-        method maps the reducer's mode onto the matching schedule
-        composition (the golden parity suite pins bit equality with the
-        retired inline implementation).
-        """
-        return self.comm_schedule(bucket_times).exposed_time(compute_window_s)
-
     def comm_schedule(self, bucket_times: list[float]) -> StepSchedule:
         """Wrap per-bucket wire times in the mode's schedule composition.
 
         ``sync`` (and its ``stale-0`` alias) maps to ``sequential``,
         ``overlap`` to ``overlap``, and ``stale-k`` with ``k > 0`` to
-        ``staged(k)``.
+        ``staged(k)``.  The trainer exposes the schedule against its whole
+        per-step compute window, an optimistic simplification for
+        ``overlap``: buckets cannot really be reduced before backward
+        begins.
         """
         if self.mode == "overlap":
             return StepSchedule.overlap(bucket_times, label="dense-allreduce")
@@ -341,14 +286,6 @@ class GradientBucketReducer:
                 bucket_times, self.staleness, label="dense-allreduce"
             )
         return StepSchedule.sequential(bucket_times, label="dense-allreduce")
-
-    def schedule(self, num_elements: int, compute_window_s: float) -> BucketSchedule:
-        """The full communication schedule of one step's dense all-reduce."""
-        per_bucket = self.bucket_times(num_elements)
-        return BucketSchedule(
-            per_bucket_s=tuple(per_bucket),
-            exposed_s=self.exposed_time(per_bucket, compute_window_s),
-        )
 
 
 class SparseGradientExchange:

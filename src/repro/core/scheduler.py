@@ -23,6 +23,7 @@ following steady-state pipeline:
 
 The scheduler is a *performance model*: it produces per-iteration timelines
 and times.  The functional (accuracy) counterpart is
+:class:`repro.core.distributed.ShardedHotlineTrainer`, on one GPU
 :class:`repro.core.pipeline.HotlineTrainer`.
 """
 

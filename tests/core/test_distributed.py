@@ -423,14 +423,69 @@ def test_lookahead_replaces_partitioned_lookup_alltoall(
     assert trainer.alltoall_time(trainer.last_remote_lookups) > 0.0
     # ...but the step charges only the dense schedule plus the prefetch
     # tail — not the per-lookup exchange on top of the fills.
-    exposed_dense = trainer.reducer.exposed_time(
-        trainer._step_bucket_times(), outcome.compute_time_s
-    )
+    exposed_dense = trainer.reducer.comm_schedule(
+        trainer._step_bucket_times()
+    ).exposed_time(outcome.compute_time_s)
     expected = exposed_dense + max(
         0.0, outcome.prefetch_time_s - outcome.compute_time_s
     )
     assert outcome.communication_time_s == pytest.approx(expected)
     assert outcome.prefetch_time_s > 0.0
+
+
+# --------------------------------------------------------------------- #
+# The per-lane split of exposed communication
+# --------------------------------------------------------------------- #
+BASE_LANES = {"dense-allreduce", "lookup-alltoall", "prefetch"}
+TIER_LANES = {"tier-fetch", "tier-writeback"}
+
+
+@pytest.mark.parametrize(
+    "knobs, lanes",
+    [
+        ({"mode": "sync"}, BASE_LANES),
+        ({"mode": "overlap"}, BASE_LANES),
+        ({"mode": "stale-2"}, BASE_LANES),
+        ({"lookahead_window": 4}, BASE_LANES),
+        ({"partition_embeddings": True}, BASE_LANES),
+        ({"tiered_hot_bytes": 96 * 8 * 4}, BASE_LANES | TIER_LANES),
+    ],
+    ids=["sync", "overlap", "stale-2", "lookahead-4", "partitioned", "tiered"],
+)
+def test_comm_lanes_sum_to_the_exposed_communication(
+    tiny_model_config, tiny_click_log, knobs, lanes
+):
+    """Each step's ``comm_lanes_s`` sums left to right to its
+    ``communication_time_s``, bit for bit (the end-of-run drain too), and
+    the run's ``comm_lane_s`` is the per-label split of its total."""
+    from repro.core.scheduler import HotlineScheduler
+    from repro.models import RM2
+    from repro.perf import TrainingCostModel
+
+    perf = HotlineScheduler(TrainingCostModel(RM2, cluster=single_node(2)))
+    trainer = ShardedHotlineTrainer(
+        DLRM(tiny_model_config, seed=4), 2, sample_fraction=0.25, perf_model=perf,
+        **knobs,
+    )
+    outcomes = []
+
+    def record(outcome):
+        if outcome is not None:
+            outcomes.append(outcome)
+        return outcome
+
+    run_step, finalize = trainer.run_step, trainer.finalize
+    trainer.run_step = lambda batch: record(run_step(batch))
+    trainer.finalize = lambda: record(finalize())
+    result = trainer.train(MiniBatchLoader(tiny_click_log, batch_size=128))
+    assert len(outcomes) >= result.iterations
+    for outcome in outcomes:
+        exposed = 0.0
+        for _label, lane_s in outcome.comm_lanes_s:
+            exposed += lane_s
+        assert exposed == outcome.communication_time_s
+    assert set(result.comm_lane_s) == lanes
+    assert sum(result.comm_lane_s.values()) == pytest.approx(result.communication_time_s)
 
 
 # --------------------------------------------------------------------- #

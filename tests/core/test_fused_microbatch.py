@@ -206,8 +206,8 @@ def test_hotline_fused_handles_single_segment_steps(tiny_model_config, tiny_clic
         trainer.placement.index.replace_table(table, np.empty(0, dtype=np.int64))
     micro = split_minibatch(batch, trainer.placement.index)
     assert micro.popular.size == 0
-    loss, micro_out = trainer.train_step(batch)
-    assert micro_out.non_popular.size == batch.size
+    loss, popular_fraction = trainer.train_step(batch)
+    assert popular_fraction == 0.0
     assert np.isfinite(loss)
 
 

@@ -127,7 +127,8 @@ def test_recalibration_delta_updates_placement_in_place(tiny_model_config, tiny_
     trainer = HotlineTrainer(model, make_accelerator(), sample_fraction=0.25)
     placement = trainer.learning_phase(loader)
     index = placement.index
-    recalibrated = trainer.recalibrate(loader, seed=3)
+    trainer.recalibrate(loader, seed=3)
+    recalibrated = trainer.placement
     assert recalibrated is placement
     assert recalibrated.index is index
     # The delta-updated index classifies exactly like a rebuilt one would.
@@ -149,6 +150,8 @@ def test_evaluate_returns_all_metrics(tiny_model_config, tiny_click_log):
 
 
 def test_perf_model_accumulates_simulated_time(tiny_model_config, tiny_click_log):
+    """Hotline prices a step as the baseline does: the perf model's
+    collective is exposed communication, not the one-shard reducer's zero."""
     from repro.core.scheduler import HotlineScheduler
     from repro.models import RM2
     from repro.perf import TrainingCostModel
@@ -160,4 +163,7 @@ def test_perf_model_accumulates_simulated_time(tiny_model_config, tiny_click_log
     trainer = HotlineTrainer(model, make_accelerator(), sample_fraction=0.25, perf_model=perf)
     trainer.learning_phase(loader)
     result = trainer.train(loader, epochs=1)
-    assert result.simulated_time_s > 0
+    steps = result.iterations
+    assert perf.collective_time() > 0
+    assert result.communication_time_s == pytest.approx(steps * perf.collective_time())
+    assert result.simulated_time_s == pytest.approx(steps * perf.step_time(128))

@@ -77,7 +77,6 @@ def test_bucket_slices_cover_the_gradient_exactly():
     slices = reducer.bucket_slices(20)
     assert [s.start for s in slices] == [0, 8, 16]
     assert [s.stop for s in slices] == [8, 16, 20]
-    assert reducer.num_buckets(20) == 3
     assert reducer.bucket_slices(0) == []
 
 
@@ -158,12 +157,12 @@ def test_stale_k_exposure_is_the_unhidden_remainder():
     window = total / 3.0
     for k, expected in ((0, total), (1, total - window), (2, total - 2 * window), (4, 0.0)):
         reducer = GradientBucketReducer(4, mode=f"stale-{k}", **kwargs)
-        assert reducer.exposed_time(times, window) == pytest.approx(expected)
+        assert reducer.comm_schedule(times).exposed_time(window) == pytest.approx(expected)
     # stale-0 is sync bit for bit, whatever the window.
-    sync = GradientBucketReducer(4, mode="sync", **kwargs)
-    alias = GradientBucketReducer(4, mode="stale-0", **kwargs)
+    sync = GradientBucketReducer(4, mode="sync", **kwargs).comm_schedule(times)
+    alias = GradientBucketReducer(4, mode="stale-0", **kwargs).comm_schedule(times)
     for window in (0.0, total, 10 * total):
-        assert alias.exposed_time(times, window) == sync.exposed_time(times, window)
+        assert alias.exposed_time(window) == sync.exposed_time(window)
 
 
 def test_exposure_edge_cases_are_well_defined_zeros():
@@ -178,18 +177,18 @@ def test_exposure_edge_cases_are_well_defined_zeros():
         # A zero-element gradient has no buckets: empty — but defined —
         # schedule, zero exposure in every mode.
         assert reducer.bucket_times(0) == []
-        assert reducer.exposed_time([], 0.0) == 0.0
-        schedule = reducer.schedule(0, 0.0)
-        assert schedule.per_bucket_s == ()
-        assert schedule.exposed_s == 0.0
+        schedule = reducer.comm_schedule(reducer.bucket_times(0))
+        assert schedule.segments_s == ()
+        assert schedule.exposed_time(0.0) == 0.0
         assert schedule.total_s == 0.0
         # A zero compute window exposes the full wire time in every mode
         # (nothing to hide behind).
         times = reducer.bucket_times(256)
-        assert reducer.exposed_time(times, 0.0) == pytest.approx(sum(times))
+        schedule = reducer.comm_schedule(times)
+        assert schedule.exposed_time(0.0) == pytest.approx(sum(times))
         # Negative windows are rejected rather than silently "hiding" time.
         with pytest.raises(ValueError):
-            reducer.exposed_time(times, -1.0)
+            schedule.exposed_time(-1.0)
     # Reducing zero-element partials round-trips the empty array.
     reduced = GradientBucketReducer(2).reduce([np.empty(0, dtype=np.float32)] * 3)
     assert reduced.shape == (0,)
@@ -240,12 +239,12 @@ def test_exposed_time_modes():
     stale = GradientBucketReducer(4, mode="stale-1", **kwargs)
     times = sync.bucket_times(256)
     compute = sum(times) * 10  # plenty of backward to hide behind
-    assert sync.exposed_time(times, compute) == pytest.approx(sum(times))
-    assert stale.exposed_time(times, compute) == 0.0
-    hidden = overlap.exposed_time(times, compute)
+    assert sync.comm_schedule(times).exposed_time(compute) == pytest.approx(sum(times))
+    assert stale.comm_schedule(times).exposed_time(compute) == 0.0
+    hidden = overlap.comm_schedule(times).exposed_time(compute)
     assert 0.0 <= hidden < sum(times)
     # With no compute to hide behind, overlap degenerates to sync.
-    assert overlap.exposed_time(times, 0.0) == pytest.approx(sum(times))
+    assert overlap.comm_schedule(times).exposed_time(0.0) == pytest.approx(sum(times))
 
 
 def test_exchange_preserves_dtype_and_order():

@@ -23,6 +23,7 @@ from repro.core.engine import evaluate
 from repro.data import generate_click_log
 from repro.data.batch import MiniBatch
 from repro.data.loader import MiniBatchLoader
+from repro.hwsim import DMAEngine
 from repro.models import RM2
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
@@ -52,7 +53,7 @@ def test_tiered_run_is_bit_identical_and_counts_traffic(
 ):
     """The tier is a pricing/counting front — weights never move — so a
     tiered run trains the identical model while the hit/miss/eviction
-    counters surface through the result."""
+    counters and the priced DMA seconds surface through the result."""
     base_trainer, base_result = run_trainer(tiny_model_config, tiny_click_log)
     # 96 rows of capacity against 736 total rows: the Zipf head pins hot,
     # the tail misses and churns the LFU victim pool.
@@ -70,6 +71,17 @@ def test_tiered_run_is_bit_identical_and_counts_traffic(
     assert tier is not None
     assert tier.hits + tier.misses == tier_result.tier_hits + tier_result.tier_misses
     assert tier.resident_bytes <= hot_bytes + tier.pinned_rows * tier.row_bytes
+    # The steps' lanes carry what the tier priced after bind: the one
+    # contiguous preload of the pinned rows at bind is set-up.  With no
+    # perf model there is no compute window, so the staged write-back lane
+    # is exposed in full.
+    preload = DMAEngine().read_time(tier.pinned_rows * tier.row_bytes, scattered=False)
+    assert preload > 0.0
+    lanes = tier_result.comm_lane_s
+    assert lanes["tier-fetch"] > 0.0 and lanes["tier-writeback"] > 0.0
+    assert lanes["tier-fetch"] == pytest.approx(tier.fetch_time_s - preload)
+    assert lanes["tier-writeback"] == pytest.approx(tier.writeback_time_s)
+    assert not {"tier-fetch", "tier-writeback"} & base_result.comm_lane_s.keys()
 
 
 def test_tier_pins_the_placements_hot_rows(tiny_model_config, tiny_click_log):
@@ -275,7 +287,10 @@ def test_rebind_starts_with_fresh_dma_and_tier_counters(
     assert trainer.tier is not run_a_tier
     assert trainer.tier.hits == 0 and trainer.tier.misses == 0
     assert trainer.tier.evictions == 0
-    assert trainer._tier_seen == (0, 0, 0)
+    # The next step's deltas start from the fresh tier: zero counters, and
+    # priced seconds that already hold the bind-time preload of the pins.
+    assert trainer.tier.fetch_time_s > 0.0
+    assert trainer._tier_seen == (0, 0, 0, trainer.tier.fetch_time_s, 0.0)
     assert trainer.model.embedding._tier is trainer.tier
 
 

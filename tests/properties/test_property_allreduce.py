@@ -111,43 +111,35 @@ def test_float32_partials_reduce_to_float32(partials, reducer):
 def test_mode_exposure_ordering(num_elements, bucket_elements, compute, staleness):
     """Deeper staleness exposes less: stale-(k+1) <= stale-k <= overlap <= sync."""
     cluster = single_node(4)
-    schedules = {}
-    modes = ("sync", "overlap", f"stale-{staleness}", f"stale-{staleness + 1}")
-    for mode in modes:
-        reducer = GradientBucketReducer(
+
+    def reducer(mode):
+        return GradientBucketReducer(
             4,
             bucket_bytes=bucket_elements * WIRE_BYTES_PER_ELEMENT,
             mode=mode,
             cluster=cluster,
         )
-        schedules[mode] = reducer.schedule(num_elements, compute)
-    total = schedules["sync"].total_s
-    assert schedules["sync"].exposed_s == total
+
+    times = reducer("sync").bucket_times(num_elements)
+    total = float(sum(times))
+    exposed = {}
+    modes = ("sync", "overlap", f"stale-{staleness}", f"stale-{staleness + 1}")
+    for mode in modes:
+        # The wire time itself is mode-independent.
+        assert reducer(mode).bucket_times(num_elements) == times
+        exposed[mode] = reducer(mode).comm_schedule(times).exposed_time(compute)
+    assert exposed["sync"] == total
     # stale-k pipelines the reduce behind k compute windows; the remainder
     # is exposed, so staleness buys exposure down monotonically.
-    stale_k = schedules[f"stale-{staleness}"].exposed_s
-    stale_deeper = schedules[f"stale-{staleness + 1}"].exposed_s
+    stale_k = exposed[f"stale-{staleness}"]
+    stale_deeper = exposed[f"stale-{staleness + 1}"]
     assert stale_k == max(0.0, total - staleness * compute)
-    assert stale_deeper <= stale_k <= schedules["overlap"].exposed_s + 1e-15
-    assert 0.0 <= schedules["overlap"].exposed_s <= total + 1e-15
+    assert stale_deeper <= stale_k <= exposed["overlap"] + 1e-15
+    assert 0.0 <= exposed["overlap"] <= total + 1e-15
     # A compute window covering the whole wire time hides stale-1 entirely
     # (the PR 3 behaviour); stale-0 is sync by definition.
-    hiding = GradientBucketReducer(
-        4,
-        bucket_bytes=bucket_elements * WIRE_BYTES_PER_ELEMENT,
-        mode="stale-1",
-        cluster=cluster,
-    )
-    assert hiding.exposed_time(list(schedules["sync"].per_bucket_s), total) == 0.0
-    alias = GradientBucketReducer(
-        4,
-        bucket_bytes=bucket_elements * WIRE_BYTES_PER_ELEMENT,
-        mode="stale-0",
-        cluster=cluster,
-    )
-    assert alias.schedule(num_elements, compute).exposed_s == total
-    # The wire time itself is mode-independent.
-    assert schedules["overlap"].per_bucket_s == schedules["sync"].per_bucket_s
+    assert reducer("stale-1").comm_schedule(times).exposed_time(total) == 0.0
+    assert reducer("stale-0").comm_schedule(times).exposed_time(compute) == total
 
 
 @st.composite
