@@ -15,13 +15,17 @@ Two accounting series for ``BENCH_sparse_path.json``:
   lookups with the head pinned, tracking the tier's effectiveness across
   commits (informational: the hit rate follows the skew, not a code
   property worth gating).
-* ``k4_bind_peak_bytes`` and ``evaluate_retained_bytes`` — the host
-  footprint of a K=4 trainer at the step benchmark's RM2 scale, traced
-  with :mod:`tracemalloc` (deterministic): constructing and binding it
-  peaks below two EALs' arrays (the learning phase holds one EAL's at a
-  time), and evaluating a 4,096-sample held-out batch retains under
-  64 KiB (the inference forward stores nothing on the model).  Both are
-  recorded as gated headroom (``bound / measured``, gate 1.0).
+* ``k4_bind_peak_bytes``, ``evaluate_retained_bytes`` and
+  ``predict_peak_bytes`` — the host footprint of a K=4 trainer at the step
+  benchmark's RM2 scale, traced with :mod:`tracemalloc` (deterministic):
+  constructing and binding it peaks below two EALs' arrays (the learning
+  phase holds one EAL's at a time), and evaluating a 4,096-sample
+  held-out batch retains under 64 KiB (the inference forward stores
+  nothing on the model) and peaks under 8 MiB (it scores the batch in
+  256-row blocks, so one block's Gram and pooled rows are live at a time,
+  beside the ``(4096, 256)`` penultimate activations its logit layer
+  reads).  All three are recorded as gated headroom (``bound /
+  measured``, gate 1.0).
 """
 
 import time
@@ -221,7 +225,7 @@ def test_k4_trainer_footprint_at_benchmark_scale():
     """A K=4 trainer over RM2 scaled to 1,200-row tables (the step
     benchmark's ``k4-sync`` set-up, default 4 MB EAL): constructing and
     binding it peaks below two EALs' arrays, and evaluating a 4,096-sample
-    batch retains under 64 KiB."""
+    batch retains under 64 KiB and peaks under 8 MiB."""
     config = RM2.scaled(1200)
     train, held = 32768, 4096
     full = generate_click_log(config.dataset, train + held, 0)
@@ -242,9 +246,12 @@ def test_k4_trainer_footprint_at_benchmark_scale():
         bind_peak = tracemalloc.get_traced_memory()[1] - base
         bind_s = time.perf_counter() - start
         start = time.perf_counter()
+        tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         evaluate(trainer.model, held_out)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, eval_peak = (
+            traced - before for traced in tracemalloc.get_traced_memory()
+        )
         eval_s = time.perf_counter() - start
     finally:
         tracemalloc.stop()
@@ -253,10 +260,12 @@ def test_k4_trainer_footprint_at_benchmark_scale():
     eal_bytes = eal.config.num_sets * eal.config.ways * (1 + 8 + 1)
     bind_bound = 2 * eal_bytes
     retained_bound = 64 * 1024
+    peak_bound = 8 * 2**20
     print(
         f"\nK=4 RM2 @ 1200 rows: construct + bind peak {bind_peak} B "
         f"(bound {bind_bound} B = two EALs), evaluate({held}) retained "
-        f"{retained} B (bound {retained_bound} B)"
+        f"{retained} B (bound {retained_bound} B), peaked at {eval_peak} B "
+        f"(bound {peak_bound} B)"
     )
     record_bench(
         "k4_bind_peak_bytes",
@@ -276,5 +285,15 @@ def test_k4_trainer_footprint_at_benchmark_scale():
         gate=1.0,
         enforced=True,
     )
+    record_bench(
+        "predict_peak_bytes",
+        config=f"RM2 max_rows=1200, K=4, held_out={held}, peak_bytes={eval_peak}, "
+        f"bound_bytes={peak_bound}",
+        seconds=eval_s,
+        speedup=peak_bound / eval_peak,
+        gate=1.0,
+        enforced=True,
+    )
     assert bind_peak < bind_bound
     assert retained < retained_bound
+    assert eval_peak < peak_bound

@@ -63,8 +63,9 @@ class TrainingResult:
             executors that compose their step from named
             :class:`~repro.core.schedule.StepSchedule` lanes (e.g.
             ``dense-allreduce`` / ``lookup-alltoall`` / ``prefetch``, and
-            ``tier-fetch`` / ``tier-writeback`` with a hot tier bound).
-            Empty for executors without a composed schedule.
+            ``tier-fetch`` / ``tier-writeback`` with a hot tier bound);
+            a single-replica run's one lane is ``dense-allreduce``, which
+            it reports only when a perf model prices its steps.
         bucket_comm_s: Per-bucket dense all-reduce wire time, summed over
             steps: ``bucket_comm_s[i]`` is the total wire time bucket ``i``
             spent on the simulated links across the run, hidden or not.
@@ -151,11 +152,13 @@ class StepOutcome:
         communication_time_s: Simulated *exposed* collective time of the
             step (the portion not hidden under backward compute).
         comm_lanes_s: The step's exposed communication split by schedule
-            lane, as ``(label, exposed_s)`` pairs in lane order — the
-            per-lane view of a
-            :class:`~repro.core.schedule.ComposedSchedule`; the pairs sum
-            to ``communication_time_s`` for executors that report them.
-            Empty for executors without a composed schedule.
+            lane, as ``(label, exposed_s)`` pairs in lane order; the pairs
+            sum to ``communication_time_s``.  The sharded trainer reports
+            one pair per lane of its
+            :class:`~repro.core.schedule.ComposedSchedule`; a step priced
+            by :meth:`StepExecutor.timed_outcome` reports its one
+            collective as ``dense-allreduce``, and no pair without a perf
+            model.
         bucket_times_s: Per-bucket wire time of the step's dense
             all-reduce, in bucket order (empty when the executor has no
             bucketed reducer).  May sum to more than
@@ -260,7 +263,9 @@ class StepExecutor(abc.ABC):
         Uses the :meth:`~repro.baselines.base.ExecutionModel.collective_time`
         hook to carve the dense-gradient synchronisation out of the perf
         model's step time, so every executor reports a comparable
-        compute/communication split.
+        compute/communication split.  That collective is the step's one
+        communication lane, ``dense-allreduce``, as the sharded reducer
+        labels its own.
         """
         if perf_model is None:
             return StepOutcome(loss=loss, popular_fraction=popular_fraction)
@@ -272,6 +277,7 @@ class StepExecutor(abc.ABC):
             popular_fraction=popular_fraction,
             compute_time_s=step_time - comm,
             communication_time_s=comm,
+            comm_lanes_s=(("dense-allreduce", comm),),
         )
 
 

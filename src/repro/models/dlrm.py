@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.data.batch import MiniBatch
 from repro.models.configs import ModelConfig
-from repro.nn.gemm import PackedMLP, segment_bounds
+from repro.nn.gemm import PackedMLP, infer_in_blocks, segment_bounds
 from repro.nn.embedding import EmbeddingBag, SparseGradient, segment_ids_for
 from repro.nn.interaction import (
     DotInteractionKernel,
@@ -226,22 +226,30 @@ class DLRM:
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Predicted click probabilities for a batch: the inference forward.
 
-        The arithmetic of :meth:`forward`, bit for bit, but nothing is
-        stored on the model: the layers keep no activations, the
-        interaction runs unpooled
+        The arithmetic of :meth:`forward`, bit for bit, scored in certified
+        256-row blocks (:func:`~repro.nn.gemm.infer_in_blocks`), so a
+        4,096-sample batch holds one block's Gram and pooled rows at a
+        time; RM2's logit layer, which never certifies, runs once over all
+        rows.  Nothing is stored on the model: the layers
+        keep no activations, the interaction runs unpooled
         (:func:`~repro.nn.interaction.dot_interaction`) and the bag does not
         remember the indices.  So a ``predict`` between a forward and its
         backward leaves the gradients as they were, and an evaluation
         retains no memory.  Rows are read with
         :meth:`~repro.nn.embedding.EmbeddingBag.gather`, which does not
-        touch an attached tier.
+        touch an attached tier.  The dense width is checked before the
+        first block.
         """
-        # The pooled rows and the interaction cache die here, before the
-        # top MLP's activations are allocated.
-        interaction = dot_interaction(
-            self.bottom_mlp.infer(batch.dense), self.embedding.gather(batch.sparse).sum(axis=2)
-        )[0]
-        return predicted_probabilities(self.top_mlp.infer(interaction).reshape(-1))
+        self.config.check_dense(batch.dense)
+
+        def interaction(dense_out: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            # The pooled rows and the interaction cache die here, before
+            # the top MLP's activations are allocated.
+            pooled = self.embedding.gather(batch.sparse[lo:hi]).sum(axis=2)
+            return dot_interaction(dense_out, pooled)[0]
+
+        logits = infer_in_blocks(self.bottom_mlp, self.top_mlp, batch.dense, interaction)
+        return predicted_probabilities(logits.reshape(-1))
 
     def dense_parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(parameter, gradient) pairs of both MLPs."""

@@ -20,7 +20,7 @@ import numpy as np
 from repro.data.batch import MiniBatch
 from repro.models.configs import ModelConfig
 from repro.nn.attention import DotProductAttention
-from repro.nn.gemm import PackedMLP, segment_bounds
+from repro.nn.gemm import PackedMLP, infer_in_blocks, segment_bounds
 from repro.nn.embedding import EmbeddingBag, SparseGradient, segment_ids_for
 from repro.nn.loss import fused_bce_epilogue, predicted_probabilities
 from repro.nn.mlp import MLP
@@ -186,18 +186,26 @@ class TBSM:
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Predicted click probabilities for a batch: the inference forward.
 
-        The arithmetic of :meth:`forward`, bit for bit, but nothing is
+        The arithmetic of :meth:`forward`, bit for bit, scored in certified
+        256-row blocks (:func:`~repro.nn.gemm.infer_in_blocks`), so only
+        one block's history sequences are live at a time; RM1's logit
+        layer, which never certifies, runs once over all rows.  Nothing is
         stored on the model (no layer or attention caches, no lookup
         indices), so a ``predict`` between a forward and its backward
         leaves the gradients as they were.  Rows are read with
         :meth:`~repro.nn.embedding.EmbeddingBag.gather`, which does not
-        touch an attached tier.
+        touch an attached tier.  The dense width is checked before the
+        first block.
         """
-        sequence, pooled = _split_lookup(self.embedding.gather(batch.sparse))
-        dense_out = self.bottom_mlp.infer(batch.dense)
-        context = self.attention.infer(dense_out, sequence)
-        features = np.concatenate([context, dense_out, pooled], axis=1)
-        return predicted_probabilities(self.top_mlp.infer(features).reshape(-1))
+        self.config.check_dense(batch.dense)
+
+        def features(dense_out: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            sequence, pooled = _split_lookup(self.embedding.gather(batch.sparse[lo:hi]))
+            context = self.attention.infer(dense_out, sequence)
+            return np.concatenate([context, dense_out, pooled], axis=1)
+
+        logits = infer_in_blocks(self.bottom_mlp, self.top_mlp, batch.dense, features)
+        return predicted_probabilities(logits.reshape(-1))
 
     def dense_parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(parameter, gradient) pairs of both MLPs."""

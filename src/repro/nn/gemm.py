@@ -75,14 +75,23 @@ Each packed layer owns preallocated output/gradient/mask workspaces keyed
 on the packed row count, so a steady-state step performs no large
 allocations.  The workspaces are shape-keyed only — weight updates never
 invalidate them.
+
+Inference row blocks
+--------------------
+
+The same certification lets the models' ``predict`` score a large batch
+in row blocks (:func:`infer_in_blocks`), one block's activations at a time.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.nn.init import DTYPE
 from repro.nn.layers import Linear, ReLU
+from repro.nn.mlp import MLP
 
 #: Sentinel threshold for shapes whose packed GEMM never matched the
 #: sliced GEMM at any probed height (the layer always runs per-segment).
@@ -347,6 +356,77 @@ class PackedMLP:
         """One segment's ``grad_weight``/``grad_bias`` partials, all layers."""
         for unit in reversed(self.units):
             unit.accumulate_segment(lo, hi)
+
+
+#: Row height of one block of :func:`infer_in_blocks`.  With OpenBLAS 0.3.31
+#: on x86-64, every forward GEMM shape of RM1 and RM2 certifies from 8 rows
+#: or fewer, except their ``(256, 1)`` and ``(60, 1)`` logit layers (never).
+INFER_BLOCK_ROWS = 256
+
+
+def _certified_at_block_height(linear: Linear) -> bool:
+    return (
+        packed_rows_threshold(linear.in_features, linear.out_features, linear.weight.dtype)
+        <= INFER_BLOCK_ROWS
+    )
+
+
+def infer_in_blocks(
+    bottom: MLP,
+    top: MLP,
+    dense: np.ndarray,
+    features: Callable[[np.ndarray, int, int], np.ndarray],
+) -> np.ndarray:
+    """``top.infer(features(bottom.infer(dense), 0, rows))``, bit for bit,
+    scored in row blocks.
+
+    ``features(dense_out, lo, hi)`` builds the top MLP's input for rows
+    ``lo:hi`` from their bottom-MLP output: the model's per-row layers (the
+    embedding gather and pooling, the dot interaction or the attention),
+    each row-stable by construction or by its own certification.
+
+    * The rows split into blocks of :data:`INFER_BLOCK_ROWS`; a short tail
+      merges into the last block, so no block is shorter than that unless
+      the whole batch is.
+    * Each block runs ``bottom``, ``features`` and ``top``'s layers up to
+      the first ``Linear`` not certified at the block height
+      (:func:`packed_rows_threshold`), writing its activations into one
+      ``(rows, width)`` array; ``top``'s remaining layers then run once
+      over that array.  For RM1 and RM2 that ``Linear`` is the logit layer
+      (:data:`NEVER_PACKED`), so the array is the penultimate activations.
+    * If one of ``bottom``'s ``Linear`` layers is not certified at the
+      block height, the whole batch is one block.
+
+    A certified GEMM gives each block's rows the bits of one pass over all
+    rows.  Nothing is kept between calls.
+    """
+    rows = dense.shape[0]
+    blocks = rows // INFER_BLOCK_ROWS
+    if blocks < 2 or not all(
+        _certified_at_block_height(layer) for layer in bottom.layers if isinstance(layer, Linear)
+    ):
+        return top.infer(features(bottom.infer(dense), 0, rows))
+    split = next(
+        (
+            i
+            for i, layer in enumerate(top.layers)
+            if isinstance(layer, Linear) and not _certified_at_block_height(layer)
+        ),
+        len(top.layers),
+    )
+    gathered = None
+    for block in range(blocks):
+        lo = block * INFER_BLOCK_ROWS
+        hi = rows if block == blocks - 1 else lo + INFER_BLOCK_ROWS
+        out = features(bottom.infer(dense[lo:hi]), lo, hi)
+        for layer in top.layers[:split]:
+            out = layer.infer(out)
+        if gathered is None:
+            gathered = np.empty((rows, out.shape[1]), dtype=out.dtype)
+        gathered[lo:hi] = out
+    for layer in top.layers[split:]:
+        gathered = layer.infer(gathered)
+    return gathered
 
 
 def segment_bounds(segments: list[np.ndarray]) -> list[tuple[int, int]]:

@@ -60,10 +60,14 @@ kernel across threads would race on the Gram workspace.
   diagonal is zeroed on every backward), so one pooled buffer per shape
   serves both directions.  The pool keeps one per batch shape it has
   served, for the kernel's lifetime.
-* **Inference never reaches the kernel.**  The models' ``predict`` calls
-  the unpooled :func:`dot_interaction` and drops its cache, so an
-  evaluation batch leaves no Gram in the pool and no stack buffer on the
-  model: the pools hold training shapes only.
+* **Inference never reaches the kernel.**  The models' ``predict`` scores
+  a batch in row blocks (:func:`repro.nn.gemm.infer_in_blocks`) and calls
+  the unpooled :func:`dot_interaction` once per block, dropping its cache,
+  so an evaluation holds one block's stack and Gram at a time, leaves no
+  Gram in the pool and no stack buffer on the model: the pools hold
+  training shapes only.  Blocks are bit-identical to one call over the
+  whole batch because the interaction is row-stable (certified here, or
+  the einsum reference).
 * The backward's ``grad_stacked`` output is a **fresh** allocation every
   call — the sparse-feature gradient block the caller receives is a view
   into it, and callers accumulate it across µ-batch segments, so that

@@ -31,17 +31,14 @@ def roc_auc(targets: np.ndarray, scores: np.ndarray) -> float:
 
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
-    ranks = np.empty_like(sorted_scores)
-    i = 0
     n = sorted_scores.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[i : j + 1] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Each run of equal scores spans sorted positions first..last and
+    # shares their mean 1-based rank.  Neighbours are compared with
+    # ``!=``, not ``np.diff``, which would split a run of equal infinities.
+    first = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    last = np.append(first[1:] - 1, n - 1)
     rank_of = np.empty(n, dtype=np.float64)
-    rank_of[order] = ranks
+    rank_of[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum_pos = rank_of[positives].sum()
     auc = (rank_sum_pos - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg)
     return float(auc)

@@ -14,7 +14,7 @@ import pytest
 from repro.core.accelerator import HotlineAccelerator
 from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.eal import EALConfig
-from repro.core.pipeline import HotlineTrainer
+from repro.core.pipeline import HotlineTrainer, ReferenceTrainer
 from repro.data.loader import MiniBatchLoader, ShardedLoader
 from repro.hwsim.cluster import multi_node, single_node
 from repro.hwsim.collectives import allreduce_time, hierarchical_allreduce_time
@@ -440,6 +440,32 @@ BASE_LANES = {"dense-allreduce", "lookup-alltoall", "prefetch"}
 TIER_LANES = {"tier-fetch", "tier-writeback"}
 
 
+def lane_perf_model():
+    from repro.core.scheduler import HotlineScheduler
+    from repro.models import RM2
+    from repro.perf import TrainingCostModel
+
+    return HotlineScheduler(TrainingCostModel(RM2, cluster=single_node(2)))
+
+
+def recorded_run(trainer, loader):
+    """Train one epoch; return every step's outcome (the end-of-run drain
+    too, when there is one) and the result."""
+    outcomes = []
+
+    def record(outcome):
+        if outcome is not None:
+            outcomes.append(outcome)
+        return outcome
+
+    run_step, finalize = trainer.run_step, trainer.finalize
+    trainer.run_step = lambda batch: record(run_step(batch))
+    trainer.finalize = lambda: record(finalize())
+    result = trainer.train(loader)
+    assert len(outcomes) >= result.iterations
+    return outcomes, result
+
+
 @pytest.mark.parametrize(
     "knobs, lanes",
     [
@@ -458,27 +484,11 @@ def test_comm_lanes_sum_to_the_exposed_communication(
     """Each step's ``comm_lanes_s`` sums left to right to its
     ``communication_time_s``, bit for bit (the end-of-run drain too), and
     the run's ``comm_lane_s`` is the per-label split of its total."""
-    from repro.core.scheduler import HotlineScheduler
-    from repro.models import RM2
-    from repro.perf import TrainingCostModel
-
-    perf = HotlineScheduler(TrainingCostModel(RM2, cluster=single_node(2)))
     trainer = ShardedHotlineTrainer(
-        DLRM(tiny_model_config, seed=4), 2, sample_fraction=0.25, perf_model=perf,
-        **knobs,
+        DLRM(tiny_model_config, seed=4), 2, sample_fraction=0.25,
+        perf_model=lane_perf_model(), **knobs,
     )
-    outcomes = []
-
-    def record(outcome):
-        if outcome is not None:
-            outcomes.append(outcome)
-        return outcome
-
-    run_step, finalize = trainer.run_step, trainer.finalize
-    trainer.run_step = lambda batch: record(run_step(batch))
-    trainer.finalize = lambda: record(finalize())
-    result = trainer.train(MiniBatchLoader(tiny_click_log, batch_size=128))
-    assert len(outcomes) >= result.iterations
+    outcomes, result = recorded_run(trainer, MiniBatchLoader(tiny_click_log, batch_size=128))
     for outcome in outcomes:
         exposed = 0.0
         for _label, lane_s in outcome.comm_lanes_s:
@@ -486,6 +496,30 @@ def test_comm_lanes_sum_to_the_exposed_communication(
         assert exposed == outcome.communication_time_s
     assert set(result.comm_lane_s) == lanes
     assert sum(result.comm_lane_s.values()) == pytest.approx(result.communication_time_s)
+
+
+@pytest.mark.parametrize(
+    "make_trainer",
+    [
+        lambda model, perf: HotlineTrainer(model, sample_fraction=0.25, perf_model=perf),
+        lambda model, perf: ReferenceTrainer(model, perf_model=perf),
+    ],
+    ids=["hotline", "reference"],
+)
+def test_single_replica_steps_report_their_collective_as_a_lane(
+    tiny_model_config, tiny_click_log, make_trainer
+):
+    """A single-replica step priced by ``StepExecutor.timed_outcome``
+    reports its exposed collective as one ``dense-allreduce`` lane, the
+    label of the sharded reducer's lane, so the run's ``comm_lane_s``
+    accounts for all of its ``communication_time_s``."""
+    perf = lane_perf_model()
+    trainer = make_trainer(DLRM(tiny_model_config, seed=4), perf)
+    outcomes, result = recorded_run(trainer, MiniBatchLoader(tiny_click_log, batch_size=128))
+    for outcome in outcomes:
+        assert outcome.communication_time_s == perf.collective_time() > 0.0
+        assert outcome.comm_lanes_s == (("dense-allreduce", outcome.communication_time_s),)
+    assert result.comm_lane_s == {"dense-allreduce": result.communication_time_s}
 
 
 # --------------------------------------------------------------------- #

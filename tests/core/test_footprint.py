@@ -5,7 +5,9 @@ counts repeat exactly from run to run:
 
 * ``evaluate`` runs the models' inference forward, which stores nothing
   on the model: no layer activations, no interaction cache or pooled
-  Gram, no lookup indices.
+  Gram, no lookup indices.  It scores the batch in row blocks, so what
+  it holds grows with the batch only by the one array its logit layer
+  reads.
 * An EAL holds its three ``(sets, ways)`` arrays only while it learns.
   The learning phase releases each EAL once its hot sets are taken, and
   the sharded trainer learns one shard at a time, so at most one EAL's
@@ -19,9 +21,11 @@ import pytest
 from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.engine import evaluate
 from repro.core.pipeline import HotlineTrainer
+from repro.data import generate_click_log
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
+from repro.nn.gemm import INFER_BLOCK_ROWS
 
 #: What an evaluation may leave behind: module-level index caches, not
 #: a batch's activations.
@@ -63,6 +67,32 @@ def test_evaluate_retains_no_batch_state(
         tracemalloc.stop()
     assert first == second
     assert retained < RETAINED_BOUND
+
+
+def test_predict_peak_grows_with_the_batch_by_the_gathered_array_alone(
+    tiny_ts_model_config, tiny_ts_click_log
+):
+    """TBSM's ``predict`` of 16 blocks peaks above its ``predict`` of 2
+    blocks by no more than the ``(rows, 12)`` float32 array its logit
+    layer reads: each block's history sequences and pooled rows die with
+    the block."""
+    model = TBSM(tiny_ts_model_config, seed=0)
+    model.train_step(tiny_ts_click_log.batch(0, 64), lr=0.1)
+    log = generate_click_log(tiny_ts_model_config.dataset, 16 * INFER_BLOCK_ROWS, seed=3)
+    hidden = model.top_mlp.layer_sizes[-2]
+    peaks = {}
+    for blocks in (2, 16):
+        batch = log.batch(0, blocks * INFER_BLOCK_ROWS)
+        model.predict(batch)  # certify the GEMM shapes outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model.predict(batch)
+            peaks[blocks] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    gathered_bytes = 16 * INFER_BLOCK_ROWS * hidden * 4
+    assert peaks[16] - peaks[2] <= gathered_bytes
 
 
 @pytest.mark.parametrize("num_shards", [1, 4])

@@ -32,6 +32,8 @@ the speedup benchmarks build their baselines from it:
   gradients into flat keys.
 * :func:`split_minibatch_reference` — the ``np.isin`` µ-batch
   classification.
+* :func:`reference_roc_auc` — the rank-sum AUC whose tied scores are
+  ranked by a Python loop over the sorted scores.
 * :func:`reference_kernels` — routes the dot interaction through its
   einsum reference and the loss through the two-pass
   :func:`~repro.nn.loss.reference_epilogue` for a whole training run.
@@ -69,6 +71,7 @@ __all__ = [
     "reference_bag",
     "reference_forward",
     "reference_kernels",
+    "reference_roc_auc",
     "split_minibatch_reference",
 ]
 
@@ -568,6 +571,32 @@ def split_minibatch_reference(
             break
         mask &= np.isin(batch.sparse[:, table, :], hot).all(axis=1)
     return MicroBatches(mask, batch)
+
+
+def reference_roc_auc(targets: np.ndarray, scores: np.ndarray) -> float:
+    """The rank-sum AUC with a Python loop over the sorted scores: each run
+    of equal scores, first position ``i`` to last ``j``, gets rank
+    ``0.5 * (i + j) + 1.0``."""
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    positives = targets > 0.5
+    num_pos = int(positives.sum())
+    num_neg = int(targets.shape[0] - num_pos)
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty_like(sorted_scores)
+    i = 0
+    n = sorted_scores.shape[0]
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[i : j + 1] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_of = np.empty(n, dtype=np.float64)
+    rank_of[order] = ranks
+    rank_sum_pos = rank_of[positives].sum()
+    return float((rank_sum_pos - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg))
 
 
 # ---------------------------------------------------------------------- #

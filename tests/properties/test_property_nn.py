@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.nn.embedding import EmbeddingBag, TieredEmbeddingStore, scatter_add_rows
 from repro.nn.metrics import roc_auc
 from repro.nn.mlp import MLP
-from tests.oracle import reference_backward, reference_bag
+from tests.oracle import reference_backward, reference_bag, reference_roc_auc
 
 
 @given(
@@ -142,3 +142,30 @@ def test_auc_invariant_under_monotone_transform(seed):
     np.testing.assert_allclose(base, transformed, atol=1e-12)
     sigmoid = roc_auc(targets, 1.0 / (1.0 + np.exp(-scores)))
     np.testing.assert_allclose(base, sigmoid, atol=1e-12)
+
+
+@given(
+    size=st.integers(1, 5000),
+    values=st.lists(
+        st.one_of(st.sampled_from([-np.inf, np.inf, -0.0, 0.0, np.nan]), st.floats()),
+        min_size=1,
+        max_size=5,
+    ),
+    positive_rate=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_auc_ranks_ties_as_the_loop_does(size, values, positive_rate, seed):
+    """Scores drawn from a few values, so nearly every score is tied
+    (infinities, signed zeros and NaN among them): the array ranking gives
+    the oracle's loop's AUC bit for bit, and one class alone raises."""
+    rng = np.random.default_rng(seed)
+    scores = rng.choice(np.asarray(values, dtype=np.float64), size=size)
+    targets = (rng.random(size) < positive_rate).astype(np.float64)
+    if size > 1 and targets.min() == targets.max():
+        targets[rng.integers(size)] = 1.0 - targets[0]
+    if targets.min() == targets.max():
+        with pytest.raises(ValueError, match="one class"):
+            roc_auc(targets, scores)
+        return
+    assert roc_auc(targets, scores) == reference_roc_auc(targets, scores)
