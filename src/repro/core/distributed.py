@@ -47,10 +47,9 @@ simulated cluster pays, not one this host pays K times.
 * With ``partition_embeddings=True`` a
   :class:`~repro.core.placement.PartitionedEmbeddingPlacement` splits every
   table row-wise across the shards (model parallelism).  Ownership drives
-  per-shard memory accounting, the priced all-to-all of remotely-owned
-  lookups (:func:`~repro.hwsim.collectives.embedding_alltoall_time`), and
-  the routing of the merged sparse gradient's keys back to their owner
-  shards; the one model keeps the full tables, so partitioning changes *communication
+  per-shard memory accounting and the priced all-to-all of remotely-owned
+  lookups (:func:`~repro.hwsim.collectives.embedding_alltoall_time`); the
+  one model keeps the full tables, so partitioning changes *communication
   accounting*, never numerics.
 
 **The parity guarantee.**  In ``sync``, ``overlap`` and ``stale-0`` mode
@@ -120,10 +119,11 @@ class ShardedHotlineTrainer(StepExecutor):
     explicit :class:`~repro.core.reducer.GradientBucketReducer`; sparse
     gradients merge through a
     :class:`~repro.core.reducer.SparseGradientExchange`; optional row-wise
-    table partitioning adds the model-parallel dimension.  The trainer's
-    ``cluster`` is authoritative for pricing: a replaced ``reducer`` or a
-    mid-run ``cluster`` swap is re-pointed at it on the next priced step,
-    so every communication term re-prices consistently.
+    table partitioning adds the model-parallel dimension.  The
+    configuration is fixed at construction: the constructor prices the
+    dense all-reduce once on ``cluster``, and every step reuses that
+    schedule, so a different mode, bucket size or cluster is a new
+    trainer (as the fig30r/fig30s sweeps build one per mode).
 
     Args:
         model: The model every shard trains; the caller's instance is
@@ -219,6 +219,17 @@ class ShardedHotlineTrainer(StepExecutor):
                 dtype_bytes=config.dtype_bytes,
             )
         self.exchange = SparseGradientExchange(partition=self.partition)
+        #: The link cache fills and the lookup all-to-all travel over.
+        self._link = (
+            self.cluster.inter_link
+            if self.cluster.num_nodes > 1
+            else self.cluster.node.gpu_link
+        )
+        #: One step's dense all-reduce, priced once: per-bucket wire times
+        #: in the reducer mode's composition.
+        self._dense_schedule = self.reducer.comm_schedule(
+            self.reducer.bucket_times(model.num_dense_parameters)
+        )
         if lookahead_window < 0:
             raise ValueError("lookahead_window must be >= 0")
         #: Optional BagPipe-style cached-embedding lookahead pipeline.
@@ -235,7 +246,7 @@ class ShardedHotlineTrainer(StepExecutor):
                 # so a non-partitioned run never pays a remote owner that
                 # does not exist.
                 num_replicas=num_shards if partition_embeddings else 1,
-                link=self._fill_link(),
+                link=self._link,
             )
         if tiered_hot_bytes is not None and tiered_hot_bytes < 0:
             raise ValueError("tiered_hot_bytes must be >= 0 (or None to disable)")
@@ -252,17 +263,11 @@ class ShardedHotlineTrainer(StepExecutor):
         #: Free list of P-sized flat buffers: applied gradients return here
         #: and the next deque entry is copied into one of them.
         self._dense_spare: list[np.ndarray] = []
-        #: Cached per-bucket wire times, keyed on the reducer configuration
-        #: and gradient size so a mid-run reconfiguration re-prices.
-        self._bucket_times: list[float] | None = None
-        self._bucket_times_key: tuple | None = None
         #: Loader bound by the engine (drives the lookahead epoch stream).
         self._bound_loader: MiniBatchLoader | None = None
         self._epoch_step = 0
         #: Remote (non-owned) lookups of the most recent step, all shards.
         self.last_remote_lookups: int = 0
-        #: Merged sparse-gradient rows routed to owners in the last step.
-        self.last_routed_rows: int = 0
 
     # ------------------------------------------------------------------ #
     # Learning phase (per shard)
@@ -398,14 +403,6 @@ class ShardedHotlineTrainer(StepExecutor):
     # ------------------------------------------------------------------ #
     # Lookahead plumbing
     # ------------------------------------------------------------------ #
-    def _fill_link(self):
-        """The link cache fills travel over (follows the live cluster)."""
-        return (
-            self.cluster.inter_link
-            if self.cluster.num_nodes > 1
-            else self.cluster.node.gpu_link
-        )
-
     def bind(self, loader: MiniBatchLoader) -> None:
         """Prepare placements; start the run from a clean staleness state.
 
@@ -474,13 +471,6 @@ class ShardedHotlineTrainer(StepExecutor):
         guarantees).
         """
         assert self.lookahead is not None
-        # The pipeline shares the reducer's *live* staleness bound and the
-        # *live* cluster link, so a mid-run reconfiguration (mode flip,
-        # cluster swap) keeps sparse staleness and fill pricing in step
-        # with the dense path (defer flushes any over-aged backlog on its
-        # own).
-        self.lookahead.staleness = self.reducer.staleness
-        self.lookahead.link = self._fill_link()
         epoch_len = len(self._bound_loader) if self._bound_loader is not None else 0
         if self._epoch_step == 0 or (epoch_len and self._epoch_step >= epoch_len):
             stream = (
@@ -613,36 +603,21 @@ class ShardedHotlineTrainer(StepExecutor):
             total_loss += loss
 
         merged = self.exchange.exchange(partials)
-        if self.partition is not None:
-            # The modeled sparse-gradient all-to-all of hybrid parallelism:
-            # actually route the merged keys to their owner shards and
-            # count what arrived, so the reported stat reflects the routing
-            # that ran (a partition of the merged rows — the property suite
-            # proves the pieces reassemble exactly).
-            self.last_routed_rows = sum(
-                piece.nnz for piece in self.exchange.route(merged)
-            )
 
         # Sync applies the layers' sum in place.  Otherwise this step's
-        # gradient joins the k-deep staleness queue as a flat copy and
-        # everything deeper than the *current* bound drains out: one pop
-        # per step in steady state.  If the bound shrank mid-run (a
-        # reconfigured reducer), the whole backlog drains this step, in
-        # flight order and ahead of this step's gradient, rather than
-        # being stranded in the deque — no gradient is ever dropped.
+        # gradient joins the k-deep staleness queue as a flat copy, and
+        # once the queue is k + 1 deep the oldest one lands.
         staleness = self.reducer.staleness
-        if staleness == 0 and not self._pending_dense:
+        if staleness == 0:
             if segments:
                 model.apply_dense_update(self.lr)
         else:
             self._pending_dense.append(self._copy_dense_gradient() if segments else None)
-            while len(self._pending_dense) > staleness:
+            if len(self._pending_dense) > staleness:
                 flat = self._pending_dense.popleft()
                 if flat is not None:
                     self._apply_dense_gradient(flat)
         if self.lookahead is not None:
-            # Staleness was synced from the reducer in _advance_lookahead;
-            # defer flushes any over-aged backlog on its own.
             sparse_updates = self.lookahead.defer(merged)
         else:
             sparse_updates = merged
@@ -698,29 +673,9 @@ class ShardedHotlineTrainer(StepExecutor):
     # ------------------------------------------------------------------ #
     # Simulated timing
     # ------------------------------------------------------------------ #
-    def _step_bucket_times(self) -> list[float]:
-        """Per-bucket wire times of one step's dense all-reduce.
-
-        Cached, but keyed on the reducer's configuration signature and the
-        gradient size: a reducer reconfigured (or swapped) mid-run — bucket
-        bytes, mode, replica count, cluster — re-prices the schedule
-        instead of reporting stale wire times.
-        """
-        # The trainer's cluster is authoritative for *all* of its pricing
-        # (dense wire, lookups all-to-all, cache fills): a mid-run
-        # ``trainer.cluster`` swap re-prices the bucket schedule too, not
-        # just the sparse paths.
-        if self.reducer.cluster is not self.cluster:
-            self.reducer.cluster = self.cluster
-        key = (self.reducer.signature, self.model.num_dense_parameters)
-        if self._bucket_times is None or self._bucket_times_key != key:
-            self._bucket_times = self.reducer.bucket_times(self.model.num_dense_parameters)
-            self._bucket_times_key = key
-        return self._bucket_times
-
     def dense_sync_time(self) -> float:
         """Total wire time of one step's bucketed dense all-reduce."""
-        return self.reducer.comm_schedule(self._step_bucket_times()).total_s
+        return self._dense_schedule.total_s
 
     def alltoall_time(self, remote_lookups: int) -> float:
         """Priced all-to-all of remotely-owned lookups (partitioned runs)."""
@@ -733,7 +688,7 @@ class ShardedHotlineTrainer(StepExecutor):
             row_bytes=self.partition.row_bytes,
             participants=self.num_shards,
         )
-        return comm_op_time(op, FlatLinks(self._fill_link()))
+        return comm_op_time(op, FlatLinks(self._link))
 
     # ------------------------------------------------------------------ #
     # StepExecutor interface
@@ -762,8 +717,7 @@ class ShardedHotlineTrainer(StepExecutor):
         """
         loss, popular_fraction = self.train_step(batch)
         compute = self.shard_compute_time(batch.size)
-        bucket_times = self._step_bucket_times()
-        dense = self.reducer.comm_schedule(bucket_times)
+        dense = self._dense_schedule
         stats = self.lookahead.last_stats if self.lookahead is not None else None
         prefetch = stats.prefetch_time_s if stats is not None else 0.0
         lookup_alltoall = (
@@ -798,7 +752,7 @@ class ShardedHotlineTrainer(StepExecutor):
             compute_time_s=compute,
             communication_time_s=comm.exposed_time(compute),
             comm_lanes_s=comm.lane_exposures(compute),
-            bucket_times_s=tuple(bucket_times),
+            bucket_times_s=dense.segments_s,
             cache_hits=stats.cache_hits if stats is not None else 0,
             cache_misses=stats.cache_misses if stats is not None else 0,
             cache_fill_rows=stats.fill_rows if stats is not None else 0,

@@ -15,9 +15,10 @@ This module factors that split explicitly:
   returns a :class:`StepOutcome` carrying the loss plus optional popularity
   and simulated-time observations.
 * :class:`TrainingEngine` — the loop.  It owns epochs, the eval cadence,
-  the recalibration schedule, loader prefetching (enabled by default so
-  batch assembly overlaps the training step), and
-  :class:`TrainingResult` recording.
+  the recalibration schedule and :class:`TrainingResult` recording.  Each
+  epoch comes from the loader's ``epoch``, prefetched at the loader's
+  depth (double-buffered when the loader states none), so batch assembly
+  overlaps the training step.
 
 Two executors run over this one loop: the baseline
 :class:`~repro.core.pipeline.ReferenceTrainer` and the K-shard
@@ -30,7 +31,6 @@ equivalence suite (baseline vs Hotline vs K-shard Hotline) meaningful.
 from __future__ import annotations
 
 import abc
-import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,51 +315,20 @@ def recalibration_points(steps_per_epoch: int, recalibrations_per_epoch: int) ->
 class TrainingEngine:
     """The single training loop shared by all functional trainers.
 
+    The prefetch depth is the loader's: a loader with no stated
+    preference (``prefetch=None``) gets double-buffering (depth 1), and
+    one built with an explicit depth — including ``prefetch=0`` as a
+    synchronous opt-out — keeps it.  An executor exposing
+    ``prepare_batch`` gets it threaded through the loader's ``transform``
+    hook, so the preparation (e.g. next-batch µ-batch classification)
+    runs on the prefetch worker thread, under the current step.
+
     Args:
         executor: The per-step strategy to drive.
-        prefetch: Loader prefetch depth (batches assembled by a background
-            thread while the current step trains).  The default of ``None``
-            defers to the loader: a loader with no stated preference
-            (``prefetch=None``) gets double-buffering (depth 1), one built
-            with an explicit depth — including ``prefetch=0`` as a
-            synchronous opt-out — keeps it.  Pass an explicit depth here to
-            override the loader either way; the trainers' ``train()``
-            methods use the default, so wrap the trainer in your own
-            ``TrainingEngine`` to control the knob.
     """
 
-    def __init__(self, executor: StepExecutor, *, prefetch: int | None = None):
+    def __init__(self, executor: StepExecutor):
         self.executor = executor
-        self.prefetch = prefetch
-
-    def _epoch_batches(self, loader: MiniBatchLoader):
-        """One epoch's batch iterator, prefetched when the loader supports it.
-
-        An executor exposing ``prepare_batch`` gets it threaded through the
-        loader's ``transform`` hook, so the preparation (e.g. next-batch
-        µ-batch classification) runs on the prefetch worker thread, under
-        the current step.  Loaders without the hook (or without ``epoch``)
-        simply skip it — the step recomputes, numerics unchanged.
-        """
-        epoch = getattr(loader, "epoch", None)
-        if epoch is None:
-            return iter(loader)
-        depth = self.prefetch
-        if depth is None:
-            loader_depth = getattr(loader, "prefetch", None)
-            depth = 1 if loader_depth is None else loader_depth
-        transform = getattr(self.executor, "prepare_batch", None)
-        if transform is not None:
-            # Probe the signature rather than catching TypeError from the
-            # call: epoch() draws the shuffle order eagerly, so a failed
-            # call-and-retry would consume the RNG twice.
-            try:
-                accepts = "transform" in inspect.signature(epoch).parameters
-            except (TypeError, ValueError):
-                accepts = False
-            if accepts:
-                return epoch(prefetch=depth, transform=transform)
-        return epoch(prefetch=depth)
 
     def train(
         self,
@@ -372,11 +341,14 @@ class TrainingEngine:
     ) -> TrainingResult:
         """Run the full training loop and record a :class:`TrainingResult`."""
         self.executor.bind(loader)
+        prefetch = 1 if loader.prefetch is None else loader.prefetch
+        transform = getattr(self.executor, "prepare_batch", None)
         result = TrainingResult()
         iteration = 0
         for _epoch in range(epochs):
             recal_points = recalibration_points(len(loader), recalibrations_per_epoch)
-            for step_in_epoch, batch in enumerate(self._epoch_batches(loader)):
+            batches = loader.epoch(prefetch=prefetch, transform=transform)
+            for step_in_epoch, batch in enumerate(batches):
                 if step_in_epoch in recal_points:
                     self.executor.recalibrate(loader, seed=iteration)
                 outcome = self.executor.run_step(batch)

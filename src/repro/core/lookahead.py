@@ -103,7 +103,6 @@ from repro.nn.embedding import (
     _in_sorted,
     check_ids,
     key_offsets,
-    merge_sparse_gradients,
     scatter_add_rows,
 )
 from repro.nn.init import DTYPE
@@ -124,7 +123,7 @@ class LookaheadStats:
         evicted_rows: Cached rows written back because they left the window.
         stale_rows: Deferred rows flushed because their oldest contribution
             reached the staleness bound — including a schedule's backlog
-            written back when its epoch ends or the bound drops to zero.
+            written back when its epoch ends.
         prefetch_time_s: Priced fill + write-back traffic of the step
             (all-to-all and DMA terms); hidden behind compute unless it
             outlives the step's compute window.
@@ -286,8 +285,8 @@ class FlatPendingStore:
     def take_all(self) -> SparseGradient:
         """Remove and return everything deferred, freeing the arrays.
 
-        The full-flush paths (epoch carry, end-of-run drain, stale-0
-        backlog) release the memory instead of keeping it across epochs.
+        The two full-flush paths (epoch carry and end-of-run drain)
+        release the memory instead of keeping it across epochs.
         """
         keys, values = self._keys, self._values
         self._keys = np.empty(0, dtype=np.int64)
@@ -598,9 +597,9 @@ class CachedEmbeddingPipeline:
     def _priced_flush_all(self) -> tuple[SparseGradient | None, float]:
         """Flush every deferred write-back and price its DMA traffic.
 
-        The single pricing point for all three full-flush paths (epoch
-        carry, end-of-run drain, and the stale-0 backlog), so a change to
-        the write-back cost model cannot make their accounting diverge.
+        The single pricing point for both full-flush paths (epoch carry
+        and end-of-run drain), so a change to the write-back cost model
+        cannot make their accounting diverge.
         ``take_all`` runs even when nothing is pending: it is what frees
         the store's arrays, so an epoch boundary or drain leaves nothing
         behind.
@@ -700,13 +699,12 @@ class CachedEmbeddingPipeline:
         """Absorb one step's merged gradient; return what must apply now.
 
         With ``staleness == 0`` the input is returned untouched (the
-        bit-parity fast path; anything still deferred from a higher
-        earlier bound is flushed alongside it, never stranded).  Otherwise
-        the gradient accumulates in the cache and the returned gradient
-        contains exactly the flushed keys: those evicted as the trained
-        batch retires plus those whose oldest deferred contribution is
-        ``staleness`` steps old.  A key outside the pipeline's key space
-        raises :class:`ValueError`.
+        bit-parity fast path; a bound fixed at 0 never defers anything).
+        Otherwise the gradient accumulates in the cache and the returned
+        gradient contains exactly the flushed keys: those evicted as the
+        trained batch retires plus those whose oldest deferred
+        contribution is ``staleness`` steps old.  A key outside the
+        pipeline's key space raises :class:`ValueError`.
         """
         keys = merged.indices
         if keys.size and (keys.min() < 0 or keys.max() >= self._num_keys):
@@ -717,15 +715,7 @@ class CachedEmbeddingPipeline:
         evicted = self._retire()
         stats.evicted_rows = evicted.size
         if self.staleness == 0:
-            if self.pending_rows_total == 0:
-                return merged
-            # The backlog writes back like any other flush — price it, so
-            # a bound lowered to 0 mid-run does not make the same traffic
-            # momentarily free.
-            backlog, backlog_time_s = self._priced_flush_all()
-            stats.stale_rows += backlog.nnz
-            stats.prefetch_time_s += backlog_time_s
-            return merge_sparse_gradients([backlog, merged])
+            return merged
         pending = self.pending
         pending.defer(merged, step)
         # Flush rule: a deferred key writes back when it leaves the window

@@ -36,13 +36,15 @@ Two kinds of reduction live here:
     deterministic ``(shard, µ-batch)`` order, the accumulation a
     parameter-less embedding all-reduce performs, and, when a
     :class:`~repro.core.placement.PartitionedEmbeddingPlacement` is
-    attached, routes the merged keys to their owner shards.
+    attached, can route the merged keys to their owner shards.
 
   Both collectives preserve the gradient dtype end-to-end (float32 stays
   float32); mixed-dtype partials are rejected rather than silently upcast.
 """
 
 from __future__ import annotations
+
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -121,8 +123,12 @@ def parse_staleness(mode: str) -> int:
 WIRE_BYTES_PER_ELEMENT = 4
 
 
+@dataclass(frozen=True)
 class GradientBucketReducer:
     """Deterministic bucketed all-reduce of flattened dense gradients.
+
+    Frozen: a run is priced against one configuration, and a different
+    mode, bucket size or cluster is a new reducer (and a new trainer).
 
     Args:
         num_replicas: Number of participating data-parallel replicas.
@@ -139,52 +145,26 @@ class GradientBucketReducer:
             exactly ``sync``, ``stale-1`` the original one-step-late mode).
         cluster: Hardware topology pricing the per-bucket wire time.  When
             ``None``, all timing queries report zero (numeric-only use).
+
+    Attributes:
+        staleness: Bounded-staleness depth ``k`` of the mode (0 for
+            sync/overlap), derived from ``mode``.
     """
 
-    def __init__(
-        self,
-        num_replicas: int,
-        *,
-        bucket_bytes: int = 4 * 1024 * 1024,
-        mode: str = "sync",
-        cluster: Cluster | None = None,
-    ):
-        if num_replicas <= 0:
+    num_replicas: int
+    _: KW_ONLY
+    bucket_bytes: int = 4 * 1024 * 1024
+    mode: str = "sync"
+    cluster: Cluster | None = None
+    staleness: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.num_replicas <= 0:
             raise ValueError("num_replicas must be positive")
-        if bucket_bytes < WIRE_BYTES_PER_ELEMENT:
+        if self.bucket_bytes < WIRE_BYTES_PER_ELEMENT:
             raise ValueError("bucket_bytes must hold at least one gradient element")
-        self.num_replicas = num_replicas
-        self.bucket_bytes = int(bucket_bytes)
-        self.mode = mode  # property setter validates and derives staleness
-        self.cluster = cluster
-
-    @property
-    def mode(self) -> str:
-        """Synchronisation mode string (``sync`` / ``overlap`` / ``stale-<k>``)."""
-        return self._mode
-
-    @mode.setter
-    def mode(self, value: str) -> None:
-        self._staleness = parse_staleness(value)  # validates, incl. mid-run changes
-        self._mode = value
-
-    @property
-    def staleness(self) -> int:
-        """Bounded-staleness depth ``k`` of the mode (0 for sync/overlap)."""
-        return self._staleness
-
-    @property
-    def signature(self) -> tuple:
-        """Value view of everything that determines the timing model.
-
-        Trainers key their cached wire-time schedules on this, so a reducer
-        reconfigured mid-run (bucket size, mode, replica count, cluster)
-        invalidates the cache instead of reporting stale times.  The
-        cluster participates *by value* (it is a frozen dataclass): keying
-        on object identity would let a freed-and-reallocated cluster at the
-        same address masquerade as the old one.
-        """
-        return (self.num_replicas, self.bucket_bytes, self.mode, self.cluster)
+        object.__setattr__(self, "bucket_bytes", int(self.bucket_bytes))
+        object.__setattr__(self, "staleness", parse_staleness(self.mode))
 
     # ------------------------------------------------------------------ #
     # Bucket layout
@@ -301,9 +281,9 @@ class SparseGradientExchange:
     the K-shard sparse update bit-identical to it.
 
     With a :class:`~repro.core.placement.PartitionedEmbeddingPlacement`
-    attached, the merged gradient is additionally routed key-wise to its
-    owner shards (:meth:`route`), modelling the sparse-gradient all-to-all
-    of hybrid data+model parallelism.
+    attached, :meth:`route` splits a merged gradient key-wise by owner
+    shard, the sparse-gradient all-to-all of hybrid data+model
+    parallelism.
 
     Args:
         partition: Optional row-wise table partition for routing.

@@ -140,9 +140,12 @@ def test_prefetch_depth_never_changes_results(tiny_model_config, tiny_click_log)
     for depth in (0, 1, 4):
         model = DLRM(tiny_model_config, seed=9)
         trainer = HotlineTrainer(model, lr=0.05, sample_fraction=0.25)
-        engine = TrainingEngine(trainer, prefetch=depth)
-        loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-        results.append(engine.train(loader, epochs=1, eval_batch=tiny_click_log.batch(0, 256)))
+        loader = MiniBatchLoader(tiny_click_log, batch_size=128, prefetch=depth)
+        results.append(
+            TrainingEngine(trainer).train(
+                loader, epochs=1, eval_batch=tiny_click_log.batch(0, 256)
+            )
+        )
     assert results[0].losses == results[1].losses == results[2].losses
     assert (
         results[0].final_metrics == results[1].final_metrics == results[2].final_metrics

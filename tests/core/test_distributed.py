@@ -272,102 +272,6 @@ def test_sharded_loader_rejects_bad_shard_count(tiny_click_log):
         ShardedLoader(loader, 0)
 
 
-# --------------------------------------------------------------------------- #
-# Wire-time cache invalidation (reducer reconfigured mid-run)
-# --------------------------------------------------------------------------- #
-def test_bucket_time_cache_invalidates_on_reducer_reconfiguration(tiny_model_config):
-    """Regression: the cached per-bucket schedule used to survive a mid-run
-    reducer reconfiguration, reporting stale wire time forever."""
-    from repro.core.reducer import GradientBucketReducer
-
-    trainer = ShardedHotlineTrainer(DLRM(tiny_model_config, seed=0), 4)
-    single_bucket = trainer.dense_sync_time()
-    assert len(trainer._step_bucket_times()) == 1
-    # Shrinking the bucket size must re-price into a multi-bucket schedule.
-    trainer.reducer.bucket_bytes = 1024
-    rebucketed = trainer._step_bucket_times()
-    assert len(rebucketed) > 1
-    assert trainer.dense_sync_time() == pytest.approx(sum(rebucketed))
-    # A mode flip re-keys too (mode feeds exposure, but the key is total).
-    trainer.reducer.mode = "stale-2"
-    assert trainer._step_bucket_times() == rebucketed
-    # Swapping the whole reducer (different replica count) re-prices again.
-    trainer.reducer = GradientBucketReducer(2, cluster=trainer.cluster)
-    assert trainer.dense_sync_time() != pytest.approx(single_bucket)
-    assert trainer.dense_sync_time() == pytest.approx(
-        sum(trainer.reducer.bucket_times(trainer.model.num_dense_parameters))
-    )
-    # Swapping the *trainer's* cluster re-prices too: the trainer is the
-    # pricing authority, so the reducer follows it onto the new topology.
-    flat_time = trainer.dense_sync_time()
-    trainer.cluster = multi_node(2, 2)
-    assert trainer.reducer.cluster is not trainer.cluster  # not yet synced
-    hierarchical_time = trainer.dense_sync_time()
-    assert trainer.reducer.cluster is trainer.cluster
-    assert hierarchical_time != pytest.approx(flat_time)
-
-
-def test_lowering_staleness_mid_run_drains_the_dense_backlog(
-    tiny_model_config, tiny_click_log
-):
-    """Regression: flipping a stale-k reducer back to sync mid-run used to
-    strand the in-flight reduces in the deque (dropping their gradient);
-    the pipeline must drain the backlog instead, in flight order and ahead
-    of the step's own gradient, and the lookahead's sparse staleness bound
-    must follow the reducer's live value."""
-    from repro.models.dlrm import DLRM
-
-    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    batches = list(loader)
-
-    def four_stale_steps():
-        trainer = ShardedHotlineTrainer(
-            DLRM(tiny_model_config, seed=2), 2, sample_fraction=0.25,
-            mode="stale-3", lookahead_window=3,
-        )
-        trainer.bind(loader)
-        for batch in batches[:4]:
-            trainer.train_step(batch)
-        return trainer
-
-    trainer = four_stale_steps()
-    assert len(trainer._pending_dense) == 3
-    assert trainer.lookahead.staleness == 3
-    # Copies taken before the switch: the parameters and the queued flat
-    # gradients.  This step's gradient comes from a probe replaying the
-    # same run and then stepping in sync with nothing queued: its forward
-    # and backward see the same weights, and its layers keep the gradient.
-    before = [param.copy() for param, _grad in trainer.model.dense_parameters()]
-    queued = [flat.copy() for flat in trainer._pending_dense]
-    probe = four_stale_steps()
-    probe._pending_dense.clear()
-    probe.reducer.mode = "sync"
-    probe.train_step(batches[4])
-    current = [grad.copy() for _param, grad in probe.model.dense_parameters()]
-    trainer.reducer.mode = "sync"  # mid-run reconfiguration
-    trainer.train_step(batches[4])
-    # The whole backlog (3 queued reduces + this step's) applied at once,
-    # each queued gradient in flight order and then this step's: float32
-    # rounding depends on that order, so a jumped queue changes the bits.
-    assert len(trainer._pending_dense) == 0
-    lr = trainer.lr
-    offset = 0
-    for (param, _grad), start, grad in zip(
-        trainer.model.dense_parameters(), before, current, strict=True
-    ):
-        expected = start.copy()
-        for flat in queued:
-            expected -= flat[offset : offset + param.size].reshape(param.shape) * lr
-        expected -= grad * lr
-        assert expected.dtype == np.float32
-        np.testing.assert_array_equal(param, expected)
-        offset += param.size
-    # ...and the sparse pipeline followed the live bound, flushing its own
-    # backlog rather than deferring forever.
-    assert trainer.lookahead.staleness == 0
-    assert trainer.lookahead.pending_rows_total == 0
-
-
 def test_rebinding_a_trainer_drops_the_previous_runs_inflight_state(
     tiny_model_config, tiny_click_log
 ):
@@ -424,7 +328,7 @@ def test_lookahead_replaces_partitioned_lookup_alltoall(
     # ...but the step charges only the dense schedule plus the prefetch
     # tail — not the per-lookup exchange on top of the fills.
     exposed_dense = trainer.reducer.comm_schedule(
-        trainer._step_bucket_times()
+        trainer.reducer.bucket_times(trainer.model.num_dense_parameters)
     ).exposed_time(outcome.compute_time_s)
     expected = exposed_dense + max(
         0.0, outcome.prefetch_time_s - outcome.compute_time_s

@@ -71,11 +71,11 @@ def test_engine_eval_cadence_and_final_metrics(tiny_model_config, tiny_click_log
 
 def test_engine_prefetch_matches_synchronous_losses(tiny_model_config, tiny_click_log):
     """Double-buffered batch assembly must not change the training stream."""
-    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     runs = []
     for prefetch in (0, 1):
+        loader = MiniBatchLoader(tiny_click_log, batch_size=128, prefetch=prefetch)
         trainer = ReferenceTrainer(DLRM(tiny_model_config, seed=11), lr=0.1)
-        runs.append(TrainingEngine(trainer, prefetch=prefetch).train(loader, epochs=1))
+        runs.append(TrainingEngine(trainer).train(loader, epochs=1))
     np.testing.assert_array_equal(runs[0].losses, runs[1].losses)
 
 
@@ -220,7 +220,7 @@ def test_engine_threads_prepare_batch_through_the_loader(
             return batch
 
     executor = PreparingExecutor(DLRM(tiny_model_config, seed=0))
-    loader = MiniBatchLoader(tiny_click_log, batch_size=512)
-    TrainingEngine(executor, prefetch=0).train(loader, epochs=1)
+    loader = MiniBatchLoader(tiny_click_log, batch_size=512, prefetch=0)
+    TrainingEngine(executor).train(loader, epochs=1)
     assert executor.prepared == len(loader)
     assert executor.batch_sizes == [512] * len(loader)

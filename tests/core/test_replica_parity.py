@@ -115,7 +115,6 @@ def test_parity_with_partitioned_embeddings(tiny_model_config, tiny_click_log):
     assert_bit_identical(merged_model.state_snapshot(), replica_model.state_snapshot())
     # ...but the partitioned run accounts the model-parallel traffic.
     assert trainer.last_remote_lookups > 0
-    assert trainer.last_routed_rows > 0
     assert replica_result.communication_time_s > 0.0
 
 
