@@ -31,7 +31,7 @@ def compare_trackers():
         evaluation = log.sparse[TRAIN_SAMPLES:]
 
         eal = EmbeddingAccessLogger(
-            EALConfig(size_bytes=EAL_ENTRIES * 2, ways=16), seed=0
+            config.dataset.rows_per_table, EALConfig(size_bytes=EAL_ENTRIES * 2, ways=16), seed=0
         )
         oracle = OracleLFUTracker(capacity_entries=EAL_ENTRIES)
         eal.access_batch(train)

@@ -35,7 +35,9 @@ def run_convergence():
     eval_batch = log.batch(2048, 1024)
 
     accelerator = HotlineAccelerator(
-        row_bytes=config.embedding_dim * 4, eal_config=EALConfig(size_bytes=1 << 17, ways=16)
+        config.dataset.rows_per_table,
+        row_bytes=config.embedding_dim * 4,
+        eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )
     hotline = HotlineTrainer(DLRM(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25)
     hotline.learning_phase(loader)

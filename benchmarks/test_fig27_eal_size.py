@@ -38,7 +38,9 @@ def sweep():
         evaluation = log.sparse[TRAIN_SAMPLES:]
         fractions = []
         for capacity in CAPACITIES:
-            eal = EmbeddingAccessLogger(EALConfig(size_bytes=capacity * 2, ways=16), seed=0)
+            eal = EmbeddingAccessLogger(
+                config.dataset.rows_per_table, EALConfig(size_bytes=capacity * 2, ways=16), seed=0
+            )
             eal.access_batch(train)
             hot = eal.hot_indices(config.num_sparse_features)
             fractions.append(float(array.classify_with_hot_sets(evaluation, hot).mean()))

@@ -48,6 +48,7 @@ MAX_SLOWDOWN = 1.02
 
 def make_trainer(config, log, model_cls):
     accelerator = HotlineAccelerator(
+        config.dataset.rows_per_table,
         row_bytes=config.embedding_dim * 4,
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )

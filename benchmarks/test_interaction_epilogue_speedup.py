@@ -106,6 +106,7 @@ def test_interaction_kernel_speedup(benchmark):
 
 def make_trainer(config, log):
     accelerator = HotlineAccelerator(
+        config.dataset.rows_per_table,
         row_bytes=config.embedding_dim * 4,
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )

@@ -47,7 +47,7 @@ def test_accelerator_segregation_vs_cpu(benchmark):
     """The accelerator segregates a 4K Terabyte mini-batch >20x faster than
     the 24-core CPU (the enabler of Figures 7/12)."""
     costs = cost_model(RM3, gpus=4)
-    accel = HotlineAccelerator(row_bytes=RM3.bytes_per_lookup())
+    accel = HotlineAccelerator(RM3.dataset.rows_per_table, row_bytes=RM3.bytes_per_lookup())
 
     def measure():
         return (

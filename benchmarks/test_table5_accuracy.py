@@ -32,6 +32,7 @@ def run_all():
         loader = MiniBatchLoader(log, batch_size=256)
         eval_batch = log.batch(1536, 512)
         accelerator = HotlineAccelerator(
+            config.dataset.rows_per_table,
             row_bytes=config.embedding_dim * 4,
             eal_config=EALConfig(size_bytes=1 << 16, ways=16),
         )

@@ -37,7 +37,9 @@ def sweep_eal_capacity() -> None:
     capacities = [256, 512, 1024, 2048, 4096]
     fractions = []
     for capacity in capacities:
-        eal = EmbeddingAccessLogger(EALConfig(size_bytes=capacity * 2, ways=16), seed=0)
+        eal = EmbeddingAccessLogger(
+            config.dataset.rows_per_table, EALConfig(size_bytes=capacity * 2, ways=16), seed=0
+        )
         eal.access_batch(train)
         hot = eal.hot_indices(config.num_sparse_features)
         fractions.append(float(array.classify_with_hot_sets(evaluation, hot).mean()))

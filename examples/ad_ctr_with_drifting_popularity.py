@@ -39,6 +39,7 @@ def main() -> None:
 
     def new_accelerator() -> HotlineAccelerator:
         return HotlineAccelerator(
+            config.dataset.rows_per_table,
             row_bytes=config.embedding_dim * 4,
             eal_config=EALConfig(size_bytes=1 << 15, ways=16),
         )

@@ -38,6 +38,7 @@ def main() -> None:
 
     # 2. Hotline hardware: the accelerator model plus the paper's 4-GPU node.
     accelerator = HotlineAccelerator(
+        config.dataset.rows_per_table,
         row_bytes=config.embedding_dim * 4,
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )

@@ -55,10 +55,17 @@ HOTLINE_ACCELERATOR_SPEC = AcceleratorSpec()
 
 
 class HotlineAccelerator:
-    """Behavioural + timing model of the Hotline accelerator."""
+    """Behavioural + timing model of the Hotline accelerator.
+
+    ``rows_per_table`` are the table sizes of the model it accelerates: its
+    EAL tracks rows by their keys in that model's flat key space, 5 bytes
+    per entry (see :class:`~repro.core.eal.EmbeddingAccessLogger`), and
+    rejects an id outside its table.
+    """
 
     def __init__(
         self,
+        rows_per_table,
         spec: AcceleratorSpec | None = None,
         *,
         row_bytes: int = 64,
@@ -70,7 +77,7 @@ class HotlineAccelerator:
         self.spec = spec or HOTLINE_ACCELERATOR_SPEC
         self.row_bytes = row_bytes
         self.eal = EmbeddingAccessLogger(
-            eal_config or EALConfig(size_bytes=self.spec.eal_size_bytes), seed=seed
+            rows_per_table, eal_config or EALConfig(size_bytes=self.spec.eal_size_bytes), seed=seed
         )
         self.lookup_engines = LookupEngineArray(self.spec.num_lookup_engines)
         self.reducer = Reducer(self.spec.num_reducer_alus)

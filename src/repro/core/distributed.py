@@ -201,9 +201,10 @@ class ShardedHotlineTrainer(StepExecutor):
         self.sample_fraction = sample_fraction
         self.hbm_budget_bytes = hbm_budget_bytes
         self.perf_model = perf_model
+        rows_per_table = model.config.dataset.rows_per_table
         row_bytes = model.config.embedding_dim * model.config.dtype_bytes
         self.shards: list[Shard] = [
-            Shard(HotlineAccelerator(row_bytes=row_bytes, seed=seed + k))
+            Shard(HotlineAccelerator(rows_per_table, row_bytes=row_bytes, seed=seed + k))
             for k in range(num_shards)
         ]
         self.reducer = GradientBucketReducer(
@@ -278,11 +279,13 @@ class ShardedHotlineTrainer(StepExecutor):
         Every shard sees only its own contiguous slice of each sampled
         mini-batch — the same data it will train on — so its placement
         tracks the skew of *its* partition, exactly as a per-node EAL would.
-        The shards learn one after the other: shard k reads its slice of
-        every sampled batch, its hot sets are taken and its EAL's arrays
-        released (counters kept) before shard k + 1 starts, so at most one
-        EAL's arrays are live.  Each EAL sees exactly its own accesses in
-        batch order, as when the shards interleave.
+        The shards learn one after the other in one set of EAL arrays:
+        shard k reads its slice of every sampled batch, its hot sets are
+        taken and its EAL releases the arrays (counters kept), and shard
+        k + 1's EAL reuses them from empty.  So a phase allocates one
+        array set, dropped once the last shard's hot sets are taken.  Each
+        EAL sees exactly its own accesses in batch order, as when the
+        shards interleave.
         """
         sampled = [
             batch.shards(self.num_shards)
@@ -290,12 +293,14 @@ class ShardedHotlineTrainer(StepExecutor):
         ]
         config = self.model.config
         num_tables = config.num_sparse_features
+        arrays = None
         for k, shard in enumerate(self.shards):
+            shard.accelerator.eal.reuse(arrays)
             for shards in sampled:
                 if shards[k].size:
                     shard.accelerator.learn_from_batch(shards[k].sparse)
             hot_sets = shard.accelerator.hot_sets(num_tables)
-            shard.accelerator.eal.release()
+            arrays = shard.accelerator.eal.release()
             if shard.placement is None:
                 shard.placement = EmbeddingPlacement(
                     hot_sets=hot_sets,
@@ -311,7 +316,9 @@ class ShardedHotlineTrainer(StepExecutor):
     def recalibrate(self, loader: MiniBatchLoader, seed: int = 0) -> None:
         """Re-enter the learning phase on every shard's EAL.
 
-        A bound tier then re-pins shard 0's new hot set
+        Every EAL is cleared, and the phase learns in one fresh array set
+        as :meth:`learning_phase` does.  A bound tier then re-pins shard
+        0's new hot set
         (:meth:`~repro.nn.embedding.TieredEmbeddingStore.repin`: only the
         rows that drifted move); the next step's tier counters and priced
         seconds include the move's preload and any eviction it caused.

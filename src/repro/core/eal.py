@@ -15,18 +15,35 @@ frequently accessed, not their contents.  Key design points reproduced here:
 * a multi-banked organisation with an input queue that allows ~60 parallel
   lookups per iteration at 64 banks x 512-entry queue (Figure 16).
 
+The host model keeps an entry in 5 bytes.  Its key is the tracked row's
+key in the model's flat key space (row ``r`` of table ``t`` is
+``offsets[t] + r``, see :func:`repro.nn.embedding.key_offsets`), a uint32
+while the key space has at most 2**32 rows, as every paper model's does.
+Its int8 RRPV stands in for the valid bit too: -1 marks an empty way.  The
+default SRAM's ~2 M entries take 10 MiB of host memory.
+
+Those arrays exist only while the EAL learns, and a learning phase that
+profiles several EALs in turn learns in one set of arrays, which each EAL
+hands to the next (:meth:`EmbeddingAccessLogger.release`, then
+:meth:`EmbeddingAccessLogger.reuse`).  A set per EAL would cost resident
+memory even though only one is live at a time: once the first freed set
+has gone back to the OS, glibc raises its mmap threshold above the set's
+size, places the next same-size allocation on its heap, and keeps that
+memory when it is freed.
+
 An :class:`OracleLFUTracker` (exact least-frequently-used with unbounded
 counters) is provided as the comparison point of Figure 15.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.lookup_engine import FeistelRandomizer
 from repro.hwsim.units import MIB
+from repro.nn.embedding import check_ids
 
 
 @dataclass(frozen=True)
@@ -66,38 +83,44 @@ class EALConfig:
         return max(1, self.num_entries // self.ways)
 
 
-#: Low bits of a packed EAL key that hold the row id; the table id sits
-#: above them, so ``(table << ROW_BITS) | row`` is one 64-bit key.
-ROW_BITS = 40
-_ROW_MASK = (1 << ROW_BITS) - 1
-
-
 class EmbeddingAccessLogger:
     """SRRIP-based tracker of frequently-accessed embedding indices.
 
-    The state is three ``(sets, ways)`` arrays: valid bits, packed keys
-    and RRPVs.  A block of lookups runs vectorised across sets
-    (:meth:`_access`): sets never interact, so each set replays its own
-    accesses in the block's order, table-major as the lookup engines feed
-    them, and the result equals accessing one lookup at a time
-    (``tests/oracle.py``'s ``ReferenceEAL`` is that per-access loop).
+    The EAL tracks rows of one model's tables: ``rows_per_table`` fixes its
+    flat key space, and an id outside its table is rejected, since its
+    flat key would be a row of the next table.
+
+    The state is two ``(sets, ways)`` arrays: the flat keys (uint32 when
+    the key space has at most 2**32 rows, else uint64) and int8 RRPVs,
+    where -1 marks an empty way; an empty way's key never affects a
+    result.  Each lookup's set is hashed from its ``(table, row)`` pair.
+    A block of lookups runs vectorised across sets (:meth:`_access`):
+    sets never interact, so each set replays its own accesses in the
+    block's order, table-major as the lookup engines feed them, and the
+    result equals accessing one lookup at a time (``tests/oracle.py``'s
+    ``ReferenceEAL`` is that per-access loop).
 
     The arrays exist only while the EAL learns, as the SRAM's tracked set
     matters only until it becomes the placement.  They are allocated at
-    the first access after construction or :meth:`clear`;
-    :meth:`release` drops them and keeps the hit, miss, insertion and
-    eviction counters, and :meth:`clear` drops them and zeroes the
-    counters.  The trainers release each EAL as soon as its hot sets are
-    taken.  Without arrays the EAL tracks nothing: :meth:`contains` is
-    false, :meth:`hot_indices` empty and :attr:`occupancy` 0.
+    the first access after construction or :meth:`clear`, unless
+    :meth:`reuse` hands the EAL another EAL's released arrays first.
+    :meth:`release` drops them, returns them and keeps the hit, miss,
+    insertion and eviction counters; :meth:`clear` drops them and zeroes
+    the counters.  The trainers release each EAL as soon as its hot sets
+    are taken and pass its arrays to the next shard's EAL.  Without arrays
+    the EAL tracks nothing: :meth:`contains` is false, :meth:`hot_indices`
+    empty and :attr:`occupancy` 0.
     """
 
-    def __init__(self, config: EALConfig | None = None, seed: int = 0):
+    def __init__(self, rows_per_table, config: EALConfig | None = None, seed: int = 0):
         self.config = config or EALConfig()
+        self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
         self._randomizer = FeistelRandomizer(seed=seed)
-        self._valid: np.ndarray | None = None
-        self._rrpv: np.ndarray | None = None
+        #: Table ``t``'s flat keys are ``[edges[t], edges[t + 1])``.
+        self._edges = np.cumsum((0, *self.rows_per_table), dtype=np.int64)
+        self._key_dtype = np.dtype(np.uint32 if self._edges[-1] <= 2**32 else np.uint64)
         self._keys: np.ndarray | None = None
+        self._rrpv: np.ndarray | None = None
         self.hits = 0
         self.misses = 0
         self.insertions = 0
@@ -106,67 +129,63 @@ class EmbeddingAccessLogger:
     # ------------------------------------------------------------------ #
     # Key handling
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _pack(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Packed keys of a ``(tables, n)`` id block, flattened table-major.
+    def _locate(self, tables: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Set and flat key of each id of a ``(tables, n)`` row block,
+        flattened table-major; ``tables`` names the table of each row.
 
-        ``tables`` names the table of each row of ``rows``.  Every id is
-        checked before anything is packed: one outside ``[0, 2**40)``
-        would be stored as a key of another table, or not at all.
+        The set comes from the ``(table, row)`` pair, folded to 32 bits
+        *including* the table before hashing, so the same row id in
+        different tables lands in different sets — otherwise the hot rows
+        of every table would contend for the same few sets.  The fold
+        takes the row's low 32 bits, and its uint32 products wrap modulo
+        2**32.
         """
-        if rows.size and (rows.min() < 0 or rows.max() > _ROW_MASK):
-            bad = ((rows < 0) | (rows > _ROW_MASK)).any(axis=1)
-            table = int(tables[np.flatnonzero(bad)[0]])
-            raise ValueError(f"EAL id out of range [0, 2**{ROW_BITS}) for table {table}")
-        if tables.size and tables.min() < 0:
-            raise ValueError("EAL table ids must be non-negative")
-        keys = rows.astype(np.uint64) | (tables.astype(np.uint64)[:, None] << ROW_BITS)
-        return keys.reshape(-1)
+        table_fold = ((tables.astype(np.uint64) + 1) * 0x9E3779B1 & 0xFFFFFFFF).astype(np.uint32)
+        folded = rows.astype(np.uint32) * np.uint32(0x85EBCA77) + table_fold[:, None]
+        sets = self._randomizer.hash(folded) % self.config.num_sets
+        keys = rows + self._edges[tables][:, None]
+        return sets.astype(np.intp).reshape(-1), keys.astype(self._key_dtype).reshape(-1)
 
     def _allocate(self) -> None:
-        """Allocate the empty ``(sets, ways)`` arrays if none are held."""
-        if self._valid is None:
-            shape = (self.config.num_sets, self.config.ways)
-            self._valid = np.zeros(shape, dtype=bool)
-            self._rrpv = np.full(shape, self.config.max_rrpv, dtype=np.int8)
-            self._keys = np.zeros(shape, dtype=np.uint64)
-
-    def _sets_of(self, keys: np.ndarray) -> np.ndarray:
-        """Set of each packed key, chosen by the Feistel randomizer.
-
-        The 64-bit key is folded to 32 bits *including* the table field
-        before hashing, so the same row id in different tables lands in
-        different sets — otherwise the hot rows of every table would contend
-        for the same few sets.  ``uint64`` products wrap modulo 2**64,
-        which keeps the low 32 bits the fold uses.
-        """
-        tables = keys >> ROW_BITS
-        rows = keys & 0xFFFFFFFF
-        folded = ((tables + 1) * 0x9E3779B1 + rows * 0x85EBCA77) & 0xFFFFFFFF
-        return (self._randomizer.hash(folded) % self.config.num_sets).astype(np.intp)
+        """Allocate empty ``(sets, ways)`` key and RRPV arrays."""
+        shape = (self.config.num_sets, self.config.ways)
+        self._keys = np.zeros(shape, dtype=self._key_dtype)
+        self._rrpv = np.full(shape, -1, dtype=np.int8)
 
     # ------------------------------------------------------------------ #
     # Learning-phase access path
     # ------------------------------------------------------------------ #
     def access(self, table: int, index: int) -> bool:
-        """Record one access; returns True on a hit (already tracked)."""
-        return self._access(self._pack(np.array([table]), np.array([[index]]))) == 1
+        """Record one access; returns True on a hit (already tracked).
+
+        Raises ``ValueError``, before any state changes, if ``table`` is
+        not one of the key space's tables or ``index`` lies outside it.
+        """
+        num_tables = len(self.rows_per_table)
+        if not 0 <= table < num_tables:
+            raise ValueError(f"EAL table {table} out of range [0, {num_tables})")
+        rows = self.rows_per_table[table]
+        if not 0 <= index < rows:
+            raise ValueError(f"id out of range [0, {rows}) for table {table}")
+        return self._access(*self._locate(np.array([table]), np.array([[index]]))) == 1
 
     def access_batch(self, sparse: np.ndarray) -> int:
         """Record every lookup of a (batch, tables, pooling) index array.
 
         The lookups are taken table-major (all of table 0's, then table
-        1's, ...).  Raises ``ValueError`` naming the table, before any state
-        changes, if an id lies outside ``[0, 2**40)``.  Returns the number
-        of hits.
+        1's, ...).  The block is checked first
+        (:func:`~repro.nn.embedding.check_ids`): an id outside its table
+        raises ``ValueError`` naming the table, before any state changes.
+        Returns the number of hits.
         """
-        sparse = np.asarray(sparse)
-        batch, num_tables, pooling = sparse.shape
-        rows = sparse.transpose(1, 0, 2).reshape(num_tables, batch * pooling)
-        return self._access(self._pack(np.arange(num_tables), rows))
+        block = check_ids(sparse, self.rows_per_table)
+        batch, num_tables, pooling = block.shape
+        rows = block.transpose(1, 0, 2).reshape(num_tables, batch * pooling)
+        return self._access(*self._locate(np.arange(num_tables), rows))
 
-    def _access(self, keys: np.ndarray) -> int:
-        """SRRIP over packed ``keys`` in access order; returns the hits.
+    def _access(self, sets: np.ndarray, keys: np.ndarray) -> int:
+        """SRRIP over flat ``keys`` in access order, each in its set of
+        ``sets``; returns the hits.
 
         The keys are stably sorted by set, so each set's subsequence keeps
         its order.  A run of one key inside a subsequence collapses to its
@@ -175,9 +194,8 @@ class EmbeddingAccessLogger:
         that has one, all sets at once.
         """
         total = keys.size
-        if total:
+        if total and self._rrpv is None:
             self._allocate()
-        sets = self._sets_of(keys)
         order = np.argsort(sets, kind="stable")
         sets, keys = sets[order], keys[order]
         new_run = np.ones(total, dtype=bool)
@@ -199,13 +217,14 @@ class EmbeddingAccessLogger:
     def _round(self, sets: np.ndarray, keys: np.ndarray, repeated: np.ndarray) -> int:
         """One access to each of the distinct ``sets``; returns the hits.
 
-        A hit resets its RRPV to 0.  A miss fills the set's first invalid
+        A hit resets its RRPV to 0.  A miss fills the set's first empty
         way or, in a full set, ages every entry by ``max_rrpv - max(RRPV)``
         and evicts the first way at ``max_rrpv``; the fill inserts at
         ``insertion_rrpv`` (at 0 when the key repeats right after).
         """
         max_rrpv = self.config.max_rrpv
-        valid = self._valid[sets]
+        rrpv = self._rrpv[sets]
+        valid = rrpv >= 0
         match = valid & (self._keys[sets] == keys[:, None])
         hit = match.any(axis=1)
         way = match.argmax(axis=1)
@@ -215,12 +234,11 @@ class EmbeddingAccessLogger:
             way[miss] = free.argmax(axis=1)
             full = miss[~free.any(axis=1)]
             if full.size:
-                rrpv = self._rrpv[sets[full]]
-                rrpv += np.maximum(max_rrpv - rrpv.max(axis=1), 0)[:, None]
-                self._rrpv[sets[full]] = rrpv
-                way[full] = (rrpv >= max_rrpv).argmax(axis=1)
+                aged = rrpv[full]
+                aged += np.maximum(max_rrpv - aged.max(axis=1), 0)[:, None]
+                self._rrpv[sets[full]] = aged
+                way[full] = (aged >= max_rrpv).argmax(axis=1)
                 self.evictions += full.size
-            self._valid[sets[miss], way[miss]] = True
             self._keys[sets[miss], way[miss]] = keys[miss]
             self.misses += miss.size
             self.insertions += miss.size
@@ -235,27 +253,35 @@ class EmbeddingAccessLogger:
     def contains(self, table: int, index: int) -> bool:
         """Whether (table, index) is currently tracked as frequently accessed.
 
-        An id outside ``[0, 2**40)`` is never tracked.
+        An id outside its table, or of a table outside the key space, is
+        never tracked.
         """
-        if self._valid is None or table < 0 or not 0 <= index <= _ROW_MASK:
+        if (
+            self._rrpv is None
+            or not 0 <= table < len(self.rows_per_table)
+            or not 0 <= index < self.rows_per_table[table]
+        ):
             return False
-        key = self._pack(np.array([table]), np.array([[index]]))
-        set_idx = self._sets_of(key)[0]
-        return bool(np.any(self._valid[set_idx] & (self._keys[set_idx] == key[0])))
+        sets, keys = self._locate(np.array([table]), np.array([[index]]))
+        set_idx = sets[0]
+        return bool(np.any((self._rrpv[set_idx] >= 0) & (self._keys[set_idx] == keys[0])))
 
     def hot_indices(self, num_tables: int) -> list[np.ndarray]:
         """Currently tracked indices, grouped per table and sorted."""
-        if self._valid is None:
+        if self._rrpv is None:
             return [np.empty(0, dtype=np.int64) for _ in range(num_tables)]
-        keys = np.sort(self._keys[self._valid])
-        bounds = np.searchsorted(keys, np.arange(num_tables + 1, dtype=np.uint64) << ROW_BITS)
-        rows = (keys & _ROW_MASK).astype(np.int64)
-        return [rows[start:stop] for start, stop in zip(bounds[:-1], bounds[1:], strict=True)]
+        keys = np.sort(self._keys[self._rrpv >= 0]).astype(np.int64)
+        edges = self._edges[np.minimum(np.arange(num_tables + 1), len(self.rows_per_table))]
+        bounds = np.searchsorted(keys, edges)
+        return [
+            keys[start:stop] - edge
+            for edge, start, stop in zip(edges[:-1], bounds[:-1], bounds[1:], strict=True)
+        ]
 
     @property
     def occupancy(self) -> float:
         """Fraction of entries currently valid."""
-        return 0.0 if self._valid is None else float(self._valid.mean())
+        return 0.0 if self._rrpv is None else float((self._rrpv >= 0).mean())
 
     @property
     def hit_rate(self) -> float:
@@ -270,13 +296,32 @@ class EmbeddingAccessLogger:
         self.insertions = 0
         self.evictions = 0
 
-    def release(self) -> None:
-        """Drop the tracked set's arrays; the counters stay.
+    def release(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Drop the tracked set's key and RRPV arrays and return them
+        (``None`` if none were held); the counters stay.
 
         Called once the learning phase has taken the hot sets: the next
-        access starts from an empty EAL.
+        access starts from an empty EAL, and the next EAL to learn may
+        :meth:`reuse` the arrays.
         """
-        self._valid = self._rrpv = self._keys = None
+        arrays = None if self._rrpv is None else (self._keys, self._rrpv)
+        self._keys = self._rrpv = None
+        return arrays
+
+    def reuse(self, arrays: tuple[np.ndarray, np.ndarray] | None) -> None:
+        """Learn in ``arrays``, another EAL's :meth:`release`, from empty.
+
+        Their RRPVs are reset to -1 in place.  Arrays of another shape or
+        key dtype are dropped, and the first access allocates fresh ones.
+        An EAL that already holds a tracked set keeps it.
+        """
+        if self._rrpv is not None or arrays is None:
+            return
+        keys, rrpv = arrays
+        shape = (self.config.num_sets, self.config.ways)
+        if keys.shape == rrpv.shape == shape and keys.dtype == self._key_dtype:
+            rrpv.fill(-1)
+            self._keys, self._rrpv = keys, rrpv
 
     def clear(self) -> None:
         """Forget everything — used when re-entering the learning phase."""

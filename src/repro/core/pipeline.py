@@ -89,7 +89,8 @@ class HotlineTrainer(ShardedHotlineTrainer):
     The one-shard :class:`~repro.core.distributed.ShardedHotlineTrainer`:
     ``train_step`` returns ``(loss, popular_fraction)`` and ``recalibrate``
     updates :attr:`placement` in place.  An injected ``accelerator``
-    replaces the shard's default one.
+    replaces the shard's default one; its EAL must track the model's key
+    space (``config.dataset.rows_per_table``).
 
     Pricing: a step reports the perf model's step time with its
     :meth:`~repro.baselines.base.ExecutionModel.collective_time` carved out
@@ -97,6 +98,7 @@ class HotlineTrainer(ShardedHotlineTrainer):
     The perf model prices its own cluster's all-reduce, and the baseline
     this trainer is compared against pays it; the one-shard reducer would
     price none and so inflate Hotline's simulated speedup.
+    :meth:`dense_sync_time` reports that same collective.
     """
 
     def __init__(
@@ -118,6 +120,8 @@ class HotlineTrainer(ShardedHotlineTrainer):
             perf_model=perf_model,
         )
         if accelerator is not None:
+            if accelerator.eal.rows_per_table != tuple(model.config.dataset.rows_per_table):
+                raise ValueError("the accelerator's EAL must track the model's rows_per_table")
             self.shards[0].accelerator = accelerator
 
     @property
@@ -133,6 +137,11 @@ class HotlineTrainer(ShardedHotlineTrainer):
     def learning_phase(self, loader: MiniBatchLoader, seed: int = 0) -> EmbeddingPlacement:
         """Profile sampled mini-batches into the EAL; return the placement."""
         return super().learning_phase(loader, seed=seed)[0]
+
+    def dense_sync_time(self) -> float:
+        """The perf model's collective time, which every step charges as its
+        ``dense-allreduce`` lane (0.0 without a perf model)."""
+        return 0.0 if self.perf_model is None else self.perf_model.collective_time()
 
     def run_step(self, batch: MiniBatch) -> StepOutcome:
         """One Hotline step, priced as :class:`ReferenceTrainer` prices one."""

@@ -94,7 +94,7 @@ class HotlineScheduler(ExecutionModel):
     ):
         super().__init__(costs)
         self.accelerator = accelerator or HotlineAccelerator(
-            row_bytes=costs.model.bytes_per_lookup()
+            costs.model.dataset.rows_per_table, row_bytes=costs.model.bytes_per_lookup()
         )
         self.online_profiling_overhead = online_profiling_overhead
 

@@ -139,11 +139,16 @@ def packed_rows_threshold(
     if cached is not None:
         return cached
     rng = np.random.default_rng((k * 1_000_003 + n) ^ 0x5EED)
-    x = rng.standard_normal((_PROBE_ROWS * 2, k)).astype(dtype, copy=False)
-    if transposed:
-        w = rng.standard_normal((n, k)).astype(dtype, copy=False).T
-    else:
-        w = rng.standard_normal((k, n)).astype(dtype, copy=False)
+
+    def operand(shape):
+        # Signed uniform values drawn in the probed dtype itself.
+        values = rng.random(shape, dtype=dtype)
+        values *= 2
+        values -= 1
+        return values
+
+    x = operand((_PROBE_ROWS * 2, k))
+    w = operand((n, k)).T if transposed else operand((k, n))
     full = x[:_PROBE_ROWS] @ w
     if not np.array_equal((x @ w)[:_PROBE_ROWS], full):
         # The packed result itself depends on the block height — never safe.

@@ -29,7 +29,7 @@ def test_cycle_time():
 
 def make_accelerator():
     return HotlineAccelerator(
-        row_bytes=64, eal_config=EALConfig(size_bytes=8192, ways=8), seed=0
+        (16, 16), row_bytes=64, eal_config=EALConfig(size_bytes=8192, ways=8), seed=0
     )
 
 

@@ -23,16 +23,19 @@ from repro.models.tbsm import TBSM
 from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
 
 
-def make_accelerator(dim=8, seed=0):
+def make_accelerator(config, seed=0):
     return HotlineAccelerator(
-        row_bytes=dim * 4, eal_config=EALConfig(size_bytes=1 << 16, ways=8), seed=seed
+        config.dataset.rows_per_table,
+        row_bytes=config.embedding_dim * 4,
+        eal_config=EALConfig(size_bytes=1 << 16, ways=8),
+        seed=seed,
     )
 
 
 def single_replica_run(model_cls, config, log, *, lr=0.05, epochs=1):
     model = model_cls(config, seed=42)
     loader = MiniBatchLoader(log, batch_size=128)
-    trainer = HotlineTrainer(model, make_accelerator(), lr=lr, sample_fraction=0.25)
+    trainer = HotlineTrainer(model, make_accelerator(config), lr=lr, sample_fraction=0.25)
     result = trainer.train(loader, epochs=epochs, eval_batch=log.batch(0, 256))
     return model, result
 
@@ -134,7 +137,7 @@ def test_four_shards_match_single_replica_on_figure18_config():
     eval_batch = log.batch(2048, 1024)
 
     single = HotlineTrainer(
-        DLRM(config, seed=13), make_accelerator(config.embedding_dim), lr=0.3,
+        DLRM(config, seed=13), make_accelerator(config), lr=0.3,
         sample_fraction=0.25,
     )
     single_result = single.train(loader, epochs=1, eval_batch=eval_batch)
@@ -424,6 +427,24 @@ def test_single_replica_steps_report_their_collective_as_a_lane(
         assert outcome.communication_time_s == perf.collective_time() > 0.0
         assert outcome.comm_lanes_s == (("dense-allreduce", outcome.communication_time_s),)
     assert result.comm_lane_s == {"dense-allreduce": result.communication_time_s}
+
+
+def test_single_replica_dense_sync_time_is_the_lane_its_steps_charge(
+    tiny_model_config, tiny_click_log
+):
+    """``HotlineTrainer.dense_sync_time()`` reports the collective its steps
+    charge as their ``dense-allreduce`` lane, not the one-shard reducer's
+    zero; without a perf model both are zero."""
+    perf = lane_perf_model()
+    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
+    trainer = HotlineTrainer(DLRM(tiny_model_config, seed=4), sample_fraction=0.25, perf_model=perf)
+    trainer.bind(loader)
+    outcome = trainer.run_step(tiny_click_log.batch(0, 128))
+    assert trainer.dense_sync_time() == dict(outcome.comm_lanes_s)["dense-allreduce"] > 0.0
+    unpriced = HotlineTrainer(DLRM(tiny_model_config, seed=4), sample_fraction=0.25)
+    unpriced.bind(loader)
+    assert unpriced.dense_sync_time() == 0.0
+    assert unpriced.run_step(tiny_click_log.batch(0, 128)).communication_time_s == 0.0
 
 
 # --------------------------------------------------------------------- #

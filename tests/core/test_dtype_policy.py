@@ -31,6 +31,7 @@ STEPS = 3
 
 def single(model, config):
     accelerator = HotlineAccelerator(
+        config.dataset.rows_per_table,
         row_bytes=config.embedding_dim * config.dtype_bytes,
         eal_config=EALConfig(size_bytes=1 << 16, ways=8),
     )

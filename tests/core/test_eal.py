@@ -14,12 +14,15 @@ from repro.core.eal import (
 from repro.core.pipeline import HotlineTrainer
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
-from tests.oracle import ReferenceEAL
+from tests.oracle import ReferenceEAL, held_arrays, tracked_ways
+
+#: The key space of the hand-fed EALs: two tables of 100,000 rows.
+ROWS = (100_000, 100_000)
 
 
 def small_eal(entries=256, ways=8, seed=0):
     config = EALConfig(size_bytes=entries * 2, ways=ways)
-    return EmbeddingAccessLogger(config, seed=seed)
+    return EmbeddingAccessLogger(ROWS, config, seed=seed)
 
 
 def test_config_entry_count_matches_paper():
@@ -177,17 +180,47 @@ def test_negative_id_is_rejected_before_any_state_changes():
 
 
 def test_id_past_the_row_field_is_rejected_not_aliased():
-    """Row 2**40 + 5 of table 0 would pack to table 1's row 5."""
-    eal = small_eal()
+    """Row 1,200 of a 1,200-row table 0 would flatten to table 1's row 0:
+    both access paths reject it, naming table 0, before any state changes,
+    and a query for it never reads table 1's entry."""
+    eal = EmbeddingAccessLogger((1200, 50), EALConfig(size_bytes=512, ways=8))
     with pytest.raises(ValueError, match="table 0"):
-        eal.access_batch(np.array([[[2**40 + 5], [7]]]))
+        eal.access_batch(np.array([[[1200], [7]]]))
     with pytest.raises(ValueError, match="table 0"):
-        eal.access(0, 2**40 + 5)
+        eal.access(0, 1200)
+    with pytest.raises(ValueError, match="table 2"):
+        eal.access(2, 0)
+    with pytest.raises(ValueError, match="table -1"):
+        eal.access(-1, 0)
     assert [hot.tolist() for hot in eal.hot_indices(2)] == [[], []]
-    assert not eal.contains(1, 5)
-    assert not eal.contains(0, 2**40 + 5)
-    eal.access(0, 2**40 - 1)
-    assert [hot.tolist() for hot in eal.hot_indices(2)] == [[2**40 - 1], []]
+    assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (0, 0, 0, 0)
+    assert held_arrays(eal) is None
+    assert not eal.contains(0, 1200)
+    eal.access(0, 1199)
+    eal.access(1, 0)
+    assert [hot.tolist() for hot in eal.hot_indices(2)] == [[1199], [0]]
+    assert eal.contains(0, 1199) and eal.contains(1, 0)
+    assert not eal.contains(0, 1200)
+    assert not eal.contains(2, 0)
+
+
+@pytest.mark.parametrize(
+    "rows, key_dtype",
+    [((2**31, 2**31), np.uint32), ((2**31, 2**31 + 1), np.uint64)],
+    ids=["2**32 rows", "2**32 + 1 rows"],
+)
+def test_keys_are_uint32_while_the_key_space_fits(rows, key_dtype):
+    """An entry is a flat key and an int8 RRPV: 5 bytes while the key space
+    has at most 2**32 rows, 9 beyond.  The last row of the last table is
+    tracked and reported either way."""
+    eal = EmbeddingAccessLogger(rows, EALConfig(size_bytes=512, ways=8))
+    eal.access(1, rows[1] - 1)
+    assert [hot.tolist() for hot in eal.hot_indices(2)] == [[], [rows[1] - 1]]
+    keys, rrpv = eal.release()
+    assert keys.dtype == key_dtype and rrpv.dtype == np.int8
+    entries = eal.config.num_sets * eal.config.ways
+    assert keys.nbytes + rrpv.nbytes == entries * (key_dtype().itemsize + 1)
+    assert keys[rrpv >= 0].tolist() == [sum(rows) - 1]
 
 
 @pytest.mark.parametrize("num_shards", [1, 4])
@@ -215,29 +248,34 @@ def test_learning_phase_places_as_the_per_access_loop(
             trainer = ShardedHotlineTrainer(model, num_shards, sample_fraction=0.25)
             accelerators = [shard.accelerator for shard in trainer.shards]
         released = []
+        rows = tiny_model_config.dataset.rows_per_table
         for k, accelerator in enumerate(accelerators):
-            eal = accelerator.eal = eal_cls(eal_config, seed=k)
+            eal = accelerator.eal = eal_cls(rows, eal_config, seed=k)
             eal.release = record_release(eal, released)
         placed = trainer.learning_phase(MiniBatchLoader(tiny_click_log, batch_size=128))
         placements = placed if isinstance(placed, list) else [placed]
         eals = [accelerator.eal for accelerator in accelerators]
-        assert [eal for eal, _arrays in released] == eals  # one release each, in shard order
-        return placements, eals, [arrays for _eal, arrays in released]
+        assert [eal for eal, _copy, _arrays in released] == eals  # one release each, in order
+        return placements, eals, released
 
-    placements, eals, held = learn(EmbeddingAccessLogger)
-    ref_placements, ref_eals, ref_held = learn(ReferenceEAL)
+    placements, eals, released = learn(EmbeddingAccessLogger)
+    ref_placements, ref_eals, ref_released = learn(ReferenceEAL)
     for placement, ref_placement in zip(placements, ref_placements, strict=True):
         for hot, ref_hot in zip(placement.hot_sets, ref_placement.hot_sets, strict=True):
             assert hot.tolist() == ref_hot.tolist()
-    for placement, (valid, keys, rrpv), (ref_valid, ref_keys, ref_rrpv) in zip(
-        placements, held, ref_held, strict=True
+    for placement, (eal, copy, _arrays), (ref, ref_copy, _ref_arrays) in zip(
+        placements, released, ref_released, strict=True
     ):
-        assert valid.any()
+        ways, ref_ways = tracked_ways(eal, copy), tracked_ways(ref, ref_copy)
+        assert ways[0].any()
         # The placement is the tracked set the EAL held at its release.
-        assert sum(hot.size for hot in placement.hot_sets) == valid.sum()
-        assert np.array_equal(valid, ref_valid)
-        assert np.array_equal(keys, ref_keys)
-        assert np.array_equal(rrpv, ref_rrpv)
+        assert sum(hot.size for hot in placement.hot_sets) == ways[0].sum()
+        for got, want in zip(ways, ref_ways, strict=True):
+            assert np.array_equal(got, want)
+    # One array set per learning phase: every shard learned in shard 0's.
+    first = released[0][2]
+    for _eal, _copy, arrays in released:
+        assert all(map(np.shares_memory, arrays, first))
     for eal, ref in zip(eals, ref_eals, strict=True):
         assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (
             ref.hits, ref.misses, ref.insertions, ref.evictions
@@ -247,34 +285,71 @@ def test_learning_phase_places_as_the_per_access_loop(
 
 
 def record_release(eal, released):
-    """``eal.release``, first appending ``(eal, its arrays)`` to ``released``."""
+    """``eal.release``, first appending ``(eal, a copy of its arrays, the
+    arrays)`` to ``released``.  The copy keeps what the EAL tracked: the
+    next shard's EAL reuses the arrays themselves."""
     release = eal.release
 
     def recorded():
-        released.append((eal, (eal._valid, eal._keys, eal._rrpv)))
-        release()
+        arrays = release()
+        released.append((eal, tuple(array.copy() for array in arrays), arrays))
+        return arrays
 
     return recorded
 
 
 def test_release_drops_the_arrays_and_keeps_the_counters():
     """The arrays exist from the first access to a release or clear; a
-    released EAL tracks nothing, counts on, and re-allocates empty arrays
-    at its next access."""
+    released EAL hands its arrays out, tracks nothing, counts on, and
+    re-allocates empty arrays at its next access."""
     eal = small_eal()
-    assert (eal._valid, eal._keys, eal._rrpv) == (None, None, None)
+    assert held_arrays(eal) is None
     assert eal.access_batch(np.empty((0, 2, 1), dtype=np.int64)) == 0
-    assert eal._valid is None  # an empty block is no access
+    assert held_arrays(eal) is None  # an empty block is no access
     eal.access(0, 5)
     eal.access(0, 5)
-    assert eal._valid.sum() == 1
-    eal.release()
-    assert (eal._valid, eal._keys, eal._rrpv) == (None, None, None)
+    held = held_arrays(eal)
+    assert (held[1] >= 0).sum() == 1
+    released = eal.release()
+    assert all(map(np.shares_memory, released, held))
+    assert held_arrays(eal) is None
     assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (1, 1, 1, 0)
     assert not eal.contains(0, 5)
     assert [hot.tolist() for hot in eal.hot_indices(2)] == [[], []]
     assert eal.occupancy == 0.0
+    assert eal.release() is None
     assert eal.access(0, 5) is False
-    assert eal._valid.sum() == 1 and eal.misses == 2
+    assert (eal._rrpv >= 0).sum() == 1 and eal.misses == 2
     eal.clear()
-    assert eal._valid is None and eal.misses == 0
+    assert held_arrays(eal) is None and eal.misses == 0
+
+
+def test_reuse_learns_from_empty_in_another_eals_arrays():
+    """An EAL that reuses released arrays starts empty in them and learns
+    exactly as a fresh EAL does; arrays of another shape are dropped, and
+    an EAL that tracks a set keeps it."""
+    rng = np.random.default_rng(4)
+    donor = small_eal(entries=64, ways=4, seed=0)
+    donor.access_batch(rng.integers(0, 500, size=(64, 2, 2)))
+    arrays = donor.release()
+    eal, fresh = small_eal(entries=64, ways=4, seed=1), small_eal(entries=64, ways=4, seed=1)
+    eal.reuse(arrays)
+    assert all(map(np.shares_memory, held_arrays(eal), arrays))
+    assert eal.occupancy == 0.0
+    assert [hot.tolist() for hot in eal.hot_indices(2)] == [[], []]
+    block = rng.integers(0, 500, size=(64, 2, 2))
+    assert eal.access_batch(block) == fresh.access_batch(block)
+    for got, want in zip(
+        tracked_ways(eal, held_arrays(eal)), tracked_ways(fresh, held_arrays(fresh)), strict=True
+    ):
+        assert np.array_equal(got, want)
+    assert [hot.tolist() for hot in eal.hot_indices(2)] == [
+        hot.tolist() for hot in fresh.hot_indices(2)
+    ]
+    kept = held_arrays(fresh)
+    released = eal.release()
+    fresh.reuse(released)
+    assert all(map(np.shares_memory, held_arrays(fresh), kept))
+    other = small_eal(entries=128, ways=4)
+    other.reuse(released)
+    assert held_arrays(other) is None

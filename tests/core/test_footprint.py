@@ -8,10 +8,12 @@ counts repeat exactly from run to run:
   Gram, no lookup indices.  It scores the batch in row blocks, so what
   it holds grows with the batch only by the one array its logit layer
   reads.
-* An EAL holds its three ``(sets, ways)`` arrays only while it learns.
-  The learning phase releases each EAL once its hot sets are taken, and
-  the sharded trainer learns one shard at a time, so at most one EAL's
-  arrays are ever live.
+* An EAL holds its two ``(sets, ways)`` arrays, a flat key and an int8
+  RRPV per entry (5 bytes in a key space of at most 2**32 rows), only
+  while it learns.  The sharded trainer learns one shard at a time, and
+  each EAL hands its released arrays to the next, so a learning phase
+  allocates one array set and holds it until the last shard's hot sets
+  are taken.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ import tracemalloc
 import pytest
 
 from repro.core.distributed import ShardedHotlineTrainer
+from repro.core.eal import EmbeddingAccessLogger
 from repro.core.engine import evaluate
 from repro.core.pipeline import HotlineTrainer
 from repro.data import generate_click_log
@@ -26,6 +29,7 @@ from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.gemm import INFER_BLOCK_ROWS
+from tests.oracle import held_arrays
 
 #: What an evaluation may leave behind: module-level index caches, not
 #: a batch's activations.
@@ -33,13 +37,11 @@ RETAINED_BOUND = 64 * 1024
 
 
 def eal_bytes(eal) -> int:
-    """Bytes of one EAL's valid, key and RRPV arrays once allocated."""
-    entries = eal.config.num_sets * eal.config.ways
-    return entries * (1 + 8 + 1)
-
-
-def held_arrays(eal) -> list:
-    return [array for array in (eal._valid, eal._keys, eal._rrpv) if array is not None]
+    """Bytes of the arrays an EAL of ``eal``'s key space and SRAM holds
+    once it learns."""
+    twin = EmbeddingAccessLogger(eal.rows_per_table, eal.config)
+    twin.access(0, 0)
+    return sum(array.nbytes for array in twin.release())
 
 
 @pytest.mark.parametrize("model_cls", [DLRM, TBSM])
@@ -109,15 +111,16 @@ def test_bound_trainer_holds_no_eal_arrays(
         eals = [shard.accelerator.eal for shard in trainer.shards]
     trainer.bind(MiniBatchLoader(tiny_click_log, batch_size=128))
     for eal in eals:
-        assert held_arrays(eal) == []
+        assert held_arrays(eal) is None
         assert eal.insertions > 0 and eal.hits + eal.misses > 0
 
 
 def test_sharded_learning_phase_peaks_with_one_eal_live(tiny_model_config, tiny_click_log):
     """Constructing a K=4 trainer and running its learning phase allocates
-    one default (4 MB SRAM) EAL's arrays at a time: the traced peak is
-    above one EAL's bytes and below two, where EALs that each hold their
-    arrays from construction peak above four."""
+    one default (4 MB SRAM) EAL's arrays, 10 MiB at 5 bytes per entry, and
+    every shard learns in them: the traced peak is above one EAL's bytes
+    and below two, where EALs that each hold their arrays from
+    construction peak above four."""
     model = DLRM(tiny_model_config, seed=1)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     tracemalloc.start()
@@ -129,6 +132,6 @@ def test_sharded_learning_phase_peaks_with_one_eal_live(tiny_model_config, tiny_
     finally:
         tracemalloc.stop()
     one_eal = eal_bytes(trainer.shards[0].accelerator.eal)
-    assert one_eal == 20 * 2**20
+    assert one_eal == 10 * 2**20
     assert one_eal <= peak < 2 * one_eal
-    assert all(held_arrays(shard.accelerator.eal) == [] for shard in trainer.shards)
+    assert all(held_arrays(shard.accelerator.eal) is None for shard in trainer.shards)

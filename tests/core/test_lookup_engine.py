@@ -49,7 +49,7 @@ def test_array_requires_engines():
 
 
 def test_classify_matches_hot_set_definition():
-    eal = EmbeddingAccessLogger(EALConfig(size_bytes=4096, ways=8), seed=0)
+    eal = EmbeddingAccessLogger((30, 30), EALConfig(size_bytes=4096, ways=8), seed=0)
     for idx in (1, 2, 3):
         eal.access(0, idx)
         eal.access(1, idx)
@@ -66,7 +66,7 @@ def test_classify_matches_hot_set_definition():
 
 
 def test_classify_with_hot_sets_matches_tracker_path():
-    eal = EmbeddingAccessLogger(EALConfig(size_bytes=4096, ways=8), seed=0)
+    eal = EmbeddingAccessLogger((30, 30), EALConfig(size_bytes=4096, ways=8), seed=0)
     rng = np.random.default_rng(0)
     sparse = rng.integers(0, 30, size=(40, 2, 1))
     for row in rng.integers(0, 30, size=60):

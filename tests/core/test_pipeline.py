@@ -14,23 +14,41 @@ from repro.models.tbsm import TBSM
 from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
 
 
-def make_accelerator(dim=8):
+def make_accelerator(model):
+    config = model.config
     return HotlineAccelerator(
-        row_bytes=dim * 4, eal_config=EALConfig(size_bytes=1 << 16, ways=8), seed=0
+        config.dataset.rows_per_table,
+        row_bytes=config.embedding_dim * 4,
+        eal_config=EALConfig(size_bytes=1 << 16, ways=8),
+        seed=0,
     )
 
 
 def test_learning_phase_builds_placement(tiny_model_config, tiny_click_log):
     model = DLRM(tiny_model_config, seed=0)
-    trainer = HotlineTrainer(model, make_accelerator(), sample_fraction=0.25)
+    trainer = HotlineTrainer(model, make_accelerator(model), sample_fraction=0.25)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     placement = trainer.learning_phase(loader)
     assert placement.hot_rows_total > 0
     assert len(placement.hot_sets) == tiny_model_config.num_sparse_features
 
 
+def test_accelerator_of_another_key_space_is_rejected(tiny_model_config):
+    """An injected accelerator's EAL must track the model's tables: one
+    sized for other tables would reject the model's ids, or accept ids
+    past their table's end."""
+    model = DLRM(tiny_model_config, seed=0)
+    rows = tiny_model_config.dataset.rows_per_table
+    other = HotlineAccelerator((*rows[:-1], rows[-1] + 1), row_bytes=32)
+    with pytest.raises(ValueError, match="rows"):
+        HotlineTrainer(model, other)
+    accelerator = make_accelerator(model)
+    assert HotlineTrainer(model, accelerator).accelerator is accelerator
+
+
 def test_train_step_before_learning_phase_raises(tiny_model_config, tiny_click_log):
-    trainer = HotlineTrainer(DLRM(tiny_model_config, seed=0), make_accelerator())
+    model = DLRM(tiny_model_config, seed=0)
+    trainer = HotlineTrainer(model, make_accelerator(model))
     with pytest.raises(RuntimeError):
         trainer.train_step(tiny_click_log.batch(0, 32))
 
@@ -40,7 +58,9 @@ def test_hotline_update_identical_to_baseline_dlrm(tiny_model_config, tiny_click
     hotline_model = DLRM(tiny_model_config, seed=42)
     baseline_model = DLRM(tiny_model_config, seed=42)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    trainer = HotlineTrainer(hotline_model, make_accelerator(), lr=0.05, sample_fraction=0.25)
+    trainer = HotlineTrainer(
+        hotline_model, make_accelerator(hotline_model), lr=0.05, sample_fraction=0.25
+    )
     trainer.learning_phase(loader)
 
     for start in (0, 128, 256):
@@ -60,7 +80,9 @@ def test_hotline_update_identical_to_baseline_tbsm(tiny_ts_model_config, tiny_ts
     hotline_model = TBSM(tiny_ts_model_config, seed=9)
     baseline_model = TBSM(tiny_ts_model_config, seed=9)
     loader = MiniBatchLoader(tiny_ts_click_log, batch_size=128)
-    trainer = HotlineTrainer(hotline_model, make_accelerator(), lr=0.05, sample_fraction=0.25)
+    trainer = HotlineTrainer(
+        hotline_model, make_accelerator(hotline_model), lr=0.05, sample_fraction=0.25
+    )
     trainer.learning_phase(loader)
     batch = tiny_ts_click_log.batch(0, 128)
     trainer.train_step(batch)
@@ -80,7 +102,9 @@ def test_hotline_training_loop_matches_reference_metrics(tiny_model_config, tiny
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     eval_batch = tiny_click_log.batch(1536, 512)
 
-    hotline = HotlineTrainer(hotline_model, make_accelerator(), lr=0.1, sample_fraction=0.25)
+    hotline = HotlineTrainer(
+        hotline_model, make_accelerator(hotline_model), lr=0.1, sample_fraction=0.25
+    )
     hotline.learning_phase(loader)
     hotline_result = hotline.train(loader, epochs=1, eval_batch=eval_batch)
 
@@ -101,7 +125,7 @@ def test_hotline_training_loop_matches_reference_metrics(tiny_model_config, tiny
 def test_training_result_records_losses_and_popularity(tiny_model_config, tiny_click_log):
     model = DLRM(tiny_model_config, seed=1)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    trainer = HotlineTrainer(model, make_accelerator(), sample_fraction=0.25)
+    trainer = HotlineTrainer(model, make_accelerator(model), sample_fraction=0.25)
     trainer.learning_phase(loader)
     result = trainer.train(loader, epochs=1)
     assert result.iterations == len(loader)
@@ -112,7 +136,7 @@ def test_training_result_records_losses_and_popularity(tiny_model_config, tiny_c
 def test_recalibration_runs_mid_epoch(tiny_model_config, tiny_click_log):
     model = DLRM(tiny_model_config, seed=1)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    trainer = HotlineTrainer(model, make_accelerator(), sample_fraction=0.25)
+    trainer = HotlineTrainer(model, make_accelerator(model), sample_fraction=0.25)
     trainer.learning_phase(loader)
     result = trainer.train(loader, epochs=1, recalibrations_per_epoch=2)
     assert result.iterations == len(loader)
@@ -124,7 +148,7 @@ def test_recalibration_delta_updates_placement_in_place(tiny_model_config, tiny_
     """Recalibration reuses the existing placement/bitmaps via deltas."""
     model = DLRM(tiny_model_config, seed=1)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    trainer = HotlineTrainer(model, make_accelerator(), sample_fraction=0.25)
+    trainer = HotlineTrainer(model, make_accelerator(model), sample_fraction=0.25)
     placement = trainer.learning_phase(loader)
     index = placement.index
     trainer.recalibrate(loader, seed=3)
@@ -160,7 +184,7 @@ def test_perf_model_accumulates_simulated_time(tiny_model_config, tiny_click_log
     model = DLRM(tiny_model_config, seed=0)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     perf = HotlineScheduler(TrainingCostModel(RM2, cluster=single_node(4)))
-    trainer = HotlineTrainer(model, make_accelerator(), sample_fraction=0.25, perf_model=perf)
+    trainer = HotlineTrainer(model, make_accelerator(model), sample_fraction=0.25, perf_model=perf)
     trainer.learning_phase(loader)
     result = trainer.train(loader, epochs=1)
     steps = result.iterations

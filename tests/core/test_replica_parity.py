@@ -225,7 +225,8 @@ def retained_bytes(factory):
 def test_k_shards_hold_one_model():
     """K shards train the caller's model: the constructor copies no model,
     and what a K=4 trainer holds beyond a K=1 trainer is the three extra
-    shards' accelerators (their EAL arrays, ~21 MB each) and records."""
+    shards' accelerators (which hold no EAL arrays until they learn) and
+    records."""
     config = RM2.scaled(200)
     model = DLRM(config, seed=0)
     gc.collect()  # no unreachable model may be collected mid-count
@@ -238,7 +239,9 @@ def test_k_shards_hold_one_model():
     del trainer
 
     row_bytes = config.embedding_dim * config.dtype_bytes
-    accelerator, _ = retained_bytes(lambda: HotlineAccelerator(row_bytes=row_bytes))
+    accelerator, _ = retained_bytes(
+        lambda: HotlineAccelerator(config.dataset.rows_per_table, row_bytes=row_bytes)
+    )
     one_shard, _ = retained_bytes(lambda: ShardedHotlineTrainer(model, 1))
     four_shards, _ = retained_bytes(lambda: ShardedHotlineTrainer(model, 4))
     # A Shard record and its list slot cost far less than SHARD_RECORD_BYTES;

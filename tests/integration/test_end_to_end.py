@@ -37,6 +37,7 @@ def test_full_hotline_training_run(scaled_config, click_log):
     model = DLRM(scaled_config, seed=5)
     loader = MiniBatchLoader(click_log, batch_size=256)
     accelerator = HotlineAccelerator(
+        scaled_config.dataset.rows_per_table,
         row_bytes=scaled_config.embedding_dim * 4,
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )
@@ -64,6 +65,7 @@ def test_hotline_and_reference_converge_identically(scaled_config, click_log):
     loader = MiniBatchLoader(click_log, batch_size=512)
     eval_batch = click_log.batch(3072, 1024)
     accelerator = HotlineAccelerator(
+        scaled_config.dataset.rows_per_table,
         row_bytes=scaled_config.embedding_dim * 4,
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )

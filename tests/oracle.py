@@ -22,10 +22,11 @@ the speedup benchmarks build their baselines from it:
   step's whole flat-keyed block at a time, whose counters and priced
   times the flat-keyed
   :class:`~repro.nn.embedding.TieredEmbeddingStore` must reproduce.
-* :class:`ReferenceEAL` — the per-access SRRIP loop whose arrays, counters
-  and hit counts the set-vectorised
-  :class:`~repro.core.eal.EmbeddingAccessLogger` must reproduce; assign
-  one to ``accelerator.eal`` to run a learning phase through it.
+* :class:`ReferenceEAL` — the per-access SRRIP loop whose tracked ways,
+  counters and hit counts the set-vectorised
+  :class:`~repro.core.eal.EmbeddingAccessLogger` must reproduce
+  (:func:`tracked_ways` reads both layouts); assign one to
+  ``accelerator.eal`` to run a learning phase through it.
 * :func:`reference_forward` / :func:`reference_backward` — per-sample-loop
   embedding pooling and scatter of one table; :func:`reference_bag` runs
   them table by table on a table-batched bag's views and relabels the
@@ -67,12 +68,14 @@ __all__ = [
     "ReferenceTieredStore",
     "SequentialDLRM",
     "SequentialTBSM",
+    "held_arrays",
     "reference_backward",
     "reference_bag",
     "reference_forward",
     "reference_kernels",
     "reference_roc_auc",
     "split_minibatch_reference",
+    "tracked_ways",
 ]
 
 
@@ -410,16 +413,34 @@ class ReferenceTieredStore:
 class ReferenceEAL(EmbeddingAccessLogger):
     """The EAL one lookup at a time — the reference for the vectorised EAL.
 
-    Same state arrays and counters as
-    :class:`~repro.core.eal.EmbeddingAccessLogger`; every lookup hashes its
-    key with scalar Python arithmetic, scans its set's ways, and on a miss
-    fills the first invalid way or ages the set one step at a time until a
+    The counters and the key space of
+    :class:`~repro.core.eal.EmbeddingAccessLogger`, but its own layout: a
+    valid bit, a ``(table << 40) | row`` key and an RRPV per way.  Every
+    lookup range-checks its id against its table, hashes its key with
+    scalar Python arithmetic, scans its set's ways, and on a miss fills
+    the first invalid way or ages the set one step at a time until a
     victim reaches ``max_rrpv``.  Queries scan the ways too, and
-    ``hot_indices`` groups the valid keys one at a time.  Ids are not
-    range-checked: feed it ids in ``[0, 2**40)``.  The arrays have the
-    production lifetime: allocated by the first access, dropped by
-    ``release`` and ``clear``.
+    ``hot_indices`` groups the valid keys one at a time.  The arrays are
+    allocated by the first access and dropped by ``release`` (which
+    returns them) and ``clear``; ``reuse`` takes nothing, so each
+    reference EAL learns in arrays of its own.  :func:`tracked_ways`
+    compares its arrays with the production layout's.
     """
+
+    _valid: np.ndarray | None = None
+
+    def _allocate(self) -> None:
+        if self._valid is None:
+            shape = (self.config.num_sets, self.config.ways)
+            self._valid = np.zeros(shape, dtype=bool)
+            self._keys = np.zeros(shape, dtype=np.uint64)
+            self._rrpv = np.full(shape, self.config.max_rrpv, dtype=np.int8)
+
+    def _check(self, table: int, index: int) -> None:
+        if not 0 <= table < len(self.rows_per_table):
+            raise ValueError(f"EAL table {table} out of range")
+        if not 0 <= index < self.rows_per_table[table]:
+            raise ValueError(f"id out of range for table {table}")
 
     def _key(self, table: int, index: int) -> int:
         return (int(table) << 40) | int(index)
@@ -431,6 +452,10 @@ class ReferenceEAL(EmbeddingAccessLogger):
         return self._randomizer.hash(folded) % self.config.num_sets
 
     def access(self, table: int, index: int) -> bool:
+        self._check(table, index)
+        return self._access_one(table, index)
+
+    def _access_one(self, table: int, index: int) -> bool:
         self._allocate()
         key = self._key(table, index)
         set_idx = self._set_for(key)
@@ -446,13 +471,15 @@ class ReferenceEAL(EmbeddingAccessLogger):
         return False
 
     def access_batch(self, sparse: np.ndarray) -> int:
-        hits = 0
         _batch, num_tables, _pooling = sparse.shape
-        for table in range(num_tables):
-            for value in sparse[:, table, :].reshape(-1):
-                if self.access(table, int(value)):
-                    hits += 1
-        return hits
+        lookups = [
+            (table, int(value))
+            for table in range(num_tables)
+            for value in sparse[:, table, :].reshape(-1)
+        ]
+        for table, index in lookups:
+            self._check(table, index)
+        return sum(self._access_one(table, index) for table, index in lookups)
 
     def _insert(self, set_idx: int, key: int) -> None:
         valid = self._valid[set_idx]
@@ -492,6 +519,45 @@ class ReferenceEAL(EmbeddingAccessLogger):
             if table < num_tables:
                 result[table].append(int(key) & ((1 << 40) - 1))
         return [np.array(sorted(rows), dtype=np.int64) for rows in result]
+
+    @property
+    def occupancy(self) -> float:
+        return 0.0 if self._valid is None else float(self._valid.mean())
+
+    def release(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        arrays = None if self._valid is None else (self._valid, self._keys, self._rrpv)
+        self._valid = self._keys = self._rrpv = None
+        return arrays
+
+    def reuse(self, arrays) -> None:
+        pass
+
+
+def held_arrays(eal) -> tuple | None:
+    """The arrays ``eal`` holds, as its ``release`` would return them."""
+    if isinstance(eal, ReferenceEAL):
+        return None if eal._valid is None else (eal._valid, eal._keys, eal._rrpv)
+    return None if eal._rrpv is None else (eal._keys, eal._rrpv)
+
+
+def tracked_ways(eal, arrays) -> tuple[np.ndarray, ...]:
+    """``arrays``, an EAL's released or held arrays, in one form for either
+    layout: the ``(sets, ways)`` valid mask, then the table, row and RRPV
+    of each valid way in row-major way order.
+
+    A :class:`ReferenceEAL` holds valid bits, ``(table << 40) | row`` keys
+    and RRPVs; the production EAL holds flat keys in ``eal``'s key space
+    and RRPVs that read -1 on an empty way."""
+    if isinstance(eal, ReferenceEAL):
+        valid, keys, rrpv = arrays
+        keys = keys[valid].astype(np.int64)
+        return valid, keys >> 40, keys & ((1 << 40) - 1), rrpv[valid]
+    keys, rrpv = arrays
+    valid = rrpv >= 0
+    keys = keys[valid].astype(np.int64)
+    edges = np.cumsum((0, *eal.rows_per_table), dtype=np.int64)
+    tables = np.searchsorted(edges, keys, side="right") - 1
+    return valid, tables, keys - edges[tables], rrpv[valid]
 
 
 # ---------------------------------------------------------------------- #

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.eal import EALConfig, EmbeddingAccessLogger, expected_parallel_requests
 from repro.core.lookup_engine import FeistelRandomizer
-from tests.oracle import ReferenceEAL
+from tests.oracle import ReferenceEAL, held_arrays, tracked_ways
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**10))
@@ -26,18 +26,29 @@ def test_feistel_hashes_an_array_as_its_elements(values, seed):
 
 
 #: Row ids drawn for the oracle comparison: a small pool (so keys repeat
-#: inside and across blocks, and one id recurs in several tables) plus ids
-#: at the edges of the fold's 32-bit and the key's 40-bit row fields.
-ROW_IDS = st.one_of(st.integers(0, 11), st.sampled_from([2**32 - 1, 2**32, 2**40 - 1]))
+#: inside and across blocks, and one id recurs in several tables), which
+#: fits every table of a narrow key space (uint32 keys).
+SMALL_ROWS = st.integers(0, 11)
+#: In a wide key space (2**40 rows per table, so uint64 keys) the pool adds
+#: ids at the edges of the fold's 32-bit and the reference key's 40-bit row
+#: fields.
+WIDE_ROWS = st.one_of(SMALL_ROWS, st.sampled_from([2**32 - 1, 2**32, 2**40 - 1]))
 
 
 def assert_same_state(eal, ref, num_tables):
-    assert np.array_equal(eal._valid, ref._valid)
-    assert np.array_equal(eal._keys, ref._keys)
-    assert np.array_equal(eal._rrpv, ref._rrpv)
+    """The same valid ways, each holding the same (table, row) at the same
+    RRPV, and the same counters, occupancy and hot indices."""
+    arrays, ref_arrays = held_arrays(eal), held_arrays(ref)
+    assert (arrays is None) == (ref_arrays is None)
+    if arrays is not None:
+        for got, want in zip(
+            tracked_ways(eal, arrays), tracked_ways(ref, ref_arrays), strict=True
+        ):
+            assert np.array_equal(got, want)
     assert (eal.hits, eal.misses, eal.insertions, eal.evictions) == (
         ref.hits, ref.misses, ref.insertions, ref.evictions
     )
+    assert eal.occupancy == ref.occupancy
     for hot, ref_hot in zip(
         eal.hot_indices(num_tables), ref.hot_indices(num_tables), strict=True
     ):
@@ -49,7 +60,8 @@ def assert_same_state(eal, ref, num_tables):
 @settings(max_examples=120, deadline=None)
 def test_vectorised_eal_matches_the_per_access_loop(data):
     """Blocks, single accesses and clears, in any order, leave the
-    set-vectorised EAL in the per-access loop's state after every call."""
+    set-vectorised EAL in the per-access loop's state after every call, in
+    narrow (uint32) and wide (uint64) key spaces alike."""
     ways = data.draw(st.integers(1, 16), label="ways")
     sets = data.draw(st.integers(1, 64), label="sets")
     max_rrpv = data.draw(st.integers(1, 3), label="max_rrpv")
@@ -62,15 +74,24 @@ def test_vectorised_eal_matches_the_per_access_loop(data):
     seed = data.draw(st.integers(0, 2**10), label="seed")
     num_tables = data.draw(st.integers(1, 4), label="tables")
     pooling = data.draw(st.integers(1, 3), label="pooling")
-    eal = EmbeddingAccessLogger(config, seed=seed)
-    ref = ReferenceEAL(config, seed=seed)
+    wide = data.draw(st.booleans(), label="wide")
+    if wide:
+        rows_per_table, row_ids = (2**40,) * num_tables, WIDE_ROWS
+    else:
+        rows_per_table = tuple(
+            data.draw(st.lists(st.integers(12, 40), min_size=num_tables,
+                               max_size=num_tables), label="rows_per_table")
+        )
+        row_ids = SMALL_ROWS
+    eal = EmbeddingAccessLogger(rows_per_table, config, seed=seed)
+    ref = ReferenceEAL(rows_per_table, config, seed=seed)
     assert eal.config.num_sets == sets
     for _ in range(data.draw(st.integers(1, 12), label="calls")):
         kind = data.draw(st.sampled_from(["block", "block", "block", "access", "clear"]))
         if kind == "block":
             batch = data.draw(st.integers(0, 12), label="batch")
             rows = data.draw(
-                st.lists(ROW_IDS, min_size=batch * num_tables * pooling,
+                st.lists(row_ids, min_size=batch * num_tables * pooling,
                          max_size=batch * num_tables * pooling),
                 label="rows",
             )
@@ -78,13 +99,15 @@ def test_vectorised_eal_matches_the_per_access_loop(data):
             assert eal.access_batch(block) == ref.access_batch(block)
         elif kind == "access":
             table = data.draw(st.integers(0, num_tables - 1), label="table")
-            row = data.draw(ROW_IDS, label="row")
+            row = data.draw(row_ids, label="row")
             assert eal.access(table, row) is ref.access(table, row)
             assert eal.contains(table, row) and ref.contains(table, row)
         else:
             eal.clear()
             ref.clear()
         assert_same_state(eal, ref, num_tables)
+        if held_arrays(eal) is not None:
+            assert eal._keys.dtype == (np.uint64 if wide else np.uint32)
 
 
 @given(
@@ -95,7 +118,7 @@ def test_vectorised_eal_matches_the_per_access_loop(data):
 def test_eal_accessed_key_is_immediately_queryable(accesses, seed):
     """Directly after access(t, i), the entry is tracked (it was just inserted
     or refreshed), regardless of the access history."""
-    eal = EmbeddingAccessLogger(EALConfig(size_bytes=2048, ways=4), seed=seed)
+    eal = EmbeddingAccessLogger((501,) * 8, EALConfig(size_bytes=2048, ways=4), seed=seed)
     for table, index in accesses:
         eal.access(table, index)
         assert eal.contains(table, index)
@@ -106,7 +129,7 @@ def test_eal_accessed_key_is_immediately_queryable(accesses, seed):
 )
 @settings(max_examples=50, deadline=None)
 def test_eal_counters_are_consistent(accesses):
-    eal = EmbeddingAccessLogger(EALConfig(size_bytes=1024, ways=4), seed=0)
+    eal = EmbeddingAccessLogger((201,) * 4, EALConfig(size_bytes=1024, ways=4), seed=0)
     for table, index in accesses:
         eal.access(table, index)
     assert eal.hits + eal.misses == len(accesses)
