@@ -1,5 +1,6 @@
-"""The step trace sees the embedding layer: one gather, one scatter and, on
-the tiered workloads, one tier touch a step.
+"""The step trace sees every layer of the step: one gather, one scatter
+and, on the tiered workloads, one tier touch a step, and at least one span
+of each dense layer.
 
 Every step-benchmark workload trains a model whose tables sit in one
 table-batched :class:`~repro.nn.embedding.EmbeddingBag`, so each steady
@@ -10,6 +11,11 @@ the gather resolves the block's flat keys through it in one
 ``nn.embedding.tier`` call; without one there is none.  This drives the
 tracer of ``benchmarks/step`` on its ``TINY`` plan and counts what it
 recorded per steady step.
+
+The tracer patches names in ``src/`` where it expects the step to look
+them up (the loss epilogue in ``repro.models.dlrm``, the model's update
+methods, the packed MLP instances, the interaction kernel); a refactor that
+moves one would make its layer read zero, so each must show up every step.
 """
 
 from __future__ import annotations
@@ -25,12 +31,20 @@ from benchmarks.step.workloads import TINY, WORKLOADS, make_inputs, train_once
 GATHER = "nn.embedding.gather"
 SCATTER = "nn.embedding.scatter"
 TIER = "nn.embedding.tier"
+#: Layers every steady step must record at least once on the step's thread.
+STEP_LAYERS = (
+    "nn.loss.epilogue",
+    "models.dlrm.update",
+    "nn.gemm.bottom_mlp",
+    "nn.gemm.top_mlp",
+    "nn.interaction.dot",
+)
 
 
 def steady_step_counts(workload: str) -> list[dict[str, float]]:
     """Per steady step: the gather, scatter and tier spans on the step's
-    thread, the traced gather rows and scatter nnz, and the rows of the
-    step's whole id block."""
+    thread, the traced gather rows and scatter nnz, the rows of the step's
+    whole id block, and the spans of each of :data:`STEP_LAYERS`."""
     spec = WORKLOADS[workload]
     inputs = make_inputs(spec, 3, TINY)
     tracer = Tracer()
@@ -50,6 +64,7 @@ def steady_step_counts(workload: str) -> list[dict[str, float]]:
                 "gather_rows": counters[f"{GATHER}_rows"],
                 "block_rows": run.samples[step] * dataset.num_sparse * dataset.pooling,
                 "scatter_nnz": counters[f"{SCATTER}_nnz"],
+                "layer_spans": {layer: names.count(layer) for layer in STEP_LAYERS},
             }
         )
     return counts
@@ -82,3 +97,11 @@ def test_one_tier_touch_per_steady_step_on_tiered_workloads(counts, workload):
     assert len(steps) >= TINY.min_steady
     for step in steps:
         assert step["tier_spans"] == int(tiered), step
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_dense_layer_is_traced_each_steady_step(counts, workload):
+    steps = counts[workload]
+    assert len(steps) >= TINY.min_steady
+    for step in steps:
+        assert all(spans >= 1 for spans in step["layer_spans"].values()), step

@@ -84,7 +84,7 @@ import numpy as np
 from repro.baselines.base import ExecutionModel
 from repro.core.accelerator import HotlineAccelerator
 from repro.core.classifier import split_minibatch
-from repro.core.engine import StepExecutor, StepOutcome, TrainingEngine, TrainingResult
+from repro.core.engine import StepExecutor, StepOutcome
 from repro.core.lookahead import CachedEmbeddingPipeline, epoch_row_stream
 from repro.core.placement import EmbeddingPlacement, PartitionedEmbeddingPlacement
 from repro.core.reducer import GradientBucketReducer, SparseGradientExchange
@@ -348,27 +348,6 @@ class ShardedHotlineTrainer(StepExecutor):
         # (step - min(step, collective) == max(0, step - collective)).
         step_time = self.perf_model.step_time(batch_size)
         return max(0.0, step_time - self.perf_model.collective_time())
-
-    # ------------------------------------------------------------------ #
-    # StepExecutor interface
-    # ------------------------------------------------------------------ #
-    def train(
-        self,
-        loader: MiniBatchLoader,
-        *,
-        epochs: int = 1,
-        eval_batch: MiniBatch | None = None,
-        eval_every: int = 0,
-        recalibrations_per_epoch: int = 0,
-    ) -> TrainingResult:
-        """Train for ``epochs`` epochs with the sharded Hotline schedule."""
-        return TrainingEngine(self).train(
-            loader,
-            epochs=epochs,
-            eval_batch=eval_batch,
-            eval_every=eval_every,
-            recalibrations_per_epoch=recalibrations_per_epoch,
-        )
 
     # ------------------------------------------------------------------ #
     # Dense-gradient plumbing

@@ -234,6 +234,24 @@ class StepExecutor(abc.ABC):
     def recalibrate(self, loader: MiniBatchLoader, seed: int = 0) -> None:  # noqa: B027
         """React to a recalibration point of the schedule (default: no-op)."""
 
+    def train(
+        self,
+        loader: MiniBatchLoader,
+        *,
+        epochs: int = 1,
+        eval_batch: MiniBatch | None = None,
+        eval_every: int = 0,
+        recalibrations_per_epoch: int = 0,
+    ) -> TrainingResult:
+        """Train for ``epochs`` epochs through :meth:`TrainingEngine.train`."""
+        return TrainingEngine(self).train(
+            loader,
+            epochs=epochs,
+            eval_batch=eval_batch,
+            eval_every=eval_every,
+            recalibrations_per_epoch=recalibrations_per_epoch,
+        )
+
     def finalize(self) -> StepOutcome | None:
         """Drain in-flight pipeline state when the training loop ends.
 

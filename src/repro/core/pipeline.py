@@ -40,7 +40,6 @@ from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.engine import (
     StepExecutor,
     StepOutcome,
-    TrainingEngine,
     TrainingResult,
     evaluate,
 )
@@ -68,19 +67,6 @@ class ReferenceTrainer(StepExecutor):
         """One baseline step: forward, backward, update on the whole batch."""
         loss = self.model.train_step(batch, lr=self.lr)
         return self.timed_outcome(self.perf_model, batch.size, loss)
-
-    def train(
-        self,
-        loader: MiniBatchLoader,
-        *,
-        epochs: int = 1,
-        eval_batch: MiniBatch | None = None,
-        eval_every: int = 0,
-    ) -> TrainingResult:
-        """Train for ``epochs`` epochs, recording losses and AUC."""
-        return TrainingEngine(self).train(
-            loader, epochs=epochs, eval_batch=eval_batch, eval_every=eval_every
-        )
 
 
 class HotlineTrainer(ShardedHotlineTrainer):

@@ -21,7 +21,7 @@ from repro.data.datasets import (
     DatasetSpec,
     dataset_by_name,
 )
-from repro.data.loader import MiniBatchLoader, ShardedLoader
+from repro.data.loader import MiniBatchLoader
 from repro.data.skew import (
     EvolvingSkewGenerator,
     access_histogram,
@@ -46,7 +46,6 @@ __all__ = [
     "SyntheticClickLog",
     "generate_click_log",
     "MiniBatchLoader",
-    "ShardedLoader",
     "access_histogram",
     "popular_entries",
     "popular_input_mask",

@@ -56,15 +56,6 @@ class MiniBatch:
             labels=self.labels[indices],
         )
 
-    def split(self, mask: np.ndarray) -> tuple["MiniBatch", "MiniBatch"]:
-        """Split into (where mask is True, where mask is False)."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != self.size:
-            raise ValueError("mask length must equal batch size")
-        true_idx = np.nonzero(mask)[0]
-        false_idx = np.nonzero(~mask)[0]
-        return self.select(true_idx), self.select(false_idx)
-
     def shards(self, num_shards: int) -> list["MiniBatch"]:
         """Deal the batch into ``num_shards`` contiguous slices.
 

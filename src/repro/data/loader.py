@@ -3,9 +3,9 @@
 Supports sequential epochs, optional shuffling, opt-in background-thread
 prefetching (double-buffering batch assembly under the training step), the
 sampling mode used by Hotline's learning phase (a uniformly sampled ~5 %
-subset of mini-batches for online popularity profiling), and a
-:class:`ShardedLoader` view that deals every mini-batch into contiguous
-per-shard slices for data-parallel training.
+subset of mini-batches for online popularity profiling).  Data-parallel
+trainers deal each mini-batch into contiguous per-shard views with
+:meth:`~repro.data.batch.MiniBatch.shards`.
 """
 
 from __future__ import annotations
@@ -248,31 +248,3 @@ class MiniBatchLoader:
             )
             for index in chosen
         ]
-
-
-class ShardedLoader:
-    """Data-parallel view of a loader: each mini-batch dealt into K shards.
-
-    Every iteration yields the list of ``num_shards`` contiguous per-shard
-    slices of one global mini-batch.  Shards are basic-slice *views* of the
-    underlying batch arrays — for sequential (unshuffled) epochs that means
-    views straight into the click log, with no copying anywhere on the path.
-    The global batch is recoverable by concatenating the shards in order,
-    which is what makes the K-shard update numerically equivalent to the
-    single-replica one (Eq. 5 extended across shards).
-    """
-
-    def __init__(self, loader: MiniBatchLoader, num_shards: int):
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        self.loader = loader
-        self.num_shards = num_shards
-
-    def __len__(self) -> int:
-        """Number of sharded mini-batches per epoch."""
-        return len(self.loader)
-
-    def __iter__(self) -> Iterator[list[MiniBatch]]:
-        """Yield per-shard slice lists for one epoch."""
-        for batch in self.loader:
-            yield batch.shards(self.num_shards)

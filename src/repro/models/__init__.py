@@ -4,6 +4,9 @@ The four evaluated models (RM1-RM4, Table II) and the two synthetic
 large-scale models (SYN-M1, SYN-M2, Figure 28) are described by
 :class:`~repro.models.configs.ModelConfig` objects; :class:`DLRM` and
 :class:`TBSM` instantiate trainable numpy versions of any configuration.
+Both are :class:`RecommendationModel` subclasses that supply only their
+feature layer (the dot interaction, the attention); the skeleton owns the
+MLPs, the embedding bag, the training passes, ``predict`` and the updates.
 """
 
 from repro.models.configs import (
@@ -17,7 +20,7 @@ from repro.models.configs import (
     ModelConfig,
     model_by_name,
 )
-from repro.models.dlrm import DLRM
+from repro.models.dlrm import DLRM, RecommendationModel
 from repro.models.tbsm import TBSM
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "SYN_M2",
     "PAPER_MODELS",
     "model_by_name",
+    "RecommendationModel",
     "DLRM",
     "TBSM",
 ]

@@ -1,13 +1,18 @@
-"""Deep Learning Recommendation Model (DLRM) in numpy.
+"""The recommendation-model skeleton, and the Deep Learning Recommendation
+Model (DLRM) built on it, in numpy.
 
-Follows the reference architecture (Figure 2 of the paper): a bottom MLP
-over the dense features, an embedding table per sparse feature (all of
-them in one table-batched :class:`~repro.nn.embedding.EmbeddingBag`), a
-pairwise dot-product feature interaction, and a top MLP producing the CTR
-logit.
+Both of the paper's models share one shape (Figure 2): a bottom MLP over
+the dense features, an embedding table per sparse feature (all of them in
+one table-batched :class:`~repro.nn.embedding.EmbeddingBag`), a feature
+layer that combines the two, and a top MLP producing the CTR logit.
+:class:`RecommendationModel` owns everything but the feature layer: the
+MLPs, the bag, both training passes, the loss, the inference shell, the
+updates and the snapshot.  :class:`DLRM` supplies the pairwise
+dot-product interaction over pooled embeddings;
+:class:`~repro.models.tbsm.TBSM` an attention over a lookup history.
 
-The model exposes a two-phase API (``forward`` / ``backward`` +
-``apply_updates``) rather than a single fused ``train_step`` so that the
+A model exposes a two-phase API (``forward`` / ``backward`` +
+``apply_*_update``) rather than a single fused ``train_step`` so that the
 Hotline pipeline and the baselines can schedule the *same* numerical
 computation in different orders — which is exactly the paper's claim that
 µ-batch fragmentation does not change the model update (Eq. 5).
@@ -15,12 +20,14 @@ computation in different orders — which is exactly the paper's claim that
 
 from __future__ import annotations
 
+import abc
+
 import numpy as np
 
 from repro.data.batch import MiniBatch
 from repro.models.configs import ModelConfig
-from repro.nn.gemm import PackedMLP, infer_in_blocks, segment_bounds
 from repro.nn.embedding import EmbeddingBag, SparseGradient, segment_ids_for
+from repro.nn.gemm import PackedMLP, infer_in_blocks, segment_bounds
 from repro.nn.interaction import (
     DotInteractionKernel,
     dot_interaction,
@@ -30,8 +37,16 @@ from repro.nn.loss import fused_bce_epilogue, predicted_probabilities
 from repro.nn.mlp import MLP
 
 
-class DLRM:
-    """Trainable DLRM instance for a given :class:`ModelConfig`."""
+class RecommendationModel(abc.ABC):
+    """A trainable model for a :class:`ModelConfig`, less its feature layer.
+
+    A subclass supplies the layer between the embeddings and the top MLP
+    through five hooks: :meth:`_feature_width`, :meth:`_embed` (the
+    embedding read), :meth:`_features` and :meth:`_features_backward` (its
+    training forward and backward) and :meth:`_infer_features` (its
+    inference forward).  Every value the skeleton produces is the
+    subclass's arithmetic, in the order the hooks run it.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         """Build the model.
@@ -39,10 +54,15 @@ class DLRM:
         Args:
             config: Architecture + dataset description.
             seed: Parameter-init seed.
+
+        Raises:
+            ValueError: The bottom MLP does not read the dense features or
+                does not end at the embedding dimension, or the top MLP
+                does not end in one logit.
         """
         self.config = config
-        rng = np.random.default_rng(seed)
         bottom_sizes = [int(tok) for tok in config.bottom_mlp.split("-")]
+        top_hidden = [int(tok) for tok in config.top_mlp.split("-")]
         if bottom_sizes[0] != config.num_dense_features:
             raise ValueError(
                 f"bottom MLP input size {bottom_sizes[0]} does not match "
@@ -53,18 +73,45 @@ class DLRM:
                 "bottom MLP output size must equal the embedding dimension "
                 f"({bottom_sizes[-1]} != {config.embedding_dim})"
             )
+        if top_hidden[-1] != 1:
+            raise ValueError(f"top MLP must end in one logit, not {top_hidden[-1]}")
+        rng = np.random.default_rng(seed)
         self.bottom_mlp = MLP(bottom_sizes, rng)
         #: Every sparse feature's table, in one table-batched bag.
         self.embedding = EmbeddingBag(config.dataset.rows_per_table, config.embedding_dim, rng)
-        top_hidden = [int(tok) for tok in config.top_mlp.split("-")]
-        top_input = interaction_output_dim(config.embedding_dim, config.num_sparse_features)
-        self.top_mlp = MLP([top_input] + top_hidden, rng)
-        self._interaction_cache: dict | None = None
+        self.top_mlp = MLP([self._feature_width()] + top_hidden, rng)
         self._packed_bottom = PackedMLP(self.bottom_mlp)
         self._packed_top = PackedMLP(self.top_mlp)
-        #: Workspace-pooled interaction kernel — one per model instance
-        #: (deepcopied replicas get fresh, unshared buffers).
-        self._interaction = DotInteractionKernel()
+        #: What the last :meth:`forward`'s feature layer keeps for :meth:`backward`.
+        self._features_cache = None
+
+    # ------------------------------------------------------------------ #
+    # The feature layer
+    # ------------------------------------------------------------------ #
+    @abc.abstractmethod
+    def _feature_width(self) -> int:
+        """Columns of the feature layer's output: the top MLP's input."""
+
+    @abc.abstractmethod
+    def _embed(self, sparse: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The embedding rows a ``(batch, tables, pooling)`` id block reads,
+        as arrays whose first axis is the batch row."""
+
+    @abc.abstractmethod
+    def _features(self, dense_out: np.ndarray, *lookup: np.ndarray) -> tuple[np.ndarray, object]:
+        """The top MLP's input from the bottom MLP's output and the
+        :meth:`_embed` arrays of the same rows, and what the backward needs."""
+
+    @abc.abstractmethod
+    def _features_backward(self, grad_features: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
+        """The bottom MLP's output gradient and the embedding gradient (an
+        :meth:`~repro.nn.embedding.EmbeddingBag.backward` operand) of the
+        feature layer's output gradient."""
+
+    @abc.abstractmethod
+    def _infer_features(self, dense_out: np.ndarray, sparse: np.ndarray) -> np.ndarray:
+        """:meth:`_features`' output for the rows of ``sparse``, read with
+        :meth:`~repro.nn.embedding.EmbeddingBag.gather` and kept nowhere."""
 
     # ------------------------------------------------------------------ #
     # Forward / backward
@@ -74,12 +121,11 @@ class DLRM:
         # Both input checks run before the gather touches the tier and
         # before any layer caches this batch.
         self.config.check_dense(batch.dense)
-        pooled = self.embedding.forward(batch.sparse)
-        dense_out = self.bottom_mlp.forward(batch.dense)
-        interaction, cache = self._interaction.forward(dense_out, pooled)
-        self._interaction_cache = cache
-        logits = self.top_mlp.forward(interaction)
-        return logits.reshape(-1)
+        lookup = self._embed(batch.sparse)
+        features, self._features_cache = self._features(
+            self.bottom_mlp.forward(batch.dense), *lookup
+        )
+        return self.top_mlp.forward(features).reshape(-1)
 
     def backward(self, grad_logits: np.ndarray) -> SparseGradient:
         """Backpropagate logit gradients; returns the flat-keyed sparse
@@ -88,14 +134,10 @@ class DLRM:
         Dense-parameter gradients accumulate inside the MLP layers (so that
         gradients from several µ-batches sum, as in the baseline).
         """
-        if self._interaction_cache is None:
-            raise RuntimeError("backward called before forward")
-        grad_interaction = self.top_mlp.backward(grad_logits.reshape(-1, 1))
-        grad_dense, grad_sparse = self._interaction.backward(
-            grad_interaction, self._interaction_cache
-        )
+        grad_features = self.top_mlp.backward(grad_logits.reshape(-1, 1))
+        grad_dense, grad_lookup = self._features_backward(grad_features, self._features_cache)
         self.bottom_mlp.backward(grad_dense)
-        return self.embedding.backward(grad_sparse)
+        return self.embedding.backward(grad_lookup)
 
     def zero_grad(self) -> None:
         """Reset accumulated dense gradients."""
@@ -139,8 +181,8 @@ class DLRM:
     ) -> tuple[list[float], list[SparseGradient]]:
         """Train a mini-batch's µ-batches with fused embedding traffic.
 
-        The **whole mini-batch's contiguous index block** is gathered once
-        (no per-µ-batch index copies), the MLPs and the interaction run once
+        The **whole mini-batch's contiguous index block** is read once (no
+        per-µ-batch index copies), the MLPs and the feature layer run once
         over the segment-packed rows, and every µ-batch's flat-keyed sparse
         gradient comes out of **one**
         :meth:`~repro.nn.embedding.EmbeddingBag.backward_segments` scatter
@@ -148,7 +190,7 @@ class DLRM:
         accumulate in the layers exactly as sequential
         :meth:`loss_and_gradients` calls over ``batch.select(segments[s])``
         would — every returned value is bit-identical to that loop, which
-        the test oracle keeps as ``SequentialDLRM``.
+        the test oracle keeps as ``SequentialDLRM`` / ``SequentialTBSM``.
 
         Args:
             batch: The full mini-batch.
@@ -171,37 +213,37 @@ class DLRM:
             raise ValueError("normalizer must be positive")
         segment_ids_for(segments, batch.size)  # the segments must partition the batch
         self.config.check_dense(batch.dense)
-        pooled = self.embedding.forward(batch.sparse)
+        lookup = self._embed(batch.sparse)
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        losses, grad_block = self._packed_dense_pass(batch, segments, perm, normalizer, pooled)
-        return losses, self.embedding.backward_segments(grad_block, segments)
+        losses, grad_lookup = self._packed_dense_pass(batch, segments, perm, normalizer, lookup)
+        return losses, self.embedding.backward_segments(grad_lookup, segments)
 
     def _packed_dense_pass(
-        self, batch, segments, perm, normalizer, pooled
+        self, batch, segments, perm, normalizer, lookup
     ) -> tuple[list[float], np.ndarray]:
         """Segment-packed dense pass — one GEMM per layer per *step*.
 
         Packs the segments into one contiguous block (rows in segment
-        order), runs both MLPs and the interaction once over it, recovers
+        order), runs both MLPs and the feature layer once over it, recovers
         per-segment losses and logit gradients by row slicing, and folds
         per-segment ``grad_weight`` partials in segment order — every
         value bit-identical to per-segment :meth:`loss_and_gradients`
         calls (see :mod:`repro.nn.gemm` for the contract and the
-        per-shape certification that backs it).  Returns the losses and
-        the pooled-embedding gradients as one ``(rows, tables, dim)``
-        block in packed row order.
+        per-shape certification that backs it).  The feature layers are
+        per-row, so they pack without certification — the attention only
+        because it keeps its input dtype: a float64 context would run the
+        top MLP's GEMMs at float64, while their certification is keyed by
+        the weights' float32.  Returns the losses and the embedding
+        gradient in packed row order.
         """
         bounds = segment_bounds(segments)
         dense_out = self._packed_bottom.forward(batch.dense[perm], bounds)
-        interaction, cache = self._interaction.forward(dense_out, pooled[perm])
-        if self._packed_top.has_logit_epilogue:
-            # Deferred-bias epilogue: the final GEMM skips its broadcast
-            # bias add and the scalar bias folds into the fused loss pass —
-            # elementwise, so bit-identical to forward() + reshape.
-            logits = self._packed_top.forward_prelogits(interaction, bounds)
-            logits = logits + self._packed_top.logit_bias
-        else:
-            logits = self._packed_top.forward(interaction, bounds).reshape(-1)
+        features, cache = self._features(dense_out, *(part[perm] for part in lookup))
+        # Deferred-bias epilogue: the final GEMM skips its broadcast bias
+        # add and the scalar bias folds into the fused loss pass —
+        # elementwise, so bit-identical to forward() + reshape.
+        logits = self._packed_top.forward_prelogits(features, bounds)
+        logits = logits + self._packed_top.logit_bias
         labels = batch.labels[perm]
         losses: list[float] = []
         grad_logits = np.empty_like(logits)
@@ -210,45 +252,42 @@ class DLRM:
             losses.append(loss)
             grad_logits[lo:hi] = seg_grad
         if normalizer is not None:
-            # Whole-block division is elementwise — bit-identical to the
-            # former per-segment ``seg_grad / normalizer`` slices.
+            # Whole-block division is elementwise — bit-identical to
+            # dividing each segment's ``seg_grad`` on its own.
             grad_logits /= normalizer
-        grad_interaction = self._packed_top.backward(grad_logits.reshape(-1, 1), bounds)
-        grad_dense, grad_sparse = self._interaction.backward(grad_interaction, cache)
+        grad_features = self._packed_top.backward(grad_logits.reshape(-1, 1), bounds)
+        grad_dense, grad_lookup = self._features_backward(grad_features, cache)
         # The bottom MLP's input gradient is discarded by every caller —
         # the packed path skips that (dead) first-layer GEMM entirely.
         self._packed_bottom.backward(grad_dense, bounds, need_input_grad=False)
         for lo, hi in bounds:
             self._packed_top.accumulate_segment(lo, hi)
             self._packed_bottom.accumulate_segment(lo, hi)
-        return losses, grad_sparse
+        return losses, grad_lookup
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Predicted click probabilities for a batch: the inference forward.
 
         The arithmetic of :meth:`forward`, bit for bit, scored in certified
         256-row blocks (:func:`~repro.nn.gemm.infer_in_blocks`), so a
-        4,096-sample batch holds one block's Gram and pooled rows at a
-        time; RM2's logit layer, which never certifies, runs once over all
-        rows.  Nothing is stored on the model: the layers
-        keep no activations, the interaction runs unpooled
-        (:func:`~repro.nn.interaction.dot_interaction`) and the bag does not
-        remember the indices.  So a ``predict`` between a forward and its
-        backward leaves the gradients as they were, and an evaluation
-        retains no memory.  Rows are read with
+        4,096-sample batch holds one block's embedding rows and feature
+        temporaries at a time; RM1's and RM2's logit layers, which never
+        certify, run once over all rows.  Nothing is stored on the model:
+        the layers keep no activations, the feature layer keeps no cache
+        and the bag does not remember the indices.  So a ``predict``
+        between a forward and its backward leaves the gradients as they
+        were, and an evaluation retains no memory.  Rows are read with
         :meth:`~repro.nn.embedding.EmbeddingBag.gather`, which does not
         touch an attached tier.  The dense width is checked before the
         first block.
         """
         self.config.check_dense(batch.dense)
-
-        def interaction(dense_out: np.ndarray, lo: int, hi: int) -> np.ndarray:
-            # The pooled rows and the interaction cache die here, before
-            # the top MLP's activations are allocated.
-            pooled = self.embedding.gather(batch.sparse[lo:hi]).sum(axis=2)
-            return dot_interaction(dense_out, pooled)[0]
-
-        logits = infer_in_blocks(self.bottom_mlp, self.top_mlp, batch.dense, interaction)
+        logits = infer_in_blocks(
+            self.bottom_mlp,
+            self.top_mlp,
+            batch.dense,
+            lambda dense_out, lo, hi: self._infer_features(dense_out, batch.sparse[lo:hi]),
+        )
         return predicted_probabilities(logits.reshape(-1))
 
     def dense_parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -300,3 +339,31 @@ class DLRM:
         for i in range(self.embedding.num_tables):
             state[f"table_{i}"] = self.embedding.table(i).copy()
         return state
+
+
+class DLRM(RecommendationModel):
+    """DLRM: a pairwise dot-product interaction over pooled embeddings."""
+
+    def __init__(self, config: ModelConfig, seed: int = 0):
+        super().__init__(config, seed)
+        #: Workspace-pooled interaction kernel — one per model instance
+        #: (deepcopied replicas get fresh, unshared buffers).
+        self._interaction = DotInteractionKernel()
+
+    def _feature_width(self) -> int:
+        return interaction_output_dim(self.config.embedding_dim, self.config.num_sparse_features)
+
+    def _embed(self, sparse: np.ndarray) -> tuple[np.ndarray]:
+        return (self.embedding.forward(sparse),)
+
+    def _features(self, dense_out: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, dict]:
+        return self._interaction.forward(dense_out, pooled)
+
+    def _features_backward(self, grad_features: np.ndarray, cache: dict):
+        return self._interaction.backward(grad_features, cache)
+
+    def _infer_features(self, dense_out: np.ndarray, sparse: np.ndarray) -> np.ndarray:
+        # The pooled rows and the interaction cache die here, before the
+        # top MLP's activations are allocated.
+        pooled = self.embedding.gather(sparse).sum(axis=2)
+        return dot_interaction(dense_out, pooled)[0]

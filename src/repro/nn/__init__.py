@@ -5,6 +5,13 @@ equivalent from-scratch implementation (forward + manual backward) so that
 the functional claims — identical losses, gradients, and accuracy between the
 baseline schedule and the Hotline µ-batch schedule — can be verified exactly
 without a GPU framework.
+
+It holds the layers the two models are built from: ``Linear`` + ``ReLU``
+MLPs (and :mod:`repro.nn.gemm`'s segment-packed executor over them), the
+table-batched embedding bag, the dot interaction, the attention, the fused
+loss epilogue and the metrics.  There is no optimiser object: the models
+apply plain SGD themselves (``apply_dense_update``,
+``apply_sparse_updates``).
 """
 
 from repro.nn import init
@@ -17,7 +24,7 @@ from repro.nn.interaction import (
     reference_dot_interaction,
     reference_dot_interaction_backward,
 )
-from repro.nn.layers import Layer, Linear, ReLU, Sigmoid
+from repro.nn.layers import Linear, ReLU
 from repro.nn.loss import (
     bce_with_logits,
     bce_with_logits_backward,
@@ -27,13 +34,10 @@ from repro.nn.loss import (
 )
 from repro.nn.metrics import binary_accuracy, log_loss, roc_auc
 from repro.nn.mlp import MLP
-from repro.nn.optim import SGD, Adagrad, SparseAdagrad, SparseSGD
 
 __all__ = [
-    "Layer",
     "Linear",
     "ReLU",
-    "Sigmoid",
     "MLP",
     "EmbeddingBag",
     "SparseGradient",
@@ -48,10 +52,6 @@ __all__ = [
     "bce_with_logits_per_sample",
     "fused_bce_epilogue",
     "reference_epilogue",
-    "SGD",
-    "Adagrad",
-    "SparseSGD",
-    "SparseAdagrad",
     "roc_auc",
     "binary_accuracy",
     "log_loss",

@@ -1,7 +1,7 @@
 """Segment-packed GEMM execution for the fused µ-batch dense path.
 
-The fused µ-batch schedule (:meth:`repro.models.dlrm.DLRM.
-fused_loss_and_gradients`) runs the bottom MLP, interaction, and top MLP
+The fused µ-batch schedule (:meth:`repro.models.dlrm.RecommendationModel.
+fused_loss_and_gradients`) runs the bottom MLP, feature layer, and top MLP
 over one contiguous ``(batch, d)`` block — one GEMM per layer per step
 instead of one per layer per µ-batch segment — with per-segment
 quantities (losses, logit gradients, ``grad_weight`` partials) recovered
@@ -281,24 +281,17 @@ class PackedMLP:
 
     Shares the MLP's ``Linear`` layers (weights, accumulated gradients) —
     it only replaces the *execution schedule*, so the MLP's own forward
-    and the packed pass are interchangeable mid-run.  Only ``Linear``
-    layers, each optionally followed by one ``ReLU``, can be packed; any
-    other stack (e.g. a sigmoid output) raises ``ValueError``.
+    and the packed pass are interchangeable mid-run.  Each unit is one
+    ``Linear`` and the ``ReLU`` after it; the last ``Linear`` stands alone.
     """
 
-    def __init__(self, mlp):
+    def __init__(self, mlp: MLP):
         self.mlp = mlp
-        self.units: list[_PackedUnit] = []
-        layers = list(mlp.layers)
-        for i in range(0, len(layers), 2):
-            linear = layers[i]
-            relu = layers[i + 1] if i + 1 < len(layers) else None
-            if not isinstance(linear, Linear) or not (relu is None or isinstance(relu, ReLU)):
-                raise ValueError(
-                    "PackedMLP packs Linear layers each followed by one ReLU "
-                    f"(the last may stand alone); got {[type(x).__name__ for x in layers]}"
-                )
-            self.units.append(_PackedUnit(linear, relu))
+        layers = mlp.layers
+        self.units = [
+            _PackedUnit(layers[i], layers[i + 1] if i + 1 < len(layers) else None)
+            for i in range(0, len(layers), 2)
+        ]
 
     def forward(self, x: np.ndarray, bounds: list[tuple[int, int]]) -> np.ndarray:
         min_rows = min(hi - lo for lo, hi in bounds)
@@ -308,17 +301,6 @@ class PackedMLP:
         return out
 
     @property
-    def has_logit_epilogue(self) -> bool:
-        """True when the final unit is a plain single-logit ``Linear``.
-
-        Only such stacks can defer the output bias into the fused loss
-        epilogue (:meth:`forward_prelogits`) — a trailing ReLU or a
-        multi-column output keeps the standard :meth:`forward`.
-        """
-        last = self.units[-1]
-        return last.relu is None and last.linear.out_features == 1
-
-    @property
     def logit_bias(self) -> float:
         """The deferred output bias for :meth:`forward_prelogits` callers."""
         return float(self.units[-1].linear.bias[0])
@@ -326,6 +308,8 @@ class PackedMLP:
     def forward_prelogits(self, x: np.ndarray, bounds: list[tuple[int, int]]) -> np.ndarray:
         """Packed forward with the final layer's bias add **deferred**.
 
+        The final layer must have one output, as every model's top MLP does
+        (:class:`~repro.models.dlrm.RecommendationModel` rejects any other).
         Returns the pre-bias logit column ``(x' @ W_last)[:, 0]``; the
         caller folds ``+ logit_bias`` into its fused loss epilogue so the
         logits never make a separate full-width pass.  Adding the scalar

@@ -1,4 +1,4 @@
-"""Basic differentiable layers: Linear, ReLU, Sigmoid.
+"""The two differentiable layers of an MLP: Linear and ReLU.
 
 Each layer exposes ``forward`` and ``backward``.  ``backward`` receives the
 gradient with respect to the layer output and returns the gradient with
@@ -11,27 +11,9 @@ reads.
 
 from __future__ import annotations
 
-from typing import Protocol
-
 import numpy as np
 
 from repro.nn import init
-
-
-class Layer(Protocol):
-    """Protocol implemented by every layer in the substrate."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Compute the layer output for input ``x``."""
-        ...
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """``forward``'s output, caching nothing."""
-        ...
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad_output`` and return the input gradient."""
-        ...
 
 
 class Linear:
@@ -109,50 +91,4 @@ class ReLU:
     @property
     def num_parameters(self) -> int:
         """ReLU has no parameters."""
-        return 0
-
-
-class Sigmoid:
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The sigmoid, kept for the backward."""
-        self._output = self.infer(x)
-        return self._output
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Numerically-stable sigmoid.
-
-        One shared ``e = exp(-|x|)`` pass feeds both branches: for
-        ``x >= 0``, ``exp(-x) == exp(-|x|)`` exactly, and for ``x < 0``,
-        ``exp(x) == exp(-|x|)`` exactly — bit-identical to the former
-        two-gather implementation with a single full-width exp.
-        """
-        e = np.exp(-np.abs(x))
-        out = np.empty_like(x)
-        positive = x >= 0
-        out[positive] = 1.0 / (1.0 + e[positive])
-        negative = ~positive
-        out[negative] = e[negative] / (1.0 + e[negative])
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Gradient of the sigmoid given the cached output."""
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
-
-    def zero_grad(self) -> None:
-        """Sigmoid has no parameters; provided for interface uniformity."""
-
-    def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Sigmoid has no parameters."""
-        return []
-
-    @property
-    def num_parameters(self) -> int:
-        """Sigmoid has no parameters."""
         return 0

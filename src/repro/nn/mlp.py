@@ -3,47 +3,29 @@
 DLRM and TBSM describe their dense networks as layer-size strings such as
 ``"13-512-256-64-16"`` (bottom MLP) and ``"512-256-1"`` (top MLP).  The MLP
 here accepts the equivalent list of sizes and mirrors the reference
-behaviour: ReLU between hidden layers and an optional sigmoid on the final
-layer (the top MLP's CTR output).
+behaviour: ReLU between hidden layers and none after the final layer, whose
+output (the top MLP's CTR logit) the loss epilogue takes as it is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Linear, ReLU, Sigmoid
+from repro.nn.layers import Linear, ReLU
 
 
 class MLP:
     """A stack of fully-connected layers with ReLU activations."""
 
-    def __init__(
-        self,
-        layer_sizes: list[int],
-        rng: np.random.Generator,
-        *,
-        sigmoid_output: bool = False,
-    ):
+    def __init__(self, layer_sizes: list[int], rng: np.random.Generator):
         if len(layer_sizes) < 2:
             raise ValueError("an MLP needs at least an input and an output size")
         self.layer_sizes = list(layer_sizes)
-        self.sigmoid_output = sigmoid_output
-        self.layers: list = []
+        self.layers: list[Linear | ReLU] = []
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:], strict=True)):
             self.layers.append(Linear(fan_in, fan_out, rng))
-            is_last = i == len(layer_sizes) - 2
-            if not is_last:
+            if i != len(layer_sizes) - 2:
                 self.layers.append(ReLU())
-            elif sigmoid_output:
-                self.layers.append(Sigmoid())
-
-    @classmethod
-    def from_arch_string(
-        cls, arch: str, rng: np.random.Generator, *, sigmoid_output: bool = False
-    ) -> MLP:
-        """Build an MLP from a DLRM-style ``"13-512-256-64"`` string."""
-        sizes = [int(token) for token in arch.split("-")]
-        return cls(sizes, rng, sigmoid_output=sigmoid_output)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the input through every layer."""
@@ -88,10 +70,10 @@ class MLP:
         """FLOPs for one forward pass of one sample.
 
         Counts the multiply-accumulates of every ``Linear`` (``2*in*out``)
-        *plus* its bias add (``out``) and the element-wise activation that
-        follows it (``out`` per hidden ReLU, and per sigmoid output when
-        present) — the bias/activation terms the perf model's dense times
-        were silently missing when this counted MACs only.
+        *plus* its bias add (``out``) and the hidden ReLU that follows it
+        (``out``, every layer but the last) — the bias/activation terms the
+        perf model's dense times were silently missing when this counted
+        MACs only.
         """
         flops = 0.0
         last = len(self.layer_sizes) - 2
@@ -99,6 +81,6 @@ class MLP:
             zip(self.layer_sizes[:-1], self.layer_sizes[1:], strict=True)
         ):
             flops += 2.0 * fan_in * fan_out + fan_out  # MACs + bias add
-            if i != last or self.sigmoid_output:
-                flops += fan_out  # activation
+            if i != last:
+                flops += fan_out  # ReLU
         return flops

@@ -30,6 +30,7 @@ from repro.models import RM2
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.gemm import NEVER_PACKED, PackedMLP, packed_rows_threshold, segment_bounds
+from repro.nn.layers import Linear, ReLU
 from repro.nn.mlp import MLP
 from tests.helpers import CROSS_ORDER_ATOL, CROSS_ORDER_RTOL
 from tests.oracle import SequentialDLRM, SequentialTBSM, reference_kernels
@@ -184,10 +185,12 @@ def test_segment_bounds_partition_in_order():
     assert segment_bounds(segments) == [(0, 3), (3, 5), (5, 6)]
 
 
-def test_packed_mlp_rejects_sigmoid_output(rng):
-    with pytest.raises(ValueError, match="ReLU"):
-        PackedMLP(MLP([4, 8, 2], rng, sigmoid_output=True))
-    assert len(PackedMLP(MLP([4, 8, 2], rng)).units) == 2
+def test_packed_mlp_packs_each_linear_with_its_relu(rng):
+    units = PackedMLP(MLP([4, 8, 2], rng)).units
+    assert [(type(u.linear), type(u.relu)) for u in units] == [
+        (Linear, ReLU),
+        (Linear, type(None)),
+    ]
 
 
 # --------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ from repro.core.accelerator import HotlineAccelerator
 from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.eal import EALConfig
 from repro.core.pipeline import HotlineTrainer, ReferenceTrainer
-from repro.data.loader import MiniBatchLoader, ShardedLoader
+from repro.data.loader import MiniBatchLoader
 from repro.hwsim.cluster import multi_node, single_node
 from repro.hwsim.collectives import allreduce_time, hierarchical_allreduce_time
 from repro.models.dlrm import DLRM
@@ -252,10 +252,10 @@ def test_recalibration_updates_every_shard(tiny_model_config, tiny_click_log):
 
 
 def test_sharded_loader_deals_contiguous_views(tiny_click_log):
+    """Each loader batch deals into K=4 shards that are views into the log."""
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
-    sharded = ShardedLoader(loader, 4)
-    assert len(sharded) == len(loader)
-    for shards, batch in zip(sharded, loader, strict=True):
+    for batch in loader:
+        shards = batch.shards(4)
         assert len(shards) == 4
         assert sum(shard.size for shard in shards) == batch.size
         np.testing.assert_array_equal(
@@ -270,9 +270,9 @@ def test_sharded_loader_deals_contiguous_views(tiny_click_log):
 
 
 def test_sharded_loader_rejects_bad_shard_count(tiny_click_log):
-    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
+    batch = next(iter(MiniBatchLoader(tiny_click_log, batch_size=128)))
     with pytest.raises(ValueError):
-        ShardedLoader(loader, 0)
+        batch.shards(0)
 
 
 def test_rebinding_a_trainer_drops_the_previous_runs_inflight_state(

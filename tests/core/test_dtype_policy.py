@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro.models.dlrm as dlrm_module
-import repro.models.tbsm as tbsm_module
 from repro.core.accelerator import HotlineAccelerator
 from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.eal import EALConfig
@@ -75,16 +74,16 @@ def dtype_log(monkeypatch):
         seen.append(("sparse gradient values", grad.values.dtype))
 
     monkeypatch.setattr(SparseGradient, "__post_init__", recording_post_init)
-    for module in (dlrm_module, tbsm_module):
-        epilogue = module.fused_bce_epilogue
+    # Both models train through the skeleton's epilogue in ``models.dlrm``.
+    epilogue = dlrm_module.fused_bce_epilogue
 
-        def recording_epilogue(logits, targets, epilogue=epilogue):
-            loss, grad = epilogue(logits, targets)
-            seen.append(("logits", logits.dtype))
-            seen.append(("logit gradient", grad.dtype))
-            return loss, grad
+    def recording_epilogue(logits, targets):
+        loss, grad = epilogue(logits, targets)
+        seen.append(("logits", logits.dtype))
+        seen.append(("logit gradient", grad.dtype))
+        return loss, grad
 
-        monkeypatch.setattr(module, "fused_bce_epilogue", recording_epilogue)
+    monkeypatch.setattr(dlrm_module, "fused_bce_epilogue", recording_epilogue)
     return seen
 
 

@@ -38,18 +38,3 @@ def test_select_preserves_alignment():
     assert subset.size == 2
     np.testing.assert_allclose(subset.dense[0], batch.dense[1])
     np.testing.assert_allclose(subset.labels[1], batch.labels[3])
-
-
-def test_split_partitions_batch():
-    batch = make_batch(n=10)
-    mask = np.arange(10) % 2 == 0
-    popular, non_popular = batch.split(mask)
-    assert popular.size == 5
-    assert non_popular.size == 5
-    assert popular.size + non_popular.size == batch.size
-
-
-def test_split_wrong_mask_length_raises():
-    batch = make_batch(n=4)
-    with pytest.raises(ValueError):
-        batch.split(np.array([True, False]))

@@ -246,16 +246,14 @@ def test_sample_batches_mirrors_first_epoch_content(log):
 
 
 # ---------------------------------------------------------------------- #
-# ShardedLoader edge cases
+# Each loader batch dealt into shards (MiniBatch.shards) — edge cases
 # ---------------------------------------------------------------------- #
 
 def test_sharded_loader_batch_not_divisible_by_shards(log):
     """Batch 100 over K=3: shard sizes differ by at most one, order kept."""
-    from repro.data.loader import ShardedLoader
-
     loader = MiniBatchLoader(log, batch_size=100)
-    sharded = ShardedLoader(loader, 3)
-    for shards, batch in zip(sharded, loader, strict=True):
+    for batch in loader:
+        shards = batch.shards(3)
         sizes = [shard.size for shard in shards]
         assert sum(sizes) == batch.size == 100
         assert max(sizes) - min(sizes) <= 1
@@ -273,11 +271,8 @@ def test_sharded_loader_batch_not_divisible_by_shards(log):
 
 def test_sharded_loader_more_shards_than_samples(log):
     """K > batch: every batch still deals K shards, the extras empty."""
-    from repro.data.loader import ShardedLoader
-
     loader = MiniBatchLoader(log, batch_size=5)
-    sharded = ShardedLoader(loader, 8)
-    shards = next(iter(sharded))
+    shards = next(iter(loader)).shards(8)
     assert len(shards) == 8
     sizes = [shard.size for shard in shards]
     assert sum(sizes) == 5
@@ -305,10 +300,9 @@ def test_sharded_loader_empty_shards_are_skippable_views(log):
 
 
 def test_sharded_loader_single_shard_is_identity(log):
-    from repro.data.loader import ShardedLoader
-
     loader = MiniBatchLoader(log, batch_size=128)
-    for shards, batch in zip(ShardedLoader(loader, 1), loader, strict=True):
+    for batch in loader:
+        shards = batch.shards(1)
         assert len(shards) == 1
         assert shards[0].size == batch.size
         np.testing.assert_array_equal(shards[0].labels, batch.labels)

@@ -47,6 +47,17 @@ def test_bottom_mlp_must_end_at_embedding_dim(tiny_model_config):
         DLRM(bad)
 
 
+@pytest.mark.parametrize("top_mlp", ["16-2", "16-8-4"])
+def test_top_mlp_must_end_in_one_logit(tiny_model_config, top_mlp):
+    """A wider output would score each sample more than once; the model
+    refuses it at construction, naming the width."""
+    from dataclasses import replace
+
+    width = top_mlp.rsplit("-", 1)[1]
+    with pytest.raises(ValueError, match=f"one logit, not {width}$"):
+        DLRM(replace(tiny_model_config, top_mlp=top_mlp))
+
+
 def test_loss_and_gradients_returns_one_grad_per_table(tiny_dlrm, tiny_click_log):
     """One flat-keyed gradient whose keys are exactly the batch's lookups,
     row ``r`` of table ``t`` as ``offsets[t] + r``."""

@@ -14,6 +14,13 @@ def test_requires_attention_config(tiny_model_config):
         TBSM(tiny_model_config)
 
 
+def test_top_mlp_must_end_in_one_logit(tiny_ts_model_config):
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match="one logit, not 2$"):
+        TBSM(replace(tiny_ts_model_config, top_mlp="12-2"))
+
+
 def test_forward_shape(tiny_tbsm, tiny_ts_click_log):
     logits = tiny_tbsm.forward(tiny_ts_click_log.batch(0, 16))
     assert logits.shape == (16,)

@@ -1,9 +1,9 @@
-"""Unit tests for Linear / ReLU / Sigmoid layers, including gradient checks."""
+"""Unit tests for the Linear and ReLU layers, including gradient checks."""
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, ReLU, Sigmoid
+from repro.nn.layers import Linear, ReLU
 from tests.helpers import assert_gradients_close, numerical_gradient
 
 
@@ -92,32 +92,6 @@ def test_relu_backward_masks_gradient(rng):
 def test_relu_has_no_parameters():
     assert ReLU().parameters() == []
     assert ReLU().num_parameters == 0
-
-
-def test_sigmoid_output_range(rng):
-    sig = Sigmoid()
-    out = sig.forward(rng.normal(scale=10.0, size=(100,)))
-    assert np.all(out > 0.0) and np.all(out < 1.0)
-
-
-def test_sigmoid_extreme_inputs_are_stable():
-    sig = Sigmoid()
-    out = sig.forward(np.array([-1e4, 1e4]))
-    assert np.isfinite(out).all()
-    np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
-
-
-def test_sigmoid_backward_matches_numeric(rng):
-    sig = Sigmoid()
-    x = rng.normal(size=(4, 3))
-
-    def loss_fn(x_in):
-        return float(sig.forward(x_in).sum())
-
-    sig.forward(x)
-    grad = sig.backward(np.ones((4, 3)))
-    numeric = numerical_gradient(loss_fn, x)
-    assert_gradients_close(grad, numeric)
 
 
 def test_layer_parameter_counts(rng):

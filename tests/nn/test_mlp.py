@@ -8,22 +8,9 @@ from repro.nn.mlp import MLP
 from tests.helpers import assert_gradients_close, numerical_gradient
 
 
-def test_mlp_from_arch_string(rng):
-    mlp = MLP.from_arch_string("13-64-32-16", rng)
-    assert mlp.layer_sizes == [13, 64, 32, 16]
-    out = mlp.forward(rng.normal(size=(4, 13)))
-    assert out.shape == (4, 16)
-
-
 def test_mlp_requires_two_sizes(rng):
     with pytest.raises(ValueError):
         MLP([8], rng)
-
-
-def test_mlp_sigmoid_output_bounded(rng):
-    mlp = MLP([4, 8, 1], rng, sigmoid_output=True)
-    out = mlp.forward(rng.normal(scale=5.0, size=(16, 4)))
-    assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_mlp_backward_matches_numeric_on_inputs(rng):
@@ -71,11 +58,6 @@ def test_mlp_flops_per_sample(rng):
     assert mlp.flops_per_sample == (2 * 4 * 8 + 8 + 8) + (2 * 8 * 2 + 2)
 
 
-def test_mlp_flops_per_sample_counts_output_sigmoid(rng):
-    mlp = MLP([4, 8, 2], rng, sigmoid_output=True)
-    assert mlp.flops_per_sample == (2 * 4 * 8 + 8 + 8) + (2 * 8 * 2 + 2 + 2)
-
-
 def test_mlp_zero_grad_resets_all_layers(rng):
     mlp = MLP([3, 5, 1], rng)
     x = rng.normal(size=(4, 3))
@@ -86,16 +68,13 @@ def test_mlp_zero_grad_resets_all_layers(rng):
         assert np.all(grad == 0.0)
 
 
-@pytest.mark.parametrize("sigmoid_output", [False, True])
-def test_mlp_infer_is_forward_without_caches(rng, sigmoid_output):
+def test_mlp_infer_is_forward_without_caches(rng):
     """``infer`` returns ``forward``'s bits and leaves every layer's cache
     as the last ``forward`` left it (here: unset)."""
-    mlp = MLP([4, 8, 3], rng, sigmoid_output=sigmoid_output)
+    mlp = MLP([4, 8, 3], rng)
     x = rng.normal(size=(6, 4)).astype(np.float32)
     inferred = mlp.infer(x)
     assert all(
-        getattr(layer, name, None) is None
-        for layer in mlp.layers
-        for name in ("_input", "_mask", "_output")
+        getattr(layer, name, None) is None for layer in mlp.layers for name in ("_input", "_mask")
     )
     assert inferred.tobytes() == mlp.forward(x).tobytes()

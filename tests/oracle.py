@@ -48,7 +48,6 @@ from contextlib import contextmanager
 import numpy as np
 
 import repro.models.dlrm
-import repro.models.tbsm
 import repro.nn.interaction
 from repro.core.classifier import MicroBatches, split_minibatch
 from repro.core.distributed import ShardedHotlineTrainer
@@ -93,7 +92,7 @@ class _SequentialSegments:
     ) -> tuple[list[float], list[SparseGradient]]:
         """The per-segment loop the fused pass must reproduce bit for bit.
 
-        Same contract as :meth:`repro.models.dlrm.DLRM.
+        Same contract as :meth:`repro.models.dlrm.RecommendationModel.
         fused_loss_and_gradients`: dense gradients accumulate in the
         layers segment by segment, and the result is per-segment losses
         plus per-segment flat-keyed gradients.
@@ -675,8 +674,9 @@ def reference_kernels(*, interaction: bool = True, loss: bool = True) -> Iterato
     ``interaction`` makes every interaction shape uncertified, so
     :class:`~repro.nn.interaction.DotInteractionKernel` and
     :func:`~repro.nn.interaction.dot_interaction` take the einsum
-    reference; ``loss`` routes both models' loss epilogue through the
-    two-pass :func:`~repro.nn.loss.reference_epilogue`.  Every patched name
+    reference; ``loss`` routes both models' loss epilogue (the skeleton's
+    in :mod:`repro.models.dlrm`) through the two-pass
+    :func:`~repro.nn.loss.reference_epilogue`.  Every patched name
     is restored on exit.  Not thread-safe: use from single-threaded test
     and measurement code only.
     """
@@ -685,7 +685,6 @@ def reference_kernels(*, interaction: bool = True, loss: bool = True) -> Iterato
         patches.append((repro.nn.interaction, "interaction_certified", lambda *_: False))
     if loss:
         patches.append((repro.models.dlrm, "fused_bce_epilogue", reference_epilogue))
-        patches.append((repro.models.tbsm, "fused_bce_epilogue", reference_epilogue))
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
         for owner, name, value in patches:
