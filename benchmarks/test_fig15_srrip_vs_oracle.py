@@ -6,8 +6,7 @@ inputs an ideal (unbounded-counter) LFU tracker would identify.
 
 from repro.analysis.report import format_table
 from repro.core.eal import EALConfig, EmbeddingAccessLogger, OracleLFUTracker
-from repro.core.lookup_engine import LookupEngineArray
-from repro.data import generate_click_log
+from repro.data import generate_click_log, popular_input_fraction
 from repro.models import RM1, RM2, RM3, RM4
 
 SCALED = [
@@ -24,7 +23,6 @@ EAL_ENTRIES = 2048
 
 def compare_trackers():
     rows = []
-    array = LookupEngineArray(64)
     for label, config in SCALED:
         log = generate_click_log(config.dataset, TRAIN_SAMPLES + EVAL_SAMPLES, seed=31)
         train = log.sparse[:TRAIN_SAMPLES]
@@ -38,12 +36,8 @@ def compare_trackers():
         oracle.access_batch(train)
 
         num_tables = config.num_sparse_features
-        srrip_popular = array.classify_with_hot_sets(
-            evaluation, eal.hot_indices(num_tables)
-        ).mean()
-        oracle_popular = array.classify_with_hot_sets(
-            evaluation, oracle.hot_indices(num_tables)
-        ).mean()
+        srrip_popular = popular_input_fraction(evaluation, eal.hot_indices(num_tables))
+        oracle_popular = popular_input_fraction(evaluation, oracle.hot_indices(num_tables))
         rows.append((label, round(100 * oracle_popular, 1), round(100 * srrip_popular, 1)))
     return rows
 

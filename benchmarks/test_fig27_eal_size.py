@@ -12,8 +12,7 @@ reproduced claim.
 
 from repro.analysis.report import format_table
 from repro.core.eal import EALConfig, EmbeddingAccessLogger
-from repro.core.lookup_engine import LookupEngineArray
-from repro.data import generate_click_log
+from repro.data import generate_click_log, popular_input_fraction
 from repro.models import RM1, RM2, RM3, RM4
 
 SCALED = [
@@ -30,7 +29,6 @@ EVAL_SAMPLES = 1500
 
 
 def sweep():
-    array = LookupEngineArray(64)
     table = {}
     for label, config in SCALED:
         log = generate_click_log(config.dataset, TRAIN_SAMPLES + EVAL_SAMPLES, seed=61)
@@ -43,7 +41,7 @@ def sweep():
             )
             eal.access_batch(train)
             hot = eal.hot_indices(config.num_sparse_features)
-            fractions.append(float(array.classify_with_hot_sets(evaluation, hot).mean()))
+            fractions.append(popular_input_fraction(evaluation, hot))
         table[label] = fractions
     return table
 

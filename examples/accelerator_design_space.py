@@ -20,8 +20,7 @@ from __future__ import annotations
 from repro.analysis.report import format_breakdown, format_series, format_table
 from repro.core import HotlineScheduler
 from repro.core.eal import EALConfig, EmbeddingAccessLogger, expected_parallel_requests
-from repro.core.lookup_engine import LookupEngineArray
-from repro.data import generate_click_log
+from repro.data import generate_click_log, popular_input_fraction
 from repro.hwsim import single_node
 from repro.hwsim.energy import HOTLINE_ENERGY_MODEL
 from repro.models import RM3
@@ -33,7 +32,6 @@ def sweep_eal_capacity() -> None:
     config = RM3.scaled(max_rows_per_table=2000)
     log = generate_click_log(config.dataset, 4000, seed=5)
     train, evaluation = log.sparse[:2500], log.sparse[2500:]
-    array = LookupEngineArray(64)
     capacities = [256, 512, 1024, 2048, 4096]
     fractions = []
     for capacity in capacities:
@@ -42,7 +40,7 @@ def sweep_eal_capacity() -> None:
         )
         eal.access_batch(train)
         hot = eal.hot_indices(config.num_sparse_features)
-        fractions.append(float(array.classify_with_hot_sets(evaluation, hot).mean()))
+        fractions.append(popular_input_fraction(evaluation, hot))
     print(
         format_series(
             "EAL capacity sweep (scaled Criteo Terabyte)",

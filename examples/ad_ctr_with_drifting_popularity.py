@@ -15,21 +15,13 @@ Run:  python examples/ad_ctr_with_drifting_popularity.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.accelerator import HotlineAccelerator
 from repro.core.eal import EALConfig
-from repro.core.lookup_engine import LookupEngineArray
-from repro.data.skew import EvolvingSkewGenerator
+from repro.data.skew import EvolvingSkewGenerator, popular_input_fraction
 from repro.models import RM3
 
 NUM_DAYS = 6
 SAMPLES_PER_DAY = 6000
-
-
-def popular_fraction(sparse: np.ndarray, hot_sets) -> float:
-    """Fraction of inputs whose every lookup hits the tracked hot set."""
-    return float(LookupEngineArray(64).classify_with_hot_sets(sparse, hot_sets).mean())
 
 
 def main() -> None:
@@ -62,8 +54,8 @@ def main() -> None:
         online_hot = online_accel.hot_sets(num_tables)
 
         evaluation = traffic.sparse[SAMPLES_PER_DAY // 2 :]
-        static_frac = popular_fraction(evaluation, static_hot)
-        online_frac = popular_fraction(evaluation, online_hot)
+        static_frac = popular_input_fraction(evaluation, static_hot)
+        online_frac = popular_input_fraction(evaluation, online_hot)
         static_history.append(static_frac)
         online_history.append(online_frac)
         print(f"{day:>4}  {static_frac:>15.1%}  {online_frac:>21.1%}")

@@ -13,7 +13,7 @@ Recommendation System Training" (ISCA 2024).  The package is organised as:
   and the per-phase training cost model;
 * :mod:`repro.baselines` — XDL, Intel-optimized hybrid DLRM, FAE, HugeCTR,
   ScratchPipe-Ideal, and CPU-driven Hotline;
-* :mod:`repro.analysis` — breakdowns, roofline, and report formatting.
+* :mod:`repro.analysis` — breakdowns and report formatting.
 """
 
 __version__ = "1.0.0"

@@ -2,22 +2,19 @@
 
 * :mod:`repro.analysis.breakdown` — per-phase training-time breakdowns in
   the category scheme the paper's stacked-bar figures use (Figs. 3-5, 20).
-* :mod:`repro.analysis.roofline` — the roofline argument of Section IV
-  (HBM vs DDR4 embedding-lookup bandwidth bound, ~3x theoretical gain).
 * :mod:`repro.analysis.report` — plain-text table/series formatting used by
   the benchmark harness to print the rows each figure plots.
+
+Section IV's roofline argument (HBM vs DDR4 embedding-gather bandwidth) is
+the memory model's :meth:`~repro.hwsim.memory.MemorySpec.gather_time`.
 """
 
-from repro.analysis.breakdown import BREAKDOWN_CATEGORIES, merge_breakdowns, normalised_breakdown
+from repro.analysis.breakdown import BREAKDOWN_CATEGORIES, normalised_breakdown
 from repro.analysis.report import format_breakdown, format_series, format_table
-from repro.analysis.roofline import RooflinePoint, embedding_lookup_roofline
 
 __all__ = [
     "BREAKDOWN_CATEGORIES",
     "normalised_breakdown",
-    "merge_breakdowns",
-    "embedding_lookup_roofline",
-    "RooflinePoint",
     "format_table",
     "format_series",
     "format_breakdown",

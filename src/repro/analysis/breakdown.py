@@ -34,20 +34,6 @@ def normalised_breakdown(timeline: Timeline) -> dict[str, float]:
     return full
 
 
-def merge_breakdowns(breakdowns: list[dict[str, float]]) -> dict[str, float]:
-    """Average several breakdowns (e.g. across datasets) category-wise."""
-    if not breakdowns:
-        return {category: 0.0 for category in BREAKDOWN_CATEGORIES}
-    keys = set(BREAKDOWN_CATEGORIES)
-    for breakdown in breakdowns:
-        keys.update(breakdown)
-    merged = {
-        key: sum(breakdown.get(key, 0.0) for breakdown in breakdowns) / len(breakdowns)
-        for key in keys
-    }
-    return merged
-
-
 def embedding_related_fraction(breakdown: dict[str, float]) -> float:
     """Fraction of time spent on embedding work + communication.
 

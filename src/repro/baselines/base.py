@@ -63,10 +63,6 @@ class ExecutionModel(abc.ABC):
         """Training throughput in epochs per hour (Figure 21's metric)."""
         return 3600.0 / self.epoch_time(batch_size)
 
-    def samples_per_second(self, batch_size: int) -> float:
-        """Training throughput in samples per second."""
-        return batch_size / self.step_time(batch_size)
-
     def breakdown(self, batch_size: int) -> dict[str, float]:
         """Per-category time fractions of one iteration (Figures 3-5, 20)."""
         return self.step_timeline(batch_size).category_fractions()

@@ -5,19 +5,20 @@ This package implements the paper's contribution:
 * :mod:`repro.core.eal` — the Embedding Access Logger, a 4 MB multi-banked
   SRAM cache with SRRIP replacement that tracks frequently-accessed
   embedding indices online (Section V-B, Figures 14-16).
-* :mod:`repro.core.lookup_engine` — the parallel 2-D lookup network with a
-  Feistel-network randomizer that classifies inputs as popular or
-  non-popular (Section V-C, Figure 17).
-* :mod:`repro.core.dispatcher` — the Data Dispatcher: address registers,
-  memory controller, input classifier, and input eDRAM (Section V-A).
-* :mod:`repro.core.reducer` — sparse-length-sum pooling ALU array
-  (Section V-D).
-* :mod:`repro.core.isa` — the accelerator's six-instruction ISA and driver
-  (Section V-E, Table I).
-* :mod:`repro.core.classifier` / :mod:`repro.core.placement` — µ-batch
-  fragmentation and the access-aware embedding layout.
+* :mod:`repro.core.lookup_engine` — the Feistel-network randomizer that
+  hashes keys onto EAL sets, and the cycle model of the parallel 2-D lookup
+  network that classifies inputs as popular or non-popular (Section V-C,
+  Figure 17).
+* :mod:`repro.core.reducer` — the cycle model of the sparse-length-sum
+  pooling ALU array (Section V-D) and the gradient collectives.
+* :mod:`repro.core.hotset` / :mod:`repro.core.classifier` /
+  :mod:`repro.core.placement` — the flat hot-set bitmap that classifies a
+  mini-batch, µ-batch fragmentation and the access-aware embedding layout.
 * :mod:`repro.core.accelerator` — the assembled Hotline accelerator device
-  model with Table IV specs, segregation-cycle and area/energy models.
+  model with Table IV specs, segregation, gather, scatter and write-back
+  timing, and area/power.  The Data Dispatcher (Section V-A) and the ISA
+  (Section V-E, Table I) are priced through that timing and the
+  dispatcher's area/power row, not modelled as objects.
 * :mod:`repro.core.scheduler` — the layout-aware pipeline scheduler that
   overlaps non-popular parameter gathering with popular µ-batch execution
   (Figure 12).
@@ -52,14 +53,12 @@ from repro.core.accelerator import (
     HotlineAccelerator,
 )
 from repro.core.classifier import MicroBatches, split_minibatch
-from repro.core.dispatcher import AddressRegisters, DataDispatcher, InputEDRAM
 from repro.core.distributed import Shard, ShardedHotlineTrainer
 from repro.core.eal import (
     EALConfig,
     EmbeddingAccessLogger,
     OracleLFUTracker,
     expected_parallel_requests,
-    simulate_parallel_requests,
 )
 from repro.core.engine import (
     StepExecutor,
@@ -70,13 +69,12 @@ from repro.core.engine import (
     recalibration_points,
 )
 from repro.core.hotset import HotSetIndex, as_hot_set_index
-from repro.core.isa import AcceleratorInterpreter, Instruction, InstructionDriver, Opcode
 from repro.core.lookahead import (
     CachedEmbeddingPipeline,
     LookaheadStats,
     epoch_row_stream,
 )
-from repro.core.lookup_engine import FeistelRandomizer, LookupEngine, LookupEngineArray
+from repro.core.lookup_engine import FeistelRandomizer, LookupEngineArray
 from repro.core.pipeline import HotlineTrainer, ReferenceTrainer
 from repro.core.placement import EmbeddingPlacement, PartitionedEmbeddingPlacement
 from repro.core.reducer import GradientBucketReducer, Reducer, SparseGradientExchange
@@ -89,18 +87,9 @@ __all__ = [
     "EmbeddingAccessLogger",
     "OracleLFUTracker",
     "expected_parallel_requests",
-    "simulate_parallel_requests",
     "FeistelRandomizer",
-    "LookupEngine",
     "LookupEngineArray",
-    "AddressRegisters",
-    "DataDispatcher",
-    "InputEDRAM",
     "Reducer",
-    "Opcode",
-    "Instruction",
-    "InstructionDriver",
-    "AcceleratorInterpreter",
     "MicroBatches",
     "split_minibatch",
     "EmbeddingPlacement",

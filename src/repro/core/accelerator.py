@@ -1,11 +1,16 @@
 """The assembled Hotline accelerator device model.
 
-Combines the EAL, Lookup Engine array, Data Dispatcher, Reducer, and ISA
-driver into a single device with the specification of Table IV:
+Combines the EAL, the Lookup Engine array's cycle model and the Reducer's
+into a single device with the specification of Table IV:
 
     Frequency 350 MHz, EAL 4 MB, 64 lookup engines, 16 reducer ALUs,
     2.5 MB input eDRAM, 0.5 kB embedding vector buffer,
     7.01 mm^2 total area, 132 mJ average energy.
+
+The paper's Data Dispatcher (Section V-A) and its six-instruction ISA
+(Table I) are not modelled as objects: what the figures read of them is
+the gather, scatter and write-back timing below and the dispatcher's
+area/power row in :mod:`repro.hwsim.energy`.
 
 The timing methods answer the two questions the pipeline scheduler needs:
 
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dispatcher import AddressRegisters, DataDispatcher, InputEDRAM
 from repro.core.eal import EALConfig, EmbeddingAccessLogger
 from repro.core.lookup_engine import LookupEngineArray
 from repro.core.reducer import Reducer
@@ -81,9 +85,6 @@ class HotlineAccelerator:
         )
         self.lookup_engines = LookupEngineArray(self.spec.num_lookup_engines)
         self.reducer = Reducer(self.spec.num_reducer_alus)
-        self.address_registers = AddressRegisters()
-        self.edram = InputEDRAM(size_bytes=self.spec.input_edram_bytes)
-        self.dispatcher = DataDispatcher(self.address_registers, self.edram, row_bytes=row_bytes)
         self.dma = DMAEngine(link=pcie)
         self.energy_model = energy_model
         self.pcie = pcie
@@ -170,7 +171,3 @@ class HotlineAccelerator:
     def power_w(self) -> float:
         """Average accelerator power."""
         return self.energy_model.total_power_w
-
-    def energy_joules(self, runtime_s: float) -> float:
-        """Energy consumed over a period of activity."""
-        return self.energy_model.energy_joules(runtime_s)

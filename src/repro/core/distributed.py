@@ -133,7 +133,6 @@ class ShardedHotlineTrainer(StepExecutor):
             defaults to a single node with ``num_shards`` GPUs.
         lr: SGD learning rate.
         sample_fraction: Learning-phase sampling fraction per shard.
-        hbm_budget_bytes: Per-GPU budget for each shard's hot replica.
         perf_model: Optional execution model pricing per-shard compute.
         seed: Base seed; shard k's accelerator is seeded ``seed + k`` so
             the per-shard EALs track their own access streams.
@@ -159,7 +158,7 @@ class ShardedHotlineTrainer(StepExecutor):
             this byte capacity (``None`` disables tiering).  The tier is
             built at :meth:`bind`: shard 0's learning-phase hot rows are
             pinned resident in one call (they replicate on every device,
-            budgeted by ``hbm_budget_bytes``), each step's whole lookup
+            bounded by the EAL's capacity), each step's whole lookup
             block resolves through the tier in one touch (bit-identical
             numerics — pricing and hit/miss/eviction counters only), and
             LFU eviction keeps the cached rows beside the pinned ones
@@ -178,7 +177,6 @@ class ShardedHotlineTrainer(StepExecutor):
         cluster: Cluster | None = None,
         lr: float = 0.05,
         sample_fraction: float = 0.05,
-        hbm_budget_bytes: float = 512 * 1024 * 1024,
         perf_model: ExecutionModel | None = None,
         seed: int = 0,
         bucket_bytes: int = 4 * 1024 * 1024,
@@ -199,7 +197,6 @@ class ShardedHotlineTrainer(StepExecutor):
             )
         self.lr = lr
         self.sample_fraction = sample_fraction
-        self.hbm_budget_bytes = hbm_budget_bytes
         self.perf_model = perf_model
         rows_per_table = model.config.dataset.rows_per_table
         row_bytes = model.config.embedding_dim * model.config.dtype_bytes
@@ -307,7 +304,6 @@ class ShardedHotlineTrainer(StepExecutor):
                     rows_per_table=config.dataset.rows_per_table,
                     embedding_dim=config.embedding_dim,
                     dtype_bytes=config.dtype_bytes,
-                    hbm_budget_bytes=self.hbm_budget_bytes,
                 )
             else:
                 shard.placement.update_hot_sets(hot_sets)

@@ -344,11 +344,6 @@ class OracleLFUTracker:
         self.capacity_entries = capacity_entries
         self._counts: dict[tuple[int, int], int] = {}
 
-    def access(self, table: int, index: int) -> None:
-        """Record one access."""
-        key = (int(table), int(index))
-        self._counts[key] = self._counts.get(key, 0) + 1
-
     def access_batch(self, sparse: np.ndarray) -> None:
         """Record every lookup of a (batch, tables, pooling) index array."""
         batch, num_tables, pooling = sparse.shape
@@ -368,18 +363,6 @@ class OracleLFUTracker:
                 result[table].append(index)
         return [np.array(sorted(rows), dtype=np.int64) for rows in result]
 
-    def contains(self, table: int, index: int) -> bool:
-        """Whether (table, index) is in the current top-capacity set.
-
-        A scalar query against the O(capacity) hot list; batch callers
-        should build a :class:`~repro.core.hotset.HotSetIndex` from
-        :meth:`hot_indices` instead of probing one id at a time.
-        """
-        hot = self.hot_indices(table + 1)
-        if table >= len(hot):
-            return False
-        return bool(np.any(hot[table] == int(index)))
-
 
 # ---------------------------------------------------------------------- #
 # Bank-parallelism design space (Figure 16)
@@ -397,23 +380,3 @@ def expected_parallel_requests(queue_size: int, num_banks: int) -> float:
     n = float(num_banks)
     m = float(queue_size)
     return n * (1.0 - (1.0 - 1.0 / n) ** m)
-
-
-def simulate_parallel_requests(
-    queue_size: int, num_banks: int, trials: int = 200, seed: int = 0
-) -> float:
-    """Monte-Carlo estimate of requests issued per iteration.
-
-    Accounts for the slight loss relative to the analytic expectation caused
-    by hashed (rather than perfectly uniform) bank mappings, which is why the
-    paper reports ~60 requests for 64 banks x 512 queue rather than ~64.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    rng = np.random.default_rng(seed)
-    randomizer = FeistelRandomizer(seed=seed)
-    issued_total = 0
-    for _ in range(trials):
-        keys = rng.integers(0, 2**32, size=queue_size, dtype=np.uint64)
-        issued_total += len(np.unique(randomizer.hash(keys) % num_banks))
-    return issued_total / trials

@@ -120,11 +120,6 @@ class HotSetIndex:
         row = int(row)
         return bool(0 <= row < self._rows[table] and self._bitmap[self._offsets[table] + row])
 
-    def split_rows(self, table: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split ``rows`` into (hot, cold) subsets, preserving order."""
-        mask = self.contains(table, rows)
-        return rows[mask], rows[~mask]
-
     def replace_table(self, table: int, new_hot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Swap one table's hot set, flipping only the rows that drifted.
 

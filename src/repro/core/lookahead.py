@@ -485,11 +485,6 @@ class CachedEmbeddingPipeline:
         self.last_stats = LookaheadStats()
 
     @property
-    def num_tables(self) -> int:
-        """Number of cached embedding tables."""
-        return len(self.rows_per_table)
-
-    @property
     def cached_rows_total(self) -> int:
         """Current cache occupancy across tables (the referenced keys)."""
         return self._refcounts.tracked_keys

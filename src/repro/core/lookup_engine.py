@@ -5,7 +5,9 @@ parallelises across the embedding tables touched by a single input (up to
 26 distinct tables in the Criteo models), the other across the inputs of a
 mini-batch.  During the learning phase it feeds accessed indices to the
 EAL; during the acceleration phase it classifies each input as popular
-(every index tracked by the EAL) or non-popular.
+(every index tracked by the EAL) or non-popular.  This module keeps the
+array's cycle model; the classification runs on the placement's
+:class:`~repro.core.hotset.HotSetIndex`.
 
 Each engine contains registers for the table number and index, and a
 *randomizer* — a low-latency Feistel network (Luby-Rackoff construction) —
@@ -15,11 +17,7 @@ prevent thrashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.core.hotset import HotSetIndex, as_hot_set_index
 
 
 class FeistelRandomizer:
@@ -76,78 +74,20 @@ class FeistelRandomizer:
         return (left << 16) | right
 
 
-@dataclass(frozen=True)
-class LookupEngine:
-    """One lane of the lookup network.
-
-    Attributes:
-        engine_id: Position of the engine in the array.
-        lookups_per_cycle: Index comparisons the engine performs per cycle.
-    """
-
-    engine_id: int
-    lookups_per_cycle: int = 1
-
-    def cycles_for(self, num_lookups: int) -> int:
-        """Cycles to test ``num_lookups`` indices against the EAL."""
-        if num_lookups <= 0:
-            return 0
-        return -(-num_lookups // self.lookups_per_cycle)  # ceil division
-
-
 class LookupEngineArray:
-    """The array of (by default 64) lookup engines.
+    """The cycle model of the array of (by default 64) lookup engines.
 
-    The array provides two services:
-
-    * **classification** — given a mini-batch's sparse indices and an EAL
-      (or any object with a ``contains(table, index)`` method), produce the
-      popular/non-popular input mask;
-    * **cycle accounting** — how many accelerator cycles the classification
-      takes, given the 2-D parallelism (tables within an input x inputs
-      within the mini-batch) and the engine-count limit.
+    How many accelerator cycles classifying a mini-batch takes, given the
+    2-D parallelism (tables within an input x inputs within the
+    mini-batch) and the engine-count limit.  The classification itself is
+    :meth:`~repro.core.hotset.HotSetIndex.classify` (through
+    :func:`repro.data.skew.popular_input_mask` outside a trainer).
     """
 
     def __init__(self, num_engines: int = 64):
         if num_engines <= 0:
             raise ValueError("the array needs at least one engine")
         self.num_engines = num_engines
-        self.engines = [LookupEngine(i) for i in range(num_engines)]
-
-    def classify(self, sparse: np.ndarray, tracker) -> np.ndarray:
-        """Popular-input mask for a (batch, tables, pooling) index array.
-
-        An input is popular only if *every* one of its lookups is tracked.
-        """
-        batch, num_tables, pooling = sparse.shape
-        mask = np.ones(batch, dtype=bool)
-        for i in range(batch):
-            popular = True
-            for table in range(num_tables):
-                for index in sparse[i, table, :]:
-                    if not tracker.contains(table, int(index)):
-                        popular = False
-                        break
-                if not popular:
-                    break
-            mask[i] = popular
-        return mask
-
-    def classify_with_hot_sets(
-        self, sparse: np.ndarray, hot_sets: list[np.ndarray] | HotSetIndex
-    ) -> np.ndarray:
-        """Vectorised classification against explicit per-table hot sets.
-
-        Functionally identical to :meth:`classify` when the hot sets are the
-        EAL's resident indices; used on large batches where the per-index
-        query path would be slow in Python.  ``hot_sets`` may be per-table
-        arrays or a prebuilt :class:`~repro.core.hotset.HotSetIndex`.
-        """
-        _batch, num_tables, _pooling = sparse.shape
-        index = as_hot_set_index(hot_sets)
-        if index.num_tables != num_tables:
-            raise ValueError("one hot set per table is required")
-        return index.classify(sparse)
 
     def segregation_cycles(self, batch_size: int, lookups_per_input: int) -> int:
         """Accelerator cycles to classify one mini-batch.
@@ -159,11 +99,3 @@ class LookupEngineArray:
         if total_lookups <= 0:
             return 0
         return -(-total_lookups // self.num_engines)  # ceil division
-
-    def throughput_per_input(self, distinct_tables: int) -> int:
-        """Parallel lookups achieved for one input touching ``distinct_tables``.
-
-        Matches the paper's claim of 26x throughput per input when an input
-        requires 26 distinct embedding tables (bounded by the engine count).
-        """
-        return min(distinct_tables, self.num_engines)

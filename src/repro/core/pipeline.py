@@ -94,7 +94,6 @@ class HotlineTrainer(ShardedHotlineTrainer):
         *,
         lr: float = 0.05,
         sample_fraction: float = 0.05,
-        hbm_budget_bytes: float = 512 * 1024 * 1024,
         perf_model: ExecutionModel | None = None,
     ):
         super().__init__(
@@ -102,7 +101,6 @@ class HotlineTrainer(ShardedHotlineTrainer):
             1,
             lr=lr,
             sample_fraction=sample_fraction,
-            hbm_budget_bytes=hbm_budget_bytes,
             perf_model=perf_model,
         )
         if accelerator is not None:

@@ -36,14 +36,16 @@ class EmbeddingPlacement:
         rows_per_table: Table sizes (for footprint accounting).
         embedding_dim: Row width.
         dtype_bytes: Bytes per element.
-        hbm_budget_bytes: Per-GPU budget for the hot replica (paper: 512 MB).
+
+    Nothing here caps the hot set: the EAL that found it bounds it, by its
+    capacity (:attr:`~repro.core.eal.EALConfig.size_bytes`, 4 MB in the
+    paper, about 2 M tracked rows).
     """
 
     hot_sets: list[np.ndarray]
     rows_per_table: tuple[int, ...]
     embedding_dim: int
     dtype_bytes: int = 4
-    hbm_budget_bytes: float = 512 * 1024 * 1024
     index: HotSetIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -83,18 +85,6 @@ class EmbeddingPlacement:
         """CPU DRAM footprint of the cold rows."""
         return float(self.cold_rows_total) * self.row_bytes
 
-    def fits_budget(self) -> bool:
-        """Whether the hot replica respects the per-GPU HBM budget."""
-        return self.gpu_bytes <= self.hbm_budget_bytes
-
-    def is_hot(self, table: int, row: int) -> bool:
-        """Whether a row lives in the GPU replica."""
-        return self.index.is_hot(table, row)
-
-    def split_rows(self, table: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split looked-up ``rows`` of one table into (hot, cold) subsets."""
-        return self.index.split_rows(table, rows)
-
     def update_hot_sets(self, new_hot_sets: list[np.ndarray]) -> EmbeddingPlacement:
         """Apply a recalibration's hot sets as in-place bitmap deltas.
 
@@ -109,34 +99,6 @@ class EmbeddingPlacement:
             self.index.replace_table(table, new_hot)
         self.hot_sets = list(self.index.hot_sets)
         return self
-
-    def truncate_to_budget(self, access_counts: list[np.ndarray]) -> EmbeddingPlacement:
-        """Return a placement whose hot replica fits the HBM budget.
-
-        If the tracked hot set exceeds the budget, keep the most-accessed
-        rows first (requires per-table access counts, e.g. from the EAL's
-        learning phase or an offline histogram).
-        """
-        max_rows = int(self.hbm_budget_bytes // self.row_bytes)
-        if self.hot_rows_total <= max_rows:
-            return self
-        scored: list[tuple[float, int, int]] = []
-        for table, hot in enumerate(self.hot_sets):
-            counts = access_counts[table]
-            for row in hot:
-                scored.append((float(counts[row]), table, int(row)))
-        scored.sort(reverse=True)
-        kept: list[list[int]] = [[] for _ in self.rows_per_table]
-        for _score, table, row in scored[:max_rows]:
-            kept[table].append(row)
-        new_hot = [np.array(sorted(rows), dtype=np.int64) for rows in kept]
-        return EmbeddingPlacement(
-            hot_sets=new_hot,
-            rows_per_table=self.rows_per_table,
-            embedding_dim=self.embedding_dim,
-            dtype_bytes=self.dtype_bytes,
-            hbm_budget_bytes=self.hbm_budget_bytes,
-        )
 
 
 @dataclass

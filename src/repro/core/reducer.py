@@ -6,8 +6,8 @@ Two kinds of reduction live here:
   units (16 in the paper's configuration, Table IV) that performs the
   sparse-length element-wise sum, pooling multiple fetched embedding rows
   into a single per-sample vector stored in the Embedding Vector Buffer.
-  Functionally this is the EmbeddingBag sum; the class also provides a cycle
-  model used by the accelerator's timing estimates.
+  Functionally this is the EmbeddingBag sum (:mod:`repro.nn.embedding`);
+  the class is its cycle model, used by the accelerator's timing estimates.
 
 * The **gradient collectives** used by the K-shard trainer
   (:mod:`repro.core.distributed`):
@@ -55,33 +55,13 @@ from repro.nn.embedding import SparseGradient, merge_sparse_gradients
 
 
 class Reducer:
-    """Sparse-length-sum pooling unit."""
+    """Cycle model of the sparse-length-sum pooling unit."""
 
     def __init__(self, num_alus: int = 16, lanes_per_alu: int = 16):
         if num_alus <= 0 or lanes_per_alu <= 0:
             raise ValueError("ALU count and lane width must be positive")
         self.num_alus = num_alus
         self.lanes_per_alu = lanes_per_alu
-
-    def reduce(self, rows: np.ndarray) -> np.ndarray:
-        """Element-wise sum of a (num_rows, dim) stack of embedding rows."""
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D (num_rows, dim) array")
-        if rows.shape[0] == 0:
-            return np.zeros(rows.shape[1], dtype=rows.dtype)
-        return rows.sum(axis=0)
-
-    def reduce_batch(self, rows_per_sample: list[np.ndarray]) -> np.ndarray:
-        """Pool each sample's rows; returns a (batch, dim) matrix."""
-        if not rows_per_sample:
-            raise ValueError("at least one sample is required")
-        first = rows_per_sample[0]
-        dim = first.shape[1] if first.ndim == 2 else first.shape[0]
-        dtype = np.result_type(*{np.asarray(rows).dtype for rows in rows_per_sample})
-        output = np.zeros((len(rows_per_sample), dim), dtype=dtype)
-        for i, rows in enumerate(rows_per_sample):
-            output[i] = self.reduce(np.atleast_2d(rows))
-        return output
 
     def cycles_for(self, num_rows: int, dim: int) -> int:
         """Accelerator cycles to pool ``num_rows`` rows of width ``dim``.

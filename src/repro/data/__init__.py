@@ -7,6 +7,9 @@ here, so this package generates seeded synthetic equivalents that match the
 statistics Hotline actually depends on: number of tables, rows per table,
 pooling factor (one-hot vs multi-hot), and — critically — the heavy-tailed
 Zipf access skew that makes >=75 % of inputs "popular" (Figure 6).
+:func:`~repro.data.skew.popular_input_mask` and
+:func:`~repro.data.skew.popular_input_fraction` classify a block of inputs
+against hot sets outside a trainer (the figures and examples use them).
 """
 
 from repro.data.batch import MiniBatch
@@ -19,7 +22,6 @@ from repro.data.datasets import (
     SYN_D2,
     TAOBAO_ALIBABA,
     DatasetSpec,
-    dataset_by_name,
 )
 from repro.data.loader import MiniBatchLoader
 from repro.data.skew import (
@@ -41,7 +43,6 @@ __all__ = [
     "SYN_D1",
     "SYN_D2",
     "PAPER_DATASETS",
-    "dataset_by_name",
     "MiniBatch",
     "SyntheticClickLog",
     "generate_click_log",

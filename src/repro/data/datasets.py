@@ -170,12 +170,3 @@ PAPER_DATASETS: dict[str, DatasetSpec] = {
     spec.name: spec
     for spec in (CRITEO_KAGGLE, TAOBAO_ALIBABA, CRITEO_TERABYTE, AVAZU, SYN_D1, SYN_D2)
 }
-
-
-def dataset_by_name(name: str) -> DatasetSpec:
-    """Look up a paper dataset by its figure label."""
-    try:
-        return PAPER_DATASETS[name]
-    except KeyError as exc:
-        known = ", ".join(sorted(PAPER_DATASETS))
-        raise KeyError(f"unknown dataset {name!r}; known datasets: {known}") from exc

@@ -102,14 +102,6 @@ class Cluster:
         """Aggregate CPU DRAM capacity of the cluster."""
         return self.num_nodes * self.node.total_dram_bytes
 
-    def fits_in_hbm(self, num_bytes: float) -> bool:
-        """Whether a model of ``num_bytes`` fits in aggregate HBM."""
-        return num_bytes <= self.total_hbm_bytes
-
-    def fits_in_dram(self, num_bytes: float) -> bool:
-        """Whether a model of ``num_bytes`` fits in aggregate CPU DRAM."""
-        return num_bytes <= self.total_dram_bytes
-
 
 @dataclass(frozen=True)
 class HierarchicalTopology:
@@ -184,11 +176,6 @@ class HierarchicalTopology:
     def total_gpus(self) -> int:
         """Total devices under the spine."""
         return self.gpus_per_node * self.num_nodes
-
-    @property
-    def total_nics(self) -> int:
-        """Total leaf NICs feeding the spine."""
-        return self.nics_per_node * self.num_nodes
 
     @property
     def spine_link(self) -> Link:

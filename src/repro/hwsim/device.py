@@ -108,11 +108,6 @@ class GPUSpec:
         """Time to stream ``num_bytes`` through HBM sequentially."""
         return self.memory.stream_time(num_bytes)
 
-    def fits(self, num_bytes: float) -> bool:
-        """Whether a tensor of ``num_bytes`` fits in this GPU's memory."""
-        return num_bytes <= self.memory_capacity_bytes
-
-
 XEON_SILVER_4116 = CPUSpec(
     name="Intel Xeon Silver 4116",
     cores=24,

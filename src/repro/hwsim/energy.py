@@ -55,14 +55,6 @@ class AcceleratorEnergyModel:
         total = self.total_power_w
         return {c.name: c.power_w / total for c in self.components}
 
-    def energy_joules(self, runtime_s: float) -> float:
-        """Energy consumed over ``runtime_s`` seconds of activity."""
-        return self.total_power_w * runtime_s
-
-    def dominant_component(self) -> str:
-        """Name of the component with the largest area (the EAL SRAM)."""
-        return max(self.components, key=lambda c: c.area_mm2).name
-
 
 def perf_per_watt_gain(
     speedup: float,

@@ -34,14 +34,6 @@ class Link:
             return messages * self.latency_s if messages else 0.0
         return messages * self.latency_s + num_bytes / self.bandwidth
 
-    def effective_bandwidth(self, num_bytes: float) -> float:
-        """Achieved bandwidth for a transfer of ``num_bytes``."""
-        elapsed = self.transfer_time(num_bytes)
-        if elapsed <= 0:
-            return float("inf")
-        return num_bytes / elapsed
-
-
 PCIE_GEN3_X16 = Link(
     name="PCIe Gen3 x16",
     bandwidth=12.0 * GB,  # ~15.75 GB/s raw, ~12 GB/s achievable

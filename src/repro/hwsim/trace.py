@@ -9,7 +9,6 @@ what Figures 3, 4, 5 and 20 of the paper plot.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -59,11 +58,6 @@ class Timeline:
         self._events.append(event)
         return event
 
-    def extend(self, events: Iterable[Event]) -> None:
-        """Append many pre-built events."""
-        for event in events:
-            self._events.append(event)
-
     @property
     def events(self) -> tuple[Event, ...]:
         """All events in insertion order."""
@@ -74,11 +68,6 @@ class Timeline:
         if not self._events:
             return 0.0
         return max(event.end for event in self._events)
-
-    def lane_end(self, lane: str) -> float:
-        """Latest end time on one lane (0 if the lane has no events)."""
-        ends = [event.end for event in self._events if event.lane == lane]
-        return max(ends) if ends else 0.0
 
     def lane_busy_time(self, lane: str) -> float:
         """Total busy time on one lane (events are assumed non-overlapping)."""

@@ -27,13 +27,3 @@ GBPS = GB  # bytes/second when used for bandwidth given in GB/s
 def gbit_per_s(gbits: float) -> float:
     """Convert a link speed quoted in Gbit/s into bytes/second."""
     return gbits * 1e9 / 8.0
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds (for reporting)."""
-    return seconds * 1e3
-
-
-def ms_to_seconds(ms: float) -> float:
-    """Convert milliseconds to seconds."""
-    return ms * 1e-3

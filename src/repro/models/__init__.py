@@ -18,7 +18,6 @@ from repro.models.configs import (
     SYN_M1,
     SYN_M2,
     ModelConfig,
-    model_by_name,
 )
 from repro.models.dlrm import DLRM, RecommendationModel
 from repro.models.tbsm import TBSM
@@ -32,7 +31,6 @@ __all__ = [
     "SYN_M1",
     "SYN_M2",
     "PAPER_MODELS",
-    "model_by_name",
     "RecommendationModel",
     "DLRM",
     "TBSM",

@@ -76,11 +76,6 @@ class ModelConfig:
         return self.dataset.num_sparse
 
     @property
-    def sparse_parameter_count(self) -> int:
-        """Total embedding parameters (rows x dim)."""
-        return self.dataset.total_rows * self.embedding_dim
-
-    @property
     def dense_parameter_count(self) -> int:
         """Approximate MLP parameter count (weights + biases)."""
         count = 0
@@ -104,10 +99,10 @@ class ModelConfig:
     def mlp_flops_per_sample(self) -> float:
         """Forward FLOPs of the MLPs for one sample.
 
-        Mirrors :attr:`repro.nn.mlp.MLP.flops_per_sample`: per ``Linear``,
-        ``2*in*out`` multiply-accumulates plus the bias add (``out``) and
-        the hidden-layer ReLU (``out``, every layer but the last) — not
-        MACs alone, which undercounted the dense times derived by
+        Per ``Linear`` of the two arch strings, ``2*in*out``
+        multiply-accumulates plus the bias add (``out``) and the
+        hidden-layer ReLU (``out``, every layer but the last) — not MACs
+        alone, which undercounted the dense times derived by
         ``perf/costs.py``.
         """
         flops = 0.0
@@ -126,10 +121,6 @@ class ModelConfig:
     def bytes_per_lookup(self) -> int:
         """Bytes fetched for a single embedding-row access."""
         return self.embedding_dim * self.dtype_bytes
-
-    def lookup_bytes_per_sample(self) -> float:
-        """Bytes of embeddings gathered for one training sample."""
-        return self.dataset.lookups_per_sample() * self.bytes_per_lookup()
 
     def scaled(
         self, max_rows_per_table: int = 20_000, samples_per_epoch: int | None = None
@@ -203,12 +194,3 @@ REAL_WORLD_MODELS: dict[str, ModelConfig] = {
     "Criteo Terabyte": RM3,
     "Avazu": RM4,
 }
-
-
-def model_by_name(name: str) -> ModelConfig:
-    """Look up a model configuration by name (RM1..RM4, SYN-M1, SYN-M2)."""
-    try:
-        return PAPER_MODELS[name]
-    except KeyError as exc:
-        known = ", ".join(sorted(PAPER_MODELS))
-        raise KeyError(f"unknown model {name!r}; known models: {known}") from exc

@@ -11,7 +11,9 @@ MLPs (and :mod:`repro.nn.gemm`'s segment-packed executor over them), the
 table-batched embedding bag, the dot interaction, the attention, the fused
 loss epilogue and the metrics.  There is no optimiser object: the models
 apply plain SGD themselves (``apply_dense_update``,
-``apply_sparse_updates``).
+``apply_sparse_updates``).  The interaction's einsum reference stays here
+as the fallback for uncertified shapes; the two-pass loss it replaced
+lives in ``tests/oracle.py``.
 """
 
 from repro.nn import init
@@ -20,18 +22,11 @@ from repro.nn.embedding import EmbeddingBag, SparseGradient
 from repro.nn.interaction import (
     DotInteractionKernel,
     dot_interaction,
-    dot_interaction_backward,
     reference_dot_interaction,
     reference_dot_interaction_backward,
 )
 from repro.nn.layers import Linear, ReLU
-from repro.nn.loss import (
-    bce_with_logits,
-    bce_with_logits_backward,
-    bce_with_logits_per_sample,
-    fused_bce_epilogue,
-    reference_epilogue,
-)
+from repro.nn.loss import fused_bce_epilogue
 from repro.nn.metrics import binary_accuracy, log_loss, roc_auc
 from repro.nn.mlp import MLP
 
@@ -42,16 +37,11 @@ __all__ = [
     "EmbeddingBag",
     "SparseGradient",
     "dot_interaction",
-    "dot_interaction_backward",
     "DotInteractionKernel",
     "reference_dot_interaction",
     "reference_dot_interaction_backward",
     "DotProductAttention",
-    "bce_with_logits",
-    "bce_with_logits_backward",
-    "bce_with_logits_per_sample",
     "fused_bce_epilogue",
-    "reference_epilogue",
     "roc_auc",
     "binary_accuracy",
     "log_loss",

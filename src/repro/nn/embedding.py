@@ -455,8 +455,8 @@ class TieredEmbeddingStore:
     one search into each array, at most one insert and one eviction,
     whatever the table count.  Eviction is LFU over the pool (globally,
     since ``hot_bytes`` models one device memory), and ``capacity_rows``
-    bounds the pool alone: pinned rows are budgeted by the placement and
-    sit beside it.  Key order is table-major and row-ascending, which
+    bounds the pool alone: pinned rows are bounded by the EAL that found
+    them and sit beside it.  Key order is table-major and row-ascending, which
     fixes the order of frequency ties.  Evicted rows are dirty (training
     updates rows in place), so each eviction prices a scattered write-back
     in addition to the miss's scattered fetch.
@@ -617,8 +617,8 @@ class TieredEmbeddingStore:
         most ``capacity_rows``; return the priced write-back seconds.
 
         Pinned rows never evict and do not count: they are the placement's
-        replicated hot rows, budgeted by the placement against the HBM
-        budget, and ``capacity_rows`` bounds the cached rows beside them.
+        replicated hot rows, bounded by the EAL's capacity, and
+        ``capacity_rows`` bounds the cached rows beside them.
         """
         excess = self._keys.size - self.capacity_rows
         if excess <= 0:

@@ -73,9 +73,9 @@ kernel across threads would race on the Gram workspace.
   into it, and callers accumulate it across µ-batch segments, so that
   array must never be recycled by the kernel.
 
-The module-level :func:`dot_interaction` / :func:`dot_interaction_backward`
-functions run the same certified kernels without any pooling (fresh
-allocations per call) and are therefore safe to call from any thread.
+The module-level :func:`dot_interaction` runs the same certified forward
+without any pooling (fresh allocations per call), so it is safe to call
+from any thread; the backward runs only on a kernel.
 """
 
 from __future__ import annotations
@@ -253,49 +253,6 @@ def _forward_impl(
     return output, cache
 
 
-def _backward_impl(
-    grad_output: np.ndarray,
-    cache: dict,
-    sym_buf: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-GEMM backward through the symmetric Gram structure.
-
-    The pair gradients land directly in **both** strict triangles of a
-    zero-diagonal buffer (the exact values ``G + G^T`` holds, since the
-    opposite triangle of each term is zero), and one batched GEMM against
-    ``stacked`` produces the full input gradient — two fancy-index writes
-    and one GEMM, no full-tensor temporaries.
-    """
-    if not cache.get("batched", False):
-        return reference_dot_interaction_backward(grad_output, cache)
-    stacked: np.ndarray = cache["stacked"]
-    rows: np.ndarray = cache["rows"]
-    cols: np.ndarray = cache["cols"]
-    dense_dim: int = cache["dense_dim"]
-    batch, num_features, _ = stacked.shape
-
-    grad_dense_direct = grad_output[:, :dense_dim]
-    grad_pairs = grad_output[:, dense_dim:]  # (batch, n_pairs)
-
-    if sym_buf is None:
-        sym = np.zeros((batch, num_features, num_features), dtype=grad_output.dtype)
-    else:
-        sym = sym_buf
-        # A reused buffer held the forward Gram (nonzero diagonal); the
-        # triangle writes cover every off-diagonal element, so only the
-        # diagonal needs re-zeroing.
-        diag = np.arange(num_features)
-        sym[:, diag, diag] = 0.0
-    sym[:, rows, cols] = grad_pairs
-    sym[:, cols, rows] = grad_pairs
-    # Fresh output on every call: the caller receives a view into it and
-    # accumulates it across µ-batch segments (see workspace rules).
-    grad_stacked = np.matmul(sym, stacked)
-
-    grad_dense = grad_dense_direct + grad_stacked[:, 0, :]
-    return grad_dense, grad_stacked[:, 1:]
-
-
 def dot_interaction(dense: np.ndarray, sparse: np.ndarray) -> tuple[np.ndarray, dict]:
     """Pairwise dot-product interaction.
 
@@ -315,24 +272,6 @@ def dot_interaction(dense: np.ndarray, sparse: np.ndarray) -> tuple[np.ndarray, 
         (batch, dim + n_pairs) and a cache used by the backward pass.
     """
     return _forward_impl(dense, sparse)
-
-
-def dot_interaction_backward(
-    grad_output: np.ndarray, cache: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward pass of :func:`dot_interaction`.
-
-    Args:
-        grad_output: Gradient w.r.t. the interaction output,
-            shape (batch, dim + n_pairs).
-        cache: Cache returned by the forward pass.
-
-    Returns:
-        Gradient w.r.t. the dense input and the ``(batch, num_sparse,
-        dim)`` gradient w.r.t. the sparse block (a view into one
-        ``(batch, f, dim)`` array).
-    """
-    return _backward_impl(grad_output, cache)
 
 
 class DotInteractionKernel:
@@ -386,17 +325,45 @@ class DotInteractionKernel:
         return _forward_impl(dense, sparse, stack_buf=stack_buf, gram_buf=gram_buf)
 
     def backward(self, grad_output: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Pooled backward; consumes the cache and recycles its stack buffer."""
+        """Single-GEMM backward through the symmetric Gram structure.
+
+        The pair gradients land directly in **both** strict triangles of the
+        pooled Gram buffer with its diagonal zeroed (the exact values
+        ``G + G^T`` holds, since the opposite triangle of each term is
+        zero), and one batched GEMM against ``stacked`` produces the full
+        input gradient — two fancy-index writes and one GEMM, no
+        full-tensor temporaries.  Consumes the cache and recycles its stack
+        buffer.
+
+        Returns:
+            Gradient w.r.t. the dense input and the ``(batch, num_sparse,
+            dim)`` gradient w.r.t. the sparse block (a view into one
+            ``(batch, f, dim)`` array).
+        """
         if not cache.get("batched", False):
             return reference_dot_interaction_backward(grad_output, cache)
         stacked: np.ndarray = cache["stacked"]
+        rows: np.ndarray = cache["rows"]
+        cols: np.ndarray = cache["cols"]
+        dense_dim: int = cache["dense_dim"]
         batch, num_features, dim = stacked.shape
+        grad_pairs = grad_output[:, dense_dim:]  # (batch, n_pairs)
         sym = self._gram_buf(batch, num_features, grad_output.dtype)
-        result = _backward_impl(grad_output, cache, sym_buf=sym)
+        # The buffer held the forward Gram (nonzero diagonal); the triangle
+        # writes cover every off-diagonal element, so only the diagonal
+        # needs re-zeroing.
+        diag = np.arange(num_features)
+        sym[:, diag, diag] = 0.0
+        sym[:, rows, cols] = grad_pairs
+        sym[:, cols, rows] = grad_pairs
+        # Fresh output on every call: the caller receives a view into it and
+        # accumulates it across µ-batch segments (see workspace rules).
+        grad_stacked = np.matmul(sym, stacked)
+        grad_dense = grad_output[:, :dense_dim] + grad_stacked[:, 0, :]
         key = (batch, num_features, dim, stacked.dtype.str)
         self._stack_pool.setdefault(key, []).append(stacked)
         cache["stacked"] = None  # the cache is single-use once pooled
-        return result
+        return grad_dense, grad_stacked[:, 1:]
 
 
 def interaction_output_dim(dense_dim: int, num_sparse: int) -> int:

@@ -1,10 +1,9 @@
 """Binary cross-entropy loss (the CTR objective, Eq. 1-2 of the paper).
 
 Implemented on logits for numerical stability.  The loss is a *sum* over the
-mini-batch by default, matching Equation 2 of the paper: this is what makes
-the Hotline µ-batch decomposition exactly loss-preserving
-(L_popular + L_non_popular == L_baseline, Eq. 5).  A mean reduction is also
-offered for conventional training loops.
+mini-batch, matching Equation 2 of the paper: this is what makes the
+Hotline µ-batch decomposition exactly loss-preserving
+(L_popular + L_non_popular == L_baseline, Eq. 5).
 
 Fused epilogue contract — bit-identity
 --------------------------------------
@@ -12,9 +11,9 @@ Fused epilogue contract — bit-identity
 :func:`fused_bce_epilogue` computes the summed loss and the logit gradient
 in **one pass** over the batch: a single ``e = exp(-|z|)`` feeds both the
 ``log1p(e)`` loss term and the branch-split stable sigmoid.  It is
-**bit-identical** to the retained two-pass pair
-(:func:`reference_epilogue`, i.e. :func:`bce_with_logits` +
-:func:`bce_with_logits_backward`), by construction rather than by runtime
+**bit-identical** to the two-pass pair (``reference_epilogue`` in
+``tests/oracle.py``: a loss pass, then a gradient pass through
+:func:`_stable_sigmoid`), by construction rather than by runtime
 certification:
 
 * loss term: ``np.log1p(np.exp(-np.abs(z)))`` is literally the same
@@ -55,63 +54,6 @@ def _stable_sigmoid(logits: np.ndarray) -> np.ndarray:
     exp_x = np.exp(logits[~positive])
     out[~positive] = exp_x / (1.0 + exp_x)
     return out
-
-
-def bce_with_logits(
-    logits: np.ndarray, targets: np.ndarray, reduction: str = "sum"
-) -> float:
-    """Binary cross-entropy of ``logits`` against 0/1 ``targets``.
-
-    Uses the log-sum-exp form ``max(z,0) - z*y + log(1+exp(-|z|))`` which is
-    stable for large-magnitude logits.  Returns a scalar; use
-    :func:`bce_with_logits_per_sample` for the unreduced vector.
-    """
-    per_sample = bce_with_logits_per_sample(logits, targets)
-    if reduction == "sum":
-        return float(per_sample.sum())
-    if reduction == "mean":
-        return float(per_sample.mean())
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def bce_with_logits_per_sample(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Unreduced binary cross-entropy: one loss value per sample, in the
-    logits' floating dtype."""
-    logits = _float_logits(logits)
-    targets = np.asarray(targets, dtype=logits.dtype).reshape(-1)
-    if logits.shape != targets.shape:
-        raise ValueError("logits and targets must have the same shape")
-    return (
-        np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
-    )
-
-
-def bce_with_logits_backward(
-    logits: np.ndarray, targets: np.ndarray, reduction: str = "sum"
-) -> np.ndarray:
-    """Gradient of :func:`bce_with_logits` with respect to the logits, in
-    the logits' floating dtype."""
-    logits = _float_logits(logits)
-    targets = np.asarray(targets, dtype=logits.dtype).reshape(-1)
-    grad = _stable_sigmoid(logits) - targets
-    if reduction == "mean":
-        grad = grad / logits.shape[0]
-    elif reduction not in ("sum", "none"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    return grad
-
-
-def reference_epilogue(
-    logits: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The original two-pass loss + gradient — the bit-parity anchor.
-
-    Evaluates the stable-sigmoid/exp terms twice (once inside the loss,
-    once inside the gradient) exactly as the pre-fusion call sites did.
-    """
-    loss = bce_with_logits(logits, targets, reduction="sum")
-    grad = bce_with_logits_backward(logits, targets, reduction="sum")
-    return loss, grad
 
 
 def fused_bce_epilogue(

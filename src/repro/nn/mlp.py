@@ -64,23 +64,3 @@ class MLP:
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
         return sum(layer.num_parameters for layer in self.layers)
-
-    @property
-    def flops_per_sample(self) -> float:
-        """FLOPs for one forward pass of one sample.
-
-        Counts the multiply-accumulates of every ``Linear`` (``2*in*out``)
-        *plus* its bias add (``out``) and the hidden ReLU that follows it
-        (``out``, every layer but the last) — the bias/activation terms the
-        perf model's dense times were silently missing when this counted
-        MACs only.
-        """
-        flops = 0.0
-        last = len(self.layer_sizes) - 2
-        for i, (fan_in, fan_out) in enumerate(
-            zip(self.layer_sizes[:-1], self.layer_sizes[1:], strict=True)
-        ):
-            flops += 2.0 * fan_in * fan_out + fan_out  # MACs + bias add
-            if i != last:
-                flops += fan_out  # ReLU
-        return flops

@@ -279,18 +279,6 @@ class TrainingCostModel:
         parallel = lookups * self.overheads.cpu_segregation_parallel_s / effective
         return self.overheads.cpu_segregation_fixed_s + serial + parallel
 
-    def accelerator_segregation_time(self, batch_size: int, accelerator_frequency_hz: float = 350e6,
-                                      num_lookup_engines: int = 64) -> float:
-        """Segregation time on the Hotline accelerator's lookup-engine array.
-
-        Provided here for side-by-side comparison with
-        :meth:`cpu_segregation_time`; the full device model lives in
-        :class:`repro.core.accelerator.HotlineAccelerator`.
-        """
-        total_lookups = self.lookups(batch_size)
-        cycles = -(-total_lookups // num_lookup_engines)
-        return cycles / accelerator_frequency_hz
-
     # ------------------------------------------------------------------ #
     # Memory-capacity checks
     # ------------------------------------------------------------------ #

@@ -1,17 +1,14 @@
-"""Unit tests for breakdowns, roofline analysis, and report formatting."""
+"""Unit tests for breakdowns and report formatting."""
 
 import pytest
 
 from repro.analysis.breakdown import (
     BREAKDOWN_CATEGORIES,
     embedding_related_fraction,
-    merge_breakdowns,
     normalised_breakdown,
 )
 from repro.analysis.report import format_breakdown, format_series, format_table
-from repro.analysis.roofline import embedding_lookup_roofline
 from repro.hwsim.trace import Timeline
-from repro.models import RM3
 
 
 def make_timeline():
@@ -30,29 +27,9 @@ def test_normalised_breakdown_contains_all_categories():
     assert breakdown["embedding"] == pytest.approx(0.6)
 
 
-def test_merge_breakdowns_averages():
-    a = {"mlp": 0.5, "embedding": 0.5}
-    b = {"mlp": 0.1, "embedding": 0.9}
-    merged = merge_breakdowns([a, b])
-    assert merged["mlp"] == pytest.approx(0.3)
-    assert merged["embedding"] == pytest.approx(0.7)
-
-
-def test_merge_breakdowns_empty():
-    merged = merge_breakdowns([])
-    assert all(value == 0.0 for value in merged.values())
-
-
 def test_embedding_related_fraction():
     breakdown = {"embedding": 0.4, "comm": 0.2, "optimizer": 0.1, "mlp": 0.3}
     assert embedding_related_fraction(breakdown) == pytest.approx(0.7)
-
-
-def test_roofline_hbm_advantage():
-    """Section IV: roughly 3x theoretical gain for HBM embedding lookups."""
-    points = embedding_lookup_roofline(RM3, batch_size=4096)
-    assert points["gpu"].lookup_time_s < points["cpu"].lookup_time_s
-    assert points["speedup"].bandwidth >= 3.0
 
 
 def test_format_table_alignment():

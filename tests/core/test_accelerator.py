@@ -80,4 +80,3 @@ def test_area_and_power_come_from_energy_model():
     accel = make_accelerator()
     assert accel.area_mm2 == pytest.approx(7.01, rel=0.01)
     assert accel.power_w > 0
-    assert accel.energy_joules(2.0) == pytest.approx(2.0 * accel.power_w)

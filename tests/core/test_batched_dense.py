@@ -20,6 +20,8 @@ proves it:
   final parameters.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -252,14 +254,21 @@ def test_config_mlp_flops_count_bias_and_activation():
 
 
 def test_model_flops_match_actual_layer_sizes(tiny_model_config):
-    """The model's MLPs count their *actual* widths (the top MLP's input
-    is the interaction output, wider than the config's arch string)."""
+    """``ModelConfig.mlp_flops_per_sample`` over arch strings spelling the
+    model's *actual* widths (the top MLP's input is the interaction output,
+    which the config's top arch string leaves out) counts what those layers
+    compute."""
     model = DLRM(tiny_model_config, seed=0)
+    expected = 0.0
     for mlp in (model.bottom_mlp, model.top_mlp):
         sizes = mlp.layer_sizes
-        expected = 0.0
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:], strict=True)):
             expected += 2.0 * fan_in * fan_out + fan_out
             if i != len(sizes) - 2:
                 expected += fan_out
-        assert mlp.flops_per_sample == expected
+    actual = dataclasses.replace(
+        tiny_model_config,
+        bottom_mlp="-".join(map(str, model.bottom_mlp.layer_sizes)),
+        top_mlp="-".join(map(str, model.top_mlp.layer_sizes)),
+    )
+    assert actual.mlp_flops_per_sample == expected

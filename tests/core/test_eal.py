@@ -9,12 +9,11 @@ from repro.core.eal import (
     EmbeddingAccessLogger,
     OracleLFUTracker,
     expected_parallel_requests,
-    simulate_parallel_requests,
 )
 from repro.core.pipeline import HotlineTrainer
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
-from tests.oracle import ReferenceEAL, held_arrays, tracked_ways
+from tests.oracle import ReferenceEAL, held_arrays, simulate_parallel_requests, tracked_ways
 
 #: The key space of the hand-fed EALs: two tables of 100,000 rows.
 ROWS = (100_000, 100_000)
@@ -114,15 +113,9 @@ def test_hit_rate():
 
 def test_oracle_tracker_top_k():
     oracle = OracleLFUTracker(capacity_entries=2)
-    for _ in range(10):
-        oracle.access(0, 1)
-    for _ in range(5):
-        oracle.access(0, 2)
-    oracle.access(0, 3)
+    oracle.access_batch(np.array([1] * 10 + [2] * 5 + [3]).reshape(-1, 1, 1))
     hot = oracle.hot_indices(num_tables=1)
     assert set(hot[0].tolist()) == {1, 2}
-    assert oracle.contains(0, 1)
-    assert not oracle.contains(0, 3)
 
 
 def test_oracle_batch_access():
@@ -160,8 +153,6 @@ def test_simulated_parallel_requests_close_to_expectation():
 def test_parallel_requests_invalid_arguments():
     with pytest.raises(ValueError):
         expected_parallel_requests(0, 64)
-    with pytest.raises(ValueError):
-        simulate_parallel_requests(8, 8, trials=0)
 
 
 def test_negative_id_is_rejected_before_any_state_changes():

@@ -41,14 +41,6 @@ def test_is_hot_scalar():
     assert not index.is_hot(0, 99)
 
 
-def test_split_rows_preserves_order():
-    index = HotSetIndex([np.array([1, 3])], rows_per_table=(6,))
-    rows = np.array([5, 3, 0, 1])
-    hot, cold = index.split_rows(0, rows)
-    assert hot.tolist() == [3, 1]
-    assert cold.tolist() == [5, 0]
-
-
 def test_classify_requires_matching_table_count():
     index = HotSetIndex([np.array([0])], rows_per_table=(4,))
     with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
-"""Unit tests for the Lookup Engine array and the Feistel randomizer."""
+"""Unit tests for the Feistel randomizer, the lookup-engine array's cycle
+model, and the popular-input classification the array performs."""
 
 import numpy as np
 import pytest
 
 from repro.core.eal import EALConfig, EmbeddingAccessLogger
-from repro.core.lookup_engine import FeistelRandomizer, LookupEngine, LookupEngineArray
+from repro.core.lookup_engine import FeistelRandomizer, LookupEngineArray
+from repro.data.skew import popular_input_mask
+from tests.oracle import classify_per_lookup
 
 
 def test_feistel_is_a_permutation():
@@ -36,13 +39,6 @@ def test_feistel_requires_rounds():
         FeistelRandomizer(rounds=0)
 
 
-def test_lookup_engine_cycles_ceiling():
-    engine = LookupEngine(0, lookups_per_cycle=4)
-    assert engine.cycles_for(0) == 0
-    assert engine.cycles_for(4) == 1
-    assert engine.cycles_for(5) == 2
-
-
 def test_array_requires_engines():
     with pytest.raises(ValueError):
         LookupEngineArray(0)
@@ -53,7 +49,6 @@ def test_classify_matches_hot_set_definition():
     for idx in (1, 2, 3):
         eal.access(0, idx)
         eal.access(1, idx)
-    array = LookupEngineArray(8)
     sparse = np.array(
         [
             [[1], [2]],   # all hot -> popular
@@ -61,7 +56,7 @@ def test_classify_matches_hot_set_definition():
             [[3], [3]],   # all hot -> popular
         ]
     )
-    mask = array.classify(sparse, eal)
+    mask = popular_input_mask(sparse, eal.hot_indices(2))
     assert mask.tolist() == [True, False, True]
 
 
@@ -72,23 +67,21 @@ def test_classify_with_hot_sets_matches_tracker_path():
     for row in rng.integers(0, 30, size=60):
         eal.access(0, int(row))
         eal.access(1, int(row))
-    array = LookupEngineArray(16)
-    by_tracker = array.classify(sparse, eal)
-    by_sets = array.classify_with_hot_sets(sparse, eal.hot_indices(2))
+    by_tracker = classify_per_lookup(sparse, eal)
+    by_sets = popular_input_mask(sparse, eal.hot_indices(2))
+    assert 0 < by_sets.sum() < by_sets.size
     np.testing.assert_array_equal(by_tracker, by_sets)
 
 
 def test_classify_with_empty_hot_set_marks_all_non_popular():
-    array = LookupEngineArray(4)
     sparse = np.zeros((5, 2, 1), dtype=np.int64)
-    mask = array.classify_with_hot_sets(sparse, [np.empty(0, dtype=np.int64)] * 2)
+    mask = popular_input_mask(sparse, [np.empty(0, dtype=np.int64)] * 2)
     assert not mask.any()
 
 
 def test_classify_with_wrong_hot_set_count_raises():
-    array = LookupEngineArray(4)
     with pytest.raises(ValueError):
-        array.classify_with_hot_sets(np.zeros((2, 3, 1), dtype=np.int64), [np.array([0])])
+        popular_input_mask(np.zeros((2, 3, 1), dtype=np.int64), [np.array([0])])
 
 
 def test_segregation_cycles_scale_with_batch():
@@ -96,9 +89,3 @@ def test_segregation_cycles_scale_with_batch():
     assert array.segregation_cycles(0, 26) == 0
     assert array.segregation_cycles(64, 1) == 1
     assert array.segregation_cycles(4096, 26) == -(-4096 * 26 // 64)
-
-
-def test_throughput_per_input_bounded_by_engines():
-    array = LookupEngineArray(64)
-    assert array.throughput_per_input(26) == 26
-    assert array.throughput_per_input(100) == 64

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core.accelerator import HotlineAccelerator
+from repro.core.eal import EALConfig
+from repro.core.pipeline import HotlineTrainer
 from repro.core.placement import EmbeddingPlacement
+from repro.models.dlrm import DLRM
 
 
-def make_placement(hot0=(0, 1, 2), hot1=(4,), budget=1 << 20):
+def make_placement(hot0=(0, 1, 2), hot1=(4,)):
     return EmbeddingPlacement(
         hot_sets=[np.array(hot0, dtype=np.int64), np.array(hot1, dtype=np.int64)],
         rows_per_table=(100, 50),
         embedding_dim=8,
         dtype_bytes=4,
-        hbm_budget_bytes=budget,
     )
 
 
@@ -27,27 +30,9 @@ def test_row_accounting():
 
 def test_hot_and_cold_queries():
     placement = make_placement()
-    assert placement.is_hot(0, 1)
-    assert not placement.is_hot(0, 50)
-    hot, cold = placement.split_rows(0, np.array([0, 1, 7]))
-    assert hot.tolist() == [0, 1]
-    assert cold.tolist() == [7]
-
-
-def test_split_rows_with_empty_hot_set():
-    placement = EmbeddingPlacement(
-        hot_sets=[np.empty(0, dtype=np.int64)],
-        rows_per_table=(10,),
-        embedding_dim=4,
-    )
-    hot, cold = placement.split_rows(0, np.array([1, 2]))
-    assert hot.size == 0
-    assert cold.tolist() == [1, 2]
-
-
-def test_budget_check():
-    assert make_placement(budget=1 << 20).fits_budget()
-    assert not make_placement(budget=64).fits_budget()
+    assert placement.index.is_hot(0, 1)
+    assert not placement.index.is_hot(0, 50)
+    assert placement.index.contains(0, np.array([0, 1, 7])).tolist() == [True, True, False]
 
 
 def test_out_of_range_hot_rows_rejected():
@@ -62,23 +47,21 @@ def test_mismatched_table_count_rejected():
         EmbeddingPlacement(hot_sets=[], rows_per_table=(10,), embedding_dim=4)
 
 
-def test_truncate_to_budget_keeps_most_accessed_rows():
-    placement = make_placement(hot0=(0, 1, 2, 3), hot1=(0, 1), budget=4 * 32)
-    counts = [np.zeros(100), np.zeros(50)]
-    counts[0][[0, 1, 2, 3]] = [100, 90, 5, 1]
-    counts[1][[0, 1]] = [80, 2]
-    truncated = placement.truncate_to_budget(counts)
-    assert truncated.hot_rows_total == 4
-    assert truncated.fits_budget()
-    assert 0 in truncated.hot_sets[0] and 1 in truncated.hot_sets[0]
-    assert 0 in truncated.hot_sets[1]
-    assert 3 not in truncated.hot_sets[0]
-
-
-def test_truncate_noop_when_within_budget():
-    placement = make_placement()
-    counts = [np.ones(100), np.ones(50)]
-    assert placement.truncate_to_budget(counts) is placement
+def test_the_eal_capacity_bounds_the_hot_set(tiny_model_config, tiny_loader):
+    """No setting caps a placement's hot set: the EAL that finds it bounds it
+    by its capacity, and there is no per-GPU budget to pass that would go
+    unenforced."""
+    model = DLRM(tiny_model_config, seed=0)
+    eal = EALConfig(size_bytes=64, ways=4)
+    accelerator = HotlineAccelerator(tiny_model_config.dataset.rows_per_table, eal_config=eal)
+    trainer = HotlineTrainer(model, accelerator, sample_fraction=1.0)
+    assert 0 < trainer.learning_phase(tiny_loader).hot_rows_total <= eal.num_entries == 32
+    with pytest.raises(TypeError):
+        HotlineTrainer(model, hbm_budget_bytes=1024)
+    with pytest.raises(TypeError):
+        EmbeddingPlacement(
+            hot_sets=[np.array([1])], rows_per_table=(10,), embedding_dim=4, hbm_budget_bytes=1
+        )
 
 
 def test_update_hot_sets_applies_in_place_deltas():
@@ -90,8 +73,8 @@ def test_update_hot_sets_applies_in_place_deltas():
     np.testing.assert_array_equal(placement.hot_sets[0], [1, 2, 9])
     np.testing.assert_array_equal(placement.hot_sets[1], [4, 10])
     assert placement.hot_rows_total == 5
-    assert not placement.is_hot(0, 0)
-    assert placement.is_hot(0, 9) and placement.is_hot(1, 10)
+    assert not placement.index.is_hot(0, 0)
+    assert placement.index.is_hot(0, 9) and placement.index.is_hot(1, 10)
 
 
 def test_update_hot_sets_validates_table_count():

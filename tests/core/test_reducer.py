@@ -1,4 +1,4 @@
-"""Unit tests for the Reducer (sparse-length-sum unit)."""
+"""Unit tests for the Reducer's cycle model and the gradient collectives."""
 
 import dataclasses
 
@@ -6,39 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.reducer import Reducer
-
-
-def test_reduce_sums_rows():
-    reducer = Reducer()
-    rows = np.arange(12, dtype=float).reshape(3, 4)
-    np.testing.assert_allclose(reducer.reduce(rows), rows.sum(axis=0))
-
-
-def test_reduce_empty_stack_is_zero():
-    reducer = Reducer()
-    out = reducer.reduce(np.empty((0, 4)))
-    np.testing.assert_allclose(out, np.zeros(4))
-
-
-def test_reduce_rejects_non_2d():
-    with pytest.raises(ValueError):
-        Reducer().reduce(np.zeros(4))
-
-
-def test_reduce_batch_matches_embeddingbag_pooling():
-    reducer = Reducer()
-    for dtype in (np.float64, np.float32):
-        per_sample = [np.ones((3, 4), dtype=dtype), np.full((1, 4), 2.0, dtype=dtype)]
-        out = reducer.reduce_batch(per_sample)
-        # Pooled rows keep their dtype, as Reducer.reduce does (no upcast).
-        assert out.dtype == dtype
-        np.testing.assert_allclose(out[0], 3.0 * np.ones(4))
-        np.testing.assert_allclose(out[1], 2.0 * np.ones(4))
-
-
-def test_reduce_batch_requires_samples():
-    with pytest.raises(ValueError):
-        Reducer().reduce_batch([])
 
 
 def test_cycle_model_scales_with_work():

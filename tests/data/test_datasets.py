@@ -10,7 +10,6 @@ from repro.data.datasets import (
     SYN_D1,
     SYN_D2,
     TAOBAO_ALIBABA,
-    dataset_by_name,
 )
 
 
@@ -79,7 +78,5 @@ def test_scaled_noop_when_already_small():
 
 
 def test_dataset_registry_lookup():
-    assert dataset_by_name("Criteo Kaggle") is CRITEO_KAGGLE
-    with pytest.raises(KeyError):
-        dataset_by_name("MovieLens")
+    assert PAPER_DATASETS["Criteo Kaggle"] is CRITEO_KAGGLE
     assert len(PAPER_DATASETS) == 6

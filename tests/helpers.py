@@ -1,5 +1,6 @@
-"""Numerical helpers shared by the test-suite: finite-difference checks and
-the tolerance for comparing runs that sum in different orders."""
+"""Numerical helpers shared by the test-suite: finite-difference checks,
+the interaction kernel's backward on a reused buffer, and the tolerance for
+comparing runs that sum in different orders."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.data.batch import MiniBatch
+from repro.nn.interaction import DotInteractionKernel
 
 #: Tolerance pair for comparing float32 training runs whose sums associate
 #: differently (shard or node counts, tree vs ring reduction, Hotline vs
@@ -41,6 +43,20 @@ def assert_gradients_close(
 ) -> None:
     """Assert analytic and numeric gradients agree."""
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def reused_kernel_backward(
+    dense: np.ndarray, sparse: np.ndarray, grad_output: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`~repro.nn.interaction.DotInteractionKernel.backward` of
+    ``grad_output`` through ``dense``/``sparse``, on the kernel's second
+    call at this shape: the pooled Gram buffer it writes into still holds
+    the first call's values and the forward Gram's nonzero diagonal."""
+    kernel = DotInteractionKernel()
+    out, cache = kernel.forward(np.full_like(dense, 3.0), np.full_like(sparse, -2.0))
+    kernel.backward(np.ones_like(out), cache)
+    _, cache = kernel.forward(dense, sparse)
+    return kernel.backward(grad_output, cache)
 
 
 def backward_gradients(model, batch, between=None) -> list[bytes]:

@@ -27,18 +27,6 @@ def test_multi_node_scales_resources():
     assert cluster.total_dram_bytes == 4 * 192 * GIB
 
 
-def test_fits_in_hbm():
-    cluster = single_node(4)
-    assert cluster.fits_in_hbm(60 * GIB)
-    assert not cluster.fits_in_hbm(70 * GIB)
-
-
-def test_fits_in_dram():
-    cluster = single_node(1)
-    assert cluster.fits_in_dram(100 * GIB)
-    assert not cluster.fits_in_dram(300 * GIB)
-
-
 def test_node_capacity_properties():
     node = Node(num_gpus=2)
     assert node.total_hbm_bytes == 2 * 16 * GIB
@@ -76,7 +64,6 @@ def test_hierarchical_topology_counts_and_links():
     topo = HierarchicalTopology(gpus_per_nic=4, nics_per_node=2, num_nodes=8)
     assert topo.gpus_per_node == 8
     assert topo.total_gpus == 64
-    assert topo.total_nics == 16
     assert topo.link("gpu") is NVLINK2
     assert topo.link("pcie") is PCIE_GEN3_X16
     assert topo.link("spine") is INFINIBAND_100G  # non-blocking by default

@@ -54,8 +54,3 @@ def test_gpu_kernel_launch_overhead_additive():
     single = TESLA_V100.dense_compute_time(1e9, kernels=1)
     many = TESLA_V100.dense_compute_time(1e9, kernels=10)
     assert many - single == pytest.approx(9 * TESLA_V100.kernel_launch_overhead_s)
-
-
-def test_gpu_fits():
-    assert TESLA_V100.fits(10 * GIB)
-    assert not TESLA_V100.fits(20 * GIB)

@@ -34,12 +34,5 @@ def test_transfer_multiple_messages_adds_latency():
     assert ten - one == pytest.approx(9 * NVLINK2.latency_s)
 
 
-def test_effective_bandwidth_below_peak():
-    assert PCIE_GEN3_X16.effective_bandwidth(1 * MB) < PCIE_GEN3_X16.bandwidth
-    assert PCIE_GEN3_X16.effective_bandwidth(1_000 * MB) == pytest.approx(
-        PCIE_GEN3_X16.bandwidth, rel=0.01
-    )
-
-
 def test_gbit_per_s_conversion():
     assert gbit_per_s(8) == pytest.approx(1e9)

@@ -13,7 +13,6 @@ def test_event_end():
 def test_empty_timeline():
     timeline = Timeline()
     assert timeline.makespan() == 0.0
-    assert timeline.lane_end("gpu") == 0.0
     assert timeline.utilisation("gpu") == 0.0
     assert timeline.category_fractions() == {}
 
@@ -49,10 +48,3 @@ def test_category_breakdown_and_fractions():
     fractions = timeline.category_fractions()
     assert fractions["mlp"] == pytest.approx(0.75)
     assert sum(fractions.values()) == pytest.approx(1.0)
-
-
-def test_extend_appends_prebuilt_events():
-    timeline = Timeline()
-    timeline.extend([Event("gpu", "mlp", 0.0, 1.0), Event("gpu", "mlp", 1.0, 1.0)])
-    assert len(timeline.events) == 2
-    assert timeline.makespan() == 2.0

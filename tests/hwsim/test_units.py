@@ -12,8 +12,6 @@ from repro.hwsim.units import (
     MS,
     US,
     gbit_per_s,
-    ms_to_seconds,
-    seconds_to_ms,
 )
 
 
@@ -34,7 +32,3 @@ def test_time_units():
 
 def test_gbit_conversion():
     assert gbit_per_s(100) == pytest.approx(12.5e9)
-
-
-def test_ms_round_trip():
-    assert seconds_to_ms(ms_to_seconds(125.0)) == pytest.approx(125.0)

@@ -11,7 +11,6 @@ from repro.models.configs import (
     RM4,
     SYN_M1,
     SYN_M2,
-    model_by_name,
 )
 
 
@@ -54,7 +53,8 @@ def test_dense_parameter_counts_order_of_magnitude():
 
 def test_sparse_parameters_dominate_dense():
     for config in (RM2, RM3, RM4):
-        assert config.sparse_parameter_count > 10 * config.dense_parameter_count
+        sparse_parameters = config.dataset.total_rows * config.embedding_dim
+        assert sparse_parameters > 10 * config.dense_parameter_count
 
 
 def test_mlp_flops_positive_and_ordered():
@@ -71,11 +71,11 @@ def test_scaled_config_shrinks_embeddings_only():
     assert scaled.embedding_dim == RM3.embedding_dim
     assert scaled.bottom_mlp == RM3.bottom_mlp
     assert scaled.dataset.total_rows < RM3.dataset.total_rows
-    assert scaled.sparse_parameter_count < RM3.sparse_parameter_count
+    assert scaled.embedding_bytes < RM3.embedding_bytes
 
 
 def test_registry():
-    assert model_by_name("RM2") is RM2
+    assert PAPER_MODELS["RM2"] is RM2
     assert len(PAPER_MODELS) == 6
     assert set(REAL_WORLD_MODELS) == {
         "Criteo Kaggle",
@@ -83,5 +83,3 @@ def test_registry():
         "Criteo Terabyte",
         "Avazu",
     }
-    with pytest.raises(KeyError):
-        model_by_name("RM9")

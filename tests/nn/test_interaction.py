@@ -9,13 +9,12 @@ from repro.nn.interaction import (
     DotInteractionKernel,
     _tril_pairs,
     dot_interaction,
-    dot_interaction_backward,
     interaction_certified,
     interaction_output_dim,
     reference_dot_interaction,
     reference_dot_interaction_backward,
 )
-from tests.helpers import assert_gradients_close, numerical_gradient
+from tests.helpers import assert_gradients_close, numerical_gradient, reused_kernel_backward
 
 
 def test_output_dim_formula():
@@ -48,8 +47,8 @@ def test_backward_dense_gradient_matches_numeric(rng):
         out, _ = dot_interaction(d, sparse)
         return float((out ** 2).sum())
 
-    out, cache = dot_interaction(dense, sparse)
-    grad_dense, _ = dot_interaction_backward(2.0 * out, cache)
+    out, _ = dot_interaction(dense, sparse)
+    grad_dense, _ = reused_kernel_backward(dense, sparse, 2.0 * out)
     numeric = numerical_gradient(loss_fn, dense)
     assert_gradients_close(grad_dense, numeric, rtol=1e-4)
 
@@ -62,8 +61,8 @@ def test_backward_sparse_gradient_matches_numeric(rng):
         out, _ = dot_interaction(dense, s)
         return float((out ** 2).sum())
 
-    out, cache = dot_interaction(dense, sparse)
-    _, grad_sparse = dot_interaction_backward(2.0 * out, cache)
+    out, _ = dot_interaction(dense, sparse)
+    _, grad_sparse = reused_kernel_backward(dense, sparse, 2.0 * out)
     numeric = numerical_gradient(loss_fn, sparse)
     assert_gradients_close(grad_sparse, numeric, rtol=1e-4)
 
@@ -71,8 +70,8 @@ def test_backward_sparse_gradient_matches_numeric(rng):
 def test_backward_returns_one_gradient_per_sparse_feature(rng):
     dense = rng.normal(size=(2, 4))
     sparse = rng.normal(size=(2, 5, 4))
-    out, cache = dot_interaction(dense, sparse)
-    _, grad_sparse = dot_interaction_backward(np.ones_like(out), cache)
+    out, _ = dot_interaction(dense, sparse)
+    _, grad_sparse = reused_kernel_backward(dense, sparse, np.ones_like(out))
     assert grad_sparse.shape == (2, 5, 4)
 
 
@@ -85,11 +84,11 @@ def _random_problem(rng, batch=7, features=5, dim=8):
 def test_batched_matches_reference_allclose(rng):
     """The certified GEMM path agrees with the einsum reference to fp noise."""
     dense, sparse = _random_problem(rng)
-    out_new, cache_new = dot_interaction(dense, sparse)
+    out_new, _ = dot_interaction(dense, sparse)
     out_ref, cache_ref = reference_dot_interaction(dense, sparse)
     np.testing.assert_allclose(out_new, out_ref, rtol=1e-12, atol=1e-12)
     grad_out = rng.normal(size=out_new.shape)
-    gd_new, gs_new = dot_interaction_backward(grad_out, cache_new)
+    gd_new, gs_new = reused_kernel_backward(dense, sparse, grad_out)
     gd_ref, gs_ref = reference_dot_interaction_backward(grad_out, cache_ref)
     np.testing.assert_allclose(gd_new, gd_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gs_new, gs_ref, rtol=1e-12, atol=1e-12)
@@ -100,16 +99,16 @@ def test_row_stability_of_batched_path(rng):
     dense, sparse = _random_problem(rng, batch=33)
     if not interaction_certified(sparse.shape[1] + 1, dense.shape[1], dense.dtype):
         return  # the fallback path is bitwise-stable by construction
-    out_full, cache_full = dot_interaction(dense, sparse)
+    out_full, _ = dot_interaction(dense, sparse)
     grad_out = rng.normal(size=out_full.shape)
-    gd_full, gs_full = dot_interaction_backward(grad_out, cache_full)
+    gd_full, gs_full = reused_kernel_backward(dense, sparse, grad_out)
     for lo, hi in ((0, 1), (0, 5), (3, 17), (20, 33)):
         sub_dense = np.ascontiguousarray(dense[lo:hi])
         sub_sparse = np.ascontiguousarray(sparse[lo:hi])
-        out_sub, cache_sub = dot_interaction(sub_dense, sub_sparse)
+        out_sub, _ = dot_interaction(sub_dense, sub_sparse)
         assert np.array_equal(out_full[lo:hi], out_sub)
-        gd_sub, gs_sub = dot_interaction_backward(
-            np.ascontiguousarray(grad_out[lo:hi]), cache_sub
+        gd_sub, gs_sub = reused_kernel_backward(
+            sub_dense, sub_sparse, np.ascontiguousarray(grad_out[lo:hi])
         )
         assert np.array_equal(gd_full[lo:hi], gd_sub)
         assert np.array_equal(gs_full[lo:hi], gs_sub)
@@ -128,16 +127,19 @@ def test_uncertified_shape_dispatches_to_einsum_path(rng, monkeypatch):
 
 
 def test_kernel_matches_free_function_bitwise(rng):
-    """The pooled kernel's buffers must not change a single bit."""
+    """The pooled kernel's buffers must not change a single bit: its forward
+    matches the unpooled function, and its backward a fresh kernel's."""
     dense, sparse = _random_problem(rng)
     kernel = DotInteractionKernel()
     for _ in range(3):  # repeat: later rounds exercise recycled buffers
         out_k, cache_k = kernel.forward(dense, sparse)
-        out_f, cache_f = dot_interaction(dense, sparse)
+        out_f, _ = dot_interaction(dense, sparse)
         assert np.array_equal(out_k, out_f)
+        fresh = DotInteractionKernel()
+        _, cache_f = fresh.forward(dense, sparse)
         grad_out = np.ones_like(out_k)
         gd_k, gs_k = kernel.backward(grad_out, cache_k)
-        gd_f, gs_f = dot_interaction_backward(grad_out, cache_f)
+        gd_f, gs_f = fresh.backward(grad_out, cache_f)
         assert np.array_equal(gd_k, gd_f)
         assert np.array_equal(gs_k, gs_f)
 

