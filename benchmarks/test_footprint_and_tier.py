@@ -22,11 +22,18 @@ Two accounting series for ``BENCH_sparse_path.json``:
   allocates one 10 MiB set of EAL arrays, which every shard's EAL learns
   in turn), and evaluating a 4,096-sample
   held-out batch retains under 64 KiB (the inference forward stores
-  nothing on the model) and peaks under 8 MiB (it scores the batch in
-  256-row blocks, so one block's Gram and pooled rows are live at a time,
+  nothing on the model) and peaks under 6 MiB (it scores the batch in
+  128-row blocks, so one block's Gram and pooled rows are live at a time,
   beside the ``(4096, 256)`` penultimate activations its logit layer
-  reads).  All three are recorded as gated headroom (``bound /
-  measured``, gate 1.0).
+  reads).
+* ``k4_stale2_steady_bytes`` — what a K=4 ``stale-2`` trainer with an
+  8-batch lookahead and a 25% hot tier (the step benchmark's
+  ``k4-stale2-w8-tier``) holds after its 16th step, click log excluded:
+  under 14 MiB, with exactly two flat dense gradients in flight and no
+  input-gradient workspace beside an activation that is dead when the
+  gradient is written.
+
+All four are recorded as gated headroom (``bound / measured``, gate 1.0).
 """
 
 import time
@@ -228,7 +235,7 @@ def test_k4_trainer_footprint_at_benchmark_scale():
     benchmark's ``k4-sync`` set-up, default 4 MB EAL): constructing and
     binding it peaks under 24 MiB, beside one EAL's 10 MiB of arrays (a
     flat uint32 key and an int8 RRPV per entry), and evaluating a
-    4,096-sample batch retains under 64 KiB and peaks under 8 MiB."""
+    4,096-sample batch retains under 64 KiB and peaks under 6 MiB."""
     config = RM2.scaled(1200)
     train, held = 32768, 4096
     full = generate_click_log(config.dataset, train + held, 0)
@@ -265,7 +272,7 @@ def test_k4_trainer_footprint_at_benchmark_scale():
     eal_bytes = sum(array.nbytes for array in twin.release())
     bind_bound = 24 * 2**20
     retained_bound = 64 * 1024
-    peak_bound = 8 * 2**20
+    peak_bound = 6 * 2**20
     print(
         f"\nK=4 RM2 @ 1200 rows: construct + bind peak {bind_peak} B "
         f"(bound {bind_bound} B; one EAL {eal_bytes} B), evaluate({held}) retained "
@@ -302,3 +309,50 @@ def test_k4_trainer_footprint_at_benchmark_scale():
     assert bind_peak < bind_bound
     assert retained < retained_bound
     assert eval_peak < peak_bound
+
+
+def test_k4_stale2_trainer_steady_footprint():
+    """The step benchmark's ``k4-stale2-w8-tier`` trainer (RM2 at 1,200-row
+    tables, K=4, ``stale-2``, an 8-batch lookahead, a hot tier of 25% of
+    the table bytes) holds under 14 MiB after its 16th step, click log
+    excluded: the model, the tier, the lookahead window, the workspaces
+    and two flat dense gradients in flight.  A third in-flight buffer
+    (1.8 MiB) or the dead input-gradient workspaces (1.3 MiB) break it."""
+    config = RM2.scaled(1200)
+    log = generate_click_log(config.dataset, 32768, 0)
+    loader = MiniBatchLoader(log, batch_size=256, shuffle=True, seed=1, prefetch=0)
+    steps = 16
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        base = tracemalloc.get_traced_memory()[0]
+        trainer = ShardedHotlineTrainer(
+            DLRM(config, seed=1), 4, lr=0.3, sample_fraction=0.25, mode="stale-2",
+            lookahead_window=8, tiered_hot_bytes=0.25 * config.embedding_bytes,
+            perf_model=HotlineScheduler(TrainingCostModel(RM2, cluster=single_node(4))),
+        )
+        trainer.bind(loader)
+        for _step, batch in zip(range(steps), loader.epoch(), strict=False):
+            trainer.train_step(batch)
+        held = tracemalloc.get_traced_memory()[0] - base
+        elapsed = time.perf_counter() - start
+    finally:
+        tracemalloc.stop()
+
+    bound = 14 * 2**20
+    in_flight = [flat for flat in trainer._pending_dense if flat is not None]
+    print(
+        f"\nK=4 stale-2 w8 tier @ RM2 1200 rows: holds {held} B after step {steps} "
+        f"(bound {bound} B), {len(in_flight)} dense gradients in flight"
+    )
+    record_bench(
+        "k4_stale2_steady_bytes",
+        config=f"RM2 max_rows=1200, K=4, stale-2, lookahead_window=8, tier 25%, "
+        f"batch=256, steps={steps}, held_bytes={held}, bound_bytes={bound} (14 MiB)",
+        seconds=elapsed / steps,
+        speedup=bound / held,
+        gate=1.0,
+        enforced=True,
+    )
+    assert len(in_flight) == 2
+    assert held < bound

@@ -52,12 +52,6 @@ class MicroBatches:
         return int(np.count_nonzero(self.popular_mask))
 
     @property
-    def popular_fraction(self) -> float:
-        """Fraction of inputs classified popular."""
-        total = self.popular_mask.size
-        return self.popular_count / total if total else 0.0
-
-    @property
     def sizes(self) -> tuple[int, int]:
         """(popular size, non-popular size)."""
         popular = self.popular_count

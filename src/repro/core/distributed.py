@@ -23,8 +23,9 @@ simulated cluster pays, not one this host pays K times.
   numerics unchanged) or ``stale-<k>``.  Under ``stale-k`` the layers'
   sum is copied into a recycled flat buffer that waits in a k-deep deque
   and lands k steps late (``stale-0`` is exactly ``sync``; any ``k > 0``
-  changes numerics but stays deterministic).  At most k+1 such buffers
-  are live.
+  changes numerics but stays deterministic).  The oldest gradient lands
+  before the newest is copied into its buffer, so at most k such buffers
+  are live: BagPipe's bound of k updates in flight.
 * **Sparse gradients** stay in one flat key space over every table (row
   ``r`` of table ``t`` is key ``offsets[t] + r``, see
   :mod:`repro.nn.embedding`) from the scatter to the update, so each
@@ -256,11 +257,9 @@ class ShardedHotlineTrainer(StepExecutor):
         #: the previous step (delta tracking; see _tier_totals).
         self._tier_seen = (0, 0, 0, 0.0, 0.0)
         #: Reduced dense gradients in flight (``stale-k``: a k-deep deque —
-        #: the gradient of step t is applied at step t + k).
+        #: the gradient of step t is applied at step t + k, and its buffer
+        #: then takes step t + k's gradient).
         self._pending_dense: deque[np.ndarray | None] = deque()
-        #: Free list of P-sized flat buffers: applied gradients return here
-        #: and the next deque entry is copied into one of them.
-        self._dense_spare: list[np.ndarray] = []
         #: Loader bound by the engine (drives the lookahead epoch stream).
         self._bound_loader: MiniBatchLoader | None = None
         self._epoch_step = 0
@@ -348,19 +347,18 @@ class ShardedHotlineTrainer(StepExecutor):
     # ------------------------------------------------------------------ #
     # Dense-gradient plumbing
     # ------------------------------------------------------------------ #
-    def _copy_dense_gradient(self) -> np.ndarray:
+    def _copy_dense_gradient(self, flat: np.ndarray | None) -> np.ndarray:
         """The layers' accumulated dense gradient as one flat array, copied
-        into a recycled buffer (``stale-k`` keeps it in flight)."""
+        into ``flat`` (a landed gradient's buffer) or, without one, into a
+        new array (``stale-k`` keeps it in flight)."""
         grads = [grad.ravel() for _param, grad in self.model.dense_parameters()]
-        size = sum(grad.size for grad in grads)
-        flat = self._dense_spare.pop() if self._dense_spare else None
-        if flat is None or flat.shape != (size,) or flat.dtype != grads[0].dtype:
-            flat = np.empty(size, dtype=grads[0].dtype)
+        if flat is None:
+            flat = np.empty(sum(grad.size for grad in grads), dtype=grads[0].dtype)
         return np.concatenate(grads, out=flat)
 
     def _apply_dense_gradient(self, flat: np.ndarray) -> None:
-        """SGD-update the dense parameters from one flat gradient, then
-        recycle its buffer.
+        """SGD-update the dense parameters from one flat gradient, which
+        holds ``lr`` times the gradient afterwards.
 
         The length is checked before anything changes — the parameters
         and ``flat`` itself.  Then ``flat`` is scaled by ``lr`` once, in
@@ -380,7 +378,6 @@ class ShardedHotlineTrainer(StepExecutor):
         for param, _grad in self.model.dense_parameters():
             param -= flat[offset : offset + param.size].reshape(param.shape)
             offset += param.size
-        self._dense_spare.append(flat)
 
     # ------------------------------------------------------------------ #
     # Lookahead plumbing
@@ -586,19 +583,21 @@ class ShardedHotlineTrainer(StepExecutor):
 
         merged = self.exchange.exchange(partials)
 
-        # Sync applies the layers' sum in place.  Otherwise this step's
-        # gradient joins the k-deep staleness queue as a flat copy, and
-        # once the queue is k + 1 deep the oldest one lands.
+        # Sync applies the layers' sum in place.  Otherwise, once the
+        # k-deep staleness queue is full, its oldest gradient lands (the
+        # layers' gradients stay as they are), and this step's gradient
+        # joins the queue as a flat copy in the landed one's buffer.
         staleness = self.reducer.staleness
         if staleness == 0:
             if segments:
                 model.apply_dense_update(self.lr)
         else:
-            self._pending_dense.append(self._copy_dense_gradient() if segments else None)
-            if len(self._pending_dense) > staleness:
+            flat = None
+            if len(self._pending_dense) == staleness:
                 flat = self._pending_dense.popleft()
                 if flat is not None:
                     self._apply_dense_gradient(flat)
+            self._pending_dense.append(self._copy_dense_gradient(flat) if segments else None)
         if self.lookahead is not None:
             sparse_updates = self.lookahead.defer(merged)
         else:

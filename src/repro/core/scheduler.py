@@ -70,11 +70,6 @@ class HotlineStepPlan:
     step_time: float
 
     @property
-    def popular_fraction(self) -> float:
-        """Fraction of the mini-batch executed directly from HBM."""
-        return self.popular_size / self.batch_size if self.batch_size else 0.0
-
-    @property
     def gather_hidden(self) -> bool:
         """Whether the non-popular gather is fully hidden."""
         return self.exposed_gather_time <= 1e-12

@@ -25,7 +25,6 @@ from repro.hwsim.collectives import (
     broadcast_time,
     comm_op_time,
     embedding_alltoall_time,
-    gather_time,
     hierarchical_allreduce_time,
     tree_allreduce_time,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "broadcast_time",
     "comm_op_time",
     "embedding_alltoall_time",
-    "gather_time",
     "hierarchical_allreduce_time",
     "tree_allreduce_time",
     "Node",

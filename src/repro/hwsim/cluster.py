@@ -173,11 +173,6 @@ class HierarchicalTopology:
         return self.gpus_per_nic * self.nics_per_node
 
     @property
-    def total_gpus(self) -> int:
-        """Total devices under the spine."""
-        return self.gpus_per_node * self.num_nodes
-
-    @property
     def spine_link(self) -> Link:
         """The leaf link derated by the spine's oversubscription ratio."""
         if self.oversubscription == 1.0:

@@ -114,14 +114,6 @@ def cache_fill_time(
     return alltoall + engine.read_time(num_rows * row_bytes, scattered=True)
 
 
-def gather_time(num_bytes_per_device: float, participants: int, link: Link) -> float:
-    """Gather of ``num_bytes_per_device`` from each device onto one root."""
-    if participants <= 1 or num_bytes_per_device <= 0:
-        return 0.0
-    total = num_bytes_per_device * (participants - 1)
-    return link.latency_s * (participants - 1) + total / link.bandwidth
-
-
 def hierarchical_allreduce_time(
     num_bytes: float,
     gpus_per_node: int,

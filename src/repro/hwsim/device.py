@@ -30,7 +30,6 @@ class CPUSpec:
         memory_parallelism: Effective number of concurrent memory streams;
             random-gather workloads (embedding lookups) plateau once this
             many cores issue requests (paper Fig. 8 observation).
-        compute_efficiency: Fraction of peak FLOPS achieved by dense kernels.
     """
 
     name: str
@@ -40,18 +39,11 @@ class CPUSpec:
     memory: MemorySpec
     memory_capacity_bytes: float
     memory_parallelism: int = 24
-    compute_efficiency: float = 0.60
 
     @property
     def peak_flops(self) -> float:
         """Peak FP32 throughput in FLOP/s across all cores."""
         return self.cores * self.frequency_hz * self.flops_per_core_per_cycle
-
-    def dense_compute_time(self, flops: float, cores: int | None = None) -> float:
-        """Time to execute ``flops`` of dense compute on ``cores`` cores."""
-        active = self.cores if cores is None else max(1, min(cores, self.cores))
-        peak = active * self.frequency_hz * self.flops_per_core_per_cycle
-        return flops / (peak * self.compute_efficiency)
 
     def random_gather_time(
         self, num_accesses: int, bytes_per_access: int, cores: int | None = None
@@ -67,10 +59,6 @@ class CPUSpec:
         effective_streams = min(active, self.memory_parallelism)
         per_access = self.memory.random_access_time(bytes_per_access)
         return num_accesses * per_access / effective_streams
-
-    def stream_time(self, num_bytes: float) -> float:
-        """Time to stream ``num_bytes`` sequentially through DRAM."""
-        return self.memory.stream_time(num_bytes)
 
 
 @dataclass(frozen=True)

@@ -255,21 +255,20 @@ class RecommendationModel(abc.ABC):
             # Whole-block division is elementwise — bit-identical to
             # dividing each segment's ``seg_grad`` on its own.
             grad_logits /= normalizer
+        # Each packed backward folds its layers' per-segment partials as
+        # it goes (see PackedMLP.backward).
         grad_features = self._packed_top.backward(grad_logits.reshape(-1, 1), bounds)
         grad_dense, grad_lookup = self._features_backward(grad_features, cache)
         # The bottom MLP's input gradient is discarded by every caller —
         # the packed path skips that (dead) first-layer GEMM entirely.
         self._packed_bottom.backward(grad_dense, bounds, need_input_grad=False)
-        for lo, hi in bounds:
-            self._packed_top.accumulate_segment(lo, hi)
-            self._packed_bottom.accumulate_segment(lo, hi)
         return losses, grad_lookup
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Predicted click probabilities for a batch: the inference forward.
 
         The arithmetic of :meth:`forward`, bit for bit, scored in certified
-        256-row blocks (:func:`~repro.nn.gemm.infer_in_blocks`), so a
+        128-row blocks (:func:`~repro.nn.gemm.infer_in_blocks`), so a
         4,096-sample batch holds one block's embedding rows and feature
         temporaries at a time; RM1's and RM2's logit layers, which never
         certify, run once over all rows.  Nothing is stored on the model:

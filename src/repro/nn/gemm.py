@@ -71,10 +71,20 @@ operand layout the packed pass uses (``transposed=True`` for backward).
 Workspaces
 ----------
 
-Each packed layer owns preallocated output/gradient/mask workspaces keyed
+Each packed layer owns preallocated output and ReLU-mask workspaces keyed
 on the packed row count, so a steady-state step performs no large
 allocations.  The workspaces are shape-keyed only — weight updates never
-invalidate them.
+invalidate them.  The backward holds no buffer whose values nothing reads
+again:
+
+* Each unit folds its per-segment ``grad_weight`` / ``grad_bias``
+  partials inside :meth:`PackedMLP.backward`, before its input-gradient
+  GEMM.  That GEMM then writes into the unit's input — the previous
+  unit's output workspace, dead once folded — so only a first unit asked
+  for its input gradient (the top MLP's) owns an input-gradient
+  workspace; it never writes into the caller's array.
+* The units of one :class:`PackedMLP` share one ``X.T @ G`` partial
+  scratch, sized to the largest weight.
 
 Inference row blocks
 --------------------
@@ -173,20 +183,27 @@ def packed_rows_threshold(
 
 
 class _PackedUnit:
-    """One ``Linear`` (+ optional fused ``ReLU``) of a :class:`PackedMLP`."""
+    """One ``Linear`` (+ optional fused ``ReLU``) of a :class:`PackedMLP`.
 
-    def __init__(self, linear: Linear, relu: ReLU | None):
+    ``scratch`` is the MLP's shared ``X.T @ G`` partial buffer, of which the
+    unit uses its weight's shape; ``first`` marks the unit that reads the
+    caller's input, the one unit whose input gradient needs a workspace of
+    its own.
+    """
+
+    def __init__(self, linear: Linear, relu: ReLU | None, scratch: np.ndarray, *, first: bool):
         self.linear = linear
         self.relu = relu
+        self.first = first
+        shape = linear.grad_weight.shape
+        self._partial = scratch[: linear.grad_weight.size].reshape(shape)
         self._fwd_from: int | None = None
         self._bwd_from: int | None = None
         self._bufs: dict[tuple[str, int], np.ndarray] = {}
-        #: Per-segment ``X.T @ G`` partial workspace (one weight shape).
-        self._gw_partial = np.empty_like(linear.grad_weight)
-        #: Packed input / post-activation output gradient of the last
-        #: backward, consumed by :meth:`accumulate_segment`.
+        #: Packed input of the last forward: folded into ``grad_weight`` by
+        #: :meth:`backward`, then (past the first unit) overwritten by the
+        #: input gradient.
         self._x: np.ndarray | None = None
-        self._g: np.ndarray | None = None
 
     def _buf(self, name: str, rows: int, cols: int, dtype) -> np.ndarray:
         key = (name, rows)
@@ -237,12 +254,29 @@ class _PackedUnit:
         *,
         need_input_grad: bool,
     ) -> np.ndarray | None:
+        """Fold every segment's weight/bias partial into the layer, then
+        return the input gradient (``None`` when not needed).
+
+        ``X[lo:hi].T @ G[lo:hi]`` on contiguous row slices is bitwise the
+        sequential per-segment ``grad_weight`` contribution, and adding the
+        partials in segment order keeps the sequential accumulation
+        sequence.  Past the first unit the input gradient is written into
+        ``X`` itself: the previous unit's output workspace, which nothing
+        reads once the partials are folded.
+        """
         lin = self.linear
         if self.relu is not None:
-            # ``grad`` is a workspace owned by the downstream unit; the
-            # in-place mask multiply matches the sequential ReLU backward.
+            # ``grad`` sits in this unit's output workspace, where the
+            # downstream unit wrote its input gradient; the in-place mask
+            # multiply matches the sequential ReLU backward.
             grad *= self._bufs[("mask", grad.shape[0])]
-        self._g = grad
+        x = self._x
+        for lo, hi in bounds:
+            # ``matmul(..., out=)`` produces the same bits as the allocating
+            # form; the shared partial only avoids a per-segment temp.
+            np.matmul(x[lo:hi].T, grad[lo:hi], out=self._partial)
+            lin.grad_weight += self._partial
+            lin.grad_bias += grad[lo:hi].sum(axis=0)
         if not need_input_grad:
             return None
         if self._bwd_from is None:
@@ -252,28 +286,13 @@ class _PackedUnit:
         # The transpose *view* — the sequential ``Linear.backward`` operand.
         # A contiguous copy is NOT bit-equivalent (different BLAS kernel).
         wt = lin.weight.T
-        gi = self._buf("gi", grad.shape[0], lin.in_features, grad.dtype)
+        gi = self._buf("gi", grad.shape[0], lin.in_features, grad.dtype) if self.first else x
         if min_rows >= self._bwd_from:
             np.matmul(grad, wt, out=gi)
         else:
             for lo, hi in bounds:
                 np.matmul(grad[lo:hi], wt, out=gi[lo:hi])
         return gi
-
-    def accumulate_segment(self, lo: int, hi: int) -> None:
-        """Fold one segment's weight/bias gradient partial into the layer.
-
-        ``X[lo:hi].T @ G[lo:hi]`` on contiguous row slices is bitwise the
-        sequential per-segment ``grad_weight`` contribution; adding the
-        partials in segment order preserves the sequential accumulation
-        sequence.
-        """
-        lin = self.linear
-        # ``matmul(..., out=)`` produces the same bits as the allocating
-        # form; the preallocated partial only avoids a per-segment temp.
-        np.matmul(self._x[lo:hi].T, self._g[lo:hi], out=self._gw_partial)
-        lin.grad_weight += self._gw_partial
-        lin.grad_bias += self._g[lo:hi].sum(axis=0)
 
 
 class PackedMLP:
@@ -288,8 +307,17 @@ class PackedMLP:
     def __init__(self, mlp: MLP):
         self.mlp = mlp
         layers = mlp.layers
+        #: One ``X.T @ G`` scratch for every unit, sized to the largest weight.
+        self._partial = np.empty(
+            max(lin.grad_weight.size for lin in layers[::2]), dtype=layers[0].grad_weight.dtype
+        )
         self.units = [
-            _PackedUnit(layers[i], layers[i + 1] if i + 1 < len(layers) else None)
+            _PackedUnit(
+                layers[i],
+                layers[i + 1] if i + 1 < len(layers) else None,
+                self._partial,
+                first=i == 0,
+            )
             for i in range(0, len(layers), 2)
         ]
 
@@ -315,8 +343,8 @@ class PackedMLP:
         logits never make a separate full-width pass.  Adding the scalar
         bias later is elementwise and therefore bit-identical to the
         broadcast ``y += bias`` the standard forward performs.  The
-        backward/accumulate schedule is unchanged — the final unit's
-        ``grad_bias`` still accumulates from the logit gradient.
+        backward schedule is unchanged — the final unit's ``grad_bias``
+        still accumulates from the logit gradient.
         """
         min_rows = min(hi - lo for lo, hi in bounds)
         out = x
@@ -332,6 +360,14 @@ class PackedMLP:
         *,
         need_input_grad: bool = True,
     ) -> np.ndarray | None:
+        """Backward over the packed block, last unit first.
+
+        Each unit folds its per-segment ``grad_weight``/``grad_bias``
+        partials in segment order before its input-gradient GEMM reuses
+        its input, so the layers hold the step's dense gradient when this
+        returns.  Returns the first unit's input gradient, or ``None`` with
+        ``need_input_grad=False``.
+        """
         min_rows = min(hi - lo for lo, hi in bounds)
         for j, unit in enumerate(reversed(self.units)):
             last = j == len(self.units) - 1
@@ -342,15 +378,22 @@ class PackedMLP:
         return grad
 
     def accumulate_segment(self, lo: int, hi: int) -> None:
-        """One segment's ``grad_weight``/``grad_bias`` partials, all layers."""
-        for unit in reversed(self.units):
-            unit.accumulate_segment(lo, hi)
+        """Nothing to do: :meth:`backward` has folded every segment.
+
+        Each unit's partials must be folded before its input-gradient GEMM
+        overwrites the input they read, so the fold cannot wait for a
+        later call.  The step benchmark's tracer wraps this name on each
+        packed MLP, so it stays, and calling it adds nothing twice.
+        """
 
 
 #: Row height of one block of :func:`infer_in_blocks`.  With OpenBLAS 0.3.31
 #: on x86-64, every forward GEMM shape of RM1 and RM2 certifies from 8 rows
 #: or fewer, except their ``(256, 1)`` and ``(60, 1)`` logit layers (never).
-INFER_BLOCK_ROWS = 256
+#: One block's temporaries sit beside the ``(rows, hidden)`` array the logit
+#: reads: at 128 rows RM2's 4,096-row ``predict`` peaks 1.1 MB lower than at
+#: 256, for about 6% more time.
+INFER_BLOCK_ROWS = 128
 
 
 def _certified_at_block_height(linear: Linear) -> bool:

@@ -195,6 +195,48 @@ def test_packed_mlp_packs_each_linear_with_its_relu(rng):
     ]
 
 
+@pytest.mark.parametrize(
+    "model_cls, config_fixture, log_fixture",
+    [
+        (DLRM, "tiny_model_config", "tiny_click_log"),
+        (TBSM, "tiny_ts_model_config", "tiny_ts_click_log"),
+    ],
+    ids=["DLRM", "TBSM"],
+)
+def test_packed_backward_holds_no_spent_workspace(request, model_cls, config_fixture, log_fixture):
+    """After a packed pass only the top MLP's first unit owns an
+    input-gradient workspace: the bottom MLP's input gradient is never
+    computed, and every later unit writes its input gradient into its
+    input, the previous unit's activation.  Each packed MLP's units share
+    one partial scratch, sized to its largest weight."""
+    model = model_cls(request.getfixturevalue(config_fixture), seed=3)
+    batch = request.getfixturevalue(log_fixture).batch(0, 96)
+    model.zero_grad()
+    model.fused_loss_and_gradients(batch, interleaved(96), normalizer=96)
+    for packed, with_workspace in ((model._packed_bottom, []), (model._packed_top, [0])):
+        owners = [
+            i for i, unit in enumerate(packed.units) if any(key[0] == "gi" for key in unit._bufs)
+        ]
+        assert owners == with_workspace
+        assert packed._partial.size == max(unit.linear.weight.size for unit in packed.units)
+        for unit in packed.units:
+            assert unit._partial.base is packed._partial
+
+
+def test_first_unit_never_writes_into_the_callers_input(rng):
+    """The first unit's input is the caller's array (the top MLP's is the
+    feature layer's output): it keeps its values through the backward,
+    and the returned input gradient is a workspace of its own."""
+    packed = PackedMLP(MLP([16, 32, 8, 1], rng))
+    x = rng.standard_normal((40, 16)).astype(np.float32)
+    before = x.copy()
+    bounds = [(0, 17), (17, 40)]
+    packed.forward(x, bounds)
+    grad_input = packed.backward(rng.standard_normal((40, 1)).astype(np.float32), bounds)
+    assert x.tobytes() == before.tobytes()
+    assert not np.shares_memory(grad_input, x)
+
+
 # --------------------------------------------------------------------- #
 # New-kernel vs reference-kernel parity
 # --------------------------------------------------------------------- #

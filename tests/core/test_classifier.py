@@ -52,8 +52,9 @@ def test_non_popular_inputs_touch_at_least_one_cold_row():
 
 
 def test_popular_fraction():
-    micro = split_minibatch(make_batch(), HOT)
-    assert micro.popular_fraction == pytest.approx(0.5)
+    batch = make_batch()
+    micro = split_minibatch(batch, HOT)
+    assert micro.popular_count / batch.size == pytest.approx(0.5)
 
 
 def test_empty_hot_set_sends_everything_to_non_popular():
@@ -68,7 +69,7 @@ def test_full_hot_set_sends_everything_to_popular():
     hot = [np.arange(10), np.arange(10)]
     micro = split_minibatch(batch, hot)
     assert micro.non_popular.size == 0
-    assert micro.popular_fraction == 1.0
+    assert micro.popular_count == batch.size
 
 
 def test_wrong_hot_set_count_raises():

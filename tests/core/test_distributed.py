@@ -8,6 +8,8 @@ trainer — within the cross-order tolerance of ``tests/helpers.py`` (the
 shards sum in a different order), and bit-for-bit for K = 1.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -521,6 +523,41 @@ def test_engine_run_ends_with_nothing_deferred(tiny_model_config, tiny_click_log
     )
     assert len(trainer._pending_dense) == 0
     assert trainer.lookahead.pending_rows_total == 0
+
+
+def flat_dense_buffers(trainer) -> set[int]:
+    """Ids of the dense-gradient-sized flat arrays the trainer's attributes
+    hold, directly or in a list or deque."""
+    size = trainer.model.num_dense_parameters
+    held = set()
+    for value in vars(trainer).values():
+        items = value if isinstance(value, list | deque) else [value]
+        held.update(
+            id(item) for item in items if isinstance(item, np.ndarray) and item.shape == (size,)
+        )
+    return held
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stale_k_holds_k_flat_dense_buffers(tiny_model_config, tiny_click_log, k):
+    """BagPipe's bound: at most k dense gradients in flight.  Once the
+    deque is full, each step lands the oldest gradient before it copies
+    the newest into that buffer, so after every steady step the trainer
+    holds exactly k flat buffers, the same k throughout."""
+    trainer = ShardedHotlineTrainer(
+        DLRM(tiny_model_config, seed=5), 2, sample_fraction=0.25, mode=f"stale-{k}"
+    )
+    loader = MiniBatchLoader(tiny_click_log, batch_size=128)
+    trainer.bind(loader)
+    steady = []
+    for step, batch in enumerate(loader):
+        trainer.train_step(batch)
+        held = flat_dense_buffers(trainer)
+        assert len(held) == min(step + 1, k)
+        if step + 1 >= k:
+            steady.append(held)
+    assert len(steady) > k
+    assert all(held == steady[0] for held in steady)
 
 
 def test_finalize_is_noop_for_sync_runs(tiny_model_config, tiny_click_log):

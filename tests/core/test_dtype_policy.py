@@ -6,8 +6,8 @@ steps through each trainer configuration and check, after every step,
 that each array a step produces or updates is float32: dense parameters
 and gradients, table weights, every sparse gradient built (merged,
 exchanged, deferred or flushed), the logits and logit gradients of the
-loss epilogue, the sharded trainer's recycled dense-gradient buffers and
-in-flight stale gradients, and the lookahead pending store's value slabs.
+loss epilogue, the sharded trainer's in-flight stale gradients, and the
+lookahead pending store's value slabs.
 They also check that the bytes the process holds are the bytes priced.
 """
 
@@ -94,8 +94,6 @@ def step_arrays(trainer):
         yield "dense parameter", param
         yield "dense gradient", grad
     yield "table weight", model.embedding.weight
-    for buffer in getattr(trainer, "_dense_spare", []):
-        yield "dense spare buffer", buffer
     for flat in getattr(trainer, "_pending_dense", []):
         if flat is not None:
             yield "in-flight dense gradient", flat
@@ -115,9 +113,7 @@ ALWAYS_SEEN = {
 EXTRA_SEEN = {
     "single": set(),
     "k2-sync": set(),
-    "k2-stale2-w4-tier": {
-        "dense spare buffer", "in-flight dense gradient", "pending value slab",
-    },
+    "k2-stale2-w4-tier": {"in-flight dense gradient", "pending value slab"},
     "k8-batch6": set(),
 }
 

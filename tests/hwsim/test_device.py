@@ -19,18 +19,6 @@ def test_cpu_peak_flops_positive():
     assert XEON_SILVER_4116.peak_flops < TESLA_V100.peak_flops
 
 
-def test_cpu_dense_compute_scales_with_flops():
-    t1 = XEON_SILVER_4116.dense_compute_time(1e9)
-    t2 = XEON_SILVER_4116.dense_compute_time(2e9)
-    assert t2 == pytest.approx(2 * t1)
-
-
-def test_cpu_dense_compute_scales_with_cores():
-    full = XEON_SILVER_4116.dense_compute_time(1e9)
-    half = XEON_SILVER_4116.dense_compute_time(1e9, cores=12)
-    assert half == pytest.approx(2 * full)
-
-
 def test_cpu_random_gather_plateaus_beyond_memory_parallelism():
     """Figure 8: adding cores past the MLP limit does not help gathers."""
     at_24 = XEON_SILVER_4116.random_gather_time(100_000, 64, cores=24)
@@ -41,13 +29,14 @@ def test_cpu_random_gather_plateaus_beyond_memory_parallelism():
 
 
 def test_gpu_faster_than_cpu_for_dense_compute():
+    """The GPU at its kernel efficiency beats the CPU even at the CPU's peak."""
     flops = 1e10
-    assert TESLA_V100.dense_compute_time(flops) < XEON_SILVER_4116.dense_compute_time(flops)
+    assert TESLA_V100.dense_compute_time(flops) < flops / XEON_SILVER_4116.peak_flops
 
 
 def test_gpu_hbm_gather_faster_than_cpu_stream():
     num_bytes = 100e6
-    assert TESLA_V100.hbm_gather_time(num_bytes) < XEON_SILVER_4116.stream_time(num_bytes)
+    assert TESLA_V100.hbm_gather_time(num_bytes) < XEON_SILVER_4116.memory.stream_time(num_bytes)
 
 
 def test_gpu_kernel_launch_overhead_additive():

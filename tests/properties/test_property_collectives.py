@@ -9,7 +9,7 @@ are **monotone**:
 * every primitive is non-decreasing in its payload (bytes, or rows and
   row-bytes for the embedding kinds);
 * the peer-to-peer collectives (all-reduce, tree all-reduce, all-to-all,
-  broadcast, gather, hierarchical all-reduce) are non-decreasing in the
+  broadcast, hierarchical all-reduce) are non-decreasing in the
   participant count — more peers, more hops;
 * the embedding kinds (``embedding_alltoall_time``, ``cache_fill_time``)
   are deliberately **excluded** from participant monotonicity: their
@@ -29,7 +29,6 @@ from repro.hwsim.collectives import (
     broadcast_time,
     cache_fill_time,
     embedding_alltoall_time,
-    gather_time,
     hierarchical_allreduce_time,
     tree_allreduce_time,
 )
@@ -52,7 +51,6 @@ PEER_COLLECTIVES = [
     tree_allreduce_time,
     alltoall_time,
     broadcast_time,
-    gather_time,
 ]
 
 
