@@ -32,8 +32,11 @@ Two accounting series for ``BENCH_sparse_path.json``:
   under 14 MiB, with exactly two flat dense gradients in flight and no
   input-gradient workspace beside an activation that is dead when the
   gradient is written.
+* ``click_log_bytes`` — what the step benchmark's click log (RM2 at
+  1,200-row tables, 32,768 + 4,096 samples) holds: under 7 MiB, with its
+  ids in four bytes (``ID_DTYPE``); int64 ids take it to 9.3 MiB.
 
-All four are recorded as gated headroom (``bound / measured``, gate 1.0).
+All five are recorded as gated headroom (``bound / measured``, gate 1.0).
 """
 
 import time
@@ -355,4 +358,42 @@ def test_k4_stale2_trainer_steady_footprint():
         enforced=True,
     )
     assert len(in_flight) == 2
+    assert held < bound
+
+
+def test_click_log_footprint():
+    """The step benchmark's click log (RM2 at 1,200-row tables, 32,768
+    training plus 4,096 held-out samples) holds under 7 MiB: float32 dense
+    features and labels, and ``ID_DTYPE`` ids and rank -> row maps.  Its
+    26 int64 id columns alone would hold 7.3 MiB."""
+    spec = RM2.scaled(1200).dataset
+    samples = 32768 + 4096
+    # The first call's retained bytes include numpy's lazy imports (~1.8 MB).
+    generate_click_log(spec, samples, 0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        base = tracemalloc.get_traced_memory()[0]
+        log = generate_click_log(spec, samples, 0)
+        held = tracemalloc.get_traced_memory()[0] - base
+        elapsed = time.perf_counter() - start
+    finally:
+        tracemalloc.stop()
+
+    arrays = [log.dense, log.sparse, log.labels, *log.rank_to_row]
+    array_bytes = sum(array.nbytes for array in arrays)
+    bound = 7 * 2**20
+    print(
+        f"\nclick log @ RM2 1200 rows, {samples} samples: holds {held} B "
+        f"(arrays {array_bytes} B, ids {log.sparse.nbytes} B; bound {bound} B)"
+    )
+    record_bench(
+        "click_log_bytes",
+        config=f"RM2 max_rows=1200, samples={samples}, id dtype={log.sparse.dtype}, "
+        f"held_bytes={held}, array_bytes={array_bytes}, bound_bytes={bound} (7 MiB)",
+        seconds=elapsed,
+        speedup=bound / held,
+        gate=1.0,
+        enforced=True,
+    )
     assert held < bound

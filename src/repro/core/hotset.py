@@ -158,7 +158,11 @@ class HotSetIndex:
 
         An input is popular only if *every* one of its lookups hits a hot
         row (Section I of the paper); one gather reads every lookup's bit.
+        A non-integer block raises :class:`ValueError` naming its dtype, as
+        :func:`~repro.nn.embedding.check_ids` does.
         """
+        if sparse.dtype.kind not in "iu":
+            raise ValueError(f"ids must be integers, not {sparse.dtype}")
         if sparse.ndim != 3:
             raise ValueError("sparse must be 3-D (batch, num_tables, pooling)")
         if sparse.shape[1] != self.num_tables:

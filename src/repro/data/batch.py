@@ -14,7 +14,10 @@ class MiniBatch:
     Attributes:
         dense: Continuous features, shape (batch, num_dense).
         sparse: Categorical lookups, shape (batch, num_tables, pooling);
-            each entry is a row index into the corresponding embedding table.
+            each entry is a row index into the corresponding embedding
+            table.  Any integer dtype passes
+            :func:`~repro.nn.embedding.check_ids`; batches of a generated
+            click log hold :data:`~repro.nn.embedding.ID_DTYPE` ids.
         labels: Click labels in {0, 1}, shape (batch,).
     """
 

@@ -129,7 +129,10 @@ class EvolvingSkewGenerator:
 
         Day ``d`` uses a rank->row permutation derived from day 0 by
         re-randomising ``drift_per_day`` of the hottest ranks ``d`` times, so
-        consecutive days overlap strongly while distant days diverge.
+        consecutive days overlap strongly while distant days diverge.  The
+        log's ``rank_to_row`` is day ``d``'s maps (in
+        :data:`~repro.nn.embedding.ID_DTYPE`), the ones its ids were drawn
+        through: each rank day 0 drew lands on row ``rank_to_row[t][rank]``.
         """
         if not 0.0 <= self.drift_per_day <= 1.0:
             raise ValueError("drift_per_day must be within [0, 1]")
@@ -138,6 +141,7 @@ class EvolvingSkewGenerator:
             return base
         rng = np.random.default_rng(self.seed + 1000 + day_index)
         drifted_sparse = base.sparse.copy()
+        drifted_rank_to_row: list[np.ndarray] = []
         for table, rows in enumerate(self.spec.rows_per_table):
             permutation = base.rank_to_row[table].copy()
             num_drift = max(1, int(round(rows * self.drift_per_day)))
@@ -153,10 +157,11 @@ class EvolvingSkewGenerator:
             inverse[base.rank_to_row[table]] = np.arange(rows)
             ranks = inverse[base.sparse[:, table, :]]
             drifted_sparse[:, table, :] = permutation[ranks]
+            drifted_rank_to_row.append(permutation)
         return SyntheticClickLog(
             spec=self.spec,
             dense=base.dense,
             sparse=drifted_sparse,
             labels=base.labels,
-            rank_to_row=[permutation for permutation in base.rank_to_row],
+            rank_to_row=drifted_rank_to_row,
         )

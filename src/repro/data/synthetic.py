@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.data.batch import MiniBatch
 from repro.data.datasets import DatasetSpec
+from repro.nn.embedding import ID_DTYPE
 from repro.nn.init import DTYPE
 
 
@@ -37,11 +38,13 @@ class SyntheticClickLog:
     Attributes:
         spec: The dataset specification the log was generated from.
         dense: Dense features, shape (n, num_dense).
-        sparse: Sparse lookups, shape (n, num_tables, pooling).
+        sparse: Sparse lookups, shape (n, num_tables, pooling), in
+            :data:`~repro.nn.embedding.ID_DTYPE`.
         labels: Click labels, shape (n,).
-        rank_to_row: Per-table permutation mapping Zipf rank -> row id, so
-            the most popular rows are scattered across the table (as in real
-            data) rather than being the lowest indices.
+        rank_to_row: Per-table permutation mapping Zipf rank -> row id
+            (``ID_DTYPE``), so the most popular rows are scattered across
+            the table (as in real data) rather than being the lowest
+            indices.
     """
 
     spec: DatasetSpec
@@ -90,19 +93,31 @@ def generate_click_log(
 
     Returns:
         A :class:`SyntheticClickLog` whose ``dense`` features and
-        ``labels`` are the training dtype; the hidden ground truth is
-        computed in float64 before the cast, so the sparse lookups and the
-        0/1 labels do not depend on that dtype.
+        ``labels`` are the training dtype and whose ids and rank -> row
+        maps are :data:`~repro.nn.embedding.ID_DTYPE`; the hidden ground
+        truth is computed in float64 before the cast, so the sparse lookups
+        and the 0/1 labels do not depend on that dtype.
+
+    Raises:
+        ValueError: before anything is allocated, if ``num_samples`` is
+            not positive or a table has more rows than ``ID_DTYPE`` ids.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
+    id_limit = int(np.iinfo(ID_DTYPE).max) + 1
+    for table, rows in enumerate(spec.rows_per_table):
+        if rows > id_limit:
+            raise ValueError(
+                f"table {table} has {rows} rows; "
+                f"{np.dtype(ID_DTYPE)} ids name at most {id_limit} rows"
+            )
     rng = np.random.default_rng(seed)
     num_tables = spec.num_sparse
     pooling = spec.pooling
 
     dense = rng.normal(0.0, 1.0, size=(num_samples, spec.num_dense))
 
-    sparse = np.empty((num_samples, num_tables, pooling), dtype=np.int64)
+    sparse = np.empty((num_samples, num_tables, pooling), dtype=ID_DTYPE)
     rank_to_row: list[np.ndarray] = []
     # Hidden ground-truth: a per-row logit contribution for every table, plus
     # a linear model over the dense features.
@@ -113,7 +128,7 @@ def generate_click_log(
     for table, rows in enumerate(spec.rows_per_table):
         probabilities = _zipf_probabilities(rows, spec.zipf_alpha)
         ranks = rng.choice(rows, size=(num_samples, pooling), p=probabilities)
-        permutation = rng.permutation(rows)
+        permutation = rng.permutation(rows).astype(ID_DTYPE)
         rank_to_row.append(permutation)
         sparse[:, table, :] = permutation[ranks]
         contributions = rng.normal(0.0, 0.35, size=rows)

@@ -127,27 +127,50 @@ def key_offsets(rows_per_table) -> np.ndarray:
     return np.cumsum((0, *rows_per_table), dtype=np.int64)[:-1]
 
 
-def check_ids(block, rows_per_table) -> np.ndarray:
-    """``block`` as an int64 ``(batch, tables, pooling)`` id block whose ids
-    all lie inside their tables.
+#: The one id dtype, as :data:`repro.nn.init.DTYPE` is the one parameter
+#: dtype: the click log, its batches and every table's rank -> row map
+#: hold ids in it.  The largest table of any paper dataset (Criteo
+#: Terabyte's 86,265,607 rows) needs 27 bits.  Flat keys, ``offsets[t] +
+#: id``, are int64.
+ID_DTYPE = np.int32
 
+
+def check_ids(block, rows_per_table) -> np.ndarray:
+    """``block`` as a ``(batch, tables, pooling)`` integer id block whose
+    ids all lie inside their tables.
+
+    A signed integer array is checked in its own dtype and returned
+    unchanged, so no consumer copies an :data:`ID_DTYPE` block.  An
+    unsigned one comes back as int64, since numpy adds uint64 ids to
+    int64 offsets as floats.  A non-integer block (float, bool, ...)
+    raises :class:`ValueError` naming its dtype rather than truncating.
     An id outside ``[0, rows_per_table[t])`` would name a neighbouring
     table's flat key (a negative one would also wrap to a row from the
     end), so this raises :class:`ValueError` naming the first such table.
     Every consumer of an id block calls it before it changes any state.
     """
     try:
-        block = np.asarray(block, dtype=np.int64)
+        block = np.asarray(block)
     except ValueError as exc:
         raise ValueError(
             "ids must be a rectangular (batch, tables, pooling) integer block"
         ) from exc
+    if block.dtype.kind == "u":
+        block = block.astype(np.int64)
+    elif block.dtype.kind != "i":
+        raise ValueError(f"ids must be integers, not {block.dtype}")
     rows = np.asarray(rows_per_table, dtype=np.int64)
     if block.ndim != 3 or block.shape[1] != rows.size:
         raise ValueError(f"ids must be a (batch, {rows.size}, pooling) block, not {block.shape}")
     if block.size:
-        bad = (block.min(axis=(0, 2)) < 0) | (block.max(axis=(0, 2)) >= rows)
-        if bad.any():
+        # One comparison in the unsigned view of the ids' width: a negative
+        # id reads as 2**(width - 1) or more, which no id of this dtype
+        # reaches, so it fails with those past their table.
+        ids = block.view(block.dtype.str.replace("i", "u"))
+        width = 8 * block.itemsize
+        bound = rows if width == 64 else np.minimum(rows, 1 << (width - 1))
+        if (ids >= bound.astype(ids.dtype)[:, None]).any():
+            bad = (block.min(axis=(0, 2)) < 0) | (block.max(axis=(0, 2)) >= rows)
             table = int(np.flatnonzero(bad)[0])
             raise ValueError(f"id out of range [0, {rows[table]}) for table {table}")
     return block

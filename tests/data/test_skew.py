@@ -12,6 +12,8 @@ from repro.data.skew import (
     top_k_overlap,
 )
 from repro.data.synthetic import generate_click_log
+from repro.models import RM2
+from repro.nn.embedding import ID_DTYPE
 from tests.conftest import TINY_DATASET
 
 
@@ -93,6 +95,26 @@ def test_evolving_skew_day_zero_is_base():
     base = generate_click_log(TINY_DATASET, 1024, seed=1)
     day0 = generator.day(0, 1024)
     np.testing.assert_array_equal(day0.sparse, base.sparse)
+
+
+def test_evolving_skew_day_reports_its_own_rank_to_row():
+    """Day ``d``'s ``rank_to_row`` is its drifted maps, not day 0's: each
+    rank day 0 drew lands, through them, on the row day ``d`` looked up."""
+    spec = RM2.scaled(1200).dataset
+    generator = EvolvingSkewGenerator(spec, drift_per_day=0.25, seed=0)
+    day0 = generator.day(0, 2048)
+    day2 = generator.day(2, 2048)
+    assert len(day2.rank_to_row) == spec.num_sparse
+    for table, (base, drifted) in enumerate(
+        zip(day0.rank_to_row, day2.rank_to_row, strict=True)
+    ):
+        assert drifted.dtype == ID_DTYPE
+        rank_of_row = np.empty(base.size, dtype=np.int64)
+        rank_of_row[base] = np.arange(base.size)  # day 0's map is a permutation
+        ranks = rank_of_row[day0.sparse[:, table, :]]
+        np.testing.assert_array_equal(
+            drifted[ranks], day2.sparse[:, table, :], err_msg=f"table {table}"
+        )
 
 
 def test_evolving_skew_invalid_drift():
